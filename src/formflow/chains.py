@@ -479,35 +479,42 @@ class PeriodSpectrum:
     ratios: tuple[float, ...]  # period / base (0 where below the floor)
     integer_deviation: tuple[float, ...]  # |ratio - nearest integer|
 
+    @classmethod
+    def of(cls, results: Sequence[IntegralResult], floor: float = 1e-9) -> "PeriodSpectrum":
+        """Spectrum of the integrals of one closed 1-form over its cycles;
+        periods at most floor * (1 + largest scale) count as zero."""
+        periods = tuple(r.value for r in results)
+        scale = max((r.scale for r in results), default=0.0)
+        cut = floor * (1.0 + scale)
+        nonzero = [abs(p) for p in periods if abs(p) > cut]
+        base = min(nonzero) if nonzero else None
+        ratios = tuple((p / base if base else 0.0) for p in periods)
+        deviation = tuple(abs(r - round(r)) for r in ratios)
+        return cls(periods, base, ratios, deviation)
+
 
 def period_spectrum(
     w: DifferentialForm,
     cycles: Sequence[Chain],
-    box: ex.Box | None = None,
+    context: ex.ZeroTester,
     order: int | None = None,
     floor: float = 1e-9,
     params: Mapping[str, float] | None = None,
 ) -> PeriodSpectrum:
     """Periods of a closed 1-form over cycles, with ratio-to-smallest report.
 
-    Raises ChainError when w is not closed: periods of non-closed forms are
-    path-dependent numbers, not topological ones.
+    Raises ChainError when w is not closed under the context's zero test:
+    periods of non-closed forms are path-dependent numbers, not topological
+    ones.
     """
     dw = fm.exterior_derivative(w)
     if not dw.is_syntactically_zero:
-        tester = ex.ZeroTester(box if box is not None else ex.default_box(w.chart.dim))
         for c in dw.coeffs.values():
-            if not tester.test(c):
+            if not context.test(c):
                 raise ChainError("period spectrum requires a closed form")
-    results = [integrate(w, c, order=order, params=params) for c in cycles]
-    periods = tuple(r.value for r in results)
-    scale = max((r.scale for r in results), default=0.0)
-    cut = floor * (1.0 + scale)
-    nonzero = [abs(p) for p in periods if abs(p) > cut]
-    base = min(nonzero) if nonzero else None
-    ratios = tuple((p / base if base else 0.0) for p in periods)
-    deviation = tuple(abs(r - round(r)) for r in ratios)
-    return PeriodSpectrum(periods, base, ratios, deviation)
+    return PeriodSpectrum.of(
+        [integrate(w, c, order=order, params=params) for c in cycles], floor
+    )
 
 
 def spot_check_closed(

@@ -751,37 +751,40 @@ def _form_text(w: DifferentialForm) -> str:
 
 @dataclass
 class _Runtime:
+    """One run's inputs and the anatomy of its action.
+
+    anatomy.context is the run's zero tester: the resolved box with the
+    config's seed.  Every sampled verdict of the run uses it.
+    """
+
     cfg: RunConfig
     chart: ex.Chart
-    action: DifferentialForm
+    anatomy: pf.Anatomy
     processes: tuple[tuple[str, VectorField], ...]
     chains: tuple[ch.Chain, ...]
-    box: Box
     params: dict[str, float]
-    points: tuple[tuple[float, ...], ...]
     system: sy.FluidSystem | sy.EMSystem | None
     tol: float
     reports: dict[str, th.ProcessReport] = field(default_factory=dict)
 
-    def context(self) -> th.AnalysisContext:
-        return th.AnalysisContext(
-            box=self.box,
-            cycles=tuple(c for c in self.chains if c.degree == 1 and c.closed),
-            points=self.points,
-            params=self.params or None,
-        )
+    @property
+    def action(self) -> DifferentialForm:
+        return self.anatomy.A
+
+    @property
+    def context(self) -> ex.ZeroTester:
+        return self.anatomy.context
 
     def probe_point(self) -> tuple[float, ...]:
-        if self.points:
-            return self.points[0]
-        return tuple(
-            (lo + hi) / 2.0 for lo, hi in zip(self.box.lows, self.box.highs)
-        )
+        if self.anatomy.points:
+            return self.anatomy.points[0]
+        box = self.context.box
+        return tuple((lo + hi) / 2.0 for lo, hi in zip(box.lows, box.highs))
 
     def classification(self, name: str) -> th.ProcessReport:
         if name not in self.reports:
             J = dict(self.processes)[name]
-            self.reports[name] = th.classify(self.action, J, self.context())
+            self.reports[name] = th.classify(self.anatomy, J)
         return self.reports[name]
 
 
@@ -867,15 +870,14 @@ def _build_runtime(cfg: RunConfig) -> _Runtime:
     if action is None:
         action = fm.one_form(chart, (ex.ZERO,) * chart.dim)
 
+    context = ex.ZeroTester(box, seed=cfg.seed)
     return _Runtime(
         cfg=cfg,
         chart=chart,
-        action=action,
+        anatomy=pf.Anatomy(action, context, chains, points, params),
         processes=tuple(processes),
         chains=tuple(chains),
-        box=box,
         params=params,
-        points=points,
         system=system,
         tol=cfg.tolerance,
     )
@@ -887,9 +889,7 @@ def _build_runtime(cfg: RunConfig) -> _Runtime:
 
 def _battery_pfaff(rt: _Runtime, checks: list[_Check]) -> dict:
     out: dict = {}
-    seq = pf.pfaff_sequence(
-        rt.action, box=rt.box, points=rt.points, params=rt.params or None
-    )
+    seq = rt.anatomy.sequence
     out["sequence"] = {
         "labels": list(seq.labels),
         "verdicts": [_verdict_dict(v) for v in seq.verdicts],
@@ -898,7 +898,7 @@ def _battery_pfaff(rt: _Runtime, checks: list[_Check]) -> dict:
             {"point": list(p), "dimension": d} for p, d in seq.pointwise
         ],
     }
-    base = pf.cartan_topological_base(rt.action, rt.box)
+    base = pf.cartan_topological_base(rt.anatomy)
     out["topological_base"] = {
         "elements": [name for name, _ in base.elements],
         "disconnected": base.disconnected,
@@ -913,7 +913,7 @@ def _battery_pfaff(rt: _Runtime, checks: list[_Check]) -> dict:
         )
     )
     if rt.chart.dim == 4 and rt.action.degree == 1:
-        data = pf.torsion_data(rt.action, rt.box)
+        data = rt.anatomy.torsion
         point = rt.probe_point()
 
         def sample(e: ex.ScalarExpr) -> float | None:
@@ -930,7 +930,7 @@ def _battery_pfaff(rt: _Runtime, checks: list[_Check]) -> dict:
             "parity_at_probe": sample(data.parity_coefficient),
             "helicity_density": ex.to_text(data.helicity_density, rt.chart),
         }
-        genus = pf.genus_diagnostic(rt.action, rt.box)
+        genus = rt.anatomy.genus
         out["genus"] = {
             "genus": genus.genus,
             "torsion_current_zero": genus.torsion_current_zero,
@@ -943,13 +943,12 @@ def _battery_pfaff(rt: _Runtime, checks: list[_Check]) -> dict:
                 detail=f"genus {genus.genus}, dimension {seq.dimension}",
             )
         )
-        out["frobenius_integrable"] = pf.frobenius_integrable(rt.action, rt.box)
+        out["frobenius_integrable"] = not base.disconnected
     return out
 
 
 def _battery_thermo(rt: _Runtime, checks: list[_Check]) -> dict:
     out: dict = {}
-    tester = ex.ZeroTester(rt.box, seed=rt.cfg.seed)
     for name, J in rt.processes:
         rep = rt.classification(name)
         entry = {
@@ -970,7 +969,7 @@ def _battery_thermo(rt: _Runtime, checks: list[_Check]) -> dict:
             },
         }
         out[name] = entry
-        transversal = pf.form_is_zero(fm.interior(J, rep.W), tester)
+        transversal = pf.form_is_zero(fm.interior(J, rep.W), rt.context)
         checks.append(
             _Check(
                 "thermo",
@@ -1007,10 +1006,9 @@ def _battery_thermo(rt: _Runtime, checks: list[_Check]) -> dict:
 
 def _battery_theorems(rt: _Runtime, checks: list[_Check]) -> dict:
     out: dict = {}
-    F = fm.exterior_derivative(rt.action)
-    H = fm.wedge(rt.action, F)
+    F, H = rt.anatomy.dA, rt.anatomy.H
     closed_2 = [c for c in rt.chains if c.degree == 2 and c.closed]
-    closed_1 = [c for c in rt.chains if c.degree == 1 and c.closed]
+    closed_1 = rt.anatomy.cycles
     closed_3 = [c for c in rt.chains if c.degree == 3 and c.closed]
 
     def record(kind: str, pname: str, cname: str, inv: ch.InvarianceResult):
@@ -1053,9 +1051,8 @@ def _battery_theorems(rt: _Runtime, checks: list[_Check]) -> dict:
                 )
                 record("theorem_III_torsion_flux", pname, chain.name, inv)
         if rep.flags.closed_flow:
-            R = rep.second.radiation
-            for chain in closed_1:
-                result = ch.integrate(R, chain, params=rt.params or None)
+            # the second variation integrated R over exactly these cycles
+            for chain, result in zip(closed_1, rep.second.integrals):
                 bound = rt.tol * (1.0 + result.scale)
                 key = f"theorem_IV_radiation_period.{pname}.{chain.name}"
                 out[key] = {
@@ -1077,16 +1074,16 @@ def _battery_theorems(rt: _Runtime, checks: list[_Check]) -> dict:
 
 def _battery_periods(rt: _Runtime, checks: list[_Check]) -> dict:
     out: dict = {}
-    tester = ex.ZeroTester(rt.box, seed=rt.cfg.seed)
-    closed_action = pf.form_is_zero(fm.exterior_derivative(rt.action), tester)
+    closed_action = pf.form_is_zero(rt.anatomy.dA, rt.context)
     out["action_closed"] = _verdict_dict(closed_action)
-    cycles = [c for c in rt.chains if c.degree == 1 and c.closed]
+    cycles = rt.anatomy.cycles
     if not closed_action.zero or not cycles:
         out["applicable"] = False
         return out
     out["applicable"] = True
-    spectrum = ch.period_spectrum(
-        rt.action, cycles, box=rt.box, params=rt.params or None
+    # closedness was just tested; the spectrum is built from the periods alone
+    spectrum = ch.PeriodSpectrum.of(
+        [ch.integrate(rt.action, c, params=rt.anatomy.params) for c in cycles]
     )
     out["spectrum"] = {
         "cycles": [c.name for c in cycles],
@@ -1110,7 +1107,7 @@ def _battery_periods(rt: _Runtime, checks: list[_Check]) -> dict:
 
 def _battery_residuals(rt: _Runtime, checks: list[_Check]) -> dict:
     out: dict = {}
-    tester = ex.ZeroTester(rt.box, seed=rt.cfg.seed)
+    tester = rt.context
     if isinstance(rt.system, sy.FluidSystem):
         s = rt.system
         vort = sy.vorticity_fields(s)  # raises on broken induction identities
@@ -1123,7 +1120,10 @@ def _battery_residuals(rt: _Runtime, checks: list[_Check]) -> dict:
         euler_zero = all(tester.test(c).zero for c in euler)
         out["euler_residual"] = [ex.to_text(c, rt.chart) for c in euler]
         out["euler_satisfied"] = euler_zero
-        ns = sy.navier_stokes_residual(s, rt.box)
+        # the engineering comparison computes the momentum residual and the
+        # kinematic torsion current it is built from; both are read off it
+        eng = sy.ns_engineering_torsion(s, rt.anatomy)
+        ns = eng.ns
         out["momentum_residual"] = [ex.to_text(c, rt.chart) for c in ns.residual]
         out["work_form"] = _form_text(ns.work_form)
         checks.append(
@@ -1134,14 +1134,13 @@ def _battery_residuals(rt: _Runtime, checks: list[_Check]) -> dict:
                 detail="viscous momentum residual zero verdict",
             )
         )
-        torsion = sy.torsion_current(s, rt.box)  # raises if the balance law fails
+        torsion = eng.kinematic
         out["torsion_current"] = [ex.to_text(c, rt.chart) for c in torsion.current]
         out["helicity_density"] = ex.to_text(torsion.helicity_density, rt.chart)
         out["anomaly"] = ex.to_text(torsion.anomaly, rt.chart)
         checks.append(
             _Check("residuals", "torsion_balance_law", True, detail="div T + dh/dt = anomaly")
         )
-        eng = sy.ns_engineering_torsion(s, rt.box)
         out["engineering_torsion"] = {
             "current": [ex.to_text(c, rt.chart) for c in eng.current],
             "agrees_on_solution": eng.ns_satisfied,
@@ -1159,7 +1158,7 @@ def _battery_residuals(rt: _Runtime, checks: list[_Check]) -> dict:
             )
         )
     elif isinstance(rt.system, sy.EMSystem):
-        rep = sy.em_diagnostics(rt.system, rt.context())
+        rep = sy.em_diagnostics(rt.system, rt.anatomy)
         point = rt.probe_point()
 
         def sample(e: ex.ScalarExpr) -> float | None:

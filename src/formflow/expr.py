@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -358,13 +358,6 @@ def param(name: str) -> Param:
 
 def _const_value(e: ScalarExpr):
     return e.value if isinstance(e, Const) else None
-
-
-def _fold(values: Iterable[Number], op) -> Number:
-    acc = None
-    for v in values:
-        acc = v if acc is None else op(acc, v)
-    return acc
 
 
 def _coeff_and_rest(term: ScalarExpr) -> tuple[Number, tuple[ScalarExpr, ...]]:
@@ -1064,11 +1057,8 @@ def to_text(e: ScalarExpr, chart: Chart | None = None) -> str:
 
     def rec(node) -> str:
         if isinstance(node, Const):
-            v = node.value
-            s = _const_text(v)
-            if (isinstance(v, Fraction) and v < 0) or (isinstance(v, float) and v < 0):
-                return s  # sign handled by caller context via parentheses rules
-            return s
+            # a negative constant keeps its sign; callers parenthesize by prec
+            return _const_text(node.value)
         if isinstance(node, Coord):
             return name_of(node.index)
         if isinstance(node, Param):

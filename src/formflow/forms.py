@@ -240,7 +240,9 @@ def exterior_derivative(w: DifferentialForm) -> DifferentialForm:
     chart = w.chart
     n = chart.dim
     if w.degree == n:
-        return zero_form(chart, 0) if n == 0 else _top_plus_one(w)
+        # d of a top-degree form is the zero form one degree up, which does
+        # not exist on the chart; represent it as the zero top-degree form.
+        return zero_form(chart, w.degree)
     out: dict[tuple[int, ...], ScalarExpr] = {}
     for idx, c in w.coeffs.items():
         for k in range(n):
@@ -254,12 +256,6 @@ def exterior_derivative(w: DifferentialForm) -> DifferentialForm:
             term = dc if sign == 1 else ex.negate(dc)
             out[merged] = ex.add(out.get(merged, ex.ZERO), term)
     return DifferentialForm(chart, w.degree + 1, out)
-
-
-def _top_plus_one(w: DifferentialForm) -> DifferentialForm:
-    # d of a top-degree form is the zero form one degree up, which does not
-    # exist on the chart; represent it as the zero top-degree form.
-    return zero_form(w.chart, w.degree)
 
 
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:

@@ -7,6 +7,8 @@ on 4-charts extracts the torsion vector T solving i(T)Omega = A^dA, the
 dissipation coefficient Gamma with i(T)dA = Gamma*A, the parity 4-form
 K = dA^dA, characteristic/extremal vector spaces at points, the genus
 dichotomy, and the projectivized action used by the Euler-index integrand.
+An Anatomy holds these objects for one action, so that a run builds each of
+them once and verifies every one with the run's zero tester.
 
 Orientation convention: Omega = dx^dy^dz^dt, so
     i(T)Omega = T1 dy^dz^dt - T2 dx^dz^dt + T3 dx^dy^dt - T4 dx^dy^dz.
@@ -17,17 +19,19 @@ relating it to the component lists common in the fluids literature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import expr as ex
 from . import forms as fm
-from .expr import Box, InconclusiveError, ScalarExpr, SingularityError, ZeroTester, ZeroVerdict
+from .expr import ScalarExpr, SingularityError, ZeroTester, ZeroVerdict
 from .forms import DifferentialForm, VectorField
 
 __all__ = [
+    "Anatomy",
     "PfaffSequence",
     "TopologicalBase",
     "TorsionData",
@@ -37,13 +41,13 @@ __all__ = [
     "frobenius_integrable",
     "cartan_topological_base",
     "torsion_data",
+    "torsion_vector",
     "parity",
     "characteristic_space",
     "extremal_space",
     "genus_diagnostic",
     "projectivize",
     "euler_integrand",
-    "euler_index_raw",
     "form_is_zero",
 ]
 
@@ -52,8 +56,54 @@ class InternalConsistencyError(Exception):
     """An identity that must hold by construction failed its check."""
 
 
-def _tester(chart, box: Box | None, seed: int = 20180425) -> ZeroTester:
-    return ZeroTester(box if box is not None else ex.default_box(chart.dim), seed=seed)
+class Anatomy:
+    """The objects derived from one 1-form A, each built on first use and kept.
+
+    dA, H = A^dA, K = dH, the Pfaff sequence with its verdicts, the torsion
+    data (T, Gamma) and the genus are computed at most once per instance.
+    Every sampled verdict uses `context`, the zero tester of the run that
+    owns the instance.  `cycles` (the closed 1-chains among `chains`),
+    `points` and `params` are that run's probes: period cycles, points of
+    the pointwise Pfaff dimension, and parameter bindings for evaluation.
+    """
+
+    def __init__(
+        self,
+        A: DifferentialForm,
+        context: ZeroTester,
+        chains: Sequence = (),
+        points: Sequence[Sequence[float]] = (),
+        params: Mapping[str, float] | None = None,
+    ):
+        self.A = A
+        self.context = context
+        self.cycles = tuple(c for c in chains if c.degree == 1 and c.closed)
+        self.points = tuple(tuple(float(c) for c in p) for p in points)
+        self.params = dict(params) if params else None
+
+    @cached_property
+    def dA(self) -> DifferentialForm:
+        return fm.exterior_derivative(self.A)
+
+    @cached_property
+    def H(self) -> DifferentialForm:
+        return fm.wedge(self.A, self.dA)
+
+    @cached_property
+    def K(self) -> DifferentialForm:
+        return fm.exterior_derivative(self.H)
+
+    @cached_property
+    def sequence(self) -> "PfaffSequence":
+        return pfaff_sequence(self)
+
+    @cached_property
+    def torsion(self) -> "TorsionData":
+        return torsion_data(self)
+
+    @cached_property
+    def genus(self) -> "GenusReport":
+        return genus_diagnostic(self)
 
 
 def form_is_zero(w: DifferentialForm, tester: ZeroTester) -> ZeroVerdict:
@@ -86,48 +136,27 @@ class PfaffSequence:
 _SEQUENCE_LABELS = ("A", "dA", "A^dA", "dA^dA", "A^dA^dA", "dA^dA^dA")
 
 
-def _build_sequence(A: DifferentialForm) -> list[DifferentialForm]:
-    n = A.chart.dim
-    dA = fm.exterior_derivative(A)
-    out = [A]
-    if n >= 2:
-        out.append(dA)
-    # alternation: element 2k+1 = A ^ dA^k, element 2k+2 = dA^(k+1)
-    odd, even = A, dA
-    while True:
-        odd = fm.wedge(odd, dA) if out[-1].degree + 1 <= n else None
-        if odd is None or odd.degree > n or out[-1].degree >= n:
-            break
-        out.append(odd)
-        if odd.degree == n:
-            break
-        even = fm.wedge(even, dA)
-        if even.degree > n:
-            break
-        out.append(even)
-        if even.degree == n:
-            break
+def _build_sequence(a: Anatomy) -> list[DifferentialForm]:
+    # element k has degree k + 1 and is element k - 2 wedged with dA:
+    # A, dA, A^dA, dA^dA, A^dA^dA, ... up to the top degree
+    n = a.A.chart.dim
+    out = [a.A, a.dA, a.H][:n]
+    while len(out) < n:
+        out.append(fm.wedge(out[-2], a.dA))
     return out
 
 
-def pfaff_sequence(
-    A: DifferentialForm,
-    box: Box | None = None,
-    points: Iterable[Sequence[float]] = (),
-    params: Mapping[str, float] | None = None,
-    point_tol: float = 1e-9,
-) -> PfaffSequence:
-    """Pfaff sequence with zero verdicts, global and pointwise dimension.
+def pfaff_sequence(a: Anatomy) -> PfaffSequence:
+    """Pfaff sequence of a.A with zero verdicts, global and pointwise dimension.
 
     The global dimension counts leading nonzero elements over the sampling
     box; the pointwise dimension repeats the count using the element
-    coefficients evaluated at each supplied point.
+    coefficients evaluated at each of a.points.
     """
-    if A.degree != 1:
+    if a.A.degree != 1:
         raise fm.FormError("pfaff sequence is defined for 1-forms")
-    elements = _build_sequence(A)
-    tester = _tester(A.chart, box)
-    verdicts = [form_is_zero(w, tester) for w in elements]
+    elements = _build_sequence(a)
+    verdicts = [form_is_zero(w, a.context) for w in elements]
     dimension = 0
     for v in verdicts:
         if v.zero:
@@ -135,11 +164,10 @@ def pfaff_sequence(
         dimension += 1
 
     pointwise = []
-    for p in points:
-        p = tuple(float(c) for c in p)
+    for p in a.points:
         dim_at = 0
         for w in elements:
-            if _nonzero_at(w, p, params, point_tol):
+            if _nonzero_at(w, p, a.params):
                 dim_at += 1
             else:
                 break
@@ -147,23 +175,22 @@ def pfaff_sequence(
     return PfaffSequence(tuple(elements), tuple(verdicts), dimension, tuple(pointwise))
 
 
-def _nonzero_at(w: DifferentialForm, point, params, tol: float) -> bool:
+def _nonzero_at(w: DifferentialForm, point, params) -> bool:
     for c in w.coeffs.values():
         try:
             v, scale = ex.eval_with_scale(c, point, params)
         except SingularityError:
             continue
-        if abs(v) > tol * (1.0 + scale):
+        if abs(v) > 1e-9 * (1.0 + scale):
             return True
     return False
 
 
-def frobenius_integrable(A: DifferentialForm, box: Box | None = None) -> bool:
+def frobenius_integrable(a: Anatomy) -> bool:
     """True when A^dA vanishes, i.e. A admits integral surfaces."""
-    if A.degree != 1:
+    if a.A.degree != 1:
         raise fm.FormError("frobenius test is defined for 1-forms")
-    H = fm.wedge(A, fm.exterior_derivative(A))
-    return bool(form_is_zero(H, _tester(A.chart, box)))
+    return bool(form_is_zero(a.H, a.context))
 
 
 # ---------------------------------------------------------------------------
@@ -178,23 +205,20 @@ class TopologicalBase:
     disconnected: bool
 
 
-def cartan_topological_base(A: DifferentialForm, box: Box | None = None) -> TopologicalBase:
+def cartan_topological_base(a: Anatomy) -> TopologicalBase:
     """Assemble the base from the odd Pfaff elements and their closures.
 
     The closure of a form adjoins its exterior derivative, so the base reads
     {A} -> {A, F}, {H} -> {H, K}.  The induced topology is disconnected
     exactly when H = A^dA does not vanish.
     """
-    F = fm.exterior_derivative(A)
-    H = fm.wedge(A, F)
-    K = fm.exterior_derivative(H)
     elements = (
-        ("A", (A,)),
-        ("A u F", (A, F)),
-        ("H", (H,)),
-        ("H u K", (H, K)),
+        ("A", (a.A,)),
+        ("A u F", (a.A, a.dA)),
+        ("H", (a.H,)),
+        ("H u K", (a.H, a.K)),
     )
-    disconnected = not form_is_zero(H, _tester(A.chart, box))
+    disconnected = not form_is_zero(a.H, a.context)
     return TopologicalBase(elements, disconnected)
 
 
@@ -222,7 +246,8 @@ def _require_4chart(A: DifferentialForm):
         raise fm.FormError("torsion extraction needs a 1-form")
 
 
-def _extract_torsion_vector(H: DifferentialForm) -> tuple[ScalarExpr, ...]:
+def torsion_vector(H: DifferentialForm) -> tuple[ScalarExpr, ...]:
+    """Components of the T solving i(T)Omega = H for a 3-form H on a 4-chart."""
     # i(T)Omega = T1 dy^dz^dt - T2 dx^dz^dt + T3 dx^dy^dt - T4 dx^dy^dz
     return (
         H.coeff((1, 2, 3)),
@@ -232,7 +257,7 @@ def _extract_torsion_vector(H: DifferentialForm) -> tuple[ScalarExpr, ...]:
     )
 
 
-def torsion_data(A: DifferentialForm, box: Box | None = None) -> TorsionData:
+def torsion_data(a: Anatomy) -> TorsionData:
     """Extract T, Gamma, and the parity coefficient, verifying the identities
     i(T)Omega = A^dA, i(T)A = 0, and i(T)dA = Gamma*A before returning.
 
@@ -240,14 +265,12 @@ def torsion_data(A: DifferentialForm, box: Box | None = None) -> TorsionData:
     theorems for every smooth 1-form, so a failure can only mean a broken
     implementation or an unusable tolerance, never bad input.
     """
-    _require_4chart(A)
+    _require_4chart(a.A)
+    A, H, K = a.A, a.H, a.K
     chart = A.chart
-    dA = fm.exterior_derivative(A)
-    H = fm.wedge(A, dA)
-    K = fm.exterior_derivative(H)
     k = K.coeff((0, 1, 2, 3))
 
-    comps = _extract_torsion_vector(H)
+    comps = torsion_vector(H)
     T = VectorField(chart, comps)
 
     # reconstruction check is exact: i(T)Omega must reproduce H syntactically
@@ -255,16 +278,14 @@ def torsion_data(A: DifferentialForm, box: Box | None = None) -> TorsionData:
     if not fm.sub_forms(recon, H).is_syntactically_zero:
         raise InternalConsistencyError("i(T)Omega does not reproduce A^dA")
 
-    tester = _tester(chart, box)
-
     contraction = fm.interior(T, A)  # 0-form, must vanish
-    v = tester.test(contraction.coeff(()))
+    v = a.context.test(contraction.coeff(()))
     if not v:
         raise InternalConsistencyError(
             f"i(T)A failed the zero test at {v.witness} (value {v.witness_value})"
         )
 
-    gamma = _extract_gamma(A, dA, T, tester)
+    gamma = _extract_gamma(A, a.dA, T, a.context)
 
     spatial = (comps[0], comps[1], comps[2])
     return TorsionData(H, K, k, T, gamma, spatial, comps[3])
@@ -311,17 +332,13 @@ def _extract_gamma(
     return gamma
 
 
-def parity(A: DifferentialForm) -> tuple[DifferentialForm, ScalarExpr]:
+def parity(a: Anatomy) -> tuple[DifferentialForm, ScalarExpr]:
     """Parity 4-form K = dA^dA and its lone coefficient; checks dH = K."""
-    _require_4chart(A)
-    dA = fm.exterior_derivative(A)
-    K = fm.wedge(dA, dA)
-    H = fm.wedge(A, dA)
-    defect = fm.sub_forms(fm.exterior_derivative(H), K)
-    if not defect.is_syntactically_zero:
-        tester = _tester(A.chart, None)
-        if not form_is_zero(defect, tester):
-            raise InternalConsistencyError("d(A^dA) differs from dA^dA")
+    _require_4chart(a.A)
+    K = fm.wedge(a.dA, a.dA)
+    defect = fm.sub_forms(a.K, K)
+    if not defect.is_syntactically_zero and not form_is_zero(defect, a.context):
+        raise InternalConsistencyError("d(A^dA) differs from dA^dA")
     return K, K.coeff((0, 1, 2, 3))
 
 
@@ -390,7 +407,7 @@ class GenusReport:
     torsion_two_form: DifferentialForm  # spatial flux 2-form of the current
 
 
-def genus_diagnostic(A: DifferentialForm, box: Box | None = None) -> GenusReport:
+def genus_diagnostic(a: Anatomy) -> GenusReport:
     """Genus of the exterior system {A = 0, dA = 0}: 3 without a torsion
     current, 2 with one.
 
@@ -398,13 +415,11 @@ def genus_diagnostic(A: DifferentialForm, box: Box | None = None) -> GenusReport
     dt between the two equations; its coefficients are the components of the
     spatial torsion current, so the verdict reduces to a zero test on them.
     """
-    data = torsion_data(A, box)
-    t1, t2, t3 = data.spatial_current
+    t1, t2, t3 = a.torsion.spatial_current
     two_form = DifferentialForm(
-        A.chart, 2, {(1, 2): t1, (0, 2): ex.negate(t2), (0, 1): t3}
+        a.A.chart, 2, {(1, 2): t1, (0, 2): ex.negate(t2), (0, 1): t3}
     )
-    tester = _tester(A.chart, box)
-    current_zero = bool(form_is_zero(two_form, tester))
+    current_zero = bool(form_is_zero(two_form, a.context))
     return GenusReport(3 if current_zero else 2, current_zero, two_form)
 
 
@@ -413,25 +428,26 @@ def genus_diagnostic(A: DifferentialForm, box: Box | None = None) -> GenusReport
 
 
 def projectivize(
-    A: DifferentialForm, box: Box | None = None, n_samples: int = 64, seed: int = 20180425
+    A: DifferentialForm, context: ZeroTester
 ) -> tuple[DifferentialForm, ScalarExpr]:
     """Normalize A to unit coefficient length: A' = A / lambda.
 
     lambda = sqrt(sum of squared coefficients).  Zeros of lambda are the
     singular points of the covector section; if sampling the box hits one
     (or gets within the zero-test tolerance of one), the normalization is
-    undefined there and a SingularityError is raised.
+    undefined there and a SingularityError is raised.  The samples are the
+    context's: its box, seed and sample count.
     """
     if A.degree != 1:
         raise fm.FormError("projectivization is defined for 1-forms")
     chart = A.chart
     lam_sq = ex.add(*(ex.power(A.coeff((mu,)), 2) for mu in range(chart.dim)))
-    box = box if box is not None else ex.default_box(chart.dim)
-    verdict_rng = np.random.default_rng(seed)
+    box = context.box
+    verdict_rng = np.random.default_rng(context.seed)
     lows = np.asarray(box.lows)
     highs = np.asarray(box.highs)
     names = sorted(ex.collect_params(lam_sq))
-    for _ in range(n_samples):
+    for _ in range(context.n_samples):
         point = tuple(verdict_rng.uniform(lows, highs))
         params = {
             name: verdict_rng.uniform(*box.param_ranges.get(name, ex.DEFAULT_PARAM_RANGE))
@@ -454,20 +470,9 @@ def projectivize(
     return primed, lam
 
 
-def euler_integrand(A: DifferentialForm, box: Box | None = None) -> tuple[DifferentialForm, ScalarExpr]:
+def euler_integrand(
+    A: DifferentialForm, context: ZeroTester
+) -> tuple[DifferentialForm, ScalarExpr]:
     """Parity 4-form of the projectivized action and its coefficient."""
-    primed, _ = projectivize(A, box)
-    return parity(primed)
-
-
-def euler_index_raw(A: DifferentialForm, chain, box: Box | None = None) -> float:
-    """Integral of the projectivized parity over a 4-chain.
-
-    Returned without any normalization constant: the conventional Euler
-    index differs from this by a factor that depends on the variety, so the
-    raw number is the honest output.
-    """
-    from . import chains as ch
-
-    K_primed, _ = euler_integrand(A, box)
-    return ch.integrate(K_primed, chain).value
+    primed, _ = projectivize(A, context)
+    return parity(Anatomy(primed, context))

@@ -29,7 +29,7 @@ from . import pfaff as pf
 from . import thermo as th
 from .expr import Box, ScalarExpr, ZeroTester
 from .forms import DifferentialForm, VectorField
-from .pfaff import InternalConsistencyError
+from .pfaff import Anatomy, InternalConsistencyError
 
 __all__ = [
     "COMPONENT_LIST_SIGN",
@@ -310,7 +310,7 @@ class NSReport:
     satisfied: bool  # zero verdict of the residual
 
 
-def navier_stokes_residual(s: FluidSystem, box: Box | None = None) -> NSReport:
+def navier_stokes_residual(s: FluidSystem, anatomy: Anatomy) -> NSReport:
     """Viscous momentum residual and the dissipative work 1-form.
 
     The residual adds nu curl(curl v) to the Euler residual, so zero means
@@ -319,7 +319,8 @@ def navier_stokes_residual(s: FluidSystem, box: Box | None = None) -> NSReport:
     form is the transversal format -nu (curl omega) . (dx - v dt); the
     identity  i(V)dA - work_form = residual . (dx - v dt)  is checked
     symbolically, which is exactly the statement that the first-law work
-    reduces to the viscous work on solutions.
+    reduces to the viscous work on solutions.  `anatomy` is that of
+    s.action().
     """
     v = s.velocity
     nu = s.viscosity
@@ -328,11 +329,11 @@ def navier_stokes_residual(s: FluidSystem, box: Box | None = None) -> NSReport:
     residual = _simp3(_add3(euler_residual(s), _scale3(nu, curl_omega)))
 
     work = _transversal_form(_scale3(ex.negate(nu), curl_omega), v)
-    _, first_law_work, _ = th.first_law(s.action(), s.spacetime_velocity())
+    _, first_law_work, _ = th.first_law(anatomy, s.spacetime_velocity())
     gap = fm.sub_forms(
         fm.sub_forms(first_law_work, work), _transversal_form(residual, v)
     )
-    tester = ZeroTester(box if box is not None else ex.default_box(4))
+    tester = anatomy.context
     if not gap.is_syntactically_zero and not pf.form_is_zero(gap, tester).zero:
         raise InternalConsistencyError(
             "first-law work does not split into viscous work plus residual"
@@ -350,13 +351,14 @@ class TorsionCurrent:
     balance_residual: ScalarExpr  # div T + dh/dt - anomaly, verified zero
 
 
-def torsion_current(s: FluidSystem, box: Box | None = None) -> TorsionCurrent:
+def torsion_current(s: FluidSystem, anatomy: Anatomy) -> TorsionCurrent:
     """Torsion current (a x v + H omega, v . omega) and its balance law.
 
     div T + dh/dt = -2 (a . omega) holds for any velocity field; the
     residual is checked symbolically with a sampled fallback.  The current
     is also cross-checked against the solving vector of i(T)Omega = A^dA,
-    which it must equal up to COMPONENT_LIST_SIGN.
+    which it must equal up to COMPONENT_LIST_SIGN.  `anatomy` is that of
+    s.action().
     """
     v = s.velocity
     H = s.hamiltonian()
@@ -370,15 +372,12 @@ def torsion_current(s: FluidSystem, box: Box | None = None) -> TorsionCurrent:
     balance = ex.simplify(
         ex.add(_div(current), _d(h, 3), ex.negate(anomaly))
     )
-    if not ex.is_syntactic_zero(balance):
-        tester = ZeroTester(box if box is not None else ex.default_box(4))
-        if not tester.test(balance).zero:
-            raise InternalConsistencyError("torsion balance law failed")
+    tester = anatomy.context
+    if not ex.is_syntactic_zero(balance) and not tester.test(balance).zero:
+        raise InternalConsistencyError("torsion balance law failed")
 
-    data = pf.torsion_data(s.action(), box)
     listed = (current[0], current[1], current[2], h)
-    tester = ZeroTester(box if box is not None else ex.default_box(4))
-    for mine, classical in zip(data.vector.components, listed):
+    for mine, classical in zip(anatomy.torsion.vector.components, listed):
         gap = ex.simplify(
             ex.add(mine, ex.negate(ex.mul(ex.Const(COMPONENT_LIST_SIGN), classical)))
         )
@@ -393,21 +392,29 @@ def torsion_current(s: FluidSystem, box: Box | None = None) -> TorsionCurrent:
 class EngineeringTorsion:
     current: Vec3  # h v - L curl v - nu v x (curl curl v)
     lagrangian: ScalarExpr  # v.v/2 - pressure potential
-    kinematic_current: Vec3  # a x v + H omega
+    kinematic: TorsionCurrent  # current a x v + H omega
     difference: Vec3  # kinematic - engineering = -(residual x v)
-    ns_satisfied: bool
+    ns: NSReport
     warning: str | None
 
+    @property
+    def kinematic_current(self) -> Vec3:
+        return self.kinematic.current
 
-def ns_engineering_torsion(
-    s: FluidSystem, box: Box | None = None
-) -> EngineeringTorsion:
+    @property
+    def ns_satisfied(self) -> bool:
+        return self.ns.satisfied
+
+
+def ns_engineering_torsion(s: FluidSystem, anatomy: Anatomy) -> EngineeringTorsion:
     """Torsion current in engineering variables, against the kinematic one.
 
     With L = v.v/2 - pressure potential, the two currents differ by
     -(viscous residual) x v, an identity verified here; they therefore
     agree exactly on viscous momentum-balance solutions.  Non-solutions get
-    a warning attached and both currents returned for comparison.
+    a warning attached and both currents returned for comparison.  The
+    viscous residual and the kinematic current it is built from are
+    returned with it.  `anatomy` is that of s.action().
     """
     v = s.velocity
     nu = s.viscosity
@@ -423,14 +430,13 @@ def ns_engineering_torsion(
         )
     )
 
-    ns = navier_stokes_residual(s, box)
-    kinematic = torsion_current(s, box).current
-    difference = _simp3(_sub3(kinematic, engineering))
+    ns = navier_stokes_residual(s, anatomy)
+    kinematic = torsion_current(s, anatomy)
+    difference = _simp3(_sub3(kinematic.current, engineering))
     expected = _simp3(_neg3(_cross(ns.residual, v)))
-    tester = ZeroTester(box if box is not None else ex.default_box(4))
     for got, want in zip(difference, expected):
         gap = ex.simplify(ex.add(got, ex.negate(want)))
-        if not ex.is_syntactic_zero(gap) and not tester.test(gap).zero:
+        if not ex.is_syntactic_zero(gap) and not anatomy.context.test(gap).zero:
             raise InternalConsistencyError(
                 "engineering/kinematic torsion difference is not -(residual x v)"
             )
@@ -441,7 +447,7 @@ def ns_engineering_torsion(
             "velocity field does not satisfy the viscous momentum balance; "
             "the two torsion currents differ by -(residual x v)"
         )
-    return EngineeringTorsion(engineering, L, kinematic, difference, ns.satisfied, warning)
+    return EngineeringTorsion(engineering, L, kinematic, difference, ns, warning)
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +492,9 @@ def mass_current(rho: ScalarExpr, v) -> MassCurrent:
 
 
 def transversal_current_comparison(
-    action: DifferentialForm,
-    rho: ScalarExpr,
-    v,
-    box: Box | None = None,
+    anatomy: Anatomy, rho: ScalarExpr, v
 ) -> tuple[DifferentialForm, DifferentialForm, ex.ZeroVerdict]:
-    """Compare the transversal mass current with i(rho V)d(A^dA).
+    """Compare the transversal mass current with i(rho V)d(A^dA), A = anatomy.A.
 
     The two 3-forms coincide only for special actions, so the verdict is a
     report, never an assertion.
@@ -500,10 +503,8 @@ def transversal_current_comparison(
     v = _as_vec3(v)
     J = mass_current(rho, v).J
     V = VectorField(SPACETIME, (v[0], v[1], v[2], ex.ONE), support=rho)
-    torsion3 = fm.wedge(action, fm.exterior_derivative(action))
-    pulled = fm.interior(V, fm.exterior_derivative(torsion3))
-    tester = ZeroTester(box if box is not None else ex.default_box(4))
-    verdict = pf.form_is_zero(fm.sub_forms(pulled, J), tester)
+    pulled = fm.interior(V, anatomy.K)
+    verdict = pf.form_is_zero(fm.sub_forms(pulled, J), anatomy.context)
     return J, pulled, verdict
 
 
@@ -526,37 +527,30 @@ class EMReport:
     process: th.ProcessReport  # evolution along the torsion vector
 
 
-def em_diagnostics(
-    s: EMSystem, context: th.AnalysisContext | None = None
-) -> EMReport:
+def em_diagnostics(s: EMSystem, anatomy: Anatomy) -> EMReport:
     """Field invariants and the torsion process for a potential system.
 
-    Verifies, symbolically with sampled fallback: dF = 0; the torsion
-    current equals E x A + phi B with helicity A.B (up to
-    COMPONENT_LIST_SIGN); the scaling factor of i(T)dA along A equals E.B;
-    the parity coefficient equals 2 E.B; and the classical divergence law
-    div T + dh/dt = -2 E.B.
+    `anatomy` is that of s.action().  Verifies, symbolically with sampled
+    fallback: dF = 0; the torsion current equals E x A + phi B with helicity
+    A.B (up to COMPONENT_LIST_SIGN); the scaling factor of i(T)dA along A
+    equals E.B; the parity coefficient equals 2 E.B; and the classical
+    divergence law div T + dh/dt = -2 E.B.
     """
-    context = context if context is not None else th.AnalysisContext()
-    box = context.box
     E, B = s.fields()
-    A = s.action()
     Avec = s.vector_potential
     phi = s.scalar_potential
 
-    dF = fm.exterior_derivative(fm.exterior_derivative(A))
+    dF = fm.exterior_derivative(anatomy.dA)
     if not dF.is_syntactically_zero:
         raise InternalConsistencyError("dF failed to vanish for a potential system")
 
-    tester = ZeroTester(box if box is not None else ex.default_box(4))
-
     def check(expr: ScalarExpr, what: str) -> ScalarExpr:
         e = ex.simplify(expr)
-        if not ex.is_syntactic_zero(e) and not tester.test(e).zero:
+        if not ex.is_syntactic_zero(e) and not anatomy.context.test(e).zero:
             raise InternalConsistencyError(what)
         return e
 
-    data = pf.torsion_data(A, box)
+    data = anatomy.torsion
     current = _simp3(_add3(_cross(E, Avec), _scale3(phi, B)))
     h = ex.simplify(_dot(Avec, B))
     listed = (current[0], current[1], current[2], h)
@@ -581,8 +575,6 @@ def em_diagnostics(
         "divergence law div T + dh/dt = -2 E.B failed",
     )
 
-    genus = pf.genus_diagnostic(A, box)
-    process = th.classify(A, data.vector, context)
     return EMReport(
         system=s,
         E=E,
@@ -593,8 +585,8 @@ def em_diagnostics(
         parity_coefficient=parity,
         listed_parity=listed_parity,
         divergence_residual=divergence,
-        genus=genus,
-        process=process,
+        genus=anatomy.genus,
+        process=th.classify(anatomy, data.vector),
     )
 
 
@@ -613,27 +605,23 @@ class FluidReport:
     process: th.ProcessReport  # evolution along (v, 1)
 
 
-def fluid_diagnostics(
-    s: FluidSystem, context: th.AnalysisContext | None = None
-) -> FluidReport:
-    """Full fluid diagnostic bundle for a system.
+def fluid_diagnostics(s: FluidSystem, anatomy: Anatomy) -> FluidReport:
+    """Full fluid diagnostic bundle for a system; `anatomy` is that of
+    s.action().
 
     Includes the parity coefficient in both orientations: ours equals
     2(a . omega) identically; on viscous momentum-balance solutions the
     classical list value reduces to -2 nu (omega . curl omega), the source
     that vanishes exactly when the vorticity field is Frobenius-integrable.
     """
-    context = context if context is not None else th.AnalysisContext()
-    box = context.box
     vort = vorticity_fields(s)
     euler = euler_residual(s)
-    tester = ZeroTester(box if box is not None else ex.default_box(4))
+    tester = anatomy.context
     euler_ok = _vec3_is_zero(euler, tester)
-    ns = navier_stokes_residual(s, box)
-    torsion = torsion_current(s, box)
+    ns = navier_stokes_residual(s, anatomy)
+    torsion = torsion_current(s, anatomy)
 
-    A = s.action()
-    _, parity = pf.parity(A)
+    _, parity = pf.parity(anatomy)
     expected = ex.simplify(
         ex.mul(ex.Const(2), _dot(vort.acceleration, vort.omega))
     )
@@ -648,9 +636,6 @@ def fluid_diagnostics(
         )
     )
 
-    sequence = pf.pfaff_sequence(A, box=box, points=context.points, params=context.params)
-    genus = pf.genus_diagnostic(A, box)
-    process = th.classify(A, s.spacetime_velocity(), context)
     return FluidReport(
         system=s,
         vorticity=vort,
@@ -660,9 +645,9 @@ def fluid_diagnostics(
         torsion=torsion,
         parity_coefficient=parity,
         viscous_parity_source=viscous_source,
-        pfaff_dimension=sequence.dimension,
-        genus=genus,
-        process=process,
+        pfaff_dimension=anatomy.sequence.dimension,
+        genus=anatomy.genus,
+        process=th.classify(anatomy, s.spacetime_velocity()),
     )
 
 
@@ -685,13 +670,10 @@ class Preset:
     system: FluidSystem | EMSystem | None = None
     points: tuple[tuple[float, ...], ...] = ()
 
-    def context(self) -> th.AnalysisContext:
-        return th.AnalysisContext(
-            box=self.box,
-            cycles=tuple(c for c in self.chains if c.degree == 1),
-            points=self.points,
-            params=dict(self.params) or None,
-        )
+    def anatomy(self, context: ZeroTester) -> Anatomy:
+        """The action's anatomy, verified by context and probed by this
+        preset's chains, points and parameters."""
+        return Anatomy(self.action, context, self.chains, self.points, self.params)
 
     def process(self, name: str) -> VectorField:
         for n, v in self.processes:
@@ -903,15 +885,16 @@ def _torsion_nonzero() -> Preset:
         ex.mul(mu, ex.Coord(2)),
         name="em.torsion_nonzero",
     )
-    data = pf.torsion_data(system.action())
+    A = system.action()
+    torsion = VectorField(SPACETIME, pf.torsion_vector(fm.wedge(A, fm.exterior_derivative(A))))
     timelike = VectorField(SPACETIME, (ex.ZERO, ex.ZERO, ex.ZERO, ex.ONE))
     return Preset(
         name="em.torsion_nonzero",
         summary="rotating potential with axial bias: maximal Pfaff dimension, "
         "evolution along the torsion vector is irreversible",
         chart=SPACETIME,
-        action=system.action(),
-        processes=(("torsion", data.vector), ("timelike", timelike)),
+        action=A,
+        processes=(("torsion", torsion), ("timelike", timelike)),
         chains=(_circle_chain(), _torus_chain(), _shell_chain()),
         box=ex.default_box(4),
         params={"lam": 2.0, "mu": 3.0},

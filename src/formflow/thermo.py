@@ -18,15 +18,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from . import chains as ch
-from . import expr as ex
 from . import forms as fm
 from . import pfaff as pf
-from .expr import Box, InconclusiveError, ZeroTester, ZeroVerdict
+from .expr import InconclusiveError, ZeroVerdict
 from .forms import DifferentialForm, VectorField
-from .pfaff import InternalConsistencyError
+from .pfaff import Anatomy, InternalConsistencyError
 
 __all__ = [
-    "AnalysisContext",
     "ProcessFlags",
     "ProcessReport",
     "SecondVariation",
@@ -55,58 +53,38 @@ CATEGORY_OPEN = "open/Navier-Stokes-like"
 CATEGORY_CLOSED_UNDETERMINED = "closed (exactness undetermined)"
 CATEGORY_UNCLASSIFIED = "unclassified"
 
-
-@dataclass(frozen=True)
-class AnalysisContext:
-    """Numeric context for verdicts that need sampling or integration.
-
-    cycles: registered 1-cycles used as period probes (exactness evidence).
-    points: chart points for the pointwise Pfaff dimension report.
-    """
-
-    box: Box | None = None
-    cycles: tuple[ch.Chain, ...] = ()
-    points: tuple[tuple[float, ...], ...] = ()
-    params: dict[str, float] | None = None
-    period_tol: float = 1e-7
-    seed: int = 20180425
-
-    def tester(self, chart: ex.Chart) -> ZeroTester:
-        box = self.box if self.box is not None else ex.default_box(chart.dim)
-        return ZeroTester(box, seed=self.seed)
+# A period of magnitude at most PERIOD_TOL * (1 + integrand scale) vanishes.
+PERIOD_TOL = 1e-7
 
 
 def first_law(
-    A: DifferentialForm, J: VectorField
+    a: Anatomy, J: VectorField
 ) -> tuple[DifferentialForm, DifferentialForm, DifferentialForm]:
-    """Split L(J)A into (Q, W, U): heat, work, internal energy.
+    """Split L(J)A into (Q, W, U): heat, work, internal energy, for A = a.A.
 
     W = i(J)dA, U = i(J)A, Q = W + dU.  The sum is checked against the
     directly computed Lie derivative before returning.
     """
+    A = a.A
     if A.degree != 1:
         raise ThermoError("first law operates on action 1-forms")
-    W = fm.interior(J, fm.exterior_derivative(A))
+    W = fm.interior(J, a.dA)
     U = fm.interior(J, A)
     Q = fm.add_forms(W, fm.exterior_derivative(U))
-    direct = fm.lie_derivative(J, A)
-    gap = fm.sub_forms(Q, direct)
-    if not gap.is_syntactically_zero:
-        tester = ZeroTester(ex.default_box(A.chart.dim))
-        if not pf.form_is_zero(gap, tester).zero:
-            raise InternalConsistencyError("W + dU disagrees with L(J)A")
+    gap = fm.sub_forms(Q, fm.lie_derivative(J, A))
+    if not gap.is_syntactically_zero and not pf.form_is_zero(gap, a.context).zero:
+        raise InternalConsistencyError("W + dU disagrees with L(J)A")
     return Q, W, U
 
 
 def irreversibility(
-    A: DifferentialForm, J: VectorField, box: Box | None = None
+    a: Anatomy, J: VectorField
 ) -> tuple[DifferentialForm, ZeroVerdict]:
     """Q^dQ and its zero verdict; zero means an integrating factor exists
     and the process is reversible."""
-    Q, _, _ = first_law(A, J)
+    Q, _, _ = first_law(a, J)
     QdQ = fm.wedge(Q, fm.exterior_derivative(Q))
-    tester = ZeroTester(box if box is not None else ex.default_box(A.chart.dim))
-    return QdQ, pf.form_is_zero(QdQ, tester)
+    return QdQ, pf.form_is_zero(QdQ, a.context)
 
 
 @dataclass(frozen=True)
@@ -125,26 +103,22 @@ class SecondVariation:
     dR_zero: bool
     exactness_residual_zero: bool  # R - d(potential)
     wedge_comparison_zero: bool  # L(J)(Q^F) - d(potential * F)
-    periods: tuple[float, ...]
+    integrals: tuple[ch.IntegralResult, ...]  # R over each registered cycle
     periods_vanish: bool | None  # None when no cycles are registered
 
+    @property
+    def periods(self) -> tuple[float, ...]:
+        return tuple(r.value for r in self.integrals)
 
-def second_variation(
-    A: DifferentialForm,
-    J: VectorField,
-    cycles: tuple[ch.Chain, ...] = (),
-    box: Box | None = None,
-    params: dict[str, float] | None = None,
-    period_tol: float = 1e-7,
-) -> SecondVariation:
-    """Propagate the heat form once more: R = L(J)Q, with exactness evidence."""
-    Q, W, U = first_law(A, J)
-    F = fm.exterior_derivative(A)
-    dQ = fm.exterior_derivative(Q)
+
+def second_variation(a: Anatomy, J: VectorField, heat: Anatomy) -> SecondVariation:
+    """Propagate the heat form Q = heat.A of a.A along J once more:
+    R = L(J)Q, with exactness evidence and its periods over a.cycles."""
+    Q, dQ, F = heat.A, heat.dA, a.dA
     R = fm.lie_derivative(J, Q)
     potential = fm.interior(J, Q)
 
-    tester = ZeroTester(box if box is not None else ex.default_box(A.chart.dim))
+    tester = a.context
     closed_flow = pf.form_is_zero(dQ, tester).zero
 
     dR = fm.exterior_derivative(R)
@@ -167,18 +141,14 @@ def second_variation(
             "closed flow radiation differs from d(i(J)Q)"
         )
 
-    periods = tuple(
-        ch.integrate(R, c, params=params).value for c in cycles
+    integrals = tuple(ch.integrate(R, c, params=a.params) for c in a.cycles)
+    vanish = (
+        all(abs(r.value) <= PERIOD_TOL * (1.0 + r.scale) for r in integrals)
+        if integrals
+        else None
     )
-    if not cycles:
-        vanish = None
-    else:
-        scales = tuple(ch.integrate(R, c, params=params).scale for c in cycles)
-        vanish = all(
-            abs(p) <= period_tol * (1.0 + s) for p, s in zip(periods, scales)
-        )
     return SecondVariation(
-        R, potential, closed_flow, dR_zero, residual_zero, wedge_zero, periods, vanish
+        R, potential, closed_flow, dR_zero, residual_zero, wedge_zero, integrals, vanish
     )
 
 
@@ -213,39 +183,30 @@ class ProcessReport:
     work_periods: tuple[float, ...]
 
 
-def classify(
-    A: DifferentialForm, J: VectorField, domain: AnalysisContext | None = None
-) -> ProcessReport:
-    """Full process report: first-law split, flags, category, second variation.
+def classify(a: Anatomy, J: VectorField) -> ProcessReport:
+    """Full process report for A = a.A along J: first-law split, flags,
+    category, second variation.
 
     Category logic: W = 0 is Hamiltonian; dW = 0 splits into Euler-Bernoulli
-    (all registered periods of W vanish) and Stokes (some period survives),
-    or stays undetermined without registered cycles; anything else is open.
+    (all periods of W over a.cycles vanish) and Stokes (some period
+    survives), or stays undetermined without cycles; anything else is open.
     """
-    domain = domain if domain is not None else AnalysisContext()
-    Q, W, U = first_law(A, J)
-    dQ = fm.exterior_derivative(Q)
+    Q, W, U = first_law(a, J)
+    heat = Anatomy(Q, a.context, points=a.points, params=a.params)
+    dQ, QdQ = heat.dA, heat.H
     dW = fm.exterior_derivative(W)
-    QdQ = fm.wedge(Q, dQ)
 
-    tester = domain.tester(A.chart)
+    tester = a.context
     dd_gap = fm.sub_forms(dQ, dW)
     if not dd_gap.is_syntactically_zero and not pf.form_is_zero(dd_gap, tester).zero:
         raise InternalConsistencyError("dQ and dW must agree (dd = 0)")
     q_zero = pf.form_is_zero(Q, tester).zero
     w_zero = pf.form_is_zero(W, tester).zero
-    dq_zero = pf.form_is_zero(dQ, tester).zero
     qdq_zero = pf.form_is_zero(QdQ, tester).zero
     u_zero = pf.form_is_zero(U, tester).zero
 
-    second = second_variation(
-        A,
-        J,
-        cycles=domain.cycles,
-        box=domain.box,
-        params=domain.params,
-        period_tol=domain.period_tol,
-    )
+    second = second_variation(a, J, heat)
+    dq_zero = second.closed_flow
     r_zero = pf.form_is_zero(second.radiation, tester).zero
 
     flags = ProcessFlags(
@@ -266,16 +227,13 @@ def classify(
         if w_zero:
             category = CATEGORY_HAMILTONIAN
         elif dq_zero:
-            if not domain.cycles:
+            if not a.cycles:
                 category = CATEGORY_CLOSED_UNDETERMINED
             else:
-                results = [
-                    ch.integrate(W, c, params=domain.params) for c in domain.cycles
-                ]
+                results = [ch.integrate(W, c, params=a.params) for c in a.cycles]
                 work_periods = tuple(r.value for r in results)
                 exact = all(
-                    abs(r.value) <= domain.period_tol * (1.0 + r.scale)
-                    for r in results
+                    abs(r.value) <= PERIOD_TOL * (1.0 + r.scale) for r in results
                 )
                 category = CATEGORY_BERNOULLI if exact else CATEGORY_STOKES
         else:
@@ -283,16 +241,13 @@ def classify(
     except InconclusiveError:
         category = CATEGORY_UNCLASSIFIED
 
-    sequence = pf.pfaff_sequence(
-        Q, box=domain.box, points=domain.points, params=domain.params
-    )
     return ProcessReport(
         Q=Q,
         W=W,
         U=U,
         dQ=dQ,
         QdQ=QdQ,
-        pfaff=sequence,
+        pfaff=heat.sequence,
         flags=flags,
         category=category,
         second=second,

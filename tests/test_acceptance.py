@@ -189,7 +189,7 @@ def test_criterion_04_first_law_split():
 def test_criterion_05_torsion_vector_identities():
     p = sy.get_preset("em.torsion_nonzero")
     tester = ex.ZeroTester(p.box if p.box is not None else ex.default_box(4))
-    rep = sy.em_diagnostics(p.system, p.context())
+    rep = sy.em_diagnostics(p.system, p.anatomy(ex.ZeroTester(p.box)))
     A = p.action
     T = rep.torsion.vector
     gamma = rep.torsion.gamma
@@ -270,17 +270,20 @@ def test_criterion_06_theorem_battery():
     A = fm.form_from_coeffs(CHART, 1, {(1,): ex.Coord(0)})
     J = fm.VectorField(CHART, (ex.Coord(1), ex.Coord(0), ex.ZERO, ex.ZERO))
     circle = ch.Chain(1, (ch.circle_cell(CHART, fixed={2: 0.0, 3: 0.0}),), closed=True)
-    sv = th.second_variation(A, J, cycles=(circle,))
+    a = pf.Anatomy(A, _tester(), chains=(circle,))
+    sv = th.second_variation(a, J, pf.Anatomy(th.first_law(a, J)[0], a.context))
     if not (sv.closed_flow and not pf.form_is_zero(sv.radiation, _tester()).zero):
         failures.append("IV fixture degenerate")
     res = ch.integrate(sv.radiation, circle)
     if abs(res.value) > 1e-6 * (1.0 + res.scale):
         failures.append(f"IV period {res.value:.3e}")
+    a_rigid = pf.Anatomy(
+        rigid.action, _tester(), chains=(rigid.chain("circle"),), params=rigid.params
+    )
     sv_rigid = th.second_variation(
-        rigid.action,
+        a_rigid,
         rigid.process("spacetime"),
-        cycles=(rigid.chain("circle"),),
-        params=rigid.params,
+        pf.Anatomy(th.first_law(a_rigid, rigid.process("spacetime"))[0], a_rigid.context),
     )
     if sv_rigid.periods_vanish is not True:
         failures.append("IV rigid periods")
@@ -312,7 +315,7 @@ def test_criterion_06_theorem_battery():
 def test_criterion_07_integer_periods():
     p = sy.get_preset("harmonic.winding")
     cycles = [c for c in p.chains if c.degree == 1]
-    spec = ch.period_spectrum(p.action, cycles, p.box, params=p.params)
+    spec = ch.period_spectrum(p.action, cycles, ex.ZeroTester(p.box), params=p.params)
     base_ok = abs(abs(spec.periods[0]) - 2 * math.pi) <= 1e-8
     double_ok = abs(spec.periods[1] / spec.periods[0] - 2.0) <= 1e-8
     _verdict(
@@ -345,7 +348,7 @@ def test_criterion_08_fluid_identities():
                 failures.append(f"{name} induction[{i}]")
         if not is_zero_scalar(sy._div(vort.omega), p.box):
             failures.append(f"{name} div omega")
-        tc = sy.torsion_current(s, p.box)
+        tc = sy.torsion_current(s, pf.Anatomy(p.action, ex.ZeroTester(p.box)))
         balance = ex.add(
             sy._div(tc.current),
             ex.differentiate(tc.helicity_density, 3),
@@ -355,20 +358,20 @@ def test_criterion_08_fluid_identities():
             failures.append(f"{name} balance")
 
     rigid = sy.get_preset("euler.rigid_rotation")
-    rep = th.classify(rigid.action, rigid.process("spacetime"), rigid.context())
+    rep = th.classify(rigid.anatomy(ex.ZeroTester(rigid.box)), rigid.process("spacetime"))
     euler_zero = all(is_zero_scalar(c, rigid.box) for c in sy.euler_residual(rigid.system))
     if not (rep.flags.extremal and euler_zero):
         failures.append("extremal<=>euler positive case")
     bad = sy.FluidSystem(rigid.system.velocity, ex.ZERO, ex.ZERO)
     bad_rep = th.classify(
-        bad.action(), bad.spacetime_velocity(), th.AnalysisContext(params={"Omega": 0.7})
+        pf.Anatomy(bad.action(), _tester(), params={"Omega": 0.7}), bad.spacetime_velocity()
     )
     bad_euler_zero = all(is_zero_scalar(c, rigid.box) for c in sy.euler_residual(bad))
     if bad_rep.flags.extremal or bad_euler_zero:
         failures.append("extremal<=>euler negative case")
 
     shear = sy.get_preset("ns.decaying_shear")
-    srep = sy.fluid_diagnostics(shear.system, shear.context())
+    srep = sy.fluid_diagnostics(shear.system, shear.anatomy(ex.ZeroTester(shear.box)))
     if not is_zero_scalar(
         ex.add(srep.parity_coefficient, ex.negate(srep.viscous_parity_source)),
         shear.box,

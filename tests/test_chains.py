@@ -216,7 +216,7 @@ def test_invariance_mode_validation(stokes_pair):
 def test_period_spectrum_winding_numbers():
     p = sy.get_preset("harmonic.winding")
     cycles = [c for c in p.chains if c.degree == 1]
-    spec = ch.period_spectrum(p.action, cycles, p.box, params=p.params)
+    spec = ch.period_spectrum(p.action, cycles, ex.ZeroTester(p.box), params=p.params)
     assert spec.periods[0] == pytest.approx(-2 * math.pi, abs=1e-8)
     assert spec.periods[1] == pytest.approx(-4 * math.pi, abs=1e-8)
     assert spec.base == pytest.approx(2 * math.pi, abs=1e-8)
@@ -229,13 +229,13 @@ def test_period_spectrum_rejects_non_closed_forms():
     w = fm.form_from_coeffs(CHART, 1, {(1,): scalar("x")})
     circle = ch.Chain(1, (ch.circle_cell(CHART, fixed={2: 0.0, 3: 0.0}),), closed=True)
     with pytest.raises(ch.ChainError):
-        ch.period_spectrum(w, [circle])
+        ch.period_spectrum(w, [circle], ex.ZeroTester(ex.default_box(4)))
 
 
 def test_period_spectrum_all_zero_has_no_base():
     phi = fm.exterior_derivative(fm.scalar_form(CHART, scalar("x*y + z")))
     circle = ch.Chain(1, (ch.circle_cell(CHART, fixed={2: 0.0, 3: 0.0}),), closed=True)
-    spec = ch.period_spectrum(phi, [circle])
+    spec = ch.period_spectrum(phi, [circle], ex.ZeroTester(ex.default_box(4)))
     assert spec.base is None
     assert spec.ratios == (0.0,)
 

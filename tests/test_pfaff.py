@@ -34,7 +34,7 @@ PRESET_DIMENSIONS = {
 @pytest.mark.parametrize("name", sorted(PRESET_DIMENSIONS))
 def test_preset_pfaff_dimensions(name):
     p = sy.get_preset(name)
-    seq = pf.pfaff_sequence(p.action, p.box)
+    seq = pf.pfaff_sequence(pf.Anatomy(p.action, ex.ZeroTester(p.box)))
     assert seq.dimension == PRESET_DIMENSIONS[name]
     assert seq.labels[: seq.dimension] == pf._SEQUENCE_LABELS[: seq.dimension]
     # verdicts past the dimension are zero, the ones before are not
@@ -45,15 +45,15 @@ def test_preset_pfaff_dimensions(name):
 @pytest.mark.parametrize("name", sorted(PRESET_DIMENSIONS))
 def test_frobenius_iff_dimension_at_most_two(name):
     p = sy.get_preset(name)
-    seq = pf.pfaff_sequence(p.action, p.box)
-    assert pf.frobenius_integrable(p.action, p.box) == (seq.dimension <= 2)
+    seq = pf.pfaff_sequence(pf.Anatomy(p.action, ex.ZeroTester(p.box)))
+    assert pf.frobenius_integrable(pf.Anatomy(p.action, ex.ZeroTester(p.box))) == (seq.dimension <= 2)
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_DIMENSIONS))
 def test_base_disconnection_iff_dimension_at_least_three(name):
     p = sy.get_preset(name)
-    seq = pf.pfaff_sequence(p.action, p.box)
-    base = pf.cartan_topological_base(p.action, p.box)
+    seq = pf.pfaff_sequence(pf.Anatomy(p.action, ex.ZeroTester(p.box)))
+    base = pf.cartan_topological_base(pf.Anatomy(p.action, ex.ZeroTester(p.box)))
     assert base.disconnected == (seq.dimension >= 3)
     labels = [label for label, _ in base.elements]
     assert labels == ["A", "A u F", "H", "H u K"]
@@ -67,16 +67,16 @@ def test_base_disconnection_iff_dimension_at_least_three(name):
 def test_sequence_rejects_non_one_forms():
     two = fm.form_from_coeffs(CHART, 2, {(0, 1): ex.ONE})
     with pytest.raises(fm.FormError):
-        pf.pfaff_sequence(two)
+        pf.pfaff_sequence(pf.Anatomy(two, ex.ZeroTester(ex.default_box(4))))
     with pytest.raises(fm.FormError):
-        pf.frobenius_integrable(two)
+        pf.frobenius_integrable(pf.Anatomy(two, ex.ZeroTester(ex.default_box(4))))
 
 
 def test_pointwise_dimension_tracks_degeneracy():
     # x dy has global dimension 2 but collapses to 0 on the x = 0 slice
     A = form_1({1: "x"})
     seq = pf.pfaff_sequence(
-        A, points=[(0.0, 0.3, 0.1, 0.0), (0.5, 0.3, 0.1, 0.0)]
+        pf.Anatomy(A, ex.ZeroTester(ex.default_box(4)), points=[(0.0, 0.3, 0.1, 0.0), (0.5, 0.3, 0.1, 0.0)])
     )
     assert seq.dimension == 2
     assert seq.pointwise == (((0.0, 0.3, 0.1, 0.0), 0), ((0.5, 0.3, 0.1, 0.0), 2))
@@ -86,7 +86,7 @@ def test_torsion_vector_reconstructs_three_form():
     # independent cross-check of the identity the extractor solves
     for name in ("ns.decaying_shear", "em.torsion_nonzero", "fluid.beltrami_abc"):
         p = sy.get_preset(name)
-        data = pf.torsion_data(p.action, p.box)
+        data = pf.torsion_data(pf.Anatomy(p.action, ex.ZeroTester(p.box)))
         recon = fm.interior(data.vector, fm.volume_form(p.chart))
         assert fm.sub_forms(recon, data.torsion_form).is_syntactically_zero
         dA = fm.exterior_derivative(p.action)
@@ -98,8 +98,8 @@ def test_torsion_vector_reconstructs_three_form():
 def test_torsion_gamma_and_parity_on_em_preset():
     # E.B = -2*lam*mu for the torsion preset; parity coefficient is twice that
     p = sy.get_preset("em.torsion_nonzero")
-    data = pf.torsion_data(p.action, p.box)
-    K, k = pf.parity(p.action)
+    data = pf.torsion_data(pf.Anatomy(p.action, ex.ZeroTester(p.box)))
+    K, k = pf.parity(pf.Anatomy(p.action, ex.ZeroTester(ex.default_box(4))))
     pt = (0.2, -0.3, 0.4, 0.1)
     lam, mu = p.params["lam"], p.params["mu"]
     assert ex.eval_at(data.gamma, pt, p.params) == pytest.approx(-2 * lam * mu)
@@ -110,8 +110,8 @@ def test_torsion_gamma_and_parity_on_em_preset():
 def test_torsion_gamma_vanishes_for_integrable_presets():
     for name in ("euler.rigid_rotation", "em.plane_wave", "harmonic.winding"):
         p = sy.get_preset(name)
-        data = pf.torsion_data(p.action, p.box)
-        tester = pf._tester(p.chart, p.box)
+        data = pf.torsion_data(pf.Anatomy(p.action, ex.ZeroTester(p.box)))
+        tester = ex.ZeroTester(p.box)
         assert tester.test(data.gamma).zero
         assert pf.form_is_zero(data.torsion_form, tester).zero
 
@@ -119,15 +119,15 @@ def test_torsion_gamma_vanishes_for_integrable_presets():
 def test_torsion_requires_four_chart_one_form():
     three = ex.Chart(("x", "y", "z"))
     with pytest.raises(fm.FormError):
-        pf.torsion_data(fm.zero_form(three, 1))
+        pf.torsion_data(pf.Anatomy(fm.zero_form(three, 1), ex.ZeroTester(ex.default_box(3))))
     with pytest.raises(fm.FormError):
-        pf.torsion_data(fm.form_from_coeffs(CHART, 2, {(0, 1): ex.ONE}))
+        pf.torsion_data(pf.Anatomy(fm.form_from_coeffs(CHART, 2, {(0, 1): ex.ONE}), ex.ZeroTester(ex.default_box(4))))
     with pytest.raises(fm.FormError):
-        pf.parity(fm.zero_form(three, 1))
+        pf.parity(pf.Anatomy(fm.zero_form(three, 1), ex.ZeroTester(ex.default_box(3))))
 
 
 def test_torsion_of_zero_form_is_trivial():
-    data = pf.torsion_data(fm.zero_form(CHART, 1))
+    data = pf.torsion_data(pf.Anatomy(fm.zero_form(CHART, 1), ex.ZeroTester(ex.default_box(4))))
     assert ex.is_syntactic_zero(data.gamma)
     assert all(ex.is_syntactic_zero(c) for c in data.spatial_current)
 
@@ -145,7 +145,7 @@ PRESET_GENUS = {
 @pytest.mark.parametrize("name", sorted(PRESET_GENUS))
 def test_preset_genus(name):
     p = sy.get_preset(name)
-    rep = pf.genus_diagnostic(p.action, p.box)
+    rep = pf.genus_diagnostic(pf.Anatomy(p.action, ex.ZeroTester(p.box)))
     assert rep.genus == PRESET_GENUS[name]
     assert rep.torsion_current_zero == (rep.genus == 3)
 
@@ -154,8 +154,8 @@ def test_genus_three_does_not_require_low_dimension():
     # y dx + z dy: Pfaff dimension 3, yet no time-transversal torsion
     # current, so the eliminated system still closes at genus 3.
     A = form_1({0: "y", 1: "z"})
-    seq = pf.pfaff_sequence(A)
-    rep = pf.genus_diagnostic(A)
+    seq = pf.pfaff_sequence(pf.Anatomy(A, ex.ZeroTester(ex.default_box(4))))
+    rep = pf.genus_diagnostic(pf.Anatomy(A, ex.ZeroTester(ex.default_box(4))))
     assert seq.dimension == 3
     assert rep.genus == 3
     assert rep.torsion_current_zero
@@ -164,8 +164,8 @@ def test_genus_three_does_not_require_low_dimension():
 def test_low_dimension_forces_genus_three():
     for name in sorted(PRESET_DIMENSIONS):
         p = sy.get_preset(name)
-        if pf.pfaff_sequence(p.action, p.box).dimension <= 2:
-            assert pf.genus_diagnostic(p.action, p.box).genus == 3
+        if pf.pfaff_sequence(pf.Anatomy(p.action, ex.ZeroTester(p.box))).dimension <= 2:
+            assert pf.genus_diagnostic(pf.Anatomy(p.action, ex.ZeroTester(p.box))).genus == 3
 
 
 def test_extremal_space_contains_rigid_velocity():
@@ -210,7 +210,7 @@ def test_characteristic_space_inside_extremal_space():
 
 def test_projectivize_normalizes_to_unit_length():
     p = sy.get_preset("em.torsion_nonzero")
-    primed, lam = pf.projectivize(p.action, p.box)
+    primed, lam = pf.projectivize(p.action, ex.ZeroTester(p.box))
     total = ex.add(*(ex.power(primed.coeff((m,)), 2) for m in range(4)))
     rng = np.random.default_rng(7)
     for _ in range(8):
@@ -227,14 +227,14 @@ def test_projectivize_rejects_vanishing_sections():
     A = form_1({1: "x"})
     tiny = ex.Box(lows=(-1e-14, -1.0, -1.0, -1.0), highs=(1e-14, 1.0, 1.0, 1.0))
     with pytest.raises(ex.SingularityError):
-        pf.projectivize(A, tiny)
+        pf.projectivize(A, ex.ZeroTester(tiny))
 
 
 def test_euler_integrand_matches_projectivized_parity():
     p = sy.get_preset("em.torsion_nonzero")
-    K, k = pf.euler_integrand(p.action, p.box)
-    primed, _ = pf.projectivize(p.action, p.box)
-    K2, k2 = pf.parity(primed)
+    K, k = pf.euler_integrand(p.action, ex.ZeroTester(p.box))
+    primed, _ = pf.projectivize(p.action, ex.ZeroTester(p.box))
+    K2, k2 = pf.parity(pf.Anatomy(primed, ex.ZeroTester(ex.default_box(4))))
     assert fm.sub_forms(K, K2).is_syntactically_zero
     pt = (0.2, -0.3, 0.4, 0.1)
     assert ex.eval_at(k, pt, p.params) == pytest.approx(

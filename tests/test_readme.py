@@ -1,0 +1,28 @@
+"""The README's library example runs against the current API."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_example_runs_and_prints_its_comments():
+    section = README.read_text().split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    # each print line ends in a comment that states what it prints
+    expected = [
+        line.split("#", 1)[1].strip()
+        for line in code.splitlines()
+        if line.startswith("print(")
+    ]
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(expected)
+    for got, want in zip(printed, expected):
+        assert want.startswith(got), (got, want)

@@ -58,7 +58,7 @@ def test_beltrami_solves_euler_exactly():
 
 def test_beltrami_torsion_current_is_parallel_to_velocity():
     p = sy.get_preset("fluid.beltrami_abc")
-    tc = sy.torsion_current(p.system, p.box)
+    tc = sy.torsion_current(p.system, pf.Anatomy(p.action, ex.ZeroTester(p.box)))
     want = tuple(ex.mul(ex.Const(1.5), v) for v in p.system.velocity)
     assert vec_equal(tc.current, want, p.box)
     speed_sq = ex.add(*(ex.power(v, 2) for v in p.system.velocity))
@@ -80,10 +80,10 @@ def test_rigid_rotation_vorticity_and_balance():
 
 def test_rigid_rotation_torsion_current_vanishes():
     p = sy.get_preset("euler.rigid_rotation")
-    tc = sy.torsion_current(p.system, p.box)
+    tc = sy.torsion_current(p.system, pf.Anatomy(p.action, ex.ZeroTester(p.box)))
     assert vec_is_zero(tc.current, p.box)
     assert is_zero(tc.helicity_density, p.box)
-    assert pf.genus_diagnostic(p.action, p.box).genus == 3
+    assert pf.genus_diagnostic(pf.Anatomy(p.action, ex.ZeroTester(p.box))).genus == 3
 
 
 def test_rigid_rotation_hamiltonian_is_centripetal():
@@ -97,7 +97,7 @@ def test_rigid_rotation_hamiltonian_is_centripetal():
 
 def test_shear_satisfies_viscous_balance_but_not_euler():
     p = sy.get_preset("ns.decaying_shear")
-    ns = sy.navier_stokes_residual(p.system, p.box)
+    ns = sy.navier_stokes_residual(p.system, pf.Anatomy(p.action, ex.ZeroTester(p.box)))
     assert ns.satisfied
     euler = sy.euler_residual(p.system)
     assert not vec_is_zero(euler, p.box)
@@ -106,7 +106,7 @@ def test_shear_satisfies_viscous_balance_but_not_euler():
 def test_shear_torsion_current_formula():
     # unidirectional profile f(y, t): current reduces to (0, 0, f^2 f_y / 2)
     p = sy.get_preset("ns.decaying_shear")
-    tc = sy.torsion_current(p.system, p.box)
+    tc = sy.torsion_current(p.system, pf.Anatomy(p.action, ex.ZeroTester(p.box)))
     f = p.system.velocity[0]
     want_z = ex.mul(ex.Const(0.5), f, f, ex.differentiate(f, 1))
     assert ex.is_syntactic_zero(tc.current[0])
@@ -118,7 +118,7 @@ def test_shear_torsion_current_formula():
 def test_shear_dissipative_work_form():
     # W = -nu (curl omega) . (dx - v dt) picks up only the x and t slots
     p = sy.get_preset("ns.decaying_shear")
-    ns = sy.navier_stokes_residual(p.system, p.box)
+    ns = sy.navier_stokes_residual(p.system, pf.Anatomy(p.action, ex.ZeroTester(p.box)))
     f = p.system.velocity[0]
     fyy = ex.differentiate(ex.differentiate(f, 1), 1)
     nu = p.system.viscosity
@@ -133,7 +133,7 @@ def test_shear_dissipative_work_form():
 @pytest.mark.parametrize("name", ["ns.decaying_shear", "euler.rigid_rotation"])
 def test_engineering_torsion_agrees_on_solutions(name):
     p = sy.get_preset(name)
-    eng = sy.ns_engineering_torsion(p.system, p.box)
+    eng = sy.ns_engineering_torsion(p.system, pf.Anatomy(p.action, ex.ZeroTester(p.box)))
     assert eng.ns_satisfied
     assert eng.warning is None
     assert vec_is_zero(eng.difference, p.box)
@@ -145,7 +145,7 @@ def test_engineering_torsion_warns_off_solutions():
     rigid = sy.get_preset("euler.rigid_rotation").system
     bad = sy.FluidSystem(rigid.velocity, ex.ZERO, ex.ZERO, name="unbalanced")
     assert any(not is_zero(c) for c in sy.euler_residual(bad))
-    eng = sy.ns_engineering_torsion(bad)
+    eng = sy.ns_engineering_torsion(bad, pf.Anatomy(bad.action(), ex.ZeroTester(ex.default_box(4))))
     assert not eng.ns_satisfied
     assert eng.warning is not None
 
@@ -153,12 +153,12 @@ def test_engineering_torsion_warns_off_solutions():
 def test_extremal_flag_tracks_momentum_balance():
     # inviscid: the spacetime velocity is extremal exactly for solutions
     good = sy.get_preset("euler.rigid_rotation")
-    rep = th.classify(good.action, good.process("spacetime"), good.context())
+    rep = th.classify(good.anatomy(ex.ZeroTester(good.box)), good.process("spacetime"))
     assert rep.flags.extremal
 
     bad = sy.FluidSystem(good.system.velocity, ex.ZERO, ex.ZERO)
-    ctx = th.AnalysisContext(params={"Omega": 0.7})
-    rep = th.classify(bad.action(), bad.spacetime_velocity(), ctx)
+    ctx = pf.Anatomy(bad.action(), ex.ZeroTester(ex.default_box(4)), params={"Omega": 0.7})
+    rep = th.classify(ctx, bad.spacetime_velocity())
     assert not rep.flags.extremal
 
 
@@ -197,7 +197,7 @@ def test_mass_current_three_form_shape():
 def test_transversal_comparison_is_a_report_not_a_theorem():
     p = sy.get_preset("euler.rigid_rotation")
     J, pulled, verdict = sy.transversal_current_comparison(
-        p.action, ex.ONE, p.system.velocity, p.box
+        pf.Anatomy(p.action, ex.ZeroTester(p.box)), ex.ONE, p.system.velocity
     )
     assert J.degree == 3 and pulled.degree == 3
     assert not bool(verdict)  # the two currents genuinely differ here
@@ -219,7 +219,7 @@ def test_plane_wave_fields_are_transverse():
 
 def test_plane_wave_diagnostics():
     p = sy.get_preset("em.plane_wave")
-    rep = sy.em_diagnostics(p.system, p.context())
+    rep = sy.em_diagnostics(p.system, p.anatomy(ex.ZeroTester(p.box)))
     assert vec_is_zero(rep.current, p.box)
     assert is_zero(rep.helicity_density, p.box)
     assert is_zero(rep.parity_coefficient, p.box)
@@ -229,7 +229,7 @@ def test_plane_wave_diagnostics():
 
 def test_torsion_preset_field_identities():
     p = sy.get_preset("em.torsion_nonzero")
-    rep = sy.em_diagnostics(p.system, p.context())
+    rep = sy.em_diagnostics(p.system, p.anatomy(ex.ZeroTester(p.box)))
     pt = (0.2, -0.3, 0.4, 0.1)
     lam, mu = p.params["lam"], p.params["mu"]
 
@@ -254,7 +254,7 @@ def test_component_list_sign_relates_conventions():
     # orientation convention used by the torsion extractor
     assert sy.COMPONENT_LIST_SIGN == -1
     p = sy.get_preset("em.torsion_nonzero")
-    rep = sy.em_diagnostics(p.system, p.context())
+    rep = sy.em_diagnostics(p.system, p.anatomy(ex.ZeroTester(p.box)))
     listed = (*rep.current, rep.helicity_density)
     for mine, classical in zip(rep.torsion.vector.components, listed):
         assert is_zero(ex.add(mine, classical), p.box)
@@ -262,7 +262,7 @@ def test_component_list_sign_relates_conventions():
 
 def test_fluid_diagnostics_bundle():
     p = sy.get_preset("ns.decaying_shear")
-    rep = sy.fluid_diagnostics(p.system, p.context())
+    rep = sy.fluid_diagnostics(p.system, p.anatomy(ex.ZeroTester(p.box)))
     assert rep.ns.satisfied and not rep.euler_satisfied
     assert rep.pfaff_dimension == 3
     assert rep.genus.genus == 2

@@ -28,7 +28,7 @@ def form_is_zero(w: fm.DifferentialForm) -> bool:
 
 def test_first_law_reassembles_lie_derivative():
     for A, J in action_process_pairs(n_random=6):
-        Q, W, U = first = th.first_law(A, J)
+        Q, W, U = first = th.first_law(pf.Anatomy(A, ex.ZeroTester(ex.default_box(4))), J)
         assert Q.degree == 1 and W.degree == 1 and U.degree == 0
         direct = fm.lie_derivative(J, A)
         assert form_is_zero(fm.sub_forms(Q, direct))
@@ -41,7 +41,7 @@ def test_first_law_rejects_higher_degree():
     two = fm.form_from_coeffs(CHART, 2, {(0, 1): ex.ONE})
     J = fm.VectorField(CHART, (ex.ONE, ex.ZERO, ex.ZERO, ex.ZERO))
     with pytest.raises(th.ThermoError):
-        th.first_law(two, J)
+        th.first_law(pf.Anatomy(two, ex.ZeroTester(ex.default_box(4))), J)
 
 
 def test_work_is_transversal_to_the_process():
@@ -65,7 +65,7 @@ EXPECTED_CLASSIFICATIONS = {
 @pytest.mark.parametrize("preset,process", sorted(EXPECTED_CLASSIFICATIONS))
 def test_preset_process_classification(preset, process):
     p = sy.get_preset(preset)
-    rep = th.classify(p.action, p.process(process), p.context())
+    rep = th.classify(p.anatomy(ex.ZeroTester(p.box)), p.process(process))
     cat, adiab, closed, rev, assoc, extr, qdim = EXPECTED_CLASSIFICATIONS[
         (preset, process)
     ]
@@ -82,7 +82,7 @@ def test_preset_process_classification(preset, process):
 
 def test_bernoulli_needs_vanishing_work_periods():
     p = sy.get_preset("euler.rigid_rotation")
-    rep = th.classify(p.action, p.process("spatial"), p.context())
+    rep = th.classify(p.anatomy(ex.ZeroTester(p.box)), p.process("spatial"))
     assert rep.category == th.CATEGORY_BERNOULLI
     assert rep.work_periods  # cycles were actually probed
     assert all(abs(w) < 1e-9 for w in rep.work_periods)
@@ -90,7 +90,7 @@ def test_bernoulli_needs_vanishing_work_periods():
 
 def test_closed_flow_without_cycles_stays_undetermined():
     p = sy.get_preset("euler.rigid_rotation")
-    rep = th.classify(p.action, p.process("spatial"), th.AnalysisContext())
+    rep = th.classify(pf.Anatomy(p.action, ex.ZeroTester(ex.default_box(4))), p.process("spatial"))
     assert rep.category == th.CATEGORY_CLOSED_UNDETERMINED
 
 
@@ -107,7 +107,7 @@ def test_stokes_category_from_surviving_period():
     box = ex.Box(
         lows=(-1.0,) * 4, highs=(1.0,) * 4, guards=(scalar("x^2 + y^2"),)
     )
-    rep = th.classify(A, J, th.AnalysisContext(box=box, cycles=(circle,)))
+    rep = th.classify(pf.Anatomy(A, ex.ZeroTester(box), chains=(circle,)), J)
     assert rep.category == th.CATEGORY_STOKES
     assert rep.flags.closed_flow and not rep.flags.hamiltonian
     assert rep.work_periods[0] == pytest.approx(-2 * math.pi, abs=1e-8)
@@ -126,13 +126,13 @@ def test_flags_survive_reparametrization(preset, process):
     # the four linear-in-J verdicts cannot see J -> f*J for positive f
     p = sy.get_preset(preset)
     J = p.process(process)
-    base = th.classify(p.action, J, p.context()).flags
+    base = th.classify(p.anatomy(ex.ZeroTester(p.box)), J).flags
     rng = np.random.default_rng(314)
     for _ in range(3):
         i = int(rng.integers(0, 4))
         c = float(rng.uniform(0.5, 2.0))
         f = ex.add(ex.Const(c), ex.power(ex.Coord(i), 2))
-        flags = th.classify(p.action, J.rescaled(f), p.context()).flags
+        flags = th.classify(p.anatomy(ex.ZeroTester(p.box)), J.rescaled(f)).flags
         for attr in ("hamiltonian", "associated", "extremal", "characteristic"):
             assert getattr(flags, attr) == getattr(base, attr), attr
 
@@ -140,14 +140,14 @@ def test_flags_survive_reparametrization(preset, process):
 def test_irreversibility_verdicts():
     shear = sy.get_preset("ns.decaying_shear")
     QdQ, verdict = th.irreversibility(
-        shear.action, shear.process("spacetime"), shear.box
+        pf.Anatomy(shear.action, ex.ZeroTester(shear.box)), shear.process("spacetime")
     )
     assert not verdict.zero
     assert verdict.witness is not None
 
     rigid = sy.get_preset("euler.rigid_rotation")
     _, verdict = th.irreversibility(
-        rigid.action, rigid.process("spacetime"), rigid.box
+        pf.Anatomy(rigid.action, ex.ZeroTester(rigid.box)), rigid.process("spacetime")
     )
     assert verdict.zero
 
@@ -158,7 +158,8 @@ def test_second_variation_closed_flow_pair():
     A = fm.form_from_coeffs(CHART, 1, {(1,): scalar("x")})
     J = fm.VectorField(CHART, (scalar("y"), scalar("x"), ex.ZERO, ex.ZERO))
     circle = ch.Chain(1, (ch.circle_cell(CHART, fixed={2: 0.0, 3: 0.0}),), closed=True)
-    sv = th.second_variation(A, J, cycles=(circle,))
+    a = pf.Anatomy(A, ex.ZeroTester(ex.default_box(4)), chains=(circle,))
+    sv = th.second_variation(a, J, pf.Anatomy(th.first_law(a, J)[0], a.context))
     assert sv.closed_flow
     assert sv.dR_zero
     assert sv.exactness_residual_zero
@@ -174,14 +175,15 @@ def test_second_variation_closed_flow_pair():
 def test_second_variation_without_cycles_reports_none():
     A = fm.form_from_coeffs(CHART, 1, {(1,): scalar("x")})
     J = fm.VectorField(CHART, (scalar("y"), scalar("x"), ex.ZERO, ex.ZERO))
-    sv = th.second_variation(A, J)
+    a = pf.Anatomy(A, ex.ZeroTester(ex.default_box(4)))
+    sv = th.second_variation(a, J, pf.Anatomy(th.first_law(a, J)[0], a.context))
     assert sv.periods == ()
     assert sv.periods_vanish is None
 
 
 def test_radiative_flag_tracks_radiation_form():
     p = sy.get_preset("em.torsion_nonzero")
-    rep = th.classify(p.action, p.process("torsion"), p.context())
+    rep = th.classify(p.anatomy(ex.ZeroTester(p.box)), p.process("torsion"))
     assert rep.flags.radiative == (
         not form_is_zero(rep.second.radiation)
     )
@@ -191,6 +193,6 @@ def test_radiative_flag_tracks_radiation_form():
 def test_heat_pfaff_sequence_uses_context_points():
     p = sy.get_preset("ns.decaying_shear")
     pts = ((0.1, 0.2, 0.0, 0.0),)
-    ctx = th.AnalysisContext(box=p.box, points=pts, params=dict(p.params) or None)
-    rep = th.classify(p.action, p.process("spacetime"), ctx)
+    ctx = pf.Anatomy(p.action, ex.ZeroTester(p.box), points=pts, params=p.params)
+    rep = th.classify(ctx, p.process("spacetime"))
     assert rep.pfaff.pointwise and rep.pfaff.pointwise[0][0] == pts[0]
