@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -341,7 +341,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("duplicate coordinate names", e.line, e.column)
         cfg = replace(cfg, coordinates=coords)
 
-    chart = _chart_of(cfg)
+    preset = sy.get_preset(cfg.preset) if cfg.preset else None
+    chart = _chart_of(cfg, preset)
     if cfg.preset and cfg.coordinates and chart.names != cfg.coordinates:
         e = take("chart", "coordinates")
         raise ConfigError(
@@ -556,8 +557,7 @@ def parse_config(text: str) -> RunConfig:
 
     bound = {name for name, _ in cfg.params}
     ranged = {name for name, _, _ in cfg.param_ranges}
-    if cfg.preset:
-        preset = sy.get_preset(cfg.preset)
+    if preset is not None:
         bound |= set(preset.params)
         if preset.box is not None:
             ranged |= set(preset.box.param_ranges)
@@ -599,9 +599,9 @@ def _validate_topology(spec: TopologySpec, section: dict[str, _Entry]):
             fail("map", "map must cover every domain point")
 
 
-def _chart_of(cfg: RunConfig) -> ex.Chart:
-    if cfg.preset:
-        return sy.get_preset(cfg.preset).chart
+def _chart_of(cfg: RunConfig, preset: sy.Preset | None) -> ex.Chart:
+    if preset is not None:
+        return preset.chart
     if cfg.coordinates:
         return ex.Chart(cfg.coordinates)
     return sy.SPACETIME
@@ -765,7 +765,6 @@ class _Runtime:
     params: dict[str, float]
     system: sy.FluidSystem | sy.EMSystem | None
     tol: float
-    reports: dict[str, th.ProcessReport] = field(default_factory=dict)
 
     @property
     def action(self) -> DifferentialForm:
@@ -781,15 +780,10 @@ class _Runtime:
         box = self.context.box
         return tuple((lo + hi) / 2.0 for lo, hi in zip(box.lows, box.highs))
 
-    def classification(self, name: str) -> th.ProcessReport:
-        if name not in self.reports:
-            J = dict(self.processes)[name]
-            self.reports[name] = th.classify(self.anatomy, J)
-        return self.reports[name]
-
 
 def _build_runtime(cfg: RunConfig) -> _Runtime:
-    chart = _chart_of(cfg)
+    preset = sy.get_preset(cfg.preset) if cfg.preset else None
+    chart = _chart_of(cfg, preset)
     params: dict[str, float] = {}
     processes: list[tuple[str, VectorField]] = []
     chains: list[ch.Chain] = []
@@ -798,8 +792,7 @@ def _build_runtime(cfg: RunConfig) -> _Runtime:
     box: Box | None = None
     action: DifferentialForm | None = None
 
-    if cfg.preset:
-        preset = sy.get_preset(cfg.preset)
+    if preset is not None:
         action = preset.action
         processes.extend(preset.processes)
         chains.extend(preset.chains)
@@ -950,7 +943,7 @@ def _battery_pfaff(rt: _Runtime, checks: list[_Check]) -> dict:
 def _battery_thermo(rt: _Runtime, checks: list[_Check]) -> dict:
     out: dict = {}
     for name, J in rt.processes:
-        rep = rt.classification(name)
+        rep = th.process_report(rt.anatomy, J)
         entry = {
             "category": rep.category,
             "flags": rep.flags.as_dict(),
@@ -1031,7 +1024,7 @@ def _battery_theorems(rt: _Runtime, checks: list[_Check]) -> dict:
         )
 
     for pname, J in rt.processes:
-        rep = rt.classification(pname)
+        rep = th.process_report(rt.anatomy, J)
         for chain in closed_2:
             inv = ch.invariance_check(
                 F, chain, J, tol=rt.tol, params=rt.params or None
@@ -1401,13 +1394,14 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run(cfg)
+    # InconclusiveError is an ExprError, so it must be caught first
+    except (InconclusiveError, InternalConsistencyError) as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     except (ConfigError, ps.ParseError, sy.PresetError, fm.FormError, ch.ChainError,
             th.ThermoError, ex.ExprError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (InconclusiveError, InternalConsistencyError) as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return 3
 
     payload = report.to_json()
     if cfg.out:

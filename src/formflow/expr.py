@@ -59,6 +59,8 @@ __all__ = [
     "differentiate",
     "eval_at",
     "eval_many",
+    "eval_rows",
+    "draw_rows",
     "to_text",
     "collect_params",
     "max_coord_index",
@@ -848,6 +850,91 @@ def eval_with_scale(
     return rec(e), scale
 
 
+def _pointwise(f, *cols: np.ndarray) -> np.ndarray:
+    """f applied row by row through Python floats; NaN where it fails.
+
+    numpy's power, exp, log and arctan2 may differ from Python's in the last
+    bit, so these go through the same scalar calls as eval_with_scale.
+    """
+    out = []
+    for xs in zip(*(c.tolist() for c in cols)):
+        try:
+            out.append(f(*xs))
+        except (ArithmeticError, ValueError):
+            out.append(math.nan)
+    v = np.array(out, dtype=float)
+    for c in cols:
+        v[np.isnan(c)] = math.nan  # a singular row stays singular
+    return v
+
+
+def eval_rows(
+    e: ScalarExpr,
+    points: np.ndarray,
+    params: Mapping[str, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """eval_with_scale at every row of a (k, n) array, in one pass.
+
+    Returns the values and the largest intermediate magnitudes, both of
+    length k and bit-identical row by row to eval_with_scale; `params` maps
+    each name to a column of k values.  A row where eval_with_scale would
+    raise SingularityError has value NaN: the failing node yields NaN there
+    and NaN propagates to the root.  Structurally equal subexpressions are
+    computed once.
+    """
+    k = points.shape[0]
+    memo: dict[str, np.ndarray] = {}
+    scale = np.zeros(k)
+
+    def rec(node: ScalarExpr) -> np.ndarray:
+        got = memo.get(node.key)
+        if got is not None:
+            return got
+        if isinstance(node, Const):
+            v = np.full(k, float(node.value))
+        elif isinstance(node, Coord):
+            v = points[:, node.index]
+        elif isinstance(node, Param):
+            try:
+                v = params[node.name]
+            except KeyError:
+                raise EvalError(f"unbound parameter {node.name!r}") from None
+        elif isinstance(node, Sum):
+            v = np.zeros(k)
+            for t in node.terms:
+                v += rec(t)
+        elif isinstance(node, Product):
+            v = np.ones(k)
+            for f in node.factors:
+                v *= rec(f)
+        elif isinstance(node, Quotient):
+            den = rec(node.den)
+            v = rec(node.num) / den  # a zero denominator gives inf or NaN
+        elif isinstance(node, Pow):
+            n = node.exponent
+            v = _pointwise(lambda b: b**n, rec(node.base))
+        elif isinstance(node, Func):
+            args = [rec(a) for a in node.args]
+            if node.name == "atan2":
+                v = _pointwise(math.atan2, *args)
+                v[(args[0] == 0.0) & (args[1] == 0.0)] = math.nan
+            elif node.name in ("sin", "cos", "sqrt"):
+                v = getattr(np, node.name)(args[0])  # equal to math's, bit for bit
+            else:
+                v = _pointwise(_FLOAT_FUNCS[node.name], args[0])
+        else:
+            raise ExprError(f"unknown node {type(node).__name__}")
+        inf = np.isinf(v)
+        if inf.any():
+            v = np.where(inf, math.nan, v)
+        memo[node.key] = v
+        np.maximum(scale, np.abs(v), out=scale)
+        return v
+
+    with np.errstate(all="ignore"):
+        return rec(e), scale
+
+
 def eval_many(
     e: ScalarExpr,
     points: np.ndarray,
@@ -1139,6 +1226,22 @@ def default_box(dim: int) -> Box:
 DEFAULT_PARAM_RANGE = (0.25, 1.75)
 
 
+def draw_rows(
+    box: Box, rng: np.random.Generator, names: Sequence[str], k: int
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """k sample rows from `box`: (k, dim) points and a column per parameter.
+
+    Each row is the box coordinates, then the parameters in `names` order,
+    so k rows consume the stream exactly as k single draws of one row each.
+    """
+    ranges = [box.param_ranges.get(nm, DEFAULT_PARAM_RANGE) for nm in names]
+    lows = [*box.lows, *(lo for lo, _ in ranges)]
+    highs = [*box.highs, *(hi for _, hi in ranges)]
+    rows = rng.uniform(lows, highs, size=(k, len(lows)))
+    params = {nm: rows[:, box.dim + j] for j, nm in enumerate(names)}
+    return rows[:, : box.dim], params
+
+
 @dataclass(frozen=True)
 class ZeroVerdict:
     """Outcome of the sampled zero test."""
@@ -1204,36 +1307,34 @@ class ZeroTester:
         rng = np.random.default_rng(self.seed)
         guards = tuple(box.guards) + tuple(extra_guards)
 
+        # Rows are drawn in chunks no larger than the rows still needed, so
+        # the test stops at the same row, with the same counts, as a draw of
+        # one row at a time from the same stream.
         valid = 0
         skipped = 0
         attempts = 0
         max_attempts = self.n_samples * 8
         while valid < self.n_samples and attempts < max_attempts:
-            attempts += 1
-            pt = tuple(
-                float(rng.uniform(lo, hi)) for lo, hi in zip(box.lows, box.highs)
-            )
-            pr = {}
-            for nm in names:
-                lo, hi = box.param_ranges.get(nm, DEFAULT_PARAM_RANGE)
-                pr[nm] = float(rng.uniform(lo, hi))
-            try:
-                guarded = False
-                for g in guards:
-                    gv, _ = eval_with_scale(g, pt, pr)
-                    if abs(gv) < box.guard_tol:
-                        guarded = True
-                        break
-                if guarded:
-                    skipped += 1
-                    continue
-                v, scale = eval_with_scale(e, pt, pr)
-            except SingularityError:
-                skipped += 1
-                continue
-            valid += 1
-            if abs(v) > self.eps * (1.0 + scale):
-                return ZeroVerdict(False, pt, pr, v, valid, skipped, False)
+            k = min(self.n_samples - valid, max_attempts - attempts)
+            points, params = draw_rows(box, rng, names, k)
+            skip = np.zeros(k, dtype=bool)
+            for g in guards:
+                gv, _ = eval_rows(g, points, params)
+                skip |= ~(np.abs(gv) >= box.guard_tol)  # guarded or singular
+            v, scale = eval_rows(e, points, params)
+            skip |= np.isnan(v)
+            over = np.flatnonzero(~skip & (np.abs(v) > self.eps * (1.0 + scale)))
+            if over.size:
+                i = int(over[0])
+                skipped += int(skip[:i].sum())
+                valid = attempts + i + 1 - skipped
+                pr = {nm: float(params[nm][i]) for nm in names}
+                return ZeroVerdict(
+                    False, tuple(points[i].tolist()), pr, float(v[i]), valid, skipped, False
+                )
+            attempts += k
+            skipped += int(skip.sum())
+            valid = attempts - skipped
         if valid < self.min_valid:
             raise InconclusiveError(
                 f"zero test inconclusive: only {valid} valid samples out of "

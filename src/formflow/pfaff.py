@@ -60,7 +60,8 @@ class Anatomy:
     """The objects derived from one 1-form A, each built on first use and kept.
 
     dA, H = A^dA, K = dH, the Pfaff sequence with its verdicts, the torsion
-    data (T, Gamma) and the genus are computed at most once per instance.
+    data (T, Gamma) and the genus are computed at most once per instance;
+    `process_reports` keeps thermo's classification along each field J.
     Every sampled verdict uses `context`, the zero tester of the run that
     owns the instance.  `cycles` (the closed 1-chains among `chains`),
     `points` and `params` are that run's probes: period cycles, points of
@@ -80,6 +81,7 @@ class Anatomy:
         self.cycles = tuple(c for c in chains if c.degree == 1 and c.closed)
         self.points = tuple(tuple(float(c) for c in p) for p in points)
         self.params = dict(params) if params else None
+        self.process_reports: dict = {}
 
     @cached_property
     def dA(self) -> DifferentialForm:
@@ -442,27 +444,17 @@ def projectivize(
         raise fm.FormError("projectivization is defined for 1-forms")
     chart = A.chart
     lam_sq = ex.add(*(ex.power(A.coeff((mu,)), 2) for mu in range(chart.dim)))
-    box = context.box
-    verdict_rng = np.random.default_rng(context.seed)
-    lows = np.asarray(box.lows)
-    highs = np.asarray(box.highs)
-    names = sorted(ex.collect_params(lam_sq))
-    for _ in range(context.n_samples):
-        point = tuple(verdict_rng.uniform(lows, highs))
-        params = {
-            name: verdict_rng.uniform(*box.param_ranges.get(name, ex.DEFAULT_PARAM_RANGE))
-            for name in names
-        }
-        try:
-            val, scale = ex.eval_with_scale(lam_sq, point, params)
-        except SingularityError:
-            continue
-        if val <= 1e-12 * (1.0 + scale):
-            raise SingularityError(
-                "projectivization undefined: the coefficient length vanishes",
-                lam_sq,
-                point,
-            )
+    rng = np.random.default_rng(context.seed)
+    names = ex.collect_params(lam_sq)
+    points, params = ex.draw_rows(context.box, rng, names, context.n_samples)
+    val, scale = ex.eval_rows(lam_sq, points, params)
+    vanishing = np.flatnonzero(val <= 1e-12 * (1.0 + scale))  # singular rows are NaN
+    if vanishing.size:
+        raise SingularityError(
+            "projectivization undefined: the coefficient length vanishes",
+            lam_sq,
+            tuple(points[vanishing[0]].tolist()),
+        )
     lam = ex.sqrt(lam_sq)
     primed = DifferentialForm(
         chart, 1, {idx: ex.quotient(c, lam) for idx, c in A.coeffs.items()}

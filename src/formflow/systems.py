@@ -586,7 +586,7 @@ def em_diagnostics(s: EMSystem, anatomy: Anatomy) -> EMReport:
         listed_parity=listed_parity,
         divergence_residual=divergence,
         genus=anatomy.genus,
-        process=th.classify(anatomy, data.vector),
+        process=th.process_report(anatomy, data.vector),
     )
 
 

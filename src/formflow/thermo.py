@@ -30,6 +30,7 @@ __all__ = [
     "SecondVariation",
     "ThermoError",
     "classify",
+    "process_report",
     "first_law",
     "irreversibility",
     "second_variation",
@@ -181,6 +182,13 @@ class ProcessReport:
     category: str
     second: SecondVariation
     work_periods: tuple[float, ...]
+
+
+def process_report(a: Anatomy, J: VectorField) -> ProcessReport:
+    """classify(a, J), computed once per anatomy and field."""
+    if J not in a.process_reports:
+        a.process_reports[J] = classify(a, J)
+    return a.process_reports[J]
 
 
 def classify(a: Anatomy, J: VectorField) -> ProcessReport:

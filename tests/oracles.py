@@ -268,3 +268,95 @@ def circle_path(radius: float = 1.0, center=(0.0, 0.0), plane=(0, 1), dim: int =
         return tuple(v)
 
     return gamma, dgamma
+
+
+# ---------------------------------------------------------------------------
+# Scalar sampling loops: one row at a time, one eval_with_scale walk per row
+#
+# These are the zero test and the projectivization check as they were before
+# the library drew and evaluated its samples in chunks; the library must
+# return exactly what they return.
+
+def reference_zero_test(tester: ex.ZeroTester, e, extra_guards=()) -> ex.ZeroVerdict:
+    e = ex.simplify(e)
+    if isinstance(e, ex.Const):
+        v = float(e.value)
+        if abs(v) <= tester.eps:
+            return ex.ZeroVerdict(True, None, None, None, 0, 0, True)
+        return ex.ZeroVerdict(False, None, None, v, 0, 0, True)
+
+    box = tester.box
+    needed = ex.max_coord_index(e) + 1
+    for g in tuple(box.guards) + tuple(extra_guards):
+        needed = max(needed, ex.max_coord_index(g) + 1)
+    if needed > box.dim:
+        raise ex.ExprError(
+            f"expression uses coordinate index {needed - 1} but the sampling box "
+            f"has dimension {box.dim}"
+        )
+
+    names = ex.collect_params(e)
+    for g in extra_guards:
+        names = tuple(sorted(set(names) | set(ex.collect_params(g))))
+    rng = np.random.default_rng(tester.seed)
+    guards = tuple(box.guards) + tuple(extra_guards)
+
+    valid = 0
+    skipped = 0
+    attempts = 0
+    max_attempts = tester.n_samples * 8
+    while valid < tester.n_samples and attempts < max_attempts:
+        attempts += 1
+        pt = tuple(
+            float(rng.uniform(lo, hi)) for lo, hi in zip(box.lows, box.highs)
+        )
+        pr = {}
+        for nm in names:
+            lo, hi = box.param_ranges.get(nm, ex.DEFAULT_PARAM_RANGE)
+            pr[nm] = float(rng.uniform(lo, hi))
+        try:
+            guarded = False
+            for g in guards:
+                gv, _ = ex.eval_with_scale(g, pt, pr)
+                if abs(gv) < box.guard_tol:
+                    guarded = True
+                    break
+            if guarded:
+                skipped += 1
+                continue
+            v, scale = ex.eval_with_scale(e, pt, pr)
+        except ex.SingularityError:
+            skipped += 1
+            continue
+        valid += 1
+        if abs(v) > tester.eps * (1.0 + scale):
+            return ex.ZeroVerdict(False, pt, pr, v, valid, skipped, False)
+    if valid < tester.min_valid:
+        raise ex.InconclusiveError(
+            f"zero test inconclusive: only {valid} valid samples out of "
+            f"{attempts} attempts for {ex.to_text(e)}"
+        )
+    return ex.ZeroVerdict(True, None, None, None, valid, skipped, False)
+
+
+def reference_vanishing_point(lam_sq, context: ex.ZeroTester):
+    """First sample where projectivization finds the coefficient length
+    vanishing, or None."""
+    box = context.box
+    verdict_rng = np.random.default_rng(context.seed)
+    lows = np.asarray(box.lows)
+    highs = np.asarray(box.highs)
+    names = sorted(ex.collect_params(lam_sq))
+    for _ in range(context.n_samples):
+        point = tuple(verdict_rng.uniform(lows, highs))
+        params = {
+            name: verdict_rng.uniform(*box.param_ranges.get(name, ex.DEFAULT_PARAM_RANGE))
+            for name in names
+        }
+        try:
+            val, scale = ex.eval_with_scale(lam_sq, point, params)
+        except ex.SingularityError:
+            continue
+        if val <= 1e-12 * (1.0 + scale):
+            return point
+    return None

@@ -13,6 +13,7 @@ import formflow.chains as ch
 import formflow.cli as cli
 import formflow.expr as ex
 import formflow.systems as sy
+import formflow.thermo as th
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -191,6 +192,37 @@ def test_main_bad_config(tmp_path, capsys):
     bad.write_text("[run]\nbattery = warp\n")
     assert cli.main(["run", str(bad)]) == 2
     assert "unknown battery" in capsys.readouterr().err
+
+
+def test_main_inconclusive_run_exits_3(monkeypatch, capsys):
+    def inconclusive(cfg):
+        raise ex.InconclusiveError("zero test inconclusive: only 0 valid samples")
+
+    monkeypatch.setattr(cli, "run", inconclusive)
+    assert cli.main(["run", "--preset", "harmonic.winding", "--no-summary"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: zero test inconclusive: only 0 valid samples\n"
+    assert "Traceback" not in err
+
+
+def test_run_builds_its_preset_and_classifies_each_process_once(monkeypatch, capsys):
+    calls = {"get_preset": 0, "classify": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(sy, "get_preset")
+    counting(th, "classify")
+    # battery = all; the torsion process is the field em_diagnostics classifies
+    assert cli.main(["run", str(CONFIGS / "em_torsion.cfg"), "--no-summary"]) == 0
+    capsys.readouterr()
+    assert calls == {"get_preset": 2, "classify": 2}  # parse_config + run; 2 processes
 
 
 def test_main_run_without_config_needs_preset(capsys):

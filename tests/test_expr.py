@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import formflow.expr as ex
-from corpus import CHART, random_poly_scalar, random_smooth_scalar, random_point, rng
-from oracles import poly_add, poly_diff, poly_from_expr, poly_is_zero, poly_mul
+from corpus import (
+    CHART, mixed_forms, random_poly_scalar, random_smooth_scalar, random_point, rng,
+)
+from oracles import (
+    poly_add, poly_diff, poly_from_expr, poly_is_zero, poly_mul, reference_zero_test,
+)
 
 X, Y, Z, T = (ex.coord(i) for i in range(4))
 
@@ -154,3 +158,148 @@ def test_simplify_preserves_value(seed):
     for _ in range(4):
         p = random_point(r)
         assert ex.eval_at(s, p) == pytest.approx(ex.eval_at(e, p), rel=1e-10, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The chunked zero test against the one-row-at-a-time reference, bit for bit
+
+A, B = ex.param("a"), ex.param("b")
+PARAM_BOX = ex.Box(
+    lows=(-1.0, -0.5, 0.0, -2.0), highs=(1.0, 1.5, 0.5, 2.0),
+    param_ranges={"a": (-2.0, 3.0)},  # b keeps the default range
+)
+
+
+def assert_same_verdict(tester, e, extra_guards=()):
+    try:
+        want = reference_zero_test(tester, e, extra_guards)
+    except ex.InconclusiveError as err:
+        with pytest.raises(ex.InconclusiveError) as got:
+            tester.test(e, extra_guards)
+        assert str(got.value) == str(err)
+        return None
+    got = tester.test(e, extra_guards)
+    assert got == want  # every field, floats compared with ==
+    return got
+
+
+def corpus_exprs(seed):
+    r = rng(seed)
+    out = []
+    for _ in range(6):
+        f, g = random_smooth_scalar(r), random_poly_scalar(r)
+        i = int(r.integers(0, 4))
+        product_rule = ex.add(
+            ex.differentiate(ex.mul(f, g), i),
+            ex.negate(ex.mul(ex.differentiate(f, i), g)),
+            ex.negate(ex.mul(f, ex.differentiate(g, i))),
+        )
+        out += [f, g, product_rule, ex.add(ex.mul(A, f), ex.mul(B, g))]
+    for w in mixed_forms(4, seed=seed):
+        out += list(w.coeffs.values())
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_chunked_zero_test_matches_reference_on_corpus(seed):
+    testers = [
+        make_tester(seed=seed),
+        ex.ZeroTester(PARAM_BOX, seed=seed),
+        ex.ZeroTester(ex.Box(PARAM_BOX.lows, PARAM_BOX.highs, PARAM_BOX.param_ranges,
+                             guards=(ex.add(X, Y),), guard_tol=0.3), seed=seed),
+    ]
+    verdicts = [
+        assert_same_verdict(t, e) for t in testers for e in corpus_exprs(seed)
+    ]
+    assert any(v.zero and not v.syntactic for v in verdicts)
+    assert any(not v.zero for v in verdicts)
+    # an extra guard may bring in a parameter the expression does not use
+    assert_same_verdict(testers[0], ex.sin(X), extra_guards=(ex.add(Y, B),))
+
+
+def test_chunked_zero_test_matches_reference_at_singularities():
+    t = ex.ZeroTester(ex.Box(lows=(-0.3,) * 4, highs=(0.3,) * 4), seed=5)
+    x400, y400 = ex.power(X, 400), ex.power(Y, 400)  # underflow to 0 near the axes
+    cases = [
+        ex.quotient(ex.ONE, X),
+        ex.quotient(ex.ONE, x400),
+        ex.power(X, -3),
+        ex.power(X, -400),
+        ex.ln(X),
+        ex.sqrt(X),
+        ex.atan2(Y, X),
+        ex.atan2(y400, x400),
+        ex.exp(ex.mul(ex.Const(1000), X)),
+        ex.mul(ex.exp(ex.mul(ex.Const(1000), X)), ex.exp(ex.mul(ex.Const(1000), Y))),
+        # zero wherever defined, so every singular row is skipped, not a witness
+        ex.add(ex.ln(ex.mul(X, Y)), ex.negate(ex.ln(X)), ex.negate(ex.ln(Y))),
+        ex.add(ex.power(ex.sqrt(X), 2), ex.negate(X)),
+        ex.add(ex.mul(ex.quotient(ex.ONE, ex.power(X, 3)), ex.power(X, 3)), ex.Const(-1)),
+        ex.add(ex.mul(ex.exp(ex.mul(ex.Const(1000), X)),
+                      ex.exp(ex.mul(ex.Const(-1000), X))), ex.Const(-1)),
+        ex.add(ex.atan2(y400, x400), ex.atan2(ex.negate(y400), x400)),
+    ]
+    verdicts = [assert_same_verdict(t, e) for e in cases]
+    assert any(v is not None and v.zero and v.skipped for v in verdicts)
+    guarded = ex.ZeroTester(ex.Box(lows=(-0.3,) * 4, highs=(0.3,) * 4, guards=(X,),
+                                   guard_tol=0.2), seed=5)
+    for e in cases[:3]:
+        assert assert_same_verdict(guarded, e).skipped > 0
+
+
+def test_chunked_zero_test_matches_reference_across_chunks():
+    # 95 % of rows are guarded, so both verdicts take more than one chunk
+    box = ex.Box(lows=(-1.0,) * 4, highs=(1.0,) * 4, guards=(X,), guard_tol=0.95)
+    t = ex.ZeroTester(box, seed=13)
+    pythagoras = ex.add(ex.power(ex.sin(Y), 2), ex.power(ex.cos(Y), 2), ex.Const(-1))
+    nonzero = ex.mul(Y, Z)
+    for e in (pythagoras, nonzero):
+        v = assert_same_verdict(t, e)
+        assert v.samples + v.skipped > t.n_samples
+    assert not assert_same_verdict(t, nonzero).zero
+
+
+def test_fully_guarded_zero_test_is_inconclusive_like_reference():
+    t = make_tester().with_guards(ex.ZERO)
+    with pytest.raises(ex.InconclusiveError, match="only 0 valid samples out of 512"):
+        t.test(X)
+    assert_same_verdict(t, X)
+    # a few valid rows, still below min_valid
+    sparse = ex.ZeroTester(ex.Box((-1.0,) * 4, (1.0,) * 4, guards=(X,), guard_tol=0.98),
+                           seed=1)
+    pythagoras = ex.add(ex.power(ex.sin(Y), 2), ex.power(ex.cos(Y), 2), ex.Const(-1))
+    with pytest.raises(ex.InconclusiveError, match="only 7 valid samples"):
+        sparse.test(pythagoras)
+    assert_same_verdict(sparse, pythagoras)
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_eval_rows_matches_eval_with_scale_row_by_row(seed):
+    r = rng(seed)
+    box = ex.Box(lows=(-2.0,) * 4, highs=(2.0,) * 4)
+    points, params = ex.draw_rows(box, r, ("a", "b"), 48)
+    exprs = corpus_exprs(seed) + [
+        ex.ln(X), ex.sqrt(Y), ex.quotient(A, ex.add(X, Y)), ex.power(ex.sin(X), -2),
+        ex.exp(ex.mul(ex.Const(400), X)), ex.atan2(ex.power(Y, 700), X),
+    ]
+    for e in exprs:
+        values, scales = ex.eval_rows(e, points, params)
+        for i, row in enumerate(points):
+            pr = {nm: float(params[nm][i]) for nm in params}
+            try:
+                want = ex.eval_with_scale(e, tuple(row), pr)
+            except ex.SingularityError:
+                assert math.isnan(values[i])
+                continue
+            assert (values[i], scales[i]) == want
+
+
+def test_eval_rows_uses_the_scalar_power_exp_ln_and_atan2():
+    # numpy's power, exp, log and arctan2 differ from Python's in the last
+    # bit on a fraction of a percent of inputs; thousands of rows show it
+    box = ex.Box(lows=(0.01, -3.0, -3.0, -3.0), highs=(3.0, 3.0, 3.0, 3.0))
+    points, _ = ex.draw_rows(box, rng(17), (), 4000)
+    for e in (ex.power(Y, 3), ex.power(Z, -5), ex.exp(Y), ex.ln(X), ex.atan2(Y, Z)):
+        values, _ = ex.eval_rows(e, points, {})
+        want = [ex.eval_at(e, tuple(row)) for row in points]
+        assert values.tolist() == want, ex.to_text(e)

@@ -12,6 +12,7 @@ import formflow.pfaff as pf
 import formflow.systems as sy
 
 from corpus import CHART
+from oracles import reference_vanishing_point
 
 
 def form_1(coeffs: dict[int, str]) -> fm.DifferentialForm:
@@ -228,6 +229,33 @@ def test_projectivize_rejects_vanishing_sections():
     tiny = ex.Box(lows=(-1e-14, -1.0, -1.0, -1.0), highs=(1e-14, 1.0, 1.0, 1.0))
     with pytest.raises(ex.SingularityError):
         pf.projectivize(A, ex.ZeroTester(tiny))
+
+
+def test_projectivize_samples_like_the_scalar_reference():
+    cases = [(sy.get_preset(n).action, ex.ZeroTester(sy.get_preset(n).box, seed=3))
+             for n in sorted(PRESET_DIMENSIONS)]
+    unit = ex.Box(lows=(-1.0,) * 4, highs=(1.0,) * 4, param_ranges={"a": (-1.0, 1.0)})
+    tiny = ex.Box(lows=(-1e-14, -1.0, -1.0, -1.0), highs=(1e-14, 1.0, 1.0, 1.0))
+    # sqrt(x) is singular for x < 0 and y^200 underflows to 0 near y = 0
+    cases += [
+        (form_1({0: "sqrt(x)*y^200"}), ex.ZeroTester(unit, seed=s)) for s in (1, 2, 3)
+    ]
+    cases += [
+        (form_1({0: "a*x^200", 2: "ln(y)*z^150"}), ex.ZeroTester(unit, seed=4)),
+        (form_1({1: "x"}), ex.ZeroTester(tiny)),
+    ]
+    vanished = 0
+    for A, context in cases:
+        lam_sq = ex.add(*(ex.power(A.coeff((m,)), 2) for m in range(4)))
+        want = reference_vanishing_point(lam_sq, context)
+        if want is None:
+            pf.projectivize(A, context)
+            continue
+        with pytest.raises(ex.SingularityError) as err:
+            pf.projectivize(A, context)
+        assert err.value.point == want
+        vanished += 1
+    assert vanished >= 3
 
 
 def test_euler_integrand_matches_projectivized_parity():
