@@ -18,6 +18,7 @@ over the original chain, which is the identity the theorem checks rest on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -111,6 +112,13 @@ class ExprCell:
         out = np.stack(cols, axis=-1)
         return out.reshape(tuple(len(a) for a in axes) + (self.chart.dim,))
 
+    @functools.cached_property
+    def partials(self) -> tuple[tuple[ScalarExpr, ...], ...]:
+        """d(component i)/du_j, differentiated once per cell."""
+        return tuple(
+            tuple(ex.differentiate(c, j) for j in range(self.degree)) for c in self.components
+        )
+
     def jacobian_grid(
         self, axes: Sequence[np.ndarray], params: Mapping[str, float] | None = None
     ) -> np.ndarray:
@@ -118,9 +126,9 @@ class ExprCell:
         bound = self._bound(params)
         n, p = self.chart.dim, self.degree
         J = np.empty((U.shape[0], n, p))
-        for i, c in enumerate(self.components):
-            for j in range(p):
-                J[:, i, j] = ex.eval_many(ex.differentiate(c, j), U, bound)
+        for i, row in enumerate(self.partials):
+            for j, d in enumerate(row):
+                J[:, i, j] = ex.eval_many(d, U, bound)
         return J.reshape(tuple(len(a) for a in axes) + (n, p))
 
 
@@ -135,6 +143,11 @@ def _lobatto_nodes(n: int) -> np.ndarray:
     if n < 2:
         raise ChainError("interpolation needs at least 2 nodes per axis")
     return (1.0 - np.cos(np.pi * np.arange(n) / (n - 1))) / 2.0
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
@@ -172,6 +185,23 @@ def _diff_matrix(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return D
 
 
+@functools.lru_cache(maxsize=256)
+def _axis_operator(nodes: bytes, query: bytes, derivative: bool) -> np.ndarray:
+    """Read-only matrix taking values at the node axis to values (or
+    derivatives) at the query axis; axes are passed as float64 bytes so the
+    matrix is built once per pair of axes."""
+    x, q = np.frombuffer(nodes), np.frombuffer(query)
+    w = _barycentric_weights(x)
+    L = _interp_matrix(x, w, q)
+    if derivative:
+        L = L @ _diff_matrix(x, w)
+    return _frozen(L)
+
+
+def _axis_bytes(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
 def _apply_axis(op: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
     moved = np.tensordot(op, values, axes=(1, axis))
     return np.moveaxis(moved, 0, axis)
@@ -197,18 +227,12 @@ class InterpCell:
         expected = tuple(len(a) for a in self.node_axes) + (self.chart.dim,)
         if self.values.shape != expected:
             raise ChainError(f"node values shaped {self.values.shape}, expected {expected}")
-        weights = tuple(_barycentric_weights(a) for a in self.node_axes)
-        object.__setattr__(self, "_weights", weights)
 
     def _operators(self, axes: Sequence[np.ndarray], derivative_axis: int | None):
-        ops = []
-        for k, q in enumerate(axes):
-            L = _interp_matrix(self.node_axes[k], self._weights[k], np.asarray(q))
-            if derivative_axis == k:
-                D = _diff_matrix(self.node_axes[k], self._weights[k])
-                L = L @ D
-            ops.append(L)
-        return ops
+        return [
+            _axis_operator(_axis_bytes(self.node_axes[k]), _axis_bytes(q), derivative_axis == k)
+            for k, q in enumerate(axes)
+        ]
 
     def eval_grid(
         self, axes: Sequence[np.ndarray], params: Mapping[str, float] | None = None
@@ -265,9 +289,22 @@ class Chain:
 # Quadrature
 
 
+@functools.lru_cache(maxsize=64)
 def _gl_axis(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(order)
-    return (x + 1.0) / 2.0, w / 2.0
+    return _frozen((x + 1.0) / 2.0), _frozen(w / 2.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _gl_weights(order: int, degree: int) -> np.ndarray:
+    """Read-only tensor-product weights of the order-point rule on the
+    degree-cube, flattened in grid (C) order."""
+    _, wts = _gl_axis(order)
+    weight = wts
+    for _ in range(degree - 1):
+        weight = np.multiply.outer(weight, wts)
+    return _frozen(weight.ravel())
 
 
 def _pullback_values(
@@ -309,18 +346,14 @@ def integrate(
     params = dict(params or {})
 
     def run(o: int) -> tuple[float, float]:
-        nodes, wts = _gl_axis(o)
-        axes = [nodes] * chain.degree
+        axes = [_gl_axis(o)[0]] * chain.degree
+        weight = _gl_weights(o, chain.degree)
         total = 0.0
         scale = 0.0
         for cell, ori in zip(chain.cells, chain.orientations):
             bound = dict(getattr(cell, "params", {}) or {})
             bound.update(params)
             vals, avals = _pullback_values(w, cell, axes, bound)
-            weight = wts
-            for _ in range(chain.degree - 1):
-                weight = np.multiply.outer(weight, wts)
-            weight = weight.ravel()
             total += ori * float(vals @ weight)
             scale += float(avals @ weight)
         return total, scale
@@ -357,14 +390,20 @@ def _flow_function(
 def rk4_flow(
     V: VectorField,
     X0: np.ndarray,
-    dt: float,
+    dt: float | np.ndarray,
     steps: int,
     params: Mapping[str, float] | None = None,
 ) -> np.ndarray:
-    """Push points along the flow of V for time dt with classical RK4."""
+    """Push points along the flow of V for time dt with classical RK4.
+
+    dt is one time for every row, or an array of one time per row; each row
+    takes steps steps of its own dt / steps.
+    """
     f = _flow_function(V, params)
     X = np.array(X0, dtype=float)
-    h = dt / steps
+    h = np.asarray(dt, dtype=float) / steps
+    if h.ndim:
+        h = h[:, None]
     for _ in range(steps):
         k1 = f(X)
         k2 = f(X + 0.5 * h * k1)
@@ -380,6 +419,53 @@ def _default_steps(dt: float) -> int:
     return max(8, int(math.ceil(abs(dt) / 0.02)))
 
 
+def _advect_to(
+    chain: Chain,
+    V: VectorField,
+    times: Sequence[float],
+    steps: int | None = None,
+    fit_nodes: int | None = None,
+    params: Mapping[str, float] | None = None,
+) -> list[Chain]:
+    """The chain advected along V to each of times, in order.
+
+    Each cell's node grid is evaluated once; the grids of every cell are
+    stacked once per nonzero time, and all times that take the same number
+    of steps run in one rk4_flow call.  Time 0 gives the chain itself.
+    """
+    if all(t == 0.0 for t in times):
+        return [chain] * len(times)
+    axes, grids = [], []
+    for cell in chain.cells:
+        if isinstance(cell, InterpCell):
+            axes.append(cell.node_axes)
+        else:
+            n = fit_nodes or DEFAULT_FIT_NODES[cell.degree]
+            axes.append(tuple(_lobatto_nodes(n) for _ in range(cell.degree)))
+        grids.append(cell.eval_grid(axes[-1], params))
+    X0 = np.concatenate([X.reshape(-1, X.shape[-1]) for X in grids])
+    cuts = np.cumsum([X.size // X.shape[-1] for X in grids])[:-1]
+
+    groups: dict[int, list[int]] = {}
+    for i, t in enumerate(times):
+        if t != 0.0:
+            groups.setdefault(steps or _default_steps(t), []).append(i)
+    moved: dict[int, np.ndarray] = {}
+    for n, members in groups.items():
+        dts = np.repeat([times[i] for i in members], len(X0))
+        out = rk4_flow(V, np.tile(X0, (len(members), 1)), dts, n, params)
+        moved.update(zip(members, np.split(out, len(members))))
+
+    def refit(block: np.ndarray) -> Chain:
+        cells = tuple(
+            InterpCell(c.chart, c.degree, tuple(ax), part.reshape(X.shape), c.name)
+            for c, ax, X, part in zip(chain.cells, axes, grids, np.split(block, cuts))
+        )
+        return Chain(chain.degree, cells, chain.orientations, chain.closed, chain.name)
+
+    return [refit(moved[i]) if i in moved else chain for i in range(len(times))]
+
+
 def advect(
     chain: Chain,
     V: VectorField,
@@ -389,23 +475,7 @@ def advect(
     params: Mapping[str, float] | None = None,
 ) -> Chain:
     """Advect every cell node grid along V and re-fit polynomial cells."""
-    if dt == 0.0:
-        return chain
-    steps = steps or _default_steps(dt)
-    new_cells = []
-    for cell in chain.cells:
-        if isinstance(cell, InterpCell):
-            axes = cell.node_axes
-        else:
-            n = fit_nodes or DEFAULT_FIT_NODES[cell.degree]
-            axes = tuple(_lobatto_nodes(n) for _ in range(cell.degree))
-        X = cell.eval_grid(axes, params)
-        shape = X.shape
-        moved = rk4_flow(V, X.reshape(-1, cell.chart.dim), dt, steps, params)
-        new_cells.append(
-            InterpCell(cell.chart, cell.degree, tuple(axes), moved.reshape(shape), cell.name)
-        )
-    return Chain(chain.degree, tuple(new_cells), chain.orientations, chain.closed, chain.name)
+    return _advect_to(chain, V, (dt,), steps, fit_nodes, params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +516,10 @@ def invariance_check(
     if mode not in ("invariant", "drift", "identity"):
         raise ChainError(f"unknown invariance mode {mode!r}")
 
-    def at(t: float) -> float:
-        moved = advect(chain, V, t, steps=steps, params=params)
-        return integrate(w, moved, order=order, params=params).value
-
-    i_ph, i_mh = at(h), at(-h)
-    i_p2, i_m2 = at(2 * h), at(-2 * h)
+    i_ph, i_mh, i_p2, i_m2 = (
+        integrate(w, moved, order=order, params=params).value
+        for moved in _advect_to(chain, V, (h, -h, 2 * h, -2 * h), steps, params=params)
+    )
     derivative = (8.0 * (i_ph - i_mh) - (i_p2 - i_m2)) / (12.0 * h)
 
     base = integrate(w, chain, order=order, params=params)

@@ -846,7 +846,8 @@ def _build_runtime(cfg: RunConfig) -> _Runtime:
             param_ranges={n: (lo, hi) for n, lo, hi in cfg.param_ranges},
             guards=tuple(ps.parse_scalar(g, chart) for g in cfg.guards),
         )
-    elif box is not None and (cfg.guards or cfg.param_ranges):
+    elif cfg.guards or cfg.param_ranges:
+        box = box or ex.default_box(chart.dim)
         merged = dict(box.param_ranges)
         merged.update({n: (lo, hi) for n, lo, hi in cfg.param_ranges})
         box = Box(
@@ -855,8 +856,7 @@ def _build_runtime(cfg: RunConfig) -> _Runtime:
             param_ranges=merged,
             guards=box.guards + tuple(ps.parse_scalar(g, chart) for g in cfg.guards),
         )
-    if box is None:
-        box = ex.default_box(chart.dim)
+    box = box or ex.default_box(chart.dim)
 
     if action is None and cfg.topology is None:
         raise ConfigError("nothing to analyze: no action and no topology")

@@ -847,7 +847,10 @@ def eval_with_scale(
             scale = a
         return v
 
-    return rec(e), scale
+    try:
+        return rec(e), scale
+    finally:
+        del rec  # rec refers to itself; break the cycle so the memo dies here
 
 
 def _pointwise(f, *cols: np.ndarray) -> np.ndarray:
@@ -931,8 +934,11 @@ def eval_rows(
         np.maximum(scale, np.abs(v), out=scale)
         return v
 
-    with np.errstate(all="ignore"):
-        return rec(e), scale
+    try:
+        with np.errstate(all="ignore"):
+            return rec(e), scale
+    finally:
+        del rec  # rec refers to itself; break the cycle so the memo dies here
 
 
 def eval_many(
@@ -1054,7 +1060,10 @@ def eval_many(
         memo[id(node)] = v
         return v
 
-    return rec(e)
+    try:
+        return rec(e)
+    finally:
+        del rec  # rec refers to itself; break the cycle so the memo dies here
 
 
 # ---------------------------------------------------------------------------
@@ -1301,11 +1310,11 @@ class ZeroTester:
                 f"has dimension {box.dim}"
             )
 
+        guards = tuple(box.guards) + tuple(extra_guards)
         names = collect_params(e)
-        for g in extra_guards:
+        for g in guards:
             names = tuple(sorted(set(names) | set(collect_params(g))))
         rng = np.random.default_rng(self.seed)
-        guards = tuple(box.guards) + tuple(extra_guards)
 
         # Rows are drawn in chunks no larger than the rows still needed, so
         # the test stops at the same row, with the same counts, as a draw of

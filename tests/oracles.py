@@ -14,7 +14,9 @@ import math
 
 import numpy as np
 
+import formflow.chains as ch
 import formflow.expr as ex
+import formflow.forms as fm
 
 # ---------------------------------------------------------------------------
 # Polynomial ring over exponent dictionaries
@@ -295,11 +297,11 @@ def reference_zero_test(tester: ex.ZeroTester, e, extra_guards=()) -> ex.ZeroVer
             f"has dimension {box.dim}"
         )
 
+    guards = tuple(box.guards) + tuple(extra_guards)
     names = ex.collect_params(e)
-    for g in extra_guards:
+    for g in guards:
         names = tuple(sorted(set(names) | set(ex.collect_params(g))))
     rng = np.random.default_rng(tester.seed)
-    guards = tuple(box.guards) + tuple(extra_guards)
 
     valid = 0
     skipped = 0
@@ -360,3 +362,194 @@ def reference_vanishing_point(lam_sq, context: ex.ZeroTester):
         if val <= 1e-12 * (1.0 + scale):
             return point
     return None
+
+
+# ---------------------------------------------------------------------------
+# Chain layer, one time and one call at a time
+#
+# Advection, quadrature and the invariance stencil as they were before the
+# library batched them: every advect runs its own RK4 loop per cell, every
+# integrate recomputes its Gauss-Legendre rule, barycentric weights,
+# interpolation and differentiation matrices and differentiates each cell
+# map again.  The library must return exactly what these return.
+
+def reference_gl_axis(order: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(order)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
+def reference_barycentric_weights(nodes: np.ndarray) -> np.ndarray:
+    n = len(nodes)
+    w = np.ones(n)
+    for j in range(n):
+        diff = nodes[j] - np.delete(nodes, j)
+        w[j] = 1.0 / np.prod(diff)
+    return w
+
+
+def reference_interp_matrix(nodes, weights, query) -> np.ndarray:
+    L = np.zeros((len(query), len(nodes)))
+    for qi, q in enumerate(query):
+        diff = q - nodes
+        hit = np.where(np.abs(diff) < 1e-14)[0]
+        if hit.size:
+            L[qi, hit[0]] = 1.0
+            continue
+        terms = weights / diff
+        L[qi] = terms / terms.sum()
+    return L
+
+
+def reference_diff_matrix(nodes, weights) -> np.ndarray:
+    n = len(nodes)
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                D[i, j] = (weights[j] / weights[i]) / (nodes[i] - nodes[j])
+        D[i, i] = -np.sum(D[i, np.arange(n) != i])
+    return D
+
+
+def _reference_grid_points(axes) -> np.ndarray:
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _reference_interp_grid(cell, axes, derivative_axis) -> np.ndarray:
+    out = cell.values
+    for k, q in enumerate(axes):
+        nodes = cell.node_axes[k]
+        weights = reference_barycentric_weights(nodes)
+        L = reference_interp_matrix(nodes, weights, np.asarray(q))
+        if derivative_axis == k:
+            L = L @ reference_diff_matrix(nodes, weights)
+        out = np.moveaxis(np.tensordot(L, out, axes=(1, k)), 0, k)
+    return out
+
+
+def reference_eval_grid(cell, axes, params=None) -> np.ndarray:
+    if isinstance(cell, ch.InterpCell):
+        return _reference_interp_grid(cell, axes, None)
+    U = _reference_grid_points(axes)
+    bound = {**cell.params, **(params or {})}
+    cols = [ex.eval_many(c, U, bound) for c in cell.components]
+    return np.stack(cols, axis=-1).reshape(tuple(len(a) for a in axes) + (cell.chart.dim,))
+
+
+def reference_jacobian_grid(cell, axes, params=None) -> np.ndarray:
+    if isinstance(cell, ch.InterpCell):
+        return np.stack(
+            [_reference_interp_grid(cell, axes, j) for j in range(cell.degree)], axis=-1
+        )
+    U = _reference_grid_points(axes)
+    bound = {**cell.params, **(params or {})}
+    n, p = cell.chart.dim, cell.degree
+    J = np.empty((U.shape[0], n, p))
+    for i, c in enumerate(cell.components):
+        for j in range(p):
+            J[:, i, j] = ex.eval_many(ex.differentiate(c, j), U, bound)
+    return J.reshape(tuple(len(a) for a in axes) + (n, p))
+
+
+def reference_integrate(w, chain, order=None, params=None) -> ch.IntegralResult:
+    order = order or ch.DEFAULT_QUAD_ORDER[chain.degree]
+    params = dict(params or {})
+
+    def run(o: int) -> tuple[float, float]:
+        nodes, wts = reference_gl_axis(o)
+        axes = [nodes] * chain.degree
+        total = 0.0
+        scale = 0.0
+        for cell, ori in zip(chain.cells, chain.orientations):
+            bound = dict(getattr(cell, "params", {}) or {})
+            bound.update(params)
+            X = reference_eval_grid(cell, axes, bound)
+            J = reference_jacobian_grid(cell, axes, bound)
+            flatX = X.reshape(-1, w.chart.dim)
+            flatJ = J.reshape(-1, w.chart.dim, chain.degree)
+            vals = np.zeros(flatX.shape[0])
+            for idx, c in w.coeffs.items():
+                try:
+                    coeff_vals = ex.eval_many(c, flatX, bound)
+                except ex.SingularityError as err:
+                    raise ex.SingularityError(
+                        f"integrand singular on cell {cell.name or '?'}: {err}",
+                        err.subexpression,
+                        err.point,
+                    ) from err
+                vals += coeff_vals * np.linalg.det(flatJ[:, list(idx), :])
+            weight = wts
+            for _ in range(chain.degree - 1):
+                weight = np.multiply.outer(weight, wts)
+            weight = weight.ravel()
+            total += ori * float(vals @ weight)
+            scale += float(np.abs(vals) @ weight)
+        return total, scale
+
+    coarse, _ = run(order)
+    fine, scale = run(2 * order)
+    return ch.IntegralResult(fine, abs(fine - coarse), scale, order)
+
+
+def reference_rk4_flow(V, X0, dt: float, steps: int, params=None) -> np.ndarray:
+    comps = V.effective_components()
+    bound = dict(params or {})
+
+    def f(X):
+        return np.stack([ex.eval_many(c, X, bound) for c in comps], axis=-1)
+
+    X = np.array(X0, dtype=float)
+    h = dt / steps
+    for _ in range(steps):
+        k1 = f(X)
+        k2 = f(X + 0.5 * h * k1)
+        k3 = f(X + 0.5 * h * k2)
+        k4 = f(X + h * k3)
+        X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > 1e8:
+            raise ch.AdvectionError("flow left the computational domain (blow-up)")
+    return X
+
+
+def reference_advect(chain, V, dt: float, steps=None, fit_nodes=None, params=None):
+    if dt == 0.0:
+        return chain
+    steps = steps or max(8, int(math.ceil(abs(dt) / 0.02)))
+    new_cells = []
+    for cell in chain.cells:
+        if isinstance(cell, ch.InterpCell):
+            axes = cell.node_axes
+        else:
+            n = fit_nodes or ch.DEFAULT_FIT_NODES[cell.degree]
+            axes = tuple(
+                (1.0 - np.cos(np.pi * np.arange(n) / (n - 1))) / 2.0 for _ in range(cell.degree)
+            )
+        X = reference_eval_grid(cell, axes, params)
+        moved = reference_rk4_flow(V, X.reshape(-1, cell.chart.dim), dt, steps, params)
+        new_cells.append(
+            ch.InterpCell(cell.chart, cell.degree, tuple(axes), moved.reshape(X.shape), cell.name)
+        )
+    return ch.Chain(chain.degree, tuple(new_cells), chain.orientations, chain.closed, chain.name)
+
+
+def reference_invariance_check(w, chain, V, mode="invariant", h=0.02, tol=1e-6,
+                               order=None, steps=None, drift_factor=100.0, params=None):
+    def at(t: float) -> float:
+        moved = reference_advect(chain, V, t, steps=steps, params=params)
+        return reference_integrate(w, moved, order=order, params=params).value
+
+    i_ph, i_mh = at(h), at(-h)
+    i_p2, i_m2 = at(2 * h), at(-2 * h)
+    derivative = (8.0 * (i_ph - i_mh) - (i_p2 - i_m2)) / (12.0 * h)
+    base = reference_integrate(w, chain, order=order, params=params)
+    lie = reference_integrate(fm.lie_derivative(V, w), chain, order=order, params=params)
+    scale = 1.0 + base.scale + lie.scale
+    gap = abs(derivative - lie.value)
+    if mode == "invariant":
+        passed = abs(derivative) <= tol * scale
+    elif mode == "drift":
+        passed = abs(derivative) >= drift_factor * tol * scale
+    else:
+        passed = gap <= tol * scale
+    return ch.InvarianceResult(derivative, lie.value, scale, tol, mode, passed, gap)

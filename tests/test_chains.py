@@ -269,3 +269,161 @@ def test_interp_cell_reproduces_expr_cell_integrals(stokes_pair):
     assert ch.integrate(w, moved).value == pytest.approx(
         ch.integrate(w, circle).value, abs=1e-7
     )
+
+
+# ---------------------------------------------------------------------------
+# Batched transport against the one-time, one-call reference in oracles.py
+
+def _swirl():
+    return fm.VectorField(CHART, (
+        scalar("-y + 0.3*z^2"), scalar("x + 0.2*sin(t)"), scalar("0.25*cos(x)*y"), ex.ONE,
+    ))
+
+
+def _action():
+    return fm.one_form(CHART, (
+        scalar("y*z + sin(x)"), scalar("x^2 - t"), scalar("cos(y)*z"), scalar("x*y"),
+    ))
+
+
+def _expr_chain(degree: int) -> ch.Chain:
+    u = ch.param_chart(degree)
+    if degree == 1:
+        ring = ch.ExprCell(CHART, 1, (
+            ps.parse_scalar("r*cos(2*pi*u0)", u), ex.const(0.1),
+            ps.parse_scalar("r*sin(2*pi*u0)", u), ex.const(0.2),
+        ), params={"r": 0.6}, name="ring")
+        cells = (ch.circle_cell(CHART, center=(0.1, -0.2), radius=0.5, fixed={2: 0.3}), ring)
+    elif degree == 2:
+        cells = (
+            ch.disk_cell(CHART, center=(0.2, 0.1), radius=0.7, fixed={2: -0.1, 3: 0.0}),
+            ch.box_cell(CHART, {1: (-0.5, 0.4), 2: (0.0, 0.6)}, fixed={0: 0.3, 3: 0.1}),
+        )
+    else:
+        shell = ch.ExprCell(CHART, 3, (
+            ps.parse_scalar("(1.2 + 0.4*cos(2*pi*u2))*cos(2*pi*u0)", u),
+            ps.parse_scalar("(1.2 + 0.4*cos(2*pi*u2))*sin(2*pi*u0)", u),
+            ps.parse_scalar("0.4*sin(2*pi*u2) + 0.2*cos(2*pi*u1)", u),
+            ps.parse_scalar("0.2*sin(2*pi*u1)", u),
+        ), name="shell")
+        cells = (ch.box_cell(CHART, {0: (-0.3, 0.5), 1: (0.0, 0.4), 2: (-0.2, 0.2)}), shell)
+    return ch.Chain(degree, cells, orientations=(1, -1), closed=degree != 2, name=f"c{degree}")
+
+
+def _form(degree: int) -> fm.DifferentialForm:
+    A = _action()
+    return {1: A, 2: fm.exterior_derivative(A), 3: fm.wedge(A, fm.exterior_derivative(A))}[degree]
+
+
+def _chains(degree: int) -> list[ch.Chain]:
+    """An expression chain and its interpolated image after a short flow."""
+    base = _expr_chain(degree)
+    return [base, oc.reference_advect(base, _swirl(), 0.05)]
+
+
+def _assert_same_chain(got: ch.Chain, want: ch.Chain) -> None:
+    assert (got.degree, got.orientations, got.closed, got.name) == (
+        want.degree, want.orientations, want.closed, want.name,
+    )
+    for a, b in zip(got.cells, want.cells, strict=True):
+        assert isinstance(a, ch.InterpCell) and a.name == b.name
+        assert all(np.array_equal(x, y) for x, y in zip(a.node_axes, b.node_axes, strict=True))
+        assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("h,steps", [(0.02, None), (0.1, None), (0.03, 5)])
+def test_batched_advection_matches_one_time_reference(degree, h, steps):
+    # h = 0.1 puts +-h (8 steps) and +-2h (10 steps) in different RK4 runs
+    w, V = _form(degree), _swirl()
+    times = (h, -h, 2 * h, 0.0, -2 * h)
+    for chain in _chains(degree):
+        got = ch._advect_to(chain, V, times, steps)
+        for t, moved in zip(times, got, strict=True):
+            if t == 0.0:
+                assert moved is chain
+                continue
+            want = oc.reference_advect(chain, V, t, steps=steps)
+            _assert_same_chain(moved, want)
+            _assert_same_chain(ch.advect(chain, V, t, steps=steps), want)
+            assert ch.integrate(w, moved) == oc.reference_integrate(w, want)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_integrate_matches_per_call_reference(degree):
+    w = _form(degree)
+    for chain in _chains(degree):
+        for order in (None, 5):
+            want = oc.reference_integrate(w, chain, order=order, params={"r": 0.55})
+            assert ch.integrate(w, chain, order=order, params={"r": 0.55}) == want
+            assert ch.integrate(w, chain, order=order, params={"r": 0.55}) == want
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("h", [0.02, 0.1])
+def test_invariance_check_matches_one_time_reference(degree, h):
+    w, V = _form(degree), _swirl()
+    for chain in _chains(degree):
+        for mode in ("invariant", "identity"):
+            got = ch.invariance_check(w, chain, V, mode=mode, h=h)
+            assert got == oc.reference_invariance_check(w, chain, V, mode=mode, h=h)
+
+
+def test_blowup_raises_like_reference():
+    V = fm.VectorField(CHART, (scalar("x^2 + 1"), ex.ZERO, ex.ZERO, ex.ZERO))
+    w, chain = _form(1), _expr_chain(1)
+    for run, reference in (
+        (lambda: ch.advect(chain, V, 50.0, steps=8),
+         lambda: oc.reference_advect(chain, V, 50.0, steps=8)),
+        (lambda: ch.invariance_check(w, chain, V, h=0.9),
+         lambda: oc.reference_invariance_check(w, chain, V, h=0.9)),
+    ):
+        with pytest.raises(ch.AdvectionError) as got:
+            run()
+        with pytest.raises(ch.AdvectionError) as want:
+            reference()
+        assert str(got.value) == str(want.value)
+
+
+def test_singular_integrand_raises_like_reference():
+    w = fm.form_from_coeffs(CHART, 1, {(0,): scalar("ln(x)"), (1,): scalar("y")})
+    V = _swirl()
+    for chain in _chains(1):
+        for run, reference in (
+            (lambda: ch.integrate(w, chain), lambda: oc.reference_integrate(w, chain)),
+            (lambda: ch.invariance_check(w, chain, V),
+             lambda: oc.reference_invariance_check(w, chain, V)),
+        ):
+            with pytest.raises(ex.SingularityError) as got:
+                run()
+            with pytest.raises(ex.SingularityError) as want:
+                reference()
+            assert str(got.value) == str(want.value)
+            assert got.value.subexpression == want.value.subexpression
+            assert got.value.point == want.value.point
+            assert "on cell circle" in str(got.value)
+
+
+def test_quadrature_and_interpolation_constants_are_read_only():
+    nodes = ch._lobatto_nodes(7)
+    query = ch._gl_axis(8)[0]
+    cached = [
+        *ch._gl_axis(8),
+        ch._gl_weights(8, 3),
+        ch._axis_operator(ch._axis_bytes(nodes), ch._axis_bytes(query), False),
+        ch._axis_operator(ch._axis_bytes(nodes), ch._axis_bytes(query), True),
+    ]
+    for a in cached:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    assert ch._gl_axis(8)[0] is query
+
+
+def test_cell_map_is_differentiated_once(monkeypatch):
+    w, chain = _form(2), _expr_chain(2)
+    ch.integrate(w, chain)
+    calls = []
+    real = ex.differentiate
+    monkeypatch.setattr(ex, "differentiate", lambda e, i: calls.append(i) or real(e, i))
+    ch.integrate(w, chain)
+    assert calls == []

@@ -335,3 +335,31 @@ def test_report_bytes_are_pinned(name):
         text = f"[run]\npreset = {name}\nbattery = all\n"
     data = cli.run(cli.parse_config(text)).to_json().encode()
     assert hashlib.sha256(data).hexdigest() == REPORT_DIGESTS[name]
+
+
+def test_sampling_guard_may_use_a_parameter_the_action_lacks(tmp_path, capsys):
+    cfg = tmp_path / "guard.cfg"
+    cfg.write_text(
+        "[run]\nbattery = pfaff\n\n[system]\naction = y*z, x, 0, 0\n\n"
+        "[params]\na = 1.0\n\n"
+        "[sampling]\nlows = -1, -1, -1, -1\nhighs = 1, 1, 1, 1\nguards = x + a*z\n"
+    )
+    assert cli.main(["run", str(cfg), "--no-summary"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["batteries"]["pfaff"]["sequence"]["dimension"] == 3
+
+
+def test_sampling_guards_and_ranges_reach_the_default_box():
+    # no lows/highs: the guard and the range apply to the default box
+    text = (
+        "[run]\nbattery = pfaff\n\n[system]\naction = a*y/x, 0, 0, 0\n\n"
+        "[params]\na = 1.0\n\n[sampling]\nguards = 0.0125*x\nrange a = 5, 6\n"
+    )
+    cfg = cli.parse_config(text)
+    box = cli._build_runtime(cfg).anatomy.context.box
+    assert (box.lows, box.highs) == ((-1.0,) * 4, (1.0,) * 4)
+    assert box.param_ranges == {"a": (5.0, 6.0)} and len(box.guards) == 1
+    first = json.loads(cli.run(cfg).to_json())["batteries"]["pfaff"]["sequence"]["verdicts"][0]
+    x, y = first["witness"][:2]
+    assert abs(x) >= 0.8 and first["skipped"] > 0  # |0.0125 x| < guard_tol is skipped
+    assert 5.0 <= first["witness_value"] / (y / x) <= 6.0

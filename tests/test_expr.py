@@ -1,5 +1,6 @@
 """Expression kernel: differentiation, simplification, zero testing."""
 
+import gc
 import math
 
 import pytest
@@ -303,3 +304,38 @@ def test_eval_rows_uses_the_scalar_power_exp_ln_and_atan2():
         values, _ = ex.eval_rows(e, points, {})
         want = [ex.eval_at(e, tuple(row)) for row in points]
         assert values.tolist() == want, ex.to_text(e)
+
+
+def test_box_guard_parameters_are_drawn():
+    # the guard's parameter a is not in the tested expression
+    guard = ex.add(X, ex.mul(ex.param("a"), Z))
+    plain = ex.Box((-1.0,) * 4, (1.0,) * 4, param_ranges={"a": (0.5, 2.0)})
+    guarded = ex.Box(plain.lows, plain.highs, plain.param_ranges, guards=(guard,))
+    e = ex.mul(Y, Z)
+    got = ex.ZeroTester(guarded).test(e)
+    assert not got.zero and set(got.witness_params) == {"a"}
+    assert got == ex.ZeroTester(plain).test(e, extra_guards=(guard,))
+    assert got == reference_zero_test(ex.ZeroTester(guarded), e)
+
+
+def test_evaluators_leave_no_cyclic_garbage():
+    # each evaluator's recursive walk must not outlive its call: a memo kept
+    # alive by a reference cycle holds every intermediate array until the
+    # cyclic collector happens to run
+    e = ex.add(ex.mul(ex.sin(X), Y), ex.quotient(Z, ex.add(ex.const(2), ex.mul(X, X))))
+    points = rng(5).uniform(-1, 1, size=(40, 4))
+    calls = (
+        lambda: ex.eval_many(e, points),
+        lambda: ex.eval_rows(e, points, {}),
+        lambda: ex.eval_with_scale(e, points[0]),
+    )
+    for call in calls:
+        call()
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(20):
+                call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
