@@ -1341,6 +1341,12 @@ def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _internal_error(e: Exception) -> int:
+    lines = str(e).splitlines()
+    print(f"internal error: {type(e).__name__}: {lines[0] if lines else ''}", file=sys.stderr)
+    return 3
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="formflow",
@@ -1391,6 +1397,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # a crash is exit 3 with one line, never a traceback
+        return _internal_error(e)
 
     try:
         report = run(cfg)
@@ -1402,6 +1410,8 @@ def main(argv: list[str] | None = None) -> int:
             th.ThermoError, ex.ExprError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        return _internal_error(e)
 
     payload = report.to_json()
     if cfg.out:

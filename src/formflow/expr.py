@@ -9,6 +9,18 @@ x**0 -> 1, and zero annihilation.  No trigonometric or rational rewrites
 are performed; equality of expressions beyond syntax is the job of the
 probabilistic zero test, not the simplifier.
 
+Construction normalizes once.  A node that a constructor builds from
+normal inputs, and that the full simplify() rebuild would return unchanged,
+is marked normal, and simplify() returns it as it is.  Nodes the rebuild
+would still change stay unmarked, and so does every node above them: a Pow
+that mul() builds over a quotient, product, power or constant base (q*q
+is Pow(q, 2); the rebuild gives num^2/den^2), and nodes built from a
+hand-built Sum or Product nested in another.
+
+Each compound node keeps its partial derivatives, one per coordinate, for
+its lifetime.  exp and sqrt nodes keep none: their derivatives contain the
+node itself, and a cached one would be a reference cycle.
+
 Evaluation is deterministic: the same tree at the same point with the same
 parameter bindings produces a bit-identical float.  Singular operations
 (division by zero, ln/sqrt outside their domain, overflow) raise
@@ -142,7 +154,11 @@ def spacetime_chart() -> Chart:
 
 
 class ScalarExpr:
-    __slots__ = ("_key",)
+    # _normal: the node is a fixed point of the full simplify() rebuild (set
+    # by the subclass constructors for leaves, by the normalizing
+    # constructors for compound nodes); _partials: {coordinate index:
+    # derivative}, filled by differentiate()
+    __slots__ = ("_key", "_normal", "_partials")
 
     def _build_key(self) -> str:
         raise NotImplementedError
@@ -198,6 +214,18 @@ class ScalarExpr:
         return negate(self)
 
 
+def _unmarked(node: ScalarExpr) -> None:
+    object.__setattr__(node, "_normal", False)
+    object.__setattr__(node, "_partials", None)
+
+
+def _mark(node: ScalarExpr, normal: bool = True) -> ScalarExpr:
+    """node, marked as a fixed point of simplify() when `normal` holds."""
+    if normal:
+        object.__setattr__(node, "_normal", True)
+    return node
+
+
 class Const(ScalarExpr):
     __slots__ = ("value",)
 
@@ -209,6 +237,7 @@ class Const(ScalarExpr):
         elif not isinstance(value, (float, Fraction)):
             raise ExprError(f"unsupported constant type {type(value).__name__}")
         object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_normal", True)
 
     def __setattr__(self, name, value):  # immutability by convention
         raise AttributeError("expressions are immutable")
@@ -227,6 +256,7 @@ class Coord(ScalarExpr):
         if not isinstance(index, int) or index < 0:
             raise ExprError(f"coordinate index must be a nonnegative int, got {index!r}")
         object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_normal", True)
 
     def __setattr__(self, name, value):
         raise AttributeError("expressions are immutable")
@@ -242,6 +272,7 @@ class Param(ScalarExpr):
         if not name or not isinstance(name, str):
             raise ExprError("parameter name must be a nonempty string")
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_normal", True)
 
     def __setattr__(self, name, value):
         raise AttributeError("expressions are immutable")
@@ -255,6 +286,7 @@ class Sum(ScalarExpr):
 
     def __init__(self, terms: tuple):
         object.__setattr__(self, "terms", terms)
+        _unmarked(self)
 
     def __setattr__(self, name, value):
         raise AttributeError("expressions are immutable")
@@ -268,6 +300,7 @@ class Product(ScalarExpr):
 
     def __init__(self, factors: tuple):
         object.__setattr__(self, "factors", factors)
+        _unmarked(self)
 
     def __setattr__(self, name, value):
         raise AttributeError("expressions are immutable")
@@ -282,6 +315,7 @@ class Quotient(ScalarExpr):
     def __init__(self, num: ScalarExpr, den: ScalarExpr):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        _unmarked(self)
 
     def __setattr__(self, name, value):
         raise AttributeError("expressions are immutable")
@@ -298,6 +332,7 @@ class Pow(ScalarExpr):
             raise ExprError("power exponents must be integers")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
+        _unmarked(self)
 
     def __setattr__(self, name, value):
         raise AttributeError("expressions are immutable")
@@ -318,6 +353,7 @@ class Func(ScalarExpr):
             )
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "args", args)
+        _unmarked(self)
 
     def __setattr__(self, name, value):
         raise AttributeError("expressions are immutable")
@@ -343,7 +379,9 @@ def as_expr(v) -> ScalarExpr:
 # Normalizing constructors.
 #
 # Each constructor assumes its inputs are already normalized and applies one
-# layer of local rules; full simplify() runs these bottom-up.
+# layer of local rules; full simplify() runs these bottom-up.  A node a
+# constructor builds is marked normal (see _mark) when every input it was
+# built from is marked and the node is a fixed point of that rebuild.
 
 
 def const(v: Number) -> Const:
@@ -382,6 +420,8 @@ def add(*terms) -> ScalarExpr:
             flat.extend(t.terms)
         else:
             flat.append(t)
+    # a term that is itself a Sum comes from a hand-built nested Sum
+    normal = all(t._normal and not isinstance(t, Sum) for t in flat)
 
     # collect like terms keyed on the symbolic factor tuple
     buckets: dict[str, list] = {}
@@ -403,14 +443,14 @@ def add(*terms) -> ScalarExpr:
         if not rest:
             out.append(Const(coeff))
         elif coeff == 1:
-            out.append(rest[0] if len(rest) == 1 else Product(rest))
+            out.append(rest[0] if len(rest) == 1 else _mark(Product(rest), normal))
         else:
-            out.append(Product((Const(coeff),) + rest))
+            out.append(_mark(Product((Const(coeff),) + rest), normal))
     if not out:
         return ZERO
     if len(out) == 1:
         return out[0]
-    return Sum(tuple(out))
+    return _mark(Sum(tuple(out)), normal)
 
 
 def mul(*factors) -> ScalarExpr:
@@ -421,6 +461,7 @@ def mul(*factors) -> ScalarExpr:
             flat.extend(f.factors)
         else:
             flat.append(f)
+    normal = all(f._normal and not isinstance(f, Product) for f in flat)
 
     coeff: Number = Fraction(1)
     # powers of identical bases are merged: keyed on base key
@@ -444,11 +485,21 @@ def mul(*factors) -> ScalarExpr:
             bases[k][1] += expo
 
     rest: list[ScalarExpr] = []
+    rewritten = False
     for k in sorted(order):
         base, expo = bases[k]
         if expo == 0:
             continue
-        rest.append(base if expo == 1 else Pow(base, expo))
+        if expo == 1:
+            rest.append(base)
+            continue
+        # simplify() sends Pow(base, expo) through power(), which folds a
+        # constant base and expands a quotient, product or power: q*q
+        # builds Pow(q, 2), simplify() gives num^2/den^2
+        folds = isinstance(base, (Const, Quotient, Product, Pow))
+        rewritten = rewritten or folds
+        rest.append(_mark(Pow(base, expo), normal and not folds))
+    normal = normal and not rewritten
 
     if coeff == 0:
         return ZERO
@@ -459,10 +510,10 @@ def mul(*factors) -> ScalarExpr:
         # c*a + c*b collect to the same tree (linear, no expression swell)
         if len(rest) == 1 and isinstance(rest[0], Sum):
             return add(*(mul(Const(coeff), t) for t in rest[0].terms))
-        return Product((Const(coeff),) + tuple(rest))
+        return _mark(Product((Const(coeff),) + tuple(rest)), normal)
     if len(rest) == 1:
         return rest[0]
-    return Product(tuple(rest))
+    return _mark(Product(tuple(rest)), normal)
 
 
 def negate(e) -> ScalarExpr:
@@ -522,7 +573,11 @@ def _cancel_monomials(num: ScalarExpr, den: ScalarExpr):
     cnum = mul(Const(ncoeff / dcoeff), *top)
     if not bottom:
         return cnum
-    return Quotient(cnum, mul(*bottom))
+    cden = mul(*bottom)
+    # from normal num and den, top and bottom are normal and share no base,
+    # so quotient(cnum, cden) builds this node again
+    normal = num._normal and den._normal and cnum._normal and cden._normal
+    return _mark(Quotient(cnum, cden), normal)
 
 
 def quotient(num, den) -> ScalarExpr:
@@ -541,7 +596,19 @@ def quotient(num, den) -> ScalarExpr:
     cancelled = _cancel_monomials(num, den)
     if cancelled is not None:
         return cancelled
-    return Quotient(num, den)
+    return _mark(Quotient(num, den), num._normal and den._normal)
+
+
+# An exact constant power is folded only while its numerator and denominator
+# stay within about this many bits; past it the Pow node stays, and evaluates
+# in floating point (an overflow there is a SingularityError).
+MAX_FOLD_BITS = 1 << 16
+
+
+def _exact_power_bits(v: Fraction, exponent: int) -> int:
+    """The size of v**exponent in bits, to within a factor of two; 0 for 0
+    and +-1, whose powers are cheap at any exponent."""
+    return (max(abs(v.numerator), v.denominator).bit_length() - 1) * abs(exponent)
 
 
 def power(base, exponent: int) -> ScalarExpr:
@@ -556,10 +623,12 @@ def power(base, exponent: int) -> ScalarExpr:
     if bv is not None:
         if bv == 0 and exponent < 0:
             raise ExprError("zero base with negative exponent")
+        if isinstance(bv, Fraction) and _exact_power_bits(bv, exponent) > MAX_FOLD_BITS:
+            return _mark(Pow(base, exponent))
         try:
             return Const(bv ** exponent)
         except OverflowError:
-            return Pow(base, exponent)
+            return _mark(Pow(base, exponent))
     if isinstance(base, Pow):
         return power(base.base, base.exponent * exponent)
     if isinstance(base, Product):
@@ -568,7 +637,7 @@ def power(base, exponent: int) -> ScalarExpr:
         if exponent > 0:
             return quotient(power(base.num, exponent), power(base.den, exponent))
         return quotient(power(base.den, -exponent), power(base.num, -exponent))
-    return Pow(base, exponent)
+    return _mark(Pow(base, exponent), base._normal)
 
 
 _EXACT_FUNC_FOLDS = {
@@ -591,7 +660,7 @@ _FLOAT_FUNCS = {
 
 def func(name: str, *args) -> ScalarExpr:
     args = tuple(as_expr(a) for a in args)
-    node = Func(name, args)  # validates name and arity
+    node = _mark(Func(name, args), all(a._normal for a in args))  # validates name, arity
     if name == "atan2":
         yv, xv = _const_value(args[0]), _const_value(args[1])
         if yv is not None and xv is not None and not (yv == 0 and xv == 0):
@@ -645,9 +714,10 @@ def simplify(e: ScalarExpr) -> ScalarExpr:
     The rule set is limited to constant folding, like-term collection,
     power normalization, and zero/one elimination, so the result always
     evaluates to the same value as the input wherever the input is defined.
+    A node marked normal is returned as it is: the rebuild would equal it.
     """
     e = as_expr(e)
-    if isinstance(e, (Const, Coord, Param)):
+    if e._normal:
         return e
     if isinstance(e, Sum):
         return add(*(simplify(t) for t in e.terms))
@@ -671,12 +741,33 @@ def is_syntactic_zero(e: ScalarExpr) -> bool:
 
 
 def differentiate(e: ScalarExpr, index: int) -> ScalarExpr:
-    """Exact partial derivative with respect to chart coordinate `index`."""
+    """Exact partial derivative with respect to chart coordinate `index`.
+
+    A compound node keeps each partial for its lifetime, so a subtree shared
+    by several constructions is differentiated once per coordinate.  exp and
+    sqrt nodes keep none: their derivatives contain the node itself, and a
+    cached one would make a reference cycle.
+    """
     e = as_expr(e)
     if isinstance(e, (Const, Param)):
         return ZERO
     if isinstance(e, Coord):
         return ONE if e.index == index else ZERO
+    if isinstance(e, Func) and e.name in ("exp", "sqrt"):
+        return _derivative(e, index)
+    cache = e._partials
+    if cache is None:
+        cache = {}
+        object.__setattr__(e, "_partials", cache)
+    d = cache.get(index)
+    if d is None:
+        d = cache[index] = _derivative(e, index)
+    return d
+
+
+def _derivative(e: ScalarExpr, index: int) -> ScalarExpr:
+    """One layer of the chain rule over a compound node; the children's
+    partials come from differentiate()."""
     if isinstance(e, Sum):
         return add(*(differentiate(t, index) for t in e.terms))
     if isinstance(e, Product):
@@ -1179,7 +1270,10 @@ def to_text(e: ScalarExpr, chart: Chart | None = None) -> str:
         if isinstance(node, Quotient):
             return f"{wrap(node.num, 3)} / {wrap(node.den, 3)}"
         if isinstance(node, Pow):
-            return f"{wrap(node.base, 4)}^{node.exponent}"
+            base = wrap(node.base, 4)
+            if base.startswith("-"):  # -3^2 would read as -(3^2)
+                base = f"({base})"
+            return f"{base}^{node.exponent}"
         if isinstance(node, Func):
             args = ", ".join(rec(a) for a in node.args)
             return f"{node.name}({args})"

@@ -146,7 +146,10 @@ class _Parser:
             if t.kind == "op" and t.text in "*/":
                 self.advance()
                 rhs = self.parse_unary()
-                node = ex.mul(node, rhs) if t.text == "*" else ex.quotient(node, rhs)
+                try:
+                    node = ex.mul(node, rhs) if t.text == "*" else ex.quotient(node, rhs)
+                except ex.ExprError as e:
+                    raise ParseError(str(e), t.line, t.column) from None
             else:
                 return node
 

@@ -273,6 +273,80 @@ def circle_path(radius: float = 1.0, center=(0.0, 0.0), plane=(0, 1), dim: int =
 
 
 # ---------------------------------------------------------------------------
+# Simplify and differentiate without the per-node caches
+#
+# simplify as a full bottom-up rebuild of every node, marked normal or not,
+# and differentiate as a fresh recursion on every call.  The library must
+# return trees equal to what these return.
+
+def reference_simplify(e):
+    e = ex.as_expr(e)
+    if isinstance(e, (ex.Const, ex.Coord, ex.Param)):
+        return e
+    if isinstance(e, ex.Sum):
+        return ex.add(*(reference_simplify(t) for t in e.terms))
+    if isinstance(e, ex.Product):
+        return ex.mul(*(reference_simplify(f) for f in e.factors))
+    if isinstance(e, ex.Quotient):
+        return ex.quotient(reference_simplify(e.num), reference_simplify(e.den))
+    if isinstance(e, ex.Pow):
+        return ex.power(reference_simplify(e.base), e.exponent)
+    if isinstance(e, ex.Func):
+        return ex.func(e.name, *(reference_simplify(a) for a in e.args))
+    raise ex.ExprError(f"unknown node {type(e).__name__}")
+
+
+def reference_differentiate(e, index: int):
+    d = reference_differentiate
+    e = ex.as_expr(e)
+    if isinstance(e, (ex.Const, ex.Param)):
+        return ex.ZERO
+    if isinstance(e, ex.Coord):
+        return ex.ONE if e.index == index else ex.ZERO
+    if isinstance(e, ex.Sum):
+        return ex.add(*(d(t, index) for t in e.terms))
+    if isinstance(e, ex.Product):
+        terms = []
+        for i, f in enumerate(e.factors):
+            df = d(f, index)
+            if ex.is_syntactic_zero(df):
+                continue
+            rest = e.factors[:i] + e.factors[i + 1 :]
+            terms.append(ex.mul(df, *rest))
+        return ex.add(*terms) if terms else ex.ZERO
+    if isinstance(e, ex.Quotient):
+        du = d(e.num, index)
+        dv = d(e.den, index)
+        num = ex.add(ex.mul(du, e.den), ex.negate(ex.mul(e.num, dv)))
+        return ex.quotient(num, ex.power(e.den, 2))
+    if isinstance(e, ex.Pow):
+        db = d(e.base, index)
+        if ex.is_syntactic_zero(db):
+            return ex.ZERO
+        return ex.mul(ex.Const(e.exponent), ex.power(e.base, e.exponent - 1), db)
+    if isinstance(e, ex.Func):
+        if e.name == "atan2":
+            y, x = e.args
+            num = ex.add(ex.mul(x, d(y, index)), ex.negate(ex.mul(y, d(x, index))))
+            return ex.quotient(num, ex.add(ex.power(x, 2), ex.power(y, 2)))
+        a = e.args[0]
+        da = d(a, index)
+        if ex.is_syntactic_zero(da):
+            return ex.ZERO
+        if e.name == "sin":
+            return ex.mul(ex.func("cos", a), da)
+        if e.name == "cos":
+            return ex.negate(ex.mul(ex.func("sin", a), da))
+        if e.name == "exp":
+            return ex.mul(e, da)
+        if e.name == "ln":
+            return ex.quotient(da, a)
+        if e.name == "sqrt":
+            return ex.quotient(da, ex.mul(ex.Const(2), e))
+    raise ex.ExprError(f"unknown node {type(e).__name__}")
+
+
+# ---------------------------------------------------------------------------
 # Scalar sampling loops: one row at a time, one eval_with_scale walk per row
 #
 # These are the zero test and the projectivization check as they were before
@@ -280,7 +354,7 @@ def circle_path(radius: float = 1.0, center=(0.0, 0.0), plane=(0, 1), dim: int =
 # return exactly what they return.
 
 def reference_zero_test(tester: ex.ZeroTester, e, extra_guards=()) -> ex.ZeroVerdict:
-    e = ex.simplify(e)
+    e = reference_simplify(e)
     if isinstance(e, ex.Const):
         v = float(e.value)
         if abs(v) <= tester.eps:

@@ -205,6 +205,32 @@ def test_main_inconclusive_run_exits_3(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_main_crash_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    deep = "x"
+    for _ in range(400):
+        deep = f"sin({deep})"
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(f"[run]\nbattery = pfaff\n\n[system]\naction = {deep}, 0, 0, 0\n")
+    assert cli.main(["run", str(cfg), "--no-summary"]) == 3  # parse_config recurses
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RecursionError: ") and err.count("\n") == 1
+
+    def crash(cfg):
+        raise ZeroDivisionError("first line\nsecond line")
+
+    monkeypatch.setattr(cli, "run", crash)
+    assert cli.main(["run", "--preset", "harmonic.winding", "--no-summary"]) == 3
+    assert capsys.readouterr().err == "internal error: ZeroDivisionError: first line\n"
+
+
+def test_main_constant_zero_denominator_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "div.cfg"
+    cfg.write_text("[run]\nbattery = pfaff\n\n[system]\naction = y/(2 - 2), 0, 0, 0\n")
+    assert cli.main(["run", str(cfg), "--no-summary"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: line 5, column 10: line 1, column 2: constant zero denominator\n"
+
+
 def test_run_builds_its_preset_and_classifies_each_process_once(monkeypatch, capsys):
     calls = {"get_preset": 0, "classify": 0}
 

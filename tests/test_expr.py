@@ -2,16 +2,22 @@
 
 import gc
 import math
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import formflow.expr as ex
+import formflow.forms as fm
+from formflow.parse import parse_scalar
 from corpus import (
-    CHART, mixed_forms, random_poly_scalar, random_smooth_scalar, random_point, rng,
+    CHART, action_process_pairs, mixed_forms, random_poly_scalar, random_smooth_scalar,
+    random_point, rng,
 )
 from oracles import (
-    poly_add, poly_diff, poly_from_expr, poly_is_zero, poly_mul, reference_zero_test,
+    poly_add, poly_diff, poly_from_expr, poly_is_zero, poly_mul, reference_differentiate,
+    reference_simplify, reference_zero_test,
 )
 
 X, Y, Z, T = (ex.coord(i) for i in range(4))
@@ -339,3 +345,209 @@ def test_evaluators_leave_no_cyclic_garbage():
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# Normal-form marks and cached partials against the uncached references
+
+
+def tree_nodes(e):
+    """Every node object of e, each once."""
+    seen, out, stack = set(), [], [e]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        out.append(node)
+        if isinstance(node, ex.Sum):
+            stack.extend(node.terms)
+        elif isinstance(node, ex.Product):
+            stack.extend(node.factors)
+        elif isinstance(node, ex.Quotient):
+            stack += [node.num, node.den]
+        elif isinstance(node, ex.Pow):
+            stack.append(node.base)
+        elif isinstance(node, ex.Func):
+            stack.extend(node.args)
+    return out
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ex.ExprError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def check_against_references(e) -> int:
+    """simplify and differentiate of e equal the references, and every node
+    marked normal in e, its simplification and its partials is a fixed point
+    of the full rebuild.  Returns the number of marked compound nodes."""
+    assert outcome(ex.simplify, e) == outcome(reference_simplify, e)
+    trees = [e, outcome(ex.simplify, e)]
+    cached = not (isinstance(e, ex.Func) and e.name in ("exp", "sqrt"))
+    for k in range(4):
+        got = outcome(ex.differentiate, e, k)
+        assert got == outcome(reference_differentiate, e, k)
+        if cached and not isinstance(got, str):
+            assert ex.differentiate(e, k) is got
+        trees.append(got)
+    marked = 0
+    for tree in trees:
+        if isinstance(tree, str):
+            continue
+        for node in tree_nodes(tree):
+            if node._normal:
+                assert reference_simplify(node) == node, ex.to_text(node)
+                marked += not isinstance(node, (ex.Const, ex.Coord, ex.Param))
+    return marked
+
+
+def anatomy_exprs(A, J):
+    """Coefficients of dA, A^dA, dA^dA, i(J)dA, d(i(J)A) and L(J)A."""
+    dA = fm.exterior_derivative(A)
+    H = fm.wedge(A, dA)
+    forms = (A, dA, H, fm.exterior_derivative(H), fm.interior(J, dA),
+             fm.exterior_derivative(fm.interior(J, A)), fm.lie_derivative(J, A))
+    return [c for w in forms for c in w.coeffs.values()]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_marks_and_partials_match_references_on_corpus(seed):
+    exprs = corpus_exprs(seed)
+    for A, J in action_process_pairs(n_random=3, seed=seed)[seed::4]:
+        exprs += anatomy_exprs(A, J)
+    assert sum(check_against_references(e) for e in exprs) > 100
+
+
+LEAVES = (X, Y, Z, T, A, B, ex.Const(0), ex.Const(1), ex.Const(-1), ex.Const(2),
+          ex.Const(Fraction(1, 3)), ex.Const(0.5), ex.Const(-1.5))
+
+
+def or_first(f, first, *rest):
+    try:
+        return f(first, *rest)
+    except ex.ExprError:  # zero denominator or zero base to a negative power
+        return first
+
+
+def extend(kids):
+    few = st.lists(kids, min_size=1, max_size=3)
+    return st.one_of(
+        few.map(lambda ts: ex.add(*ts)),
+        few.map(lambda fs: ex.mul(*fs)),
+        st.tuples(kids, kids).map(lambda p: or_first(ex.quotient, *p)),
+        st.tuples(kids, st.integers(-3, 3)).map(lambda p: or_first(ex.power, *p)),
+        st.tuples(kids, st.sampled_from(("sin", "cos", "exp", "ln", "sqrt"))).map(
+            lambda p: ex.func(p[1], p[0])),
+        st.tuples(kids, kids).map(lambda p: ex.atan2(*p)),
+        # hand-built nodes, which the constructors never build as they are
+        few.map(lambda ts: ex.Sum(tuple(ts))),
+        few.map(lambda fs: ex.Product(tuple(fs))),
+        st.tuples(kids, kids).map(lambda p: ex.Quotient(*p)),
+        st.tuples(kids, st.integers(-3, 3)).map(lambda p: ex.Pow(*p)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(st.sampled_from(LEAVES), extend, max_leaves=16))
+def test_marks_and_partials_match_references_on_constructed_trees(e):
+    check_against_references(e)
+
+
+@pytest.mark.parametrize("e", [
+    # a constructor over hand-built nesting: the rebuild flattens it
+    ex.add(ex.Sum((ex.add(X, Y), Z))),
+    ex.mul(ex.Product((ex.mul(X, Y), Z))),
+    ex.mul(ex.Const(2), ex.Product((ex.mul(X, Y),))),
+    # cancelling hand-built powers of zero leaves 1/0, which the rebuild rejects
+    ex.quotient(ex.Pow(ex.ZERO, 0), ex.Pow(ex.ZERO, 1)),
+    ex.quotient(ex.mul(X, ex.Pow(ex.Const(2), 1)), ex.mul(X, ex.Pow(ex.Const(2), 3))),
+], ids=["sum-in-sum", "product-in-product", "lone-product", "zero-powers", "const-powers"])
+def test_marks_match_references_over_hand_built_children(e):
+    check_against_references(e)
+
+
+def test_square_of_a_quotient_stays_unmarked():
+    # simplify is not idempotent here: mul builds Pow(q, 2), the rebuild
+    # expands it to num^2/den^2
+    q = ex.quotient(X, ex.add(Y, ex.Const(2)))
+    sq = ex.mul(q, q)
+    assert isinstance(sq, ex.Pow) and not sq._normal
+    assert ex.simplify(sq) == reference_simplify(sq) != sq
+    for parent in (ex.mul(q, Z, q), ex.mul(sq, Z), ex.add(sq, Z), ex.sin(sq),
+                   ex.quotient(sq, Z)):
+        assert not parent._normal
+        assert ex.simplify(parent) == reference_simplify(parent)
+    assert q._normal and ex.simplify(q) is q
+
+
+def test_partials_are_computed_once_per_node(monkeypatch):
+    calls = []
+    real = ex._derivative
+    monkeypatch.setattr(ex, "_derivative", lambda e, i: calls.append(i) or real(e, i))
+    e = ex.mul(ex.sin(ex.mul(X, Y)), ex.atan2(Y, ex.add(X, ex.Const(2))),
+               ex.ln(ex.add(ex.power(Z, 2), ex.ONE)), ex.quotient(ex.ONE, ex.add(X, Z)))
+    first = ex.differentiate(e, 0)
+    work = len(calls)
+    assert work > 1
+    assert ex.differentiate(e, 0) is first and len(calls) == work
+    # a new parent differentiates only itself; its factor e is cached
+    ex.differentiate(ex.mul(e, T), 0)
+    assert len(calls) == work + 1
+    # exp and sqrt nodes keep no partials
+    for f in (ex.exp(X), ex.sqrt(X)):
+        ex.differentiate(f, 0)
+        assert f._partials is None
+
+
+def test_cached_partials_leave_no_cyclic_garbage():
+    # the derivative of exp(u) or sqrt(u) holds the node itself: a cached one
+    # would be a reference cycle, freed only by the cyclic collector
+    def work():
+        u = ex.add(ex.mul(X, Y), Z, ex.Const(2))
+        exprs = [
+            ex.exp(u), ex.sqrt(u), ex.ln(u), ex.atan2(Y, u),
+            ex.mul(ex.exp(X), ex.sqrt(u), ex.ln(u), ex.atan2(X, Y)),
+            ex.quotient(ex.exp(ex.sqrt(u)), ex.add(ex.atan2(ex.exp(Y), ex.sqrt(u)), X)),
+            ex.power(ex.mul(ex.exp(X), ex.sqrt(Y)), 3),
+        ]
+        for e in exprs:
+            for k in range(4):
+                d = ex.differentiate(e, k)
+                ex.differentiate(ex.differentiate(d, k), (k + 1) % 4)
+
+    work()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            work()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_huge_constant_power_stays_unfolded():
+    start = time.perf_counter()
+    huge = [ex.power(ex.Const(3), 999_999_999), ex.power(ex.Const(Fraction(2, 3)), -10**9),
+            ex.power(ex.Const(3), 10**6)]
+    assert time.perf_counter() - start < 1.0  # exact folding takes minutes
+    for e in huge:
+        assert isinstance(e, ex.Pow) and e._normal
+        assert ex.simplify(e) is e and reference_simplify(e) == e
+        with pytest.raises(ex.SingularityError, match="overflow"):
+            ex.eval_at(e, (0.0,) * 4)
+    # an unfolded power of a negative constant prints and parses back as itself
+    even = ex.power(ex.Const(-3), 10**9)
+    assert ex.to_text(even) == "(-3)^1000000000"
+    assert parse_scalar(ex.to_text(even), CHART) == even
+    # small results and the constants whose powers are cheap still fold
+    assert ex.power(ex.Const(2), 1000) == ex.Const(2**1000)
+    assert ex.power(ex.Const(Fraction(-1, 3)), 9) == ex.Const(Fraction(-1, 19683))
+    assert ex.power(ex.Const(-1), 10**9 + 1) == ex.Const(-1)
+    assert ex.power(ex.ONE, -10**12) == ex.ONE
+    # merging two unfolded powers builds a constant-base Pow simplify folds
+    small = ex.mul(huge[0], ex.power(ex.Const(3), -999_999_997))
+    assert not small._normal and ex.simplify(small) == ex.Const(9)
