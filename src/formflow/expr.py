@@ -21,11 +21,16 @@ Each compound node keeps its partial derivatives, one per coordinate, for
 its lifetime.  exp and sqrt nodes keep none: their derivatives contain the
 node itself, and a cached one would be a reference cycle.
 
-Evaluation is deterministic: the same tree at the same point with the same
-parameter bindings produces a bit-identical float.  Singular operations
-(division by zero, ln/sqrt outside their domain, overflow) raise
-SingularityError naming the offending subexpression rather than returning
-NaN or infinity.
+One walker evaluates every expression, over a batch of points at once:
+each node is one numpy operation over all rows, memoized by structural
+key.  A node that is singular at a row (division by zero, ln/sqrt outside
+their domain, atan2(0, 0), overflow) is NaN there, and NaN reaches the
+root.  eval_rows returns such rows as NaN; eval_many, eval_with_scale and
+eval_at raise SingularityError naming the first singular subexpression in
+evaluation order, at its first singular point, rather than returning NaN
+or infinity.  Evaluation is deterministic: the same tree at the same point
+with the same parameter bindings produces a bit-identical float, whether
+the point is evaluated alone or as a row of a batch.
 """
 
 from __future__ import annotations
@@ -814,12 +819,175 @@ def _derivative(e: ScalarExpr, index: int) -> ScalarExpr:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: one walker over a (k, n) array of points (see the module
+# docstring); every public evaluator is a thin wrapper over it.
 
 
-def _point_tuple(point) -> tuple[float, ...]:
+def _children(node: ScalarExpr) -> tuple[ScalarExpr, ...]:
+    """The operands of node in evaluation order; () for a leaf.
+
+    A quotient's denominator comes first: its zero test precedes the
+    numerator.
+    """
+    if isinstance(node, Sum):
+        return node.terms
+    if isinstance(node, Product):
+        return node.factors
+    if isinstance(node, Quotient):
+        return (node.den, node.num)
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, Func):
+        return node.args
+    return ()
+
+
+def _subtrees(e: ScalarExpr):
+    """Every node object of e, each once."""
+    seen: set[int] = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            yield node
+            stack.extend(_children(node))
+
+
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log, "sqrt": np.sqrt}
+
+
+def _walk(e: ScalarExpr, points: np.ndarray, params: Mapping, scale=None):
+    """Values of e at every row of `points`, and the memo {key: values}.
+
+    A parameter binds to one number or to a column of one value per row.
+    When `scale` is given, each row's entry is raised in place to the
+    largest intermediate magnitude at that row.
+    """
+    k, n = points.shape
+    one = np.ones(k)
+    memo: dict[str, np.ndarray] = {}
+
+    def rec(node: ScalarExpr) -> np.ndarray:
+        key = node.key
+        v = memo.get(key)
+        if v is not None:
+            return v
+        if isinstance(node, Const):
+            v = one * float(node.value)
+        elif isinstance(node, Coord):
+            if node.index >= n:
+                raise EvalError(
+                    f"points have {n} coordinates but expression uses index {node.index}"
+                )
+            v = points[:, node.index].copy()
+        elif isinstance(node, Param):
+            try:
+                p = params[node.name]
+            except KeyError:
+                raise EvalError(f"unbound parameter {node.name!r}") from None
+            v = one * float(p) if np.ndim(p) == 0 else np.array(p, dtype=float)
+        elif isinstance(node, Sum):
+            v = np.zeros(k)
+            for t in node.terms:
+                v += rec(t)
+        elif isinstance(node, Product):
+            v = one.copy()
+            for f in node.factors:
+                v *= rec(f)
+        elif isinstance(node, Quotient):
+            den = rec(node.den)
+            v = rec(node.num) / den
+        elif isinstance(node, Pow):
+            b = rec(node.base)
+            v = b ** node.exponent
+            if node.exponent == 0:
+                v[np.isnan(b)] = math.nan  # nan ** 0 is 1
+        elif isinstance(node, Func):
+            if node.name == "atan2":
+                y, x = rec(node.args[0]), rec(node.args[1])
+                v = np.arctan2(y, x)
+                v[(y == 0.0) & (x == 0.0)] = math.nan
+            else:
+                v = _UFUNCS[node.name](rec(node.args[0]))
+        else:
+            raise ExprError(f"unknown node {type(node).__name__}")
+        v[np.isinf(v)] = math.nan  # every v here is a new array
+        memo[key] = v
+        if scale is not None:
+            np.maximum(scale, np.abs(v), out=scale)
+        return v
+
     try:
-        return tuple(float(c) for c in point)
+        with np.errstate(all="ignore"):
+            return rec(e), memo
+    finally:
+        del rec  # rec refers to itself; break the cycle so the memo dies here
+
+
+def _fault(node: ScalarExpr, memo: Mapping[str, np.ndarray], i: int) -> str:
+    """What makes node singular at row i, its operands being finite there."""
+    args = [memo[c.key][i] for c in _children(node)]
+    if isinstance(node, Quotient) and args[0] == 0.0:
+        return "division by zero"
+    if isinstance(node, Pow):
+        if node.exponent < 0 and args[0] == 0.0:
+            return "zero base with negative exponent"
+        return "overflow"
+    if isinstance(node, Func):
+        if node.name == "atan2" and args[0] == 0.0 and args[1] == 0.0:
+            return "atan2(0, 0)"
+        if node.name == "ln" and args[0] <= 0.0:
+            return "ln of nonpositive value"
+        if node.name == "sqrt" and args[0] < 0.0:
+            return "sqrt of negative value"
+        if node.name == "exp":
+            return "overflow"
+    return "nonfinite value"
+
+
+def _singularity(e: ScalarExpr, memo, points: np.ndarray) -> SingularityError:
+    """The error for the first node, in evaluation order, with a singular
+    row, at that node's first such row; a quotient is singular where its
+    denominator is zero before its numerator is reached."""
+    seen: set[str] = set()
+
+    def first(node: ScalarExpr):
+        key = node.key
+        if key in seen:
+            return None
+        seen.add(key)
+        for j, child in enumerate(_children(node)):
+            found = first(child)
+            if found is not None:
+                return found
+            if j == 0 and isinstance(node, Quotient):
+                zero = memo[child.key] == 0.0
+                if zero.any():
+                    return node, int(np.argmax(zero))
+        bad = np.isnan(memo[key])
+        return (node, int(np.argmax(bad))) if bad.any() else None
+
+    try:
+        node, i = first(e)
+    finally:
+        del first  # first refers to itself; break the cycle
+    pt = tuple(points[i].tolist())
+    return SingularityError(
+        f"{_fault(node, memo, i)} in {to_text(node)} at point {pt}", node, pt
+    )
+
+
+def _eval_or_raise(e: ScalarExpr, points: np.ndarray, params, scale=None) -> np.ndarray:
+    v, memo = _walk(e, points, params, scale)
+    if np.isnan(v).any():
+        raise _singularity(e, memo, points)
+    return v
+
+
+def _one_row(point: Sequence[float]) -> np.ndarray:
+    try:
+        return np.array([tuple(float(c) for c in point)])
     except TypeError:
         raise EvalError(f"point must be a coordinate sequence, got {point!r}") from None
 
@@ -830,8 +998,7 @@ def eval_at(
     params: Mapping[str, float] | None = None,
 ) -> float:
     """Evaluate at a numeric point.  Deterministic; raises on singularities."""
-    value, _ = eval_with_scale(e, point, params)
-    return value
+    return float(_eval_or_raise(e, _one_row(point), params or {})[0])
 
 
 def eval_with_scale(
@@ -845,121 +1012,9 @@ def eval_with_scale(
     difference of two large near-equal quantities is judged against the
     size of what was cancelled, not against 1.
     """
-    pt = _point_tuple(point)
-    params = params or {}
-    memo: dict[int, float] = {}
-    scale = 0.0
-
-    def rec(node: ScalarExpr) -> float:
-        nonlocal scale
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, Const):
-            v = float(node.value)
-        elif isinstance(node, Coord):
-            if node.index >= len(pt):
-                raise EvalError(
-                    f"point has {len(pt)} coordinates but expression uses index {node.index}"
-                )
-            v = pt[node.index]
-        elif isinstance(node, Param):
-            try:
-                v = float(params[node.name])
-            except KeyError:
-                raise EvalError(f"unbound parameter {node.name!r}") from None
-        elif isinstance(node, Sum):
-            v = 0.0
-            for t in node.terms:
-                v += rec(t)
-        elif isinstance(node, Product):
-            v = 1.0
-            for f in node.factors:
-                v *= rec(f)
-        elif isinstance(node, Quotient):
-            den = rec(node.den)
-            if den == 0.0:
-                raise SingularityError(
-                    f"division by zero in {to_text(node)} at point {pt}", node, pt
-                )
-            v = rec(node.num) / den
-        elif isinstance(node, Pow):
-            b = rec(node.base)
-            if b == 0.0 and node.exponent < 0:
-                raise SingularityError(
-                    f"zero base with negative exponent in {to_text(node)} at point {pt}",
-                    node,
-                    pt,
-                )
-            try:
-                v = b ** node.exponent
-            except OverflowError:
-                raise SingularityError(
-                    f"overflow in {to_text(node)} at point {pt}", node, pt
-                ) from None
-        elif isinstance(node, Func):
-            if node.name == "atan2":
-                ay = rec(node.args[0])
-                ax = rec(node.args[1])
-                if ay == 0.0 and ax == 0.0:
-                    raise SingularityError(
-                        f"atan2(0, 0) in {to_text(node)} at point {pt}", node, pt
-                    )
-                v = math.atan2(ay, ax)
-            else:
-                a = rec(node.args[0])
-                if node.name == "ln" and a <= 0.0:
-                    raise SingularityError(
-                        f"ln of nonpositive value in {to_text(node)} at point {pt}",
-                        node,
-                        pt,
-                    )
-                if node.name == "sqrt" and a < 0.0:
-                    raise SingularityError(
-                        f"sqrt of negative value in {to_text(node)} at point {pt}",
-                        node,
-                        pt,
-                    )
-                try:
-                    v = _FLOAT_FUNCS[node.name](a)
-                except OverflowError:
-                    raise SingularityError(
-                        f"overflow in {to_text(node)} at point {pt}", node, pt
-                    ) from None
-        else:
-            raise ExprError(f"unknown node {type(node).__name__}")
-        if not math.isfinite(v):
-            raise SingularityError(
-                f"nonfinite value in {to_text(node)} at point {pt}", node, pt
-            )
-        memo[id(node)] = v
-        a = abs(v)
-        if a > scale:
-            scale = a
-        return v
-
-    try:
-        return rec(e), scale
-    finally:
-        del rec  # rec refers to itself; break the cycle so the memo dies here
-
-
-def _pointwise(f, *cols: np.ndarray) -> np.ndarray:
-    """f applied row by row through Python floats; NaN where it fails.
-
-    numpy's power, exp, log and arctan2 may differ from Python's in the last
-    bit, so these go through the same scalar calls as eval_with_scale.
-    """
-    out = []
-    for xs in zip(*(c.tolist() for c in cols)):
-        try:
-            out.append(f(*xs))
-        except (ArithmeticError, ValueError):
-            out.append(math.nan)
-    v = np.array(out, dtype=float)
-    for c in cols:
-        v[np.isnan(c)] = math.nan  # a singular row stays singular
-    return v
+    scale = np.zeros(1)
+    v = _eval_or_raise(e, _one_row(point), params or {}, scale)
+    return float(v[0]), float(scale[0])
 
 
 def eval_rows(
@@ -971,65 +1026,12 @@ def eval_rows(
 
     Returns the values and the largest intermediate magnitudes, both of
     length k and bit-identical row by row to eval_with_scale; `params` maps
-    each name to a column of k values.  A row where eval_with_scale would
-    raise SingularityError has value NaN: the failing node yields NaN there
-    and NaN propagates to the root.  Structurally equal subexpressions are
-    computed once.
+    each name to a column of k values (or to one value for all rows).  A
+    row where eval_with_scale would raise SingularityError has value NaN.
     """
-    k = points.shape[0]
-    memo: dict[str, np.ndarray] = {}
-    scale = np.zeros(k)
-
-    def rec(node: ScalarExpr) -> np.ndarray:
-        got = memo.get(node.key)
-        if got is not None:
-            return got
-        if isinstance(node, Const):
-            v = np.full(k, float(node.value))
-        elif isinstance(node, Coord):
-            v = points[:, node.index]
-        elif isinstance(node, Param):
-            try:
-                v = params[node.name]
-            except KeyError:
-                raise EvalError(f"unbound parameter {node.name!r}") from None
-        elif isinstance(node, Sum):
-            v = np.zeros(k)
-            for t in node.terms:
-                v += rec(t)
-        elif isinstance(node, Product):
-            v = np.ones(k)
-            for f in node.factors:
-                v *= rec(f)
-        elif isinstance(node, Quotient):
-            den = rec(node.den)
-            v = rec(node.num) / den  # a zero denominator gives inf or NaN
-        elif isinstance(node, Pow):
-            n = node.exponent
-            v = _pointwise(lambda b: b**n, rec(node.base))
-        elif isinstance(node, Func):
-            args = [rec(a) for a in node.args]
-            if node.name == "atan2":
-                v = _pointwise(math.atan2, *args)
-                v[(args[0] == 0.0) & (args[1] == 0.0)] = math.nan
-            elif node.name in ("sin", "cos", "sqrt"):
-                v = getattr(np, node.name)(args[0])  # equal to math's, bit for bit
-            else:
-                v = _pointwise(_FLOAT_FUNCS[node.name], args[0])
-        else:
-            raise ExprError(f"unknown node {type(node).__name__}")
-        inf = np.isinf(v)
-        if inf.any():
-            v = np.where(inf, math.nan, v)
-        memo[node.key] = v
-        np.maximum(scale, np.abs(v), out=scale)
-        return v
-
-    try:
-        with np.errstate(all="ignore"):
-            return rec(e), scale
-    finally:
-        del rec  # rec refers to itself; break the cycle so the memo dies here
+    scale = np.zeros(points.shape[0])
+    v, _ = _walk(e, points, params, scale)
+    return v, scale
 
 
 def eval_many(
@@ -1045,116 +1047,7 @@ def eval_many(
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise EvalError("points must be a 2-d array (m, n)")
-    m = points.shape[0]
-    params = params or {}
-    memo: dict[int, np.ndarray] = {}
-
-    def bad_point(mask) -> tuple[float, ...]:
-        idx = int(np.argmax(mask))
-        return tuple(points[idx])
-
-    def rec(node: ScalarExpr) -> np.ndarray:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, Const):
-            v = np.full(m, float(node.value))
-        elif isinstance(node, Coord):
-            if node.index >= points.shape[1]:
-                raise EvalError(
-                    f"points have {points.shape[1]} coordinates but expression uses "
-                    f"index {node.index}"
-                )
-            v = points[:, node.index].copy()
-        elif isinstance(node, Param):
-            try:
-                v = np.full(m, float(params[node.name]))
-            except KeyError:
-                raise EvalError(f"unbound parameter {node.name!r}") from None
-        elif isinstance(node, Sum):
-            v = np.zeros(m)
-            for t in node.terms:
-                v += rec(t)
-        elif isinstance(node, Product):
-            v = np.ones(m)
-            for f in node.factors:
-                v *= rec(f)
-        elif isinstance(node, Quotient):
-            den = rec(node.den)
-            zero = den == 0.0
-            if zero.any():
-                raise SingularityError(
-                    f"division by zero in {to_text(node)} at point {bad_point(zero)}",
-                    node,
-                    bad_point(zero),
-                )
-            v = rec(node.num) / den
-        elif isinstance(node, Pow):
-            b = rec(node.base)
-            if node.exponent < 0:
-                zero = b == 0.0
-                if zero.any():
-                    raise SingularityError(
-                        f"zero base with negative exponent in {to_text(node)} "
-                        f"at point {bad_point(zero)}",
-                        node,
-                        bad_point(zero),
-                    )
-            with np.errstate(over="ignore"):
-                v = b.astype(float) ** node.exponent
-        elif isinstance(node, Func):
-            if node.name == "atan2":
-                ay = rec(node.args[0])
-                ax = rec(node.args[1])
-                both = (ay == 0.0) & (ax == 0.0)
-                if both.any():
-                    raise SingularityError(
-                        f"atan2(0, 0) in {to_text(node)} at point {bad_point(both)}",
-                        node,
-                        bad_point(both),
-                    )
-                v = np.arctan2(ay, ax)
-            else:
-                a = rec(node.args[0])
-                if node.name == "ln":
-                    bad = a <= 0.0
-                    if bad.any():
-                        raise SingularityError(
-                            f"ln of nonpositive value in {to_text(node)} at point "
-                            f"{bad_point(bad)}",
-                            node,
-                            bad_point(bad),
-                        )
-                    v = np.log(a)
-                elif node.name == "sqrt":
-                    bad = a < 0.0
-                    if bad.any():
-                        raise SingularityError(
-                            f"sqrt of negative value in {to_text(node)} at point "
-                            f"{bad_point(bad)}",
-                            node,
-                            bad_point(bad),
-                        )
-                    v = np.sqrt(a)
-                else:
-                    with np.errstate(over="ignore"):
-                        v = {"sin": np.sin, "cos": np.cos, "exp": np.exp}[node.name](a)
-        else:
-            raise ExprError(f"unknown node {type(node).__name__}")
-        finite = np.isfinite(v)
-        if not finite.all():
-            raise SingularityError(
-                f"nonfinite value in {to_text(node)} at point {bad_point(~finite)}",
-                node,
-                bad_point(~finite),
-            )
-        memo[id(node)] = v
-        return v
-
-    try:
-        return rec(e)
-    finally:
-        del rec  # rec refers to itself; break the cycle so the memo dies here
+    return _eval_or_raise(e, points, params or {})
 
 
 # ---------------------------------------------------------------------------
@@ -1162,55 +1055,12 @@ def eval_many(
 
 
 def collect_params(e: ScalarExpr) -> tuple[str, ...]:
-    names: set[str] = set()
-
-    def rec(node):
-        if isinstance(node, Param):
-            names.add(node.name)
-        elif isinstance(node, Sum):
-            for t in node.terms:
-                rec(t)
-        elif isinstance(node, Product):
-            for f in node.factors:
-                rec(f)
-        elif isinstance(node, Quotient):
-            rec(node.num)
-            rec(node.den)
-        elif isinstance(node, Pow):
-            rec(node.base)
-        elif isinstance(node, Func):
-            for a in node.args:
-                rec(a)
-
-    rec(e)
-    return tuple(sorted(names))
+    return tuple(sorted({n.name for n in _subtrees(e) if isinstance(n, Param)}))
 
 
 def max_coord_index(e: ScalarExpr) -> int:
     """Largest coordinate index used, or -1 if none."""
-    best = -1
-
-    def rec(node):
-        nonlocal best
-        if isinstance(node, Coord):
-            best = max(best, node.index)
-        elif isinstance(node, Sum):
-            for t in node.terms:
-                rec(t)
-        elif isinstance(node, Product):
-            for f in node.factors:
-                rec(f)
-        elif isinstance(node, Quotient):
-            rec(node.num)
-            rec(node.den)
-        elif isinstance(node, Pow):
-            rec(node.base)
-        elif isinstance(node, Func):
-            for a in node.args:
-                rec(a)
-
-    rec(e)
-    return best
+    return max((n.index for n in _subtrees(e) if isinstance(n, Coord)), default=-1)
 
 
 def _const_text(v: Number) -> str:

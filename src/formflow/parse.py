@@ -43,6 +43,13 @@ class _Token:
 
 _OPS = set("+-*/^(),")
 
+# Deepest nesting of parentheses, function calls and prefix signs a config
+# expression may use.  The parser takes up to five Python frames per level
+# and simplify, differentiate, key and to_text two or three more, so a much
+# deeper expression would exhaust the interpreter's recursion limit; past
+# the cap it is a located config error instead.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
@@ -113,6 +120,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.chart = chart
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -121,6 +129,17 @@ class _Parser:
         t = self.tokens[self.pos]
         self.pos += 1
         return t
+
+    def enter(self, t: _Token) -> None:
+        """Open one nesting level at token t; leave() closes it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"expression nested deeper than {MAX_NESTING} levels", t.line, t.column
+            )
+
+    def leave(self) -> None:
+        self.depth -= 1
 
     def expect_op(self, op: str) -> _Token:
         t = self.peek()
@@ -157,7 +176,9 @@ class _Parser:
         t = self.peek()
         if t.kind == "op" and t.text in "+-":
             self.advance()
+            self.enter(t)
             inner = self.parse_unary()
+            self.leave()
             return inner if t.text == "+" else ex.negate(inner)
         return self.parse_power()
 
@@ -177,8 +198,10 @@ class _Parser:
         t = self.peek()
         if t.kind == "op" and t.text == "(":
             self.advance()
+            self.enter(t)
             k = self.parse_exponent()
             self.expect_op(")")
+            self.leave()
             return k
         sign = 1
         while t.kind == "op" and t.text in "+-":
@@ -198,8 +221,10 @@ class _Parser:
             return ex.Const(t.value)
         if t.kind == "op" and t.text == "(":
             self.advance()
+            self.enter(t)
             node = self.parse_expr()
             self.expect_op(")")
+            self.leave()
             return node
         if t.kind == "name":
             self.advance()
@@ -208,11 +233,13 @@ class _Parser:
                 if t.text not in ex.FUNCTION_ARITY:
                     raise ParseError(f"unknown function {t.text!r}", t.line, t.column)
                 self.advance()
+                self.enter(t)
                 args = [self.parse_expr()]
                 while self.peek().kind == "op" and self.peek().text == ",":
                     self.advance()
                     args.append(self.parse_expr())
                 self.expect_op(")")
+                self.leave()
                 if len(args) != ex.FUNCTION_ARITY[t.text]:
                     raise ParseError(
                         f"{t.text} takes {ex.FUNCTION_ARITY[t.text]} argument(s), "

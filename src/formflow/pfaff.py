@@ -165,27 +165,23 @@ def pfaff_sequence(a: Anatomy) -> PfaffSequence:
             break
         dimension += 1
 
-    pointwise = []
-    for p in a.points:
-        dim_at = 0
-        for w in elements:
-            if _nonzero_at(w, p, a.params):
-                dim_at += 1
-            else:
-                break
-        pointwise.append((p, dim_at))
-    return PfaffSequence(tuple(elements), tuple(verdicts), dimension, tuple(pointwise))
+    # elements x points; a point's dimension counts its leading nonzero rows
+    nonzero = np.array([_nonzero_at(w, a.points, a.params) for w in elements])
+    dims = np.logical_and.accumulate(nonzero, axis=0).sum(axis=0)
+    pointwise = tuple((p, int(d)) for p, d in zip(a.points, dims))
+    return PfaffSequence(tuple(elements), tuple(verdicts), dimension, pointwise)
 
 
-def _nonzero_at(w: DifferentialForm, point, params) -> bool:
-    for c in w.coeffs.values():
-        try:
-            v, scale = ex.eval_with_scale(c, point, params)
-        except SingularityError:
-            continue
-        if abs(v) > 1e-9 * (1.0 + scale):
-            return True
-    return False
+def _nonzero_at(w: DifferentialForm, points, params) -> np.ndarray:
+    """Per point: does some coefficient of w, nonsingular there, exceed the
+    zero test's tolerance?"""
+    out = np.zeros(len(points), dtype=bool)
+    if points:
+        rows = np.array(points, dtype=float)
+        for c in w.coeffs.values():
+            v, scale = ex.eval_rows(c, rows, params)
+            out |= np.abs(v) > 1e-9 * (1.0 + scale)  # False on singular (NaN) rows
+    return out
 
 
 def frobenius_integrable(a: Anatomy) -> bool:

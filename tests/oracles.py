@@ -132,12 +132,12 @@ def poly_from_expr(e, nvars: int, param_order: tuple[str, ...] = ()) -> Poly | N
 
 def eval_vector(V, point, params=None) -> np.ndarray:
     comps = V.effective_components()
-    return np.array([ex.eval_at(c, tuple(point), params) for c in comps])
+    return np.array([reference_eval_with_scale(c, point, params)[0] for c in comps])
 
 
 def eval_form(w, point, params=None) -> dict[tuple[int, ...], float]:
     return {
-        idx: ex.eval_at(c, tuple(point), params) for idx, c in w.coeffs.items()
+        idx: reference_eval_with_scale(c, point, params)[0] for idx, c in w.coeffs.items()
     }
 
 
@@ -344,6 +344,103 @@ def reference_differentiate(e, index: int):
         if e.name == "sqrt":
             return ex.quotient(da, ex.mul(ex.Const(2), e))
     raise ex.ExprError(f"unknown node {type(e).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# Scalar evaluation: one recursive walk per point through Python floats
+#
+# The evaluator as it was before the library ran every node as numpy
+# operations over a batch of rows: Python's arithmetic and math functions,
+# memoized by node identity, raising at the first singular operation.
+
+_MATH_FUNCS = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "exp": math.exp,
+    "ln": math.log,
+    "sqrt": math.sqrt,
+}
+
+
+def reference_eval_with_scale(e, point, params=None) -> tuple[float, float]:
+    pt = tuple(float(c) for c in point)
+    params = params or {}
+    memo: dict[int, float] = {}
+    scale = 0.0
+
+    def singular(kind, node):
+        return ex.SingularityError(f"{kind} in {ex.to_text(node)} at point {pt}", node, pt)
+
+    def rec(node) -> float:
+        nonlocal scale
+        got = memo.get(id(node))
+        if got is not None:
+            return got
+        if isinstance(node, ex.Const):
+            v = float(node.value)
+        elif isinstance(node, ex.Coord):
+            if node.index >= len(pt):
+                raise ex.EvalError(
+                    f"point has {len(pt)} coordinates but expression uses index {node.index}"
+                )
+            v = pt[node.index]
+        elif isinstance(node, ex.Param):
+            try:
+                v = float(params[node.name])
+            except KeyError:
+                raise ex.EvalError(f"unbound parameter {node.name!r}") from None
+        elif isinstance(node, ex.Sum):
+            v = 0.0
+            for t in node.terms:
+                v += rec(t)
+        elif isinstance(node, ex.Product):
+            v = 1.0
+            for f in node.factors:
+                v *= rec(f)
+        elif isinstance(node, ex.Quotient):
+            den = rec(node.den)
+            if den == 0.0:
+                raise singular("division by zero", node)
+            v = rec(node.num) / den
+        elif isinstance(node, ex.Pow):
+            b = rec(node.base)
+            if b == 0.0 and node.exponent < 0:
+                raise singular("zero base with negative exponent", node)
+            try:
+                v = b ** node.exponent
+            except OverflowError:
+                raise singular("overflow", node) from None
+        elif isinstance(node, ex.Func):
+            if node.name == "atan2":
+                ay = rec(node.args[0])
+                ax = rec(node.args[1])
+                if ay == 0.0 and ax == 0.0:
+                    raise singular("atan2(0, 0)", node)
+                v = math.atan2(ay, ax)
+            else:
+                a = rec(node.args[0])
+                if node.name == "ln" and a <= 0.0:
+                    raise singular("ln of nonpositive value", node)
+                if node.name == "sqrt" and a < 0.0:
+                    raise singular("sqrt of negative value", node)
+                try:
+                    v = _MATH_FUNCS[node.name](a)
+                except OverflowError:
+                    raise singular("overflow", node) from None
+        else:
+            raise ex.ExprError(f"unknown node {type(node).__name__}")
+        if not math.isfinite(v):
+            raise singular("nonfinite value", node)
+        memo[id(node)] = v
+        a = abs(v)
+        if a > scale:
+            scale = a
+        return v
+
+    try:
+        return rec(e), scale
+    finally:
+        del rec  # rec refers to itself; break the cycle so the memo dies here
 
 
 # ---------------------------------------------------------------------------

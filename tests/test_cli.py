@@ -12,6 +12,7 @@ import pytest
 import formflow.chains as ch
 import formflow.cli as cli
 import formflow.expr as ex
+import formflow.parse as parse
 import formflow.systems as sy
 import formflow.thermo as th
 
@@ -205,15 +206,14 @@ def test_main_inconclusive_run_exits_3(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_main_crash_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
-    deep = "x"
-    for _ in range(400):
-        deep = f"sin({deep})"
-    cfg = tmp_path / "deep.cfg"
-    cfg.write_text(f"[run]\nbattery = pfaff\n\n[system]\naction = {deep}, 0, 0, 0\n")
-    assert cli.main(["run", str(cfg), "--no-summary"]) == 3  # parse_config recurses
+def test_main_crash_exits_3_with_one_line(capsys, monkeypatch):
+    def recurse(cfg):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "run", recurse)
+    assert cli.main(["run", "--preset", "harmonic.winding", "--no-summary"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("internal error: RecursionError: ") and err.count("\n") == 1
+    assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
     def crash(cfg):
         raise ZeroDivisionError("first line\nsecond line")
@@ -221,6 +221,27 @@ def test_main_crash_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run", crash)
     assert cli.main(["run", "--preset", "harmonic.winding", "--no-summary"]) == 3
     assert capsys.readouterr().err == "internal error: ZeroDivisionError: first line\n"
+
+
+def test_main_deep_nesting_is_a_config_error(tmp_path, capsys):
+    def config(depth):
+        deep = "x"
+        for _ in range(depth):
+            deep = f"sin({deep})"
+        cfg = tmp_path / f"deep{depth}.cfg"
+        cfg.write_text(f"[run]\nbattery = pfaff\n\n[system]\naction = {deep}, 0, 0, 0\n")
+        return str(cfg)
+
+    assert cli.main(["run", config(parse.MAX_NESTING), "--no-summary"]) in (0, 1)
+    capsys.readouterr()
+    assert cli.main(["run", config(parse.MAX_NESTING + 1), "--no-summary"]) == 2
+    column = 4 * parse.MAX_NESTING + 1  # the sin that opens one level too many
+    assert capsys.readouterr().err == (
+        f"config error: line 5, column 10: line 1, column {column}: "
+        f"expression nested deeper than {parse.MAX_NESTING} levels\n"
+    )
+    # the 400-deep config that used to exhaust the recursion limit
+    assert cli.main(["run", config(400), "--no-summary"]) == 2
 
 
 def test_main_constant_zero_denominator_is_a_config_error(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +18,7 @@ from corpus import (
 )
 from oracles import (
     poly_add, poly_diff, poly_from_expr, poly_is_zero, poly_mul, reference_differentiate,
-    reference_simplify, reference_zero_test,
+    reference_eval_with_scale, reference_simplify, reference_zero_test,
 )
 
 X, Y, Z, T = (ex.coord(i) for i in range(4))
@@ -301,15 +302,113 @@ def test_eval_rows_matches_eval_with_scale_row_by_row(seed):
             assert (values[i], scales[i]) == want
 
 
-def test_eval_rows_uses_the_scalar_power_exp_ln_and_atan2():
-    # numpy's power, exp, log and arctan2 differ from Python's in the last
-    # bit on a fraction of a percent of inputs; thousands of rows show it
+def test_eval_rows_equals_single_point_evaluation_bit_for_bit():
+    # a batch row and the same point evaluated alone run the same numpy
+    # operations; power, exp, log and arctan2 are where a batch loop and a
+    # one-element one could part in the last bit, and thousands of rows
+    # would show it
     box = ex.Box(lows=(0.01, -3.0, -3.0, -3.0), highs=(3.0, 3.0, 3.0, 3.0))
     points, _ = ex.draw_rows(box, rng(17), (), 4000)
     for e in (ex.power(Y, 3), ex.power(Z, -5), ex.exp(Y), ex.ln(X), ex.atan2(Y, Z)):
         values, _ = ex.eval_rows(e, points, {})
         want = [ex.eval_at(e, tuple(row)) for row in points]
         assert values.tolist() == want, ex.to_text(e)
+
+
+def test_singular_rows_stay_singular_and_points_are_python_floats():
+    # numpy's nan ** 0 is 1, so a singular base must be carried past a
+    # hand-built zeroth power
+    e = ex.Pow(ex.quotient(ex.ONE, X), 0)
+    points = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
+    values, _ = ex.eval_rows(e, points, {})
+    assert values[0] == 1.0 and math.isnan(values[1])
+    calls = (
+        lambda: ex.eval_at(e, points[1]),
+        lambda: ex.eval_with_scale(e, tuple(points[1])),
+        lambda: ex.eval_many(e, points),
+    )
+    for call in calls:
+        with pytest.raises(ex.SingularityError) as err:
+            call()
+        assert str(err.value) == "division by zero in 1 / x0 at point (0.0, 2.0, 0.0, 0.0)"
+        assert err.value.point == (0.0, 2.0, 0.0, 0.0)
+        assert all(type(c) is float for c in err.value.point)
+
+
+# One row per singular kind (and a few finite ones) appended to the drawn
+# rows of the differential test; parameters a = b = 1 there.
+SINGULAR_ROWS = [
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 1.5, -0.5, 1.0),
+    (2.0, 2.0, 0.0, -1.0),
+    (800.0, -1.0, 0.0, 0.0),
+    (-1.0, 0.0, 0.0, 1.0),
+    (1.0, 0.0, 2.0, 0.0),
+]
+SINGULAR_KINDS = [
+    ex.quotient(A, X),                                   # division by zero
+    ex.Pow(ex.quotient(ex.ONE, X), 0),                   # ... under a zeroth power
+    ex.quotient(ex.ln(X), Y),                            # zero denominator, singular numerator
+    ex.quotient(Y, ex.ln(X)),                            # ln(1) = 0 as a denominator
+    ex.power(X, -3),                                     # zero base, negative exponent
+    ex.power(X, 400),                                    # overflow in **
+    ex.exp(ex.mul(ex.Const(400), X)),                    # overflow in exp
+    ex.mul(ex.exp(ex.mul(ex.Const(300), X)), ex.exp(ex.mul(ex.Const(300), Y))),  # nonfinite
+    ex.ln(ex.add(X, ex.mul(B, Z))),                      # ln of a nonpositive value
+    ex.sqrt(ex.negate(Y)),                               # sqrt of a negative value
+    ex.atan2(Y, Z),                                      # atan2(0, 0)
+    ex.add(ex.atan2(ex.power(Y, 700), X), ex.sin(ex.quotient(Z, ex.sqrt(X)))),
+]
+
+
+def assert_same_singularity(got: ex.SingularityError, want: ex.SingularityError):
+    assert str(got) == str(want)
+    assert got.subexpression == want.subexpression
+    assert got.point == want.point
+
+
+@pytest.mark.parametrize("seed", [3, 8, 21])
+def test_walker_matches_the_scalar_reference(seed):
+    box = ex.Box(lows=(-2.0,) * 4, highs=(2.0,) * 4)
+    drawn, params = ex.draw_rows(box, rng(seed), ("a", "b"), 64)
+    points = np.vstack([drawn, SINGULAR_ROWS])
+    params = {nm: np.concatenate([col, np.ones(len(SINGULAR_ROWS))])
+              for nm, col in params.items()}
+    kinds = set()
+    for e in corpus_exprs(seed) + SINGULAR_KINDS:
+        values, scales = ex.eval_rows(e, points, params)
+        for i, row in enumerate(points):
+            pr = {nm: float(params[nm][i]) for nm in params}
+            try:
+                want, want_scale = reference_eval_with_scale(e, row, pr)
+            except ex.SingularityError as want_err:
+                kinds.add(str(want_err).split(" in ")[0])
+                assert math.isnan(values[i]), ex.to_text(e)
+                with pytest.raises(ex.SingularityError) as got:
+                    ex.eval_with_scale(e, row, pr)
+                assert_same_singularity(got.value, want_err)
+                continue
+            bound = 1e-14 * (1.0 + want_scale)
+            assert abs(values[i] - want) <= bound, ex.to_text(e)
+            assert abs(scales[i] - want_scale) <= bound, ex.to_text(e)
+        # eval_many raises as the reference does at the row it names: no
+        # node before the failing one is singular at any row
+        fixed = {"a": 1.0, "b": 1.0}
+        try:
+            many = ex.eval_many(e, points, fixed)
+        except ex.SingularityError as err:
+            i = [tuple(row.tolist()) for row in points].index(err.point)
+            with pytest.raises(ex.SingularityError) as want:
+                reference_eval_with_scale(e, points[i], fixed)
+            assert_same_singularity(err, want.value)
+            continue
+        for row, v in zip(points, many):
+            want, want_scale = reference_eval_with_scale(e, row, fixed)
+            assert abs(v - want) <= 1e-14 * (1.0 + want_scale), ex.to_text(e)
+    assert kinds == {
+        "division by zero", "zero base with negative exponent", "overflow",
+        "nonfinite value", "ln of nonpositive value", "sqrt of negative value", "atan2(0, 0)",
+    }
 
 
 def test_box_guard_parameters_are_drawn():
