@@ -575,11 +575,9 @@ def period_spectrum(
     periods of non-closed forms are path-dependent numbers, not topological
     ones.
     """
-    dw = fm.exterior_derivative(w)
-    if not dw.is_syntactically_zero:
-        for c in dw.coeffs.values():
-            if not context.test(c):
-                raise ChainError("period spectrum requires a closed form")
+    for c in fm.exterior_derivative(w).coeffs.values():
+        if not context.test(c):
+            raise ChainError("period spectrum requires a closed form")
     return PeriodSpectrum.of(
         [integrate(w, c, order=order, params=params) for c in cycles], floor
     )

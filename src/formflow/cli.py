@@ -745,10 +745,6 @@ def _verdict_dict(v: ZeroVerdict) -> dict:
     return out
 
 
-def _form_text(w: DifferentialForm) -> str:
-    return fm.form_to_text(w)
-
-
 @dataclass
 class _Runtime:
     """One run's inputs and the anatomy of its action.
@@ -779,6 +775,13 @@ class _Runtime:
             return self.anatomy.points[0]
         box = self.context.box
         return tuple((lo + hi) / 2.0 for lo, hi in zip(box.lows, box.highs))
+
+    def sample(self, e: ex.ScalarExpr) -> float | None:
+        """e at the probe point, or None where it is singular there."""
+        try:
+            return ex.eval_at(e, self.probe_point(), self.params)
+        except ex.ExprError:
+            return None
 
 
 def _build_runtime(cfg: RunConfig) -> _Runtime:
@@ -907,20 +910,12 @@ def _battery_pfaff(rt: _Runtime, checks: list[_Check]) -> dict:
     )
     if rt.chart.dim == 4 and rt.action.degree == 1:
         data = rt.anatomy.torsion
-        point = rt.probe_point()
-
-        def sample(e: ex.ScalarExpr) -> float | None:
-            try:
-                return ex.eval_at(e, point, rt.params)
-            except ex.ExprError:
-                return None
-
         out["torsion"] = {
             "vector": [ex.to_text(c, rt.chart) for c in data.vector.components],
             "gamma": ex.to_text(data.gamma, rt.chart),
-            "gamma_at_probe": sample(data.gamma),
+            "gamma_at_probe": rt.sample(data.gamma),
             "parity_coefficient": ex.to_text(data.parity_coefficient, rt.chart),
-            "parity_at_probe": sample(data.parity_coefficient),
+            "parity_at_probe": rt.sample(data.parity_coefficient),
             "helicity_density": ex.to_text(data.helicity_density, rt.chart),
         }
         genus = rt.anatomy.genus
@@ -947,9 +942,9 @@ def _battery_thermo(rt: _Runtime, checks: list[_Check]) -> dict:
         entry = {
             "category": rep.category,
             "flags": rep.flags.as_dict(),
-            "Q": _form_text(rep.Q),
-            "W": _form_text(rep.W),
-            "U": _form_text(rep.U),
+            "Q": fm.form_to_text(rep.Q),
+            "W": fm.form_to_text(rep.W),
+            "U": fm.form_to_text(rep.U),
             "heat_pfaff_dimension": rep.pfaff.dimension,
             "work_periods": list(rep.work_periods),
             "second_variation": {
@@ -1103,7 +1098,7 @@ def _battery_residuals(rt: _Runtime, checks: list[_Check]) -> dict:
     tester = rt.context
     if isinstance(rt.system, sy.FluidSystem):
         s = rt.system
-        vort = sy.vorticity_fields(s)  # raises on broken induction identities
+        vort = sy.vorticity_fields(s, tester)  # raises on broken induction identities
         out["vorticity"] = [ex.to_text(c, rt.chart) for c in vort.omega]
         out["acceleration"] = [ex.to_text(c, rt.chart) for c in vort.acceleration]
         checks.append(
@@ -1118,7 +1113,7 @@ def _battery_residuals(rt: _Runtime, checks: list[_Check]) -> dict:
         eng = sy.ns_engineering_torsion(s, rt.anatomy)
         ns = eng.ns
         out["momentum_residual"] = [ex.to_text(c, rt.chart) for c in ns.residual]
-        out["work_form"] = _form_text(ns.work_form)
+        out["work_form"] = fm.form_to_text(ns.work_form)
         checks.append(
             _Check(
                 "residuals",
@@ -1139,7 +1134,7 @@ def _battery_residuals(rt: _Runtime, checks: list[_Check]) -> dict:
             "agrees_on_solution": eng.ns_satisfied,
             "warning": eng.warning,
         }
-        mass = sy.mass_current(ex.ONE, s.velocity)
+        mass = sy.mass_current(ex.ONE, s.velocity, tester)
         incompressible = tester.test(mass.residual)
         out["incompressibility"] = _verdict_dict(incompressible)
         checks.append(
@@ -1152,23 +1147,15 @@ def _battery_residuals(rt: _Runtime, checks: list[_Check]) -> dict:
         )
     elif isinstance(rt.system, sy.EMSystem):
         rep = sy.em_diagnostics(rt.system, rt.anatomy)
-        point = rt.probe_point()
-
-        def sample(e: ex.ScalarExpr) -> float | None:
-            try:
-                return ex.eval_at(e, point, rt.params)
-            except ex.ExprError:
-                return None
-
         out["E"] = [ex.to_text(c, rt.chart) for c in rep.E]
         out["B"] = [ex.to_text(c, rt.chart) for c in rep.B]
         out["current"] = [ex.to_text(c, rt.chart) for c in rep.current]
         out["helicity_density"] = ex.to_text(rep.helicity_density, rt.chart)
         out["gamma"] = ex.to_text(rep.torsion.gamma, rt.chart)
-        out["gamma_at_probe"] = sample(rep.torsion.gamma)
+        out["gamma_at_probe"] = rt.sample(rep.torsion.gamma)
         out["parity_coefficient"] = ex.to_text(rep.parity_coefficient, rt.chart)
         out["listed_parity"] = ex.to_text(rep.listed_parity, rt.chart)
-        out["parity_at_probe"] = sample(rep.parity_coefficient)
+        out["parity_at_probe"] = rt.sample(rep.parity_coefficient)
         out["genus"] = rep.genus.genus
         out["torsion_process_category"] = rep.process.category
         checks.append(

@@ -9,13 +9,14 @@ x**0 -> 1, and zero annihilation.  No trigonometric or rational rewrites
 are performed; equality of expressions beyond syntax is the job of the
 probabilistic zero test, not the simplifier.
 
-Construction normalizes once.  A node that a constructor builds from
-normal inputs, and that the full simplify() rebuild would return unchanged,
-is marked normal, and simplify() returns it as it is.  Nodes the rebuild
-would still change stay unmarked, and so does every node above them: a Pow
-that mul() builds over a quotient, product, power or constant base (q*q
-is Pow(q, 2); the rebuild gives num^2/den^2), and nodes built from a
-hand-built Sum or Product nested in another.
+Construction normalizes once.  Every node a constructor builds from normal
+inputs is normal: it is what the full simplify() rebuild would return, and
+it is marked, so simplify() returns it as it is.  mul() sends a merged power
+of a constant, quotient, product or power through power() at once (q*q is
+num^2/den^2, not Pow(q, 2)).  Only hand-built trees (a Sum or Product
+nested in another, say) and the nodes built over them stay unmarked;
+simplify() runs where such trees enter: form, vector field and chain cell
+construction, and the zero test.
 
 Each compound node keeps its partial derivatives, one per coordinate, for
 its lifetime.  exp and sqrt nodes keep none: their derivatives contain the
@@ -386,7 +387,7 @@ def as_expr(v) -> ScalarExpr:
 # Each constructor assumes its inputs are already normalized and applies one
 # layer of local rules; full simplify() runs these bottom-up.  A node a
 # constructor builds is marked normal (see _mark) when every input it was
-# built from is marked and the node is a fixed point of that rebuild.
+# built from is marked; it is then a fixed point of that rebuild.
 
 
 def const(v: Number) -> Const:
@@ -489,25 +490,27 @@ def mul(*factors) -> ScalarExpr:
         else:
             bases[k][1] += expo
 
+    if coeff == 0:
+        return ZERO
     rest: list[ScalarExpr] = []
-    rewritten = False
+    folded = False
     for k in sorted(order):
         base, expo = bases[k]
         if expo == 0:
             continue
         if expo == 1:
             rest.append(base)
-            continue
-        # simplify() sends Pow(base, expo) through power(), which folds a
-        # constant base and expands a quotient, product or power: q*q
-        # builds Pow(q, 2), simplify() gives num^2/den^2
-        folds = isinstance(base, (Const, Quotient, Product, Pow))
-        rewritten = rewritten or folds
-        rest.append(_mark(Pow(base, expo), normal and not folds))
-    normal = normal and not rewritten
+        elif not normal:
+            rest.append(Pow(base, expo))  # over a hand-built input: simplify() rebuilds it
+        else:
+            # power() folds a constant base and expands a quotient, product
+            # or power (q*q is num^2/den^2), as simplify() would
+            p = power(base, expo)
+            folded = folded or not (isinstance(p, Pow) and p.base is base)
+            rest.append(p)
+    if folded:
+        return mul(*((Const(coeff),) if coeff != 1 else ()), *rest)
 
-    if coeff == 0:
-        return ZERO
     if not rest:
         return Const(coeff)
     if coeff != 1:

@@ -29,7 +29,6 @@ __all__ = [
     "form_from_coeffs",
     "scalar_form",
     "one_form",
-    "coordinate_differential",
     "volume_form",
     "add_forms",
     "sub_forms",
@@ -150,10 +149,10 @@ class VectorField:
     def effective_components(self) -> tuple[ScalarExpr, ...]:
         if ex.is_syntactic_zero(self.support - ex.ONE) or self.support == ex.ONE:
             return self.components
-        return tuple(ex.simplify(ex.mul(self.support, c)) for c in self.components)
+        return tuple(ex.mul(self.support, c) for c in self.components)
 
     def rescaled(self, f: ScalarExpr) -> "VectorField":
-        return VectorField(self.chart, self.components, ex.simplify(ex.mul(self.support, f)))
+        return VectorField(self.chart, self.components, ex.mul(self.support, f))
 
     def __repr__(self):
         comps = ", ".join(ex.to_text(c, self.chart) for c in self.components)
@@ -186,11 +185,6 @@ def one_form(chart: Chart, components: Sequence) -> DifferentialForm:
     return DifferentialForm(
         chart, 1, {(k,): ex.as_expr(c) for k, c in enumerate(components)}
     )
-
-
-def coordinate_differential(chart: Chart, index: int) -> DifferentialForm:
-    """The basis 1-form dx^index."""
-    return DifferentialForm(chart, 1, {(index,): ex.ONE})
 
 
 def volume_form(chart: Chart) -> DifferentialForm:
@@ -236,7 +230,8 @@ def scale_form(f, w: DifferentialForm) -> DifferentialForm:
 
 
 def exterior_derivative(w: DifferentialForm) -> DifferentialForm:
-    """The exterior derivative; dd = 0 holds symbolically."""
+    """The exterior derivative.  dd = 0 holds identically, though for
+    quotient coefficients not always as a syntactic tree."""
     chart = w.chart
     n = chart.dim
     if w.degree == n:

@@ -43,11 +43,12 @@ class _Token:
 
 _OPS = set("+-*/^(),")
 
-# Deepest nesting of parentheses, function calls and prefix signs a config
-# expression may use.  The parser takes up to five Python frames per level
-# and simplify, differentiate, key and to_text two or three more, so a much
-# deeper expression would exhaust the interpreter's recursion limit; past
-# the cap it is a located config error instead.
+# Deepest nesting of parentheses, function calls, prefix signs and divisions
+# a config expression may use; each '/' in a term nests one more Quotient.
+# The parser takes up to five Python frames per level and simplify,
+# differentiate, key and to_text two or three more, so a much deeper
+# expression would exhaust the interpreter's recursion limit; past the cap
+# it is a located config error instead.
 MAX_NESTING = 100
 
 
@@ -160,16 +161,21 @@ class _Parser:
 
     def parse_term(self) -> ex.ScalarExpr:
         node = self.parse_unary()
+        divisions = 0  # each '/' nests the term one Quotient deeper
         while True:
             t = self.peek()
             if t.kind == "op" and t.text in "*/":
                 self.advance()
+                if t.text == "/":
+                    divisions += 1
+                    self.enter(t)
                 rhs = self.parse_unary()
                 try:
                     node = ex.mul(node, rhs) if t.text == "*" else ex.quotient(node, rhs)
                 except ex.ExprError as e:
                     raise ParseError(str(e), t.line, t.column) from None
             else:
+                self.depth -= divisions
                 return node
 
     def parse_unary(self) -> ex.ScalarExpr:

@@ -49,6 +49,7 @@ __all__ = [
     "projectivize",
     "euler_integrand",
     "form_is_zero",
+    "require_zero",
 ]
 
 
@@ -115,6 +116,25 @@ def form_is_zero(w: DifferentialForm, tester: ZeroTester) -> ZeroVerdict:
         if not v:
             return v
     return ZeroVerdict(zero=True, syntactic=w.is_syntactically_zero)
+
+
+def require_zero(
+    x: ScalarExpr | Sequence[ScalarExpr] | DifferentialForm, context: ZeroTester, what: str
+) -> None:
+    """Check an identity that holds by construction: x must vanish.
+
+    x is an expression, a sequence of expressions or a form.  A syntactic
+    zero costs no sample; anything else is zero-tested on `context`, the
+    run's zero tester.  A failure raises InternalConsistencyError naming
+    `what`, the witness point and the value there.
+    """
+    if isinstance(x, DifferentialForm):
+        x = tuple(x.coeffs.values())
+    for e in (x,) if isinstance(x, ScalarExpr) else x:
+        v = context.test(e)
+        if not v:
+            at = "every point" if v.witness is None else v.witness
+            raise InternalConsistencyError(f"{what} at {at} (value {v.witness_value})")
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +291,9 @@ def torsion_data(a: Anatomy) -> TorsionData:
     comps = torsion_vector(H)
     T = VectorField(chart, comps)
 
-    # reconstruction check is exact: i(T)Omega must reproduce H syntactically
     recon = fm.interior(T, fm.volume_form(chart))
-    if not fm.sub_forms(recon, H).is_syntactically_zero:
-        raise InternalConsistencyError("i(T)Omega does not reproduce A^dA")
-
-    contraction = fm.interior(T, A)  # 0-form, must vanish
-    v = a.context.test(contraction.coeff(()))
-    if not v:
-        raise InternalConsistencyError(
-            f"i(T)A failed the zero test at {v.witness} (value {v.witness_value})"
-        )
+    require_zero(fm.sub_forms(recon, H), a.context, "i(T)Omega does not reproduce A^dA")
+    require_zero(fm.interior(T, A), a.context, "i(T)A failed to vanish")
 
     gamma = _extract_gamma(A, a.dA, T, a.context)
 
@@ -302,7 +314,7 @@ def _extract_gamma(
         a_mu = A.coeff((mu,))
         if ex.is_syntactic_zero(a_mu):
             continue
-        candidates.append((mu, ex.simplify(ex.quotient(M.coeff((mu,)), a_mu))))
+        candidates.append((mu, ex.quotient(M.coeff((mu,)), a_mu)))
 
     if not candidates:
         # A is the zero form; proportionality is vacuous
@@ -311,22 +323,19 @@ def _extract_gamma(
     mu0, gamma = candidates[0]
     guard0 = A.coeff((mu0,))
     for mu, g in candidates[1:]:
-        guarded = tester.with_guards(guard0, A.coeff((mu,)))
-        v = guarded.test(gamma - g)
-        if not v:
-            raise InternalConsistencyError(
-                f"Gamma candidates from components {mu0} and {mu} disagree "
-                f"at {v.witness} (value {v.witness_value})"
-            )
+        require_zero(
+            gamma - g,
+            tester.with_guards(guard0, A.coeff((mu,))),
+            f"Gamma candidates from components {mu0} and {mu} disagree",
+        )
 
     guarded = tester.with_guards(guard0)
     for mu in range(A.chart.dim):
-        residual = M.coeff((mu,)) - ex.mul(gamma, A.coeff((mu,)))
-        v = guarded.test(residual)
-        if not v:
-            raise InternalConsistencyError(
-                f"i(T)dA - Gamma*A nonzero in component {mu} at {v.witness}"
-            )
+        require_zero(
+            M.coeff((mu,)) - ex.mul(gamma, A.coeff((mu,))),
+            guarded,
+            f"i(T)dA - Gamma*A nonzero in component {mu}",
+        )
     return gamma
 
 
@@ -334,9 +343,7 @@ def parity(a: Anatomy) -> tuple[DifferentialForm, ScalarExpr]:
     """Parity 4-form K = dA^dA and its lone coefficient; checks dH = K."""
     _require_4chart(a.A)
     K = fm.wedge(a.dA, a.dA)
-    defect = fm.sub_forms(a.K, K)
-    if not defect.is_syntactically_zero and not form_is_zero(defect, a.context):
-        raise InternalConsistencyError("d(A^dA) differs from dA^dA")
+    require_zero(fm.sub_forms(a.K, K), a.context, "d(A^dA) differs from dA^dA")
     return K, K.coeff((0, 1, 2, 3))
 
 

@@ -29,7 +29,7 @@ from . import pfaff as pf
 from . import thermo as th
 from .expr import Box, ScalarExpr, ZeroTester
 from .forms import DifferentialForm, VectorField
-from .pfaff import Anatomy, InternalConsistencyError
+from .pfaff import Anatomy
 
 __all__ = [
     "COMPONENT_LIST_SIGN",
@@ -127,10 +127,6 @@ def _neg3(u: Vec3) -> Vec3:
     return tuple(ex.negate(c) for c in u)
 
 
-def _simp3(u: Vec3) -> Vec3:
-    return tuple(ex.simplify(c) for c in u)
-
-
 def _as_vec3(components) -> Vec3:
     comps = tuple(ex.as_expr(c) for c in components)
     if len(comps) != 3:
@@ -138,8 +134,12 @@ def _as_vec3(components) -> Vec3:
     return comps
 
 
-def _vec3_is_zero(u: Vec3, tester: ZeroTester) -> bool:
-    return all(tester.test(c).zero for c in u)
+def _require_listed(T: VectorField, listed, context: ZeroTester, what: str) -> None:
+    """The solving vector T must equal COMPONENT_LIST_SIGN times a classical
+    (T_x, T_y, T_z, h) list."""
+    sign = ex.Const(COMPONENT_LIST_SIGN)
+    gaps = [ex.add(t, ex.negate(ex.mul(sign, c))) for t, c in zip(T.components, listed)]
+    pf.require_zero(gaps, context, what)
 
 
 def _transversal_form(coeffs: Vec3, v: Vec3) -> DifferentialForm:
@@ -178,12 +178,7 @@ class FluidSystem:
 
     def hamiltonian(self) -> ScalarExpr:
         v = self.velocity
-        return ex.simplify(
-            ex.add(
-                ex.mul(ex.Const(0.5), _dot(v, v)),
-                self.pressure_potential,
-            )
-        )
+        return ex.add(ex.mul(ex.Const(0.5), _dot(v, v)), self.pressure_potential)
 
     def action(self) -> DifferentialForm:
         v = self.velocity
@@ -229,10 +224,8 @@ class EMSystem:
     def fields(self) -> tuple[Vec3, Vec3]:
         """(E, B) with B = curl of the vector potential and
         E = -d(vector potential)/dt - grad of the scalar potential."""
-        B = _simp3(_curl(self.vector_potential))
-        E = _simp3(
-            _sub3(_neg3(_time(self.vector_potential)), _grad(self.scalar_potential))
-        )
+        B = _curl(self.vector_potential)
+        E = _sub3(_neg3(_time(self.vector_potential)), _grad(self.scalar_potential))
         return E, B
 
 
@@ -247,18 +240,19 @@ class VorticityFields:
     F: DifferentialForm  # dA, assembled from (omega, a) and cross-checked
 
 
-def vorticity_fields(s: FluidSystem) -> VorticityFields:
+def vorticity_fields(s: FluidSystem, context: ZeroTester) -> VorticityFields:
     """Vorticity and acceleration with their induction identities.
 
     The 2-form F is assembled directly from (omega, a) and must agree with
-    d(action); curl a + d(omega)/dt = 0 and div omega = 0 must cancel
-    symbolically.  Failures raise: these hold for any twice-differentiable
-    velocity, so a failure is a library bug, not a modeling problem.
+    d(action); curl a + d(omega)/dt = 0 and div omega = 0 must vanish on
+    `context`, the run's zero tester.  Failures raise: these hold for any
+    twice-differentiable velocity, so a failure is a library bug, not a
+    modeling problem.
     """
     v = s.velocity
     H = s.hamiltonian()
-    omega = _simp3(_curl(v))
-    a = _simp3(_sub3(_neg3(_time(v)), _grad(H)))
+    omega = _curl(v)
+    a = _sub3(_neg3(_time(v)), _grad(H))
 
     F_built = fm.form_from_coeffs(
         SPACETIME,
@@ -273,17 +267,12 @@ def vorticity_fields(s: FluidSystem) -> VorticityFields:
         },
     )
     dA = fm.exterior_derivative(s.action())
-    if not fm.sub_forms(F_built, dA).is_syntactically_zero:
-        raise InternalConsistencyError(
-            "assembled vorticity 2-form disagrees with d(action)"
-        )
-
-    induction = _add3(_curl(a), _time(omega))
-    for comp in induction:
-        if not ex.is_syntactic_zero(ex.simplify(comp)):
-            raise InternalConsistencyError("curl a + d(omega)/dt failed to vanish")
-    if not ex.is_syntactic_zero(ex.simplify(_div(omega))):
-        raise InternalConsistencyError("div omega failed to vanish")
+    what = "assembled vorticity 2-form disagrees with d(action)"
+    pf.require_zero(fm.sub_forms(F_built, dA), context, what)
+    pf.require_zero(
+        _add3(_curl(a), _time(omega)), context, "curl a + d(omega)/dt failed to vanish"
+    )
+    pf.require_zero(_div(omega), context, "div omega failed to vanish")
     return VorticityFields(omega, a, F_built)
 
 
@@ -295,11 +284,9 @@ def euler_residual(s: FluidSystem) -> Vec3:
     """
     v = s.velocity
     omega = _curl(v)
-    return _simp3(
-        _add3(
-            _add3(_time(v), _grad(ex.mul(ex.Const(0.5), _dot(v, v)))),
-            _sub3(_grad(s.pressure_potential), _cross(v, omega)),
-        )
+    return _add3(
+        _add3(_time(v), _grad(ex.mul(ex.Const(0.5), _dot(v, v)))),
+        _sub3(_grad(s.pressure_potential), _cross(v, omega)),
     )
 
 
@@ -317,16 +304,16 @@ def navier_stokes_residual(s: FluidSystem, anatomy: Anatomy) -> NSReport:
     the classical viscous momentum balance holds (the viscous force enters
     as -nu curl curl v, the rotational part of nu Laplacian(v)).  The work
     form is the transversal format -nu (curl omega) . (dx - v dt); the
-    identity  i(V)dA - work_form = residual . (dx - v dt)  is checked
-    symbolically, which is exactly the statement that the first-law work
-    reduces to the viscous work on solutions.  `anatomy` is that of
+    identity  i(V)dA - work_form = residual . (dx - v dt)  is checked on
+    the anatomy's context, which is exactly the statement that the
+    first-law work reduces to the viscous work on solutions.  `anatomy` is that of
     s.action().
     """
     v = s.velocity
     nu = s.viscosity
     omega = _curl(v)
     curl_omega = _curl(omega)
-    residual = _simp3(_add3(euler_residual(s), _scale3(nu, curl_omega)))
+    residual = _add3(euler_residual(s), _scale3(nu, curl_omega))
 
     work = _transversal_form(_scale3(ex.negate(nu), curl_omega), v)
     _, first_law_work, _ = th.first_law(anatomy, s.spacetime_velocity())
@@ -334,11 +321,9 @@ def navier_stokes_residual(s: FluidSystem, anatomy: Anatomy) -> NSReport:
         fm.sub_forms(first_law_work, work), _transversal_form(residual, v)
     )
     tester = anatomy.context
-    if not gap.is_syntactically_zero and not pf.form_is_zero(gap, tester).zero:
-        raise InternalConsistencyError(
-            "first-law work does not split into viscous work plus residual"
-        )
-
+    pf.require_zero(
+        gap, tester, "first-law work does not split into viscous work plus residual"
+    )
     satisfied = all(tester.test(c).zero for c in residual)
     return NSReport(residual, work, satisfied)
 
@@ -355,36 +340,29 @@ def torsion_current(s: FluidSystem, anatomy: Anatomy) -> TorsionCurrent:
     """Torsion current (a x v + H omega, v . omega) and its balance law.
 
     div T + dh/dt = -2 (a . omega) holds for any velocity field; the
-    residual is checked symbolically with a sampled fallback.  The current
-    is also cross-checked against the solving vector of i(T)Omega = A^dA,
+    residual is checked on the anatomy's context.  The current is also
+    cross-checked against the solving vector of i(T)Omega = A^dA,
     which it must equal up to COMPONENT_LIST_SIGN.  `anatomy` is that of
     s.action().
     """
     v = s.velocity
     H = s.hamiltonian()
-    vort = vorticity_fields(s)
+    tester = anatomy.context
+    vort = vorticity_fields(s, tester)
     omega, a = vort.omega, vort.acceleration
 
-    current = _simp3(_add3(_cross(a, v), _scale3(H, omega)))
-    h = ex.simplify(_dot(v, omega))
-    anomaly = ex.simplify(ex.mul(ex.Const(-2), _dot(a, omega)))
+    current = _add3(_cross(a, v), _scale3(H, omega))
+    h = _dot(v, omega)
+    anomaly = ex.mul(ex.Const(-2), _dot(a, omega))
 
-    balance = ex.simplify(
-        ex.add(_div(current), _d(h, 3), ex.negate(anomaly))
+    balance = ex.add(_div(current), _d(h, 3), ex.negate(anomaly))
+    pf.require_zero(balance, tester, "torsion balance law failed")
+    _require_listed(
+        anatomy.torsion.vector,
+        (current[0], current[1], current[2], h),
+        tester,
+        "torsion current disagrees with the solving vector of i(T)Omega = A^dA",
     )
-    tester = anatomy.context
-    if not ex.is_syntactic_zero(balance) and not tester.test(balance).zero:
-        raise InternalConsistencyError("torsion balance law failed")
-
-    listed = (current[0], current[1], current[2], h)
-    for mine, classical in zip(anatomy.torsion.vector.components, listed):
-        gap = ex.simplify(
-            ex.add(mine, ex.negate(ex.mul(ex.Const(COMPONENT_LIST_SIGN), classical)))
-        )
-        if not ex.is_syntactic_zero(gap) and not tester.test(gap).zero:
-            raise InternalConsistencyError(
-                "torsion current disagrees with the solving vector of i(T)Omega = A^dA"
-            )
     return TorsionCurrent(current, h, anomaly, balance)
 
 
@@ -420,26 +398,20 @@ def ns_engineering_torsion(s: FluidSystem, anatomy: Anatomy) -> EngineeringTorsi
     nu = s.viscosity
     omega = _curl(v)
     h = _dot(v, omega)
-    L = ex.simplify(
-        ex.add(ex.mul(ex.Const(0.5), _dot(v, v)), ex.negate(s.pressure_potential))
-    )
-    engineering = _simp3(
-        _sub3(
-            _sub3(_scale3(h, v), _scale3(L, omega)),
-            _scale3(nu, _cross(v, _curl(omega))),
-        )
+    L = ex.add(ex.mul(ex.Const(0.5), _dot(v, v)), ex.negate(s.pressure_potential))
+    engineering = _sub3(
+        _sub3(_scale3(h, v), _scale3(L, omega)),
+        _scale3(nu, _cross(v, _curl(omega))),
     )
 
     ns = navier_stokes_residual(s, anatomy)
     kinematic = torsion_current(s, anatomy)
-    difference = _simp3(_sub3(kinematic.current, engineering))
-    expected = _simp3(_neg3(_cross(ns.residual, v)))
-    for got, want in zip(difference, expected):
-        gap = ex.simplify(ex.add(got, ex.negate(want)))
-        if not ex.is_syntactic_zero(gap) and not anatomy.context.test(gap).zero:
-            raise InternalConsistencyError(
-                "engineering/kinematic torsion difference is not -(residual x v)"
-            )
+    difference = _sub3(kinematic.current, engineering)
+    pf.require_zero(
+        _sub3(difference, _neg3(_cross(ns.residual, v))),
+        anatomy.context,
+        "engineering/kinematic torsion difference is not -(residual x v)",
+    )
 
     warning = None
     if not ns.satisfied:
@@ -460,12 +432,12 @@ class MassCurrent:
     residual: ScalarExpr  # div(rho v) + drho/dt
 
 
-def mass_current(rho: ScalarExpr, v) -> MassCurrent:
+def mass_current(rho: ScalarExpr, v, context: ZeroTester) -> MassCurrent:
     """Transversal-volume mass current and its conservation residual.
 
     dJ = -{div(rho v) + drho/dt} Omega in the x,y,z,t orientation; the
-    identity is verified symbolically.  The bracket is the conservation
-    test: zero means mass is conserved along the flow.
+    identity is verified on `context`, the run's zero tester.  The bracket
+    is the conservation test: zero means mass is conserved along the flow.
     """
     rho = ex.as_expr(rho)
     v = _as_vec3(v)
@@ -481,13 +453,13 @@ def mass_current(rho: ScalarExpr, v) -> MassCurrent:
     ]
     J = fm.scale_form(rho, fm.wedge(fm.wedge(legs[0], legs[1]), legs[2]))
 
-    rho_v = _scale3(rho, v)
-    residual = ex.simplify(ex.add(_div(rho_v), _d(rho, 3)))
+    residual = ex.add(_div(_scale3(rho, v)), _d(rho, 3))
     want = fm.scale_form(ex.negate(residual), fm.volume_form(SPACETIME))
-    if not fm.sub_forms(fm.exterior_derivative(J), want).is_syntactically_zero:
-        raise InternalConsistencyError(
-            "dJ does not reduce to the continuity bracket times the volume form"
-        )
+    pf.require_zero(
+        fm.sub_forms(fm.exterior_derivative(J), want),
+        context,
+        "dJ does not reduce to the continuity bracket times the volume form",
+    )
     return MassCurrent(J, residual)
 
 
@@ -501,7 +473,7 @@ def transversal_current_comparison(
     """
     rho = ex.as_expr(rho)
     v = _as_vec3(v)
-    J = mass_current(rho, v).J
+    J = mass_current(rho, v, anatomy.context).J
     V = VectorField(SPACETIME, (v[0], v[1], v[2], ex.ONE), support=rho)
     pulled = fm.interior(V, anatomy.K)
     verdict = pf.form_is_zero(fm.sub_forms(pulled, J), anatomy.context)
@@ -530,50 +502,46 @@ class EMReport:
 def em_diagnostics(s: EMSystem, anatomy: Anatomy) -> EMReport:
     """Field invariants and the torsion process for a potential system.
 
-    `anatomy` is that of s.action().  Verifies, symbolically with sampled
-    fallback: dF = 0; the torsion current equals E x A + phi B with helicity
-    A.B (up to COMPONENT_LIST_SIGN); the scaling factor of i(T)dA along A
-    equals E.B; the parity coefficient equals 2 E.B; and the classical
-    divergence law div T + dh/dt = -2 E.B.
+    `anatomy` is that of s.action().  Verifies on its context, the run's
+    zero tester (a syntactic zero draws no sample, anything else is
+    sampled): dF = 0; the torsion current equals E x A + phi B with
+    helicity A.B (up to COMPONENT_LIST_SIGN); the scaling factor of i(T)dA
+    along A equals E.B; the parity coefficient equals 2 E.B; and the
+    classical divergence law div T + dh/dt = -2 E.B.
     """
     E, B = s.fields()
     Avec = s.vector_potential
     phi = s.scalar_potential
 
+    tester = anatomy.context
     dF = fm.exterior_derivative(anatomy.dA)
-    if not dF.is_syntactically_zero:
-        raise InternalConsistencyError("dF failed to vanish for a potential system")
-
-    def check(expr: ScalarExpr, what: str) -> ScalarExpr:
-        e = ex.simplify(expr)
-        if not ex.is_syntactic_zero(e) and not anatomy.context.test(e).zero:
-            raise InternalConsistencyError(what)
-        return e
+    pf.require_zero(dF, tester, "dF failed to vanish for a potential system")
 
     data = anatomy.torsion
-    current = _simp3(_add3(_cross(E, Avec), _scale3(phi, B)))
-    h = ex.simplify(_dot(Avec, B))
-    listed = (current[0], current[1], current[2], h)
-    for mine, classical in zip(data.vector.components, listed):
-        check(
-            ex.add(mine, ex.negate(ex.mul(ex.Const(COMPONENT_LIST_SIGN), classical))),
-            "torsion current disagrees with E x A + phi B",
-        )
+    current = _add3(_cross(E, Avec), _scale3(phi, B))
+    h = _dot(Avec, B)
+    _require_listed(
+        data.vector,
+        (current[0], current[1], current[2], h),
+        tester,
+        "torsion current disagrees with E x A + phi B",
+    )
 
-    EdotB = ex.simplify(_dot(E, B))
-    check(ex.add(data.gamma, ex.negate(EdotB)), "i(T)dA scaling factor is not E.B")
+    EdotB = _dot(E, B)
+    pf.require_zero(
+        ex.add(data.gamma, ex.negate(EdotB)), tester, "i(T)dA scaling factor is not E.B"
+    )
 
     parity = data.parity_coefficient
-    check(
+    pf.require_zero(
         ex.add(parity, ex.negate(ex.mul(ex.Const(2), EdotB))),
+        tester,
         "parity coefficient is not 2 E.B",
     )
-    listed_parity = ex.simplify(ex.mul(ex.Const(COMPONENT_LIST_SIGN), parity))
+    listed_parity = ex.mul(ex.Const(COMPONENT_LIST_SIGN), parity)
 
-    divergence = check(
-        ex.add(_div(current), _d(h, 3), ex.mul(ex.Const(2), EdotB)),
-        "divergence law div T + dh/dt = -2 E.B failed",
-    )
+    divergence = ex.add(_div(current), _d(h, 3), ex.mul(ex.Const(2), EdotB))
+    pf.require_zero(divergence, tester, "divergence law div T + dh/dt = -2 E.B failed")
 
     return EMReport(
         system=s,
@@ -614,26 +582,20 @@ def fluid_diagnostics(s: FluidSystem, anatomy: Anatomy) -> FluidReport:
     classical list value reduces to -2 nu (omega . curl omega), the source
     that vanishes exactly when the vorticity field is Frobenius-integrable.
     """
-    vort = vorticity_fields(s)
-    euler = euler_residual(s)
     tester = anatomy.context
-    euler_ok = _vec3_is_zero(euler, tester)
+    vort = vorticity_fields(s, tester)
+    euler = euler_residual(s)
+    euler_ok = all(tester.test(c).zero for c in euler)
     ns = navier_stokes_residual(s, anatomy)
     torsion = torsion_current(s, anatomy)
 
     _, parity = pf.parity(anatomy)
-    expected = ex.simplify(
-        ex.mul(ex.Const(2), _dot(vort.acceleration, vort.omega))
+    expected = ex.mul(ex.Const(2), _dot(vort.acceleration, vort.omega))
+    pf.require_zero(
+        ex.add(parity, ex.negate(expected)), tester, "parity coefficient is not 2 (a . omega)"
     )
-    gap = ex.simplify(ex.add(parity, ex.negate(expected)))
-    if not ex.is_syntactic_zero(gap) and not tester.test(gap).zero:
-        raise InternalConsistencyError("parity coefficient is not 2 (a . omega)")
-    viscous_source = ex.simplify(
-        ex.mul(
-            ex.Const(-2),
-            s.viscosity,
-            _dot(vort.omega, _curl(vort.omega)),
-        )
+    viscous_source = ex.mul(
+        ex.Const(-2), s.viscosity, _dot(vort.omega, _curl(vort.omega))
     )
 
     return FluidReport(

@@ -73,8 +73,7 @@ def first_law(
     U = fm.interior(J, A)
     Q = fm.add_forms(W, fm.exterior_derivative(U))
     gap = fm.sub_forms(Q, fm.lie_derivative(J, A))
-    if not gap.is_syntactically_zero and not pf.form_is_zero(gap, a.context).zero:
-        raise InternalConsistencyError("W + dU disagrees with L(J)A")
+    pf.require_zero(gap, a.context, "W + dU disagrees with L(J)A")
     return Q, W, U
 
 
@@ -205,9 +204,7 @@ def classify(a: Anatomy, J: VectorField) -> ProcessReport:
     dW = fm.exterior_derivative(W)
 
     tester = a.context
-    dd_gap = fm.sub_forms(dQ, dW)
-    if not dd_gap.is_syntactically_zero and not pf.form_is_zero(dd_gap, tester).zero:
-        raise InternalConsistencyError("dQ and dW must agree (dd = 0)")
+    pf.require_zero(fm.sub_forms(dQ, dW), tester, "dQ and dW must agree (dd = 0)")
     q_zero = pf.form_is_zero(Q, tester).zero
     w_zero = pf.form_is_zero(W, tester).zero
     qdq_zero = pf.form_is_zero(QdQ, tester).zero

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -244,6 +245,28 @@ def test_main_deep_nesting_is_a_config_error(tmp_path, capsys):
     assert cli.main(["run", config(400), "--no-summary"]) == 2
 
 
+def test_main_division_chain_is_a_config_error(tmp_path, capsys):
+    # each '/' nests one more Quotient; the parenthesized divisor one more level
+    def config(divisions):
+        cfg = tmp_path / f"div{divisions}.cfg"
+        chain = "x" + "/(1+y^2)" * divisions
+        cfg.write_text(f"[run]\nbattery = pfaff\n\n[system]\naction = {chain}, 0, 0, 0\n")
+        return str(cfg)
+
+    assert cli.main(["run", config(parse.MAX_NESTING - 1), "--no-summary"]) in (0, 1)
+    capsys.readouterr()
+    column = 1 + 8 * (parse.MAX_NESTING - 1) + 2  # the divisor that opens one level too many
+    message = (
+        f"config error: line 5, column 10: line 1, column {column}: "
+        f"expression nested deeper than {parse.MAX_NESTING} levels\n"
+    )
+    assert cli.main(["run", config(parse.MAX_NESTING), "--no-summary"]) == 2
+    assert capsys.readouterr().err == message
+    # the chain that exhausted the recursion limit (exit 3) is the same config error
+    assert cli.main(["run", config(400), "--no-summary"]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_main_constant_zero_denominator_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "div.cfg"
     cfg.write_text("[run]\nbattery = pfaff\n\n[system]\naction = y/(2 - 2), 0, 0, 0\n")
@@ -410,3 +433,72 @@ def test_sampling_guards_and_ranges_reach_the_default_box():
     x, y = first["witness"][:2]
     assert abs(x) >= 0.8 and first["skipped"] > 0  # |0.0125 x| < guard_tol is skipped
     assert 5.0 <= first["witness_value"] / (y / x) <= 6.0
+
+
+# a steady Euler solution with rational velocity: its identities cancel
+# only on sampling, away from the guarded axis
+POINT_VORTEX = (
+    "[run]\nbattery = all\n\n[system]\n"
+    "velocity = -y/(x^2+y^2), x/(x^2+y^2), 0\n"
+    "pressure_potential = -1/(2*(x^2+y^2))\n\n"
+    "[sampling]\nguards = x^2+y^2\n"
+)
+# potentials whose dF = 0 holds on sampling, not syntactically
+RATIONAL_POTENTIALS = (
+    "[run]\nbattery = all\n\n[system]\nvector_potential = y/(2+x), x/(2+z), 0\n"
+)
+
+
+def test_point_vortex_runs_on_its_guarded_box(tmp_path, capsys):
+    cfg = tmp_path / "vortex.cfg"
+    cfg.write_text(POINT_VORTEX)
+    assert cli.main(["run", str(cfg), "--no-summary"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["batteries"]["residuals"]["euler_satisfied"] is True
+
+
+def test_rational_potentials_run(tmp_path, capsys):
+    cfg = tmp_path / "em.cfg"
+    cfg.write_text(RATIONAL_POTENTIALS)
+    assert cli.main(["run", str(cfg), "--no-summary"]) in (0, 1)
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["counts"]["errors"] == 0
+
+
+def test_broken_identity_exits_3_with_its_witness(monkeypatch, tmp_path, capsys):
+    # a wrong component-list sign breaks the torsion current identity
+    monkeypatch.setattr(sy, "COMPONENT_LIST_SIGN", 1)
+    out = tmp_path / "report.json"
+    argv = ["run", "--preset", "em.torsion_nonzero", "--battery", "residuals",
+            "--out", str(out), "--no-summary"]
+    assert cli.main(argv) == 3
+    doc = json.loads(out.read_text())
+    assert doc["counts"]["errors"] == 1 and doc["passed"] is False
+    error = doc["batteries"]["residuals"]["error"]
+    assert re.fullmatch(
+        r"InternalConsistencyError: torsion current disagrees with E x A \+ phi B "
+        r"at \((-?\d\S*, ){3}-?\d\S*\) \(value -?\d\S*\)",
+        error,
+    ), error
+
+
+def test_every_node_reaching_simplify_is_already_normal(monkeypatch):
+    # the constructors return the normal form, so simplify at the entry
+    # points (forms, vector fields, chain cells, the zero test) is handed
+    # marked nodes only and returns them as they are: every preset and
+    # config, with all batteries
+    unmarked = []
+    real = ex.simplify
+
+    def watch(e):
+        if not e._normal:
+            unmarked.append(ex.to_text(e))
+        return real(e)
+
+    monkeypatch.setattr(ex, "simplify", watch)
+    texts = [f"[run]\npreset = {name}\nbattery = all\n" for name in sy.preset_names()]
+    texts += [p.read_text() for p in sorted(CONFIGS.glob("*.cfg"))]
+    texts += [POINT_VORTEX, RATIONAL_POTENTIALS]  # they square quotients
+    for text in texts:
+        cli.run(replace(cli.parse_config(text), batteries=("all",)))
+    assert unmarked == []

@@ -568,17 +568,21 @@ def test_marks_match_references_over_hand_built_children(e):
     check_against_references(e)
 
 
-def test_square_of_a_quotient_stays_unmarked():
-    # simplify is not idempotent here: mul builds Pow(q, 2), the rebuild
-    # expands it to num^2/den^2
+def test_square_of_a_quotient_folds_at_once():
+    # mul expands q*q to num^2/den^2 at once: what the rebuild of the lazy
+    # Pow(q, 2) gives, and marked, so simplify returns it as it is
     q = ex.quotient(X, ex.add(Y, ex.Const(2)))
+    lazy = ex.Pow(q, 2)
     sq = ex.mul(q, q)
-    assert isinstance(sq, ex.Pow) and not sq._normal
-    assert ex.simplify(sq) == reference_simplify(sq) != sq
-    for parent in (ex.mul(q, Z, q), ex.mul(sq, Z), ex.add(sq, Z), ex.sin(sq),
-                   ex.quotient(sq, Z)):
-        assert not parent._normal
-        assert ex.simplify(parent) == reference_simplify(parent)
+    assert isinstance(sq, ex.Quotient) and sq._normal
+    assert sq == reference_simplify(lazy) and ex.simplify(sq) is sq
+    for parent, old in ((ex.mul(q, Z, q), ex.Product((lazy, Z))),
+                        (ex.mul(sq, Z), ex.Product((lazy, Z))),
+                        (ex.add(sq, Z), ex.Sum((lazy, Z))),
+                        (ex.sin(sq), ex.Func("sin", (lazy,))),
+                        (ex.quotient(sq, Z), ex.Quotient(lazy, Z))):
+        assert parent._normal
+        assert parent == reference_simplify(old) and ex.simplify(parent) is parent
     assert q._normal and ex.simplify(q) is q
 
 
@@ -647,6 +651,6 @@ def test_huge_constant_power_stays_unfolded():
     assert ex.power(ex.Const(Fraction(-1, 3)), 9) == ex.Const(Fraction(-1, 19683))
     assert ex.power(ex.Const(-1), 10**9 + 1) == ex.Const(-1)
     assert ex.power(ex.ONE, -10**12) == ex.ONE
-    # merging two unfolded powers builds a constant-base Pow simplify folds
+    # merging two unfolded powers folds the constant-base power at once
     small = ex.mul(huge[0], ex.power(ex.Const(3), -999_999_997))
-    assert not small._normal and ex.simplify(small) == ex.Const(9)
+    assert small._normal and small == reference_simplify(ex.Pow(ex.Const(3), 2)) == ex.Const(9)

@@ -13,6 +13,7 @@ import formflow.systems as sy
 import formflow.thermo as th
 
 CHART = ex.spacetime_chart()
+CONTEXT = ex.ZeroTester(ex.default_box(4))
 
 
 def scalar(text: str) -> ex.ScalarExpr:
@@ -40,7 +41,7 @@ def vec_equal(got, want, box=None) -> bool:
 
 def test_beltrami_velocity_is_its_own_curl():
     s = sy.get_preset("fluid.beltrami_abc").system
-    vort = sy.vorticity_fields(s)
+    vort = sy.vorticity_fields(s, CONTEXT)
     for w, v in zip(vort.omega, s.velocity):
         assert ex.is_syntactic_zero(ex.simplify(ex.add(w, ex.negate(v))))
 
@@ -70,7 +71,7 @@ def test_beltrami_torsion_current_is_parallel_to_velocity():
 
 def test_rigid_rotation_vorticity_and_balance():
     p = sy.get_preset("euler.rigid_rotation")
-    vort = sy.vorticity_fields(p.system)
+    vort = sy.vorticity_fields(p.system, ex.ZeroTester(p.box))
     twice = ex.mul(ex.Const(2), ex.Param("Omega"))
     assert ex.is_syntactic_zero(vort.omega[0])
     assert ex.is_syntactic_zero(vort.omega[1])
@@ -166,7 +167,7 @@ def test_vorticity_fields_reject_broken_inputs():
     # the induction identities are theorems; feed a system whose action we
     # tamper with to show the cross-check is alive
     s = sy.get_preset("euler.rigid_rotation").system
-    vort = sy.vorticity_fields(s)
+    vort = sy.vorticity_fields(s, CONTEXT)
     dA = fm.exterior_derivative(s.action())
     assert fm.sub_forms(vort.F, dA).is_syntactically_zero
 
@@ -174,24 +175,45 @@ def test_vorticity_fields_reject_broken_inputs():
 def test_mass_current_conservation_cases():
     rigid = sy.get_preset("euler.rigid_rotation").system
     # steady incompressible rotation with unit density
-    m = sy.mass_current(ex.ONE, rigid.velocity)
+    m = sy.mass_current(ex.ONE, rigid.velocity, CONTEXT)
     assert ex.is_syntactic_zero(m.residual)
 
     # exponential decay balanced by uniform expansion
-    m = sy.mass_current(scalar("exp(-t)"), (scalar("x/3"), scalar("y/3"), scalar("z/3")))
+    v = (scalar("x/3"), scalar("y/3"), scalar("z/3"))
+    m = sy.mass_current(scalar("exp(-t)"), v, CONTEXT)
     assert is_zero(m.residual)
 
     # uncompensated stretching leaks mass at unit rate
-    m = sy.mass_current(ex.ONE, (scalar("x"), ex.ZERO, ex.ZERO))
+    m = sy.mass_current(ex.ONE, (scalar("x"), ex.ZERO, ex.ZERO), CONTEXT)
     assert is_zero(ex.add(m.residual, ex.Const(-1.0)))
     assert not is_zero(m.residual)
 
 
 def test_mass_current_three_form_shape():
-    m = sy.mass_current(scalar("1 + x^2"), (scalar("y"), ex.ZERO, ex.ZERO))
+    m = sy.mass_current(scalar("1 + x^2"), (scalar("y"), ex.ZERO, ex.ZERO), CONTEXT)
     assert m.J.degree == 3
     # the pure spatial slot carries rho itself
     assert is_zero(ex.add(m.J.coeff((0, 1, 2)), ex.negate(scalar("1 + x^2"))))
+
+
+def test_mass_current_with_a_rational_velocity():
+    # rho v = 1/(2+x)^2: dJ reduces to the bracket, which leaks mass
+    m = sy.mass_current(scalar("1/(2+x)"), (scalar("1/(2+x)"), ex.ZERO, ex.ZERO), CONTEXT)
+    assert is_zero(ex.add(m.residual, scalar("2/(2+x)^3")))
+
+
+def test_broken_identity_names_its_witness_and_value(monkeypatch):
+    # a wrong component-list sign breaks E x A + phi B = -T
+    p = sy.get_preset("em.torsion_nonzero")
+    monkeypatch.setattr(sy, "COMPONENT_LIST_SIGN", 1)
+    with pytest.raises(pf.InternalConsistencyError) as err:
+        sy.em_diagnostics(p.system, p.anatomy(ex.ZeroTester(p.box)))
+    what, at = str(err.value).split(" at ")
+    assert what == "torsion current disagrees with E x A + phi B"
+    witness, value = at.split(" (value ")
+    point = tuple(float(c) for c in witness.strip("()").split(", "))
+    assert len(point) == 4 and all(-1.0 <= c <= 1.0 for c in point)
+    assert float(value.rstrip(")")) != 0.0
 
 
 def test_transversal_comparison_is_a_report_not_a_theorem():
