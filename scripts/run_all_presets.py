@@ -2,13 +2,14 @@
 """Run the full diagnostic battery on every bundled preset.
 
 Writes one JSON report per preset and prints the check table. Exit code is
-the number of presets with at least one failing check.
+the number of presets with at least one failing check, or 2 when the
+options do not make a valid config.
 """
 
 from __future__ import annotations
 
 import argparse
-from dataclasses import replace
+import sys
 from pathlib import Path
 
 import formflow.cli as cli
@@ -23,12 +24,14 @@ def main() -> int:
     args = ap.parse_args()
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    batteries = tuple(b.strip() for b in args.battery.split(","))
+    seed = "" if args.seed is None else f"seed = {args.seed}\n"
     bad = 0
     for name in sy.preset_names():
-        cfg = cli.RunConfig(preset=name, batteries=batteries)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
+        try:
+            cfg = cli.parse_config(f"[run]\npreset = {name}\nbattery = {args.battery}\n{seed}")
+        except cli.ConfigError as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return 2
         report = cli.run(cfg)
         doc = report.document
         path = args.out_dir / f"{name.replace('.', '_')}.json"

@@ -249,7 +249,10 @@ def _braced_sets(entry: _Entry) -> tuple[tuple[str, ...], ...]:
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config document; raise ConfigError with the
     offending line and column on any syntactic or semantic problem."""
-    sections = _split_sections(text)
+    return _config_of(_split_sections(text))
+
+
+def _config_of(sections: dict[str, dict[str, _Entry]]) -> RunConfig:
     known = {"run", "chart", "system", "params", "sampling", "topology"}
     for name in sections:
         base = name.split(None, 1)[0]
@@ -1298,34 +1301,17 @@ def _summary_lines(report: Report, cfg: RunConfig) -> list[str]:
 # Entry point
 
 
-def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.preset:
-        if args.preset not in sy.PRESETS:
-            raise ConfigError(
-                f"unknown preset {args.preset!r}; available: {', '.join(sy.PRESETS)}"
-            )
-        cfg = replace(cfg, preset=args.preset)
-    if args.battery:
-        names = tuple(
-            n.strip() for piece in args.battery for n in piece.split(",") if n.strip()
-        )
-        for n in names:
-            if n != "all" and n not in BATTERIES:
-                raise ConfigError(f"unknown battery {n!r}")
-        if not names:
-            raise ConfigError("empty battery list")
-        cfg = replace(cfg, batteries=names)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.tolerance is not None:
-        if not args.tolerance > 0:
-            raise ConfigError("tolerance must be positive")
-        cfg = replace(cfg, tolerance=args.tolerance)
-    if args.out is not None:
-        cfg = replace(cfg, out=args.out)
-    if args.summary is not None:
-        cfg = replace(cfg, summary=args.summary)
-    return cfg
+def _flag_entries(args: argparse.Namespace) -> dict[str, _Entry]:
+    """The run flags as [run] entries, so that the config's checks apply to them."""
+    values = {
+        "preset": args.preset,
+        "battery": ",".join(args.battery) if args.battery else None,
+        "seed": args.seed,
+        "tolerance": args.tolerance,
+        "out": args.out,
+        "summary": args.summary,
+    }
+    return {k: _Entry(str(v), 0, 0) for k, v in values.items() if v is not None}
 
 
 def _internal_error(e: Exception) -> int:
@@ -1366,7 +1352,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
 
+    if not args.config and not args.preset:
+        print("config error: give a config file or --preset", file=sys.stderr)
+        return 2
     try:
+        text = ""
         if args.config:
             try:
                 with open(args.config, "r", encoding="utf-8") as fh:
@@ -1374,13 +1364,10 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as e:
                 print(f"config error: {e}", file=sys.stderr)
                 return 2
-            cfg = parse_config(text)
-        else:
-            cfg = RunConfig()
-        cfg = _apply_flags(cfg, args)
-        if not cfg.preset and not args.config:
-            print("config error: give a config file or --preset", file=sys.stderr)
-            return 2
+        # flags override the file's [run] values and pass the same checks
+        sections = _split_sections(text)
+        sections.setdefault("run", {}).update(_flag_entries(args))
+        cfg = _config_of(sections)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

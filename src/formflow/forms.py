@@ -15,8 +15,7 @@ effective components.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import expr as ex
 from .expr import ScalarExpr, Chart
@@ -147,7 +146,7 @@ class VectorField:
         object.__setattr__(self, "support", ex.simplify(ex.as_expr(self.support)))
 
     def effective_components(self) -> tuple[ScalarExpr, ...]:
-        if ex.is_syntactic_zero(self.support - ex.ONE) or self.support == ex.ONE:
+        if ex.is_syntactic_zero(self.support - ex.ONE):
             return self.components
         return tuple(ex.mul(self.support, c) for c in self.components)
 

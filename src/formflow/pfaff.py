@@ -60,7 +60,7 @@ class InternalConsistencyError(Exception):
 class Anatomy:
     """The objects derived from one 1-form A, each built on first use and kept.
 
-    dA, H = A^dA, K = dH, the Pfaff sequence with its verdicts, the torsion
+    dA, H = A^dA, K = dA^dA, the Pfaff sequence with its verdicts, the torsion
     data (T, Gamma) and the genus are computed at most once per instance;
     `process_reports` keeps thermo's classification along each field J.
     Every sampled verdict uses `context`, the zero tester of the run that
@@ -94,7 +94,7 @@ class Anatomy:
 
     @cached_property
     def K(self) -> DifferentialForm:
-        return fm.exterior_derivative(self.H)
+        return fm.wedge(self.dA, self.dA)
 
     @cached_property
     def sequence(self) -> "PfaffSequence":
@@ -150,6 +150,12 @@ class PfaffSequence:
     dimension: int
     pointwise: tuple[tuple[tuple[float, ...], int], ...] = ()
 
+    def zero(self, k: int) -> ZeroVerdict:
+        """Zero verdict of element k; an element past the top degree is zero."""
+        if k < len(self.verdicts):
+            return self.verdicts[k]
+        return ZeroVerdict(zero=True, syntactic=True)
+
     @property
     def labels(self) -> tuple[str, ...]:
         return _SEQUENCE_LABELS[: len(self.elements)]
@@ -162,7 +168,7 @@ def _build_sequence(a: Anatomy) -> list[DifferentialForm]:
     # element k has degree k + 1 and is element k - 2 wedged with dA:
     # A, dA, A^dA, dA^dA, A^dA^dA, ... up to the top degree
     n = a.A.chart.dim
-    out = [a.A, a.dA, a.H][:n]
+    out = [a.A, a.dA, a.H, a.K][:n]
     while len(out) < n:
         out.append(fm.wedge(out[-2], a.dA))
     return out
@@ -208,7 +214,7 @@ def frobenius_integrable(a: Anatomy) -> bool:
     """True when A^dA vanishes, i.e. A admits integral surfaces."""
     if a.A.degree != 1:
         raise fm.FormError("frobenius test is defined for 1-forms")
-    return bool(form_is_zero(a.H, a.context))
+    return bool(a.sequence.zero(2))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +223,7 @@ def frobenius_integrable(a: Anatomy) -> bool:
 
 @dataclass(frozen=True)
 class TopologicalBase:
-    """Base elements {A, A u F, H, H u K} with closures; F = dA, K = dH."""
+    """Base elements {A, A u F, H, H u K} with closures; F = dA, K = dH = dA^dA."""
 
     elements: tuple[tuple[str, tuple[DifferentialForm, ...]], ...]
     disconnected: bool
@@ -236,7 +242,7 @@ def cartan_topological_base(a: Anatomy) -> TopologicalBase:
         ("H", (a.H,)),
         ("H u K", (a.H, a.K)),
     )
-    disconnected = not form_is_zero(a.H, a.context)
+    disconnected = not a.sequence.zero(2)
     return TopologicalBase(elements, disconnected)
 
 
@@ -340,11 +346,11 @@ def _extract_gamma(
 
 
 def parity(a: Anatomy) -> tuple[DifferentialForm, ScalarExpr]:
-    """Parity 4-form K = dA^dA and its lone coefficient; checks dH = K."""
+    """Parity 4-form K = dA^dA and its lone coefficient; checks d(A^dA) = K."""
     _require_4chart(a.A)
-    K = fm.wedge(a.dA, a.dA)
-    require_zero(fm.sub_forms(a.K, K), a.context, "d(A^dA) differs from dA^dA")
-    return K, K.coeff((0, 1, 2, 3))
+    dH = fm.exterior_derivative(a.H)
+    require_zero(fm.sub_forms(dH, a.K), a.context, "d(A^dA) differs from dA^dA")
+    return a.K, a.K.coeff((0, 1, 2, 3))
 
 
 # ---------------------------------------------------------------------------

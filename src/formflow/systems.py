@@ -19,7 +19,7 @@ classical form: div T + dh/dt equals the stated anomaly.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import chains as ch
@@ -348,8 +348,8 @@ def torsion_current(s: FluidSystem, anatomy: Anatomy) -> TorsionCurrent:
     v = s.velocity
     H = s.hamiltonian()
     tester = anatomy.context
-    vort = vorticity_fields(s, tester)
-    omega, a = vort.omega, vort.acceleration
+    omega = _curl(v)
+    a = _sub3(_neg3(_time(v)), _grad(H))
 
     current = _add3(_cross(a, v), _scale3(H, omega))
     h = _dot(v, omega)
@@ -609,7 +609,7 @@ def fluid_diagnostics(s: FluidSystem, anatomy: Anatomy) -> FluidReport:
         viscous_parity_source=viscous_source,
         pfaff_dimension=anatomy.sequence.dimension,
         genus=anatomy.genus,
-        process=th.classify(anatomy, s.spacetime_velocity()),
+        process=th.process_report(anatomy, s.spacetime_velocity()),
     )
 
 

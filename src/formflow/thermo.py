@@ -113,13 +113,14 @@ class SecondVariation:
 
 def second_variation(a: Anatomy, J: VectorField, heat: Anatomy) -> SecondVariation:
     """Propagate the heat form Q = heat.A of a.A along J once more:
-    R = L(J)Q, with exactness evidence and its periods over a.cycles."""
-    Q, dQ, F = heat.A, heat.dA, a.dA
+    R = L(J)Q, with exactness evidence and its periods over a.cycles.
+    dQ = 0 is read off heat's Pfaff sequence."""
+    Q, F = heat.A, a.dA
     R = fm.lie_derivative(J, Q)
     potential = fm.interior(J, Q)
 
     tester = a.context
-    closed_flow = pf.form_is_zero(dQ, tester).zero
+    closed_flow = heat.sequence.zero(1).zero
 
     dR = fm.exterior_derivative(R)
     dR_zero = pf.form_is_zero(dR, tester).zero
@@ -197,6 +198,8 @@ def classify(a: Anatomy, J: VectorField) -> ProcessReport:
     Category logic: W = 0 is Hamiltonian; dW = 0 splits into Euler-Bernoulli
     (all periods of W over a.cycles vanish) and Stokes (some period
     survives), or stays undetermined without cycles; anything else is open.
+    The verdicts on Q, dQ and Q^dQ are read off Q's Pfaff sequence, which
+    the report keeps.
     """
     Q, W, U = first_law(a, J)
     heat = Anatomy(Q, a.context, points=a.points, params=a.params)
@@ -205,9 +208,9 @@ def classify(a: Anatomy, J: VectorField) -> ProcessReport:
 
     tester = a.context
     pf.require_zero(fm.sub_forms(dQ, dW), tester, "dQ and dW must agree (dd = 0)")
-    q_zero = pf.form_is_zero(Q, tester).zero
+    q_zero = heat.sequence.zero(0).zero
     w_zero = pf.form_is_zero(W, tester).zero
-    qdq_zero = pf.form_is_zero(QdQ, tester).zero
+    qdq_zero = heat.sequence.zero(2).zero
     u_zero = pf.form_is_zero(U, tester).zero
 
     second = second_variation(a, J, heat)

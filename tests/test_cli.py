@@ -295,6 +295,35 @@ def test_run_builds_its_preset_and_classifies_each_process_once(monkeypatch, cap
     assert calls == {"get_preset": 2, "classify": 2}  # parse_config + run; 2 processes
 
 
+def test_fluid_residuals_battery_builds_vorticity_once(monkeypatch):
+    calls = []
+    vorticity_fields = sy.vorticity_fields
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return vorticity_fields(*args, **kwargs)
+
+    monkeypatch.setattr(sy, "vorticity_fields", counting)
+    cfg = cli.parse_config("[run]\npreset = fluid.beltrami_abc\nbattery = residuals\n")
+    assert cli.run(cfg).passed
+    assert len(calls) == 1
+
+
+def test_flags_pass_the_config_checks(tmp_path, capsys):
+    path = tmp_path / "a.cfg"
+    path.write_text("[system]\naction = y, 0, 0, 0\n")
+    # the same preset written into the file is a config error, so is the flag
+    assert cli.main(["run", str(path), "--preset", "em.plane_wave", "--no-summary"]) == 2
+    assert "a preset and an explicit [system] are mutually exclusive" in capsys.readouterr().err
+    for flags, message in (
+        (["--preset", "no.such"], "unknown preset 'no.such'"),
+        (["--battery", "warp"], "unknown battery 'warp'"),
+        (["--tolerance", "-1"], "tolerance must be positive"),
+    ):
+        assert cli.main(["run", str(path), *flags, "--no-summary"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
 def test_main_run_without_config_needs_preset(capsys):
     assert cli.main(["run"]) == 2
     assert cli.main(["run", "--preset", "harmonic.winding", "--no-summary"]) == 0

@@ -65,6 +65,52 @@ def test_base_disconnection_iff_dimension_at_least_three(name):
     ).is_syntactically_zero
 
 
+def test_parity_form_is_the_sequence_element():
+    p = sy.get_preset("em.torsion_nonzero")
+    a = p.anatomy(ex.ZeroTester(p.box))
+    assert a.K is a.sequence.elements[3]
+    assert pf.parity(a)[0] is a.K
+    assert a.torsion.parity_form is a.K
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_DIMENSIONS))
+def test_base_and_frobenius_read_the_sequence_verdict(name, monkeypatch):
+    p = sy.get_preset(name)
+    a = p.anatomy(ex.ZeroTester(p.box))
+    seq = a.sequence
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("zero test after the Pfaff sequence was built")
+
+    monkeypatch.setattr(a.context, "test", no_sample)
+    assert pf.frobenius_integrable(a) == (seq.dimension <= 2)
+    assert pf.cartan_topological_base(a).disconnected == (seq.dimension >= 3)
+
+
+def test_sequence_elements_past_the_top_degree_are_zero():
+    plane = ex.Chart(("x", "y"))
+    A = fm.form_from_coeffs(plane, 1, {(1,): ps.parse_scalar("x", plane)})
+    a = pf.Anatomy(A, ex.ZeroTester(ex.default_box(2)))
+    assert len(a.sequence.elements) == 2 and a.sequence.dimension == 2
+    assert a.sequence.zero(2) and a.sequence.zero(3).syntactic
+    assert pf.frobenius_integrable(a)
+
+
+def test_parity_checks_d_of_torsion_against_the_wedge(monkeypatch):
+    p = sy.get_preset("em.torsion_nonzero")
+    a = p.anatomy(ex.ZeroTester(p.box))
+    H, _ = a.H, a.K  # built before d is broken
+    exterior = fm.exterior_derivative
+
+    def broken(w):
+        dw = exterior(w)
+        return fm.add_forms(dw, fm.volume_form(w.chart)) if w is H else dw
+
+    monkeypatch.setattr(fm, "exterior_derivative", broken)
+    with pytest.raises(pf.InternalConsistencyError, match=r"d\(A\^dA\) differs from dA\^dA"):
+        pf.parity(a)
+
+
 def test_sequence_rejects_non_one_forms():
     two = fm.form_from_coeffs(CHART, 2, {(0, 1): ex.ONE})
     with pytest.raises(fm.FormError):

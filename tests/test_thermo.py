@@ -196,3 +196,24 @@ def test_heat_pfaff_sequence_uses_context_points():
     ctx = pf.Anatomy(p.action, ex.ZeroTester(p.box), points=pts, params=p.params)
     rep = th.classify(ctx, p.process("spacetime"))
     assert rep.pfaff.pointwise and rep.pfaff.pointwise[0][0] == pts[0]
+
+
+@pytest.mark.parametrize(
+    "name, process", [("fluid.beltrami_abc", "spacetime"), ("euler.rigid_rotation", "probe")]
+)
+def test_classify_zero_tests_each_heat_coefficient_once(name, process, monkeypatch):
+    # the verdicts on Q, dQ and Q^dQ come from Q's Pfaff sequence alone
+    p = sy.get_preset(name)
+    a = p.anatomy(ex.ZeroTester(p.box))
+    tested: list[str] = []
+    test = ex.ZeroTester.test
+
+    def counting(self, e, extra_guards=()):
+        tested.append(ex.simplify(e).key)
+        return test(self, e, extra_guards)
+
+    monkeypatch.setattr(ex.ZeroTester, "test", counting)
+    rep = th.classify(a, p.process(process))
+    heat = {c.key for w in (rep.Q, rep.dQ, rep.QdQ) for c in w.coeffs.values()}
+    counts = [tested.count(k) for k in heat if k in tested]
+    assert counts and max(counts) == 1
