@@ -63,6 +63,7 @@ class AdvectionError(ChainError):
 
 DEFAULT_QUAD_ORDER = {1: 16, 2: 12, 3: 8, 4: 6}
 DEFAULT_FIT_NODES = {1: 24, 2: 10, 3: 7, 4: 5}
+PERIOD_FLOOR = 1e-9  # periods at most this times (1 + scale) count as zero
 _BLOWUP = 1e8
 
 
@@ -424,7 +425,6 @@ def _advect_to(
     V: VectorField,
     times: Sequence[float],
     steps: int | None = None,
-    fit_nodes: int | None = None,
     params: Mapping[str, float] | None = None,
 ) -> list[Chain]:
     """The chain advected along V to each of times, in order.
@@ -440,7 +440,7 @@ def _advect_to(
         if isinstance(cell, InterpCell):
             axes.append(cell.node_axes)
         else:
-            n = fit_nodes or DEFAULT_FIT_NODES[cell.degree]
+            n = DEFAULT_FIT_NODES[cell.degree]
             axes.append(tuple(_lobatto_nodes(n) for _ in range(cell.degree)))
         grids.append(cell.eval_grid(axes[-1], params))
     X0 = np.concatenate([X.reshape(-1, X.shape[-1]) for X in grids])
@@ -471,11 +471,10 @@ def advect(
     V: VectorField,
     dt: float,
     steps: int | None = None,
-    fit_nodes: int | None = None,
     params: Mapping[str, float] | None = None,
 ) -> Chain:
     """Advect every cell node grid along V and re-fit polynomial cells."""
-    return _advect_to(chain, V, (dt,), steps, fit_nodes, params)[0]
+    return _advect_to(chain, V, (dt,), steps, params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +499,6 @@ def invariance_check(
     mode: str = "invariant",
     h: float = 0.02,
     tol: float = 1e-6,
-    order: int | None = None,
-    steps: int | None = None,
     drift_factor: float = 100.0,
     params: Mapping[str, float] | None = None,
 ) -> InvarianceResult:
@@ -517,13 +514,13 @@ def invariance_check(
         raise ChainError(f"unknown invariance mode {mode!r}")
 
     i_ph, i_mh, i_p2, i_m2 = (
-        integrate(w, moved, order=order, params=params).value
-        for moved in _advect_to(chain, V, (h, -h, 2 * h, -2 * h), steps, params=params)
+        integrate(w, moved, params=params).value
+        for moved in _advect_to(chain, V, (h, -h, 2 * h, -2 * h), params=params)
     )
     derivative = (8.0 * (i_ph - i_mh) - (i_p2 - i_m2)) / (12.0 * h)
 
-    base = integrate(w, chain, order=order, params=params)
-    lie = integrate(fm.lie_derivative(V, w), chain, order=order, params=params)
+    base = integrate(w, chain, params=params)
+    lie = integrate(fm.lie_derivative(V, w), chain, params=params)
     scale = 1.0 + base.scale + lie.scale
     gap = abs(derivative - lie.value)
 
@@ -544,16 +541,16 @@ def invariance_check(
 class PeriodSpectrum:
     periods: tuple[float, ...]
     base: float | None  # smallest nonzero |period|
-    ratios: tuple[float, ...]  # period / base (0 where below the floor)
+    ratios: tuple[float, ...]  # period / base (0 where below PERIOD_FLOOR)
     integer_deviation: tuple[float, ...]  # |ratio - nearest integer|
 
     @classmethod
-    def of(cls, results: Sequence[IntegralResult], floor: float = 1e-9) -> "PeriodSpectrum":
+    def of(cls, results: Sequence[IntegralResult]) -> "PeriodSpectrum":
         """Spectrum of the integrals of one closed 1-form over its cycles;
-        periods at most floor * (1 + largest scale) count as zero."""
+        periods at most PERIOD_FLOOR * (1 + largest scale) count as zero."""
         periods = tuple(r.value for r in results)
         scale = max((r.scale for r in results), default=0.0)
-        cut = floor * (1.0 + scale)
+        cut = PERIOD_FLOOR * (1.0 + scale)
         nonzero = [abs(p) for p in periods if abs(p) > cut]
         base = min(nonzero) if nonzero else None
         ratios = tuple((p / base if base else 0.0) for p in periods)
@@ -565,8 +562,6 @@ def period_spectrum(
     w: DifferentialForm,
     cycles: Sequence[Chain],
     context: ex.ZeroTester,
-    order: int | None = None,
-    floor: float = 1e-9,
     params: Mapping[str, float] | None = None,
 ) -> PeriodSpectrum:
     """Periods of a closed 1-form over cycles, with ratio-to-smallest report.
@@ -578,24 +573,20 @@ def period_spectrum(
     for c in fm.exterior_derivative(w).coeffs.values():
         if not context.test(c):
             raise ChainError("period spectrum requires a closed form")
-    return PeriodSpectrum.of(
-        [integrate(w, c, order=order, params=params) for c in cycles], floor
-    )
+    return PeriodSpectrum.of([integrate(w, c, params=params) for c in cycles])
 
 
-def spot_check_closed(
-    chain: Chain, seed: int = 20180425, n_funcs: int = 3, tol: float = 1e-7
-) -> bool:
+def spot_check_closed(chain: Chain) -> bool:
     """Evidence that a declared-closed chain really is closed: the integral
-    of d(phi) over it must vanish for smooth test functions phi."""
+    of d(phi) over it must vanish for three seeded smooth test functions phi."""
     if chain.degree != 1:
         raise ChainError("closedness spot check implemented for 1-chains")
     chart = chain.cells[0].chart
-    rng = np.random.default_rng(seed)
-    for _ in range(n_funcs):
+    rng = np.random.default_rng(ex.DEFAULT_SEED)
+    for _ in range(3):
         phi = _random_smooth_scalar(chart, rng)
         res = integrate(fm.exterior_derivative(fm.scalar_form(chart, phi)), chain)
-        if abs(res.value) > tol * (1.0 + res.scale):
+        if abs(res.value) > 1e-7 * (1.0 + res.scale):
             return False
     return True
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -93,7 +94,7 @@ class RunConfig:
     """Validated run description; expression fields stay as source strings."""
 
     batteries: tuple[str, ...] = ("all",)
-    seed: int = 20180425
+    seed: int = ex.DEFAULT_SEED
     tolerance: float = 1e-6
     preset: str = ""
     out: str = ""
@@ -169,40 +170,43 @@ def _split_sections(text: str) -> dict[str, dict[str, _Entry]]:
 
 
 def _csv(entry: _Entry) -> tuple[str, ...]:
-    return tuple(p.strip() for p in entry.value.split(",") if p.strip())
+    """The value's pieces between commas outside parentheses: atan2(y, x) is one."""
+    pieces, depth = [""], 0
+    for c in entry.value:
+        depth += (c == "(") - (c == ")")
+        if c == "," and depth == 0:
+            pieces.append("")
+        else:
+            pieces[-1] += c
+    if depth:
+        raise ConfigError("unbalanced parentheses", entry.line, entry.column)
+    return tuple(p.strip() for p in pieces if p.strip())
 
 
 def _floats(entry: _Entry) -> tuple[float, ...]:
-    out = []
-    for piece in entry.value.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            out.append(float(piece))
-        except ValueError:
-            raise ConfigError(
-                f"expected a number, got {piece!r}", entry.line, entry.column
-            ) from None
-    return tuple(out)
+    return tuple(_float(entry, piece) for piece in _csv(entry))
+
+
+def _float(entry: _Entry, text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:  # reported as not finite
+        v = math.nan
+    if not math.isfinite(v):
+        raise ConfigError(f"expected a finite number, got {text!r}", entry.line, entry.column)
+    return v
 
 
 def _int(entry: _Entry) -> int:
     try:
-        return int(entry.value)
-    except ValueError:
+        v = int(entry.value)
+    except ValueError:  # not an integer, or past int()'s digit limit
+        v = -1
+    if v < 0:
         raise ConfigError(
-            f"expected an integer, got {entry.value!r}", entry.line, entry.column
-        ) from None
-
-
-def _float(entry: _Entry) -> float:
-    try:
-        return float(entry.value)
-    except ValueError:
-        raise ConfigError(
-            f"expected a number, got {entry.value!r}", entry.line, entry.column
-        ) from None
+            f"expected a nonnegative integer, got {entry.value!r}", entry.line, entry.column
+        )
+    return v
 
 
 def _bool(entry: _Entry) -> bool:
@@ -326,7 +330,7 @@ def _config_of(sections: dict[str, dict[str, _Entry]]) -> RunConfig:
         cfg = replace(cfg, seed=_int(e))
     e = take("run", "tolerance")
     if e is not None:
-        tol = _float(e)
+        tol = _float(e, e.value)
         if not tol > 0:
             raise ConfigError("tolerance must be positive", e.line, e.column)
         cfg = replace(cfg, tolerance=tol)
@@ -423,7 +427,7 @@ def _config_of(sections: dict[str, dict[str, _Entry]]) -> RunConfig:
 
     params = []
     for key, entry in sections.get("params", {}).items():
-        params.append((key, _float(entry)))
+        params.append((key, _float(entry, entry.value)))
     cfg = replace(cfg, params=tuple(params))
 
     processes = []
@@ -502,9 +506,9 @@ def _config_of(sections: dict[str, dict[str, _Entry]]) -> RunConfig:
                 sampling["lows"].column,
             )
         for lo, hi in zip(lows, highs):
-            if not lo < hi:
+            if not (lo < hi and math.isfinite(hi - lo)):
                 raise ConfigError(
-                    f"empty sampling interval [{lo}, {hi}]",
+                    f"sampling interval [{lo}, {hi}] needs lo < hi and a finite width",
                     sampling["lows"].line,
                     sampling["lows"].column,
                 )
@@ -521,9 +525,9 @@ def _config_of(sections: dict[str, dict[str, _Entry]]) -> RunConfig:
             continue
         pname = key.split(None, 1)[1]
         vals = _floats(entry)
-        if len(vals) != 2 or not vals[0] < vals[1]:
+        if len(vals) != 2 or not (vals[0] < vals[1] and math.isfinite(vals[1] - vals[0])):
             raise ConfigError(
-                f"range {pname} needs `low, high` with low < high",
+                f"range {pname} needs `low, high` with low < high and a finite width",
                 entry.line,
                 entry.column,
             )

@@ -37,7 +37,7 @@ the point is evaluated alone or as a row of a batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -242,6 +242,11 @@ class Const(ScalarExpr):
             value = Fraction(value)
         elif not isinstance(value, (float, Fraction)):
             raise ExprError(f"unsupported constant type {type(value).__name__}")
+        if isinstance(value, Fraction) and value.numerator.bit_length() > 1000:
+            try:
+                float(value)  # every constant evaluates as a float
+            except OverflowError:
+                raise ExprError("exact constant too large for a float") from None
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "_normal", True)
 
@@ -635,7 +640,7 @@ def power(base, exponent: int) -> ScalarExpr:
             return _mark(Pow(base, exponent))
         try:
             return Const(bv ** exponent)
-        except OverflowError:
+        except (OverflowError, ExprError):  # past the float range
             return _mark(Pow(base, exponent))
     if isinstance(base, Pow):
         return power(base.base, base.exponent * exponent)
@@ -1180,6 +1185,7 @@ def default_box(dim: int) -> Box:
 
 
 DEFAULT_PARAM_RANGE = (0.25, 1.75)
+DEFAULT_SEED = 20180425
 
 
 def draw_rows(
@@ -1220,26 +1226,20 @@ class ZeroTester:
     An expression is reported zero when, after simplification, it either is
     the literal constant 0 or its magnitude stays below
     eps * (1 + largest intermediate magnitude) at every valid sample.
-    Samples that hit singularities or guard exclusions are skipped; if
-    fewer than min_valid samples survive, the test is inconclusive and
-    raises rather than guessing.
+    Samples that hit singularities or the box's guard exclusions are
+    skipped; of at most 8 * n_samples rows drawn, if fewer than min_valid
+    survive, the test is inconclusive and raises rather than guessing.
     """
 
-    def __init__(
-        self,
-        box: Box,
-        seed: int = 20180425,
-        n_samples: int = 64,
-        eps: float = 1e-9,
-        min_valid: int = 8,
-    ):
+    n_samples = 64
+    eps = 1e-9
+    min_valid = 8
+
+    def __init__(self, box: Box, seed: int = DEFAULT_SEED):
         self.box = box
         self.seed = int(seed)
-        self.n_samples = int(n_samples)
-        self.eps = float(eps)
-        self.min_valid = int(min_valid)
 
-    def test(self, e: ScalarExpr, extra_guards: Sequence[ScalarExpr] = ()) -> ZeroVerdict:
+    def test(self, e: ScalarExpr) -> ZeroVerdict:
         e = simplify(e)
         if isinstance(e, Const):
             v = float(e.value)
@@ -1249,7 +1249,7 @@ class ZeroTester:
 
         box = self.box
         needed = max_coord_index(e) + 1
-        for g in tuple(box.guards) + tuple(extra_guards):
+        for g in box.guards:
             needed = max(needed, max_coord_index(g) + 1)
         if needed > box.dim:
             raise ExprError(
@@ -1257,9 +1257,8 @@ class ZeroTester:
                 f"has dimension {box.dim}"
             )
 
-        guards = tuple(box.guards) + tuple(extra_guards)
         names = collect_params(e)
-        for g in guards:
+        for g in box.guards:
             names = tuple(sorted(set(names) | set(collect_params(g))))
         rng = np.random.default_rng(self.seed)
 
@@ -1274,7 +1273,7 @@ class ZeroTester:
             k = min(self.n_samples - valid, max_attempts - attempts)
             points, params = draw_rows(box, rng, names, k)
             skip = np.zeros(k, dtype=bool)
-            for g in guards:
+            for g in box.guards:
                 gv, _ = eval_rows(g, points, params)
                 skip |= ~(np.abs(gv) >= box.guard_tol)  # guarded or singular
             v, scale = eval_rows(e, points, params)
@@ -1299,11 +1298,5 @@ class ZeroTester:
         return ZeroVerdict(True, None, None, None, valid, skipped, False)
 
     def with_guards(self, *guards: ScalarExpr) -> "ZeroTester":
-        box = Box(
-            lows=self.box.lows,
-            highs=self.box.highs,
-            param_ranges=self.box.param_ranges,
-            guards=tuple(self.box.guards) + tuple(guards),
-            guard_tol=self.box.guard_tol,
-        )
-        return ZeroTester(box, self.seed, self.n_samples, self.eps, self.min_valid)
+        """A tester with this one's box and seed plus `guards`: the one way to add a guard."""
+        return ZeroTester(replace(self.box, guards=(*self.box.guards, *guards)), self.seed)

@@ -97,6 +97,8 @@ def _tokenize(text: str) -> list[_Token]:
                     break
             lit = text[start:i]
             col += i - start
+            if math.isinf(float(lit)):
+                raise ParseError("number too large for a float", line, start_col)
             if has_dot or has_exp:
                 value = float(lit)
             else:
@@ -155,7 +157,10 @@ class _Parser:
             if t.kind == "op" and t.text in "+-":
                 self.advance()
                 rhs = self.parse_term()
-                node = ex.add(node, rhs if t.text == "+" else ex.negate(rhs))
+                try:
+                    node = ex.add(node, rhs if t.text == "+" else ex.negate(rhs))
+                except ex.ExprError as e:
+                    raise ParseError(str(e), t.line, t.column) from None
             else:
                 return node
 

@@ -206,7 +206,7 @@ def _nonzero_at(w: DifferentialForm, points, params) -> np.ndarray:
         rows = np.array(points, dtype=float)
         for c in w.coeffs.values():
             v, scale = ex.eval_rows(c, rows, params)
-            out |= np.abs(v) > 1e-9 * (1.0 + scale)  # False on singular (NaN) rows
+            out |= np.abs(v) > ZeroTester.eps * (1.0 + scale)  # False on singular (NaN) rows
     return out
 
 
@@ -368,11 +368,11 @@ def _field_matrix(A: DifferentialForm, point, params) -> np.ndarray:
     return F
 
 
-def _null_space(rows: np.ndarray, tol: float) -> np.ndarray:
+def _null_space(rows: np.ndarray) -> np.ndarray:
     if rows.size == 0:
         raise ValueError("empty matrix")
     u, s, vt = np.linalg.svd(rows)
-    cutoff = tol * max(1.0, s[0] if s.size else 0.0)
+    cutoff = 1e-9 * max(1.0, s[0] if s.size else 0.0)  # the numerical rank's tolerance
     rank = int(np.sum(s > cutoff))
     return vt[rank:].T
 
@@ -381,18 +381,16 @@ def extremal_space(
     A: DifferentialForm,
     point: Sequence[float],
     params: Mapping[str, float] | None = None,
-    tol: float = 1e-9,
 ) -> np.ndarray:
     """Orthonormal basis of {V : i(V)dA = 0} at the point (null space of F)."""
     F = _field_matrix(A, tuple(point), params)
-    return _null_space(F, tol)
+    return _null_space(F)
 
 
 def characteristic_space(
     A: DifferentialForm,
     point: Sequence[float],
     params: Mapping[str, float] | None = None,
-    tol: float = 1e-9,
 ) -> np.ndarray:
     """Orthonormal basis of {V : i(V)A = 0 and i(V)dA = 0} at the point.
 
@@ -404,7 +402,7 @@ def characteristic_space(
     F = _field_matrix(A, point, params)
     a = np.array([ex.eval_at(A.coeff((mu,)), point, params) for mu in range(A.chart.dim)])
     rows = np.vstack([F, a[None, :]])
-    return _null_space(rows, tol)
+    return _null_space(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +413,6 @@ def characteristic_space(
 class GenusReport:
     genus: int  # 3 when the spatial torsion current vanishes, else 2
     torsion_current_zero: bool
-    torsion_two_form: DifferentialForm  # spatial flux 2-form of the current
 
 
 def genus_diagnostic(a: Anatomy) -> GenusReport:
@@ -431,7 +428,7 @@ def genus_diagnostic(a: Anatomy) -> GenusReport:
         a.A.chart, 2, {(1, 2): t1, (0, 2): ex.negate(t2), (0, 1): t3}
     )
     current_zero = bool(form_is_zero(two_form, a.context))
-    return GenusReport(3 if current_zero else 2, current_zero, two_form)
+    return GenusReport(3 if current_zero else 2, current_zero)
 
 
 # ---------------------------------------------------------------------------

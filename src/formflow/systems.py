@@ -333,7 +333,6 @@ class TorsionCurrent:
     current: Vec3  # a x v + H omega
     helicity_density: ScalarExpr  # v . omega
     anomaly: ScalarExpr  # -2 (a . omega)
-    balance_residual: ScalarExpr  # div T + dh/dt - anomaly, verified zero
 
 
 def torsion_current(s: FluidSystem, anatomy: Anatomy) -> TorsionCurrent:
@@ -363,13 +362,12 @@ def torsion_current(s: FluidSystem, anatomy: Anatomy) -> TorsionCurrent:
         tester,
         "torsion current disagrees with the solving vector of i(T)Omega = A^dA",
     )
-    return TorsionCurrent(current, h, anomaly, balance)
+    return TorsionCurrent(current, h, anomaly)
 
 
 @dataclass(frozen=True)
 class EngineeringTorsion:
     current: Vec3  # h v - L curl v - nu v x (curl curl v)
-    lagrangian: ScalarExpr  # v.v/2 - pressure potential
     kinematic: TorsionCurrent  # current a x v + H omega
     difference: Vec3  # kinematic - engineering = -(residual x v)
     ns: NSReport
@@ -419,7 +417,7 @@ def ns_engineering_torsion(s: FluidSystem, anatomy: Anatomy) -> EngineeringTorsi
             "velocity field does not satisfy the viscous momentum balance; "
             "the two torsion currents differ by -(residual x v)"
         )
-    return EngineeringTorsion(engineering, L, kinematic, difference, ns, warning)
+    return EngineeringTorsion(engineering, kinematic, difference, ns, warning)
 
 
 # ---------------------------------------------------------------------------

@@ -93,16 +93,15 @@ class SecondVariation:
 
     For closed flows (dQ = 0) the transversality i(J)W = 0 forces
     R = d(i(J)Q): exact, so dR = 0 and every period of R vanishes.  The
-    same mechanism gives L(J)(Q^F) = d(potential * F).  Open flows get the
+    same mechanism gives L(J)(Q^F) = d(i(J)Q * F).  Open flows get the
     same residuals reported without any claim.
     """
 
     radiation: DifferentialForm
-    potential: DifferentialForm  # 0-form i(J)Q
     closed_flow: bool
     dR_zero: bool
-    exactness_residual_zero: bool  # R - d(potential)
-    wedge_comparison_zero: bool  # L(J)(Q^F) - d(potential * F)
+    exactness_residual_zero: bool  # R - d(i(J)Q)
+    wedge_comparison_zero: bool  # L(J)(Q^F) - d(i(J)Q * F)
     integrals: tuple[ch.IntegralResult, ...]  # R over each registered cycle
     periods_vanish: bool | None  # None when no cycles are registered
 
@@ -149,7 +148,7 @@ def second_variation(a: Anatomy, J: VectorField, heat: Anatomy) -> SecondVariati
         else None
     )
     return SecondVariation(
-        R, potential, closed_flow, dR_zero, residual_zero, wedge_zero, integrals, vanish
+        R, closed_flow, dR_zero, residual_zero, wedge_zero, integrals, vanish
     )
 
 

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import formflow.chains as ch
 import formflow.cli as cli
@@ -531,3 +534,148 @@ def test_every_node_reaching_simplify_is_already_normal(monkeypatch):
     for text in texts:
         cli.run(replace(cli.parse_config(text), batteries=("all",)))
     assert unmarked == []
+
+
+# atan2's comma is inside a call, so each list below has four components
+ATAN2_CONFIGS = {
+    "action": "[run]\nbattery = pfaff\n\n[system]\naction = atan2(y, x), 0, 0, 0\n\n"
+              "[sampling]\nguards = x^2 + y^2\n",
+    "process": "[run]\nbattery = all\n\n[system]\naction = y, 0, 0, 0\n\n"
+               "[sampling]\nguards = x^2 + y^2\n\n"
+               "[process swirl]\ncomponents = atan2(y, x), 0, 0, 1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ATAN2_CONFIGS))
+def test_comma_inside_a_call_stays_in_its_component(name, tmp_path, capsys):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(ATAN2_CONFIGS[name])
+    assert cli.main(["run", str(cfg), "--no-summary"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["batteries"]["pfaff"]["sequence"]["dimension"] == 2
+
+
+@pytest.mark.parametrize("action", ["atan2(y, x, 0, 0, 0", "atan2(y, x)), 0, 0, 0"])
+def test_unbalanced_parentheses_in_a_list_are_a_located_error(action):
+    with pytest.raises(cli.ConfigError, match="line 2, column 10: unbalanced parentheses"):
+        cli.parse_config(f"[system]\naction = {action}\n")
+
+
+_ACTION_Y = "[run]\nbattery = pfaff\n\n[system]\naction = y, 0, 0, 0\n\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        pytest.param("[run]\npreset = harmonic.winding\nseed = -1\n", [],
+                     "line 3, column 8: expected a nonnegative integer, got '-1'",
+                     id="negative seed"),
+        pytest.param("[run]\npreset = harmonic.winding\n", ["--seed", "-5"],
+                     "expected a nonnegative integer, got '-5'", id="negative seed flag"),
+        pytest.param(_ACTION_Y + "[sampling]\nlows = -1, -1, -1, -1\nhighs = 1, 1, 1, inf\n",
+                     [], "line 9, column 9: expected a finite number, got 'inf'",
+                     id="infinite bound"),
+        pytest.param("[run]\nbattery = pfaff\n\n[system]\naction = a*y, 0, 0, 0\n\n"
+                     "[params]\na = 1\n\n[sampling]\nrange a = 0, inf\n", [],
+                     "line 11, column 11: expected a finite number, got 'inf'",
+                     id="infinite range"),
+        pytest.param("[run]\nbattery = pfaff\n\n[system]\naction = S*y, 0, 0, 0\n\n"
+                     "[params]\nS = nan\n", [],
+                     "line 8, column 5: expected a finite number, got 'nan'", id="nan param"),
+        pytest.param("[run]\npreset = harmonic.winding\ntolerance = inf\n", [],
+                     "line 3, column 13: expected a finite number, got 'inf'",
+                     id="infinite tolerance"),
+        pytest.param(_ACTION_Y + "[sampling]\nlows = -1e308, -1, -1, -1\n"
+                     "highs = 1e308, 1, 1, 1\n", [],
+                     "line 8, column 8: sampling interval [-1e+308, 1e+308] needs lo < hi "
+                     "and a finite width", id="interval wider than a float"),
+        pytest.param("[run]\nbattery = pfaff\n\n[system]\naction = 1e400*y, 0, 0, 0\n", [],
+                     "line 5, column 10: line 1, column 1: number too large for a float",
+                     id="literal past the float range"),
+        pytest.param("[run]\nbattery = pfaff\n\n[system]\naction = 2^1023*16*y, 0, 0, 0\n",
+                     [], "line 5, column 10: line 1, column 7: exact constant too large "
+                     "for a float", id="product past the float range"),
+    ],
+)
+def test_config_numbers_must_be_finite_and_seeds_nonnegative(text, argv, message, tmp_path,
+                                                              capsys):
+    cfg = tmp_path / "numbers.cfg"
+    cfg.write_text(text)
+    assert cli.main(["run", str(cfg), "--no-summary", *argv]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_constant_power_past_the_float_range_is_a_singularity(tmp_path, capsys):
+    # 10^400 stays an unfolded power, which overflows at every sample
+    cfg = tmp_path / "pow.cfg"
+    cfg.write_text("[run]\nbattery = pfaff\n\n[system]\naction = 10^400*y, x, 0, 0\n")
+    assert cli.main(["run", str(cfg), "--no-summary"]) == 3
+    out = capsys.readouterr()
+    assert out.err == "" and json.loads(out.out)["counts"]["errors"] == 1
+
+
+# A plain config with at most one hostile edit: a number past the float
+# range, a negative or huge seed, an unknown key, or a missing or miscounted
+# action.  Expressions nest calls, atan2 among them, either way.
+_PLAIN = st.sampled_from(["1", "0.5", "3", "-2.5", "0"])
+_HOSTILE = st.sampled_from(["1e308", "1e400", "-1e400", "inf", "-inf", "nan", "1" + "0" * 40])
+
+
+def _call(args):
+    return st.one_of(
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "ln", "sqrt"]), args).map(
+            lambda p: f"{p[0]}({p[1]})"),
+        st.tuples(args, args).map(lambda p: f"atan2({p[0]}, {p[1]})"),
+        st.tuples(args, st.sampled_from(["+", "-", "*", "/"]), args).map(
+            lambda p: f"({p[0]} {p[1]} {p[2]})"),
+        st.tuples(args, st.sampled_from(["2", "-1", "400", "1" + "0" * 40])).map(
+            lambda p: f"({p[0]})^{p[1]}"),
+    )
+
+
+def _exprs(numbers):
+    return st.recursive(numbers | st.sampled_from(["x", "y", "z", "t", "a", "pi"]), _call,
+                        max_leaves=6)
+
+
+@st.composite
+def hostile_configs(draw):
+    edit = draw(st.sampled_from([
+        None, "seed", "negative seed", "huge seed", "tolerance", "param", "highs", "range",
+        "component", "guard", "unknown key", "short action", "no action",
+    ]))
+    hostile = draw(_HOSTILE)
+    seed = {"seed": hostile, "huge seed": str(draw(st.integers(10**39, 10**40))),
+            "negative seed": str(draw(st.integers(-(10**40), -1)))}
+    action = [draw(_exprs(_PLAIN)) for _ in range(4)]
+    if edit == "component":
+        action[draw(st.integers(0, 3))] = draw(_exprs(_PLAIN | _HOSTILE))
+    action = {"short action": action[:3], "no action": []}.get(edit, action)
+    lines = [
+        "[run]", "battery = pfaff", f"seed = {seed.get(edit, draw(st.integers(0, 10**6)))}",
+        f"tolerance = {hostile if edit == 'tolerance' else '1e-6'}",
+        "bogus = 1" if edit == "unknown key" else "",
+        "[system]", f"action = {', '.join(action)}" if action else "",
+        "[params]", f"a = {hostile if edit == 'param' else draw(_PLAIN)}",
+        "[sampling]", "lows = -1, -1, -1, -1",
+        f"highs = 1, 1, 1, {hostile if edit == 'highs' else 1}",
+        f"range a = 0.25, {hostile if edit == 'range' else 1.75}",
+        f"guards = {draw(_exprs(_HOSTILE))}" if edit == "guard" else "",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=hostile_configs())
+def test_exit_codes_hold_for_hostile_configs(text, tmp_path_factory):
+    cfg = tmp_path_factory.mktemp("hostile") / "hostile.cfg"
+    cfg.write_text(text)
+    crashes = []
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_internal_error", lambda e: crashes.append(e) or 3)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["run", str(cfg)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert crashes == [], text

@@ -178,15 +178,15 @@ PARAM_BOX = ex.Box(
 )
 
 
-def assert_same_verdict(tester, e, extra_guards=()):
+def assert_same_verdict(tester, e):
     try:
-        want = reference_zero_test(tester, e, extra_guards)
+        want = reference_zero_test(tester, e)
     except ex.InconclusiveError as err:
         with pytest.raises(ex.InconclusiveError) as got:
-            tester.test(e, extra_guards)
+            tester.test(e)
         assert str(got.value) == str(err)
         return None
-    got = tester.test(e, extra_guards)
+    got = tester.test(e)
     assert got == want  # every field, floats compared with ==
     return got
 
@@ -222,7 +222,7 @@ def test_chunked_zero_test_matches_reference_on_corpus(seed):
     assert any(v.zero and not v.syntactic for v in verdicts)
     assert any(not v.zero for v in verdicts)
     # an extra guard may bring in a parameter the expression does not use
-    assert_same_verdict(testers[0], ex.sin(X), extra_guards=(ex.add(Y, B),))
+    assert_same_verdict(testers[0].with_guards(ex.add(Y, B)), ex.sin(X))
 
 
 def test_chunked_zero_test_matches_reference_at_singularities():
@@ -419,7 +419,7 @@ def test_box_guard_parameters_are_drawn():
     e = ex.mul(Y, Z)
     got = ex.ZeroTester(guarded).test(e)
     assert not got.zero and set(got.witness_params) == {"a"}
-    assert got == ex.ZeroTester(plain).test(e, extra_guards=(guard,))
+    assert got == ex.ZeroTester(plain).with_guards(guard).test(e)
     assert got == reference_zero_test(ex.ZeroTester(guarded), e)
 
 

@@ -208,9 +208,9 @@ def test_classify_zero_tests_each_heat_coefficient_once(name, process, monkeypat
     tested: list[str] = []
     test = ex.ZeroTester.test
 
-    def counting(self, e, extra_guards=()):
+    def counting(self, e):
         tested.append(ex.simplify(e).key)
-        return test(self, e, extra_guards)
+        return test(self, e)
 
     monkeypatch.setattr(ex.ZeroTester, "test", counting)
     rep = th.classify(a, p.process(process))
