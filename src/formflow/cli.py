@@ -16,7 +16,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Callable
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "ProcessSpec",
     "Report",
     "RunConfig",
+    "Source",
     "TopologySpec",
     "main",
     "parse_config",
@@ -66,17 +68,32 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
+class Source:
+    """A config expression: its text and the tree parsed from it, once.
+
+    Two sources are equal when their texts are; the tree follows from the
+    text and the config's chart.
+    """
+
+    text: str
+    tree: ex.ScalarExpr = field(compare=False, repr=False)
+
+    def __str__(self) -> str:
+        return self.text
+
+
+@dataclass(frozen=True)
 class ProcessSpec:
     name: str
-    components: tuple[str, ...]
-    support: str = ""
+    components: tuple[Source, ...]
+    support: Source | None = None
 
 
 @dataclass(frozen=True)
 class ChainSpec:
     name: str
     degree: int
-    components: tuple[str, ...]
+    components: tuple[Source, ...]
     closed: bool = True
 
 
@@ -91,7 +108,7 @@ class TopologySpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description; expression fields stay as source strings."""
+    """Validated run description; expression fields hold Source values."""
 
     batteries: tuple[str, ...] = ("all",)
     seed: int = ex.DEFAULT_SEED
@@ -100,18 +117,18 @@ class RunConfig:
     out: str = ""
     summary: bool = True
     coordinates: tuple[str, ...] = ()
-    action: tuple[str, ...] = ()
-    velocity: tuple[str, ...] = ()
-    pressure_potential: str = ""
-    viscosity: str = ""
-    vector_potential: tuple[str, ...] = ()
-    scalar_potential: str = ""
+    action: tuple[Source, ...] = ()
+    velocity: tuple[Source, ...] = ()
+    pressure_potential: Source | None = None
+    viscosity: Source | None = None
+    vector_potential: tuple[Source, ...] = ()
+    scalar_potential: Source | None = None
     params: tuple[tuple[str, float], ...] = ()
     processes: tuple[ProcessSpec, ...] = ()
     chains: tuple[ChainSpec, ...] = ()
     lows: tuple[float, ...] = ()
     highs: tuple[float, ...] = ()
-    guards: tuple[str, ...] = ()
+    guards: tuple[Source, ...] = ()
     param_ranges: tuple[tuple[str, float, float], ...] = ()
     topology: TopologySpec | None = None
 
@@ -122,20 +139,36 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Config text parsing
+# Config text
 
 
 @dataclass
 class _Entry:
+    key: str
     value: str
     line: int
     column: int  # of the value
 
 
-def _split_sections(text: str) -> dict[str, dict[str, _Entry]]:
-    sections: dict[str, dict[str, _Entry]] = {}
-    current: dict[str, _Entry] | None = None
-    current_name = ""
+@dataclass
+class _Section:
+    name: str  # runs of whitespace collapsed: [process  a] is "process a"
+    line: int
+    entries: dict[str, _Entry]
+
+    @property
+    def kind(self) -> str:
+        return self.name.partition(" ")[0]
+
+    @property
+    def label(self) -> str:
+        """The NAME of [process NAME] and [chain NAME]."""
+        return self.name.partition(" ")[2]
+
+
+def _split_sections(text: str) -> dict[str, _Section]:
+    sections: dict[str, _Section] = {}
+    current: _Section | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -144,29 +177,36 @@ def _split_sections(text: str) -> dict[str, dict[str, _Entry]]:
         if stripped.startswith("["):
             if not stripped.endswith("]"):
                 raise ConfigError("unterminated section header", lineno, len(line))
-            name = stripped[1:-1].strip()
+            name = " ".join(stripped[1:-1].split())
             if not name:
                 raise ConfigError("empty section name", lineno, 1)
             if name in sections:
                 raise ConfigError(f"duplicate section [{name}]", lineno, 1)
-            current = sections.setdefault(name, {})
-            current_name = name
+            current = sections[name] = _Section(name, lineno, {})
             continue
         if current is None:
             raise ConfigError("key outside any [section]", lineno, 1)
         if "=" not in line:
             raise ConfigError("expected key = value", lineno, 1)
         key, _, value = line.partition("=")
-        key_name = key.strip()
+        key_name = " ".join(key.split())
         if not key_name:
             raise ConfigError("empty key", lineno, 1)
-        if key_name in current:
+        if key_name in current.entries:
             raise ConfigError(
-                f"duplicate key {key_name!r} in [{current_name}]", lineno, 1
+                f"duplicate key {_quoted(key_name)} in [{current.name}]", lineno, 1
             )
         column = len(key) + 2 + (len(value) - len(value.lstrip()))
-        current[key_name] = _Entry(value.strip(), lineno, column)
+        current.entries[key_name] = _Entry(key_name, value.strip(), lineno, column)
     return sections
+
+
+def _quoted(text: str, limit: int = 60) -> str:
+    """repr(text) for an error message; past `limit` characters, the repr
+    of its first `limit` and the full length."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
 
 
 def _csv(entry: _Entry) -> tuple[str, ...]:
@@ -183,71 +223,283 @@ def _csv(entry: _Entry) -> tuple[str, ...]:
     return tuple(p.strip() for p in pieces if p.strip())
 
 
-def _floats(entry: _Entry) -> tuple[float, ...]:
-    return tuple(_float(entry, piece) for piece in _csv(entry))
-
-
 def _float(entry: _Entry, text: str) -> float:
     try:
         v = float(text)
     except ValueError:  # reported as not finite
         v = math.nan
     if not math.isfinite(v):
-        raise ConfigError(f"expected a finite number, got {text!r}", entry.line, entry.column)
-    return v
-
-
-def _int(entry: _Entry) -> int:
-    try:
-        v = int(entry.value)
-    except ValueError:  # not an integer, or past int()'s digit limit
-        v = -1
-    if v < 0:
         raise ConfigError(
-            f"expected a nonnegative integer, got {entry.value!r}", entry.line, entry.column
+            f"expected a finite number, got {_quoted(text)}", entry.line, entry.column
         )
     return v
 
 
-def _bool(entry: _Entry) -> bool:
-    v = entry.value.lower()
+# ---------------------------------------------------------------------------
+# Readers: (entry, scope) -> value, raising a located ConfigError
+
+
+@dataclass
+class _Scope:
+    """What a reader sees: the chart its expressions use, the values its
+    section has read so far, and the list of (entry, parameter, guard only)
+    that the expressions read so far need bound."""
+
+    chart: ex.Chart | None
+    got: dict[str, object]
+    needed: list[tuple[_Entry, str, bool]]
+
+
+def _floats(e: _Entry, s: _Scope) -> tuple[float, ...]:
+    return tuple(_float(e, piece) for piece in _csv(e))
+
+
+def _int(e: _Entry, s: _Scope) -> int:
+    try:
+        v = int(e.value)
+    except ValueError:  # not an integer, or past int()'s digit limit
+        v = -1
+    if v < 0:
+        raise ConfigError(
+            f"expected a nonnegative integer, got {_quoted(e.value)}", e.line, e.column
+        )
+    return v
+
+
+def _bool(e: _Entry, s: _Scope) -> bool:
+    v = e.value.lower()
     if v in ("true", "yes", "on", "1"):
         return True
     if v in ("false", "no", "off", "0"):
         return False
-    raise ConfigError(f"expected a boolean, got {entry.value!r}", entry.line, entry.column)
+    raise ConfigError(f"expected a boolean, got {_quoted(e.value)}", e.line, e.column)
 
 
-def _check_expr(entry: _Entry, text: str, chart: ex.Chart) -> tuple[str, ...]:
+def _preset(e: _Entry, s: _Scope) -> str:
+    if e.value not in sy.PRESETS:
+        raise ConfigError(
+            f"unknown preset {_quoted(e.value)}; available: {', '.join(sy.PRESETS)}",
+            e.line,
+            e.column,
+        )
+    return e.value
+
+
+def _batteries(e: _Entry, s: _Scope) -> tuple[str, ...]:
+    names = _csv(e)
+    if not names:
+        raise ConfigError("at least one battery required", e.line, e.column)
+    for n in names:
+        if n != "all" and n not in BATTERIES:
+            raise ConfigError(
+                f"unknown battery {_quoted(n)}; choose from all, {', '.join(BATTERIES)}",
+                e.line,
+                e.column,
+            )
+    return names
+
+
+def _tolerance(e: _Entry, s: _Scope) -> float:
+    tol = _float(e, e.value)
+    if not tol > 0:
+        raise ConfigError("tolerance must be positive", e.line, e.column)
+    return tol
+
+
+def _coordinates(e: _Entry, s: _Scope) -> tuple[str, ...]:
+    coords = _csv(e)
+    if len(coords) != len(set(coords)):
+        raise ConfigError("duplicate coordinate names", e.line, e.column)
+    return coords
+
+
+def _parsed(e: _Entry, s: _Scope, text: str, guard_only: bool = False) -> Source:
     try:
-        parsed = ps.parse_scalar(text, chart)
-    except ps.ParseError as e:
-        raise ConfigError(str(e), entry.line, entry.column) from None
-    return ex.collect_params(parsed)
+        tree = ps.parse_scalar(text, s.chart)
+    except ps.ParseError as err:
+        raise ConfigError(str(err), e.line, e.column) from None
+    s.needed.extend((e, name, guard_only) for name in ex.collect_params(tree))
+    return Source(text, tree)
 
 
-def _check_expr_list(entry: _Entry, texts: tuple[str, ...], chart: ex.Chart) -> tuple[str, ...]:
-    names: list[str] = []
-    for t in texts:
-        names.extend(_check_expr(entry, t, chart))
-    return tuple(names)
+def _expr(e: _Entry, s: _Scope) -> Source:
+    return _parsed(e, s, e.value)
 
 
-def _braced_sets(entry: _Entry) -> tuple[tuple[str, ...], ...]:
+def _exprs(e: _Entry, s: _Scope) -> tuple[Source, ...]:
+    return tuple(_parsed(e, s, text) for text in _csv(e))
+
+
+def _guards(e: _Entry, s: _Scope) -> tuple[Source, ...]:
+    pieces = (p.strip() for p in e.value.split(";"))
+    return tuple(_parsed(e, s, p, guard_only=True) for p in pieces if p)
+
+
+def _param(e: _Entry, s: _Scope) -> tuple[str, float]:
+    return e.key, _float(e, e.value)
+
+
+def _range(e: _Entry, s: _Scope) -> tuple[str, float, float]:
+    name = e.key.split(" ", 1)[1]
+    vals = _floats(e, s)
+    if len(vals) != 2 or not (vals[0] < vals[1] and math.isfinite(vals[1] - vals[0])):
+        raise ConfigError(
+            f"range {name} needs `low, high` with low < high and a finite width",
+            e.line,
+            e.column,
+        )
+    return name, vals[0], vals[1]
+
+
+def _degree(e: _Entry, s: _Scope) -> int:
+    # checked here, before the chain's components are parsed in u0..u{degree-1}
+    degree = _int(e, s)
+    if not 1 <= degree <= s.chart.dim:
+        raise ConfigError(f"chain degree must be in 1..{s.chart.dim}", e.line, e.column)
+    return degree
+
+
+def _cell_map(e: _Entry, s: _Scope) -> tuple[Source, ...]:
+    return _exprs(e, replace(s, chart=ch.param_chart(s.got["degree"])))
+
+
+def _braced_sets(e: _Entry, s: _Scope) -> tuple[tuple[str, ...], ...]:
     """Parse `{a,b}; {}; {a}` into canonical sorted tuples."""
     out = []
-    for piece in entry.value.split(";"):
+    for piece in e.value.split(";"):
         piece = piece.strip()
         if not piece:
             continue
         if not (piece.startswith("{") and piece.endswith("}")):
             raise ConfigError(
-                f"expected a braced set, got {piece!r}", entry.line, entry.column
+                f"expected a braced set, got {_quoted(piece)}", e.line, e.column
             )
-        inner = piece[1:-1].strip()
-        members = tuple(sorted(p.strip() for p in inner.split(",") if p.strip()))
-        out.append(members)
+        out.append(tuple(sorted(p.strip() for p in piece[1:-1].split(",") if p.strip())))
     return tuple(out)
+
+
+def _map(e: _Entry, s: _Scope) -> tuple[tuple[str, str], ...]:
+    mapping = []
+    for piece in _csv(e):
+        if ":" not in piece:
+            raise ConfigError(
+                f"map entries are `point:image`, got {_quoted(piece)}", e.line, e.column
+            )
+        a, _, b = piece.partition(":")
+        mapping.append((a.strip(), b.strip()))
+    return tuple(mapping)
+
+
+def _list(values) -> str:
+    return ", ".join(map(str, values))
+
+
+def _numbers(values) -> str:
+    return ", ".join(map(repr, values))
+
+
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _sets(sets) -> str:
+    return "; ".join("{" + ", ".join(members) + "}" for members in sets)
+
+
+# ---------------------------------------------------------------------------
+# The key table
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key: its section, the field it fills, its reader and its
+    writer.  A key ending in NAME stands for every key with that prefix; its
+    field holds one item per key, the name first."""
+
+    section: str
+    key: str
+    field: str
+    read: Callable[[_Entry, _Scope], object]
+    write: Callable[[object], str]
+
+    @property
+    def prefix(self) -> str | None:
+        """What precedes NAME in a key that ends in it, else None."""
+        return self.key[: -len("NAME")] if self.key.endswith("NAME") else None
+
+    def matches(self, key: str) -> bool:
+        if self.prefix is None:
+            return key == self.key
+        return key.startswith(self.prefix) and len(key) > len(self.prefix)
+
+    def lines(self, owner) -> list[str]:
+        """The `key = value` lines that write owner's field back."""
+        value = getattr(owner, self.field)
+        if self.prefix is not None:
+            return [f"{self.prefix}{item[0]} = {self.write(item)}" for item in value]
+        if value == _DEFAULTS[type(owner)][self.field]:
+            return []
+        return [f"{self.key} = {self.write(value)}"]
+
+
+# [process NAME] and [chain NAME] fill a ProcessSpec and a ChainSpec each,
+# [topology] the TopologySpec, every other section the RunConfig itself;
+# within a section the keys are read in this order
+_KEYS = (
+    _Key("run", "preset", "preset", _preset, str),
+    _Key("run", "battery", "batteries", _batteries, _list),
+    _Key("run", "seed", "seed", _int, str),
+    _Key("run", "tolerance", "tolerance", _tolerance, repr),
+    _Key("run", "out", "out", lambda e, s: e.value, str),
+    _Key("run", "summary", "summary", _bool, _flag),
+    _Key("chart", "coordinates", "coordinates", _coordinates, _list),
+    _Key("system", "action", "action", _exprs, _list),
+    _Key("system", "velocity", "velocity", _exprs, _list),
+    _Key("system", "pressure_potential", "pressure_potential", _expr, str),
+    _Key("system", "viscosity", "viscosity", _expr, str),
+    _Key("system", "vector_potential", "vector_potential", _exprs, _list),
+    _Key("system", "scalar_potential", "scalar_potential", _expr, str),
+    _Key("params", "NAME", "params", _param, lambda item: repr(item[1])),
+    _Key("sampling", "lows", "lows", _floats, _numbers),
+    _Key("sampling", "highs", "highs", _floats, _numbers),
+    _Key("sampling", "guards", "guards", _guards, lambda v: "; ".join(map(str, v))),
+    _Key("sampling", "range NAME", "param_ranges", _range,
+         lambda item: f"{item[1]!r}, {item[2]!r}"),
+    _Key("process", "components", "components", _exprs, _list),
+    _Key("process", "support", "support", _expr, str),
+    _Key("chain", "degree", "degree", _degree, str),
+    _Key("chain", "components", "components", _cell_map, _list),
+    _Key("chain", "closed", "closed", _bool, _flag),
+    _Key("topology", "points", "points", lambda e, s: _csv(e), _list),
+    _Key("topology", "opens", "opens", _braced_sets, _sets),
+    _Key("topology", "codomain_points", "codomain_points", lambda e, s: _csv(e), _list),
+    _Key("topology", "codomain_opens", "codomain_opens", _braced_sets, _sets),
+    _Key("topology", "map", "map", _map, lambda v: ", ".join(f"{a}:{b}" for a, b in v)),
+)
+_KINDS = {row.section for row in _KEYS}
+_NAMED = ("process", "chain")
+_SPECS = {"process": ProcessSpec, "chain": ChainSpec, "topology": TopologySpec}
+_DEFAULTS = {
+    cls: {f.name: f.default for f in fields(cls)} for cls in (RunConfig, *_SPECS.values())
+}
+
+
+def _read(section: _Section | None, kind: str, chart: ex.Chart | None, needed: list) -> dict:
+    """The section's values by field name, each key read by its row of the
+    table in table order; a field without a default needs its key."""
+    entries = section.entries if section else {}
+    defaults = _DEFAULTS[_SPECS.get(kind, RunConfig)]
+    s = _Scope(chart, {}, needed)
+    for row in _KEYS:
+        if row.section != kind:
+            continue
+        if row.prefix is not None:
+            s.got[row.field] = tuple(row.read(e, s) for k, e in entries.items() if row.matches(k))
+        elif row.key in entries:
+            s.got[row.field] = row.read(entries[row.key], s)
+        elif defaults[row.field] is MISSING:
+            raise ConfigError(f"[{section.name}] has no {row.key} key", section.line, 1)
+    return s.got
 
 
 def parse_config(text: str) -> RunConfig:
@@ -256,311 +508,133 @@ def parse_config(text: str) -> RunConfig:
     return _config_of(_split_sections(text))
 
 
-def _config_of(sections: dict[str, dict[str, _Entry]]) -> RunConfig:
-    known = {"run", "chart", "system", "params", "sampling", "topology"}
-    for name in sections:
-        base = name.split(None, 1)[0]
-        if name not in known and base not in ("process", "chain"):
-            raise ConfigError(f"unknown section [{name}]")
-        if base in ("process", "chain") and len(name.split(None, 1)) != 2:
-            raise ConfigError(f"section [{name}] needs a name, like [{base} orbit]")
-
-    def take(section: str, key: str) -> _Entry | None:
-        return sections.get(section, {}).get(key)
-
-    def consume(section: str, allowed: set[str]):
-        for key, entry in sections.get(section, {}).items():
-            if key not in allowed:
+def _config_of(sections: dict[str, _Section]) -> RunConfig:
+    for section in sections.values():
+        kind, label = section.kind, section.label
+        if kind in _NAMED and not label:
+            raise ConfigError(f"section [{kind}] needs a name, like [{kind} orbit]")
+        if kind not in _KINDS or (label and kind not in _NAMED):
+            raise ConfigError(f"unknown section [{section.name}]")
+        for key, entry in section.entries.items():
+            if not any(row.section == kind and row.matches(key) for row in _KEYS):
                 raise ConfigError(
-                    f"unknown key {key!r} in [{section}]", entry.line, 1
+                    f"unknown key {_quoted(key)} in [{section.name}]", entry.line, 1
                 )
 
-    consume("run", {"preset", "battery", "seed", "tolerance", "out", "summary"})
-    consume("chart", {"coordinates"})
-    consume(
-        "system",
-        {
-            "action",
-            "velocity",
-            "pressure_potential",
-            "viscosity",
-            "vector_potential",
-            "scalar_potential",
-        },
+    def entries(name: str) -> dict[str, _Entry]:
+        return sections[name].entries if name in sections else {}
+
+    def at(name: str, key: str) -> tuple[int, int]:
+        return sections[name].entries[key].line, sections[name].entries[key].column
+
+    needed: list[tuple[_Entry, str, bool]] = []
+    head = RunConfig(
+        **_read(sections.get("run"), "run", None, needed),
+        **_read(sections.get("chart"), "chart", None, needed),
     )
-    consume("sampling", {"lows", "highs", "guards"} | {
-        k for k in sections.get("sampling", {}) if k.startswith("range ")
-    })
-    consume(
-        "topology",
-        {"points", "opens", "codomain_points", "codomain_opens", "map"},
+    preset = sy.get_preset(head.preset) if head.preset else None
+    chart = _chart_of(head, preset)
+    body = {}
+    for kind in ("system", "params", "sampling"):
+        body.update(_read(sections.get(kind), kind, chart, needed))
+    named = {kind: [s for s in sections.values() if s.kind == kind] for kind in _NAMED}
+    cfg = replace(
+        head,
+        **body,
+        processes=tuple(
+            ProcessSpec(s.label, **_read(s, "process", chart, needed))
+            for s in named["process"]
+        ),
+        chains=tuple(
+            ChainSpec(s.label, **_read(s, "chain", chart, needed))
+            for s in named["chain"]
+        ),
+        topology=(
+            TopologySpec(**_read(sections["topology"], "topology", chart, needed))
+            if "topology" in sections else None
+        ),
     )
 
-    cfg = RunConfig()
-    needed: list[tuple[_Entry, str, bool]] = []  # (entry, param name, guard only)
-
-    def need(entry: _Entry, names: tuple[str, ...], guard_only: bool = False):
-        for n in names:
-            needed.append((entry, n, guard_only))
-
-    e = take("run", "preset")
-    if e is not None:
-        if e.value not in sy.PRESETS:
-            raise ConfigError(
-                f"unknown preset {e.value!r}; available: {', '.join(sy.PRESETS)}",
-                e.line,
-                e.column,
-            )
-        cfg = replace(cfg, preset=e.value)
-    e = take("run", "battery")
-    if e is not None:
-        names = _csv(e)
-        if not names:
-            raise ConfigError("at least one battery required", e.line, e.column)
-        for n in names:
-            if n != "all" and n not in BATTERIES:
-                raise ConfigError(
-                    f"unknown battery {n!r}; choose from all, {', '.join(BATTERIES)}",
-                    e.line,
-                    e.column,
-                )
-        cfg = replace(cfg, batteries=names)
-    e = take("run", "seed")
-    if e is not None:
-        cfg = replace(cfg, seed=_int(e))
-    e = take("run", "tolerance")
-    if e is not None:
-        tol = _float(e, e.value)
-        if not tol > 0:
-            raise ConfigError("tolerance must be positive", e.line, e.column)
-        cfg = replace(cfg, tolerance=tol)
-    e = take("run", "out")
-    if e is not None:
-        cfg = replace(cfg, out=e.value)
-    e = take("run", "summary")
-    if e is not None:
-        cfg = replace(cfg, summary=_bool(e))
-
-    e = take("chart", "coordinates")
-    if e is not None:
-        coords = _csv(e)
-        if len(coords) != len(set(coords)):
-            raise ConfigError("duplicate coordinate names", e.line, e.column)
-        cfg = replace(cfg, coordinates=coords)
-
-    preset = sy.get_preset(cfg.preset) if cfg.preset else None
-    chart = _chart_of(cfg, preset)
+    # rules across keys
     if cfg.preset and cfg.coordinates and chart.names != cfg.coordinates:
-        e = take("chart", "coordinates")
         raise ConfigError(
             f"coordinates {cfg.coordinates} do not match preset chart {chart.names}",
-            e.line,
-            e.column,
+            *at("chart", "coordinates"),
         )
-
-    system_keys = [k for k in ("action", "velocity", "vector_potential") if take("system", k)]
+    system = entries("system")
+    system_keys = [k for k in ("action", "velocity", "vector_potential") if k in system]
     if cfg.preset and system_keys:
-        e = take("system", system_keys[0])
         raise ConfigError(
-            "a preset and an explicit [system] are mutually exclusive", e.line, e.column
+            "a preset and an explicit [system] are mutually exclusive",
+            *at("system", system_keys[0]),
         )
     if len(system_keys) > 1:
-        e = take("system", system_keys[1])
         raise ConfigError(
-            "give exactly one of action, velocity, vector_potential", e.line, e.column
+            "give exactly one of action, velocity, vector_potential",
+            *at("system", system_keys[1]),
         )
     needs_system = any(b != "topology" for b in cfg.selected_batteries())
     if not cfg.preset and not system_keys and (needs_system or "topology" not in sections):
         raise ConfigError("no preset and no [system] section: nothing to analyze")
-
-    e = take("system", "action")
-    if e is not None:
-        comps = _csv(e)
-        if len(comps) != chart.dim:
-            raise ConfigError(
-                f"action needs {chart.dim} components, got {len(comps)}",
-                e.line,
-                e.column,
-            )
-        need(e, _check_expr_list(e, comps, chart))
-        cfg = replace(cfg, action=comps)
-    e = take("system", "velocity")
-    if e is not None:
-        comps = _csv(e)
-        if len(comps) != 3:
-            raise ConfigError(
-                f"velocity needs 3 components, got {len(comps)}", e.line, e.column
-            )
-        if chart.dim != 4:
-            raise ConfigError("fluid systems need a 4-coordinate chart", e.line, e.column)
-        need(e, _check_expr_list(e, comps, chart))
-        cfg = replace(cfg, velocity=comps)
-    e = take("system", "pressure_potential")
-    if e is not None:
-        need(e, _check_expr(e, e.value, chart))
-        cfg = replace(cfg, pressure_potential=e.value)
-    e = take("system", "viscosity")
-    if e is not None:
-        need(e, _check_expr(e, e.value, chart))
-        cfg = replace(cfg, viscosity=e.value)
-    e = take("system", "vector_potential")
-    if e is not None:
-        comps = _csv(e)
-        if len(comps) != 3:
-            raise ConfigError(
-                f"vector_potential needs 3 components, got {len(comps)}",
-                e.line,
-                e.column,
-            )
-        if chart.dim != 4:
-            raise ConfigError("em systems need a 4-coordinate chart", e.line, e.column)
-        need(e, _check_expr_list(e, comps, chart))
-        cfg = replace(cfg, vector_potential=comps)
-    e = take("system", "scalar_potential")
-    if e is not None:
-        need(e, _check_expr(e, e.value, chart))
-        cfg = replace(cfg, scalar_potential=e.value)
+    for key, count, kind in (("action", chart.dim, ""), ("velocity", 3, "fluid"),
+                             ("vector_potential", 3, "em")):
+        if key not in system:
+            continue
+        got = len(getattr(cfg, key))
+        if got != count:
+            raise ConfigError(f"{key} needs {count} components, got {got}", *at("system", key))
+        if kind and chart.dim != 4:
+            raise ConfigError(f"{kind} systems need a 4-coordinate chart", *at("system", key))
     if (cfg.pressure_potential or cfg.viscosity) and not cfg.velocity:
         raise ConfigError("pressure_potential/viscosity need a velocity field")
     if cfg.scalar_potential and not cfg.vector_potential:
         raise ConfigError("scalar_potential needs a vector_potential")
 
-    params = []
-    for key, entry in sections.get("params", {}).items():
-        params.append((key, _float(entry, entry.value)))
-    cfg = replace(cfg, params=tuple(params))
+    # a process or chain named like one the preset, or the config's velocity
+    # system, brings would merge two entries of the report into one
+    taken = {
+        "process": (
+            [n for n, _ in preset.processes] if preset
+            else ["spacetime"] if cfg.velocity else []
+        ),
+        "chain": [c.name for c in preset.chains] if preset else [],
+    }
+    for kind, specs in (("process", cfg.processes), ("chain", cfg.chains)):
+        for section, spec in zip(named[kind], specs):
+            if spec.name in taken[kind]:
+                owner = "the preset" if preset else "the velocity system"
+                raise ConfigError(
+                    f"{kind} name {_quoted(spec.name)} is already used by {owner}",
+                    section.line,
+                    1,
+                )
+            if len(spec.components) != chart.dim:
+                what = "chain map" if kind == "chain" else kind
+                raise ConfigError(
+                    f"{what} needs {chart.dim} components, got {len(spec.components)}",
+                    *at(section.name, "components"),
+                )
 
-    processes = []
-    for name, body in sections.items():
-        if not name.startswith("process "):
-            continue
-        pname = name.split(None, 1)[1]
-        e = body.get("components")
-        if e is None:
-            raise ConfigError(f"[{name}] needs a components key")
-        comps = _csv(e)
-        if len(comps) != chart.dim:
+    sampling = entries("sampling")
+    if ("lows" in sampling) != ("highs" in sampling):
+        raise ConfigError("[sampling] needs both lows and highs")
+    if "lows" in sampling:
+        if len(cfg.lows) != chart.dim or len(cfg.highs) != chart.dim:
             raise ConfigError(
-                f"process needs {chart.dim} components, got {len(comps)}",
-                e.line,
-                e.column,
+                f"sampling bounds need {chart.dim} entries", *at("sampling", "lows")
             )
-        need(e, _check_expr_list(e, comps, chart))
-        support = ""
-        se = body.get("support")
-        if se is not None:
-            need(se, _check_expr(se, se.value, chart))
-            support = se.value
-        for key in body:
-            if key not in ("components", "support"):
-                raise ConfigError(f"unknown key {key!r} in [{name}]", body[key].line, 1)
-        processes.append(ProcessSpec(pname, comps, support))
-    cfg = replace(cfg, processes=tuple(processes))
-
-    chain_specs = []
-    for name, body in sections.items():
-        if not name.startswith("chain "):
-            continue
-        cname = name.split(None, 1)[1]
-        de = body.get("degree")
-        if de is None:
-            raise ConfigError(f"[{name}] needs a degree key")
-        degree = _int(de)
-        if not 1 <= degree <= chart.dim:
-            raise ConfigError(
-                f"chain degree must be in 1..{chart.dim}", de.line, de.column
-            )
-        e = body.get("components")
-        if e is None:
-            raise ConfigError(f"[{name}] needs a components key")
-        comps = _csv(e)
-        if len(comps) != chart.dim:
-            raise ConfigError(
-                f"chain map needs {chart.dim} components, got {len(comps)}",
-                e.line,
-                e.column,
-            )
-        pchart = ch.param_chart(degree)
-        for t in comps:
-            need(e, _check_expr(e, t, pchart))
-        closed = True
-        ce = body.get("closed")
-        if ce is not None:
-            closed = _bool(ce)
-        for key in body:
-            if key not in ("degree", "components", "closed"):
-                raise ConfigError(f"unknown key {key!r} in [{name}]", body[key].line, 1)
-        chain_specs.append(ChainSpec(cname, degree, comps, closed))
-    cfg = replace(cfg, chains=tuple(chain_specs))
-
-    sampling = sections.get("sampling", {})
-    if "lows" in sampling or "highs" in sampling:
-        if not ("lows" in sampling and "highs" in sampling):
-            raise ConfigError("[sampling] needs both lows and highs")
-        lows = _floats(sampling["lows"])
-        highs = _floats(sampling["highs"])
-        if len(lows) != chart.dim or len(highs) != chart.dim:
-            raise ConfigError(
-                f"sampling bounds need {chart.dim} entries",
-                sampling["lows"].line,
-                sampling["lows"].column,
-            )
-        for lo, hi in zip(lows, highs):
+        for lo, hi in zip(cfg.lows, cfg.highs):
             if not (lo < hi and math.isfinite(hi - lo)):
                 raise ConfigError(
                     f"sampling interval [{lo}, {hi}] needs lo < hi and a finite width",
-                    sampling["lows"].line,
-                    sampling["lows"].column,
+                    *at("sampling", "lows"),
                 )
-        cfg = replace(cfg, lows=lows, highs=highs)
-    if "guards" in sampling:
-        e = sampling["guards"]
-        guards = tuple(p.strip() for p in e.value.split(";") if p.strip())
-        for g in guards:
-            need(e, _check_expr(e, g, chart), guard_only=True)
-        cfg = replace(cfg, guards=guards)
-    ranges = []
-    for key, entry in sampling.items():
-        if not key.startswith("range "):
-            continue
-        pname = key.split(None, 1)[1]
-        vals = _floats(entry)
-        if len(vals) != 2 or not (vals[0] < vals[1] and math.isfinite(vals[1] - vals[0])):
-            raise ConfigError(
-                f"range {pname} needs `low, high` with low < high and a finite width",
-                entry.line,
-                entry.column,
-            )
-        ranges.append((pname, vals[0], vals[1]))
-    cfg = replace(cfg, param_ranges=tuple(ranges))
 
-    topo = sections.get("topology")
-    if topo is not None:
-        pe = topo.get("points")
-        oe = topo.get("opens")
-        if pe is None or oe is None:
-            raise ConfigError("[topology] needs points and opens keys")
-        points = _csv(pe)
-        opens = _braced_sets(oe)
-        cod_points = _csv(topo["codomain_points"]) if "codomain_points" in topo else ()
-        cod_opens = _braced_sets(topo["codomain_opens"]) if "codomain_opens" in topo else ()
+    if cfg.topology is not None:
+        topo = sections["topology"].entries
         if ("codomain_points" in topo) != ("codomain_opens" in topo):
             raise ConfigError("[topology] codomain needs both points and opens")
-        mapping = []
-        if "map" in topo:
-            me = topo["map"]
-            for piece in _csv(me):
-                if ":" not in piece:
-                    raise ConfigError(
-                        f"map entries are `point:image`, got {piece!r}",
-                        me.line,
-                        me.column,
-                    )
-                a, _, b = piece.partition(":")
-                mapping.append((a.strip(), b.strip()))
-        spec = TopologySpec(points, opens, cod_points, cod_opens, tuple(mapping))
-        _validate_topology(spec, topo)
-        cfg = replace(cfg, topology=spec)
+        _validate_topology(cfg.topology, topo)
 
     bound = {name for name, _ in cfg.params}
     ranged = {name for name, _, _ in cfg.param_ranges}
@@ -572,19 +646,16 @@ def _config_of(sections: dict[str, dict[str, _Entry]]) -> RunConfig:
     for entry, pname, guard_only in needed:
         if pname not in (ranged if guard_only else bound):
             raise ConfigError(
-                f"parameter {pname!r} has no value; add it to [params]",
+                f"parameter {_quoted(pname)} has no value; add it to [params]",
                 entry.line,
                 entry.column,
             )
-
-    if not cfg.selected_batteries():
-        raise ConfigError("battery selection matches nothing")
     return cfg
 
 
-def _validate_topology(spec: TopologySpec, section: dict[str, _Entry]):
+def _validate_topology(spec: TopologySpec, entries: dict[str, _Entry]):
     def fail(key: str, message: str):
-        entry = section[key]
+        entry = entries[key]
         raise ConfigError(message, entry.line, entry.column)
 
     verdict = ft.is_topology(spec.opens, spec.points)
@@ -599,9 +670,9 @@ def _validate_topology(spec: TopologySpec, section: dict[str, _Entry]):
         codomain = set(spec.codomain_points or spec.points)
         for a, b in spec.map:
             if a not in domain:
-                fail("map", f"map source {a!r} is not a domain point")
+                fail("map", f"map source {_quoted(a)} is not a domain point")
             if b not in codomain:
-                fail("map", f"map image {b!r} is not a codomain point")
+                fail("map", f"map image {_quoted(b)} is not a codomain point")
         if set(a for a, _ in spec.map) != domain:
             fail("map", "map must cover every domain point")
 
@@ -614,84 +685,20 @@ def _chart_of(cfg: RunConfig, preset: sy.Preset | None) -> ex.Chart:
     return sy.SPACETIME
 
 
-# ---------------------------------------------------------------------------
-# Config serialization (round-trip partner of parse_config)
-
-
 def serialize_config(cfg: RunConfig) -> str:
-    lines: list[str] = ["[run]"]
-    if cfg.preset:
-        lines.append(f"preset = {cfg.preset}")
-    lines.append(f"battery = {', '.join(cfg.batteries)}")
-    lines.append(f"seed = {cfg.seed}")
-    lines.append(f"tolerance = {cfg.tolerance!r}")
-    if cfg.out:
-        lines.append(f"out = {cfg.out}")
-    lines.append(f"summary = {'true' if cfg.summary else 'false'}")
-
-    if cfg.coordinates:
-        lines += ["", "[chart]", f"coordinates = {', '.join(cfg.coordinates)}"]
-
-    if cfg.action or cfg.velocity or cfg.vector_potential:
-        lines += ["", "[system]"]
-        if cfg.action:
-            lines.append(f"action = {', '.join(cfg.action)}")
-        if cfg.velocity:
-            lines.append(f"velocity = {', '.join(cfg.velocity)}")
-        if cfg.pressure_potential:
-            lines.append(f"pressure_potential = {cfg.pressure_potential}")
-        if cfg.viscosity:
-            lines.append(f"viscosity = {cfg.viscosity}")
-        if cfg.vector_potential:
-            lines.append(f"vector_potential = {', '.join(cfg.vector_potential)}")
-        if cfg.scalar_potential:
-            lines.append(f"scalar_potential = {cfg.scalar_potential}")
-
-    if cfg.params:
-        lines += ["", "[params]"]
-        for name, value in cfg.params:
-            lines.append(f"{name} = {value!r}")
-
-    if cfg.lows or cfg.guards or cfg.param_ranges:
-        lines += ["", "[sampling]"]
-        if cfg.lows:
-            lines.append(f"lows = {', '.join(repr(v) for v in cfg.lows)}")
-            lines.append(f"highs = {', '.join(repr(v) for v in cfg.highs)}")
-        if cfg.guards:
-            lines.append(f"guards = {'; '.join(cfg.guards)}")
-        for name, lo, hi in cfg.param_ranges:
-            lines.append(f"range {name} = {lo!r}, {hi!r}")
-
-    for p in cfg.processes:
-        lines += ["", f"[process {p.name}]", f"components = {', '.join(p.components)}"]
-        if p.support:
-            lines.append(f"support = {p.support}")
-
-    for c in cfg.chains:
-        lines += [
-            "",
-            f"[chain {c.name}]",
-            f"degree = {c.degree}",
-            f"components = {', '.join(c.components)}",
-            f"closed = {'true' if c.closed else 'false'}",
-        ]
-
+    """The config text parse_config reads back to cfg; a key whose value is
+    its field's default is left out."""
+    blocks = [(f"[{kind}]", kind, cfg) for kind in ("run", "chart", "system", "params", "sampling")]
+    blocks += [(f"[process {p.name}]", "process", p) for p in cfg.processes]
+    blocks += [(f"[chain {c.name}]", "chain", c) for c in cfg.chains]
     if cfg.topology is not None:
-        t = cfg.topology
-        lines += ["", "[topology]", f"points = {', '.join(t.points)}"]
-        lines.append(f"opens = {'; '.join(_fmt_set(s) for s in t.opens)}")
-        if t.codomain_points:
-            lines.append(f"codomain_points = {', '.join(t.codomain_points)}")
-            lines.append(
-                f"codomain_opens = {'; '.join(_fmt_set(s) for s in t.codomain_opens)}"
-            )
-        if t.map:
-            lines.append(f"map = {', '.join(f'{a}:{b}' for a, b in t.map)}")
-    return "\n".join(lines) + "\n"
-
-
-def _fmt_set(members: tuple[str, ...]) -> str:
-    return "{" + ", ".join(members) + "}"
+        blocks.append(("[topology]", "topology", cfg.topology))
+    out = []
+    for header, kind, owner in blocks:
+        lines = [line for row in _KEYS if row.section == kind for line in row.lines(owner)]
+        if lines:
+            out.append("\n".join([header, *lines]))
+    return "\n\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -811,62 +818,50 @@ def _build_runtime(cfg: RunConfig) -> _Runtime:
         system = preset.system
         box = preset.box
 
+    def trees(sources: tuple[Source, ...]) -> tuple[ex.ScalarExpr, ...]:
+        return tuple(s.tree for s in sources)
+
+    def tree(source: Source | None, default: ex.ScalarExpr) -> ex.ScalarExpr:
+        return source.tree if source else default
+
     if cfg.action:
-        comps = tuple(ps.parse_scalar(t, chart) for t in cfg.action)
-        action = fm.one_form(chart, comps)
+        action = fm.one_form(chart, trees(cfg.action))
     elif cfg.velocity:
-        v = tuple(ps.parse_scalar(t, chart) for t in cfg.velocity)
-        p_rho = (
-            ps.parse_scalar(cfg.pressure_potential, chart)
-            if cfg.pressure_potential
-            else ex.ZERO
+        system = sy.FluidSystem(
+            trees(cfg.velocity),
+            tree(cfg.pressure_potential, ex.ZERO),
+            tree(cfg.viscosity, ex.ZERO),
+            name="config.fluid",
         )
-        nu = ps.parse_scalar(cfg.viscosity, chart) if cfg.viscosity else ex.ZERO
-        system = sy.FluidSystem(v, p_rho, nu, name="config.fluid")
         action = system.action()
         processes.append(("spacetime", system.spacetime_velocity()))
     elif cfg.vector_potential:
-        a = tuple(ps.parse_scalar(t, chart) for t in cfg.vector_potential)
-        phi = (
-            ps.parse_scalar(cfg.scalar_potential, chart)
-            if cfg.scalar_potential
-            else ex.ZERO
+        system = sy.EMSystem(
+            trees(cfg.vector_potential), tree(cfg.scalar_potential, ex.ZERO), name="config.em"
         )
-        system = sy.EMSystem(a, phi, name="config.em")
         action = system.action()
 
     for spec in cfg.processes:
-        comps = tuple(ps.parse_scalar(t, chart) for t in spec.components)
-        support = ps.parse_scalar(spec.support, chart) if spec.support else ex.ONE
-        processes.append((spec.name, VectorField(chart, comps, support)))
+        J = VectorField(chart, trees(spec.components), tree(spec.support, ex.ONE))
+        processes.append((spec.name, J))
 
     for spec in cfg.chains:
-        pchart = ch.param_chart(spec.degree)
-        comps = tuple(ps.parse_scalar(t, pchart) for t in spec.components)
-        cell = ch.ExprCell(chart, spec.degree, comps, name=spec.name)
+        cell = ch.ExprCell(chart, spec.degree, trees(spec.components), name=spec.name)
         chains.append(ch.Chain(spec.degree, (cell,), (1,), spec.closed, spec.name))
 
     for name, value in cfg.params:
         params[name] = value
 
-    if cfg.lows:
-        box = Box(
-            lows=cfg.lows,
-            highs=cfg.highs,
-            param_ranges={n: (lo, hi) for n, lo, hi in cfg.param_ranges},
-            guards=tuple(ps.parse_scalar(g, chart) for g in cfg.guards),
-        )
-    elif cfg.guards or cfg.param_ranges:
-        box = box or ex.default_box(chart.dim)
-        merged = dict(box.param_ranges)
-        merged.update({n: (lo, hi) for n, lo, hi in cfg.param_ranges})
-        box = Box(
-            lows=box.lows,
-            highs=box.highs,
-            param_ranges=merged,
-            guards=box.guards + tuple(ps.parse_scalar(g, chart) for g in cfg.guards),
-        )
+    # the config's sampling goes into the preset's box, or the default box:
+    # lows and highs replace its bounds, ranges and guards are merged in
     box = box or ex.default_box(chart.dim)
+    box = replace(
+        box,
+        lows=cfg.lows or box.lows,
+        highs=cfg.highs or box.highs,
+        param_ranges={**box.param_ranges, **{n: (lo, hi) for n, lo, hi in cfg.param_ranges}},
+        guards=box.guards + trees(cfg.guards),
+    )
 
     if action is None and cfg.topology is None:
         raise ConfigError("nothing to analyze: no action and no topology")
@@ -1306,16 +1301,11 @@ def _summary_lines(report: Report, cfg: RunConfig) -> list[str]:
 
 
 def _flag_entries(args: argparse.Namespace) -> dict[str, _Entry]:
-    """The run flags as [run] entries, so that the config's checks apply to them."""
-    values = {
-        "preset": args.preset,
-        "battery": ",".join(args.battery) if args.battery else None,
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-        "out": args.out,
-        "summary": args.summary,
-    }
-    return {k: _Entry(str(v), 0, 0) for k, v in values.items() if v is not None}
+    """The run flags, each named after its [run] key, as [run] entries, so
+    that the config's checks apply to them."""
+    flags = {**vars(args), "battery": ",".join(args.battery) if args.battery else None}
+    keys = [row.key for row in _KEYS if row.section == "run"]
+    return {k: _Entry(k, str(flags[k]), 0, 0) for k in keys if flags[k] is not None}
 
 
 def _internal_error(e: Exception) -> int:
@@ -1370,7 +1360,7 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
         # flags override the file's [run] values and pass the same checks
         sections = _split_sections(text)
-        sections.setdefault("run", {}).update(_flag_entries(args))
+        sections.setdefault("run", _Section("run", 0, {})).entries.update(_flag_entries(args))
         cfg = _config_of(sections)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -1384,8 +1374,8 @@ def main(argv: list[str] | None = None) -> int:
     except (InconclusiveError, InternalConsistencyError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
-    except (ConfigError, ps.ParseError, sy.PresetError, fm.FormError, ch.ChainError,
-            th.ThermoError, ex.ExprError) as e:
+    except (ConfigError, sy.PresetError, fm.FormError, ch.ChainError, th.ThermoError,
+            ex.ExprError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

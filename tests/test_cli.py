@@ -63,7 +63,7 @@ def test_parse_full_config_fields():
     assert cfg.tolerance == 1e-7
     assert not cfg.summary
     assert cfg.coordinates == ("x", "y", "z", "t")
-    assert cfg.velocity == ("S*y", "0", "0")
+    assert tuple(s.text for s in cfg.velocity) == ("S*y", "0", "0")
     assert cfg.params == (("S", 1.25),)
     assert cfg.processes[0].name == "drift"
     assert cfg.chains[0].name == "loop" and cfg.chains[0].closed
@@ -129,15 +129,77 @@ def test_preset_and_system_are_mutually_exclusive():
         cli.parse_config(text)
 
 
+# every key of the table that a velocity system allows, none at its default
+EVERY_KEY_CONFIG = """\
+[run]
+battery = pfaff, thermo, topology
+seed = 11
+tolerance = 1e-5
+out = report.json
+summary = false
+
+[chart]
+coordinates = x, y, z, t
+
+[system]
+velocity = -S*y, S*x, 0
+pressure_potential = S^2*(x^2 + y^2)/2
+viscosity = nu
+
+[params]
+S = 0.5
+nu = 0.125
+
+[sampling]
+lows = -1, -1, -0.5, 0
+highs = 1, 1, 0.5, 2
+guards = x^2 + y^2; 1 + b*x
+range b = 0.5, 1.5
+
+[process swirl]
+components = -y, x, 0, 1
+support = 1 + x^2
+
+[chain arc]
+degree = 1
+components = cos(pi*u0), sin(pi*u0), 0, 0
+closed = false
+
+[topology]
+points = a, b
+opens = {}; {a}; {a, b}
+codomain_points = p, q
+codomain_opens = {}; {p}; {p, q}
+map = a:p, b:q
+"""
+# the system keys a velocity system excludes
+OTHER_SYSTEMS = (
+    "[system]\naction = y, x*z, 0, 1\n",
+    "[system]\nvector_potential = -y, x, 0\nscalar_potential = z\n",
+)
+
+
 def test_round_trip_serialization():
-    for source in (
+    sources = (
         FULL_CONFIG,
         (CONFIGS / "figure1.cfg").read_text(),
         (CONFIGS / "em_torsion.cfg").read_text(),
-    ):
+        EVERY_KEY_CONFIG,
+        *OTHER_SYSTEMS,
+    )
+    for source in sources:
         cfg = cli.parse_config(source)
         again = cli.parse_config(cli.serialize_config(cfg))
         assert again == cfg
+    # together the inputs set every key of the table
+    written = {
+        (section.kind, key)
+        for source in sources
+        for section in cli._split_sections(source).values()
+        for key in section.entries
+    }
+    for row in cli._KEYS:
+        assert any(kind == row.section and row.matches(key) for kind, key in written), row.key
 
 
 def test_run_winding_preset_passes():
@@ -467,6 +529,23 @@ def test_sampling_guards_and_ranges_reach_the_default_box():
     assert 5.0 <= first["witness_value"] / (y / x) <= 6.0
 
 
+def test_sampling_bounds_keep_the_preset_guards_and_ranges():
+    # lows/highs replace the preset box's bounds; its guards and ranges stay
+    bounds = "\n[sampling]\nlows = -2, -2, -2, -2\nhighs = 2, 2, 2, 2\n"
+    for preset, guards, ranges in (
+        ("harmonic.winding", 1, {}),
+        ("ns.decaying_shear", 0, {"nu": (0.05, 0.5)}),
+    ):
+        cfg = cli.parse_config(f"[run]\npreset = {preset}\n" + bounds)
+        box = cli._build_runtime(cfg).anatomy.context.box
+        assert (box.lows, box.highs) == ((-2.0,) * 4, (2.0,) * 4)
+        assert len(box.guards) == guards and box.param_ranges == ranges
+    # a config guard and range are merged in as well
+    text = f"[run]\npreset = ns.decaying_shear\n{bounds}guards = x + 3\nrange c = 1, 2\n"
+    box = cli._build_runtime(cli.parse_config(text)).anatomy.context.box
+    assert len(box.guards) == 1 and box.param_ranges == {"nu": (0.05, 0.5), "c": (1.0, 2.0)}
+
+
 # a steady Euler solution with rational velocity: its identities cancel
 # only on sampling, away from the guarded axis
 POINT_VORTEX = (
@@ -602,6 +681,53 @@ def test_config_numbers_must_be_finite_and_seeds_nonnegative(text, argv, message
     cfg = tmp_path / "numbers.cfg"
     cfg.write_text(text)
     assert cli.main(["run", str(cfg), "--no-summary", *argv]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("key", ["seed", "tolerance", "summary", "preset"])
+def test_long_values_are_quoted_cut_short(key, tmp_path, capsys):
+    cfg = tmp_path / "long.cfg"
+    value = "9" * 5000
+    preset = "" if key == "preset" else "preset = harmonic.winding\n"
+    cfg.write_text(f"[run]\n{preset}{key} = {value}\n")
+    assert cli.main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    # an unknown preset's message also lists the available ones
+    bound = 200 + (len(", ".join(sy.PRESETS)) if key == "preset" else 0)
+    assert err.count("\n") == 1 and len(err) <= bound, err
+    line = 2 if key == "preset" else 3
+    assert f"line {line}, column {len(key) + 4}: " in err
+    assert "... (5000 characters)" in err
+
+
+_VELOCITY = "[run]\nbattery = thermo\n\n[system]\nvelocity = y, 0, 0\n"
+_LOOP = "degree = 1\ncomponents = cos(2*pi*u0), sin(2*pi*u0), 0, 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(_VELOCITY + "[process a]\ncomponents = 1, 0, 0, 1\n"
+                     "[process  a]\ncomponents = 0, 1, 0, 1\n",
+                     "line 8, column 1: duplicate section [process a]", id="process twice"),
+        pytest.param(_VELOCITY + f"[chain c]\n{_LOOP}[chain   c]\n{_LOOP}",
+                     "line 9, column 1: duplicate section [chain c]", id="chain twice"),
+        pytest.param("[run]\npreset = em.torsion_nonzero\n\n[process torsion]\n"
+                     "components = 1, 0, 0, 1\n",
+                     "line 4, column 1: process name 'torsion' is already used by the preset",
+                     id="preset process"),
+        pytest.param(f"[run]\npreset = harmonic.winding\n\n[chain circle]\n{_LOOP}",
+                     "line 4, column 1: chain name 'circle' is already used by the preset",
+                     id="preset chain"),
+        pytest.param(_VELOCITY + "[process spacetime]\ncomponents = 1, 0, 0, 1\n",
+                     "line 6, column 1: process name 'spacetime' is already used by the "
+                     "velocity system", id="velocity process"),
+    ],
+)
+def test_process_and_chain_names_are_unique(text, message, tmp_path, capsys):
+    cfg = tmp_path / "names.cfg"
+    cfg.write_text(text)
+    assert cli.main(["run", str(cfg), "--no-summary"]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 

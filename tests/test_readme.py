@@ -26,3 +26,11 @@ def test_library_example_runs_and_prints_its_comments():
     assert len(printed) == len(expected)
     for got, want in zip(printed, expected):
         assert want.startswith(got), (got, want)
+
+
+def test_config_reference_lists_every_key():
+    import formflow.cli as cli
+
+    section = README.read_text().split("### Config format", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `\[(\w+)[^\]]*\]` \| `([^`]+)` \|", section, re.M)
+    assert sorted(rows) == sorted((key.section, key.key) for key in cli._KEYS)
