@@ -32,6 +32,7 @@ from . import systems as sy
 from . import thermo as th
 from .expr import Box, InconclusiveError, ZeroVerdict
 from .forms import DifferentialForm, VectorField
+from .parse import quoted
 from .pfaff import InternalConsistencyError
 
 __all__ = [
@@ -194,19 +195,11 @@ def _split_sections(text: str) -> dict[str, _Section]:
             raise ConfigError("empty key", lineno, 1)
         if key_name in current.entries:
             raise ConfigError(
-                f"duplicate key {_quoted(key_name)} in [{current.name}]", lineno, 1
+                f"duplicate key {quoted(key_name)} in [{current.name}]", lineno, 1
             )
         column = len(key) + 2 + (len(value) - len(value.lstrip()))
         current.entries[key_name] = _Entry(key_name, value.strip(), lineno, column)
     return sections
-
-
-def _quoted(text: str, limit: int = 60) -> str:
-    """repr(text) for an error message; past `limit` characters, the repr
-    of its first `limit` and the full length."""
-    if len(text) <= limit:
-        return repr(text)
-    return f"{text[:limit]!r}... ({len(text)} characters)"
 
 
 def _csv(entry: _Entry) -> tuple[str, ...]:
@@ -230,7 +223,7 @@ def _float(entry: _Entry, text: str) -> float:
         v = math.nan
     if not math.isfinite(v):
         raise ConfigError(
-            f"expected a finite number, got {_quoted(text)}", entry.line, entry.column
+            f"expected a finite number, got {quoted(text)}", entry.line, entry.column
         )
     return v
 
@@ -261,7 +254,7 @@ def _int(e: _Entry, s: _Scope) -> int:
         v = -1
     if v < 0:
         raise ConfigError(
-            f"expected a nonnegative integer, got {_quoted(e.value)}", e.line, e.column
+            f"expected a nonnegative integer, got {quoted(e.value)}", e.line, e.column
         )
     return v
 
@@ -272,13 +265,13 @@ def _bool(e: _Entry, s: _Scope) -> bool:
         return True
     if v in ("false", "no", "off", "0"):
         return False
-    raise ConfigError(f"expected a boolean, got {_quoted(e.value)}", e.line, e.column)
+    raise ConfigError(f"expected a boolean, got {quoted(e.value)}", e.line, e.column)
 
 
 def _preset(e: _Entry, s: _Scope) -> str:
     if e.value not in sy.PRESETS:
         raise ConfigError(
-            f"unknown preset {_quoted(e.value)}; available: {', '.join(sy.PRESETS)}",
+            f"unknown preset {quoted(e.value)}; available: {', '.join(sy.PRESETS)}",
             e.line,
             e.column,
         )
@@ -292,7 +285,7 @@ def _batteries(e: _Entry, s: _Scope) -> tuple[str, ...]:
     for n in names:
         if n != "all" and n not in BATTERIES:
             raise ConfigError(
-                f"unknown battery {_quoted(n)}; choose from all, {', '.join(BATTERIES)}",
+                f"unknown battery {quoted(n)}; choose from all, {', '.join(BATTERIES)}",
                 e.line,
                 e.column,
             )
@@ -372,7 +365,7 @@ def _braced_sets(e: _Entry, s: _Scope) -> tuple[tuple[str, ...], ...]:
             continue
         if not (piece.startswith("{") and piece.endswith("}")):
             raise ConfigError(
-                f"expected a braced set, got {_quoted(piece)}", e.line, e.column
+                f"expected a braced set, got {quoted(piece)}", e.line, e.column
             )
         out.append(tuple(sorted(p.strip() for p in piece[1:-1].split(",") if p.strip())))
     return tuple(out)
@@ -383,7 +376,7 @@ def _map(e: _Entry, s: _Scope) -> tuple[tuple[str, str], ...]:
     for piece in _csv(e):
         if ":" not in piece:
             raise ConfigError(
-                f"map entries are `point:image`, got {_quoted(piece)}", e.line, e.column
+                f"map entries are `point:image`, got {quoted(piece)}", e.line, e.column
             )
         a, _, b = piece.partition(":")
         mapping.append((a.strip(), b.strip()))
@@ -518,7 +511,7 @@ def _config_of(sections: dict[str, _Section]) -> RunConfig:
         for key, entry in section.entries.items():
             if not any(row.section == kind and row.matches(key) for row in _KEYS):
                 raise ConfigError(
-                    f"unknown key {_quoted(key)} in [{section.name}]", entry.line, 1
+                    f"unknown key {quoted(key)} in [{section.name}]", entry.line, 1
                 )
 
     def entries(name: str) -> dict[str, _Entry]:
@@ -604,7 +597,7 @@ def _config_of(sections: dict[str, _Section]) -> RunConfig:
             if spec.name in taken[kind]:
                 owner = "the preset" if preset else "the velocity system"
                 raise ConfigError(
-                    f"{kind} name {_quoted(spec.name)} is already used by {owner}",
+                    f"{kind} name {quoted(spec.name)} is already used by {owner}",
                     section.line,
                     1,
                 )
@@ -646,7 +639,7 @@ def _config_of(sections: dict[str, _Section]) -> RunConfig:
     for entry, pname, guard_only in needed:
         if pname not in (ranged if guard_only else bound):
             raise ConfigError(
-                f"parameter {_quoted(pname)} has no value; add it to [params]",
+                f"parameter {quoted(pname)} has no value; add it to [params]",
                 entry.line,
                 entry.column,
             )
@@ -670,9 +663,9 @@ def _validate_topology(spec: TopologySpec, entries: dict[str, _Entry]):
         codomain = set(spec.codomain_points or spec.points)
         for a, b in spec.map:
             if a not in domain:
-                fail("map", f"map source {_quoted(a)} is not a domain point")
+                fail("map", f"map source {quoted(a)} is not a domain point")
             if b not in codomain:
-                fail("map", f"map image {_quoted(b)} is not a codomain point")
+                fail("map", f"map image {quoted(b)} is not a codomain point")
         if set(a for a, _ in spec.map) != domain:
             fail("map", "map must cover every domain point")
 
@@ -1097,54 +1090,33 @@ def _battery_periods(rt: _Runtime, checks: list[_Check]) -> dict:
 
 def _battery_residuals(rt: _Runtime, checks: list[_Check]) -> dict:
     out: dict = {}
-    tester = rt.context
     if isinstance(rt.system, sy.FluidSystem):
-        s = rt.system
-        vort = sy.vorticity_fields(s, tester)  # raises on broken induction identities
-        out["vorticity"] = [ex.to_text(c, rt.chart) for c in vort.omega]
-        out["acceleration"] = [ex.to_text(c, rt.chart) for c in vort.acceleration]
-        checks.append(
-            _Check("residuals", "induction_identities", True, detail="curl a + dw/dt = 0, div w = 0")
-        )
-        euler = sy.euler_residual(s)
-        euler_zero = all(tester.test(c).zero for c in euler)
-        out["euler_residual"] = [ex.to_text(c, rt.chart) for c in euler]
-        out["euler_satisfied"] = euler_zero
-        # the engineering comparison computes the momentum residual and the
-        # kinematic torsion current it is built from; both are read off it
-        eng = sy.ns_engineering_torsion(s, rt.anatomy)
-        ns = eng.ns
-        out["momentum_residual"] = [ex.to_text(c, rt.chart) for c in ns.residual]
-        out["work_form"] = fm.form_to_text(ns.work_form)
-        checks.append(
-            _Check(
-                "residuals",
-                "momentum_balance",
-                ns.satisfied,
-                detail="viscous momentum residual zero verdict",
-            )
-        )
+        rep = sy.fluid_diagnostics(rt.system, rt.anatomy)
+        eng = rep.engineering
         torsion = eng.kinematic
+        out["vorticity"] = [ex.to_text(c, rt.chart) for c in rep.vorticity.omega]
+        out["acceleration"] = [ex.to_text(c, rt.chart) for c in rep.vorticity.acceleration]
+        out["euler_residual"] = [ex.to_text(c, rt.chart) for c in rep.euler]
+        out["euler_satisfied"] = rep.euler_satisfied
+        out["momentum_residual"] = [ex.to_text(c, rt.chart) for c in rep.ns.residual]
+        out["work_form"] = fm.form_to_text(rep.ns.work_form)
         out["torsion_current"] = [ex.to_text(c, rt.chart) for c in torsion.current]
         out["helicity_density"] = ex.to_text(torsion.helicity_density, rt.chart)
         out["anomaly"] = ex.to_text(torsion.anomaly, rt.chart)
-        checks.append(
-            _Check("residuals", "torsion_balance_law", True, detail="div T + dh/dt = anomaly")
-        )
         out["engineering_torsion"] = {
             "current": [ex.to_text(c, rt.chart) for c in eng.current],
             "agrees_on_solution": eng.ns_satisfied,
             "warning": eng.warning,
         }
-        mass = sy.mass_current(ex.ONE, s.velocity, tester)
-        incompressible = tester.test(mass.residual)
-        out["incompressibility"] = _verdict_dict(incompressible)
-        checks.append(
-            _Check(
-                "residuals",
-                "mass_conservation_unit_density",
-                incompressible.zero,
-                detail="div v = 0 with rho = 1",
+        out["incompressibility"] = _verdict_dict(rep.incompressible)
+        checks.extend(
+            _Check("residuals", name, passed, detail=detail)
+            for name, passed, detail in (
+                ("induction_identities", True, "curl a + dw/dt = 0, div w = 0"),
+                ("momentum_balance", rep.ns.satisfied, "viscous momentum residual zero verdict"),
+                ("torsion_balance_law", True, "div T + dh/dt = anomaly"),
+                ("mass_conservation_unit_density", rep.incompressible.zero,
+                 "div v = 0 with rho = 1"),
             )
         )
     elif isinstance(rt.system, sy.EMSystem):

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import expr as ex
 
-__all__ = ["ParseError", "parse_scalar", "parse_scalar_list"]
+__all__ = ["ParseError", "parse_scalar", "parse_scalar_list", "quoted"]
 
 
 class ParseError(Exception):
@@ -30,6 +30,14 @@ class ParseError(Exception):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
+
+
+def quoted(text: str, limit: int = 60) -> str:
+    """repr(text) for an error message; past `limit` characters, the repr
+    of its first `limit` and the full length."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
 
 
 @dataclass(frozen=True)
@@ -147,7 +155,8 @@ class _Parser:
     def expect_op(self, op: str) -> _Token:
         t = self.peek()
         if t.kind != "op" or t.text != op:
-            raise ParseError(f"expected {op!r}, found {t.text or 'end of input'!r}", t.line, t.column)
+            found = quoted(t.text or "end of input")
+            raise ParseError(f"expected {op!r}, found {found}", t.line, t.column)
         return self.advance()
 
     def parse_expr(self) -> ex.ScalarExpr:
@@ -242,7 +251,7 @@ class _Parser:
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "(":
                 if t.text not in ex.FUNCTION_ARITY:
-                    raise ParseError(f"unknown function {t.text!r}", t.line, t.column)
+                    raise ParseError(f"unknown function {quoted(t.text)}", t.line, t.column)
                 self.advance()
                 self.enter(t)
                 args = [self.parse_expr()]
@@ -265,7 +274,7 @@ class _Parser:
                 return ex.Const(math.pi)
             return ex.param(t.text)
         raise ParseError(
-            f"expected a number, name, or '(', found {t.text or 'end of input'!r}",
+            f"expected a number, name, or '(', found {quoted(t.text or 'end of input')}",
             t.line,
             t.column,
         )
@@ -277,7 +286,7 @@ def parse_scalar(text: str, chart: ex.Chart) -> ex.ScalarExpr:
     node = p.parse_expr()
     t = p.peek()
     if t.kind != "end":
-        raise ParseError(f"unexpected trailing input {t.text!r}", t.line, t.column)
+        raise ParseError(f"unexpected trailing input {quoted(t.text)}", t.line, t.column)
     return node
 
 
@@ -290,5 +299,5 @@ def parse_scalar_list(text: str, chart: ex.Chart) -> tuple[ex.ScalarExpr, ...]:
         out.append(p.parse_expr())
     t = p.peek()
     if t.kind != "end":
-        raise ParseError(f"unexpected trailing input {t.text!r}", t.line, t.column)
+        raise ParseError(f"unexpected trailing input {quoted(t.text)}", t.line, t.column)
     return tuple(out)

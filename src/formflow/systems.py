@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import chains as ch
 from . import expr as ex
@@ -158,6 +159,8 @@ class FluidSystem:
 
     pressure_potential stands for the accumulated grad P / rho term, so the
     stream function H = v.v/2 + pressure_potential drives the dynamics.
+    The derived fields omega, acceleration, curl_omega and euler are each
+    built on first use and kept; the diagnostics below read them.
     """
 
     velocity: Vec3
@@ -193,6 +196,30 @@ class FluidSystem:
     def spatial_velocity(self) -> VectorField:
         v = self.velocity
         return VectorField(SPACETIME, (v[0], v[1], v[2], ex.ZERO))
+
+    @cached_property
+    def omega(self) -> Vec3:
+        """Vorticity curl v."""
+        return _curl(self.velocity)
+
+    @cached_property
+    def acceleration(self) -> Vec3:
+        """a = -dv/dt - grad H."""
+        return _sub3(_neg3(_time(self.velocity)), _grad(self.hamiltonian()))
+
+    @cached_property
+    def curl_omega(self) -> Vec3:
+        """curl omega, the rotational part of -Laplacian(v)."""
+        return _curl(self.omega)
+
+    @cached_property
+    def euler(self) -> Vec3:
+        """dv/dt + grad(v.v/2) - v x curl v + grad(pressure potential)."""
+        v = self.velocity
+        return _add3(
+            _add3(_time(v), _grad(ex.mul(ex.Const(0.5), _dot(v, v)))),
+            _sub3(_grad(self.pressure_potential), _cross(v, self.omega)),
+        )
 
 
 @dataclass(frozen=True)
@@ -249,11 +276,7 @@ def vorticity_fields(s: FluidSystem, context: ZeroTester) -> VorticityFields:
     twice-differentiable velocity, so a failure is a library bug, not a
     modeling problem.
     """
-    v = s.velocity
-    H = s.hamiltonian()
-    omega = _curl(v)
-    a = _sub3(_neg3(_time(v)), _grad(H))
-
+    omega, a = s.omega, s.acceleration
     F_built = fm.form_from_coeffs(
         SPACETIME,
         2,
@@ -282,12 +305,7 @@ def euler_residual(s: FluidSystem) -> Vec3:
     Zero exactly when the spacetime velocity (v, 1) is extremal for the
     action: i(V)dA = residual . (dx - v dt).
     """
-    v = s.velocity
-    omega = _curl(v)
-    return _add3(
-        _add3(_time(v), _grad(ex.mul(ex.Const(0.5), _dot(v, v)))),
-        _sub3(_grad(s.pressure_potential), _cross(v, omega)),
-    )
+    return s.euler
 
 
 @dataclass(frozen=True)
@@ -306,17 +324,15 @@ def navier_stokes_residual(s: FluidSystem, anatomy: Anatomy) -> NSReport:
     form is the transversal format -nu (curl omega) . (dx - v dt); the
     identity  i(V)dA - work_form = residual . (dx - v dt)  is checked on
     the anatomy's context, which is exactly the statement that the
-    first-law work reduces to the viscous work on solutions.  `anatomy` is that of
-    s.action().
+    first-law work i(V)dA reduces to the viscous work on solutions.  `anatomy`
+    is that of s.action().
     """
     v = s.velocity
     nu = s.viscosity
-    omega = _curl(v)
-    curl_omega = _curl(omega)
-    residual = _add3(euler_residual(s), _scale3(nu, curl_omega))
+    residual = _add3(s.euler, _scale3(nu, s.curl_omega))
 
-    work = _transversal_form(_scale3(ex.negate(nu), curl_omega), v)
-    _, first_law_work, _ = th.first_law(anatomy, s.spacetime_velocity())
+    work = _transversal_form(_scale3(ex.negate(nu), s.curl_omega), v)
+    first_law_work = fm.interior(s.spacetime_velocity(), anatomy.dA)
     gap = fm.sub_forms(
         fm.sub_forms(first_law_work, work), _transversal_form(residual, v)
     )
@@ -344,12 +360,9 @@ def torsion_current(s: FluidSystem, anatomy: Anatomy) -> TorsionCurrent:
     which it must equal up to COMPONENT_LIST_SIGN.  `anatomy` is that of
     s.action().
     """
-    v = s.velocity
+    v, omega, a = s.velocity, s.omega, s.acceleration
     H = s.hamiltonian()
     tester = anatomy.context
-    omega = _curl(v)
-    a = _sub3(_neg3(_time(v)), _grad(H))
-
     current = _add3(_cross(a, v), _scale3(H, omega))
     h = _dot(v, omega)
     anomaly = ex.mul(ex.Const(-2), _dot(a, omega))
@@ -392,14 +405,12 @@ def ns_engineering_torsion(s: FluidSystem, anatomy: Anatomy) -> EngineeringTorsi
     viscous residual and the kinematic current it is built from are
     returned with it.  `anatomy` is that of s.action().
     """
-    v = s.velocity
-    nu = s.viscosity
-    omega = _curl(v)
+    v, omega = s.velocity, s.omega
     h = _dot(v, omega)
     L = ex.add(ex.mul(ex.Const(0.5), _dot(v, v)), ex.negate(s.pressure_potential))
     engineering = _sub3(
         _sub3(_scale3(h, v), _scale3(L, omega)),
-        _scale3(nu, _cross(v, _curl(omega))),
+        _scale3(s.viscosity, _cross(v, s.curl_omega)),
     )
 
     ns = navier_stokes_residual(s, anatomy)
@@ -558,56 +569,51 @@ def em_diagnostics(s: EMSystem, anatomy: Anatomy) -> EMReport:
 
 @dataclass(frozen=True)
 class FluidReport:
-    system: FluidSystem
     vorticity: VorticityFields
     euler: Vec3
     euler_satisfied: bool
-    ns: NSReport
-    torsion: TorsionCurrent
+    engineering: EngineeringTorsion  # with the viscous residual and kinematic current
+    incompressible: ex.ZeroVerdict  # div v = 0, the unit-density mass balance
     parity_coefficient: ScalarExpr  # +2 a.omega
     viscous_parity_source: ScalarExpr  # -2 nu (omega . curl omega)
-    pfaff_dimension: int
-    genus: pf.GenusReport
-    process: th.ProcessReport  # evolution along (v, 1)
+
+    @property
+    def ns(self) -> NSReport:
+        return self.engineering.ns
 
 
 def fluid_diagnostics(s: FluidSystem, anatomy: Anatomy) -> FluidReport:
     """Full fluid diagnostic bundle for a system; `anatomy` is that of
     s.action().
 
-    Includes the parity coefficient in both orientations: ours equals
-    2(a . omega) identically; on viscous momentum-balance solutions the
+    Runs the identity checks of vorticity_fields and ns_engineering_torsion,
+    the unit-density mass balance, and d(A^dA) = K.  Includes the parity
+    coefficient in both orientations: ours equals 2(a . omega) identically,
+    a checked identity; on viscous momentum-balance solutions the
     classical list value reduces to -2 nu (omega . curl omega), the source
     that vanishes exactly when the vorticity field is Frobenius-integrable.
     """
     tester = anatomy.context
     vort = vorticity_fields(s, tester)
-    euler = euler_residual(s)
-    euler_ok = all(tester.test(c).zero for c in euler)
-    ns = navier_stokes_residual(s, anatomy)
-    torsion = torsion_current(s, anatomy)
+    euler_ok = all(tester.test(c).zero for c in s.euler)
+    engineering = ns_engineering_torsion(s, anatomy)
+    incompressible = tester.test(mass_current(ex.ONE, s.velocity, tester).residual)
 
     _, parity = pf.parity(anatomy)
-    expected = ex.mul(ex.Const(2), _dot(vort.acceleration, vort.omega))
+    expected = ex.mul(ex.Const(2), _dot(s.acceleration, s.omega))
     pf.require_zero(
         ex.add(parity, ex.negate(expected)), tester, "parity coefficient is not 2 (a . omega)"
     )
-    viscous_source = ex.mul(
-        ex.Const(-2), s.viscosity, _dot(vort.omega, _curl(vort.omega))
-    )
+    viscous_source = ex.mul(ex.Const(-2), s.viscosity, _dot(s.omega, s.curl_omega))
 
     return FluidReport(
-        system=s,
         vorticity=vort,
-        euler=euler,
+        euler=s.euler,
         euler_satisfied=euler_ok,
-        ns=ns,
-        torsion=torsion,
+        engineering=engineering,
+        incompressible=incompressible,
         parity_coefficient=parity,
         viscous_parity_source=viscous_source,
-        pfaff_dimension=anatomy.sequence.dimension,
-        genus=anatomy.genus,
-        process=th.process_report(anatomy, s.spacetime_velocity()),
     )
 
 

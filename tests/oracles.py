@@ -130,11 +130,6 @@ def poly_from_expr(e, nvars: int, param_order: tuple[str, ...] = ()) -> Poly | N
 # ---------------------------------------------------------------------------
 # Numeric bridges: evaluate forms and fields at points
 
-def eval_vector(V, point, params=None) -> np.ndarray:
-    comps = V.effective_components()
-    return np.array([reference_eval_with_scale(c, point, params)[0] for c in comps])
-
-
 def eval_form(w, point, params=None) -> dict[tuple[int, ...], float]:
     return {
         idx: reference_eval_with_scale(c, point, params)[0] for idx, c in w.coeffs.items()
@@ -153,13 +148,18 @@ def eval_form(w, point, params=None) -> dict[tuple[int, ...], float]:
 
 
 def rk4_flow(V, point, t: float, steps: int = 2, params=None) -> np.ndarray:
+    comps = V.effective_components()
+
+    def f(x):
+        return np.array([reference_eval_with_scale(c, x, params)[0] for c in comps])
+
     x = np.array(point, dtype=float)
     dt = t / steps
     for _ in range(steps):
-        k1 = eval_vector(V, x, params)
-        k2 = eval_vector(V, x + 0.5 * dt * k1, params)
-        k3 = eval_vector(V, x + 0.5 * dt * k2, params)
-        k4 = eval_vector(V, x + dt * k3, params)
+        k1 = f(x)
+        k2 = f(x + 0.5 * dt * k1)
+        k3 = f(x + 0.5 * dt * k2)
+        k4 = f(x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return x
 

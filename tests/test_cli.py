@@ -361,17 +361,28 @@ def test_run_builds_its_preset_and_classifies_each_process_once(monkeypatch, cap
 
 
 def test_fluid_residuals_battery_builds_vorticity_once(monkeypatch):
-    calls = []
-    vorticity_fields = sy.vorticity_fields
+    calls = {}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return vorticity_fields(*args, **kwargs)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(sy, "vorticity_fields", counting)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        calls[name] = 0
+        monkeypatch.setattr(module, name, wrapper)
+
     cfg = cli.parse_config("[run]\npreset = fluid.beltrami_abc\nbattery = residuals\n")
+    for name in ("vorticity_fields", "_curl", "_time", "_grad"):
+        counting(sy, name)
+    counting(th, "first_law")
     assert cli.run(cfg).passed
-    assert len(calls) == 1
+    # omega, a, curl omega and the Euler residual are built once per system,
+    # and the residuals battery leaves the first-law split to thermo
+    assert calls.pop("vorticity_fields") == 1
+    assert calls.pop("first_law") == 0
+    assert all(n <= 3 for n in calls.values()), calls
 
 
 def test_flags_pass_the_config_checks(tmp_path, capsys):
@@ -568,6 +579,25 @@ def test_point_vortex_runs_on_its_guarded_box(tmp_path, capsys):
     assert doc["batteries"]["residuals"]["euler_satisfied"] is True
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        *(f"[run]\npreset = {name}\n"
+          for name in ("euler.rigid_rotation", "ns.decaying_shear", "fluid.beltrami_abc")),
+        POINT_VORTEX,
+    ],
+    ids=["euler.rigid_rotation", "ns.decaying_shear", "fluid.beltrami_abc", "point_vortex"],
+)
+def test_residuals_alone_report_what_every_battery_reports(text):
+    # no pinned digest covers a residuals-only fluid run
+    def residuals(battery):
+        doc = cli.run(replace(cli.parse_config(text), batteries=(battery,))).document
+        checks = [c for c in doc["checks"] if c["battery"] == "residuals"]
+        return doc["batteries"]["residuals"], checks
+
+    assert residuals("residuals") == residuals("all")
+
+
 def test_rational_potentials_run(tmp_path, capsys):
     cfg = tmp_path / "em.cfg"
     cfg.write_text(RATIONAL_POTENTIALS)
@@ -698,6 +728,26 @@ def test_long_values_are_quoted_cut_short(key, tmp_path, capsys):
     line = 2 if key == "preset" else 3
     assert f"line {line}, column {len(key) + 4}: " in err
     assert "... (5000 characters)" in err
+
+
+_LONG_NAME = "z" * 5000
+
+
+@pytest.mark.parametrize(
+    "action, message",
+    [
+        pytest.param(f"y {_LONG_NAME}", "unexpected trailing input", id="trailing input"),
+        pytest.param(f"{_LONG_NAME}(y)", "unknown function", id="unknown function"),
+        pytest.param(f"(y {_LONG_NAME})", "expected ')', found", id="expected"),
+    ],
+)
+def test_long_tokens_are_quoted_cut_short(action, message, tmp_path, capsys):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(f"[run]\nbattery = pfaff\n\n[system]\naction = {action}, 0, 0, 0\n")
+    assert cli.main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200, err
+    assert f"{message} 'zzz" in err and "... (5000 characters)" in err
 
 
 _VELOCITY = "[run]\nbattery = thermo\n\n[system]\nvelocity = y, 0, 0\n"

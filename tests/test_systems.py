@@ -284,11 +284,13 @@ def test_component_list_sign_relates_conventions():
 
 def test_fluid_diagnostics_bundle():
     p = sy.get_preset("ns.decaying_shear")
-    rep = sy.fluid_diagnostics(p.system, p.anatomy(ex.ZeroTester(p.box)))
+    anatomy = p.anatomy(ex.ZeroTester(p.box))
+    rep = sy.fluid_diagnostics(p.system, anatomy)
     assert rep.ns.satisfied and not rep.euler_satisfied
-    assert rep.pfaff_dimension == 3
-    assert rep.genus.genus == 2
-    assert rep.process.category == th.CATEGORY_OPEN
+    # the report leaves the anatomy's own facts to the anatomy
+    assert anatomy.sequence.dimension == 3
+    assert anatomy.genus.genus == 2
+    assert th.process_report(anatomy, p.system.spacetime_velocity()).category == th.CATEGORY_OPEN
     # viscous parity source: -2 nu omega . curl omega
     s = p.system
     omega = sy._curl(s.velocity)
