@@ -10,10 +10,13 @@ re-fitted after their nodes are pushed along a flow.
 
 Integration pulls the form back through each cell map and applies
 Gauss-Legendre quadrature; the reported error estimate comes from doubling
-the order.  Invariance of an integral under a flow is tested as the
-t-derivative at t = 0 of the integral over the advected chain (fourth-order
-central stencil), cross-checked against the integral of the Lie derivative
-over the original chain, which is the identity the theorem checks rest on.
+the order.  The rows of every cell at both orders are stacked, and the
+form's coefficients are evaluated in one run of its tape; RK4 advection
+runs the field's tape once per stage.  Invariance of an integral under a
+flow is tested as the t-derivative at t = 0 of the integral over the
+advected chain (fourth-order central stencil), cross-checked against the
+integral of the Lie derivative over the original chain, which is the
+identity the theorem checks rest on.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -104,15 +107,6 @@ class ExprCell:
         merged.update(params or {})
         return merged
 
-    def eval_grid(
-        self, axes: Sequence[np.ndarray], params: Mapping[str, float] | None = None
-    ) -> np.ndarray:
-        U = _grid_points(axes)
-        bound = self._bound(params)
-        cols = [ex.eval_many(c, U, bound) for c in self.components]
-        out = np.stack(cols, axis=-1)
-        return out.reshape(tuple(len(a) for a in axes) + (self.chart.dim,))
-
     @functools.cached_property
     def partials(self) -> tuple[tuple[ScalarExpr, ...], ...]:
         """d(component i)/du_j, differentiated once per cell."""
@@ -120,17 +114,33 @@ class ExprCell:
             tuple(ex.differentiate(c, j) for j in range(self.degree)) for c in self.components
         )
 
-    def jacobian_grid(
+    @functools.cached_property
+    def tape(self) -> ex.Tape:
+        """The components, then the partials row by row, compiled once per cell."""
+        return ex.Tape(self.components + tuple(d for row in self.partials for d in row))
+
+    def grids(
+        self, axes: Sequence[np.ndarray], params: Mapping[str, float] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The map and its Jacobian at the grid of axes (C order), shaped
+        (m, n) and (m, n, p), from one run of the cell's tape."""
+        cols = self.tape.values(_grid_points(axes), self._bound(params))
+        n = self.chart.dim
+        return _columns(cols[:n]), _columns(cols[n:]).reshape(-1, n, self.degree)
+
+    def eval_grid(
         self, axes: Sequence[np.ndarray], params: Mapping[str, float] | None = None
     ) -> np.ndarray:
-        U = _grid_points(axes)
-        bound = self._bound(params)
-        n, p = self.chart.dim, self.degree
-        J = np.empty((U.shape[0], n, p))
-        for i, row in enumerate(self.partials):
-            for j, d in enumerate(row):
-                J[:, i, j] = ex.eval_many(d, U, bound)
-        return J.reshape(tuple(len(a) for a in axes) + (n, p))
+        X, _ = self.grids(axes, params)
+        return X.reshape(tuple(len(a) for a in axes) + (self.chart.dim,))
+
+
+def _columns(cols: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays as the columns of one (m, len(cols)) array."""
+    out = np.empty((len(cols[0]), len(cols)))
+    for j, c in enumerate(cols):
+        out[:, j] = c
+    return out
 
 
 def _grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -235,24 +245,25 @@ class InterpCell:
             for k, q in enumerate(axes)
         ]
 
-    def eval_grid(
-        self, axes: Sequence[np.ndarray], params: Mapping[str, float] | None = None
-    ) -> np.ndarray:
+    def _at(self, axes: Sequence[np.ndarray], derivative_axis: int | None) -> np.ndarray:
         out = self.values
-        for k, op in enumerate(self._operators(axes, None)):
+        for k, op in enumerate(self._operators(axes, derivative_axis)):
             out = _apply_axis(op, out, k)
         return out
 
-    def jacobian_grid(
+    def eval_grid(
         self, axes: Sequence[np.ndarray], params: Mapping[str, float] | None = None
     ) -> np.ndarray:
-        cols = []
-        for j in range(self.degree):
-            out = self.values
-            for k, op in enumerate(self._operators(axes, j)):
-                out = _apply_axis(op, out, k)
-            cols.append(out)
-        return np.stack(cols, axis=-1)
+        return self._at(axes, None)
+
+    def grids(
+        self, axes: Sequence[np.ndarray], params: Mapping[str, float] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The map and its Jacobian at the grid of axes (C order), shaped
+        (m, n) and (m, n, p)."""
+        n, p = self.chart.dim, self.degree
+        J = np.stack([self._at(axes, j) for j in range(p)], axis=-1)
+        return self._at(axes, None).reshape(-1, n), J.reshape(-1, n, p)
 
 
 Cell = ExprCell | InterpCell
@@ -308,28 +319,36 @@ def _gl_weights(order: int, degree: int) -> np.ndarray:
     return _frozen(weight.ravel())
 
 
-def _pullback_values(
-    w: DifferentialForm, cell: Cell, axes, params: Mapping[str, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(integrand, |integrand|) of the pulled-back form at the grid points."""
-    p = cell.degree
-    X = cell.eval_grid(axes, params)
-    J = cell.jacobian_grid(axes, params)
-    flatX = X.reshape(-1, w.chart.dim)
-    flatJ = J.reshape(-1, w.chart.dim, p)
+def _pullback_values(w: DifferentialForm, segments: Sequence[tuple]) -> np.ndarray:
+    """The pulled-back integrand at the rows of every (cell, bound, X, J)
+    segment, stacked, from one run of the form's tape.  A failure is raised
+    as evaluating segment by segment, coefficient by coefficient would."""
+    sizes = [len(X) for _, _, X, _ in segments]
+    flatX = np.concatenate([X for _, _, X, _ in segments])
+    flatJ = np.concatenate([J for _, _, _, J in segments])
+    try:
+        stacked = {
+            nm: np.repeat([float(bound[nm]) for _, bound, _, _ in segments], sizes)
+            for nm in w.tape.params
+        }
+        slots = w.tape.run(flatX, stacked)
+        coeffs = [slots[s] for s in w.tape.outputs]
+    except (KeyError, ex.EvalError):  # a cell lacks a parameter, or a bad index
+        coeffs = None
+    if coeffs is None or any(np.isnan(v).any() for v in coeffs):
+        for cell, bound, X, _ in segments:
+            try:
+                w.tape.values(X, bound)
+            except SingularityError as err:
+                raise SingularityError(
+                    f"integrand singular on cell {cell.name or '?'}: {err}",
+                    err.subexpression,
+                    err.point,
+                ) from err
     total = np.zeros(flatX.shape[0])
-    for idx, c in w.coeffs.items():
-        try:
-            coeff_vals = ex.eval_many(c, flatX, params)
-        except SingularityError as err:
-            raise SingularityError(
-                f"integrand singular on cell {cell.name or '?'}: {err}",
-                err.subexpression,
-                err.point,
-            ) from err
-        minors = flatJ[:, list(idx), :]
-        total += coeff_vals * np.linalg.det(minors)
-    return total, np.abs(total)
+    for idx, coeff_vals in zip(w.coeffs, coeffs):
+        total += coeff_vals * np.linalg.det(flatJ[:, list(idx), :])
+    return total
 
 
 def integrate(
@@ -340,27 +359,43 @@ def integrate(
 ) -> "IntegralResult":
     """Quadrature of a p-form over a p-chain with an order-doubling error
     estimate; `scale` is the integral of the absolute pulled-back integrand,
-    the natural yardstick for zero tests on the result."""
+    the natural yardstick for zero tests on the result.
+
+    The grid and Jacobian of every cell at both orders are built first; the
+    form's tape then runs once over all their rows."""
     if w.degree != chain.degree:
         raise ChainError(f"cannot integrate a {w.degree}-form over a {chain.degree}-chain")
     order = order or DEFAULT_QUAD_ORDER[chain.degree]
     params = dict(params or {})
+    p = chain.degree
 
-    def run(o: int) -> tuple[float, float]:
-        axes = [_gl_axis(o)[0]] * chain.degree
-        weight = _gl_weights(o, chain.degree)
-        total = 0.0
-        scale = 0.0
-        for cell, ori in zip(chain.cells, chain.orientations):
-            bound = dict(getattr(cell, "params", {}) or {})
-            bound.update(params)
-            vals, avals = _pullback_values(w, cell, axes, bound)
-            total += ori * float(vals @ weight)
-            scale += float(avals @ weight)
-        return total, scale
+    segments, weights = [], []
+    failure = None
+    try:
+        for o in (order, 2 * order):
+            axes = [_gl_axis(o)[0]] * p
+            for cell, ori in zip(chain.cells, chain.orientations):
+                bound = dict(getattr(cell, "params", {}) or {})
+                bound.update(params)
+                X, J = cell.grids(axes, bound)
+                segments.append((cell, bound, X, J))
+                weights.append((ori, _gl_weights(o, p)))
+    except ex.EvalError as err:
+        failure = err  # raised once the cells before it are known to integrate
+    vals = _pullback_values(w, segments) if segments else None
+    if failure is not None:
+        raise failure
 
-    coarse, _ = run(order)
-    fine, scale = run(2 * order)
+    coarse = fine = scale = 0.0
+    start = 0
+    for k, ((ori, weight), (_, _, X, _)) in enumerate(zip(weights, segments)):
+        part = vals[start : start + len(X)]
+        start += len(X)
+        if k < len(chain.cells):
+            coarse += ori * float(part @ weight)
+        else:
+            fine += ori * float(part @ weight)
+            scale += float(np.abs(part) @ weight)
     return IntegralResult(fine, abs(fine - coarse), scale, order)
 
 
@@ -376,18 +411,6 @@ class IntegralResult:
 # Advection
 
 
-def _flow_function(
-    V: VectorField, params: Mapping[str, float] | None
-) -> Callable[[np.ndarray], np.ndarray]:
-    comps = V.effective_components()
-    bound = dict(params or {})
-
-    def f(X: np.ndarray) -> np.ndarray:
-        return np.stack([ex.eval_many(c, X, bound) for c in comps], axis=-1)
-
-    return f
-
-
 def rk4_flow(
     V: VectorField,
     X0: np.ndarray,
@@ -400,7 +423,12 @@ def rk4_flow(
     dt is one time for every row, or an array of one time per row; each row
     takes steps steps of its own dt / steps.
     """
-    f = _flow_function(V, params)
+    tape = V.tape
+    bound = dict(params or {})
+
+    def f(X: np.ndarray) -> np.ndarray:
+        return _columns(tape.values(X, bound))
+
     X = np.array(X0, dtype=float)
     h = np.asarray(dt, dtype=float) / steps
     if h.ndim:

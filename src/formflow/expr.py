@@ -22,20 +22,25 @@ Each compound node keeps its partial derivatives, one per coordinate, for
 its lifetime.  exp and sqrt nodes keep none: their derivatives contain the
 node itself, and a cached one would be a reference cycle.
 
-One walker evaluates every expression, over a batch of points at once:
-each node is one numpy operation over all rows, memoized by structural
-key.  A node that is singular at a row (division by zero, ln/sqrt outside
-their domain, atan2(0, 0), overflow) is NaN there, and NaN reaches the
-root.  eval_rows returns such rows as NaN; eval_many, eval_with_scale and
-eval_at raise SingularityError naming the first singular subexpression in
-evaluation order, at its first singular point, rather than returning NaN
-or infinity.  Evaluation is deterministic: the same tree at the same point
-with the same parameter bindings produces a bit-identical float, whether
-the point is evaluated alone or as a row of a batch.
+One evaluator, a Tape, runs every expression over a batch of points at
+once.  A tape lists the distinct nodes (by structural key) of one or more
+roots, children before parents, and one loop executes the list, each node
+one numpy operation over all rows.  The single-expression evaluators
+compile a one-root tape per call; forms, vector fields and chain cells
+keep theirs, compiled once per object.  A node that is singular at a row
+(division by zero, ln/sqrt outside their domain, atan2(0, 0), overflow)
+is NaN there, and NaN reaches the root.  eval_rows returns such rows as
+NaN; eval_many, eval_with_scale and eval_at raise SingularityError naming
+the first singular subexpression in evaluation order, at its first
+singular point, rather than returning NaN or infinity.  Evaluation is
+deterministic: the same tree at the same point with the same parameter
+bindings produces a bit-identical float, whether the point is evaluated
+alone, as a row of a batch, or as one root of a tape with several.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -78,6 +83,7 @@ __all__ = [
     "eval_at",
     "eval_many",
     "eval_rows",
+    "Tape",
     "draw_rows",
     "to_text",
     "collect_params",
@@ -827,8 +833,8 @@ def _derivative(e: ScalarExpr, index: int) -> ScalarExpr:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: one walker over a (k, n) array of points (see the module
-# docstring); every public evaluator is a thin wrapper over it.
+# Evaluation: one tape executor over a (k, n) array of points (see the
+# module docstring); every public evaluator is a thin wrapper over it.
 
 
 def _children(node: ScalarExpr) -> tuple[ScalarExpr, ...]:
@@ -864,73 +870,179 @@ def _subtrees(e: ScalarExpr):
 
 _UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log, "sqrt": np.sqrt}
 
+# tape opcodes, most frequent first: the executor tests them in this order
+_PRODUCT, _SUM, _COORD, _CONST, _POW, _QUOTIENT, _FUNC, _ATAN2, _PARAM = range(9)
 
-def _walk(e: ScalarExpr, points: np.ndarray, params: Mapping, scale=None):
-    """Values of e at every row of `points`, and the memo {key: values}.
 
-    A parameter binds to one number or to a column of one value per row.
-    When `scale` is given, each row's entry is raised in place to the
-    largest intermediate magnitude at that row.
+class Tape:
+    """The distinct nodes of one or more roots as a straight-line program.
+
+    Nodes are listed once per structural key, children before parents, in
+    the order of a depth-first walk of the roots in turn; instruction i,
+    (opcode, payload, operand slots), writes slot i.  `index` maps each
+    node's key to its slot and `outputs` holds the roots' slots.  The
+    compiler keeps an explicit stack, so depth is not bounded by Python's
+    recursion limit.  A tape holds no values: run() executes it over a batch
+    of rows.
     """
-    k, n = points.shape
-    one = np.ones(k)
-    memo: dict[str, np.ndarray] = {}
 
-    def rec(node: ScalarExpr) -> np.ndarray:
-        key = node.key
-        v = memo.get(key)
-        if v is not None:
-            return v
-        if isinstance(node, Const):
-            v = one * float(node.value)
-        elif isinstance(node, Coord):
-            if node.index >= n:
-                raise EvalError(
-                    f"points have {n} coordinates but expression uses index {node.index}"
-                )
-            v = points[:, node.index].copy()
-        elif isinstance(node, Param):
-            try:
-                p = params[node.name]
-            except KeyError:
-                raise EvalError(f"unbound parameter {node.name!r}") from None
-            v = one * float(p) if np.ndim(p) == 0 else np.array(p, dtype=float)
-        elif isinstance(node, Sum):
-            v = np.zeros(k)
-            for t in node.terms:
-                v += rec(t)
-        elif isinstance(node, Product):
-            v = one.copy()
-            for f in node.factors:
-                v *= rec(f)
-        elif isinstance(node, Quotient):
-            den = rec(node.den)
-            v = rec(node.num) / den
-        elif isinstance(node, Pow):
-            b = rec(node.base)
-            v = b ** node.exponent
-            if node.exponent == 0:
-                v[np.isnan(b)] = math.nan  # nan ** 0 is 1
-        elif isinstance(node, Func):
-            if node.name == "atan2":
-                y, x = rec(node.args[0]), rec(node.args[1])
-                v = np.arctan2(y, x)
-                v[(y == 0.0) & (x == 0.0)] = math.nan
-            else:
-                v = _UFUNCS[node.name](rec(node.args[0]))
-        else:
-            raise ExprError(f"unknown node {type(node).__name__}")
-        v[np.isinf(v)] = math.nan  # every v here is a new array
-        memo[key] = v
-        if scale is not None:
-            np.maximum(scale, np.abs(v), out=scale)
-        return v
+    def __init__(self, roots: Sequence[ScalarExpr]):
+        index: dict[str, int] = {}
+        code: list[tuple] = []
+        for root in roots:
+            stack: list = [root]
+            while stack:
+                node = stack.pop()
+                if type(node) is tuple:  # (opcode, payload, children, key): children done
+                    op, arg, kids, key = node
+                    index[key] = len(code)
+                    code.append((op, arg, [index[c._key] for c in kids]))  # keyed when popped
+                    continue
+                key = node.key
+                if key in index:
+                    continue
+                t = type(node)
+                if t is Product:
+                    node = (_PRODUCT, None, node.factors, key)
+                elif t is Sum:
+                    node = (_SUM, None, node.terms, key)
+                elif t is Pow:
+                    node = (_POW, node.exponent, (node.base,), key)
+                elif t is Quotient:  # the denominator first: its zeros are found first
+                    node = (_QUOTIENT, None, (node.den, node.num), key)
+                elif t is Func and node.name == "atan2":
+                    node = (_ATAN2, None, node.args, key)
+                elif t is Func:
+                    node = (_FUNC, _UFUNCS[node.name], node.args, key)
+                else:
+                    index[key] = len(code)
+                    if t is Coord:
+                        code.append((_COORD, node.index, ()))
+                    elif t is Const:
+                        code.append((_CONST, float(node.value), ()))
+                    elif t is Param:
+                        code.append((_PARAM, node.name, ()))
+                    else:
+                        raise ExprError(f"unknown node {t.__name__}")
+                    continue
+                stack.append(node)
+                stack.extend(reversed(node[2]))
+        self.roots = tuple(roots)
+        self.code = code
+        self.index = index
 
-    try:
+    @functools.cached_property
+    def outputs(self) -> tuple[int, ...]:
+        """The roots' slots, in root order."""
+        return tuple(self.index[r.key] for r in self.roots)
+
+    @functools.cached_property
+    def params(self) -> tuple[str, ...]:
+        """The names of the parameters the roots use."""
+        return tuple(sorted({arg for op, arg, _ in self.code if op == _PARAM}))
+
+    @functools.cached_property
+    def _dead(self) -> tuple[tuple[int, ...], ...]:
+        """Per instruction, the slots read there for the last time (roots
+        excepted)."""
+        last = {}
+        for i, (_, _, operands) in enumerate(self.code):
+            for s in operands:
+                last[s] = i
+        for s in self.outputs:
+            last.pop(s, None)
+        dead: list[list[int]] = [[] for _ in self.code]
+        for s, i in last.items():
+            dead[i].append(s)
+        return tuple(map(tuple, dead))
+
+    def run(self, points: np.ndarray, params: Mapping, keep: bool = False) -> list:
+        """Every slot's values at the rows of `points`; singular rows are NaN.
+
+        A parameter binds to one number or to a column of one value per row.
+        Unless `keep`, a slot is dropped (None) after its last use and only
+        the roots' slots stay.  An infinity becomes NaN where it arises; a
+        kept run first goes without that step and repeats with it only when
+        some slot holds an infinity, which gives the same bits.
+        """
+        if not keep:
+            return self._execute(points, params, True, self._dead)
+        slots = self._execute(points, params, False, ())
+        if slots and np.isinf(np.concatenate(slots)).any():
+            slots = self._execute(points, params, True, ())
+        return slots
+
+    def _execute(self, points: np.ndarray, params: Mapping, finite: bool, dead) -> list:
+        k, n = points.shape
+        one = np.ones(k)
+        slots: list = [None] * len(self.code)
         with np.errstate(all="ignore"):
-            return rec(e), memo
-    finally:
-        del rec  # rec refers to itself; break the cycle so the memo dies here
+            for i, (op, arg, operands) in enumerate(self.code):
+                if op == _PRODUCT:
+                    # 1.0 * x is x to the bit: the product of the factors alone
+                    if len(operands) > 1:
+                        v = slots[operands[0]] * slots[operands[1]]
+                    else:
+                        v = one * slots[operands[0]]
+                    for s in operands[2:]:
+                        v *= slots[s]
+                elif op == _SUM:
+                    v = np.zeros(k)
+                    for s in operands:
+                        v += slots[s]
+                elif op == _COORD:
+                    if arg >= n:
+                        raise EvalError(
+                            f"points have {n} coordinates but expression uses index {arg}"
+                        )
+                    v = points[:, arg].copy()
+                elif op == _CONST:
+                    v = one * arg
+                elif op == _POW:
+                    b = slots[operands[0]]
+                    v = b ** arg
+                    if arg == 0:
+                        v[np.isnan(b)] = math.nan  # nan ** 0 is 1
+                elif op == _QUOTIENT:
+                    v = slots[operands[1]] / slots[operands[0]]
+                elif op == _FUNC:
+                    v = arg(slots[operands[0]])
+                elif op == _ATAN2:
+                    y, x = slots[operands[0]], slots[operands[1]]
+                    v = np.arctan2(y, x)
+                    v[(y == 0.0) & (x == 0.0)] = math.nan
+                else:
+                    try:
+                        p = params[arg]
+                    except KeyError:
+                        raise EvalError(f"unbound parameter {arg!r}") from None
+                    v = one * float(p) if np.ndim(p) == 0 else np.array(p, dtype=float)
+                if finite:
+                    v[np.isinf(v)] = math.nan  # every v here is a new array
+                slots[i] = v
+                if dead:
+                    for s in dead[i]:
+                        slots[s] = None
+        return slots
+
+    def values(self, points: np.ndarray, params: Mapping) -> list[np.ndarray]:
+        """The roots' values at every row, from one run; raises as eval_many
+        of each root in turn would, for the first root that fails."""
+        try:
+            slots = self.run(points, params)
+        except EvalError:
+            for root in self.roots:
+                _run_one(root, points, params)
+            raise
+        out = [slots[s] for s in self.outputs]
+        for root, v in zip(self.roots, out):
+            if np.isnan(v).any():
+                _run_one(root, points, params)  # raises root's error
+        return out
+
+    def at(self, point: Sequence[float], params: Mapping | None = None) -> list[float]:
+        """The roots' values at one point, as eval_at of each would give."""
+        return [float(v[0]) for v in self.values(_one_row(point), params or {})]
 
 
 def _fault(node: ScalarExpr, memo: Mapping[str, np.ndarray], i: int) -> str:
@@ -986,11 +1098,20 @@ def _singularity(e: ScalarExpr, memo, points: np.ndarray) -> SingularityError:
     )
 
 
-def _eval_or_raise(e: ScalarExpr, points: np.ndarray, params, scale=None) -> np.ndarray:
-    v, memo = _walk(e, points, params, scale)
-    if np.isnan(v).any():
+def _run_one(e: ScalarExpr, points: np.ndarray, params, raising: bool = True) -> list:
+    """Every slot of e's one-root tape at the rows of `points`, the root's
+    last; when `raising`, a singular row raises SingularityError."""
+    tape = Tape((e,))
+    slots = tape.run(points, params, keep=True)
+    if raising and np.isnan(slots[-1]).any():
+        memo = {key: slots[i] for key, i in tape.index.items()}
         raise _singularity(e, memo, points)
-    return v
+    return slots
+
+
+def _scale(slots: list) -> np.ndarray:
+    """Per row, the largest magnitude over all slots (NaN where one is)."""
+    return np.abs(np.concatenate(slots)).reshape(len(slots), -1).max(axis=0)
 
 
 def _one_row(point: Sequence[float]) -> np.ndarray:
@@ -1006,7 +1127,7 @@ def eval_at(
     params: Mapping[str, float] | None = None,
 ) -> float:
     """Evaluate at a numeric point.  Deterministic; raises on singularities."""
-    return float(_eval_or_raise(e, _one_row(point), params or {})[0])
+    return float(_run_one(e, _one_row(point), params or {})[-1][0])
 
 
 def eval_with_scale(
@@ -1020,9 +1141,8 @@ def eval_with_scale(
     difference of two large near-equal quantities is judged against the
     size of what was cancelled, not against 1.
     """
-    scale = np.zeros(1)
-    v = _eval_or_raise(e, _one_row(point), params or {}, scale)
-    return float(v[0]), float(scale[0])
+    slots = _run_one(e, _one_row(point), params or {})
+    return float(slots[-1][0]), float(_scale(slots)[0])
 
 
 def eval_rows(
@@ -1037,9 +1157,8 @@ def eval_rows(
     each name to a column of k values (or to one value for all rows).  A
     row where eval_with_scale would raise SingularityError has value NaN.
     """
-    scale = np.zeros(points.shape[0])
-    v, _ = _walk(e, points, params, scale)
-    return v, scale
+    slots = _run_one(e, points, params, raising=False)
+    return slots[-1], _scale(slots)
 
 
 def eval_many(
@@ -1055,7 +1174,7 @@ def eval_many(
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise EvalError("points must be a 2-d array (m, n)")
-    return _eval_or_raise(e, points, params or {})
+    return _run_one(e, points, params or {})[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ effective components.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -104,6 +105,11 @@ class DifferentialForm:
     def coeff(self, idx: Sequence[int]) -> ScalarExpr:
         return self.coeffs.get(tuple(idx), ex.ZERO)
 
+    @functools.cached_property
+    def tape(self) -> ex.Tape:
+        """The nonzero coefficients, in coeffs order, compiled once per form."""
+        return ex.Tape(tuple(self.coeffs.values()))
+
     @property
     def is_syntactically_zero(self) -> bool:
         return not self.coeffs
@@ -149,6 +155,11 @@ class VectorField:
         if ex.is_syntactic_zero(self.support - ex.ONE):
             return self.components
         return tuple(ex.mul(self.support, c) for c in self.components)
+
+    @functools.cached_property
+    def tape(self) -> ex.Tape:
+        """The effective components, compiled once per field."""
+        return ex.Tape(self.effective_components())
 
     def rescaled(self, f: ScalarExpr) -> "VectorField":
         return VectorField(self.chart, self.components, ex.mul(self.support, f))

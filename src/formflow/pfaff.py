@@ -361,8 +361,7 @@ def _field_matrix(A: DifferentialForm, point, params) -> np.ndarray:
     n = A.chart.dim
     dA = fm.exterior_derivative(A)
     F = np.zeros((n, n))
-    for (mu, nu), c in dA.coeffs.items():
-        val = ex.eval_at(c, point, params)
+    for (mu, nu), val in zip(dA.coeffs, dA.tape.at(point, params)):
         F[mu, nu] = val
         F[nu, mu] = -val
     return F
@@ -400,7 +399,9 @@ def characteristic_space(
     """
     point = tuple(point)
     F = _field_matrix(A, point, params)
-    a = np.array([ex.eval_at(A.coeff((mu,)), point, params) for mu in range(A.chart.dim)])
+    a = np.zeros(A.chart.dim)
+    for (mu,), val in zip(A.coeffs, A.tape.at(point, params)):
+        a[mu] = val
     rows = np.vstack([F, a[None, :]])
     return _null_space(rows)
 

@@ -427,3 +427,37 @@ def test_cell_map_is_differentiated_once(monkeypatch):
     monkeypatch.setattr(ex, "differentiate", lambda e, i: calls.append(i) or real(e, i))
     ch.integrate(w, chain)
     assert calls == []
+
+
+def _record_tapes(monkeypatch) -> tuple[list, list]:
+    """(roots of each tape compiled, each tape run) from here on."""
+    compiled, runs = [], []
+    init, run = ex.Tape.__init__, ex.Tape.run
+    monkeypatch.setattr(
+        ex.Tape, "__init__", lambda self, roots: compiled.append(roots) or init(self, roots)
+    )
+    monkeypatch.setattr(
+        ex.Tape, "run", lambda self, *a, **k: runs.append(self) or run(self, *a, **k)
+    )
+    return compiled, runs
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_integrate_runs_the_form_tape_once(monkeypatch, degree):
+    # both quadrature orders and every cell go through one run of the form's
+    # tape, and a second integral compiles nothing
+    w, chain = _form(degree), _expr_chain(degree)
+    want = ch.integrate(w, chain)
+    compiled, runs = _record_tapes(monkeypatch)
+    assert ch.integrate(w, chain) == want
+    assert compiled == []
+    assert [t for t in runs if t is w.tape] == [w.tape]
+
+
+def test_rk4_flow_runs_one_tape_per_stage(monkeypatch):
+    V = _swirl()
+    X0 = np.random.default_rng(4).uniform(-1.0, 1.0, size=(30, 4))
+    compiled, runs = _record_tapes(monkeypatch)
+    ch.rk4_flow(V, X0, 0.1, 5)
+    assert compiled == [V.effective_components()]
+    assert runs == [V.tape] * 20

@@ -411,6 +411,62 @@ def test_walker_matches_the_scalar_reference(seed):
     }
 
 
+@pytest.mark.parametrize("seed", [3, 8, 21])
+def test_one_tape_run_equals_eval_many_of_each_root(seed):
+    # the roots share subtrees, so the tape computes each shared node once;
+    # every root's values are still eval_many's, bit for bit
+    box = ex.Box(lows=(-2.0,) * 4, highs=(2.0,) * 4)
+    drawn, _ = ex.draw_rows(box, rng(seed), (), 64)
+    points = np.vstack([drawn, np.zeros((1, 4))])
+    params = {"a": 1.0, "b": 1.5}
+    exprs = corpus_exprs(seed)
+    f, g = exprs[0], exprs[1]
+    # at x = y = 0 both terms are -0.0; a sum starts from +0.0, so the sum
+    # is +0.0 and atan2 takes the +pi branch
+    signed_zero = ex.atan2(ex.Sum((ex.negate(X), ex.negate(Y))), ex.add(Z, ex.Const(-3)))
+    roots = exprs + [
+        ex.sin(f), ex.mul(f, g), ex.quotient(f, ex.add(ex.power(X, 2), ex.ONE)), f, signed_zero,
+    ]
+    tape = ex.Tape(roots)
+    assert len(tape.code) < sum(len(ex.Tape((e,)).code) for e in roots)
+    got = tape.values(points, params)
+    for e, v in zip(roots, got, strict=True):
+        assert v.tobytes() == ex.eval_many(e, points, params).tobytes(), ex.to_text(e)
+    assert got[-1][-1] == math.pi
+
+
+def first_eval_many_error(roots, points, params) -> ex.EvalError:
+    for e in roots:
+        try:
+            ex.eval_many(e, points, params)
+        except ex.EvalError as err:
+            return err
+    raise AssertionError("no root fails")
+
+
+def test_one_tape_run_raises_the_first_failing_roots_error():
+    points = np.vstack([rng(5).uniform(-2.0, 2.0, size=(16, 4)), SINGULAR_ROWS])
+    params = {"a": 1.0, "b": 1.0}
+    finite = ex.add(ex.mul(X, Y), Z)
+    unbound = ex.mul(X, ex.param("c"))
+    for k, bad in enumerate(SINGULAR_KINDS):
+        later = SINGULAR_KINDS[(k + 1) % len(SINGULAR_KINDS)]
+        for roots in (
+            [finite, bad],
+            [finite, ex.add(finite, later), bad, later],
+            [ex.sin(finite), later, bad],
+            [bad, unbound],
+            [unbound, bad],
+        ):
+            want = first_eval_many_error(roots, points, params)
+            with pytest.raises(ex.EvalError) as got:
+                ex.Tape(roots).values(points, params)
+            assert type(got.value) is type(want)
+            assert str(got.value) == str(want)
+            if isinstance(want, ex.SingularityError):
+                assert_same_singularity(got.value, want)
+
+
 def test_box_guard_parameters_are_drawn():
     # the guard's parameter a is not in the tested expression
     guard = ex.add(X, ex.mul(ex.param("a"), Z))
