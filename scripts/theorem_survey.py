@@ -41,14 +41,13 @@ def main() -> int:
           f"{'integrand':<9} {'rate':>12}  verdict")
     for name in names:
         p = sy.get_preset(name)
+        pairs = [(integrand(p.action, chain.degree), chain) for chain in p.chains]
+        pairs = [(w, c) for w, c in pairs if w is not None and not w.is_syntactically_zero]
         for pname, V in p.processes:
-            for chain in p.chains:
-                w = integrand(p.action, chain.degree)
-                if w is None or w.is_syntactically_zero:
-                    continue
-                res = ch.invariance_check(
-                    w, chain, V, mode="invariant", tol=args.tol, params=p.params
-                )
+            results = ch.invariance_checks(
+                pairs, V, mode="invariant", tol=args.tol, params=p.params
+            )
+            for (_, chain), res in zip(pairs, results):
                 verdict = "conserved" if res.passed else "drifts"
                 print(f"{name:<22} {pname:<12} {chain.name:<9} "
                       f"{INTEGRANDS[chain.degree - 1]:<9} "

@@ -17,13 +17,20 @@ flow is tested as the t-derivative at t = 0 of the integral over the
 advected chain (fourth-order central stencil), cross-checked against the
 integral of the Lie derivative over the original chain, which is the
 identity the theorem checks rest on.
+
+invariance_checks takes every (form, chain) pair of one flow at once: all
+chains are advected to the four stencil times in one RK4 run per step
+count, and each chain's quadrature grids and Jacobian minors serve both its
+base and its Lie integral.  If the batch raises, the pairs are checked
+again one at a time, so the error is the one checking them in turn meets.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -46,6 +53,7 @@ __all__ = [
     "integrate",
     "advect",
     "invariance_check",
+    "invariance_checks",
     "period_spectrum",
     "spot_check_closed",
     "circle_cell",
@@ -239,31 +247,36 @@ class InterpCell:
         if self.values.shape != expected:
             raise ChainError(f"node values shaped {self.values.shape}, expected {expected}")
 
-    def _operators(self, axes: Sequence[np.ndarray], derivative_axis: int | None):
-        return [
-            _axis_operator(_axis_bytes(self.node_axes[k]), _axis_bytes(q), derivative_axis == k)
-            for k, q in enumerate(axes)
-        ]
-
-    def _at(self, axes: Sequence[np.ndarray], derivative_axis: int | None) -> np.ndarray:
-        out = self.values
-        for k, op in enumerate(self._operators(axes, derivative_axis)):
-            out = _apply_axis(op, out, k)
-        return out
+    def _operator(self, k: int, query: np.ndarray, derivative: bool) -> np.ndarray:
+        return _axis_operator(_axis_bytes(self.node_axes[k]), _axis_bytes(query), derivative)
 
     def eval_grid(
         self, axes: Sequence[np.ndarray], params: Mapping[str, float] | None = None
     ) -> np.ndarray:
-        return self._at(axes, None)
+        out = self.values
+        for k, q in enumerate(axes):
+            out = _apply_axis(self._operator(k, q, False), out, k)
+        return out
 
     def grids(
         self, axes: Sequence[np.ndarray], params: Mapping[str, float] | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """The map and its Jacobian at the grid of axes (C order), shaped
-        (m, n) and (m, n, p)."""
+        (m, n) and (m, n, p).
+
+        Each output applies one operator per axis, in axis order.  The
+        interpolation prefix is carried forward axis by axis, and Jacobian
+        column j branches off it at axis j, so no prefix is applied twice."""
         n, p = self.chart.dim, self.degree
-        J = np.stack([self._at(axes, j) for j in range(p)], axis=-1)
-        return self._at(axes, None).reshape(-1, n), J.reshape(-1, n, p)
+        interp = [self._operator(k, q, False) for k, q in enumerate(axes)]
+        prefix, columns = self.values, []
+        for j, q in enumerate(axes):
+            column = _apply_axis(self._operator(j, q, True), prefix, j)
+            for k in range(j + 1, p):
+                column = _apply_axis(interp[k], column, k)
+            columns.append(column)
+            prefix = _apply_axis(interp[j], prefix, j)
+        return prefix.reshape(-1, n), np.stack(columns, axis=-1).reshape(-1, n, p)
 
 
 Cell = ExprCell | InterpCell
@@ -319,13 +332,76 @@ def _gl_weights(order: int, degree: int) -> np.ndarray:
     return _frozen(weight.ravel())
 
 
-def _pullback_values(w: DifferentialForm, segments: Sequence[tuple]) -> np.ndarray:
-    """The pulled-back integrand at the rows of every (cell, bound, X, J)
-    segment, stacked, from one run of the form's tape.  A failure is raised
-    as evaluating segment by segment, coefficient by coefficient would."""
+class _Quadrature:
+    """Every cell of a chain on the Gauss-Legendre grids of both orders
+    (order, then 2 * order): the stacked rows and Jacobians, and each
+    Jacobian minor once computed, shared by every form integrated over the
+    chain.  A cell map that fails to evaluate is kept and raised by
+    `integral`, once the cells before it are known to integrate."""
+
+    def __init__(
+        self, chain: Chain, order: int | None, params: Mapping[str, float] | None
+    ):
+        self.chain = chain
+        self.order = order or DEFAULT_QUAD_ORDER[chain.degree]
+        p = chain.degree
+        self.segments: list[tuple] = []  # (cell, bound, X, J)
+        self.weights: list[tuple] = []  # (orientation, quadrature weights)
+        self.failure: ex.EvalError | None = None
+        try:
+            for o in (self.order, 2 * self.order):
+                axes = [_gl_axis(o)[0]] * p
+                for cell, ori in zip(chain.cells, chain.orientations):
+                    bound = dict(getattr(cell, "params", {}) or {})
+                    bound.update(params or {})
+                    X, J = cell.grids(axes, bound)
+                    self.segments.append((cell, bound, X, J))
+                    self.weights.append((ori, _gl_weights(o, p)))
+        except ex.EvalError as err:
+            self.failure = err
+        self._minors: dict[tuple[int, ...], np.ndarray] = {}
+
+    @functools.cached_property
+    def flatX(self) -> np.ndarray:
+        return np.concatenate([X for _, _, X, _ in self.segments])
+
+    @functools.cached_property
+    def _flatJ(self) -> np.ndarray:
+        return np.concatenate([J for _, _, _, J in self.segments])
+
+    def minor(self, idx: tuple[int, ...]) -> np.ndarray:
+        """det of the Jacobian rows idx at every stacked row."""
+        if idx not in self._minors:
+            self._minors[idx] = np.linalg.det(self._flatJ[:, list(idx), :])
+        return self._minors[idx]
+
+    def integral(self, w: DifferentialForm) -> "IntegralResult":
+        # a form with no coefficients integrates to exactly 0 without evaluation
+        vals = _pullback_values(w, self) if w.coeffs and self.segments else None
+        if self.failure is not None:
+            raise self.failure
+        if vals is None:
+            return IntegralResult(0.0, 0.0, 0.0, self.order)
+        coarse = fine = scale = 0.0
+        start = 0
+        for k, ((ori, weight), (_, _, X, _)) in enumerate(zip(self.weights, self.segments)):
+            part = vals[start : start + len(X)]
+            start += len(X)
+            if k < len(self.chain.cells):
+                coarse += ori * float(part @ weight)
+            else:
+                fine += ori * float(part @ weight)
+                scale += float(np.abs(part) @ weight)
+        return IntegralResult(fine, abs(fine - coarse), scale, self.order)
+
+
+def _pullback_values(w: DifferentialForm, quad: _Quadrature) -> np.ndarray:
+    """The pulled-back integrand at the rows of every segment of quad,
+    stacked, from one run of the form's tape.  A failure is raised as
+    evaluating segment by segment, coefficient by coefficient would."""
+    segments = quad.segments
     sizes = [len(X) for _, _, X, _ in segments]
-    flatX = np.concatenate([X for _, _, X, _ in segments])
-    flatJ = np.concatenate([J for _, _, _, J in segments])
+    flatX = quad.flatX
     try:
         stacked = {
             nm: np.repeat([float(bound[nm]) for _, bound, _, _ in segments], sizes)
@@ -347,7 +423,7 @@ def _pullback_values(w: DifferentialForm, segments: Sequence[tuple]) -> np.ndarr
                 ) from err
     total = np.zeros(flatX.shape[0])
     for idx, coeff_vals in zip(w.coeffs, coeffs):
-        total += coeff_vals * np.linalg.det(flatJ[:, list(idx), :])
+        total += coeff_vals * quad.minor(idx)
     return total
 
 
@@ -365,38 +441,7 @@ def integrate(
     form's tape then runs once over all their rows."""
     if w.degree != chain.degree:
         raise ChainError(f"cannot integrate a {w.degree}-form over a {chain.degree}-chain")
-    order = order or DEFAULT_QUAD_ORDER[chain.degree]
-    params = dict(params or {})
-    p = chain.degree
-
-    segments, weights = [], []
-    failure = None
-    try:
-        for o in (order, 2 * order):
-            axes = [_gl_axis(o)[0]] * p
-            for cell, ori in zip(chain.cells, chain.orientations):
-                bound = dict(getattr(cell, "params", {}) or {})
-                bound.update(params)
-                X, J = cell.grids(axes, bound)
-                segments.append((cell, bound, X, J))
-                weights.append((ori, _gl_weights(o, p)))
-    except ex.EvalError as err:
-        failure = err  # raised once the cells before it are known to integrate
-    vals = _pullback_values(w, segments) if segments else None
-    if failure is not None:
-        raise failure
-
-    coarse = fine = scale = 0.0
-    start = 0
-    for k, ((ori, weight), (_, _, X, _)) in enumerate(zip(weights, segments)):
-        part = vals[start : start + len(X)]
-        start += len(X)
-        if k < len(chain.cells):
-            coarse += ori * float(part @ weight)
-        else:
-            fine += ori * float(part @ weight)
-            scale += float(np.abs(part) @ weight)
-    return IntegralResult(fine, abs(fine - coarse), scale, order)
+    return _Quadrature(chain, order, params).integral(w)
 
 
 @dataclass(frozen=True)
@@ -448,23 +493,27 @@ def _default_steps(dt: float) -> int:
     return max(8, int(math.ceil(abs(dt) / 0.02)))
 
 
-def _advect_to(
-    chain: Chain,
+def _advect_all(
+    chains: Sequence[Chain],
     V: VectorField,
     times: Sequence[float],
     steps: int | None = None,
     params: Mapping[str, float] | None = None,
-) -> list[Chain]:
-    """The chain advected along V to each of times, in order.
+) -> list[list[Chain]]:
+    """Each chain advected along V to each of times, in order: one list of
+    len(times) chains per chain.
 
-    Each cell's node grid is evaluated once; the grids of every cell are
-    stacked once per nonzero time, and all times that take the same number
-    of steps run in one rk4_flow call.  Time 0 gives the chain itself.
+    Each cell's node grid is evaluated once; the grids of every cell of
+    every chain are stacked once per nonzero time, and all times that take
+    the same number of steps run in one rk4_flow call.  Rows do not
+    interact, so each chain moves exactly as it would alone.  Time 0 gives
+    the chain itself.
     """
-    if all(t == 0.0 for t in times):
-        return [chain] * len(times)
+    if not chains or all(t == 0.0 for t in times):
+        return [[chain] * len(times) for chain in chains]
+    cells = [cell for chain in chains for cell in chain.cells]
     axes, grids = [], []
-    for cell in chain.cells:
+    for cell in cells:
         if isinstance(cell, InterpCell):
             axes.append(cell.node_axes)
         else:
@@ -484,14 +533,26 @@ def _advect_to(
         out = rk4_flow(V, np.tile(X0, (len(members), 1)), dts, n, params)
         moved.update(zip(members, np.split(out, len(members))))
 
-    def refit(block: np.ndarray) -> Chain:
-        cells = tuple(
+    def refit(block: np.ndarray) -> list[Chain]:
+        fitted = iter(
             InterpCell(c.chart, c.degree, tuple(ax), part.reshape(X.shape), c.name)
-            for c, ax, X, part in zip(chain.cells, axes, grids, np.split(block, cuts))
+            for c, ax, X, part in zip(cells, axes, grids, np.split(block, cuts))
         )
-        return Chain(chain.degree, cells, chain.orientations, chain.closed, chain.name)
+        return [replace(c, cells=tuple(itertools.islice(fitted, len(c.cells)))) for c in chains]
 
-    return [refit(moved[i]) if i in moved else chain for i in range(len(times))]
+    at_time = [refit(moved[i]) if i in moved else list(chains) for i in range(len(times))]
+    return [list(per_chain) for per_chain in zip(*at_time)]
+
+
+def _advect_to(
+    chain: Chain,
+    V: VectorField,
+    times: Sequence[float],
+    steps: int | None = None,
+    params: Mapping[str, float] | None = None,
+) -> list[Chain]:
+    """The chain advected along V to each of times, in order."""
+    return _advect_all([chain], V, times, steps, params)[0]
 
 
 def advect(
@@ -520,6 +581,64 @@ class InvarianceResult:
     identity_gap: float  # |derivative - lie integral|
 
 
+def invariance_checks(
+    pairs: Sequence[tuple[DifferentialForm, Chain]],
+    V: VectorField,
+    mode: str = "invariant",
+    h: float = 0.02,
+    tol: float = 1e-6,
+    drift_factor: float = 100.0,
+    params: Mapping[str, float] | None = None,
+) -> list[InvarianceResult]:
+    """One invariance check per (form, chain) pair, in order: (d/dt) at t=0
+    of the integral over the advected chain, vs the integral of the Lie
+    derivative over the chain itself.
+
+    mode "invariant": pass when the derivative vanishes within tol*scale.
+    mode "drift": pass when it exceeds drift_factor*tol*scale (the
+    counterexample direction).
+    mode "identity": pass when derivative and Lie integral agree.
+
+    Every chain is advected to the four stencil times in one batch, and each
+    chain's quadrature grids serve both its base and its Lie integral.  When
+    the batch raises, the pairs are checked again one at a time, so the
+    error is the first that checking them one by one meets.
+    """
+    if mode not in ("invariant", "drift", "identity"):
+        raise ChainError(f"unknown invariance mode {mode!r}")
+    pairs = list(pairs)
+
+    def batch() -> list[InvarianceResult]:
+        advected = _advect_all([c for _, c in pairs], V, (h, -h, 2 * h, -2 * h), params=params)
+        out = []
+        for (w, chain), moved in zip(pairs, advected):
+            i_ph, i_mh, i_p2, i_m2 = (integrate(w, c, params=params).value for c in moved)
+            derivative = (8.0 * (i_ph - i_mh) - (i_p2 - i_m2)) / (12.0 * h)
+
+            quad = _Quadrature(chain, None, params)
+            base = quad.integral(w)
+            lie = quad.integral(fm.lie_derivative(V, w))
+            scale = 1.0 + base.scale + lie.scale
+            gap = abs(derivative - lie.value)
+
+            if mode == "invariant":
+                passed = abs(derivative) <= tol * scale
+            elif mode == "drift":
+                passed = abs(derivative) >= drift_factor * tol * scale
+            else:
+                passed = gap <= tol * scale
+            out.append(InvarianceResult(derivative, lie.value, scale, tol, mode, passed, gap))
+        return out
+
+    try:
+        return batch()
+    except (ChainError, ex.ExprError):
+        if len(pairs) < 2:
+            raise
+    # replayed outside the handler, so the error raised does not chain the batch's
+    return [invariance_check(w, c, V, mode, h, tol, drift_factor, params) for w, c in pairs]
+
+
 def invariance_check(
     w: DifferentialForm,
     chain: Chain,
@@ -530,35 +649,8 @@ def invariance_check(
     drift_factor: float = 100.0,
     params: Mapping[str, float] | None = None,
 ) -> InvarianceResult:
-    """(d/dt) at t=0 of the integral over the advected chain, vs the
-    integral of the Lie derivative.
-
-    mode "invariant": pass when the derivative vanishes within tol*scale.
-    mode "drift": pass when it exceeds drift_factor*tol*scale (the
-    counterexample direction).
-    mode "identity": pass when derivative and Lie integral agree.
-    """
-    if mode not in ("invariant", "drift", "identity"):
-        raise ChainError(f"unknown invariance mode {mode!r}")
-
-    i_ph, i_mh, i_p2, i_m2 = (
-        integrate(w, moved, params=params).value
-        for moved in _advect_to(chain, V, (h, -h, 2 * h, -2 * h), params=params)
-    )
-    derivative = (8.0 * (i_ph - i_mh) - (i_p2 - i_m2)) / (12.0 * h)
-
-    base = integrate(w, chain, params=params)
-    lie = integrate(fm.lie_derivative(V, w), chain, params=params)
-    scale = 1.0 + base.scale + lie.scale
-    gap = abs(derivative - lie.value)
-
-    if mode == "invariant":
-        passed = abs(derivative) <= tol * scale
-    elif mode == "drift":
-        passed = abs(derivative) >= drift_factor * tol * scale
-    else:
-        passed = gap <= tol * scale
-    return InvarianceResult(derivative, lie.value, scale, tol, mode, passed, gap)
+    """The invariance check of one (form, chain) pair; see invariance_checks."""
+    return invariance_checks([(w, chain)], V, mode, h, tol, drift_factor, params)[0]
 
 
 # ---------------------------------------------------------------------------

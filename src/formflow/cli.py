@@ -1015,24 +1015,18 @@ def _battery_theorems(rt: _Runtime, checks: list[_Check]) -> dict:
 
     for pname, J in rt.processes:
         rep = th.process_report(rt.anatomy, J)
-        for chain in closed_2:
-            inv = ch.invariance_check(
-                F, chain, J, tol=rt.tol, params=rt.params or None
-            )
-            record("theorem_I_flux", pname, chain.name, inv)
-            if rep.flags.extremal:
-                record("theorem_II_helmholtz", pname, chain.name, inv)
+        # (theorems recorded, form, chain), checked in one batch per process
+        flux = ("theorem_I_flux", "theorem_II_helmholtz")
+        jobs = [(flux if rep.flags.extremal else flux[:1], F, c) for c in closed_2]
         if rep.flags.extremal:
-            for chain in closed_1:
-                inv = ch.invariance_check(
-                    rt.action, chain, J, tol=rt.tol, params=rt.params or None
-                )
-                record("theorem_III_circulation", pname, chain.name, inv)
-            for chain in closed_3:
-                inv = ch.invariance_check(
-                    H, chain, J, tol=rt.tol, params=rt.params or None
-                )
-                record("theorem_III_torsion_flux", pname, chain.name, inv)
+            jobs += [(("theorem_III_circulation",), rt.action, c) for c in closed_1]
+            jobs += [(("theorem_III_torsion_flux",), H, c) for c in closed_3]
+        results = ch.invariance_checks(
+            [(w, c) for _, w, c in jobs], J, tol=rt.tol, params=rt.params or None
+        )
+        for (kinds, _, chain), inv in zip(jobs, results):
+            for kind in kinds:
+                record(kind, pname, chain.name, inv)
         if rep.flags.closed_flow:
             # the second variation integrated R over exactly these cycles
             for chain, result in zip(closed_1, rep.second.integrals):

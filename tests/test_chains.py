@@ -461,3 +461,179 @@ def test_rk4_flow_runs_one_tape_per_stage(monkeypatch):
     ch.rk4_flow(V, X0, 0.1, 5)
     assert compiled == [V.effective_components()]
     assert runs == [V.tape] * 20
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_interp_cell_grids_match_axis_by_axis_composition(monkeypatch, degree):
+    # the map and every Jacobian column apply the same operators in the
+    # same order as interpolating (or differentiating) one axis at a time
+    cell = _chains(degree)[1].cells[1]
+    assert isinstance(cell, ch.InterpCell)
+    axes = [ch._gl_axis(o)[0] for o in (5, 6, 7)[:degree]]
+
+    def composed(derivative_axis):
+        out = cell.values
+        for k, q in enumerate(axes):
+            op = ch._axis_operator(
+                ch._axis_bytes(cell.node_axes[k]), ch._axis_bytes(q), k == derivative_axis
+            )
+            out = ch._apply_axis(op, out, k)
+        return out.reshape(-1, cell.chart.dim)
+
+    applied = []
+    real = ch._apply_axis
+    monkeypatch.setattr(ch, "_apply_axis", lambda *a: applied.append(a[2]) or real(*a))
+    X, J = cell.grids(axes)
+    # the shared interpolation prefix: 2, 5 and 9 operators for degrees 1-3
+    assert len(applied) == degree * (degree + 3) // 2
+    monkeypatch.setattr(ch, "_apply_axis", real)
+    assert np.array_equal(X, composed(None))
+    assert J.shape == (len(X), cell.chart.dim, degree)
+    for j in range(degree):
+        assert np.array_equal(J[:, :, j], composed(j))
+
+
+def _blowup_field():
+    return fm.VectorField(CHART, (scalar("x^2 + 1"), ex.ZERO, ex.ZERO, ex.ZERO))
+
+
+def _far_circle():
+    # x' = x^2 + 1 leaves every bound before s = 0.6 from x >= 2.7
+    cell = ch.circle_cell(CHART, center=(3.0, 0.0), radius=0.3, fixed={2: 0.0, 3: 0.0})
+    return ch.Chain(1, (cell,), closed=True, name="far")
+
+
+def _log_form():
+    return fm.form_from_coeffs(CHART, 1, {(0,): scalar("ln(x)"), (1,): scalar("y")})
+
+
+def _raised(run) -> Exception:
+    with pytest.raises((ch.ChainError, ex.ExprError)) as info:
+        run()
+    return info.value
+
+
+def _first_error(pairs, V, h) -> tuple[Exception, Exception]:
+    """The error of checking the pairs one by one, through the library and
+    through the reference."""
+    def one_by_one(check):
+        for w, chain in pairs:
+            check(w, chain, V, h=h)
+
+    return (
+        _raised(lambda: one_by_one(ch.invariance_check)),
+        _raised(lambda: one_by_one(oc.reference_invariance_check)),
+    )
+
+
+@pytest.mark.parametrize(
+    "pairs,V,h",
+    [
+        # the second pair blows up
+        pytest.param(lambda: [(_form(1), _expr_chain(1)), (_form(1), _far_circle())],
+                     _blowup_field, 0.3, id="later-blowup"),
+        # a later pair's integrand is singular on its advected chain
+        pytest.param(lambda: [(_form(1), _expr_chain(1)), (_form(2), _expr_chain(2)),
+                              (_log_form(), _expr_chain(1))],
+                     _swirl, 0.02, id="later-singular"),
+        # an earlier pair is singular, a later one blows up: the earlier wins
+        pytest.param(lambda: [(_log_form(), _expr_chain(1)), (_form(1), _far_circle())],
+                     _blowup_field, 0.3, id="singular-before-blowup"),
+    ],
+)
+def test_batch_raises_the_first_error_of_one_by_one_checks(pairs, V, h):
+    pairs, V = pairs(), V()
+    got = _raised(lambda: ch.invariance_checks(pairs, V, h=h))
+    for want in _first_error(pairs, V, h):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+        if isinstance(want, ex.SingularityError):
+            assert (got.subexpression, got.point) == (want.subexpression, want.point)
+
+
+def test_batch_matches_reference_on_mixed_degrees():
+    V = _swirl()
+    dt = fm.one_form(CHART, (ex.ZERO, ex.ZERO, ex.ZERO, ex.ONE))
+    assert fm.lie_derivative(V, dt).coeffs == {}  # the Lie integral skips evaluation
+    pairs = [(_form(d), c) for d in (2, 1, 3) for c in _chains(d)] + [(dt, _expr_chain(1))]
+    for mode in ("invariant", "identity"):
+        got = ch.invariance_checks(pairs, V, mode=mode)
+        want = [oc.reference_invariance_check(w, c, V, mode=mode) for w, c in pairs]
+        assert got == want
+    assert ch.invariance_checks([], V) == []
+
+
+KELVIN = """\
+[run]
+battery = theorems
+
+[system]
+velocity = -W*y, W*x, 0
+pressure_potential = 0.5*W^2*(x^2 + y^2)
+
+[params]
+W = 0.75
+
+[chain circle0]
+degree = 1
+components = 0.1 + 0.6*cos(2*pi*u0), -0.2 + 0.6*sin(2*pi*u0), 0.3, 0.2
+closed = true
+
+[chain circle1]
+degree = 1
+components = -0.3 + 0.4*cos(2*pi*u0), 0.2, 0.1 + 0.4*sin(2*pi*u0), -0.1
+closed = true
+
+[chain circle2]
+degree = 1
+components = 0.2, 0.5*cos(2*pi*u0), 0.5*sin(2*pi*u0), 0.4
+closed = true
+
+[chain torus]
+degree = 2
+components = 0.1 + (1.1 + 0.3*cos(2*pi*u1))*cos(2*pi*u0), \
+-0.1 + (1.1 + 0.3*cos(2*pi*u1))*sin(2*pi*u0), 0.3*sin(2*pi*u1), 0.2
+closed = true
+
+[chain shell]
+degree = 3
+components = (1.4 + 0.4*cos(2*pi*u2))*cos(2*pi*u0), (1.4 + 0.4*cos(2*pi*u2))*sin(2*pi*u0), \
+0.4*sin(2*pi*u2) + 0.2*cos(2*pi*u1), 0.2*sin(2*pi*u1)
+closed = true
+"""
+
+
+def test_theorems_battery_advects_once_per_process(monkeypatch):
+    # Kelvin: rigid rotation with centripetal pressure; 3 circles, a torus
+    # and a shell all move along the spacetime process in one batch
+    import formflow.cli as cli
+
+    cfg = cli.parse_config(KELVIN)
+    flows, grids, batches = [], [], []
+    real_flow, real_grids, real_checks = ch.rk4_flow, ch.ExprCell.grids, ch.invariance_checks
+
+    def flow(V, X0, dt, steps, params=None):
+        flows.append((id(V), steps))
+        return real_flow(V, X0, dt, steps, params)
+
+    def cell_grids(self, axes, params=None):
+        grids.append((id(self), tuple(ch._axis_bytes(a) for a in axes)))
+        return real_grids(self, axes, params)
+
+    def checks(pairs, V, *args, **kwargs):
+        grids.clear()
+        out = real_checks(pairs, V, *args, **kwargs)
+        batches.append((id(V), [c.name for _, c in pairs], list(grids)))
+        return out
+
+    monkeypatch.setattr(ch, "rk4_flow", flow)
+    monkeypatch.setattr(ch.ExprCell, "grids", cell_grids)
+    monkeypatch.setattr(ch, "invariance_checks", checks)
+    report = cli.run(cfg)
+
+    assert report.passed
+    [(V, names, seen)] = batches
+    assert names == ["torus", "circle0", "circle1", "circle2", "shell"]
+    assert flows == [(V, 8)]  # every stencil time of every chain: 8 steps
+    # each base cell: its fit nodes once, then each quadrature order once
+    assert len(seen) == len(set(seen)) == 3 * 5
