@@ -544,17 +544,6 @@ def _advect_all(
     return [list(per_chain) for per_chain in zip(*at_time)]
 
 
-def _advect_to(
-    chain: Chain,
-    V: VectorField,
-    times: Sequence[float],
-    steps: int | None = None,
-    params: Mapping[str, float] | None = None,
-) -> list[Chain]:
-    """The chain advected along V to each of times, in order."""
-    return _advect_all([chain], V, times, steps, params)[0]
-
-
 def advect(
     chain: Chain,
     V: VectorField,
@@ -563,7 +552,7 @@ def advect(
     params: Mapping[str, float] | None = None,
 ) -> Chain:
     """Advect every cell node grid along V and re-fit polynomial cells."""
-    return _advect_to(chain, V, (dt,), steps, params)[0]
+    return _advect_all([chain], V, (dt,), steps, params)[0][0]
 
 
 # ---------------------------------------------------------------------------

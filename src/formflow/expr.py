@@ -27,13 +27,14 @@ once.  A tape lists the distinct nodes (by structural key) of one or more
 roots, children before parents, and one loop executes the list, each node
 one numpy operation over all rows.  The single-expression evaluators
 compile a one-root tape per call; forms, vector fields and chain cells
-keep theirs, compiled once per object.  A node that is singular at a row
-(division by zero, ln/sqrt outside their domain, atan2(0, 0), overflow)
-is NaN there, and NaN reaches the root.  eval_rows returns such rows as
-NaN; eval_many, eval_with_scale and eval_at raise SingularityError naming
-the first singular subexpression in evaluation order, at its first
-singular point, rather than returning NaN or infinity.  Evaluation is
-deterministic: the same tree at the same point with the same parameter
+keep theirs, compiled once per object.  The zero test compiles its
+expression once per test and its box guards once per tester.  A node that
+is singular at a row (division by zero, ln/sqrt outside their domain,
+atan2(0, 0), overflow) is NaN there, and NaN reaches the root.  eval_rows
+returns such rows as NaN; eval_many, eval_with_scale and eval_at raise
+SingularityError naming the first singular subexpression in evaluation
+order, at its first singular point, rather than returning NaN or
+infinity.  Evaluation is deterministic: the same tree at the same point with the same parameter
 bindings produces a bit-identical float, whether the point is evaluated
 alone, as a row of a batch, or as one root of a tape with several.
 """
@@ -856,18 +857,6 @@ def _children(node: ScalarExpr) -> tuple[ScalarExpr, ...]:
     return ()
 
 
-def _subtrees(e: ScalarExpr):
-    """Every node object of e, each once."""
-    seen: set[int] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            yield node
-            stack.extend(_children(node))
-
-
 _UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log, "sqrt": np.sqrt}
 
 # tape opcodes, most frequent first: the executor tests them in this order
@@ -940,6 +929,11 @@ class Tape:
     def params(self) -> tuple[str, ...]:
         """The names of the parameters the roots use."""
         return tuple(sorted({arg for op, arg, _ in self.code if op == _PARAM}))
+
+    @functools.cached_property
+    def coords(self) -> tuple[int, ...]:
+        """The coordinate indices the roots use."""
+        return tuple(sorted({arg for op, arg, _ in self.code if op == _COORD}))
 
     @functools.cached_property
     def _dead(self) -> tuple[tuple[int, ...], ...]:
@@ -1025,6 +1019,12 @@ class Tape:
                         slots[s] = None
         return slots
 
+    def scaled_rows(self, points: np.ndarray, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
+        """A one-root tape's values at the rows of `points` and, per row,
+        the largest intermediate magnitude; singular rows are NaN."""
+        slots = self.run(points, params, keep=True)
+        return slots[-1], np.abs(np.concatenate(slots)).reshape(len(slots), -1).max(axis=0)
+
     def values(self, points: np.ndarray, params: Mapping) -> list[np.ndarray]:
         """The roots' values at every row, from one run; raises as eval_many
         of each root in turn would, for the first root that fails."""
@@ -1098,20 +1098,15 @@ def _singularity(e: ScalarExpr, memo, points: np.ndarray) -> SingularityError:
     )
 
 
-def _run_one(e: ScalarExpr, points: np.ndarray, params, raising: bool = True) -> list:
+def _run_one(e: ScalarExpr, points: np.ndarray, params) -> list:
     """Every slot of e's one-root tape at the rows of `points`, the root's
-    last; when `raising`, a singular row raises SingularityError."""
+    last; a singular row raises SingularityError."""
     tape = Tape((e,))
     slots = tape.run(points, params, keep=True)
-    if raising and np.isnan(slots[-1]).any():
+    if np.isnan(slots[-1]).any():
         memo = {key: slots[i] for key, i in tape.index.items()}
         raise _singularity(e, memo, points)
     return slots
-
-
-def _scale(slots: list) -> np.ndarray:
-    """Per row, the largest magnitude over all slots (NaN where one is)."""
-    return np.abs(np.concatenate(slots)).reshape(len(slots), -1).max(axis=0)
 
 
 def _one_row(point: Sequence[float]) -> np.ndarray:
@@ -1142,7 +1137,7 @@ def eval_with_scale(
     size of what was cancelled, not against 1.
     """
     slots = _run_one(e, _one_row(point), params or {})
-    return float(slots[-1][0]), float(_scale(slots)[0])
+    return float(slots[-1][0]), float(np.abs(np.concatenate(slots)).max())
 
 
 def eval_rows(
@@ -1157,8 +1152,7 @@ def eval_rows(
     each name to a column of k values (or to one value for all rows).  A
     row where eval_with_scale would raise SingularityError has value NaN.
     """
-    slots = _run_one(e, points, params, raising=False)
-    return slots[-1], _scale(slots)
+    return Tape((e,)).scaled_rows(points, params)
 
 
 def eval_many(
@@ -1182,12 +1176,12 @@ def eval_many(
 
 
 def collect_params(e: ScalarExpr) -> tuple[str, ...]:
-    return tuple(sorted({n.name for n in _subtrees(e) if isinstance(n, Param)}))
+    return Tape((e,)).params
 
 
 def max_coord_index(e: ScalarExpr) -> int:
     """Largest coordinate index used, or -1 if none."""
-    return max((n.index for n in _subtrees(e) if isinstance(n, Coord)), default=-1)
+    return max(Tape((e,)).coords, default=-1)
 
 
 def _const_text(v: Number) -> str:
@@ -1348,6 +1342,10 @@ class ZeroTester:
     Samples that hit singularities or the box's guard exclusions are
     skipped; of at most 8 * n_samples rows drawn, if fewer than min_valid
     survive, the test is inconclusive and raises rather than guessing.
+
+    A tester draws the rows of each set of parameter names once, from a
+    fresh stream seeded with its seed, and keeps them and their guard mask,
+    so no verdict depends on the tests before it.
     """
 
     n_samples = 64
@@ -1357,6 +1355,18 @@ class ZeroTester:
     def __init__(self, box: Box, seed: int = DEFAULT_SEED):
         self.box = box
         self.seed = int(seed)
+        self._guards = Tape(box.guards)
+        self._rows: dict[tuple[str, ...], tuple] = {}  # names -> draw_rows' rows
+        self._guarded: dict[tuple[str, ...], np.ndarray] = {}  # names -> guard mask
+
+    def rows(self, names: tuple[str, ...], k: int | None = None) -> tuple:
+        """The first k (by default all 8 * n_samples) sample rows for the
+        parameter names `names`, as draw_rows returns them."""
+        if names not in self._rows:
+            rng = np.random.default_rng(self.seed)
+            self._rows[names] = draw_rows(self.box, rng, names, 8 * self.n_samples)
+        points, params = self._rows[names]
+        return points[:k], {nm: col[:k] for nm, col in params.items()}
 
     def test(self, e: ScalarExpr) -> ZeroVerdict:
         e = simplify(e)
@@ -1366,46 +1376,44 @@ class ZeroTester:
                 return ZeroVerdict(True, None, None, None, 0, 0, True)
             return ZeroVerdict(False, None, None, v, 0, 0, True)
 
-        box = self.box
-        needed = max_coord_index(e) + 1
-        for g in box.guards:
-            needed = max(needed, max_coord_index(g) + 1)
-        if needed > box.dim:
+        tape, guards = Tape((e,)), self._guards
+        needed = max((*tape.coords, *guards.coords), default=-1) + 1
+        if needed > self.box.dim:
             raise ExprError(
                 f"expression uses coordinate index {needed - 1} but the sampling box "
-                f"has dimension {box.dim}"
+                f"has dimension {self.box.dim}"
             )
+        names = tuple(sorted({*tape.params, *guards.params}))
+        points, params = self.rows(names)
+        guarded = self._guarded.get(names)
+        if guarded is None:
+            slots = guards.run(points, params)
+            guarded = self._guarded[names] = np.zeros(len(points), dtype=bool)
+            for s in guards.outputs:
+                guarded |= ~(np.abs(slots[s]) >= self.box.guard_tol)  # guarded or singular
 
-        names = collect_params(e)
-        for g in box.guards:
-            names = tuple(sorted(set(names) | set(collect_params(g))))
-        rng = np.random.default_rng(self.seed)
-
-        # Rows are drawn in chunks no larger than the rows still needed, so
-        # the test stops at the same row, with the same counts, as a draw of
-        # one row at a time from the same stream.
+        # Rows are read in chunks no larger than the rows still needed, so
+        # the test stops at the same row, with the same counts, as a read of
+        # one row at a time.
         valid = 0
         skipped = 0
         attempts = 0
-        max_attempts = self.n_samples * 8
+        max_attempts = len(points)
         while valid < self.n_samples and attempts < max_attempts:
             k = min(self.n_samples - valid, max_attempts - attempts)
-            points, params = draw_rows(box, rng, names, k)
-            skip = np.zeros(k, dtype=bool)
-            for g in box.guards:
-                gv, _ = eval_rows(g, points, params)
-                skip |= ~(np.abs(gv) >= box.guard_tol)  # guarded or singular
-            v, scale = eval_rows(e, points, params)
-            skip |= np.isnan(v)
+            chunk = slice(attempts, attempts + k)
+            v, scale = tape.scaled_rows(
+                points[chunk], {nm: col[chunk] for nm, col in params.items()}
+            )
+            skip = guarded[chunk] | np.isnan(v)
             over = np.flatnonzero(~skip & (np.abs(v) > self.eps * (1.0 + scale)))
             if over.size:
                 i = int(over[0])
                 skipped += int(skip[:i].sum())
                 valid = attempts + i + 1 - skipped
-                pr = {nm: float(params[nm][i]) for nm in names}
-                return ZeroVerdict(
-                    False, tuple(points[i].tolist()), pr, float(v[i]), valid, skipped, False
-                )
+                pr = {nm: float(col[attempts + i]) for nm, col in params.items()}
+                return ZeroVerdict(False, tuple(points[attempts + i].tolist()), pr,
+                                   float(v[i]), valid, skipped, False)
             attempts += k
             skipped += int(skip.sum())
             valid = attempts - skipped

@@ -445,16 +445,15 @@ def projectivize(
     singular points of the covector section; if sampling the box hits one
     (or gets within the zero-test tolerance of one), the normalization is
     undefined there and a SingularityError is raised.  The samples are the
-    context's: its box, seed and sample count.
+    context's first n_samples rows for the parameters lambda uses.
     """
     if A.degree != 1:
         raise fm.FormError("projectivization is defined for 1-forms")
     chart = A.chart
     lam_sq = ex.add(*(ex.power(A.coeff((mu,)), 2) for mu in range(chart.dim)))
-    rng = np.random.default_rng(context.seed)
-    names = ex.collect_params(lam_sq)
-    points, params = ex.draw_rows(context.box, rng, names, context.n_samples)
-    val, scale = ex.eval_rows(lam_sq, points, params)
+    tape = ex.Tape((lam_sq,))
+    points, params = context.rows(tape.params, context.n_samples)
+    val, scale = tape.scaled_rows(points, params)
     vanishing = np.flatnonzero(val <= 1e-12 * (1.0 + scale))  # singular rows are NaN
     if vanishing.size:
         raise SingularityError(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 
 import numpy as np
 
@@ -147,11 +148,18 @@ def eval_form(w, point, params=None) -> dict[tuple[int, ...], float]:
 # the algebraic route.
 
 
+# vector field -> its compiled effective components, for the field's lifetime
+_FIELD_FUNCS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def rk4_flow(V, point, t: float, steps: int = 2, params=None) -> np.ndarray:
-    comps = V.effective_components()
+    comps = _FIELD_FUNCS.get(V)
+    if comps is None:
+        comps = _FIELD_FUNCS[V] = tuple(map(compiled_eval, V.effective_components()))
 
     def f(x):
-        return np.array([reference_eval_with_scale(c, x, params)[0] for c in comps])
+        pt = tuple(float(c) for c in x)
+        return np.array([c(pt, params) for c in comps])
 
     x = np.array(point, dtype=float)
     dt = t / steps
@@ -441,6 +449,84 @@ def reference_eval_with_scale(e, point, params=None) -> tuple[float, float]:
         return rec(e), scale
     finally:
         del rec  # rec refers to itself; break the cycle so the memo dies here
+
+
+# Compiled scalar evaluation: the walk above unrolled once per tree into a
+# straight-line Python function, for oracles that evaluate one tree at many
+# points.  Each node is one line with the same float operation, operands in
+# the same order, and a node shared by identity is computed once, as the
+# memo above computes it.  A call that raises on the way or meets a
+# nonfinite intermediate (found from the sum of all of them) returns what
+# reference_eval_with_scale returns instead, singularity errors included.
+
+def _atan2(y: float, x: float) -> float:
+    if y == 0.0 and x == 0.0:
+        raise ZeroDivisionError("atan2(0, 0)")
+    return math.atan2(y, x)
+
+
+def compiled_eval(e):
+    """A function (point, params) -> the value reference_eval_with_scale
+    gives, for a point given as a tuple of floats."""
+    names: dict[int, str] = {}
+    consts: dict[str, object] = {}
+    lines: list[str] = []
+
+    def rec(node) -> str:
+        name = names.get(id(node))
+        if name is not None:
+            return name
+        if isinstance(node, ex.Const):
+            rhs = f"_k{len(consts)}"
+            consts[rhs] = float(node.value)
+        elif isinstance(node, ex.Coord):
+            rhs = f"pt[{node.index}]"
+        elif isinstance(node, ex.Param):
+            rhs = f"float(params[{node.name!r}])"
+        elif isinstance(node, ex.Sum):
+            rhs = " + ".join(["0.0", *map(rec, node.terms)])
+        elif isinstance(node, ex.Product):
+            rhs = " * ".join(["1.0", *map(rec, node.factors)])
+        elif isinstance(node, ex.Quotient):
+            den = rec(node.den)
+            rhs = f"{rec(node.num)} / {den}"
+        elif isinstance(node, ex.Pow):
+            rhs = f"{rec(node.base)} ** {node.exponent}"
+        elif isinstance(node, ex.Func) and node.name == "atan2":
+            rhs = f"_atan2({rec(node.args[0])}, {rec(node.args[1])})"
+        elif isinstance(node, ex.Func):
+            rhs = f"_{node.name}({rec(node.args[0])})"
+        else:
+            raise ex.ExprError(f"unknown node {type(node).__name__}")
+        name = names[id(node)] = f"v{len(names)}"
+        lines.append(f"    {name} = {rhs}")
+        return name
+
+    try:
+        root = rec(e)
+    finally:
+        del rec  # rec refers to itself; break the cycle
+    source = "\n".join([
+        "def body(pt, params):",
+        *lines,
+        f"    if not isfinite(fsum(({', '.join(names.values())},))):",
+        "        return None",
+        f"    return {root}",
+    ])
+    scope = {"isfinite": math.isfinite, "fsum": math.fsum, "_atan2": _atan2,
+             **{f"_{k}": f for k, f in _MATH_FUNCS.items()}, **consts}
+    exec(source, scope)
+    body = scope["body"]
+
+    def fn(pt, params=None):
+        params = params or {}
+        try:
+            v = body(pt, params)
+        except (ArithmeticError, ValueError, LookupError):
+            v = None
+        return reference_eval_with_scale(e, pt, params)[0] if v is None else v
+
+    return fn
 
 
 # ---------------------------------------------------------------------------

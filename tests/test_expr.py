@@ -12,13 +12,14 @@ from hypothesis import given, settings, strategies as st
 import formflow.expr as ex
 import formflow.forms as fm
 from formflow.parse import parse_scalar
+import oracles
 from corpus import (
-    CHART, action_process_pairs, mixed_forms, random_poly_scalar, random_smooth_scalar,
-    random_point, rng,
+    CHART, action_process_pairs, mixed_forms, random_field, random_poly_scalar,
+    random_smooth_scalar, random_point, rng,
 )
 from oracles import (
-    poly_add, poly_diff, poly_from_expr, poly_is_zero, poly_mul, reference_differentiate,
-    reference_eval_with_scale, reference_simplify, reference_zero_test,
+    compiled_eval, poly_add, poly_diff, poly_from_expr, poly_is_zero, poly_mul,
+    reference_differentiate, reference_eval_with_scale, reference_simplify, reference_zero_test,
 )
 
 X, Y, Z, T = (ex.coord(i) for i in range(4))
@@ -412,6 +413,39 @@ def test_walker_matches_the_scalar_reference(seed):
 
 
 @pytest.mark.parametrize("seed", [3, 8, 21])
+def test_compiled_oracle_matches_the_scalar_reference(seed, monkeypatch):
+    # the flow oracle's compiled trees give reference_eval_with_scale's
+    # value bit for bit, and fall back to it exactly where it raises
+    box = ex.Box(lows=(-2.0,) * 4, highs=(2.0,) * 4)
+    drawn, params = ex.draw_rows(box, rng(seed), ("a", "b"), 64)
+    points = np.vstack([drawn, SINGULAR_ROWS])
+    params = {nm: np.concatenate([col, np.ones(len(SINGULAR_ROWS))])
+              for nm, col in params.items()}
+    field = random_field(rng(seed), smooth=True, supported=True)
+    exprs = corpus_exprs(seed) + SINGULAR_KINDS + list(field.effective_components())
+    real = oracles.reference_eval_with_scale
+    fallbacks = []
+    monkeypatch.setattr(oracles, "reference_eval_with_scale",
+                        lambda *args: fallbacks.append(args) or real(*args))
+    singular = 0
+    for e in exprs:
+        fn = compiled_eval(e)
+        for i, row in enumerate(points):
+            pt = tuple(row.tolist())
+            pr = {nm: float(params[nm][i]) for nm in params}
+            try:
+                want, _ = real(e, pt, pr)
+            except ex.SingularityError as want_err:
+                singular += 1
+                with pytest.raises(ex.SingularityError) as got:
+                    fn(pt, pr)
+                assert_same_singularity(got.value, want_err)
+                continue
+            assert fn(pt, pr).hex() == want.hex(), ex.to_text(e)
+    assert singular and len(fallbacks) == singular
+
+
+@pytest.mark.parametrize("seed", [3, 8, 21])
 def test_one_tape_run_equals_eval_many_of_each_root(seed):
     # the roots share subtrees, so the tape computes each shared node once;
     # every root's values are still eval_many's, bit for bit
@@ -477,6 +511,54 @@ def test_box_guard_parameters_are_drawn():
     assert not got.zero and set(got.witness_params) == {"a"}
     assert got == ex.ZeroTester(plain).with_guards(guard).test(e)
     assert got == reference_zero_test(ex.ZeroTester(guarded), e)
+
+
+def test_verdicts_do_not_depend_on_earlier_tests():
+    # the tester keeps one row table per parameter-name set; a table read
+    # first by another expression gives the verdict a fresh tester gives
+    box = ex.Box(PARAM_BOX.lows, PARAM_BOX.highs, PARAM_BOX.param_ranges,
+                 guards=(ex.add(Y, ex.Const(0.5)),), guard_tol=0.4)
+    pythagoras = ex.add(ex.power(ex.sin(X), 2), ex.power(ex.cos(X), 2), ex.Const(-1))
+    exprs = [
+        ex.mul(Y, Z), pythagoras, ex.mul(A, X), ex.mul(ex.add(A, B), ex.sin(Y)),
+        ex.add(ex.mul(B, Y), Z), ex.mul(A, ex.sin(X)), ex.mul(X, T), ex.mul(B, pythagoras),
+    ]
+    fresh = [ex.ZeroTester(box, seed=9).test(e) for e in exprs]
+    assert any(v.zero and not v.syntactic for v in fresh)
+    assert any(not v.zero for v in fresh)
+    shared = ex.ZeroTester(box, seed=9)
+    for order in (range(len(exprs)), reversed(range(len(exprs)))):
+        for i in order:
+            assert shared.test(exprs[i]) == fresh[i], ex.to_text(exprs[i])
+
+
+def test_one_zero_test_compiles_one_tape(monkeypatch):
+    compiled = []
+
+    class Counted(ex.Tape):
+        def __init__(self, roots):
+            compiled.append(tuple(roots))
+            super().__init__(roots)
+
+    monkeypatch.setattr(ex, "Tape", Counted)
+    pythagoras = ex.add(ex.power(ex.sin(Y), 2), ex.power(ex.cos(Y), 2), ex.Const(-1))
+    # 95 % of rows are guarded, so both verdicts read more than one chunk
+    across_chunks = ex.Box(lows=(-1.0,) * 4, highs=(1.0,) * 4, guards=(X,), guard_tol=0.95)
+    guarded = ex.Box(PARAM_BOX.lows, PARAM_BOX.highs, PARAM_BOX.param_ranges,
+                     guards=(ex.add(X, Y), ex.mul(A, Z)), guard_tol=0.1)
+    for box in (ex.default_box(4), guarded, across_chunks):
+        compiled.clear()
+        t = ex.ZeroTester(box, seed=13)
+        assert compiled == [box.guards]  # the guards, once per tester
+        rows_read = []
+        for e in (pythagoras, ex.mul(Y, Z), ex.mul(A, Z), pythagoras):
+            compiled.clear()
+            v = t.test(e)
+            assert not v.syntactic
+            assert compiled == [(ex.simplify(e),)]
+            rows_read.append(v.samples + v.skipped)
+        if box is across_chunks:
+            assert max(rows_read) > t.n_samples
 
 
 def test_evaluators_leave_no_cyclic_garbage():

@@ -14,6 +14,8 @@ import formflow.systems as sy
 from corpus import CHART
 from oracles import reference_vanishing_point
 
+X = ex.coord(0)
+
 
 def form_1(coeffs: dict[int, str]) -> fm.DifferentialForm:
     return fm.form_from_coeffs(
@@ -302,6 +304,27 @@ def test_projectivize_samples_like_the_scalar_reference():
         assert err.value.point == want
         vanished += 1
     assert vanished >= 3
+
+
+def test_projectivize_ignores_guard_parameters_lambda_does_not_use():
+    # lambda^2 uses no parameter; the guard's g is drawn only for zero tests
+    g = ex.param("g")
+    unit = ex.Box(lows=(-1.0,) * 4, highs=(1.0,) * 4, guards=(ex.add(X, g),))
+    tiny = ex.Box(lows=(-1e-14, -1.0, -1.0, -1.0), highs=(1e-14, 1.0, 1.0, 1.0),
+                  guards=(ex.add(X, g),))
+    for box, A in ((unit, form_1({0: "x*y", 2: "z"})), (tiny, form_1({1: "x"}))):
+        context = ex.ZeroTester(box, seed=2)
+        lam_sq = ex.add(*(ex.power(A.coeff((m,)), 2) for m in range(4)))
+        want = reference_vanishing_point(lam_sq, context)
+        for _ in range(2):  # fresh, then after a zero test drew rows for g
+            if want is None:
+                pf.projectivize(A, context)
+            else:
+                with pytest.raises(ex.SingularityError) as err:
+                    pf.projectivize(A, context)
+                assert err.value.point == want
+            context.test(ex.mul(X, ex.coord(1)))
+    assert want is not None
 
 
 def test_euler_integrand_matches_projectivized_parity():
