@@ -12,7 +12,10 @@ Integration pulls the form back through each cell map and applies
 Gauss-Legendre quadrature; the reported error estimate comes from doubling
 the order.  The rows of every cell at both orders are stacked, and the
 form's coefficients are evaluated in one run of its tape; RK4 advection
-runs the field's tape once per stage.  Invariance of an integral under a
+runs the field's tape once per stage.  Each Jacobian minor of the pullback
+is the Leibniz expansion in a fixed term order, so a 1 x 1 minor is the
+Jacobian entry itself and integral bytes depend on IEEE arithmetic alone,
+not on the LAPACK build numpy ships with.  Invariance of an integral under a
 flow is tested as the t-derivative at t = 0 of the integral over the
 advected chain (fourth-order central stencil), cross-checked against the
 integral of the Lie derivative over the original chain, which is the
@@ -332,6 +335,16 @@ def _gl_weights(order: int, degree: int) -> np.ndarray:
     return _frozen(weight.ravel())
 
 
+@functools.lru_cache(maxsize=None)
+def _leibniz_terms(k: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
+    """(permutation, odd) for every permutation of range(k), in
+    itertools.permutations order, so the identity comes first."""
+    return tuple(
+        (perm, sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 1)
+        for perm in itertools.permutations(range(k))
+    )
+
+
 class _Quadrature:
     """Every cell of a chain on the Gauss-Legendre grids of both orders
     (order, then 2 * order): the stacked rows and Jacobians, and each
@@ -370,9 +383,21 @@ class _Quadrature:
         return np.concatenate([J for _, _, _, J in self.segments])
 
     def minor(self, idx: tuple[int, ...]) -> np.ndarray:
-        """det of the Jacobian rows idx at every stacked row."""
+        """det of the Jacobian rows idx at every stacked row, by the Leibniz
+        expansion: each term's product taken left to right, the terms summed
+        in order from the identity.  A 1 x 1 minor is the entry itself."""
         if idx not in self._minors:
-            self._minors[idx] = np.linalg.det(self._flatJ[:, list(idx), :])
+            J = self._flatJ
+            total = None
+            for perm, odd in _leibniz_terms(len(idx)):
+                term = J[:, idx[0], perm[0]]
+                for row, col in zip(idx[1:], perm[1:]):
+                    term = term * J[:, row, col]
+                if total is None:
+                    total = term
+                else:  # k >= 2 here, so total is a fresh array
+                    (np.subtract if odd else np.add)(total, term, out=total)
+            self._minors[idx] = total
         return self._minors[idx]
 
     def integral(self, w: DifferentialForm) -> "IntegralResult":

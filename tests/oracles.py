@@ -709,6 +709,32 @@ def reference_jacobian_grid(cell, axes, params=None) -> np.ndarray:
     return J.reshape(tuple(len(a) for a in axes) + (n, p))
 
 
+def reference_minor(M: np.ndarray) -> np.ndarray:
+    """det of each k x k matrix of the stack M (shape (rows, k, k)) from the
+    Leibniz definition: sum over the permutations s of range(k), in
+    itertools order, of sign(s) * M[0, s(0)] * ... * M[k-1, s(k-1)], with
+    sign(s) = (-1)^(number of inversions of s), each product taken left to
+    right and the sum accumulated from the first (identity) term."""
+    k = M.shape[-1]
+    total = None
+    for s in itertools.permutations(range(k)):
+        inversions = 0
+        for i in range(k):
+            for j in range(i + 1, k):
+                if s[i] > s[j]:
+                    inversions += 1
+        term = M[:, 0, s[0]].copy()
+        for i in range(1, k):
+            term = term * M[:, i, s[i]]
+        if total is None:
+            total = term
+        elif inversions % 2:
+            total = total - term
+        else:
+            total = total + term
+    return total
+
+
 def reference_integrate(w, chain, order=None, params=None) -> ch.IntegralResult:
     order = order or ch.DEFAULT_QUAD_ORDER[chain.degree]
     params = dict(params or {})
@@ -735,7 +761,7 @@ def reference_integrate(w, chain, order=None, params=None) -> ch.IntegralResult:
                         err.subexpression,
                         err.point,
                     ) from err
-                vals += coeff_vals * np.linalg.det(flatJ[:, list(idx), :])
+                vals += coeff_vals * reference_minor(flatJ[:, list(idx), :])
             weight = wts
             for _ in range(chain.degree - 1):
                 weight = np.multiply.outer(weight, wts)

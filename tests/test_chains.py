@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -417,6 +420,75 @@ def test_quadrature_and_interpolation_constants_are_read_only():
         with pytest.raises(ValueError):
             a[0] = 1.0
     assert ch._gl_axis(8)[0] is query
+
+
+def _exact_det(M) -> Fraction:
+    """Determinant of a square list of Fractions by fraction-exact
+    Gaussian elimination."""
+    A = [list(row) for row in M]
+    det = Fraction(1)
+    for c in range(len(A)):
+        pivot = next((r for r in range(c, len(A)) if A[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            A[c], A[pivot] = A[pivot], A[c]
+            det = -det
+        det *= A[c][c]
+        for r in range(c + 1, len(A)):
+            f = A[r][c] / A[c][c]
+            A[r] = [a - f * b for a, b in zip(A[r], A[c])]
+    return det
+
+
+def _exact_permanent(M) -> Fraction:
+    k = len(M)
+    return sum(
+        (math.prod((M[i][s[i]] for i in range(k)), start=Fraction(1))
+         for s in itertools.permutations(range(k))),
+        start=Fraction(0),
+    )
+
+
+def _minors_of(J: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
+    """`_Quadrature.minor` on the stacked Jacobians J."""
+    return ch._Quadrature.minor(SimpleNamespace(_flatJ=J, _minors={}), idx)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_minor_is_within_the_leibniz_rounding_bound(k):
+    # each minor against the exact determinant of the same float entries:
+    # k - 1 products per term and k! - 1 sums give n = k! + k - 2 roundings,
+    # so |err| <= gamma_n * perm(|M|) (Higham, Accuracy and Stability of
+    # Numerical Algorithms, section 3.1)
+    rng = np.random.default_rng(16 + k)
+    rows = 30
+    plain = rng.uniform(-3.0, 3.0, size=(rows, k + 1, k))
+    # the minors of rows (0, ..., k - 2, k) are near-singular and exactly
+    # singular: row k is a combination of rows 0..k-2 off by ~1e-12, or a
+    # copy of row 0, or row 0 scaled exactly by 2 (for k = 1, a tiny entry
+    # or zero)
+    near, singular = plain.copy(), plain.copy()
+    mix = rng.uniform(-1.0, 1.0, size=(rows, k - 1))
+    near[:, k, :] = np.einsum("ri,rij->rj", mix, plain[:, : k - 1, :]) if k > 1 else 1e-150
+    near[:, k, :] *= 1.0 + 1e-12 * rng.standard_normal((rows, k))
+    singular[: rows // 2, k, :] = singular[: rows // 2, 0, :] if k > 1 else 0.0
+    singular[rows // 2 :, k, :] = 2.0 * singular[rows // 2 :, 0, :] if k > 1 else 0.0
+    J = np.concatenate([plain, near, singular])
+    n = math.factorial(k) + k - 2
+    u = Fraction(2) ** -53
+    gamma = n * u / (1 - n * u)
+    for idx in itertools.combinations(range(k + 1), k):
+        got = _minors_of(J, idx)
+        for r in range(J.shape[0]):
+            M = [[Fraction(float(J[r, i, j])) for j in range(k)] for i in idx]
+            err = abs(Fraction(float(got[r])) - _exact_det(M))
+            assert err <= gamma * _exact_permanent([[abs(m) for m in row] for row in M])
+
+
+def test_one_by_one_minor_is_the_entry():
+    J = np.array([2.0 * math.pi, 0.1, -2.0 * math.pi]).reshape(3, 1, 1)
+    assert _minors_of(J, (0,)).tolist() == [2.0 * math.pi, 0.1, -2.0 * math.pi]
 
 
 def test_cell_map_is_differentiated_once(monkeypatch):

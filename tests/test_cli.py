@@ -490,13 +490,13 @@ def test_open_chains_are_never_period_cycles():
 # battery = all.  couette_shear.cfg sets seed = 7, which reaches its Pfaff
 # sequence verdicts.
 REPORT_DIGESTS = {
-    "euler.rigid_rotation": "2ada95d2000bb97c264bb766a017c897f0ed76ba8e7637c94e945776cb4e5572",
-    "ns.decaying_shear": "6515262dfdace6cceebee86d735bcf125223f4b8b4cb9093378ac1d8a00ddbf6",
-    "fluid.beltrami_abc": "5d25cabb9e74e3cfb35c8af2f21a970242d0deb50ce52fdfca03f2c837a89240",
-    "em.plane_wave": "e207b61a002cdb7d9c910ab1b443c5a5fc8b277dca074547a804b0918306ed93",
-    "em.torsion_nonzero": "0802eb3fa067c7c9a2b9dc74fa4734c2dfa4928d5b8de3488f9d124b9efd7f77",
-    "harmonic.winding": "c5cf53e81f5783b1a51c6adf849124a64d4323ab5f1f892d3b4d64dc419ff245",
-    "em_torsion.cfg": "0802eb3fa067c7c9a2b9dc74fa4734c2dfa4928d5b8de3488f9d124b9efd7f77",
+    "euler.rigid_rotation": "868d127d371506f3fc469213267fcd90c8e672750794ef80ca14202676f0e60b",
+    "ns.decaying_shear": "66ce4270354d3c75a46b7e8db01a08eb3ad4212e2b86762c08168421367b3c44",
+    "fluid.beltrami_abc": "89c1ab2c484dbae205ba23759724e77d9d05026bb73aa03ff685883503da49b7",
+    "em.plane_wave": "7afff3be9c3897ab14c3c52046678b0469980b485bf813bbd4acd9dbe45cb5bf",
+    "em.torsion_nonzero": "76d59552078e5c0e6b60157ddc281d98eca9ab5d57c587553d175b638d8fcde3",
+    "harmonic.winding": "fe03fb2640fe9d4895722c5e7e9aad1263fe9cf9dcf87eb94ce8644267410d8c",
+    "em_torsion.cfg": "76d59552078e5c0e6b60157ddc281d98eca9ab5d57c587553d175b638d8fcde3",
     "figure1.cfg": "eb6e5e61cf5ceb08d92b05da32ce51f0d57174c0c303b29c11d66e467fe49580",
     "couette_shear.cfg": "b2f4452cef5e6a65e3fcd8a8ee8acfed8d85d5d1b5fd5e01cd884dcc43d32e0a",
 }
