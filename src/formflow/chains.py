@@ -98,6 +98,7 @@ class ExprCell:
     components: tuple[ScalarExpr, ...]
     params: dict[str, float] = field(default_factory=dict)
     name: str = ""
+    map_tape: ex.Tape = field(init=False, repr=False, compare=False)  # the components alone
 
     def __post_init__(self):
         if len(self.components) != self.chart.dim:
@@ -105,13 +106,14 @@ class ExprCell:
                 f"cell map needs {self.chart.dim} components, got {len(self.components)}"
             )
         comps = tuple(ex.simplify(ex.as_expr(c)) for c in self.components)
-        for c in comps:
-            top = ex.max_coord_index(c)
-            if top >= self.degree:
-                raise ChainError(
-                    f"cell map uses parameter u{top} but the cell has degree {self.degree}"
-                )
+        map_tape = ex.Tape(comps)
+        top = max(map_tape.coords, default=-1)
+        if top >= self.degree:
+            raise ChainError(
+                f"cell map uses parameter u{top} but the cell has degree {self.degree}"
+            )
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "map_tape", map_tape)
 
     def _bound(self, params: Mapping[str, float] | None) -> dict[str, float]:
         merged = dict(self.params)
@@ -142,8 +144,9 @@ class ExprCell:
     def eval_grid(
         self, axes: Sequence[np.ndarray], params: Mapping[str, float] | None = None
     ) -> np.ndarray:
-        X, _ = self.grids(axes, params)
-        return X.reshape(tuple(len(a) for a in axes) + (self.chart.dim,))
+        """The map alone at the grid of axes, from one run of map_tape."""
+        cols = self.map_tape.values(_grid_points(axes), self._bound(params))
+        return _columns(cols).reshape(tuple(len(a) for a in axes) + (self.chart.dim,))
 
 
 def _columns(cols: Sequence[np.ndarray]) -> np.ndarray:

@@ -311,7 +311,7 @@ def _parsed(e: _Entry, s: _Scope, text: str, guard_only: bool = False) -> Source
         tree = ps.parse_scalar(text, s.chart)
     except ps.ParseError as err:
         raise ConfigError(str(err), e.line, e.column) from None
-    s.needed.extend((e, name, guard_only) for name in ex.collect_params(tree))
+    s.needed.extend((e, name, guard_only) for name in ex.Tape((tree,)).params)
     return Source(text, tree)
 
 
@@ -786,7 +786,7 @@ class _Runtime:
     def sample(self, e: ex.ScalarExpr) -> float | None:
         """e at the probe point, or None where it is singular there."""
         try:
-            return ex.eval_at(e, self.probe_point(), self.params)
+            return ex.Tape((e,)).at(self.probe_point(), self.params)[0]
         except ex.ExprError:
             return None
 
@@ -1051,7 +1051,7 @@ def _battery_theorems(rt: _Runtime, checks: list[_Check]) -> dict:
 
 def _battery_periods(rt: _Runtime, checks: list[_Check]) -> dict:
     out: dict = {}
-    closed_action = pf.form_is_zero(rt.anatomy.dA, rt.context)
+    closed_action = rt.anatomy.closed
     out["action_closed"] = _verdict_dict(closed_action)
     cycles = rt.anatomy.cycles
     if not closed_action.zero or not cycles:

@@ -25,13 +25,12 @@ node itself, and a cached one would be a reference cycle.
 One evaluator, a Tape, runs every expression over a batch of points at
 once.  A tape lists the distinct nodes (by structural key) of one or more
 roots, children before parents, and one loop executes the list, each node
-one numpy operation over all rows.  The single-expression evaluators
-compile a one-root tape per call; forms, vector fields and chain cells
-keep theirs, compiled once per object.  The zero test compiles its
+one numpy operation over all rows.  Forms, vector fields and chain cells
+keep theirs, compiled once per object; the zero test compiles its
 expression once per test and its box guards once per tester.  A node that
 is singular at a row (division by zero, ln/sqrt outside their domain,
-atan2(0, 0), overflow) is NaN there, and NaN reaches the root.  eval_rows
-returns such rows as NaN; eval_many, eval_with_scale and eval_at raise
+atan2(0, 0), overflow) is NaN there, and NaN reaches the root.
+Tape.scaled_rows returns such rows as NaN; Tape.values and Tape.at raise
 SingularityError naming the first singular subexpression in evaluation
 order, at its first singular point, rather than returning NaN or
 infinity.  Evaluation is deterministic: the same tree at the same point with the same parameter
@@ -81,14 +80,10 @@ __all__ = [
     "atan2",
     "simplify",
     "differentiate",
-    "eval_at",
     "eval_many",
-    "eval_rows",
     "Tape",
     "draw_rows",
     "to_text",
-    "collect_params",
-    "max_coord_index",
     "is_syntactic_zero",
     "Box",
     "default_box",
@@ -835,7 +830,7 @@ def _derivative(e: ScalarExpr, index: int) -> ScalarExpr:
 
 # ---------------------------------------------------------------------------
 # Evaluation: one tape executor over a (k, n) array of points (see the
-# module docstring); every public evaluator is a thin wrapper over it.
+# module docstring).
 
 
 def _children(node: ScalarExpr) -> tuple[ScalarExpr, ...]:
@@ -919,11 +914,7 @@ class Tape:
         self.roots = tuple(roots)
         self.code = code
         self.index = index
-
-    @functools.cached_property
-    def outputs(self) -> tuple[int, ...]:
-        """The roots' slots, in root order."""
-        return tuple(self.index[r.key] for r in self.roots)
+        self.outputs = tuple(index[r.key] for r in self.roots)
 
     @functools.cached_property
     def params(self) -> tuple[str, ...]:
@@ -966,10 +957,13 @@ class Tape:
             slots = self._execute(points, params, True, ())
         return slots
 
-    def _execute(self, points: np.ndarray, params: Mapping, finite: bool, dead) -> list:
+    def _execute(self, points: np.ndarray, params: Mapping, finite: bool, dead, slots=None) -> list:
+        """The slots of one run, filled into `slots` when given: a run that
+        raises leaves every slot before the failing instruction set."""
         k, n = points.shape
         one = np.ones(k)
-        slots: list = [None] * len(self.code)
+        if slots is None:
+            slots = [None] * len(self.code)
         with np.errstate(all="ignore"):
             for i, (op, arg, operands) in enumerate(self.code):
                 if op == _PRODUCT:
@@ -1019,30 +1013,75 @@ class Tape:
                         slots[s] = None
         return slots
 
-    def scaled_rows(self, points: np.ndarray, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
-        """A one-root tape's values at the rows of `points` and, per row,
-        the largest intermediate magnitude; singular rows are NaN."""
+    @functools.cached_property
+    def _subtrees(self) -> tuple:
+        """Per root, its slot and those of its descendants: for the first
+        root every slot up to its own, as the compiler lists it first."""
+        out: list = [slice(0, self.outputs[0] + 1)] if self.outputs else []
+        for root in self.outputs[1:]:
+            seen, stack = {root}, [root]
+            while stack:
+                new = set(self.code[stack.pop()][2]) - seen
+                seen |= new
+                stack.extend(new)
+            out.append(np.array(sorted(seen)))
+        return tuple(out)
+
+    def scaled_rows(
+        self, points: np.ndarray, params: Mapping
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Each root's values at the rows of `points` and, per row, the
+        largest magnitude over the slots of that root's subtree: what a
+        one-root tape of the root gives.  Singular rows are NaN."""
         slots = self.run(points, params, keep=True)
-        return slots[-1], np.abs(np.concatenate(slots)).reshape(len(slots), -1).max(axis=0)
+        magnitudes = np.abs(np.array(slots))
+        return (
+            [slots[s] for s in self.outputs],
+            [magnitudes[sub].max(axis=0) for sub in self._subtrees],
+        )
 
     def values(self, points: np.ndarray, params: Mapping) -> list[np.ndarray]:
-        """The roots' values at every row, from one run; raises as eval_many
-        of each root in turn would, for the first root that fails."""
+        """The roots' values at every row, from one run.  A failure raises
+        the error of the first root that fails, as a one-root tape of each
+        root in turn would raise it."""
         try:
             slots = self.run(points, params)
         except EvalError:
-            for root in self.roots:
-                _run_one(root, points, params)
+            slots = None
+        if slots is None or any(np.isnan(slots[s]).any() for s in self.outputs):
+            self._raise_first_error(points, params)
+        return [slots[s] for s in self.outputs]
+
+    def _raise_first_error(self, points: np.ndarray, params: Mapping) -> None:
+        """Raise the error of the first root that fails, found on one more
+        run that keeps every slot: a run that raises stops in the first
+        root whose slot it does not reach, and a root before it fails first
+        if it is singular at some row."""
+        slots: list = [None] * len(self.code)
+        try:
+            self._execute(points, params, True, (), slots)
+        except EvalError:
+            self._raise_singular(slots, points)
             raise
-        out = [slots[s] for s in self.outputs]
-        for root, v in zip(self.roots, out):
-            if np.isnan(v).any():
-                _run_one(root, points, params)  # raises root's error
-        return out
+        self._raise_singular(slots, points)
+
+    def _raise_singular(self, slots: list, points: np.ndarray) -> None:
+        """Raise _singularity's error for the first root singular at some
+        row, among the roots before the first slot the run did not fill."""
+        memo = {key: slots[i] for key, i in self.index.items()}
+        for root, s in zip(self.roots, self.outputs):
+            if slots[s] is None:
+                return
+            if np.isnan(slots[s]).any():
+                raise _singularity(root, memo, points) from None
 
     def at(self, point: Sequence[float], params: Mapping | None = None) -> list[float]:
-        """The roots' values at one point, as eval_at of each would give."""
-        return [float(v[0]) for v in self.values(_one_row(point), params or {})]
+        """The roots' values at one point; raises as values() does."""
+        try:
+            row = np.array([tuple(float(c) for c in point)])
+        except TypeError:
+            raise EvalError(f"point must be a coordinate sequence, got {point!r}") from None
+        return [float(v[0]) for v in self.values(row, params or {})]
 
 
 def _fault(node: ScalarExpr, memo: Mapping[str, np.ndarray], i: int) -> str:
@@ -1098,61 +1137,19 @@ def _singularity(e: ScalarExpr, memo, points: np.ndarray) -> SingularityError:
     )
 
 
-def _run_one(e: ScalarExpr, points: np.ndarray, params) -> list:
-    """Every slot of e's one-root tape at the rows of `points`, the root's
-    last; a singular row raises SingularityError."""
-    tape = Tape((e,))
-    slots = tape.run(points, params, keep=True)
-    if np.isnan(slots[-1]).any():
-        memo = {key: slots[i] for key, i in tape.index.items()}
-        raise _singularity(e, memo, points)
-    return slots
-
-
-def _one_row(point: Sequence[float]) -> np.ndarray:
-    try:
-        return np.array([tuple(float(c) for c in point)])
-    except TypeError:
-        raise EvalError(f"point must be a coordinate sequence, got {point!r}") from None
-
-
-def eval_at(
-    e: ScalarExpr,
-    point: Sequence[float],
-    params: Mapping[str, float] | None = None,
-) -> float:
-    """Evaluate at a numeric point.  Deterministic; raises on singularities."""
-    return float(_run_one(e, _one_row(point), params or {})[-1][0])
-
-
 def eval_with_scale(
     e: ScalarExpr,
     point: Sequence[float],
     params: Mapping[str, float] | None = None,
 ) -> tuple[float, float]:
-    """Evaluate, also returning the largest intermediate magnitude.
-
-    The magnitude feeds the zero test's cancellation-aware tolerance: a
-    difference of two large near-equal quantities is judged against the
-    size of what was cancelled, not against 1.
-    """
-    slots = _run_one(e, _one_row(point), params or {})
-    return float(slots[-1][0]), float(np.abs(np.concatenate(slots)).max())
-
-
-def eval_rows(
-    e: ScalarExpr,
-    points: np.ndarray,
-    params: Mapping[str, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """eval_with_scale at every row of a (k, n) array, in one pass.
-
-    Returns the values and the largest intermediate magnitudes, both of
-    length k and bit-identical row by row to eval_with_scale; `params` maps
-    each name to a column of k values (or to one value for all rows).  A
-    row where eval_with_scale would raise SingularityError has value NaN.
-    """
-    return Tape((e,)).scaled_rows(points, params)
+    """e and its largest intermediate magnitude at one point; raises where e
+    is singular.  No package caller: bench/tracing.py wraps it by name until
+    the run trace of ROADMAP item 5 replaces that tracer."""
+    tape, row = Tape((e,)), np.array([point], dtype=float)
+    (value,), (scale,) = tape.scaled_rows(row, params or {})
+    if np.isnan(value[0]):
+        tape._raise_first_error(row, params or {})
+    return float(value[0]), float(scale[0])
 
 
 def eval_many(
@@ -1160,28 +1157,16 @@ def eval_many(
     points: np.ndarray,
     params: Mapping[str, float] | None = None,
 ) -> np.ndarray:
-    """Vectorized evaluation over an (m, n) array of points.
-
-    Used for quadrature and flow integration, where any singular sample is
-    an error for the whole batch.
-    """
+    """e at every row of an (m, n) array of points; a singular row raises.
+    No package caller: kept for bench/tracing.py, as eval_with_scale is."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise EvalError("points must be a 2-d array (m, n)")
-    return _run_one(e, points, params or {})[-1]
+    return Tape((e,)).values(points, params or {})[0]
 
 
 # ---------------------------------------------------------------------------
-# Introspection and printing
-
-
-def collect_params(e: ScalarExpr) -> tuple[str, ...]:
-    return Tape((e,)).params
-
-
-def max_coord_index(e: ScalarExpr) -> int:
-    """Largest coordinate index used, or -1 if none."""
-    return max(Tape((e,)).coords, default=-1)
+# Printing
 
 
 def _const_text(v: Number) -> str:
@@ -1402,7 +1387,7 @@ class ZeroTester:
         while valid < self.n_samples and attempts < max_attempts:
             k = min(self.n_samples - valid, max_attempts - attempts)
             chunk = slice(attempts, attempts + k)
-            v, scale = tape.scaled_rows(
+            (v,), (scale,) = tape.scaled_rows(
                 points[chunk], {nm: col[chunk] for nm, col in params.items()}
             )
             skip = guarded[chunk] | np.isnan(v)

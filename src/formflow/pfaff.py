@@ -60,9 +60,9 @@ class InternalConsistencyError(Exception):
 class Anatomy:
     """The objects derived from one 1-form A, each built on first use and kept.
 
-    dA, H = A^dA, K = dA^dA, the Pfaff sequence with its verdicts, the torsion
-    data (T, Gamma) and the genus are computed at most once per instance;
-    `process_reports` keeps thermo's classification along each field J.
+    dA and its zero verdict, H = A^dA, K = dA^dA, the Pfaff sequence, the
+    torsion data (T, Gamma) and the genus are computed at most once per
+    instance; `process_reports` keeps thermo's classification along each J.
     Every sampled verdict uses `context`, the zero tester of the run that
     owns the instance.  `cycles` (the closed 1-chains among `chains`),
     `points` and `params` are that run's probes: period cycles, points of
@@ -95,6 +95,11 @@ class Anatomy:
     @cached_property
     def K(self) -> DifferentialForm:
         return fm.wedge(self.dA, self.dA)
+
+    @cached_property
+    def closed(self) -> ZeroVerdict:
+        """dA's zero verdict, read by the Pfaff sequence and the periods."""
+        return form_is_zero(self.dA, self.context)
 
     @cached_property
     def sequence(self) -> "PfaffSequence":
@@ -184,7 +189,7 @@ def pfaff_sequence(a: Anatomy) -> PfaffSequence:
     if a.A.degree != 1:
         raise fm.FormError("pfaff sequence is defined for 1-forms")
     elements = _build_sequence(a)
-    verdicts = [form_is_zero(w, a.context) for w in elements]
+    verdicts = [form_is_zero(w, a.context) if k != 1 else a.closed for k, w in enumerate(elements)]
     dimension = 0
     for v in verdicts:
         if v.zero:
@@ -203,9 +208,8 @@ def _nonzero_at(w: DifferentialForm, points, params) -> np.ndarray:
     zero test's tolerance?"""
     out = np.zeros(len(points), dtype=bool)
     if points:
-        rows = np.array(points, dtype=float)
-        for c in w.coeffs.values():
-            v, scale = ex.eval_rows(c, rows, params)
+        values, scales = w.tape.scaled_rows(np.array(points, dtype=float), params or {})
+        for v, scale in zip(values, scales):
             out |= np.abs(v) > ZeroTester.eps * (1.0 + scale)  # False on singular (NaN) rows
     return out
 
@@ -453,7 +457,7 @@ def projectivize(
     lam_sq = ex.add(*(ex.power(A.coeff((mu,)), 2) for mu in range(chart.dim)))
     tape = ex.Tape((lam_sq,))
     points, params = context.rows(tape.params, context.n_samples)
-    val, scale = tape.scaled_rows(points, params)
+    (val,), (scale,) = tape.scaled_rows(points, params)
     vanishing = np.flatnonzero(val <= 1e-12 * (1.0 + scale))  # singular rows are NaN
     if vanishing.size:
         raise SingularityError(

@@ -131,6 +131,12 @@ def poly_from_expr(e, nvars: int, param_order: tuple[str, ...] = ()) -> Poly | N
 # ---------------------------------------------------------------------------
 # Numeric bridges: evaluate forms and fields at points
 
+def value_at(e, point, params=None) -> float:
+    """e at one point, from a one-root Tape of e; raises SingularityError
+    where e is singular."""
+    return ex.Tape((e,)).at(point, params)[0]
+
+
 def eval_form(w, point, params=None) -> dict[tuple[int, ...], float]:
     return {
         idx: reference_eval_with_scale(c, point, params)[0] for idx, c in w.coeffs.items()
@@ -355,11 +361,14 @@ def reference_differentiate(e, index: int):
 
 
 # ---------------------------------------------------------------------------
-# Scalar evaluation: one recursive walk per point through Python floats
+# Scalar evaluation: one recursive walk through Python floats
 #
 # The evaluator as it was before the library ran every node as numpy
 # operations over a batch of rows: Python's arithmetic and math functions,
-# memoized by node identity, raising at the first singular operation.
+# memoized by node identity, raising at the first singular operation.  A
+# node is computed at every point before its parent is, so over several
+# points the walk raises at the first node, in evaluation order, that is
+# singular at some point, at the first such point.
 
 _MATH_FUNCS = {
     "sin": math.sin,
@@ -371,82 +380,89 @@ _MATH_FUNCS = {
 
 
 def reference_eval_with_scale(e, point, params=None) -> tuple[float, float]:
-    pt = tuple(float(c) for c in point)
+    return reference_eval_rows(e, [point], params)[0]
+
+
+def reference_eval_rows(e, points, params=None) -> list[tuple[float, float]]:
+    """(value, largest intermediate magnitude) of e at each of points."""
+    pts = [tuple(float(c) for c in p) for p in points]
     params = params or {}
-    memo: dict[int, float] = {}
-    scale = 0.0
+    memo: dict[int, list[float]] = {}
+    scales = [0.0] * len(pts)
 
-    def singular(kind, node):
-        return ex.SingularityError(f"{kind} in {ex.to_text(node)} at point {pt}", node, pt)
+    def singular(kind, node, i):
+        return ex.SingularityError(
+            f"{kind} in {ex.to_text(node)} at point {pts[i]}", node, pts[i]
+        )
 
-    def rec(node) -> float:
-        nonlocal scale
+    def rec(node) -> list[float]:
         got = memo.get(id(node))
         if got is not None:
             return got
+        v: list[float] = []
         if isinstance(node, ex.Const):
-            v = float(node.value)
+            v = [float(node.value)] * len(pts)
         elif isinstance(node, ex.Coord):
-            if node.index >= len(pt):
-                raise ex.EvalError(
-                    f"point has {len(pt)} coordinates but expression uses index {node.index}"
-                )
-            v = pt[node.index]
+            for pt in pts:
+                if node.index >= len(pt):
+                    raise ex.EvalError(
+                        f"point has {len(pt)} coordinates but expression uses index {node.index}"
+                    )
+                v.append(pt[node.index])
         elif isinstance(node, ex.Param):
             try:
-                v = float(params[node.name])
+                v = [float(params[node.name])] * len(pts)
             except KeyError:
                 raise ex.EvalError(f"unbound parameter {node.name!r}") from None
         elif isinstance(node, ex.Sum):
-            v = 0.0
+            v = [0.0] * len(pts)
             for t in node.terms:
-                v += rec(t)
+                v = [a + b for a, b in zip(v, rec(t))]
         elif isinstance(node, ex.Product):
-            v = 1.0
+            v = [1.0] * len(pts)
             for f in node.factors:
-                v *= rec(f)
+                v = [a * b for a, b in zip(v, rec(f))]
         elif isinstance(node, ex.Quotient):
             den = rec(node.den)
-            if den == 0.0:
-                raise singular("division by zero", node)
-            v = rec(node.num) / den
+            for i, d in enumerate(den):
+                if d == 0.0:
+                    raise singular("division by zero", node, i)
+            v = [n / d for n, d in zip(rec(node.num), den)]
         elif isinstance(node, ex.Pow):
-            b = rec(node.base)
-            if b == 0.0 and node.exponent < 0:
-                raise singular("zero base with negative exponent", node)
-            try:
-                v = b ** node.exponent
-            except OverflowError:
-                raise singular("overflow", node) from None
-        elif isinstance(node, ex.Func):
-            if node.name == "atan2":
-                ay = rec(node.args[0])
-                ax = rec(node.args[1])
-                if ay == 0.0 and ax == 0.0:
-                    raise singular("atan2(0, 0)", node)
-                v = math.atan2(ay, ax)
-            else:
-                a = rec(node.args[0])
-                if node.name == "ln" and a <= 0.0:
-                    raise singular("ln of nonpositive value", node)
-                if node.name == "sqrt" and a < 0.0:
-                    raise singular("sqrt of negative value", node)
+            for i, b in enumerate(rec(node.base)):
+                if b == 0.0 and node.exponent < 0:
+                    raise singular("zero base with negative exponent", node, i)
                 try:
-                    v = _MATH_FUNCS[node.name](a)
+                    v.append(b ** node.exponent)
                 except OverflowError:
-                    raise singular("overflow", node) from None
+                    raise singular("overflow", node, i) from None
+        elif isinstance(node, ex.Func) and node.name == "atan2":
+            for i, (ay, ax) in enumerate(zip(rec(node.args[0]), rec(node.args[1]))):
+                if ay == 0.0 and ax == 0.0:
+                    raise singular("atan2(0, 0)", node, i)
+                v.append(math.atan2(ay, ax))
+        elif isinstance(node, ex.Func):
+            for i, a in enumerate(rec(node.args[0])):
+                if node.name == "ln" and a <= 0.0:
+                    raise singular("ln of nonpositive value", node, i)
+                if node.name == "sqrt" and a < 0.0:
+                    raise singular("sqrt of negative value", node, i)
+                try:
+                    v.append(_MATH_FUNCS[node.name](a))
+                except OverflowError:
+                    raise singular("overflow", node, i) from None
         else:
             raise ex.ExprError(f"unknown node {type(node).__name__}")
-        if not math.isfinite(v):
-            raise singular("nonfinite value", node)
+        for i, x in enumerate(v):
+            if not math.isfinite(x):
+                raise singular("nonfinite value", node, i)
+            if abs(x) > scales[i]:
+                scales[i] = abs(x)
         memo[id(node)] = v
-        a = abs(v)
-        if a > scale:
-            scale = a
         return v
 
     try:
-        return rec(e), scale
+        return list(zip(rec(e), scales))
     finally:
         del rec  # rec refers to itself; break the cycle so the memo dies here
 
@@ -545,9 +561,9 @@ def reference_zero_test(tester: ex.ZeroTester, e, extra_guards=()) -> ex.ZeroVer
         return ex.ZeroVerdict(False, None, None, v, 0, 0, True)
 
     box = tester.box
-    needed = ex.max_coord_index(e) + 1
+    needed = max(ex.Tape((e,)).coords, default=-1) + 1
     for g in tuple(box.guards) + tuple(extra_guards):
-        needed = max(needed, ex.max_coord_index(g) + 1)
+        needed = max(needed, max(ex.Tape((g,)).coords, default=-1) + 1)
     if needed > box.dim:
         raise ex.ExprError(
             f"expression uses coordinate index {needed - 1} but the sampling box "
@@ -555,9 +571,9 @@ def reference_zero_test(tester: ex.ZeroTester, e, extra_guards=()) -> ex.ZeroVer
         )
 
     guards = tuple(box.guards) + tuple(extra_guards)
-    names = ex.collect_params(e)
+    names = ex.Tape((e,)).params
     for g in guards:
-        names = tuple(sorted(set(names) | set(ex.collect_params(g))))
+        names = tuple(sorted(set(names) | set(ex.Tape((g,)).params)))
     rng = np.random.default_rng(tester.seed)
 
     valid = 0
@@ -605,7 +621,7 @@ def reference_vanishing_point(lam_sq, context: ex.ZeroTester):
     verdict_rng = np.random.default_rng(context.seed)
     lows = np.asarray(box.lows)
     highs = np.asarray(box.highs)
-    names = sorted(ex.collect_params(lam_sq))
+    names = sorted(ex.Tape((lam_sq,)).params)
     for _ in range(context.n_samples):
         point = tuple(verdict_rng.uniform(lows, highs))
         params = {

@@ -535,6 +535,35 @@ def test_rk4_flow_runs_one_tape_per_stage(monkeypatch):
     assert runs == [V.tape] * 20
 
 
+def test_expr_cell_compiles_one_map_tape(monkeypatch):
+    # the coordinate check and the node grid of advection read one tape of
+    # the map alone; the map with its partials is compiled for quadrature
+    u = ch.param_chart(3)
+    comps = tuple(ps.parse_scalar(t, u) for t in ("u0*u1", "sin(u2)", "u0 + u2", "0.5"))
+    compiled, runs = _record_tapes(monkeypatch)
+    cell = ch.ExprCell(CHART, 3, comps, name="patch")
+    assert compiled == [cell.components]
+    axes = [ch._lobatto_nodes(4)] * 3
+    grid = cell.eval_grid(axes)
+    assert compiled == [cell.components] and runs == [cell.map_tape]
+    assert np.array_equal(grid, oc.reference_eval_grid(cell, axes))
+    with pytest.raises(ch.ChainError, match="uses parameter u2 but the cell has degree 2"):
+        ch.ExprCell(CHART, 2, comps)
+
+
+def test_advection_evaluates_the_cell_map_alone():
+    # d sqrt(u0)/du0 = 1 / (2*sqrt(u0)) is singular at the Lobatto node
+    # u0 = 0, but advection reads only the map there
+    u = ch.param_chart(1)
+    cell = ch.ExprCell(CHART, 1, (
+        ps.parse_scalar("sqrt(u0)", u), ex.const(0.3), ps.parse_scalar("u0^2", u), ex.ZERO,
+    ), name="root")
+    axes = (ch._lobatto_nodes(ch.DEFAULT_FIT_NODES[1]),)
+    assert np.array_equal(cell.eval_grid(axes), oc.reference_eval_grid(cell, axes))
+    chain, V = ch.Chain(1, (cell,), name="arc"), _swirl()
+    _assert_same_chain(ch.advect(chain, V, 0.05), oc.reference_advect(chain, V, 0.05))
+
+
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_interp_cell_grids_match_axis_by_axis_composition(monkeypatch, degree):
     # the map and every Jacobian column apply the same operators in the
@@ -682,15 +711,18 @@ def test_theorems_battery_advects_once_per_process(monkeypatch):
 
     cfg = cli.parse_config(KELVIN)
     flows, grids, batches = [], [], []
-    real_flow, real_grids, real_checks = ch.rk4_flow, ch.ExprCell.grids, ch.invariance_checks
+    real_flow, real_checks = ch.rk4_flow, ch.invariance_checks
+    real_map, real_grids = ch.ExprCell.eval_grid, ch.ExprCell.grids
 
     def flow(V, X0, dt, steps, params=None):
         flows.append((id(V), steps))
         return real_flow(V, X0, dt, steps, params)
 
-    def cell_grids(self, axes, params=None):
-        grids.append((id(self), tuple(ch._axis_bytes(a) for a in axes)))
-        return real_grids(self, axes, params)
+    def recorded(real, jacobian):
+        def cell_grid(self, axes, params=None):
+            grids.append((id(self), tuple(ch._axis_bytes(a) for a in axes), jacobian))
+            return real(self, axes, params)
+        return cell_grid
 
     def checks(pairs, V, *args, **kwargs):
         grids.clear()
@@ -699,7 +731,8 @@ def test_theorems_battery_advects_once_per_process(monkeypatch):
         return out
 
     monkeypatch.setattr(ch, "rk4_flow", flow)
-    monkeypatch.setattr(ch.ExprCell, "grids", cell_grids)
+    monkeypatch.setattr(ch.ExprCell, "eval_grid", recorded(real_map, False))
+    monkeypatch.setattr(ch.ExprCell, "grids", recorded(real_grids, True))
     monkeypatch.setattr(ch, "invariance_checks", checks)
     report = cli.run(cfg)
 
@@ -707,5 +740,7 @@ def test_theorems_battery_advects_once_per_process(monkeypatch):
     [(V, names, seen)] = batches
     assert names == ["torus", "circle0", "circle1", "circle2", "shell"]
     assert flows == [(V, 8)]  # every stencil time of every chain: 8 steps
-    # each base cell: its fit nodes once, then each quadrature order once
+    # each base cell: the map alone at its fit nodes once, then the map and
+    # its Jacobian at each quadrature order once
     assert len(seen) == len(set(seen)) == 3 * 5
+    assert sum(not jacobian for _, _, jacobian in seen) == 5

@@ -17,6 +17,7 @@ import formflow.chains as ch
 import formflow.cli as cli
 import formflow.expr as ex
 import formflow.parse as parse
+import formflow.pfaff as pf
 import formflow.systems as sy
 import formflow.thermo as th
 
@@ -383,6 +384,25 @@ def test_fluid_residuals_battery_builds_vorticity_once(monkeypatch):
     assert calls.pop("vorticity_fields") == 1
     assert calls.pop("first_law") == 0
     assert all(n <= 3 for n in calls.values()), calls
+
+
+@pytest.mark.parametrize("preset", ["harmonic.winding", "em.plane_wave"])
+def test_dA_is_zero_tested_once_per_run(preset, monkeypatch):
+    # the periods battery and the Pfaff sequence read the anatomy's dA
+    # verdict; a periods-only run builds no sequence
+    anatomies, tested = [], []
+    init, form_is_zero = pf.Anatomy.__init__, pf.form_is_zero
+    monkeypatch.setattr(
+        pf.Anatomy, "__init__", lambda self, *a, **k: anatomies.append(self) or init(self, *a, **k)
+    )
+    monkeypatch.setattr(pf, "form_is_zero", lambda w, t: tested.append(w) or form_is_zero(w, t))
+    for batteries in ("periods", "pfaff,periods", "periods,pfaff"):
+        anatomies.clear()
+        tested.clear()
+        cli.run(cli.parse_config(f"[run]\npreset = {preset}\nbattery = {batteries}\n"))
+        a = anatomies[0]
+        assert sum(w is a.dA for w in tested) == 1, batteries
+        assert ("sequence" in vars(a)) == ("pfaff" in batteries), batteries
 
 
 def test_flags_pass_the_config_checks(tmp_path, capsys):

@@ -19,7 +19,8 @@ from corpus import (
 )
 from oracles import (
     compiled_eval, poly_add, poly_diff, poly_from_expr, poly_is_zero, poly_mul,
-    reference_differentiate, reference_eval_with_scale, reference_simplify, reference_zero_test,
+    reference_differentiate, reference_eval_rows, reference_eval_with_scale, reference_simplify,
+    reference_zero_test, value_at,
 )
 
 X, Y, Z, T = (ex.coord(i) for i in range(4))
@@ -73,7 +74,7 @@ def test_chain_rule_on_trig():
     e = ex.sin(ex.mul(ex.Const(2), X))
     d = ex.differentiate(e, 0)
     p = random_point(rng(3))
-    assert ex.eval_at(d, p) == pytest.approx(2 * math.cos(2 * p[0]), rel=1e-12)
+    assert value_at(d, p) == pytest.approx(2 * math.cos(2 * p[0]), rel=1e-12)
 
 
 def test_quotient_rule_numerically():
@@ -81,9 +82,9 @@ def test_quotient_rule_numerically():
     d = ex.differentiate(e, 1)
     p = (0.3, 0.5, 0.0, 0.0)
     h = 1e-6
-    up = ex.eval_at(e, (0.3, 0.5 + h, 0.0, 0.0))
-    dn = ex.eval_at(e, (0.3, 0.5 - h, 0.0, 0.0))
-    assert ex.eval_at(d, p) == pytest.approx((up - dn) / (2 * h), rel=1e-8)
+    up = value_at(e, (0.3, 0.5 + h, 0.0, 0.0))
+    dn = value_at(e, (0.3, 0.5 - h, 0.0, 0.0))
+    assert value_at(d, p) == pytest.approx((up - dn) / (2 * h), rel=1e-8)
 
 
 def test_simplify_constant_folding():
@@ -103,7 +104,7 @@ def test_zero_tester_finds_witness():
     verdict = make_tester().test(e)
     assert not verdict.zero
     assert verdict.witness is not None
-    assert abs(ex.eval_at(e, verdict.witness)) > 0
+    assert abs(value_at(e, verdict.witness)) > 0
 
 
 def test_zero_tester_deterministic():
@@ -136,19 +137,19 @@ def test_guarded_sampling_skips_singular_region():
 def test_eval_at_raises_on_division_by_zero():
     e = ex.quotient(ex.ONE, X)
     with pytest.raises(ex.EvalError):
-        ex.eval_at(e, (0.0, 0.0, 0.0, 0.0))
+        value_at(e, (0.0, 0.0, 0.0, 0.0))
 
 
 def test_eval_with_params():
     e = ex.mul(ex.param("a"), X)
-    assert ex.eval_at(e, (2.0, 0, 0, 0), {"a": 3.0}) == pytest.approx(6.0)
+    assert value_at(e, (2.0, 0, 0, 0), {"a": 3.0}) == pytest.approx(6.0)
     with pytest.raises(ex.EvalError):
-        ex.eval_at(e, (2.0, 0, 0, 0))
+        value_at(e, (2.0, 0, 0, 0))
 
 
 def test_collect_params():
     e = ex.add(ex.param("b"), ex.mul(ex.param("a"), ex.sin(ex.param("b"))))
-    assert ex.collect_params(e) == ("a", "b")
+    assert ex.Tape((e,)).params == ("a", "b")
 
 
 def test_box_validation():
@@ -166,7 +167,7 @@ def test_simplify_preserves_value(seed):
     s = ex.simplify(e)
     for _ in range(4):
         p = random_point(r)
-        assert ex.eval_at(s, p) == pytest.approx(ex.eval_at(e, p), rel=1e-10, abs=1e-10)
+        assert value_at(s, p) == pytest.approx(value_at(e, p), rel=1e-10, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +293,7 @@ def test_eval_rows_matches_eval_with_scale_row_by_row(seed):
         ex.exp(ex.mul(ex.Const(400), X)), ex.atan2(ex.power(Y, 700), X),
     ]
     for e in exprs:
-        values, scales = ex.eval_rows(e, points, params)
+        (values,), (scales,) = ex.Tape((e,)).scaled_rows(points, params)
         for i, row in enumerate(points):
             pr = {nm: float(params[nm][i]) for nm in params}
             try:
@@ -311,8 +312,8 @@ def test_eval_rows_equals_single_point_evaluation_bit_for_bit():
     box = ex.Box(lows=(0.01, -3.0, -3.0, -3.0), highs=(3.0, 3.0, 3.0, 3.0))
     points, _ = ex.draw_rows(box, rng(17), (), 4000)
     for e in (ex.power(Y, 3), ex.power(Z, -5), ex.exp(Y), ex.ln(X), ex.atan2(Y, Z)):
-        values, _ = ex.eval_rows(e, points, {})
-        want = [ex.eval_at(e, tuple(row)) for row in points]
+        (values,), _ = ex.Tape((e,)).scaled_rows(points, {})
+        want = [value_at(e, tuple(row)) for row in points]
         assert values.tolist() == want, ex.to_text(e)
 
 
@@ -321,12 +322,14 @@ def test_singular_rows_stay_singular_and_points_are_python_floats():
     # hand-built zeroth power
     e = ex.Pow(ex.quotient(ex.ONE, X), 0)
     points = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
-    values, _ = ex.eval_rows(e, points, {})
+    (values,), _ = ex.Tape((e,)).scaled_rows(points, {})
     assert values[0] == 1.0 and math.isnan(values[1])
     calls = (
-        lambda: ex.eval_at(e, points[1]),
+        lambda: reference_eval_with_scale(e, points[1]),
+        lambda: value_at(e, points[1]),
         lambda: ex.eval_with_scale(e, tuple(points[1])),
         lambda: ex.eval_many(e, points),
+        lambda: ex.Tape((ex.ONE, e)).values(points, {}),
     )
     for call in calls:
         with pytest.raises(ex.SingularityError) as err:
@@ -377,7 +380,7 @@ def test_walker_matches_the_scalar_reference(seed):
               for nm, col in params.items()}
     kinds = set()
     for e in corpus_exprs(seed) + SINGULAR_KINDS:
-        values, scales = ex.eval_rows(e, points, params)
+        (values,), (scales,) = ex.Tape((e,)).scaled_rows(points, params)
         for i, row in enumerate(points):
             pr = {nm: float(params[nm][i]) for nm in params}
             try:
@@ -469,16 +472,48 @@ def test_one_tape_run_equals_eval_many_of_each_root(seed):
     assert got[-1][-1] == math.pi
 
 
-def first_eval_many_error(roots, points, params) -> ex.EvalError:
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bit for bit, with every NaN equal to every NaN."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@pytest.mark.parametrize("seed", [3, 8, 21])
+def test_scaled_rows_give_each_root_its_one_root_scale(seed):
+    # a root's scale is the largest magnitude over its own subtree, so the
+    # larger roots it shares a tape with do not change it
+    box = ex.Box(lows=(-2.0,) * 4, highs=(2.0,) * 4)
+    drawn, params = ex.draw_rows(box, rng(seed), ("a", "b"), 64)
+    points = np.vstack([drawn, SINGULAR_ROWS])
+    params = {nm: np.concatenate([col, np.ones(len(SINGULAR_ROWS))])
+              for nm, col in params.items()}
+    roots = corpus_exprs(seed) + SINGULAR_KINDS
+    values, scales = ex.Tape(roots).scaled_rows(points, params)
+    for e, v, scale in zip(roots, values, scales, strict=True):
+        (want,), (want_scale,) = ex.Tape((e,)).scaled_rows(points, params)
+        assert same_bits(v, want) and same_bits(scale, want_scale), ex.to_text(e)
+    widest = np.fmax.reduce(scales)
+    assert sum((scale < widest).any() for scale in scales) > len(roots) // 2
+
+
+def first_reference_error(roots, points, params) -> ex.EvalError:
     for e in roots:
         try:
-            ex.eval_many(e, points, params)
+            reference_eval_rows(e, points, params)
         except ex.EvalError as err:
             return err
     raise AssertionError("no root fails")
 
 
-def test_one_tape_run_raises_the_first_failing_roots_error():
+def test_one_tape_run_raises_the_first_failing_roots_error(monkeypatch):
+    compiled = []
+
+    class Counted(ex.Tape):
+        def __init__(self, roots):
+            compiled.append(tuple(roots))
+            super().__init__(roots)
+
+    monkeypatch.setattr(ex, "Tape", Counted)
     points = np.vstack([rng(5).uniform(-2.0, 2.0, size=(16, 4)), SINGULAR_ROWS])
     params = {"a": 1.0, "b": 1.0}
     finite = ex.add(ex.mul(X, Y), Z)
@@ -492,9 +527,12 @@ def test_one_tape_run_raises_the_first_failing_roots_error():
             [bad, unbound],
             [unbound, bad],
         ):
-            want = first_eval_many_error(roots, points, params)
+            want = first_reference_error(roots, points, params)
+            tape = ex.Tape(roots)
+            compiled.clear()
             with pytest.raises(ex.EvalError) as got:
-                ex.Tape(roots).values(points, params)
+                tape.values(points, params)
+            assert compiled == []  # the error is found on the same tape
             assert type(got.value) is type(want)
             assert str(got.value) == str(want)
             if isinstance(want, ex.SingularityError):
@@ -567,10 +605,17 @@ def test_evaluators_leave_no_cyclic_garbage():
     # cyclic collector happens to run
     e = ex.add(ex.mul(ex.sin(X), Y), ex.quotient(Z, ex.add(ex.const(2), ex.mul(X, X))))
     points = rng(5).uniform(-1, 1, size=(40, 4))
+    def raises():
+        try:
+            ex.Tape((e, ex.mul(X, ex.param("c")))).values(points, {})
+        except ex.EvalError:
+            pass
+
     calls = (
         lambda: ex.eval_many(e, points),
-        lambda: ex.eval_rows(e, points, {}),
+        lambda: ex.Tape((e,)).scaled_rows(points, {}),
         lambda: ex.eval_with_scale(e, points[0]),
+        raises,
     )
     for call in calls:
         call()
@@ -779,7 +824,7 @@ def test_huge_constant_power_stays_unfolded():
         assert isinstance(e, ex.Pow) and e._normal
         assert ex.simplify(e) is e and reference_simplify(e) == e
         with pytest.raises(ex.SingularityError, match="overflow"):
-            ex.eval_at(e, (0.0,) * 4)
+            value_at(e, (0.0,) * 4)
     # an unfolded power of a negative constant prints and parses back as itself
     even = ex.power(ex.Const(-3), 10**9)
     assert ex.to_text(even) == "(-3)^1000000000"

@@ -17,7 +17,7 @@ from corpus import (
     random_poly_scalar,
     rng,
 )
-from oracles import lie_oracle
+from oracles import lie_oracle, value_at
 
 X, Y, Z, T = (ex.coord(i) for i in range(4))
 BOX = ex.default_box(4)
@@ -154,7 +154,7 @@ def test_lie_derivative_matches_flow_pullback_once():
     want = lie_oracle(w, V, p)
     scale = max(1.0, max(abs(v) for v in want.values()))
     for idx, val in want.items():
-        got = ex.eval_at(lib.coeffs.get(idx, ex.ZERO), p)
+        got = value_at(lib.coeffs.get(idx, ex.ZERO), p)
         assert abs(got - val) / scale < 1e-5
 
 
@@ -231,9 +231,9 @@ def test_vector_field_validation_and_rescale():
         fm.VectorField(CHART, (X, Y))
     V = fm.VectorField(CHART, (X, Y, Z, T), support=ex.Const(2))
     eff = V.effective_components()
-    assert ex.eval_at(eff[0], (1.5, 0, 0, 0)) == pytest.approx(3.0)
+    assert value_at(eff[0], (1.5, 0, 0, 0)) == pytest.approx(3.0)
     W = V.rescaled(ex.Const(0.5))
-    assert ex.eval_at(W.effective_components()[0], (1.5, 0, 0, 0)) == pytest.approx(1.5)
+    assert value_at(W.effective_components()[0], (1.5, 0, 0, 0)) == pytest.approx(1.5)
 
 
 def test_form_to_text_mentions_basis():

@@ -1,8 +1,10 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports and defines each
+name it exports."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,12 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_defines_every_name_in_all(path):
+    # a name in __all__ that the module lacks breaks `from module import *`
+    module = importlib.import_module(
+        "formflow" if path.stem == "__init__" else f"formflow.{path.stem}"
+    )
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []

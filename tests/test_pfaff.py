@@ -12,7 +12,7 @@ import formflow.pfaff as pf
 import formflow.systems as sy
 
 from corpus import CHART
-from oracles import reference_vanishing_point
+from oracles import reference_vanishing_point, value_at
 
 X = ex.coord(0)
 
@@ -131,6 +131,26 @@ def test_pointwise_dimension_tracks_degeneracy():
     assert seq.pointwise == (((0.0, 0.3, 0.1, 0.0), 0), ((0.5, 0.3, 0.1, 0.0), 2))
 
 
+def test_sequence_compiles_only_its_elements_tapes_and_zero_tests(monkeypatch):
+    # the pointwise dimension reads each element's own tape, and the
+    # sequence's dA verdict is the anatomy's
+    p = sy.get_preset("em.torsion_nonzero")
+    points = [(0.1, 0.2, 0.3, 0.4), (0.5, -0.3, 0.1, 0.0), (0.0, 0.0, 0.0, 0.0)]
+    a = pf.Anatomy(p.action, ex.ZeroTester(p.box), points=points, params=p.params)
+    compiled, tests = [], []
+    init, test = ex.Tape.__init__, a.context.test
+    monkeypatch.setattr(
+        ex.Tape, "__init__", lambda self, roots: compiled.append(tuple(roots)) or init(self, roots)
+    )
+    monkeypatch.setattr(a.context, "test", lambda e: tests.append(test(e)) or tests[-1])
+    seq = a.sequence
+    sampled = sum(not v.syntactic for v in tests)  # a syntactic verdict compiles nothing
+    elements = [tuple(w.coeffs.values()) for w in seq.elements]
+    assert all(len(roots) == 1 for roots in compiled[:sampled])
+    assert compiled[sampled:] == elements
+    assert seq.verdicts[1] is a.closed and len(seq.pointwise) == len(points)
+
+
 def test_torsion_vector_reconstructs_three_form():
     # independent cross-check of the identity the extractor solves
     for name in ("ns.decaying_shear", "em.torsion_nonzero", "fluid.beltrami_abc"):
@@ -151,8 +171,8 @@ def test_torsion_gamma_and_parity_on_em_preset():
     K, k = pf.parity(pf.Anatomy(p.action, ex.ZeroTester(ex.default_box(4))))
     pt = (0.2, -0.3, 0.4, 0.1)
     lam, mu = p.params["lam"], p.params["mu"]
-    assert ex.eval_at(data.gamma, pt, p.params) == pytest.approx(-2 * lam * mu)
-    assert ex.eval_at(k, pt, p.params) == pytest.approx(-4 * lam * mu)
+    assert value_at(data.gamma, pt, p.params) == pytest.approx(-2 * lam * mu)
+    assert value_at(k, pt, p.params) == pytest.approx(-4 * lam * mu)
     assert fm.sub_forms(K, data.parity_form).is_syntactically_zero
 
 
@@ -222,7 +242,7 @@ def test_extremal_space_contains_rigid_velocity():
     V = p.process("spacetime")
     pt = p.points[0]
     basis = pf.extremal_space(p.action, pt, p.params)
-    v = np.array([ex.eval_at(c, pt, p.params) for c in V.effective_components()])
+    v = np.array([value_at(c, pt, p.params) for c in V.effective_components()])
     resid = basis @ (basis.T @ v) - v
     assert np.linalg.norm(resid) < 1e-9 * max(1.0, np.linalg.norm(v))
 
@@ -232,7 +252,7 @@ def test_characteristic_space_contains_plane_wave_ray():
     J = p.process("ray")
     pt = p.points[0]
     basis = pf.characteristic_space(p.action, pt, p.params)
-    j = np.array([ex.eval_at(c, pt, p.params) for c in J.effective_components()])
+    j = np.array([value_at(c, pt, p.params) for c in J.effective_components()])
     resid = basis @ (basis.T @ j) - j
     assert np.linalg.norm(resid) < 1e-9 * max(1.0, np.linalg.norm(j))
 
@@ -264,12 +284,12 @@ def test_projectivize_normalizes_to_unit_length():
     rng = np.random.default_rng(7)
     for _ in range(8):
         pt = tuple(rng.uniform(-0.8, 0.8, size=4))
-        assert ex.eval_at(total, pt, p.params) == pytest.approx(1.0, abs=1e-12)
+        assert value_at(total, pt, p.params) == pytest.approx(1.0, abs=1e-12)
         # lam really is the coefficient length
         raw = sum(
-            ex.eval_at(p.action.coeff((m,)), pt, p.params) ** 2 for m in range(4)
+            value_at(p.action.coeff((m,)), pt, p.params) ** 2 for m in range(4)
         )
-        assert ex.eval_at(lam, pt, p.params) == pytest.approx(np.sqrt(raw))
+        assert value_at(lam, pt, p.params) == pytest.approx(np.sqrt(raw))
 
 
 def test_projectivize_rejects_vanishing_sections():
@@ -334,6 +354,6 @@ def test_euler_integrand_matches_projectivized_parity():
     K2, k2 = pf.parity(pf.Anatomy(primed, ex.ZeroTester(ex.default_box(4))))
     assert fm.sub_forms(K, K2).is_syntactically_zero
     pt = (0.2, -0.3, 0.4, 0.1)
-    assert ex.eval_at(k, pt, p.params) == pytest.approx(
-        ex.eval_at(k2, pt, p.params)
+    assert value_at(k, pt, p.params) == pytest.approx(
+        value_at(k2, pt, p.params)
     )

@@ -11,6 +11,7 @@ import formflow.parse as ps
 import formflow.pfaff as pf
 import formflow.systems as sy
 import formflow.thermo as th
+from oracles import value_at
 
 CHART = ex.spacetime_chart()
 CONTEXT = ex.ZeroTester(ex.default_box(4))
@@ -261,9 +262,9 @@ def test_torsion_preset_field_identities():
     assert vec_equal(rep.current, want_current, p.box)
     assert is_zero(rep.helicity_density, p.box)
 
-    assert ex.eval_at(rep.torsion.gamma, pt, p.params) == pytest.approx(-2 * lam * mu)
-    assert ex.eval_at(rep.parity_coefficient, pt, p.params) == pytest.approx(-4 * lam * mu)
-    assert ex.eval_at(rep.listed_parity, pt, p.params) == pytest.approx(4 * lam * mu)
+    assert value_at(rep.torsion.gamma, pt, p.params) == pytest.approx(-2 * lam * mu)
+    assert value_at(rep.parity_coefficient, pt, p.params) == pytest.approx(-4 * lam * mu)
+    assert value_at(rep.listed_parity, pt, p.params) == pytest.approx(4 * lam * mu)
     assert ex.is_syntactic_zero(rep.divergence_residual) or is_zero(
         rep.divergence_residual, p.box
     )
