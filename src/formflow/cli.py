@@ -311,7 +311,7 @@ def _parsed(e: _Entry, s: _Scope, text: str, guard_only: bool = False) -> Source
         tree = ps.parse_scalar(text, s.chart)
     except ps.ParseError as err:
         raise ConfigError(str(err), e.line, e.column) from None
-    s.needed.extend((e, name, guard_only) for name in ex.Tape((tree,)).params)
+    s.needed.extend((e, name, guard_only) for name in ex.param_names(tree))
     return Source(text, tree)
 
 
@@ -1200,41 +1200,44 @@ def run(cfg: RunConfig) -> Report:
 
     Battery errors are retained as partial results; an internal or
     inconclusive error marks the report inconclusive rather than failed.
+    Expressions are built within one ex.run_memo() scope, so each add, mul
+    and partial derivative is built once per run and none outlives it.
     """
-    rt = _build_runtime(cfg)
-    checks: list[_Check] = []
-    batteries: dict[str, dict] = {}
-    errors: dict[str, str] = {}
+    with ex.run_memo():
+        rt = _build_runtime(cfg)
+        checks: list[_Check] = []
+        batteries: dict[str, dict] = {}
+        errors: dict[str, str] = {}
 
-    for name in cfg.selected_batteries():
-        try:
-            batteries[name] = _BATTERY_FUNCS[name](rt, checks)
-        except (InconclusiveError, InternalConsistencyError) as e:
-            batteries[name] = {"error": f"{type(e).__name__}: {e}"}
-            errors[name] = str(e)
+        for name in cfg.selected_batteries():
+            try:
+                batteries[name] = _BATTERY_FUNCS[name](rt, checks)
+            except (InconclusiveError, InternalConsistencyError) as e:
+                batteries[name] = {"error": f"{type(e).__name__}: {e}"}
+                errors[name] = str(e)
 
-    checks.sort(key=lambda c: (c.battery, c.name))
-    passed = all(c.passed for c in checks) and not errors
-    document = {
-        "schema": SCHEMA,
-        "provenance": {
-            "version": __version__,
-            "seed": cfg.seed,
-            "tolerance": cfg.tolerance,
-            "preset": cfg.preset or None,
-            "batteries": list(cfg.selected_batteries()),
-            "params": {k: v for k, v in sorted(rt.params.items())},
-        },
-        "batteries": batteries,
-        "checks": [c.as_dict() for c in checks],
-        "counts": {
-            "passed": sum(1 for c in checks if c.passed),
-            "failed": sum(1 for c in checks if not c.passed),
-            "errors": len(errors),
-        },
-        "passed": passed,
-    }
-    return Report(document=document, passed=passed, inconclusive=bool(errors))
+        checks.sort(key=lambda c: (c.battery, c.name))
+        passed = all(c.passed for c in checks) and not errors
+        document = {
+            "schema": SCHEMA,
+            "provenance": {
+                "version": __version__,
+                "seed": cfg.seed,
+                "tolerance": cfg.tolerance,
+                "preset": cfg.preset or None,
+                "batteries": list(cfg.selected_batteries()),
+                "params": {k: v for k, v in sorted(rt.params.items())},
+            },
+            "batteries": batteries,
+            "checks": [c.as_dict() for c in checks],
+            "counts": {
+                "passed": sum(1 for c in checks if c.passed),
+                "failed": sum(1 for c in checks if not c.passed),
+                "errors": len(errors),
+            },
+            "passed": passed,
+        }
+        return Report(document=document, passed=passed, inconclusive=bool(errors))
 
 
 def _summary_lines(report: Report, cfg: RunConfig) -> list[str]:

@@ -3,11 +3,14 @@
 Expressions are immutable trees built from rational/float constants,
 coordinates (by chart index), free parameters (by name), sums, products,
 quotients, integer powers, and a small set of unary/binary functions
-(sin, cos, exp, ln, sqrt, atan2).  Construction normalizes each node with
-a value-preserving rule set: constant folding, like-term collection,
-x**0 -> 1, and zero annihilation.  No trigonometric or rational rewrites
-are performed; equality of expressions beyond syntax is the job of the
-probabilistic zero test, not the simplifier.
+(sin, cos, exp, ln, sqrt, atan2).  Nodes are hash-consed: structurally
+equal trees are one object, so equality and hashing are identity, and
+`key`, the canonical structural string, only orders terms and factors.
+Construction normalizes each node with a value-preserving rule set:
+constant folding, like-term collection, x**0 -> 1, and zero annihilation.
+No trigonometric or rational rewrites are performed; equality of
+expressions beyond syntax is the job of the probabilistic zero test, not
+the simplifier.
 
 Construction normalizes once.  Every node a constructor builds from normal
 inputs is normal: it is what the full simplify() rebuild would return, and
@@ -18,30 +21,40 @@ nested in another, say) and the nodes built over them stay unmarked;
 simplify() runs where such trees enter: form, vector field and chain cell
 construction, and the zero test.
 
-Each compound node keeps its partial derivatives, one per coordinate, for
-its lifetime.  exp and sqrt nodes keep none: their derivatives contain the
-node itself, and a cached one would be a reference cycle.
+Each partial derivative of a node is built once.  Inside run_memo(), the
+scope cli.run opens for one run, add() and mul() remember their result per
+tuple of normal operands and every partial is kept in the scope's memo;
+all of it is dropped when the scope ends, so no state crosses runs.
+Outside a scope, a node keeps its partials for its lifetime, shared by
+every tree it occurs in, except a partial that leads back to the node (a
+reference cycle: exp(u)*v is its own x-partial when u = x) and those of exp
+and sqrt nodes.
 
 One evaluator, a Tape, runs every expression over a batch of points at
-once.  A tape lists the distinct nodes (by structural key) of one or more
-roots, children before parents, and one loop executes the list, each node
-one numpy operation over all rows.  Forms, vector fields and chain cells
-keep theirs, compiled once per object; the zero test compiles its
-expression once per test and its box guards once per tester.  A node that
-is singular at a row (division by zero, ln/sqrt outside their domain,
-atan2(0, 0), overflow) is NaN there, and NaN reaches the root.
+once.  A tape lists the distinct nodes of one or more roots, children
+before parents, and one loop executes the list, each node one numpy
+operation over all rows.  Forms, vector fields and chain cells keep
+theirs, compiled once per object; a zero tester compiles its box guards
+once and each distinct tree it tests once, keeping the tree's verdict.  A
+node that is singular at a row (division by zero, ln/sqrt outside their
+domain, atan2(0, 0), overflow) is NaN there, and NaN reaches the root.
 Tape.scaled_rows returns such rows as NaN; Tape.values and Tape.at raise
 SingularityError naming the first singular subexpression in evaluation
 order, at its first singular point, rather than returning NaN or
-infinity.  Evaluation is deterministic: the same tree at the same point with the same parameter
-bindings produces a bit-identical float, whether the point is evaluated
-alone, as a row of a batch, or as one root of a tape with several.
+infinity.  Evaluation is deterministic: the same tree at the same point
+with the same parameter bindings produces a bit-identical float, whether
+the point is evaluated alone, as a row of a batch, or as one root of a
+tape with several.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
+import operator
+import weakref
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -79,6 +92,7 @@ __all__ = [
     "sqrt",
     "atan2",
     "simplify",
+    "param_names",
     "differentiate",
     "eval_many",
     "Tape",
@@ -89,6 +103,7 @@ __all__ = [
     "default_box",
     "ZeroVerdict",
     "ZeroTester",
+    "run_memo",
     "ZERO",
     "ONE",
 ]
@@ -159,32 +174,70 @@ def spacetime_chart() -> Chart:
 
 # ---------------------------------------------------------------------------
 # Node classes
+#
+# Nodes are hash-consed: each class constructs through __new__, which looks
+# the node's structure (class, payload, child nodes) up in one table of weak
+# references and returns the live node with that structure when there is
+# one.  Structurally equal trees are therefore one object, and equality and
+# hashing are object identity.  A node leaves the table when it dies.
+
+_NODES: dict = {}  # structure -> weakref.KeyedRef to the one live node
+
+
+def _forget(ref, nodes=_NODES):
+    """Weak-reference callback: a node died; drop its entry unless a newer
+    node already took the structure."""
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
+
+
+def _interned(cls, structure) -> tuple["ScalarExpr", bool]:
+    """(the live node of `structure`, False), or (a new bare node of cls
+    registered under it, True), which the caller fills."""
+    ref = _NODES.get(structure)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node, False
+    node = object.__new__(cls)
+    _NODES[structure] = weakref.KeyedRef(node, _forget, structure)
+    object.__setattr__(node, "_key", None)
+    object.__setattr__(node, "_partials", None)
+    return node, True
 
 
 class ScalarExpr:
-    # _normal: the node is a fixed point of the full simplify() rebuild (set
-    # by the subclass constructors for leaves, by the normalizing
-    # constructors for compound nodes); _partials: {coordinate index:
-    # derivative}, filled by differentiate()
-    __slots__ = ("_key", "_normal", "_partials")
+    # _key: the canonical key, built on first use; _normal: the node is a
+    # fixed point of the full simplify() rebuild (set by the leaf classes
+    # and by the normalizing constructors, never unset); _partials:
+    # {coordinate index: derivative}, filled by differentiate(); _poly: the
+    # tree is a polynomial (no quotient, function or negative power)
+    __slots__ = ("_key", "_normal", "_partials", "_poly", "__weakref__")
 
     def _build_key(self) -> str:
         raise NotImplementedError
 
     @property
     def key(self) -> str:
-        """Canonical structural key; equal keys mean equal trees."""
-        k = getattr(self, "_key", None)
-        if k is None:
-            k = self._build_key()
-            object.__setattr__(self, "_key", k)
-        return k
+        """Canonical structural key, the order of terms and factors; equal
+        keys mean the same node."""
+        if self._key is None:
+            # the keys below first, off an explicit stack: depth is bounded
+            # by memory, not by the recursion limit
+            stack = [self]
+            while stack:
+                node = stack[-1]
+                if node._key is None:
+                    todo = [c for c in _children(node) if c._key is None]
+                    if todo:
+                        stack.extend(todo)
+                        continue
+                    object.__setattr__(node, "_key", node._build_key())
+                stack.pop()
+        return self._key
 
-    def __eq__(self, other):
-        return isinstance(other, ScalarExpr) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
+    def __setattr__(self, name, value):  # immutable: a node is shared by every tree equal to it
+        raise AttributeError("expressions are immutable")
 
     def __repr__(self):
         return f"<{type(self).__name__} {to_text(self)}>"
@@ -222,14 +275,18 @@ class ScalarExpr:
         return negate(self)
 
 
-def _unmarked(node: ScalarExpr) -> None:
-    object.__setattr__(node, "_normal", False)
-    object.__setattr__(node, "_partials", None)
+def _fill(node: ScalarExpr, normal: bool, poly: bool, **fields) -> ScalarExpr:
+    """A new node's fields and marks."""
+    for name, value in fields.items():
+        object.__setattr__(node, name, value)
+    object.__setattr__(node, "_normal", normal)
+    object.__setattr__(node, "_poly", poly)
+    return node
 
 
 def _mark(node: ScalarExpr, normal: bool = True) -> ScalarExpr:
     """node, marked as a fixed point of simplify() when `normal` holds."""
-    if normal:
+    if normal and not node._normal:
         object.__setattr__(node, "_normal", True)
     return node
 
@@ -237,42 +294,39 @@ def _mark(node: ScalarExpr, normal: bool = True) -> ScalarExpr:
 class Const(ScalarExpr):
     __slots__ = ("value",)
 
-    def __init__(self, value: Number):
+    def __new__(cls, value: Number):
         if isinstance(value, bool):
             raise ExprError("booleans are not expression constants")
         if isinstance(value, int):
             value = Fraction(value)
         elif not isinstance(value, (float, Fraction)):
             raise ExprError(f"unsupported constant type {type(value).__name__}")
-        if isinstance(value, Fraction) and value.numerator.bit_length() > 1000:
-            try:
-                float(value)  # every constant evaluates as a float
-            except OverflowError:
-                raise ExprError("exact constant too large for a float") from None
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "_normal", True)
-
-    def __setattr__(self, name, value):  # immutability by convention
-        raise AttributeError("expressions are immutable")
-
-    def _build_key(self):
-        v = self.value
-        if isinstance(v, Fraction):
-            return f"c{v.numerator}/{v.denominator}"
-        return f"cf{v!r}"
+        # the key tells 1 from 1.0 and 0.0 from -0.0, and gives every nan one
+        if isinstance(value, Fraction):
+            if value.numerator.bit_length() > 1000:
+                try:
+                    float(value)  # every constant evaluates as a float
+                except OverflowError:
+                    raise ExprError("exact constant too large for a float") from None
+            key = f"c{value.numerator}/{value.denominator}"
+        else:
+            key = f"cf{value!r}"
+        node, fresh = _interned(cls, key)
+        if not fresh:
+            return node
+        object.__setattr__(node, "_key", key)
+        return _fill(node, True, True, value=value)
 
 
 class Coord(ScalarExpr):
     __slots__ = ("index",)
 
-    def __init__(self, index: int):
+    def __new__(cls, index: int):
         if not isinstance(index, int) or index < 0:
             raise ExprError(f"coordinate index must be a nonnegative int, got {index!r}")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_normal", True)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
+        index = int(index)
+        node, fresh = _interned(cls, (cls, index))
+        return _fill(node, True, True, index=index) if fresh else node
 
     def _build_key(self):
         return f"x{self.index}"
@@ -281,14 +335,11 @@ class Coord(ScalarExpr):
 class Param(ScalarExpr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
+    def __new__(cls, name: str):
         if not name or not isinstance(name, str):
             raise ExprError("parameter name must be a nonempty string")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_normal", True)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
+        node, fresh = _interned(cls, (cls, name))
+        return _fill(node, True, True, name=name) if fresh else node
 
     def _build_key(self):
         return f"p({self.name})"
@@ -297,12 +348,12 @@ class Param(ScalarExpr):
 class Sum(ScalarExpr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple):
-        object.__setattr__(self, "terms", terms)
-        _unmarked(self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
+    def __new__(cls, terms: tuple):
+        terms = tuple(terms)
+        node, fresh = _interned(cls, (cls, terms))
+        if not fresh:
+            return node
+        return _fill(node, False, all(t._poly for t in terms), terms=terms)
 
     def _build_key(self):
         return "(+ " + " ".join(t.key for t in self.terms) + ")"
@@ -311,12 +362,12 @@ class Sum(ScalarExpr):
 class Product(ScalarExpr):
     __slots__ = ("factors",)
 
-    def __init__(self, factors: tuple):
-        object.__setattr__(self, "factors", factors)
-        _unmarked(self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
+    def __new__(cls, factors: tuple):
+        factors = tuple(factors)
+        node, fresh = _interned(cls, (cls, factors))
+        if not fresh:
+            return node
+        return _fill(node, False, all(f._poly for f in factors), factors=factors)
 
     def _build_key(self):
         return "(* " + " ".join(f.key for f in self.factors) + ")"
@@ -325,13 +376,9 @@ class Product(ScalarExpr):
 class Quotient(ScalarExpr):
     __slots__ = ("num", "den")
 
-    def __init__(self, num: ScalarExpr, den: ScalarExpr):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        _unmarked(self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
+    def __new__(cls, num: ScalarExpr, den: ScalarExpr):
+        node, fresh = _interned(cls, (cls, num, den))
+        return _fill(node, False, False, num=num, den=den) if fresh else node
 
     def _build_key(self):
         return f"(/ {self.num.key} {self.den.key})"
@@ -340,15 +387,14 @@ class Quotient(ScalarExpr):
 class Pow(ScalarExpr):
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: ScalarExpr, exponent: int):
+    def __new__(cls, base: ScalarExpr, exponent: int):
         if not isinstance(exponent, int):
             raise ExprError("power exponents must be integers")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-        _unmarked(self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
+        exponent = int(exponent)
+        node, fresh = _interned(cls, (cls, base, exponent))
+        if not fresh:
+            return node
+        return _fill(node, False, exponent >= 0 and base._poly, base=base, exponent=exponent)
 
     def _build_key(self):
         return f"(^ {self.base.key} {self.exponent})"
@@ -357,19 +403,16 @@ class Pow(ScalarExpr):
 class Func(ScalarExpr):
     __slots__ = ("name", "args")
 
-    def __init__(self, name: str, args: tuple):
+    def __new__(cls, name: str, args: tuple):
+        args = tuple(args)
         if name not in FUNCTION_ARITY:
             raise ExprError(f"unknown function {name!r}")
         if len(args) != FUNCTION_ARITY[name]:
             raise ExprError(
                 f"{name} takes {FUNCTION_ARITY[name]} argument(s), got {len(args)}"
             )
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "args", args)
-        _unmarked(self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
+        node, fresh = _interned(cls, (cls, name, args))
+        return _fill(node, False, False, name=name, args=args) if fresh else node
 
     def _build_key(self):
         return f"({self.name} " + " ".join(a.key for a in self.args) + ")"
@@ -386,6 +429,31 @@ def as_expr(v) -> ScalarExpr:
     if isinstance(v, (int, float, Fraction)):
         return Const(v)
     raise ExprError(f"cannot interpret {v!r} as an expression")
+
+
+# ---------------------------------------------------------------------------
+# The run memo
+#
+# Inside run_memo(), add() and mul() remember their result for each tuple of
+# operands that are all marked normal (a node's mark is never unset, so the
+# result stays what a new call would build), and differentiate() keeps every
+# partial in the memo instead of on the node.  The memo holds its nodes for
+# the length of the scope and is dropped at its end; outside a scope the
+# constructors build every call afresh.
+
+
+_MEMO: contextvars.ContextVar = contextvars.ContextVar("formflow_expr_memo", default=None)
+
+
+@contextlib.contextmanager
+def run_memo():
+    """A scope whose add, mul and partials are each built once; cli.run
+    opens one per run."""
+    token = _MEMO.set(({}, {}, {}))  # add results, mul results, partials
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +493,42 @@ def _coeff_and_rest(term: ScalarExpr) -> tuple[Number, tuple[ScalarExpr, ...]]:
     return Fraction(1), (term,)
 
 
+def _rest_order(rest: tuple[ScalarExpr, ...]) -> str:
+    return rest[0].key if len(rest) == 1 else " ".join(f.key for f in rest)
+
+
+_key_of = operator.attrgetter("key")
+
+
+def _remembered(build, table: int, operands: tuple) -> ScalarExpr:
+    """build(*operands), remembered in the run memo's table when every
+    operand is marked normal."""
+    memo = _MEMO.get()
+    if memo is None:
+        return build(*operands)
+    results = memo[table]
+    # the table's keys are tuples of nodes, which no tuple holding a number
+    # equals: 2, 2.0 and Fraction(2) are equal and hash alike, their nodes not
+    out = results.get(operands)
+    if out is None:
+        operands = tuple(map(as_expr, operands))
+        if not all(o._normal for o in operands):
+            return build(*operands)
+        out = results.get(operands)
+        if out is None:
+            out = results[operands] = build(*operands)
+    return out
+
+
 def add(*terms) -> ScalarExpr:
+    return _remembered(_add, 0, terms)
+
+
+def mul(*factors) -> ScalarExpr:
+    return _remembered(_mul, 1, factors)
+
+
+def _add(*terms) -> ScalarExpr:
     flat: list[ScalarExpr] = []
     for t in terms:
         t = as_expr(t)
@@ -433,24 +536,23 @@ def add(*terms) -> ScalarExpr:
             flat.extend(t.terms)
         else:
             flat.append(t)
-    # a term that is itself a Sum comes from a hand-built nested Sum
-    normal = all(t._normal and not isinstance(t, Sum) for t in flat)
 
     # collect like terms keyed on the symbolic factor tuple
-    buckets: dict[str, list] = {}
-    order: list[str] = []
+    normal = True
+    buckets: dict[tuple, list] = {}
     for t in flat:
+        # a term that is itself a Sum comes from a hand-built nested Sum
+        if not t._normal or type(t) is Sum:
+            normal = False
         coeff, rest = _coeff_and_rest(t)
-        key = " ".join(f.key for f in rest)
-        if key not in buckets:
-            buckets[key] = [coeff, rest]
-            order.append(key)
+        bucket = buckets.get(rest)
+        if bucket is None:
+            buckets[rest] = [coeff, rest]
         else:
-            buckets[key][0] = buckets[key][0] + coeff
+            bucket[0] = bucket[0] + coeff
 
     out: list[ScalarExpr] = []
-    for key in sorted(order):
-        coeff, rest = buckets[key]
+    for coeff, rest in sorted(buckets.values(), key=lambda b: _rest_order(b[1])):
         if coeff == 0:
             continue
         if not rest:
@@ -466,7 +568,7 @@ def add(*terms) -> ScalarExpr:
     return _mark(Sum(tuple(out)), normal)
 
 
-def mul(*factors) -> ScalarExpr:
+def _mul(*factors) -> ScalarExpr:
     flat: list[ScalarExpr] = []
     for f in factors:
         f = as_expr(f)
@@ -474,35 +576,33 @@ def mul(*factors) -> ScalarExpr:
             flat.extend(f.factors)
         else:
             flat.append(f)
-    normal = all(f._normal and not isinstance(f, Product) for f in flat)
 
-    coeff: Number = Fraction(1)
-    # powers of identical bases are merged: keyed on base key
-    bases: dict[str, list] = {}
-    order: list[str] = []
+    normal = True
+    coeff: Number | None = None  # the product of the constant factors, if any
+    # powers of identical bases are merged: keyed on the base node
+    bases: dict[ScalarExpr, int] = {}
     for f in flat:
-        if isinstance(f, Const):
+        t = type(f)
+        # a factor that is itself a Product comes from a hand-built nested one
+        if not f._normal or t is Product:
+            normal = False
+        if t is Const:
             if f.value == 0:
                 return ZERO
-            coeff = coeff * f.value
-            continue
-        if isinstance(f, Pow):
-            base, expo = f.base, f.exponent
+            coeff = f.value if coeff is None else coeff * f.value
+        elif t is Pow:
+            bases[f.base] = bases.get(f.base, 0) + f.exponent
         else:
-            base, expo = f, 1
-        k = base.key
-        if k not in bases:
-            bases[k] = [base, expo]
-            order.append(k)
-        else:
-            bases[k][1] += expo
+            bases[f] = bases.get(f, 0) + 1
+    if coeff is None:
+        coeff = Fraction(1)
 
     if coeff == 0:
         return ZERO
     rest: list[ScalarExpr] = []
     folded = False
-    for k in sorted(order):
-        base, expo = bases[k]
+    for base in sorted(bases, key=_key_of):
+        expo = bases[base]
         if expo == 0:
             continue
         if expo == 1:
@@ -536,30 +636,22 @@ def negate(e) -> ScalarExpr:
 
 
 def _as_monomial(e: ScalarExpr):
-    """Decompose into (constant, {base_key: [base, int exponent]}) or None.
+    """Decompose into (constant, {base: int exponent}) or None.
 
     Sums and quotients are not monomials; Func nodes count as atomic bases.
     """
     coeff: Number = Fraction(1)
-    bases: dict[str, list] = {}
-
-    def take(base: ScalarExpr, expo: int):
-        k = base.key
-        if k in bases:
-            bases[k][1] += expo
-        else:
-            bases[k] = [base, expo]
-
+    bases: dict[ScalarExpr, int] = {}
     factors = e.factors if isinstance(e, Product) else (e,)
     for f in factors:
         if isinstance(f, Const):
             coeff = coeff * f.value
-        elif isinstance(f, Pow):
-            take(f.base, f.exponent)
         elif isinstance(f, (Sum, Quotient)):
             return None
+        elif isinstance(f, Pow):
+            bases[f.base] = bases.get(f.base, 0) + f.exponent
         else:
-            take(f, 1)
+            bases[f] = bases.get(f, 0) + 1
     return coeff, bases
 
 
@@ -575,16 +667,13 @@ def _cancel_monomials(num: ScalarExpr, den: ScalarExpr):
     dcoeff, dbases = dp
     if dcoeff == 0:
         raise ExprError("constant zero denominator")
-    if not any(k in nbases for k in dbases):
+    if not any(b in nbases for b in dbases):
         return None
-    merged: dict[str, list] = {k: [b, e] for k, (b, e) in nbases.items()}
-    for k, (b, e) in dbases.items():
-        if k in merged:
-            merged[k][1] -= e
-        else:
-            merged[k] = [b, -e]
-    top = [power(b, e) for b, e in merged.values() if e > 0]
-    bottom = [power(b, -e) for b, e in merged.values() if e < 0]
+    merged = dict(nbases)
+    for b, e in dbases.items():
+        merged[b] = merged.get(b, 0) - e
+    top = [power(b, e) for b, e in merged.items() if e > 0]
+    bottom = [power(b, -e) for b, e in merged.items() if e < 0]
     cnum = mul(Const(ncoeff / dcoeff), *top)
     if not bottom:
         return cnum
@@ -747,6 +836,21 @@ def simplify(e: ScalarExpr) -> ScalarExpr:
     raise ExprError(f"unknown node {type(e).__name__}")
 
 
+def param_names(e: ScalarExpr) -> tuple[str, ...]:
+    """The sorted names of the parameters e uses."""
+    names: set[str] = set()
+    seen: set[ScalarExpr] = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            if isinstance(node, Param):
+                names.add(node.name)
+            stack.extend(_children(node))
+    return tuple(sorted(names))
+
+
 def is_syntactic_zero(e: ScalarExpr) -> bool:
     return isinstance(e, Const) and e.value == 0
 
@@ -758,26 +862,57 @@ def is_syntactic_zero(e: ScalarExpr) -> bool:
 def differentiate(e: ScalarExpr, index: int) -> ScalarExpr:
     """Exact partial derivative with respect to chart coordinate `index`.
 
-    A compound node keeps each partial for its lifetime, so a subtree shared
-    by several constructions is differentiated once per coordinate.  exp and
-    sqrt nodes keep none: their derivatives contain the node itself, and a
-    cached one would make a reference cycle.
+    Each partial of a compound node is built once: inside run_memo() the
+    memo keeps it for the scope, and outside one the node keeps it for its
+    lifetime, shared by every tree the node occurs in.  A node keeps no
+    partial that leads back to it (that of exp(u)*v, which is exp(u)*v*du,
+    or the fourth of sin(u)*v, which is sin(u)*v): it would be a reference
+    cycle.  exp and sqrt nodes keep none at all.
     """
     e = as_expr(e)
     if isinstance(e, (Const, Param)):
         return ZERO
     if isinstance(e, Coord):
         return ONE if e.index == index else ZERO
-    if isinstance(e, Func) and e.name in ("exp", "sqrt"):
-        return _derivative(e, index)
     cache = e._partials
-    if cache is None:
-        cache = {}
-        object.__setattr__(e, "_partials", cache)
-    d = cache.get(index)
-    if d is None:
-        d = cache[index] = _derivative(e, index)
+    if cache is not None and index in cache:
+        return cache[index]
+    memo = _MEMO.get()
+    if memo is not None:
+        partials = memo[2]
+        d = partials.get((e, index))
+        if d is None:
+            d = partials[(e, index)] = _derivative(e, index)
+        return d
+    d = _derivative(e, index)
+    if isinstance(e, Func) and e.name in ("exp", "sqrt"):
+        return d
+    if e._poly or not _leads_to(d, e):
+        if cache is None:
+            cache = {}
+            object.__setattr__(e, "_partials", cache)
+        cache[index] = d
     return d
+
+
+def _leads_to(start: ScalarExpr, target: ScalarExpr) -> bool:
+    """Whether target is start or lies under it, through operands and kept
+    partials.  The partials of a polynomial are polynomials of lower degree,
+    so from a polynomial no path leads to a node that is not one, and none
+    leads back to a polynomial through its partials."""
+    seen = set()
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        if node is target:
+            return True
+        if node._poly or node in seen:
+            continue
+        seen.add(node)
+        stack.extend(_children(node))
+        if node._partials:
+            stack.extend(node._partials.values())
+    return False
 
 
 def _derivative(e: ScalarExpr, index: int) -> ScalarExpr:
@@ -861,45 +996,43 @@ _PRODUCT, _SUM, _COORD, _CONST, _POW, _QUOTIENT, _FUNC, _ATAN2, _PARAM = range(9
 class Tape:
     """The distinct nodes of one or more roots as a straight-line program.
 
-    Nodes are listed once per structural key, children before parents, in
-    the order of a depth-first walk of the roots in turn; instruction i,
-    (opcode, payload, operand slots), writes slot i.  `index` maps each
-    node's key to its slot and `outputs` holds the roots' slots.  The
-    compiler keeps an explicit stack, so depth is not bounded by Python's
-    recursion limit.  A tape holds no values: run() executes it over a batch
-    of rows.
+    Nodes are listed once each, children before parents, in the order of a
+    depth-first walk of the roots in turn; instruction i, (opcode, payload,
+    operand slots), writes slot i.  `index` maps each node to its slot and
+    `outputs` holds the roots' slots.  The compiler keeps an explicit stack,
+    so depth is not bounded by Python's recursion limit.  A tape holds no
+    values: run() executes it over a batch of rows.
     """
 
     def __init__(self, roots: Sequence[ScalarExpr]):
-        index: dict[str, int] = {}
+        index: dict[ScalarExpr, int] = {}
         code: list[tuple] = []
         for root in roots:
             stack: list = [root]
             while stack:
                 node = stack.pop()
-                if type(node) is tuple:  # (opcode, payload, children, key): children done
-                    op, arg, kids, key = node
-                    index[key] = len(code)
-                    code.append((op, arg, [index[c._key] for c in kids]))  # keyed when popped
+                if type(node) is tuple:  # (opcode, payload, children, node): children done
+                    op, arg, kids, node = node
+                    index[node] = len(code)
+                    code.append((op, arg, [index[c] for c in kids]))
                     continue
-                key = node.key
-                if key in index:
+                if node in index:
                     continue
                 t = type(node)
                 if t is Product:
-                    node = (_PRODUCT, None, node.factors, key)
+                    node = (_PRODUCT, None, node.factors, node)
                 elif t is Sum:
-                    node = (_SUM, None, node.terms, key)
+                    node = (_SUM, None, node.terms, node)
                 elif t is Pow:
-                    node = (_POW, node.exponent, (node.base,), key)
+                    node = (_POW, node.exponent, (node.base,), node)
                 elif t is Quotient:  # the denominator first: its zeros are found first
-                    node = (_QUOTIENT, None, (node.den, node.num), key)
+                    node = (_QUOTIENT, None, (node.den, node.num), node)
                 elif t is Func and node.name == "atan2":
-                    node = (_ATAN2, None, node.args, key)
+                    node = (_ATAN2, None, node.args, node)
                 elif t is Func:
-                    node = (_FUNC, _UFUNCS[node.name], node.args, key)
+                    node = (_FUNC, _UFUNCS[node.name], node.args, node)
                 else:
-                    index[key] = len(code)
+                    index[node] = len(code)
                     if t is Coord:
                         code.append((_COORD, node.index, ()))
                     elif t is Const:
@@ -914,7 +1047,7 @@ class Tape:
         self.roots = tuple(roots)
         self.code = code
         self.index = index
-        self.outputs = tuple(index[r.key] for r in self.roots)
+        self.outputs = tuple(index[r] for r in self.roots)
 
     @functools.cached_property
     def params(self) -> tuple[str, ...]:
@@ -1068,7 +1201,7 @@ class Tape:
     def _raise_singular(self, slots: list, points: np.ndarray) -> None:
         """Raise _singularity's error for the first root singular at some
         row, among the roots before the first slot the run did not fill."""
-        memo = {key: slots[i] for key, i in self.index.items()}
+        memo = {node: slots[i] for node, i in self.index.items()}
         for root, s in zip(self.roots, self.outputs):
             if slots[s] is None:
                 return
@@ -1084,9 +1217,9 @@ class Tape:
         return [float(v[0]) for v in self.values(row, params or {})]
 
 
-def _fault(node: ScalarExpr, memo: Mapping[str, np.ndarray], i: int) -> str:
+def _fault(node: ScalarExpr, memo: Mapping[ScalarExpr, np.ndarray], i: int) -> str:
     """What makes node singular at row i, its operands being finite there."""
-    args = [memo[c.key][i] for c in _children(node)]
+    args = [memo[c][i] for c in _children(node)]
     if isinstance(node, Quotient) and args[0] == 0.0:
         return "division by zero"
     if isinstance(node, Pow):
@@ -1109,22 +1242,21 @@ def _singularity(e: ScalarExpr, memo, points: np.ndarray) -> SingularityError:
     """The error for the first node, in evaluation order, with a singular
     row, at that node's first such row; a quotient is singular where its
     denominator is zero before its numerator is reached."""
-    seen: set[str] = set()
+    seen: set[ScalarExpr] = set()
 
     def first(node: ScalarExpr):
-        key = node.key
-        if key in seen:
+        if node in seen:
             return None
-        seen.add(key)
+        seen.add(node)
         for j, child in enumerate(_children(node)):
             found = first(child)
             if found is not None:
                 return found
             if j == 0 and isinstance(node, Quotient):
-                zero = memo[child.key] == 0.0
+                zero = memo[child] == 0.0
                 if zero.any():
                     return node, int(np.argmax(zero))
-        bad = np.isnan(memo[key])
+        bad = np.isnan(memo[node])
         return (node, int(np.argmax(bad))) if bad.any() else None
 
     try:
@@ -1177,74 +1309,76 @@ def _const_text(v: Number) -> str:
     return repr(v)
 
 
+# binding strength of each compound node's own text; leaves and calls bind
+# tightest (4)
+_PREC = {Sum: 1, Product: 2, Quotient: 2, Pow: 3}
+
+
 def to_text(e: ScalarExpr, chart: Chart | None = None) -> str:
-    """Infix rendering, parseable by the expression grammar."""
+    """Infix rendering, parseable by the expression grammar.
 
-    def name_of(i: int) -> str:
-        if chart is not None and i < chart.dim:
-            return chart.names[i]
-        return f"x{i}"
+    Each distinct node is rendered once, children first, off an explicit
+    stack, so depth is bounded by memory, not by the recursion limit.
+    """
+    text: dict[ScalarExpr, str] = {}
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if node in text:
+            stack.pop()
+            continue
+        todo = [k for k in _children(node) if k not in text]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        text[node] = _node_text(node, text, chart)
+    return text[e]
 
-    def prec(node) -> int:
-        if isinstance(node, Sum):
-            return 1
-        if isinstance(node, (Product, Quotient)):
-            return 2
-        if isinstance(node, Pow):
-            return 3
-        return 4
 
-    def wrap(node, minimum):
-        s = rec(node)
-        return f"({s})" if prec(node) < minimum else s
+def _wrapped(node: ScalarExpr, text: Mapping, minimum: int) -> str:
+    s = text[node]
+    return f"({s})" if _PREC.get(type(node), 4) < minimum else s
 
-    def rec(node) -> str:
-        if isinstance(node, Const):
-            # a negative constant keeps its sign; callers parenthesize by prec
-            return _const_text(node.value)
-        if isinstance(node, Coord):
-            return name_of(node.index)
-        if isinstance(node, Param):
-            return node.name
-        if isinstance(node, Sum):
-            parts = []
-            for i, t in enumerate(node.terms):
-                s = wrap(t, 2) if i else wrap(t, 1)
-                if i and not s.startswith("-"):
-                    parts.append("+ " + s)
-                elif i:
-                    parts.append("- " + s[1:] if s.startswith("-") else s)
-                else:
-                    parts.append(s)
-            return " ".join(parts)
-        if isinstance(node, Product):
-            fs = node.factors
-            if isinstance(fs[0], Const) and fs[0].value == -1 and len(fs) > 1:
-                rest = mul_text(fs[1:])
-                return f"-{rest}"
-            return mul_text(fs)
-        if isinstance(node, Quotient):
-            return f"{wrap(node.num, 3)} / {wrap(node.den, 3)}"
-        if isinstance(node, Pow):
-            base = wrap(node.base, 4)
-            if base.startswith("-"):  # -3^2 would read as -(3^2)
-                base = f"({base})"
-            return f"{base}^{node.exponent}"
-        if isinstance(node, Func):
-            args = ", ".join(rec(a) for a in node.args)
-            return f"{node.name}({args})"
-        raise ExprError(f"unknown node {type(node).__name__}")
 
-    def mul_text(factors) -> str:
-        texts = []
-        for f in factors:
-            s = wrap(f, 3)
-            if s.startswith("-"):
-                s = f"({s})"
-            texts.append(s)
-        return "*".join(texts)
+def _factor_text(node: ScalarExpr, text: Mapping) -> str:
+    s = _wrapped(node, text, 3)
+    return f"({s})" if s.startswith("-") else s
 
-    return rec(e)
+
+def _node_text(node: ScalarExpr, text: Mapping, chart: Chart | None) -> str:
+    """node's text, its children's being in `text`."""
+    t = type(node)
+    if t is Const:
+        # a negative constant keeps its sign; parents parenthesize by _PREC
+        return _const_text(node.value)
+    if t is Coord:
+        i = node.index
+        return chart.names[i] if chart is not None and i < chart.dim else f"x{i}"
+    if t is Param:
+        return node.name
+    if t is Sum:
+        first, *rest = node.terms
+        parts = [text[first]]
+        for term in rest:
+            s = _wrapped(term, text, 2)
+            parts.append("- " + s[1:] if s.startswith("-") else "+ " + s)
+        return " ".join(parts)
+    if t is Product:
+        fs = node.factors
+        if isinstance(fs[0], Const) and fs[0].value == -1 and len(fs) > 1:
+            return "-" + "*".join(_factor_text(f, text) for f in fs[1:])
+        return "*".join(_factor_text(f, text) for f in fs)
+    if t is Quotient:
+        return f"{_wrapped(node.num, text, 3)} / {_wrapped(node.den, text, 3)}"
+    if t is Pow:
+        base = _wrapped(node.base, text, 4)
+        if base.startswith("-"):  # -3^2 would read as -(3^2)
+            base = f"({base})"
+        return f"{base}^{node.exponent}"
+    if t is Func:
+        return f"{node.name}({', '.join(text[a] for a in node.args)})"
+    raise ExprError(f"unknown node {t.__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -1330,7 +1464,10 @@ class ZeroTester:
 
     A tester draws the rows of each set of parameter names once, from a
     fresh stream seeded with its seed, and keeps them and their guard mask,
-    so no verdict depends on the tests before it.
+    so no verdict depends on the tests before it.  A verdict is thus a
+    function of the simplified tree, and the tester keeps one per distinct
+    tree: a repeated test returns it without sampling.  An inconclusive
+    test keeps nothing and raises again when repeated.
     """
 
     n_samples = 64
@@ -1343,6 +1480,7 @@ class ZeroTester:
         self._guards = Tape(box.guards)
         self._rows: dict[tuple[str, ...], tuple] = {}  # names -> draw_rows' rows
         self._guarded: dict[tuple[str, ...], np.ndarray] = {}  # names -> guard mask
+        self._verdicts: dict[ScalarExpr, ZeroVerdict] = {}  # simplified tree -> verdict
 
     def rows(self, names: tuple[str, ...], k: int | None = None) -> tuple:
         """The first k (by default all 8 * n_samples) sample rows for the
@@ -1360,7 +1498,13 @@ class ZeroTester:
             if abs(v) <= self.eps:
                 return ZeroVerdict(True, None, None, None, 0, 0, True)
             return ZeroVerdict(False, None, None, v, 0, 0, True)
+        verdict = self._verdicts.get(e)
+        if verdict is None:
+            verdict = self._verdicts[e] = self._sampled(e)
+        return verdict
 
+    def _sampled(self, e: ScalarExpr) -> ZeroVerdict:
+        """The sampled verdict on the simplified, non-constant tree e."""
         tape, guards = Tape((e,)), self._guards
         needed = max((*tape.coords, *guards.coords), default=-1) + 1
         if needed > self.box.dim:

@@ -361,6 +361,80 @@ def reference_differentiate(e, index: int):
 
 
 # ---------------------------------------------------------------------------
+# Printing: the recursive printer the library replaced with an explicit
+# stack.  The library's text must equal this one's wherever this one
+# reaches (it raises RecursionError on trees a few hundred levels deep).
+
+def reference_to_text(e, chart=None) -> str:
+    def name_of(i: int) -> str:
+        if chart is not None and i < chart.dim:
+            return chart.names[i]
+        return f"x{i}"
+
+    def prec(node) -> int:
+        if isinstance(node, ex.Sum):
+            return 1
+        if isinstance(node, (ex.Product, ex.Quotient)):
+            return 2
+        if isinstance(node, ex.Pow):
+            return 3
+        return 4
+
+    def wrap(node, minimum):
+        s = rec(node)
+        return f"({s})" if prec(node) < minimum else s
+
+    def rec(node) -> str:
+        if isinstance(node, ex.Const):
+            return ex._const_text(node.value)
+        if isinstance(node, ex.Coord):
+            return name_of(node.index)
+        if isinstance(node, ex.Param):
+            return node.name
+        if isinstance(node, ex.Sum):
+            parts = []
+            for i, t in enumerate(node.terms):
+                s = wrap(t, 2) if i else wrap(t, 1)
+                if i and not s.startswith("-"):
+                    parts.append("+ " + s)
+                elif i:
+                    parts.append("- " + s[1:] if s.startswith("-") else s)
+                else:
+                    parts.append(s)
+            return " ".join(parts)
+        if isinstance(node, ex.Product):
+            fs = node.factors
+            if isinstance(fs[0], ex.Const) and fs[0].value == -1 and len(fs) > 1:
+                return f"-{mul_text(fs[1:])}"
+            return mul_text(fs)
+        if isinstance(node, ex.Quotient):
+            return f"{wrap(node.num, 3)} / {wrap(node.den, 3)}"
+        if isinstance(node, ex.Pow):
+            base = wrap(node.base, 4)
+            if base.startswith("-"):
+                base = f"({base})"
+            return f"{base}^{node.exponent}"
+        if isinstance(node, ex.Func):
+            args = ", ".join(rec(a) for a in node.args)
+            return f"{node.name}({args})"
+        raise ex.ExprError(f"unknown node {type(node).__name__}")
+
+    def mul_text(factors) -> str:
+        texts = []
+        for f in factors:
+            s = wrap(f, 3)
+            if s.startswith("-"):
+                s = f"({s})"
+            texts.append(s)
+        return "*".join(texts)
+
+    try:
+        return rec(e)
+    finally:
+        del rec, wrap, mul_text  # they refer to each other; break the cycle
+
+
+# ---------------------------------------------------------------------------
 # Scalar evaluation: one recursive walk through Python floats
 #
 # The evaluator as it was before the library ran every node as numpy

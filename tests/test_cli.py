@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -227,6 +228,30 @@ def test_battery_filter_limits_the_document():
 def test_reports_are_deterministic():
     cfg = cli.parse_config("[run]\npreset = em.torsion_nonzero\n")
     assert cli.run(cfg).to_json() == cli.run(cfg).to_json()
+
+
+@pytest.mark.parametrize("text", [
+    "[run]\npreset = em.torsion_nonzero\n",
+    "[run]\npreset = fluid.beltrami_abc\n",
+    (CONFIGS / "couette_shear.cfg").read_text(),
+], ids=["em-preset", "abc-preset", "shear-config"])
+def test_a_run_leaves_no_expressions_behind(text, monkeypatch):
+    # every node a run builds dies with it, and so does its memo: a second
+    # run of the same config repeats the first one's derivative work
+    calls = []
+    real = ex._derivative
+    monkeypatch.setattr(ex, "_derivative", lambda e, i: calls.append(i) or real(e, i))
+    cfg = cli.parse_config(text)
+    gc.collect()
+    before = len(ex._NODES)
+    reports = []
+    for _ in range(2):
+        calls.clear()
+        reports.append((cli.run(cfg).to_json(), len(calls)))
+        assert ex._MEMO.get() is None
+        gc.collect()
+        assert len(ex._NODES) == before
+    assert reports[0] == reports[1] and reports[0][1] > 0
 
 
 def test_topology_only_config_runs_without_system():

@@ -588,12 +588,16 @@ def test_one_zero_test_compiles_one_tape(monkeypatch):
         compiled.clear()
         t = ex.ZeroTester(box, seed=13)
         assert compiled == [box.guards]  # the guards, once per tester
-        rows_read = []
+        rows_read, verdicts = [], {}
         for e in (pythagoras, ex.mul(Y, Z), ex.mul(A, Z), pythagoras):
             compiled.clear()
             v = t.test(e)
             assert not v.syntactic
-            assert compiled == [(ex.simplify(e),)]
+            if e in verdicts:  # a repeated tree: the kept verdict, and no tape
+                assert v is verdicts[e] and compiled == []
+            else:
+                assert compiled == [(ex.simplify(e),)]
+            verdicts[e] = v
             rows_read.append(v.samples + v.skipped)
         if box is across_chunks:
             assert max(rows_read) > t.n_samples
@@ -837,3 +841,247 @@ def test_huge_constant_power_stays_unfolded():
     # merging two unfolded powers folds the constant-base power at once
     small = ex.mul(huge[0], ex.power(ex.Const(3), -999_999_997))
     assert small._normal and small == reference_simplify(ex.Pow(ex.Const(3), 2)) == ex.Const(9)
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing: one node per structure
+
+
+def rebuild(e):
+    """e rebuilt node by node through the classes, from new payload objects."""
+    if isinstance(e, ex.Const):
+        v = e.value
+        return ex.Const(Fraction(v.numerator, v.denominator) if isinstance(v, Fraction)
+                        else float(repr(v)))
+    if isinstance(e, ex.Coord):
+        return ex.Coord(int(str(e.index)))
+    if isinstance(e, ex.Param):
+        return ex.Param("".join(e.name))
+    if isinstance(e, ex.Sum):
+        return ex.Sum([rebuild(t) for t in e.terms])
+    if isinstance(e, ex.Product):
+        return ex.Product([rebuild(f) for f in e.factors])
+    if isinstance(e, ex.Quotient):
+        return ex.Quotient(rebuild(e.num), rebuild(e.den))
+    if isinstance(e, ex.Pow):
+        return ex.Pow(rebuild(e.base), e.exponent)
+    return ex.Func(e.name, [rebuild(a) for a in e.args])
+
+
+def assert_one_node_per_key(exprs):
+    by_key = {}
+    for e in exprs:
+        for node in tree_nodes(e):
+            assert by_key.setdefault(node.key, node) is node, node.key
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_equal_trees_are_one_node_on_the_corpus(seed):
+    first, second = corpus_exprs(seed), corpus_exprs(seed)
+    assert all(a is b for a, b in zip(first, second))
+    assert all(rebuild(e) is e for e in first)
+    assert_one_node_per_key(first)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(st.sampled_from(LEAVES), extend, max_leaves=16),
+       st.recursive(st.sampled_from(LEAVES), extend, max_leaves=16))
+def test_same_node_exactly_when_same_key(a, b):
+    assert (a is b) == (a.key == b.key)
+    assert rebuild(a) is a and rebuild(b) is b
+    assert_one_node_per_key([a, b])
+
+
+def test_constants_are_one_node_per_key():
+    nan, other_nan = float("nan"), float("inf") - float("inf")
+    consts = [ex.Const(1), ex.Const(Fraction(1)), ex.Const(1.0), ex.Const(0), ex.Const(0.0),
+              ex.Const(-0.0), ex.Const(nan), ex.Const(other_nan), ex.Const(Fraction(1, 3)),
+              ex.Const(1 / 3), ex.Const(2), ex.Const(2.0), ex.Const(Fraction(4, 2))]
+    for a in consts:
+        for b in consts:
+            assert (a is b) == (a.key == b.key), (a.key, b.key)
+    assert ex.Const(1) is ex.Const(Fraction(1)) is ex.ONE
+    assert ex.Const(1.0) is not ex.ONE
+    assert ex.Const(0.0) is not ex.Const(-0.0) and ex.Const(0.0) is not ex.ZERO
+    assert ex.Const(nan) is ex.Const(other_nan)
+    assert ex.Const(Fraction(4, 2)) is ex.Const(2) is not ex.Const(2.0)
+
+
+def test_a_rebuilt_node_keeps_its_mark_and_partials():
+    e = ex.mul(ex.sin(ex.add(X, Y)), Z)
+    d = ex.differentiate(e, 0)
+    assert e._normal and e._partials[0] is d
+    again = ex.Product(tuple(rebuild(f) for f in e.factors))
+    assert again is e and again._normal and again._partials[0] is d
+    # a hand-built node that a constructor builds later is the same, marked node
+    hand = ex.Sum((ex.Const(5), ex.Pow(T, 7)))
+    assert not hand._normal
+    assert ex.add(ex.power(T, 7), ex.Const(5)) is hand and hand._normal
+
+
+def test_memo_keeps_exact_and_float_constants_apart():
+    # 2 == 2.0 == Fraction(2) and they hash alike: keyed on numbers, a memo
+    # would hand one of them the other's tree
+    coeffs = (2, 2.0, Fraction(2), 2, 2.0)
+    outside = [(ex.mul(c, X).key, ex.add(c, X).key, ex.mul(X, ex.add(Y, c)).key) for c in coeffs]
+    assert [k[0] for k in outside[:3]] == ["(* c2/1 x0)", "(* cf2.0 x0)", "(* c2/1 x0)"]
+    for order in (range(len(coeffs)), reversed(range(len(coeffs)))):
+        with ex.run_memo():
+            for i in order:
+                c = coeffs[i]
+                assert (ex.mul(c, X).key, ex.add(c, X).key,
+                        ex.mul(X, ex.add(Y, c)).key) == outside[i]
+    assert ex._MEMO.get() is None
+
+
+def test_inside_a_memo_nodes_keep_no_partials():
+    with ex.run_memo():
+        e = ex.mul(ex.cos(ex.mul(X, Z)), ex.add(Y, ex.power(X, 3)))
+        first = ex.differentiate(e, 0)
+        assert ex.differentiate(e, 0) is first and e._partials is None
+        assert ex.mul(e, T) is ex.mul(e, T)
+    assert ex.differentiate(e, 0) is first  # the same tree, now kept by the node
+    assert e._partials == {0: first}
+
+
+def assert_acyclic(roots):
+    """No path of operands and kept partials leads from a node back to it."""
+    state = {}  # node -> 1 while on the path, 2 when done
+    for root in roots:
+        stack = [(root, False)]
+        while stack:
+            node, done = stack.pop()
+            if done:
+                state[node] = 2
+                continue
+            assert state.get(node) != 1, f"cycle through {ex.to_text(node)}"
+            if node in state:
+                continue
+            state[node] = 1
+            stack.append((node, True))
+            nexts = [*ex._children(node), *(node._partials or {}).values()]
+            stack.extend((n, False) for n in nexts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(st.sampled_from(LEAVES), extend, max_leaves=10),
+       st.lists(st.integers(0, 3), min_size=1, max_size=5))
+def test_kept_partials_make_no_cycle(e, indices):
+    trees = [e]
+    for i in indices:
+        d = outcome(ex.differentiate, trees[-1], i)
+        if isinstance(d, str):
+            break
+        trees.append(d)
+    assert_acyclic(trees)
+
+
+def test_periodic_partials_leave_no_cyclic_garbage():
+    # the fourth z-partial of sin(z)*y is sin(z)*y, and the second of sin(z)
+    # holds sin(z): kept on the nodes, either would be a reference cycle
+    def work():
+        u = ex.add(ex.mul(X, Y), Z)
+        for e in (ex.mul(ex.sin(Z), Y), ex.sin(u), ex.cos(u), ex.mul(ex.exp(X), Y),
+                  ex.add(ex.sin(u), ex.cos(Z))):
+            d = e
+            for _ in range(5):
+                d = ex.differentiate(d, 2)
+            assert_acyclic([e])
+
+    four = ex.mul(ex.sin(Z), Y)
+    d = four
+    for _ in range(4):
+        d = ex.differentiate(d, 2)
+    assert d is four
+    work()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            work()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# One verdict per distinct tree per tester
+
+
+def test_a_tester_keeps_one_verdict_per_tree(monkeypatch):
+    sampled = []
+    real = ex.ZeroTester._sampled
+    monkeypatch.setattr(ex.ZeroTester, "_sampled",
+                        lambda self, e: sampled.append(e) or real(self, e))
+    t = make_tester()
+    def pythagoras():
+        return ex.add(ex.power(ex.sin(X), 2), ex.power(ex.cos(X), 2), ex.Const(-1))
+    def nonzero():
+        return ex.mul(ex.add(X, Y), Z)
+    first = [t.test(pythagoras()), t.test(nonzero())]
+    assert [t.test(pythagoras()), t.test(ex.Product((ex.add(Y, X), Z)))] == first
+    assert t.test(pythagoras()) is first[0] and len(sampled) == 2
+    # what a fresh tester and the per-row reference give
+    assert [make_tester().test(pythagoras()), make_tester().test(nonzero())] == first
+    assert first == [reference_zero_test(make_tester(), e) for e in (pythagoras(), nonzero())]
+    # another tester keeps its own verdicts
+    make_tester(seed=5).test(pythagoras())
+    assert len(sampled) == 5
+    # an inconclusive test keeps nothing: it samples, and raises, again
+    blocked = ex.ZeroTester(ex.Box((-1.0,) * 4, (1.0,) * 4, guards=(X,), guard_tol=10.0))
+    for _ in range(2):
+        with pytest.raises(ex.InconclusiveError):
+            blocked.test(nonzero())
+    assert len(sampled) == 7
+
+
+# ---------------------------------------------------------------------------
+# Printing
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_to_text_matches_the_recursive_printer_on_the_corpus(seed):
+    exprs = corpus_exprs(seed)
+    for A_, J in action_process_pairs(n_random=3, seed=seed)[seed::4]:
+        exprs += anatomy_exprs(A_, J)
+    for e in exprs:
+        assert ex.to_text(e) == oracles.reference_to_text(e)
+        assert ex.to_text(e, CHART) == oracles.reference_to_text(e, CHART)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(st.sampled_from(LEAVES), extend, max_leaves=16))
+def test_to_text_matches_the_recursive_printer_on_constructed_trees(e):
+    assert ex.to_text(e) == oracles.reference_to_text(e)
+
+
+def test_a_deep_chain_prints_keys_and_compiles():
+    # depth is bounded by memory: the printer, the key and the tape compiler
+    # keep explicit stacks
+    e = X
+    for _ in range(1000):
+        e = ex.sin(e)
+    assert ex.to_text(e, CHART) == "sin(" * 1000 + "x" + ")" * 1000
+    assert e.key == "(sin " * 1000 + "x0" + ")" * 1000
+    want = 0.5
+    for _ in range(1000):
+        want = math.sin(want)
+    assert ex.Tape((ex.mul(e, Y),)).at((0.5, 2.0, 0.0, 0.0)) == [pytest.approx(want * 2.0)]
+
+
+def test_to_text_leaves_no_cyclic_garbage():
+    e = X
+    for _ in range(300):
+        e = ex.sin(e)
+    shallow = corpus_exprs(1)[:8]
+    for f in shallow:
+        ex.to_text(f)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            for f in (e, *shallow):
+                ex.to_text(f, CHART)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
