@@ -24,8 +24,13 @@ identity the theorem checks rest on.
 invariance_checks takes every (form, chain) pair of one flow at once: all
 chains are advected to the four stencil times in one RK4 run per step
 count, and each chain's quadrature grids and Jacobian minors serve both its
-base and its Lie integral.  If the batch raises, the pairs are checked
-again one at a time, so the error is the one checking them in turn meets.
+base and its Lie integral.  The four advected copies of a chain are
+integrated in one stacked pass: at each quadrature order a cell's copies
+are interpolated as one stack, one matmul per axis operator whose items are
+the products of one cell alone, and the form's tape runs once over the rows
+of all four, so the integrals equal four one-copy integrals bit for bit.
+If the batch raises, the pairs are checked again one at a time, so the
+error is the one checking them in turn meets.
 """
 
 from __future__ import annotations
@@ -227,9 +232,50 @@ def _axis_bytes(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a, dtype=float).tobytes()
 
 
-def _apply_axis(op: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.tensordot(op, values, axes=(1, axis))
-    return np.moveaxis(moved, 0, axis)
+def _apply_axis(op: np.ndarray, values: np.ndarray, axis: int, lead: int = 0) -> np.ndarray:
+    """op applied along `axis` of an array, or of each array of a stack
+    whose first `lead` axes index the arrays.
+
+    One matmul: its item per array is the (len(op), rest) product that
+    np.tensordot(op, array, (1, axis)) forms, so every array of a stack
+    gets the bits it gets alone."""
+    moved = np.moveaxis(values, lead + axis, lead)
+    head = moved.shape[: lead + 1]
+    out = np.matmul(op, moved.reshape(head + (-1,)))
+    out = out.reshape(head[:lead] + (len(op),) + moved.shape[lead + 1 :])
+    return np.moveaxis(out, lead, lead + axis)
+
+
+def _interp_grids(
+    values: np.ndarray,
+    node_axes: Sequence[np.ndarray],
+    axes: Sequence[np.ndarray],
+    X: np.ndarray,
+    J: np.ndarray,
+) -> None:
+    """The maps and Jacobians of a stack of InterpCells on one set of node
+    axes, at the grid of axes, written to X and J.
+
+    values is the stack of node values, shaped (s, *nodes, n); X and J are
+    shaped (s, *grid, n) and (s, *grid, n, p).  Each output applies one
+    operator per axis, in axis order.  The interpolation prefix is carried
+    forward axis by axis, and Jacobian column j branches off it at axis j,
+    so no prefix is applied twice."""
+    p = len(axes)
+
+    def operator(k: int, derivative: bool) -> np.ndarray:
+        return _axis_operator(_axis_bytes(node_axes[k]), _axis_bytes(axes[k]), derivative)
+
+    interp = [operator(k, False) for k in range(p)]
+    prefix = values
+    for j in range(p):
+        column = _apply_axis(operator(j, True), prefix, j, 1)
+        for k in range(j + 1, p):
+            column = _apply_axis(interp[k], column, k, 1)
+        J[..., j] = column
+        del column  # before the prefix grows
+        prefix = _apply_axis(interp[j], prefix, j, 1)
+    X[...] = prefix
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,36 +299,28 @@ class InterpCell:
         if self.values.shape != expected:
             raise ChainError(f"node values shaped {self.values.shape}, expected {expected}")
 
-    def _operator(self, k: int, query: np.ndarray, derivative: bool) -> np.ndarray:
-        return _axis_operator(_axis_bytes(self.node_axes[k]), _axis_bytes(query), derivative)
-
     def eval_grid(
         self, axes: Sequence[np.ndarray], params: Mapping[str, float] | None = None
     ) -> np.ndarray:
         out = self.values
         for k, q in enumerate(axes):
-            out = _apply_axis(self._operator(k, q, False), out, k)
+            op = _axis_operator(_axis_bytes(self.node_axes[k]), _axis_bytes(q), False)
+            out = _apply_axis(op, out, k)
         return out
 
     def grids(
         self, axes: Sequence[np.ndarray], params: Mapping[str, float] | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """The map and its Jacobian at the grid of axes (C order), shaped
-        (m, n) and (m, n, p).
-
-        Each output applies one operator per axis, in axis order.  The
-        interpolation prefix is carried forward axis by axis, and Jacobian
-        column j branches off it at axis j, so no prefix is applied twice."""
+        (m, n) and (m, n, p): _interp_grids on a stack of one."""
         n, p = self.chart.dim, self.degree
-        interp = [self._operator(k, q, False) for k, q in enumerate(axes)]
-        prefix, columns = self.values, []
-        for j, q in enumerate(axes):
-            column = _apply_axis(self._operator(j, q, True), prefix, j)
-            for k in range(j + 1, p):
-                column = _apply_axis(interp[k], column, k)
-            columns.append(column)
-            prefix = _apply_axis(interp[j], prefix, j)
-        return prefix.reshape(-1, n), np.stack(columns, axis=-1).reshape(-1, n, p)
+        grid = tuple(len(a) for a in axes)
+        X, J = np.empty((math.prod(grid), n)), np.empty((math.prod(grid), n, p))
+        _interp_grids(
+            self.values[None], self.node_axes, axes,
+            X.reshape((1,) + grid + (n,)), J.reshape((1,) + grid + (n, p)),
+        )
+        return X, J
 
 
 Cell = ExprCell | InterpCell
@@ -348,42 +386,83 @@ def _leibniz_terms(k: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
     )
 
 
+def _cell_bound(cell: Cell, params: Mapping[str, float] | None) -> dict[str, float]:
+    bound = dict(getattr(cell, "params", {}) or {})
+    bound.update(params or {})
+    return bound
+
+
+def _one_stack(cells: Sequence[Cell]) -> bool:
+    """Whether the cells are InterpCells on one set of node axes, as the
+    copies of a cell that _advect_all refits are."""
+    return all(isinstance(c, InterpCell) and c.node_axes is cells[0].node_axes for c in cells)
+
+
 class _Quadrature:
-    """Every cell of a chain on the Gauss-Legendre grids of both orders
-    (order, then 2 * order): the stacked rows and Jacobians, and each
-    Jacobian minor once computed, shared by every form integrated over the
-    chain.  A cell map that fails to evaluate is kept and raised by
-    `integral`, once the cells before it are known to integrate."""
+    """Every cell of one or more copies of a chain on the Gauss-Legendre
+    grids of both orders (order, then 2 * order).  The copies share their
+    degree, chart and number of cells: the stencil's copies are one chain
+    advected to four times.
+
+    Rows go copy by copy, order by order, cell by cell into one
+    preallocated array of points and one of Jacobians.  The copies of one
+    cell that share their node axes are interpolated as one stack, each
+    Jacobian minor is computed once over all rows, and both are shared by
+    every form integrated over the copies.  A cell map that fails to
+    evaluate is kept and raised by `integrals`, once the cells before it
+    are known to integrate."""
 
     def __init__(
-        self, chain: Chain, order: int | None, params: Mapping[str, float] | None
+        self, copies: Sequence[Chain], order: int | None, params: Mapping[str, float] | None
     ):
-        self.chain = chain
-        self.order = order or DEFAULT_QUAD_ORDER[chain.degree]
-        p = chain.degree
-        self.segments: list[tuple] = []  # (cell, bound, X, J)
-        self.weights: list[tuple] = []  # (orientation, quadrature weights)
+        self.copies = tuple(copies)
+        cells = self.copies[0].cells
+        self.degree = p = self.copies[0].degree
+        self.order = order or DEFAULT_QUAD_ORDER[p]
+        self.params = params
+        orders = (self.order, 2 * self.order)
+        n, nc, s = cells[0].chart.dim, len(cells), len(self.copies)
+        per_copy = nc * sum(o**p for o in orders)
+        self.flatX = np.empty((s * per_copy, n))
+        self._flatJ = np.empty((s * per_copy, n, p))
+        # (cell, bound, start, stop, orientation, weights, copy, fine) in row order
+        self.segments: list[tuple] = []
+        for t, copy in enumerate(self.copies):
+            start = t * per_copy
+            for o in orders:
+                for cell, ori in zip(copy.cells, copy.orientations):
+                    stop = start + o**p
+                    bound = _cell_bound(cell, params)
+                    self.segments.append(
+                        (cell, bound, start, stop, ori, _gl_weights(o, p), t, o != self.order)
+                    )
+                    start = stop
         self.failure: ex.EvalError | None = None
-        try:
-            for o in (self.order, 2 * self.order):
-                axes = [_gl_axis(o)[0]] * p
-                for cell, ori in zip(chain.cells, chain.orientations):
-                    bound = dict(getattr(cell, "params", {}) or {})
-                    bound.update(params or {})
-                    X, J = cell.grids(axes, bound)
-                    self.segments.append((cell, bound, X, J))
-                    self.weights.append((ori, _gl_weights(o, p)))
-        except ex.EvalError as err:
-            self.failure = err
         self._minors: dict[tuple[int, ...], np.ndarray] = {}
-
-    @functools.cached_property
-    def flatX(self) -> np.ndarray:
-        return np.concatenate([X for _, _, X, _ in self.segments])
-
-    @functools.cached_property
-    def _flatJ(self) -> np.ndarray:
-        return np.concatenate([J for _, _, _, J in self.segments])
+        X, J = self.flatX.reshape(s, per_copy, n), self._flatJ.reshape(s, per_copy, n, p)
+        first = 0  # the order's first row within a copy
+        for k, o in enumerate(orders):
+            axes, grid = [_gl_axis(o)[0]] * p, (o,) * p
+            rows = slice(first, first + nc * o**p)
+            Xo = X[:, rows].reshape((s, nc) + grid + (n,))
+            Jo = J[:, rows].reshape((s, nc) + grid + (n, p))
+            first = rows.stop
+            for c in range(nc):
+                stack = [copy.cells[c] for copy in self.copies]
+                if _one_stack(stack):
+                    values = np.stack([cell.values for cell in stack])
+                    _interp_grids(values, stack[0].node_axes, axes, Xo[:, c], Jo[:, c])
+                    continue
+                for t, cell in enumerate(stack):
+                    try:
+                        Xc, Jc = cell.grids(axes, _cell_bound(cell, params))
+                    except ex.EvalError as err:
+                        # one copy: the segments before this cell are filled
+                        self.failure = err
+                        del self.segments[k * nc + c :]
+                        return
+                    Xo[t, c] = Xc.reshape(grid + (n,))
+                    Jo[t, c] = Jc.reshape(grid + (n, p))
 
     def minor(self, idx: tuple[int, ...]) -> np.ndarray:
         """det of the Jacobian rows idx at every stacked row, by the Leibniz
@@ -403,56 +482,70 @@ class _Quadrature:
             self._minors[idx] = total
         return self._minors[idx]
 
-    def integral(self, w: DifferentialForm) -> "IntegralResult":
+    def integrals(self, w: DifferentialForm) -> list["IntegralResult"]:
+        """The integral of w over each copy, in order.  Over several copies,
+        a failure (of a cell map, or of the form at some row) integrates
+        them one at a time instead, so the error raised is the first that
+        integrating them in turn meets."""
+        if w.degree != self.degree:
+            raise ChainError(f"cannot integrate a {w.degree}-form over a {self.degree}-chain")
+        several = len(self.copies) > 1
+        coeffs = None
         # a form with no coefficients integrates to exactly 0 without evaluation
-        vals = _pullback_values(w, self) if w.coeffs and self.segments else None
+        if w.coeffs and self.segments and not (several and self.failure is not None):
+            coeffs = _coefficients(w, self)
+        if several and (self.failure is not None or (w.coeffs and coeffs is None)):
+            return [integrate(w, c, self.order, self.params) for c in self.copies]
         if self.failure is not None:
             raise self.failure
-        if vals is None:
-            return IntegralResult(0.0, 0.0, 0.0, self.order)
-        coarse = fine = scale = 0.0
-        start = 0
-        for k, ((ori, weight), (_, _, X, _)) in enumerate(zip(self.weights, self.segments)):
-            part = vals[start : start + len(X)]
-            start += len(X)
-            if k < len(self.chain.cells):
-                coarse += ori * float(part @ weight)
+        if coeffs is None:
+            return [IntegralResult(0.0, 0.0, 0.0, self.order)] * len(self.copies)
+        vals = np.zeros(len(self.flatX))
+        for idx, coeff_vals in zip(w.coeffs, coeffs):
+            vals += coeff_vals * self.minor(idx)
+        coarse, fine, scale = ([0.0] * len(self.copies) for _ in range(3))
+        for _, _, start, stop, ori, weight, t, is_fine in self.segments:
+            part = vals[start:stop]
+            if is_fine:
+                fine[t] += ori * float(part @ weight)
+                scale[t] += float(np.abs(part) @ weight)
             else:
-                fine += ori * float(part @ weight)
-                scale += float(np.abs(part) @ weight)
-        return IntegralResult(fine, abs(fine - coarse), scale, self.order)
+                coarse[t] += ori * float(part @ weight)
+        return [
+            IntegralResult(f, abs(f - c), a, self.order) for c, f, a in zip(coarse, fine, scale)
+        ]
 
 
-def _pullback_values(w: DifferentialForm, quad: _Quadrature) -> np.ndarray:
-    """The pulled-back integrand at the rows of every segment of quad,
-    stacked, from one run of the form's tape.  A failure is raised as
-    evaluating segment by segment, coefficient by coefficient would."""
+def _coefficients(w: DifferentialForm, quad: _Quadrature) -> list[np.ndarray] | None:
+    """The form's coefficients at the rows of every segment of quad, from
+    one run of the form's tape.  Over one copy, a failure is raised as
+    evaluating segment by segment, coefficient by coefficient would; over
+    several it gives None."""
     segments = quad.segments
-    sizes = [len(X) for _, _, X, _ in segments]
-    flatX = quad.flatX
+    X = quad.flatX[: segments[-1][3]]
     try:
+        sizes = [stop - start for _, _, start, stop, *_ in segments]
         stacked = {
-            nm: np.repeat([float(bound[nm]) for _, bound, _, _ in segments], sizes)
+            nm: np.repeat([float(bound[nm]) for _, bound, *_ in segments], sizes)
             for nm in w.tape.params
         }
-        slots = w.tape.run(flatX, stacked)
+        slots = w.tape.run(X, stacked)
         coeffs = [slots[s] for s in w.tape.outputs]
     except (KeyError, ex.EvalError):  # a cell lacks a parameter, or a bad index
         coeffs = None
     if coeffs is None or any(np.isnan(v).any() for v in coeffs):
-        for cell, bound, X, _ in segments:
+        if len(quad.copies) > 1:
+            return None
+        for cell, bound, start, stop, *_ in segments:
             try:
-                w.tape.values(X, bound)
+                w.tape.values(X[start:stop], bound)
             except SingularityError as err:
                 raise SingularityError(
                     f"integrand singular on cell {cell.name or '?'}: {err}",
                     err.subexpression,
                     err.point,
                 ) from err
-    total = np.zeros(flatX.shape[0])
-    for idx, coeff_vals in zip(w.coeffs, coeffs):
-        total += coeff_vals * quad.minor(idx)
-    return total
+    return coeffs
 
 
 def integrate(
@@ -467,9 +560,7 @@ def integrate(
 
     The grid and Jacobian of every cell at both orders are built first; the
     form's tape then runs once over all their rows."""
-    if w.degree != chain.degree:
-        raise ChainError(f"cannot integrate a {w.degree}-form over a {chain.degree}-chain")
-    return _Quadrature(chain, order, params).integral(w)
+    return _Quadrature([chain], order, params).integrals(w)[0]
 
 
 @dataclass(frozen=True)
@@ -563,7 +654,7 @@ def _advect_all(
 
     def refit(block: np.ndarray) -> list[Chain]:
         fitted = iter(
-            InterpCell(c.chart, c.degree, tuple(ax), part.reshape(X.shape), c.name)
+            InterpCell(c.chart, c.degree, ax, part.reshape(X.shape), c.name)
             for c, ax, X, part in zip(cells, axes, grids, np.split(block, cuts))
         )
         return [replace(c, cells=tuple(itertools.islice(fitted, len(c.cells)))) for c in chains]
@@ -629,12 +720,13 @@ def invariance_checks(
         advected = _advect_all([c for _, c in pairs], V, (h, -h, 2 * h, -2 * h), params=params)
         out = []
         for (w, chain), moved in zip(pairs, advected):
-            i_ph, i_mh, i_p2, i_m2 = (integrate(w, c, params=params).value for c in moved)
+            stencil = _Quadrature(moved, None, params).integrals(w)
+            i_ph, i_mh, i_p2, i_m2 = (r.value for r in stencil)
             derivative = (8.0 * (i_ph - i_mh) - (i_p2 - i_m2)) / (12.0 * h)
 
-            quad = _Quadrature(chain, None, params)
-            base = quad.integral(w)
-            lie = quad.integral(fm.lie_derivative(V, w))
+            quad = _Quadrature([chain], None, params)
+            base = quad.integrals(w)[0]
+            lie = quad.integrals(fm.lie_derivative(V, w))[0]
             scale = 1.0 + base.scale + lie.scale
             gap = abs(derivative - lie.value)
 

@@ -23,8 +23,10 @@ construction, and the zero test.
 
 Each partial derivative of a node is built once.  Inside run_memo(), the
 scope cli.run opens for one run, add() and mul() remember their result per
-tuple of normal operands and every partial is kept in the scope's memo;
-all of it is dropped when the scope ends, so no state crosses runs.
+tuple of normal operands, every partial is kept in the scope's memo, and
+remember() keeps other modules' results (each Cartan operation of forms)
+per operand nodes; all of it is dropped when the scope ends, so no state
+crosses runs.
 Outside a scope, a node keeps its partials for its lifetime, shared by
 every tree it occurs in, except a partial that leads back to the node (a
 reference cycle: exp(u)*v is its own x-partial when u = x) and those of exp
@@ -104,6 +106,7 @@ __all__ = [
     "ZeroVerdict",
     "ZeroTester",
     "run_memo",
+    "remember",
     "ZERO",
     "ONE",
 ]
@@ -437,9 +440,10 @@ def as_expr(v) -> ScalarExpr:
 # Inside run_memo(), add() and mul() remember their result for each tuple of
 # operands that are all marked normal (a node's mark is never unset, so the
 # result stays what a new call would build), and differentiate() keeps every
-# partial in the memo instead of on the node.  The memo holds its nodes for
-# the length of the scope and is dropped at its end; outside a scope the
-# constructors build every call afresh.
+# partial in the memo instead of on the node; remember() keeps the results
+# of other modules' operations (the Cartan operations of forms) the same
+# way.  The memo holds its nodes for the length of the scope and is dropped
+# at its end; outside a scope every call builds afresh.
 
 
 _MEMO: contextvars.ContextVar = contextvars.ContextVar("formflow_expr_memo", default=None)
@@ -447,13 +451,27 @@ _MEMO: contextvars.ContextVar = contextvars.ContextVar("formflow_expr_memo", def
 
 @contextlib.contextmanager
 def run_memo():
-    """A scope whose add, mul and partials are each built once; cli.run
-    opens one per run."""
-    token = _MEMO.set(({}, {}, {}))  # add results, mul results, partials
+    """A scope whose add, mul, partials and remember() results are each
+    built once; cli.run opens one per run."""
+    token = _MEMO.set(({}, {}, {}, {}))  # add results, mul results, partials, remembered
     try:
         yield
     finally:
         _MEMO.reset(token)
+
+
+def remember(key: tuple, build, *args):
+    """build(*args), kept under key until the run_memo() scope ends, or
+    built afresh outside a scope.  key must determine the result, and hold
+    nodes rather than raw numbers: 2, 2.0 and Fraction(2) are equal keys."""
+    memo = _MEMO.get()
+    if memo is None:
+        return build(*args)
+    kept = memo[3]
+    out = kept.get(key)
+    if out is None:
+        out = kept[key] = build(*args)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -868,8 +886,52 @@ def differentiate(e: ScalarExpr, index: int) -> ScalarExpr:
     partial that leads back to it (that of exp(u)*v, which is exp(u)*v*du,
     or the fourth of sin(u)*v, which is sin(u)*v): it would be a reference
     cycle.  exp and sqrt nodes keep none at all.
+
+    The compound nodes below e whose partials are not kept are
+    differentiated first, bottom-up off an explicit stack, so depth is
+    bounded by memory, not by the recursion limit.
     """
     e = as_expr(e)
+    memo = _MEMO.get()
+    partials = None if memo is None else memo[2]
+    d = _kept_partial(e, index, partials)
+    if d is not None:
+        return d
+    done: dict[ScalarExpr, ScalarExpr] = {}  # this call's partials, kept or not
+    partial = done.__getitem__
+    stack: list = [e]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # (node,): its children's partials are done
+            node = node[0]
+            d = done[node] = _derivative(node, index, partial)
+            if partials is not None:
+                partials[(node, index)] = d
+            elif not (isinstance(node, Func) and node.name in ("exp", "sqrt")) and (
+                node._poly or not _leads_to(d, node)
+            ):
+                cache = node._partials
+                if cache is None:
+                    cache = {}
+                    object.__setattr__(node, "_partials", cache)
+                cache[index] = d
+            continue
+        if node in done:
+            continue
+        stack.append((node,))
+        for c in _children(node):
+            if c not in done:
+                d = _kept_partial(c, index, partials)
+                if d is None:
+                    stack.append(c)
+                else:
+                    done[c] = d
+    return done[e]
+
+
+def _kept_partial(e: ScalarExpr, index: int, partials: dict | None) -> ScalarExpr | None:
+    """The partial of a leaf, or the one e or the run memo's partials keep;
+    None when neither keeps it."""
     if isinstance(e, (Const, Param)):
         return ZERO
     if isinstance(e, Coord):
@@ -877,31 +939,25 @@ def differentiate(e: ScalarExpr, index: int) -> ScalarExpr:
     cache = e._partials
     if cache is not None and index in cache:
         return cache[index]
-    memo = _MEMO.get()
-    if memo is not None:
-        partials = memo[2]
-        d = partials.get((e, index))
-        if d is None:
-            d = partials[(e, index)] = _derivative(e, index)
-        return d
-    d = _derivative(e, index)
-    if isinstance(e, Func) and e.name in ("exp", "sqrt"):
-        return d
-    if e._poly or not _leads_to(d, e):
-        if cache is None:
-            cache = {}
-            object.__setattr__(e, "_partials", cache)
-        cache[index] = d
-    return d
+    return None if partials is None else partials.get((e, index))
+
+
+_WALK_LIMIT = 1000  # stack entries one _leads_to walk pushes before it gives up
 
 
 def _leads_to(start: ScalarExpr, target: ScalarExpr) -> bool:
     """Whether target is start or lies under it, through operands and kept
     partials.  The partials of a polynomial are polynomials of lower degree,
     so from a polynomial no path leads to a node that is not one, and none
-    leads back to a polynomial through its partials."""
+    leads back to a polynomial through its partials.
+
+    A walk that would push more than _WALK_LIMIT entries stops and answers
+    True: a node that keeps no partial is always safe, and the bound keeps
+    the check linear in the depth of a deep tree, whose partials each
+    differentiate() call then builds again."""
     seen = set()
     stack = [start]
+    budget = _WALK_LIMIT
     while stack:
         node = stack.pop()
         if node is target:
@@ -909,45 +965,49 @@ def _leads_to(start: ScalarExpr, target: ScalarExpr) -> bool:
         if node._poly or node in seen:
             continue
         seen.add(node)
-        stack.extend(_children(node))
+        nexts = _children(node)
         if node._partials:
-            stack.extend(node._partials.values())
+            nexts = (*nexts, *node._partials.values())
+        budget -= len(nexts)
+        if budget < 0:
+            return True
+        stack.extend(nexts)
     return False
 
 
-def _derivative(e: ScalarExpr, index: int) -> ScalarExpr:
-    """One layer of the chain rule over a compound node; the children's
-    partials come from differentiate()."""
+def _derivative(e: ScalarExpr, index: int, partial) -> ScalarExpr:
+    """One layer of the chain rule over a compound node; partial(child)
+    gives each child's partial."""
     if isinstance(e, Sum):
-        return add(*(differentiate(t, index) for t in e.terms))
+        return add(*(partial(t) for t in e.terms))
     if isinstance(e, Product):
         terms = []
         for i, f in enumerate(e.factors):
-            df = differentiate(f, index)
+            df = partial(f)
             if is_syntactic_zero(df):
                 continue
             rest = e.factors[:i] + e.factors[i + 1 :]
             terms.append(mul(df, *rest))
         return add(*terms) if terms else ZERO
     if isinstance(e, Quotient):
-        du = differentiate(e.num, index)
-        dv = differentiate(e.den, index)
+        du = partial(e.num)
+        dv = partial(e.den)
         num = add(mul(du, e.den), negate(mul(e.num, dv)))
         return quotient(num, power(e.den, 2))
     if isinstance(e, Pow):
-        db = differentiate(e.base, index)
+        db = partial(e.base)
         if is_syntactic_zero(db):
             return ZERO
         return mul(Const(e.exponent), power(e.base, e.exponent - 1), db)
     if isinstance(e, Func):
         if e.name == "atan2":
             y, x = e.args
-            dy = differentiate(y, index)
-            dx = differentiate(x, index)
+            dy = partial(y)
+            dx = partial(x)
             num = add(mul(x, dy), negate(mul(y, dx)))
             return quotient(num, add(power(x, 2), power(y, 2)))
         a = e.args[0]
-        da = differentiate(a, index)
+        da = partial(a)
         if is_syntactic_zero(da):
             return ZERO
         if e.name == "sin":

@@ -9,7 +9,8 @@ The operations are the exterior derivative d, the wedge product, the
 interior product i(V), and the Lie derivative computed by the Cartan
 formula L(V)w = i(V)dw + d(i(V)w).  Vector fields carry an optional scalar
 support function rho; i(rho v) = rho i(v), so the support simply scales the
-effective components.
+effective components.  Inside expr.run_memo(), d, the wedge, i(V) and L(V)
+are each built once per run for the same operand nodes.
 """
 
 from __future__ import annotations
@@ -237,8 +238,30 @@ def scale_form(f, w: DifferentialForm) -> DifferentialForm:
 
 # ---------------------------------------------------------------------------
 # Cartan operations
+#
+# Inside ex.run_memo(), each operation is built once per run for operands
+# with the same coefficient nodes (a field: the same components and
+# support).  Nodes are interned, so the kept form is the one a new call
+# would build.
 
 
+def _operand_key(x: DifferentialForm | VectorField) -> tuple:
+    if isinstance(x, VectorField):
+        return (x.chart, x.components, x.support)
+    return (x.chart, x.degree, tuple(x.coeffs.items()))
+
+
+def _kept(op):
+    """op, its result kept in the run memo per operation and operand keys."""
+
+    @functools.wraps(op)
+    def kept(*operands):
+        return ex.remember((op, *map(_operand_key, operands)), op, *operands)
+
+    return kept
+
+
+@_kept
 def exterior_derivative(w: DifferentialForm) -> DifferentialForm:
     """The exterior derivative.  dd = 0 holds identically, though for
     quotient coefficients not always as a syntactic tree."""
@@ -263,6 +286,7 @@ def exterior_derivative(w: DifferentialForm) -> DifferentialForm:
     return DifferentialForm(chart, w.degree + 1, out)
 
 
+@_kept
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     _check_same_chart(a, b)
     chart = a.chart
@@ -284,6 +308,7 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     return DifferentialForm(chart, degree, out)
 
 
+@_kept
 def interior(v: VectorField, w: DifferentialForm) -> DifferentialForm:
     """Interior product i(v)w; errors on 0-forms, which have no slots."""
     if w.degree == 0:
@@ -305,6 +330,7 @@ def interior(v: VectorField, w: DifferentialForm) -> DifferentialForm:
     return DifferentialForm(w.chart, w.degree - 1, out)
 
 
+@_kept
 def lie_derivative(v: VectorField, w: DifferentialForm) -> DifferentialForm:
     """Lie derivative along v by the Cartan formula i(v)dw + d(i(v)w)."""
     if w.degree == 0:

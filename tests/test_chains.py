@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -664,6 +665,119 @@ def test_batch_matches_reference_on_mixed_degrees():
     assert ch.invariance_checks([], V) == []
 
 
+# ---------------------------------------------------------------------------
+# The stacked stencil: four advected copies in one quadrature
+
+
+def _scaled_form(degree: int) -> fm.DifferentialForm:
+    """The degree's form times a parameter k, so the stencil binds one."""
+    return fm.scale_form(ex.param("k"), _form(degree))
+
+
+def _copies(chain: ch.Chain, h: float, params=None) -> list[ch.Chain]:
+    return ch._advect_all([chain], _swirl(), (h, -h, 2 * h, -2 * h), params=params)[0]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("h", [0.02, 0.1])
+def test_stencil_integrals_equal_four_integrate_calls(monkeypatch, degree, h):
+    # two cells, the second with orientation -1, and a bound parameter k;
+    # the stacked pass integrates nothing one copy at a time
+    w, params = _scaled_form(degree), {"k": 1.3, "r": 0.55}
+    for chain in _chains(degree):
+        copies = _copies(chain, h, params)
+        want = [ch.integrate(w, c, params=params) for c in copies]
+        assert want == [oc.reference_integrate(w, c, params=params) for c in copies]
+        stacks = []
+        real = ch._interp_grids
+        monkeypatch.setattr(ch, "integrate", None)
+        monkeypatch.setattr(ch, "_interp_grids", lambda v, *a: stacks.append(len(v)) or real(v, *a))
+        assert ch._Quadrature(copies, None, params).integrals(w) == want
+        monkeypatch.undo()
+        assert stacks == [4] * 2 * len(chain.cells)
+
+
+def _raised_alike(got: Exception, want: Exception) -> None:
+    assert type(got) is type(want) and str(got) == str(want)
+    if isinstance(want, ex.SingularityError):
+        assert (got.subexpression, got.point) == (want.subexpression, want.point)
+
+
+def test_stencil_raises_the_first_error_of_four_integrate_calls():
+    # ln(a - x) is singular on the copies that reach past x = a: with a
+    # between the two largest reaches, on one copy that is not the first;
+    # with a between the second and third, on two, whose errors differ
+    chain = _chains(1)[1]
+    copies = _copies(chain, 0.1)
+    reach = [float(ch._Quadrature([c], None, None).flatX[:, 0].max()) for c in copies]
+    top = sorted(reach, reverse=True)
+    assert reach.index(top[0]) > 0
+    cases = [(_scaled_form(1), {"r": 0.55}, "unbound parameter 'k'")]
+    for a in ((top[0] + top[1]) / 2.0, (top[1] + top[2]) / 2.0):
+        w = fm.form_from_coeffs(CHART, 1, {(0,): scalar(f"ln({a!r} - x)"), (1,): scalar("y")})
+        cases.append((w, None, "integrand singular on cell"))
+    for form, params, text in cases:
+        want = _raised(lambda: [ch.integrate(form, c, params=params) for c in copies])
+        got = _raised(lambda: ch._Quadrature(copies, None, params).integrals(form))
+        _raised_alike(got, want)
+        assert text in str(got)
+    # and through the checks, against checking the copies' chain one by one
+    V = _swirl()
+    for form in [w for w, _, _ in cases[1:]] + [_log_form()]:
+        got = _raised(lambda: ch.invariance_checks([(_form(1), chain), (form, chain)], V, h=0.1))
+        want = _raised(lambda: oc.reference_invariance_check(form, chain, V, h=0.1))
+        _raised_alike(got, want)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_stacked_contraction_matches_each_cell_alone(degree):
+    # random node values on random node axes, stacked 1 to 4 deep, at
+    # random Gauss-Legendre orders: each stacked item is that cell's own
+    # grids, and those are the tensordot oracle's
+    rng = np.random.default_rng(40 + degree)
+    chart = ch.param_chart(int(rng.integers(degree, 5)))
+    for _ in range(40):
+        node_axes = tuple(ch._lobatto_nodes(int(rng.integers(2, 12))) for _ in range(degree))
+        shape = tuple(len(a) for a in node_axes) + (chart.dim,)
+        cells = [
+            ch.InterpCell(chart, degree, node_axes, rng.standard_normal(shape))
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        axes = [ch._gl_axis(int(rng.integers(1, 17)))[0] for _ in range(degree)]
+        grid = tuple(len(a) for a in axes)
+        X = np.empty((len(cells),) + grid + (chart.dim,))
+        J = np.empty(X.shape + (degree,))
+        ch._interp_grids(np.stack([c.values for c in cells]), node_axes, axes, X, J)
+        for cell, Xc, Jc in zip(cells, X, J):
+            alone = cell.grids(axes)
+            assert np.array_equal(Xc.reshape(-1, chart.dim), alone[0])
+            assert np.array_equal(Jc.reshape(-1, chart.dim, degree), alone[1])
+            assert np.array_equal(Xc, oc.reference_eval_grid(cell, axes))
+            assert np.array_equal(Jc, oc.reference_jacobian_grid(cell, axes))
+
+
+def test_stencil_memory_is_bounded_by_its_rows():
+    # the shell's four copies at both orders are stored once: their points
+    # and Jacobians (`stored`), plus what one tape run and the interpolation
+    # hold at a time (about 0.9 * stored here).  Per-cell arrays concatenated
+    # into stacked copies would store the points and Jacobians twice, about
+    # 2.9 * stored in all.
+    w, params = _form(3), {"r": 0.55}
+    shell = ch.Chain(3, (_expr_chain(3).cells[1],), name="shell")
+    copies = _copies(shell, 0.02, params)
+    ch._Quadrature(copies, None, params).integrals(w)  # operators, weights, tape
+    order, n = ch.DEFAULT_QUAD_ORDER[3], CHART.dim
+    rows = 4 * (order**3 + (2 * order) ** 3)
+    stored = rows * (n + n * 3) * 8  # float64
+    tracemalloc.start()
+    try:
+        ch._Quadrature(copies, None, params).integrals(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stored < peak <= 2.5 * stored
+
+
 KELVIN = """\
 [run]
 battery = theorems
@@ -744,3 +858,28 @@ def test_theorems_battery_advects_once_per_process(monkeypatch):
     # its Jacobian at each quadrature order once
     assert len(seen) == len(set(seen)) == 3 * 5
     assert sum(not jacobian for _, _, jacobian in seen) == 5
+
+
+def test_theorems_battery_builds_each_lie_derivative_once(monkeypatch):
+    # the three circles share the action A and the process J, so L(J)A is
+    # one form of the run, built once (a rebuilt form is a new object), and
+    # its tape is that form's one cached tape
+    import formflow.cli as cli
+
+    cfg = cli.parse_config(KELVIN)
+    lies, pairs = [], []
+    real_lie, real_checks = fm.lie_derivative, ch.invariance_checks
+
+    def checks(batch, V, *args, **kwargs):
+        pairs.extend(batch)
+        return real_checks(batch, V, *args, **kwargs)
+
+    monkeypatch.setattr(
+        fm, "lie_derivative", lambda V, w: lies.append((w, real_lie(V, w))) or lies[-1][1]
+    )
+    monkeypatch.setattr(ch, "invariance_checks", checks)
+    assert cli.run(cfg).passed
+    A = {id(w) for w, c in pairs if c.name.startswith("circle")}
+    assert len(A) == 1
+    built = [out for w, out in lies if id(w) in A]
+    assert len(built) >= 3 and all(out is built[0] for out in built)

@@ -240,7 +240,9 @@ def test_a_run_leaves_no_expressions_behind(text, monkeypatch):
     # run of the same config repeats the first one's derivative work
     calls = []
     real = ex._derivative
-    monkeypatch.setattr(ex, "_derivative", lambda e, i: calls.append(i) or real(e, i))
+    monkeypatch.setattr(
+        ex, "_derivative", lambda e, i, partial: calls.append(i) or real(e, i, partial)
+    )
     cfg = cli.parse_config(text)
     gc.collect()
     before = len(ex._NODES)

@@ -776,7 +776,9 @@ def test_square_of_a_quotient_folds_at_once():
 def test_partials_are_computed_once_per_node(monkeypatch):
     calls = []
     real = ex._derivative
-    monkeypatch.setattr(ex, "_derivative", lambda e, i: calls.append(i) or real(e, i))
+    monkeypatch.setattr(
+        ex, "_derivative", lambda e, i, partial: calls.append(i) or real(e, i, partial)
+    )
     e = ex.mul(ex.sin(ex.mul(X, Y)), ex.atan2(Y, ex.add(X, ex.Const(2))),
                ex.ln(ex.add(ex.power(Z, 2), ex.ONE)), ex.quotient(ex.ONE, ex.add(X, Z)))
     first = ex.differentiate(e, 0)
@@ -1067,6 +1069,31 @@ def test_a_deep_chain_prints_keys_and_compiles():
     for _ in range(1000):
         want = math.sin(want)
     assert ex.Tape((ex.mul(e, Y),)).at((0.5, 2.0, 0.0, 0.0)) == [pytest.approx(want * 2.0)]
+
+
+@pytest.mark.parametrize("name", ["sin", "exp"])
+@pytest.mark.parametrize("scoped", [False, True])
+def test_a_deep_chain_differentiates(name, scoped):
+    # differentiate keeps an explicit stack too, inside a run memo or not
+    f = getattr(ex, name)
+    chain = [X]
+    for _ in range(1000):
+        chain.append(f(chain[-1]))
+    e = chain[-1]
+    if scoped:
+        with ex.run_memo():
+            d = ex.differentiate(e, 0)
+    else:
+        d = ex.differentiate(e, 0)
+    # the chain rule: the product of f' at every level below e
+    want = [ex.cos(c) for c in chain[:-1]] if name == "sin" else chain[1:]
+    assert isinstance(d, ex.Product) and set(d.factors) == set(want)
+    assert ex.differentiate(e, 1) is ex.ZERO
+    if name == "sin":
+        value, slope = 0.5, 1.0
+        for _ in range(1000):
+            value, slope = math.sin(value), slope * math.cos(value)
+        assert ex.Tape((d,)).at((0.5, 0.0, 0.0, 0.0)) == [pytest.approx(slope)]
 
 
 def test_to_text_leaves_no_cyclic_garbage():

@@ -240,3 +240,54 @@ def test_form_to_text_mentions_basis():
     w = fm.form_from_coeffs(CHART, 2, {(0, 3): ex.mul(ex.Const(2), Y)})
     text = fm.form_to_text(w)
     assert "dx" in text and "dt" in text
+
+
+# ---------------------------------------------------------------------------
+# The Cartan operations within one run
+
+
+def _cartan(a, b, V):
+    return [fm.exterior_derivative(a), fm.wedge(a, b), fm.interior(V, b), fm.lie_derivative(V, a)]
+
+
+def test_cartan_operations_are_built_once_per_run():
+    r = rng(19)
+    a, b, V = random_form(r, 1), random_form(r, 2), random_field(r, smooth=True)
+
+    def anew():  # equal operands, new objects
+        return (fm.form_from_coeffs(CHART, 1, a.coeffs), fm.form_from_coeffs(CHART, 2, b.coeffs),
+                fm.VectorField(CHART, V.components, V.support))
+
+    outside = _cartan(a, b, V)
+    assert all(x is not y for x, y in zip(_cartan(a, b, V), outside))
+    with ex.run_memo():
+        kept = _cartan(a, b, V)
+        assert all(x is y for x, y in zip(_cartan(*anew()), kept))
+        # nodes are interned: the kept forms are the ones built outside
+        assert [w.coeffs for w in kept] == [w.coeffs for w in outside]
+        # another field, or a field with another support, is another operand
+        W = V.rescaled(ex.add(X, ex.ONE))
+        assert fm.interior(W, b) is not kept[2] and fm.lie_derivative(W, a) is not kept[3]
+    assert ex._MEMO.get() is None
+    assert all(x is not y for x, y in zip(_cartan(a, b, V), kept))
+
+
+@pytest.mark.parametrize("preset", ["em.torsion_nonzero", "fluid.beltrami_abc"])
+def test_a_run_calls_each_cartan_operation_through_its_module(monkeypatch, preset):
+    # the kept operations are still the module attributes a run calls, so
+    # wrapping them by name (as the benchmark's tracer does) sees every call
+    import formflow.cli as cli
+
+    names = ("exterior_derivative", "wedge", "interior", "lie_derivative")
+    calls = {name: 0 for name in names}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(fm, name, counted(name, getattr(fm, name)))
+    cli.run(cli.parse_config(f"[run]\npreset = {preset}\n"))
+    assert all(calls.values()), calls
