@@ -1,10 +1,11 @@
-"""Command-line surface: parse a run config, execute batteries, report.
+"""Command-line surface: parse a run config, run its batteries, report.
 
 The config format is line-oriented: `[section]` headers and `key = value`
 lines, `#` comments, blank lines ignored.  Expression values use the same
 grammar as the expression parser.  Reports serialize to JSON with sorted
 keys and no timestamps, so identical config plus seed yields byte-identical
-output.
+output.  run builds the run's Runtime and runs the selected batteries of
+formflow.batteries, which declares every check they report.
 
 Exit codes: 0 every selected check passed, 1 at least one check failed,
 2 configuration error, 3 internal error or inconclusive verdict.
@@ -22,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
+from . import batteries as bt
 from . import chains as ch
 from . import expr as ex
 from . import finite_topology as ft
@@ -30,7 +32,7 @@ from . import parse as ps
 from . import pfaff as pf
 from . import systems as sy
 from . import thermo as th
-from .expr import Box, InconclusiveError, ZeroVerdict
+from .expr import Box, InconclusiveError
 from .forms import DifferentialForm, VectorField
 from .parse import quoted
 from .pfaff import InternalConsistencyError
@@ -51,7 +53,7 @@ __all__ = [
 ]
 
 SCHEMA = "formflow-report/1"
-BATTERIES = ("pfaff", "thermo", "theorems", "periods", "residuals", "topology")
+BATTERIES = tuple(bt.BATTERY_FUNCS)
 
 
 class ConfigError(Exception):
@@ -699,26 +701,6 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 @dataclass
-class _Check:
-    battery: str
-    name: str
-    passed: bool
-    value: float | None = None
-    tolerance: float | None = None
-    detail: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "battery": self.battery,
-            "name": self.name,
-            "passed": self.passed,
-            "value": self.value,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
-
-
-@dataclass
 class Report:
     document: dict
     passed: bool
@@ -739,59 +721,7 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o).__name__}")
 
 
-def _verdict_dict(v: ZeroVerdict) -> dict:
-    out = {
-        "zero": v.zero,
-        "syntactic": v.syntactic,
-        "samples": v.samples,
-        "skipped": v.skipped,
-    }
-    if v.witness is not None:
-        out["witness"] = list(v.witness)
-        out["witness_value"] = v.witness_value
-    return out
-
-
-@dataclass
-class _Runtime:
-    """One run's inputs and the anatomy of its action.
-
-    anatomy.context is the run's zero tester: the resolved box with the
-    config's seed.  Every sampled verdict of the run uses it.
-    """
-
-    cfg: RunConfig
-    chart: ex.Chart
-    anatomy: pf.Anatomy
-    processes: tuple[tuple[str, VectorField], ...]
-    chains: tuple[ch.Chain, ...]
-    params: dict[str, float]
-    system: sy.FluidSystem | sy.EMSystem | None
-    tol: float
-
-    @property
-    def action(self) -> DifferentialForm:
-        return self.anatomy.A
-
-    @property
-    def context(self) -> ex.ZeroTester:
-        return self.anatomy.context
-
-    def probe_point(self) -> tuple[float, ...]:
-        if self.anatomy.points:
-            return self.anatomy.points[0]
-        box = self.context.box
-        return tuple((lo + hi) / 2.0 for lo, hi in zip(box.lows, box.highs))
-
-    def sample(self, e: ex.ScalarExpr) -> float | None:
-        """e at the probe point, or None where it is singular there."""
-        try:
-            return ex.Tape((e,)).at(self.probe_point(), self.params)[0]
-        except ex.ExprError:
-            return None
-
-
-def _build_runtime(cfg: RunConfig) -> _Runtime:
+def _build_runtime(cfg: RunConfig) -> bt.Runtime:
     preset = sy.get_preset(cfg.preset) if cfg.preset else None
     chart = _chart_of(cfg, preset)
     params: dict[str, float] = {}
@@ -862,8 +792,8 @@ def _build_runtime(cfg: RunConfig) -> _Runtime:
         action = fm.one_form(chart, (ex.ZERO,) * chart.dim)
 
     context = ex.ZeroTester(box, seed=cfg.seed)
-    return _Runtime(
-        cfg=cfg,
+    return bt.Runtime(
+        topology=cfg.topology,
         chart=chart,
         anatomy=pf.Anatomy(action, context, chains, points, params),
         processes=tuple(processes),
@@ -872,323 +802,6 @@ def _build_runtime(cfg: RunConfig) -> _Runtime:
         system=system,
         tol=cfg.tolerance,
     )
-
-
-# ---------------------------------------------------------------------------
-# Batteries
-
-
-def _battery_pfaff(rt: _Runtime, checks: list[_Check]) -> dict:
-    out: dict = {}
-    seq = rt.anatomy.sequence
-    out["sequence"] = {
-        "labels": list(seq.labels),
-        "verdicts": [_verdict_dict(v) for v in seq.verdicts],
-        "dimension": seq.dimension,
-        "pointwise": [
-            {"point": list(p), "dimension": d} for p, d in seq.pointwise
-        ],
-    }
-    base = pf.cartan_topological_base(rt.anatomy)
-    out["topological_base"] = {
-        "elements": [name for name, _ in base.elements],
-        "disconnected": base.disconnected,
-    }
-    consistent = base.disconnected == (seq.dimension >= 3)
-    checks.append(
-        _Check(
-            "pfaff",
-            "base_disconnection_matches_dimension",
-            consistent,
-            detail=f"dimension {seq.dimension}, disconnected {base.disconnected}",
-        )
-    )
-    if rt.chart.dim == 4 and rt.action.degree == 1:
-        data = rt.anatomy.torsion
-        out["torsion"] = {
-            "vector": [ex.to_text(c, rt.chart) for c in data.vector.components],
-            "gamma": ex.to_text(data.gamma, rt.chart),
-            "gamma_at_probe": rt.sample(data.gamma),
-            "parity_coefficient": ex.to_text(data.parity_coefficient, rt.chart),
-            "parity_at_probe": rt.sample(data.parity_coefficient),
-            "helicity_density": ex.to_text(data.helicity_density, rt.chart),
-        }
-        genus = rt.anatomy.genus
-        out["genus"] = {
-            "genus": genus.genus,
-            "torsion_current_zero": genus.torsion_current_zero,
-        }
-        checks.append(
-            _Check(
-                "pfaff",
-                "low_dimension_forces_genus_3",
-                genus.genus == 3 or seq.dimension >= 3,
-                detail=f"genus {genus.genus}, dimension {seq.dimension}",
-            )
-        )
-        out["frobenius_integrable"] = not base.disconnected
-    return out
-
-
-def _battery_thermo(rt: _Runtime, checks: list[_Check]) -> dict:
-    out: dict = {}
-    for name, J in rt.processes:
-        rep = th.process_report(rt.anatomy, J)
-        entry = {
-            "category": rep.category,
-            "flags": rep.flags.as_dict(),
-            "Q": fm.form_to_text(rep.Q),
-            "W": fm.form_to_text(rep.W),
-            "U": fm.form_to_text(rep.U),
-            "heat_pfaff_dimension": rep.pfaff.dimension,
-            "work_periods": list(rep.work_periods),
-            "second_variation": {
-                "closed_flow": rep.second.closed_flow,
-                "dR_zero": rep.second.dR_zero,
-                "exactness_residual_zero": rep.second.exactness_residual_zero,
-                "wedge_comparison_zero": rep.second.wedge_comparison_zero,
-                "periods": list(rep.second.periods),
-                "periods_vanish": rep.second.periods_vanish,
-            },
-        }
-        out[name] = entry
-        transversal = pf.form_is_zero(fm.interior(J, rep.W), rt.context)
-        checks.append(
-            _Check(
-                "thermo",
-                f"work_transversality.{name}",
-                transversal.zero,
-                detail="i(J)W = 0",
-            )
-        )
-        checks.append(
-            _Check(
-                "thermo",
-                f"category_assigned.{name}",
-                rep.category != th.CATEGORY_UNCLASSIFIED,
-                detail=rep.category,
-            )
-        )
-        if rep.flags.closed_flow:
-            ok = (
-                rep.second.dR_zero
-                and rep.second.exactness_residual_zero
-                and rep.second.wedge_comparison_zero
-                and rep.second.periods_vanish is not False
-            )
-            checks.append(
-                _Check(
-                    "thermo",
-                    f"closed_flow_second_variation.{name}",
-                    ok,
-                    detail="R exact with vanishing periods",
-                )
-            )
-    return out
-
-
-def _battery_theorems(rt: _Runtime, checks: list[_Check]) -> dict:
-    out: dict = {}
-    F, H = rt.anatomy.dA, rt.anatomy.H
-    closed_2 = [c for c in rt.chains if c.degree == 2 and c.closed]
-    closed_1 = rt.anatomy.cycles
-    closed_3 = [c for c in rt.chains if c.degree == 3 and c.closed]
-
-    def record(kind: str, pname: str, cname: str, inv: ch.InvarianceResult):
-        key = f"{kind}.{pname}.{cname}"
-        out[key] = {
-            "derivative_estimate": inv.derivative_estimate,
-            "lie_integral": inv.lie_integral,
-            "scale": inv.scale,
-            "mode": inv.mode,
-            "passed": inv.passed,
-        }
-        checks.append(
-            _Check(
-                "theorems",
-                key,
-                inv.passed,
-                value=inv.derivative_estimate,
-                tolerance=inv.tolerance * inv.scale,
-            )
-        )
-
-    for pname, J in rt.processes:
-        rep = th.process_report(rt.anatomy, J)
-        # (theorems recorded, form, chain), checked in one batch per process
-        flux = ("theorem_I_flux", "theorem_II_helmholtz")
-        jobs = [(flux if rep.flags.extremal else flux[:1], F, c) for c in closed_2]
-        if rep.flags.extremal:
-            jobs += [(("theorem_III_circulation",), rt.action, c) for c in closed_1]
-            jobs += [(("theorem_III_torsion_flux",), H, c) for c in closed_3]
-        results = ch.invariance_checks(
-            [(w, c) for _, w, c in jobs], J, tol=rt.tol, params=rt.params or None
-        )
-        for (kinds, _, chain), inv in zip(jobs, results):
-            for kind in kinds:
-                record(kind, pname, chain.name, inv)
-        if rep.flags.closed_flow:
-            # the second variation integrated R over exactly these cycles
-            for chain, result in zip(closed_1, rep.second.integrals):
-                bound = rt.tol * (1.0 + result.scale)
-                key = f"theorem_IV_radiation_period.{pname}.{chain.name}"
-                out[key] = {
-                    "period": result.value,
-                    "scale": result.scale,
-                    "passed": abs(result.value) <= bound,
-                }
-                checks.append(
-                    _Check(
-                        "theorems",
-                        key,
-                        abs(result.value) <= bound,
-                        value=result.value,
-                        tolerance=bound,
-                    )
-                )
-    return out
-
-
-def _battery_periods(rt: _Runtime, checks: list[_Check]) -> dict:
-    out: dict = {}
-    closed_action = rt.anatomy.closed
-    out["action_closed"] = _verdict_dict(closed_action)
-    cycles = rt.anatomy.cycles
-    if not closed_action.zero or not cycles:
-        out["applicable"] = False
-        return out
-    out["applicable"] = True
-    # closedness was just tested; the spectrum is built from the periods alone
-    spectrum = ch.PeriodSpectrum.of(
-        [ch.integrate(rt.action, c, params=rt.anatomy.params) for c in cycles]
-    )
-    out["spectrum"] = {
-        "cycles": [c.name for c in cycles],
-        "periods": list(spectrum.periods),
-        "base": spectrum.base,
-        "ratios": list(spectrum.ratios),
-        "integer_deviation": list(spectrum.integer_deviation),
-    }
-    for cycle, dev in zip(cycles, spectrum.integer_deviation):
-        checks.append(
-            _Check(
-                "periods",
-                f"integer_ratio.{cycle.name}",
-                dev <= rt.tol,
-                value=dev,
-                tolerance=rt.tol,
-            )
-        )
-    return out
-
-
-def _battery_residuals(rt: _Runtime, checks: list[_Check]) -> dict:
-    out: dict = {}
-    if isinstance(rt.system, sy.FluidSystem):
-        rep = sy.fluid_diagnostics(rt.system, rt.anatomy)
-        eng = rep.engineering
-        torsion = eng.kinematic
-        out["vorticity"] = [ex.to_text(c, rt.chart) for c in rep.vorticity.omega]
-        out["acceleration"] = [ex.to_text(c, rt.chart) for c in rep.vorticity.acceleration]
-        out["euler_residual"] = [ex.to_text(c, rt.chart) for c in rep.euler]
-        out["euler_satisfied"] = rep.euler_satisfied
-        out["momentum_residual"] = [ex.to_text(c, rt.chart) for c in rep.ns.residual]
-        out["work_form"] = fm.form_to_text(rep.ns.work_form)
-        out["torsion_current"] = [ex.to_text(c, rt.chart) for c in torsion.current]
-        out["helicity_density"] = ex.to_text(torsion.helicity_density, rt.chart)
-        out["anomaly"] = ex.to_text(torsion.anomaly, rt.chart)
-        out["engineering_torsion"] = {
-            "current": [ex.to_text(c, rt.chart) for c in eng.current],
-            "agrees_on_solution": eng.ns_satisfied,
-            "warning": eng.warning,
-        }
-        out["incompressibility"] = _verdict_dict(rep.incompressible)
-        checks.extend(
-            _Check("residuals", name, passed, detail=detail)
-            for name, passed, detail in (
-                ("induction_identities", True, "curl a + dw/dt = 0, div w = 0"),
-                ("momentum_balance", rep.ns.satisfied, "viscous momentum residual zero verdict"),
-                ("torsion_balance_law", True, "div T + dh/dt = anomaly"),
-                ("mass_conservation_unit_density", rep.incompressible.zero,
-                 "div v = 0 with rho = 1"),
-            )
-        )
-    elif isinstance(rt.system, sy.EMSystem):
-        rep = sy.em_diagnostics(rt.system, rt.anatomy)
-        out["E"] = [ex.to_text(c, rt.chart) for c in rep.E]
-        out["B"] = [ex.to_text(c, rt.chart) for c in rep.B]
-        out["current"] = [ex.to_text(c, rt.chart) for c in rep.current]
-        out["helicity_density"] = ex.to_text(rep.helicity_density, rt.chart)
-        out["gamma"] = ex.to_text(rep.torsion.gamma, rt.chart)
-        out["gamma_at_probe"] = rt.sample(rep.torsion.gamma)
-        out["parity_coefficient"] = ex.to_text(rep.parity_coefficient, rt.chart)
-        out["listed_parity"] = ex.to_text(rep.listed_parity, rt.chart)
-        out["parity_at_probe"] = rt.sample(rep.parity_coefficient)
-        out["genus"] = rep.genus.genus
-        out["torsion_process_category"] = rep.process.category
-        checks.append(
-            _Check(
-                "residuals",
-                "field_identities",
-                True,
-                detail="dF = 0, current list, gamma = E.B, parity = 2 E.B, divergence law",
-            )
-        )
-    else:
-        out["applicable"] = False
-    return out
-
-
-def _battery_topology(rt: _Runtime, checks: list[_Check]) -> dict:
-    spec = rt.cfg.topology
-    if spec is None:
-        return {"applicable": False}
-    out: dict = {"applicable": True}
-    t1 = ft.FiniteTopology(spec.points, [frozenset(s) for s in spec.opens])
-    out["domain"] = {
-        "points": sorted(t1.ground),
-        "opens": [sorted(s) for s in t1.opens],
-    }
-    if spec.codomain_points:
-        t2 = ft.FiniteTopology(
-            spec.codomain_points, [frozenset(s) for s in spec.codomain_opens]
-        )
-    else:
-        t2 = t1
-    out["codomain"] = {
-        "points": sorted(t2.ground),
-        "opens": [sorted(s) for s in t2.opens],
-    }
-    if not spec.map:
-        return out
-    f = ft.PointMap(dict(spec.map), t1.ground, t2.ground)
-    forward = ft.is_continuous(f, t1, t2)
-    closure_def = ft.is_continuous_via_closure(f, t1, t2)
-    inverse = ft.inverse_continuous(f, t1, t2)
-    out["forward_continuous"] = bool(forward)
-    out["forward_witness"] = sorted(forward.witness) if forward.witness else None
-    out["closure_definition_continuous"] = bool(closure_def)
-    out["inverse_continuous"] = bool(inverse)
-    out["inverse_witness"] = sorted(inverse.witness) if inverse.witness else None
-    checks.append(
-        _Check(
-            "topology",
-            "continuity_definitions_agree",
-            bool(forward) == bool(closure_def),
-            detail="preimage and closure definitions",
-        )
-    )
-    return out
-
-
-_BATTERY_FUNCS = {
-    "pfaff": _battery_pfaff,
-    "thermo": _battery_thermo,
-    "theorems": _battery_theorems,
-    "periods": _battery_periods,
-    "residuals": _battery_residuals,
-    "topology": _battery_topology,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -1205,13 +818,13 @@ def run(cfg: RunConfig) -> Report:
     """
     with ex.run_memo():
         rt = _build_runtime(cfg)
-        checks: list[_Check] = []
+        checks = bt.Checks()
         batteries: dict[str, dict] = {}
         errors: dict[str, str] = {}
 
         for name in cfg.selected_batteries():
             try:
-                batteries[name] = _BATTERY_FUNCS[name](rt, checks)
+                batteries[name] = bt.BATTERY_FUNCS[name](rt, checks)
             except (InconclusiveError, InternalConsistencyError) as e:
                 batteries[name] = {"error": f"{type(e).__name__}: {e}"}
                 errors[name] = str(e)

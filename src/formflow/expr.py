@@ -1301,28 +1301,25 @@ def _fault(node: ScalarExpr, memo: Mapping[ScalarExpr, np.ndarray], i: int) -> s
 def _singularity(e: ScalarExpr, memo, points: np.ndarray) -> SingularityError:
     """The error for the first node, in evaluation order, with a singular
     row, at that node's first such row; a quotient is singular where its
-    denominator is zero before its numerator is reached."""
+    denominator is zero before its numerator is reached.  The walk keeps
+    its own stack, so a tree of any depth gets its error."""
     seen: set[ScalarExpr] = set()
-
-    def first(node: ScalarExpr):
-        if node in seen:
-            return None
+    stack = [(e, 0)]  # (node, how many of its operands are walked)
+    while stack:
+        node, done = stack.pop()
+        if done == 0 and node in seen:
+            continue
         seen.add(node)
-        for j, child in enumerate(_children(node)):
-            found = first(child)
-            if found is not None:
-                return found
-            if j == 0 and isinstance(node, Quotient):
-                zero = memo[child] == 0.0
-                if zero.any():
-                    return node, int(np.argmax(zero))
-        bad = np.isnan(memo[node])
-        return (node, int(np.argmax(bad))) if bad.any() else None
-
-    try:
-        node, i = first(e)
-    finally:
-        del first  # first refers to itself; break the cycle
+        kids, bad = _children(node), None
+        if done == 1 and isinstance(node, Quotient):
+            bad = memo[kids[0]] == 0.0
+        elif done == len(kids):
+            bad = np.isnan(memo[node])
+        if bad is not None and bad.any():
+            break
+        if done < len(kids):
+            stack += [(node, done + 1), (kids[done], 0)]
+    i = int(np.argmax(bad))
     pt = tuple(points[i].tolist())
     return SingularityError(
         f"{_fault(node, memo, i)} in {to_text(node)} at point {pt}", node, pt

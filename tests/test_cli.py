@@ -18,7 +18,6 @@ import formflow.chains as ch
 import formflow.cli as cli
 import formflow.expr as ex
 import formflow.parse as parse
-import formflow.pfaff as pf
 import formflow.systems as sy
 import formflow.thermo as th
 
@@ -386,50 +385,6 @@ def test_run_builds_its_preset_and_classifies_each_process_once(monkeypatch, cap
     assert cli.main(["run", str(CONFIGS / "em_torsion.cfg"), "--no-summary"]) == 0
     capsys.readouterr()
     assert calls == {"get_preset": 2, "classify": 2}  # parse_config + run; 2 processes
-
-
-def test_fluid_residuals_battery_builds_vorticity_once(monkeypatch):
-    calls = {}
-
-    def counting(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        calls[name] = 0
-        monkeypatch.setattr(module, name, wrapper)
-
-    cfg = cli.parse_config("[run]\npreset = fluid.beltrami_abc\nbattery = residuals\n")
-    for name in ("vorticity_fields", "_curl", "_time", "_grad"):
-        counting(sy, name)
-    counting(th, "first_law")
-    assert cli.run(cfg).passed
-    # omega, a, curl omega and the Euler residual are built once per system,
-    # and the residuals battery leaves the first-law split to thermo
-    assert calls.pop("vorticity_fields") == 1
-    assert calls.pop("first_law") == 0
-    assert all(n <= 3 for n in calls.values()), calls
-
-
-@pytest.mark.parametrize("preset", ["harmonic.winding", "em.plane_wave"])
-def test_dA_is_zero_tested_once_per_run(preset, monkeypatch):
-    # the periods battery and the Pfaff sequence read the anatomy's dA
-    # verdict; a periods-only run builds no sequence
-    anatomies, tested = [], []
-    init, form_is_zero = pf.Anatomy.__init__, pf.form_is_zero
-    monkeypatch.setattr(
-        pf.Anatomy, "__init__", lambda self, *a, **k: anatomies.append(self) or init(self, *a, **k)
-    )
-    monkeypatch.setattr(pf, "form_is_zero", lambda w, t: tested.append(w) or form_is_zero(w, t))
-    for batteries in ("periods", "pfaff,periods", "periods,pfaff"):
-        anatomies.clear()
-        tested.clear()
-        cli.run(cli.parse_config(f"[run]\npreset = {preset}\nbattery = {batteries}\n"))
-        a = anatomies[0]
-        assert sum(w is a.dA for w in tested) == 1, batteries
-        assert ("sequence" in vars(a)) == ("pfaff" in batteries), batteries
 
 
 def test_flags_pass_the_config_checks(tmp_path, capsys):

@@ -1096,6 +1096,22 @@ def test_a_deep_chain_differentiates(name, scoped):
         assert ex.Tape((d,)).at((0.5, 0.0, 0.0, 0.0)) == [pytest.approx(slope)]
 
 
+def test_a_deep_chain_reports_its_singular_row():
+    # the singularity search keeps an explicit stack too: sin^1000(x - 1) is
+    # negative at x = 0, so ln of it is the first singular node there, and a
+    # zero denominator is found before the numerator is walked
+    e = ex.add(X, ex.const(-1))
+    for _ in range(1000):
+        e = ex.sin(e)
+    rows = np.array([[2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    for root, fault in ((ex.ln(e), "ln of nonpositive value in ln(sin("),
+                        (ex.quotient(ex.ln(e), Y), "division by zero in ln(sin(")):
+        with pytest.raises(ex.SingularityError) as err:
+            ex.Tape((ex.ONE, root)).values(rows, {})
+        assert str(err.value).startswith(fault)
+        assert str(err.value).endswith(" at point (0.0, 0.0, 0.0, 0.0)")
+
+
 def test_to_text_leaves_no_cyclic_garbage():
     e = X
     for _ in range(300):
