@@ -14,12 +14,15 @@ the simplifier.
 
 Construction normalizes once.  Every node a constructor builds from normal
 inputs is normal: it is what the full simplify() rebuild would return, and
-it is marked, so simplify() returns it as it is.  mul() sends a merged power
-of a constant, quotient, product or power through power() at once (q*q is
-num^2/den^2, not Pow(q, 2)).  Only hand-built trees (a Sum or Product
-nested in another, say) and the nodes built over them stay unmarked;
-simplify() runs where such trees enter: form, vector field and chain cell
-construction, and the zero test.
+it is marked, so simplify() returns it as it is.  Over normal inputs a
+constructor hands back an input node wherever the rebuild would give that
+node: add() keeps a term no like term merged into, mul() its one constant
+and a base's one power factor.  mul() sends a merged power of a constant,
+quotient, product or power through power() at once (q*q is num^2/den^2,
+not Pow(q, 2)).  Only hand-built trees (a Sum or Product nested in another,
+say) and the nodes built over them stay unmarked; simplify() runs where
+such trees enter: form, vector field and chain cell construction, and the
+zero test.
 
 Each partial derivative of a node is built once.  Inside run_memo(), the
 scope cli.run opens for one run, add() and mul() remember their result per
@@ -205,17 +208,20 @@ def _interned(cls, structure) -> tuple["ScalarExpr", bool]:
     node = object.__new__(cls)
     _NODES[structure] = weakref.KeyedRef(node, _forget, structure)
     object.__setattr__(node, "_key", None)
+    object.__setattr__(node, "_order", None)
     object.__setattr__(node, "_partials", None)
     return node, True
 
 
 class ScalarExpr:
-    # _key: the canonical key, built on first use; _normal: the node is a
-    # fixed point of the full simplify() rebuild (set by the leaf classes
-    # and by the normalizing constructors, never unset); _partials:
-    # {coordinate index: derivative}, filled by differentiate(); _poly: the
-    # tree is a polynomial (no quotient, function or negative power)
-    __slots__ = ("_key", "_normal", "_partials", "_poly", "__weakref__")
+    # _key: the canonical key, built on first use; _order: the node's sort
+    # order as a term of a sum, the key of its symbolic factors, cached by
+    # _term_order; _normal: the node is a fixed point of the full
+    # simplify() rebuild (set by the leaf classes and by the normalizing
+    # constructors, never unset); _partials: {coordinate index:
+    # derivative}, filled by differentiate(); _poly: the tree is a
+    # polynomial (no quotient, function or negative power)
+    __slots__ = ("_key", "_order", "_normal", "_partials", "_poly", "__weakref__")
 
     def _build_key(self) -> str:
         raise NotImplementedError
@@ -499,6 +505,9 @@ def _const_value(e: ScalarExpr):
     return e.value if isinstance(e, Const) else None
 
 
+_UNIT = Fraction(1)
+
+
 def _coeff_and_rest(term: ScalarExpr) -> tuple[Number, tuple[ScalarExpr, ...]]:
     """Split a normalized term into (numeric coefficient, symbolic factors)."""
     if isinstance(term, Const):
@@ -507,12 +516,18 @@ def _coeff_and_rest(term: ScalarExpr) -> tuple[Number, tuple[ScalarExpr, ...]]:
         head = term.factors[0]
         if isinstance(head, Const):
             return head.value, term.factors[1:]
-        return Fraction(1), term.factors
-    return Fraction(1), (term,)
+        return _UNIT, term.factors
+    return _UNIT, (term,)
 
 
-def _rest_order(rest: tuple[ScalarExpr, ...]) -> str:
-    return rest[0].key if len(rest) == 1 else " ".join(f.key for f in rest)
+def _term_order(term: ScalarExpr, rest: tuple[ScalarExpr, ...]) -> str:
+    """The sort order in a sum of term, whose symbolic factors are rest:
+    their key, cached on the node."""
+    order = term._order
+    if order is None:
+        order = rest[0].key if len(rest) == 1 else " ".join(f.key for f in rest)
+        object.__setattr__(term, "_order", order)
+    return order
 
 
 _key_of = operator.attrgetter("key")
@@ -528,13 +543,20 @@ def _remembered(build, table: int, operands: tuple) -> ScalarExpr:
     # the table's keys are tuples of nodes, which no tuple holding a number
     # equals: 2, 2.0 and Fraction(2) are equal and hash alike, their nodes not
     out = results.get(operands)
+    if out is not None:
+        return out
+    for o in operands:
+        if not (isinstance(o, ScalarExpr) and o._normal):
+            break
+    else:  # every operand is a normal node already
+        out = results[operands] = build(*operands)
+        return out
+    operands = tuple(map(as_expr, operands))
+    if not all(o._normal for o in operands):
+        return build(*operands)
+    out = results.get(operands)
     if out is None:
-        operands = tuple(map(as_expr, operands))
-        if not all(o._normal for o in operands):
-            return build(*operands)
-        out = results.get(operands)
-        if out is None:
-            out = results[operands] = build(*operands)
+        out = results[operands] = build(*operands)
     return out
 
 
@@ -555,7 +577,8 @@ def _add(*terms) -> ScalarExpr:
         else:
             flat.append(t)
 
-    # collect like terms keyed on the symbolic factor tuple
+    # collect like terms keyed on the symbolic factor tuple; a bucket keeps
+    # its first term, and whether it is still the only one
     normal = True
     buckets: dict[tuple, list] = {}
     for t in flat:
@@ -565,15 +588,18 @@ def _add(*terms) -> ScalarExpr:
         coeff, rest = _coeff_and_rest(t)
         bucket = buckets.get(rest)
         if bucket is None:
-            buckets[rest] = [coeff, rest]
+            buckets[rest] = [coeff, rest, t, True]
         else:
             bucket[0] = bucket[0] + coeff
+            bucket[3] = False
 
     out: list[ScalarExpr] = []
-    for coeff, rest in sorted(buckets.values(), key=lambda b: _rest_order(b[1])):
+    for coeff, rest, term, alone in sorted(buckets.values(), key=lambda b: _term_order(b[2], b[1])):
         if coeff == 0:
             continue
-        if not rest:
+        if normal and alone:
+            out.append(term)  # a normal term, untouched: the rebuild gives it back
+        elif not rest:
             out.append(Const(coeff))
         elif coeff == 1:
             out.append(rest[0] if len(rest) == 1 else _mark(Product(rest), normal))
@@ -597,8 +623,11 @@ def _mul(*factors) -> ScalarExpr:
 
     normal = True
     coeff: Number | None = None  # the product of the constant factors, if any
-    # powers of identical bases are merged: keyed on the base node
+    lone = ONE  # the one constant factor, while there is at most one
+    # powers of identical bases are merged: keyed on the base node; `pows`
+    # keeps a base's Pow factor while it is the base's only factor
     bases: dict[ScalarExpr, int] = {}
+    pows: dict[ScalarExpr, ScalarExpr | None] = {}
     for f in flat:
         t = type(f)
         # a factor that is itself a Product comes from a hand-built nested one
@@ -607,16 +636,22 @@ def _mul(*factors) -> ScalarExpr:
         if t is Const:
             if f.value == 0:
                 return ZERO
-            coeff = f.value if coeff is None else coeff * f.value
+            if coeff is None:
+                coeff, lone = f.value, f
+            else:
+                coeff, lone = coeff * f.value, None
         elif t is Pow:
+            pows[f.base] = None if f.base in bases else f
             bases[f.base] = bases.get(f.base, 0) + f.exponent
         else:
+            pows[f] = None
             bases[f] = bases.get(f, 0) + 1
     if coeff is None:
-        coeff = Fraction(1)
+        coeff = _UNIT
 
     if coeff == 0:
         return ZERO
+    c = lone or Const(coeff)
     rest: list[ScalarExpr] = []
     folded = False
     for base in sorted(bases, key=_key_of):
@@ -629,21 +664,22 @@ def _mul(*factors) -> ScalarExpr:
             rest.append(Pow(base, expo))  # over a hand-built input: simplify() rebuilds it
         else:
             # power() folds a constant base and expands a quotient, product
-            # or power (q*q is num^2/den^2), as simplify() would
-            p = power(base, expo)
+            # or power (q*q is num^2/den^2), as simplify() would; a lone
+            # normal Pow factor is what it would give back
+            p = pows[base] or power(base, expo)
             folded = folded or not (isinstance(p, Pow) and p.base is base)
             rest.append(p)
     if folded:
-        return mul(*((Const(coeff),) if coeff != 1 else ()), *rest)
+        return mul(*((c,) if coeff != 1 else ()), *rest)
 
     if not rest:
-        return Const(coeff)
+        return c
     if coeff != 1:
         # distribute a bare constant over a lone sum so that c*(a+b) and
         # c*a + c*b collect to the same tree (linear, no expression swell)
         if len(rest) == 1 and isinstance(rest[0], Sum):
-            return add(*(mul(Const(coeff), t) for t in rest[0].terms))
-        return _mark(Product((Const(coeff),) + tuple(rest)), normal)
+            return add(*(mul(c, t) for t in rest[0].terms))
+        return _mark(Product((c,) + tuple(rest)), normal)
     if len(rest) == 1:
         return rest[0]
     return _mark(Product(tuple(rest)), normal)
@@ -1321,9 +1357,10 @@ def _singularity(e: ScalarExpr, memo, points: np.ndarray) -> SingularityError:
             stack += [(node, done + 1), (kids[done], 0)]
     i = int(np.argmax(bad))
     pt = tuple(points[i].tolist())
-    return SingularityError(
-        f"{_fault(node, memo, i)} in {to_text(node)} at point {pt}", node, pt
-    )
+    text = to_text(node)
+    if len(text) > 60:  # bounded as parse.quoted bounds a config text
+        text = f"{text[:60]}... ({len(text)} characters)"
+    return SingularityError(f"{_fault(node, memo, i)} in {text} at point {pt}", node, pt)
 
 
 def eval_with_scale(
@@ -1376,8 +1413,10 @@ def to_text(e: ScalarExpr, chart: Chart | None = None) -> str:
 
     Each distinct node is rendered once, children first, off an explicit
     stack, so depth is bounded by memory, not by the recursion limit.
+    Inside run_memo() the node -> text table is kept per chart for the
+    run, so each node is rendered once per run.
     """
-    text: dict[ScalarExpr, str] = {}
+    text: dict[ScalarExpr, str] = remember(("to_text", chart), dict)
     stack = [e]
     while stack:
         node = stack[-1]

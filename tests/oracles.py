@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 
@@ -361,6 +362,130 @@ def reference_differentiate(e, index: int):
 
 
 # ---------------------------------------------------------------------------
+# Sums and products rebuilt term by term
+#
+# add and mul as they were before the constructors handed back the nodes
+# they were given: every term of a sum and every constant or power factor
+# of a product is built again through its constructor, the term order is
+# the keys of the symbolic factors joined afresh, and nothing is kept in a
+# run memo.  Over any operands the library must return the node these do.
+
+def _reference_coeff_and_rest(term):
+    if isinstance(term, ex.Const):
+        return term.value, ()
+    if isinstance(term, ex.Product):
+        head = term.factors[0]
+        if isinstance(head, ex.Const):
+            return head.value, term.factors[1:]
+        return Fraction(1), term.factors
+    return Fraction(1), (term,)
+
+
+def _reference_rest_order(rest) -> str:
+    return rest[0].key if len(rest) == 1 else " ".join(f.key for f in rest)
+
+
+def reference_add(*terms):
+    flat = []
+    for t in terms:
+        t = ex.as_expr(t)
+        if isinstance(t, ex.Sum):
+            flat.extend(t.terms)
+        else:
+            flat.append(t)
+
+    # collect like terms keyed on the symbolic factor tuple
+    normal = True
+    buckets: dict[tuple, list] = {}
+    for t in flat:
+        # a term that is itself a Sum comes from a hand-built nested Sum
+        if not t._normal or type(t) is ex.Sum:
+            normal = False
+        coeff, rest = _reference_coeff_and_rest(t)
+        bucket = buckets.get(rest)
+        if bucket is None:
+            buckets[rest] = [coeff, rest]
+        else:
+            bucket[0] = bucket[0] + coeff
+
+    out = []
+    for coeff, rest in sorted(buckets.values(), key=lambda b: _reference_rest_order(b[1])):
+        if coeff == 0:
+            continue
+        if not rest:
+            out.append(ex.Const(coeff))
+        elif coeff == 1:
+            out.append(rest[0] if len(rest) == 1 else ex._mark(ex.Product(rest), normal))
+        else:
+            out.append(ex._mark(ex.Product((ex.Const(coeff),) + rest), normal))
+    if not out:
+        return ex.ZERO
+    if len(out) == 1:
+        return out[0]
+    return ex._mark(ex.Sum(tuple(out)), normal)
+
+
+def reference_mul(*factors):
+    flat = []
+    for f in factors:
+        f = ex.as_expr(f)
+        if isinstance(f, ex.Product):
+            flat.extend(f.factors)
+        else:
+            flat.append(f)
+
+    normal = True
+    coeff = None  # the product of the constant factors, if any
+    # powers of identical bases are merged: keyed on the base node
+    bases: dict = {}
+    for f in flat:
+        t = type(f)
+        # a factor that is itself a Product comes from a hand-built nested one
+        if not f._normal or t is ex.Product:
+            normal = False
+        if t is ex.Const:
+            if f.value == 0:
+                return ex.ZERO
+            coeff = f.value if coeff is None else coeff * f.value
+        elif t is ex.Pow:
+            bases[f.base] = bases.get(f.base, 0) + f.exponent
+        else:
+            bases[f] = bases.get(f, 0) + 1
+    if coeff is None:
+        coeff = Fraction(1)
+
+    if coeff == 0:
+        return ex.ZERO
+    rest = []
+    folded = False
+    for base in sorted(bases, key=lambda b: b.key):
+        expo = bases[base]
+        if expo == 0:
+            continue
+        if expo == 1:
+            rest.append(base)
+        elif not normal:
+            rest.append(ex.Pow(base, expo))
+        else:
+            p = ex.power(base, expo)
+            folded = folded or not (isinstance(p, ex.Pow) and p.base is base)
+            rest.append(p)
+    if folded:
+        return reference_mul(*((ex.Const(coeff),) if coeff != 1 else ()), *rest)
+
+    if not rest:
+        return ex.Const(coeff)
+    if coeff != 1:
+        # distribute a bare constant over a lone sum
+        if len(rest) == 1 and isinstance(rest[0], ex.Sum):
+            return reference_add(*(reference_mul(ex.Const(coeff), t) for t in rest[0].terms))
+        return ex._mark(ex.Product((ex.Const(coeff),) + tuple(rest)), normal)
+    if len(rest) == 1:
+        return rest[0]
+    return ex._mark(ex.Product(tuple(rest)), normal)
+
+
+# ---------------------------------------------------------------------------
 # Printing: the recursive printer the library replaced with an explicit
 # stack.  The library's text must equal this one's wherever this one
 # reaches (it raises RecursionError on trees a few hundred levels deep).
@@ -465,9 +590,10 @@ def reference_eval_rows(e, points, params=None) -> list[tuple[float, float]]:
     scales = [0.0] * len(pts)
 
     def singular(kind, node, i):
-        return ex.SingularityError(
-            f"{kind} in {ex.to_text(node)} at point {pts[i]}", node, pts[i]
-        )
+        text = ex.to_text(node)
+        if len(text) > 60:
+            text = f"{text[:60]}... ({len(text)} characters)"
+        return ex.SingularityError(f"{kind} in {text} at point {pts[i]}", node, pts[i])
 
     def rec(node) -> list[float]:
         got = memo.get(id(node))

@@ -1,5 +1,6 @@
 """Expression kernel: differentiation, simplification, zero testing."""
 
+import contextlib
 import gc
 import math
 import time
@@ -755,6 +756,73 @@ def test_marks_match_references_over_hand_built_children(e):
     check_against_references(e)
 
 
+# Operands for add and mul: the tree leaves plus what their fast paths could
+# get wrong (a float coefficient beside an exact one, both zeros, nan,
+# powers of one base), hand-built nodes among the trees, and raw numbers.
+OPERAND_LEAVES = LEAVES + (
+    ex.Const(1.0), ex.Const(2.0), ex.Const(0.0), ex.Const(-0.0), ex.Const(math.nan),
+    ex.power(X, 2), ex.power(X, -1), ex.power(Y, 3), ex.mul(2, X), ex.mul(0.5, X, Y),
+    ex.Pow(X, 1), ex.Product((ex.Const(1.0), X)), ex.Product((Y, X)),
+)
+OPERANDS = st.lists(
+    st.one_of(
+        st.recursive(st.sampled_from(OPERAND_LEAVES), extend, max_leaves=6),
+        st.sampled_from((2, -1, 0.5, -0.0, math.nan, Fraction(1, 2))),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(OPERANDS)
+def test_add_and_mul_return_the_nodes_of_the_term_by_term_rebuild(ops):
+    # the library's result is checked, mark included, before the reference
+    # runs, since the reference marks the nodes it builds
+    for scope in (contextlib.nullcontext, ex.run_memo):
+        with scope():
+            for build, reference in ((ex.add, oracles.reference_add),
+                                     (ex.mul, oracles.reference_mul)):
+                got = outcome(build, *ops)
+                normal = getattr(got, "_normal", None)
+                want = outcome(reference, *ops)
+                assert got is want or (isinstance(got, str) and got == want)
+                assert normal == getattr(want, "_normal", None)
+                assert outcome(build, *ops) is got or isinstance(got, str)
+
+
+def constructions(monkeypatch) -> list:
+    """The classes of the nodes looked up or built from here on."""
+    built = []
+    real = ex._interned
+    monkeypatch.setattr(ex, "_interned", lambda cls, structure: built.append(cls) or real(cls, structure))
+    return built
+
+
+def test_add_hands_back_the_terms_it_was_given(monkeypatch):
+    terms = (ex.mul(3, X, Y), ex.power(Z, 2), ex.sin(X), ex.Const(2.5), ex.mul(-1, T))
+    built = constructions(monkeypatch)
+    s = ex.add(*terms)
+    assert isinstance(s, ex.Sum) and sorted(map(id, s.terms)) == sorted(map(id, terms))
+    assert built == [ex.Sum]  # no term is built again
+    # a merged term is built again; zero terms drop, -0.0 too
+    ops = (terms[0], ex.mul(X, Y), ex.Const(-0.0), ex.Const(0.0), terms[2])
+    built.clear()
+    merged = ex.add(*ops)
+    assert built == [ex.Const, ex.Product, ex.Sum]
+    assert merged.terms == (terms[2], ex.mul(4, X, Y))
+
+
+def test_mul_hands_back_its_lone_constant_and_power(monkeypatch):
+    c, p = ex.Const(2.5), ex.power(X, 3)
+    built = constructions(monkeypatch)
+    prod = ex.mul(Y, p, c)
+    assert prod.factors[0] is c and prod.factors[1] is p
+    assert built == [ex.Product]
+    built.clear()
+    assert ex.mul(c) is c and ex.mul(p) is p and ex.mul(ex.ONE, p) is p
+    assert built == []
+
+
 def test_square_of_a_quotient_folds_at_once():
     # mul expands q*q to num^2/den^2 at once: what the rebuild of the lazy
     # Pow(q, 2) gives, and marked, so simplify returns it as it is
@@ -1049,6 +1117,11 @@ def test_to_text_matches_the_recursive_printer_on_the_corpus(seed):
     for e in exprs:
         assert ex.to_text(e) == oracles.reference_to_text(e)
         assert ex.to_text(e, CHART) == oracles.reference_to_text(e, CHART)
+    # inside a run memo each node's text is kept for the run, per chart
+    outside = [(ex.to_text(e), ex.to_text(e, CHART)) for e in exprs]
+    with ex.run_memo():
+        for _ in range(2):
+            assert [(ex.to_text(e), ex.to_text(e, CHART)) for e in exprs] == outside
 
 
 @settings(max_examples=300, deadline=None)
@@ -1110,6 +1183,21 @@ def test_a_deep_chain_reports_its_singular_row():
             ex.Tape((ex.ONE, root)).values(rows, {})
         assert str(err.value).startswith(fault)
         assert str(err.value).endswith(" at point (0.0, 0.0, 0.0, 0.0)")
+
+
+def test_a_singular_node_is_quoted_in_bounded_text():
+    # ln(sin^1000(x - 1)) prints in 5,000 characters; the error quotes its
+    # first 60 and its length, as a config error quotes a long text
+    e = ex.add(X, ex.const(-1))
+    for _ in range(1000):
+        e = ex.sin(e)
+    text = ex.to_text(ex.ln(e))
+    with pytest.raises(ex.SingularityError) as err:
+        ex.Tape((ex.ln(e),)).values(np.zeros((1, 4)), {})
+    message = str(err.value)
+    assert len(message) < 200
+    assert message == (f"ln of nonpositive value in {text[:60]}... ({len(text)} characters)"
+                       " at point (0.0, 0.0, 0.0, 0.0)")
 
 
 def test_to_text_leaves_no_cyclic_garbage():
