@@ -24,12 +24,14 @@ say) and the nodes built over them stay unmarked; simplify() runs where
 such trees enter: form, vector field and chain cell construction, and the
 zero test.
 
-Each partial derivative of a node is built once.  Inside run_memo(), the
-scope cli.run opens for one run, add() and mul() remember their result per
-tuple of normal operands, every partial is kept in the scope's memo, and
-remember() keeps other modules' results (each Cartan operation of forms)
-per operand nodes; all of it is dropped when the scope ends, so no state
-crosses runs.
+Each partial derivative of a node is built once, and only where it can be
+nonzero: a normal node's partial along a coordinate it does not hold (see
+_fill) is the constant 0, which no walk builds or keeps.  Inside
+run_memo(), the scope cli.run opens for one run, add() and mul() remember
+their result per tuple of normal operands, every partial is kept in the
+scope's memo, and remember() keeps other modules' results (each Cartan
+operation of forms) per operand nodes; all of it is dropped when the scope
+ends, so no state crosses runs.
 Outside a scope, a node keeps its partials for its lifetime, shared by
 every tree it occurs in, except a partial that leads back to the node (a
 reference cycle: exp(u)*v is its own x-partial when u = x) and those of exp
@@ -220,8 +222,9 @@ class ScalarExpr:
     # simplify() rebuild (set by the leaf classes and by the normalizing
     # constructors, never unset); _partials: {coordinate index:
     # derivative}, filled by differentiate(); _poly: the tree is a
-    # polynomial (no quotient, function or negative power)
-    __slots__ = ("_key", "_order", "_normal", "_partials", "_poly", "__weakref__")
+    # polynomial (no quotient, function or negative power); _coords: bit k
+    # set when the tree holds x_k, or -1 when a partial in it divides by 0
+    __slots__ = ("_key", "_order", "_normal", "_partials", "_poly", "_coords", "__weakref__")
 
     def _build_key(self) -> str:
         raise NotImplementedError
@@ -284,13 +287,51 @@ class ScalarExpr:
         return negate(self)
 
 
-def _fill(node: ScalarExpr, normal: bool, poly: bool, **fields) -> ScalarExpr:
-    """A new node's fields and marks."""
+def _children(node: ScalarExpr) -> tuple[ScalarExpr, ...]:
+    """The operands of node in evaluation order; () for a leaf.
+
+    A quotient's denominator comes first: its zero test precedes the
+    numerator.
+    """
+    if isinstance(node, Sum):
+        return node.terms
+    if isinstance(node, Product):
+        return node.factors
+    if isinstance(node, Quotient):
+        return (node.den, node.num)
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, Func):
+        return node.args
+    return ()
+
+
+def _fill(node: ScalarExpr, normal: bool, poly: bool, coords: int = 0, **fields) -> ScalarExpr:
+    """A new node's fields, marks and coordinate support: coords for a leaf,
+    else its operands' union, or -1 when its partials divide by squares that
+    all fold to 0 (a quotient's denominator's, or both arguments' of atan2)."""
     for name, value in fields.items():
         object.__setattr__(node, name, value)
+    for kid in _children(node):
+        coords |= kid._coords
+    if type(node) is Quotient and _square_vanishes(node.den) or (
+        type(node) is Func and node.name == "atan2" and all(map(_square_vanishes, node.args))
+    ):
+        coords = -1
     object.__setattr__(node, "_normal", normal)
     object.__setattr__(node, "_poly", poly)
+    object.__setattr__(node, "_coords", coords)
     return node
+
+
+def _square_vanishes(e: ScalarExpr) -> bool:
+    """Whether power(e, 2) of a normal e folds to the constant 0, through
+    the products and quotient numerators power() itself recurses into."""
+    while isinstance(e, Quotient):
+        e = e.num
+    if isinstance(e, Product):
+        return any(map(_square_vanishes, e.factors))
+    return isinstance(e, Const) and abs(e.value) < 1 and e.value**2 == 0
 
 
 def _mark(node: ScalarExpr, normal: bool = True) -> ScalarExpr:
@@ -335,7 +376,7 @@ class Coord(ScalarExpr):
             raise ExprError(f"coordinate index must be a nonnegative int, got {index!r}")
         index = int(index)
         node, fresh = _interned(cls, (cls, index))
-        return _fill(node, True, True, index=index) if fresh else node
+        return _fill(node, True, True, 1 << index, index=index) if fresh else node
 
     def _build_key(self):
         return f"x{self.index}"
@@ -966,12 +1007,14 @@ def differentiate(e: ScalarExpr, index: int) -> ScalarExpr:
 
 
 def _kept_partial(e: ScalarExpr, index: int, partials: dict | None) -> ScalarExpr | None:
-    """The partial of a leaf, or the one e or the run memo's partials keep;
-    None when neither keeps it."""
+    """The partial of a leaf or of a normal node free of x_index, or the one
+    e or the run memo's partials keep; None when neither keeps it."""
     if isinstance(e, (Const, Param)):
         return ZERO
     if isinstance(e, Coord):
         return ONE if e.index == index else ZERO
+    if e._normal and index >= 0 and not e._coords >> index & 1:
+        return ZERO  # the constructors fold its partial to 0: nothing to walk
     cache = e._partials
     if cache is not None and index in cache:
         return cache[index]
@@ -1062,25 +1105,6 @@ def _derivative(e: ScalarExpr, index: int, partial) -> ScalarExpr:
 # ---------------------------------------------------------------------------
 # Evaluation: one tape executor over a (k, n) array of points (see the
 # module docstring).
-
-
-def _children(node: ScalarExpr) -> tuple[ScalarExpr, ...]:
-    """The operands of node in evaluation order; () for a leaf.
-
-    A quotient's denominator comes first: its zero test precedes the
-    numerator.
-    """
-    if isinstance(node, Sum):
-        return node.terms
-    if isinstance(node, Product):
-        return node.factors
-    if isinstance(node, Quotient):
-        return (node.den, node.num)
-    if isinstance(node, Pow):
-        return (node.base,)
-    if isinstance(node, Func):
-        return node.args
-    return ()
 
 
 _UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log, "sqrt": np.sqrt}
@@ -1650,5 +1674,8 @@ class ZeroTester:
         return ZeroVerdict(True, None, None, None, valid, skipped, False)
 
     def with_guards(self, *guards: ScalarExpr) -> "ZeroTester":
-        """A tester with this one's box and seed plus `guards`: the one way to add a guard."""
-        return ZeroTester(replace(self.box, guards=(*self.box.guards, *guards)), self.seed)
+        """A tester with this one's box and seed plus `guards`: the one way to
+        add a guard.  It shares this one's rows, which no guard changes."""
+        tester = ZeroTester(replace(self.box, guards=(*self.box.guards, *guards)), self.seed)
+        tester._rows = self._rows
+        return tester

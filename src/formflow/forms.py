@@ -264,7 +264,9 @@ def _kept(op):
 @_kept
 def exterior_derivative(w: DifferentialForm) -> DifferentialForm:
     """The exterior derivative.  dd = 0 holds identically, though for
-    quotient coefficients not always as a syntactic tree."""
+    quotient coefficients not always as a syntactic tree.  A coefficient
+    at idx is differentiated along each x_k it holds for k not in idx: the
+    other partials are 0 or drop out (dx^k ^ dx^k = 0)."""
     chart = w.chart
     n = chart.dim
     if w.degree == n:
@@ -274,11 +276,11 @@ def exterior_derivative(w: DifferentialForm) -> DifferentialForm:
     out: dict[tuple[int, ...], ScalarExpr] = {}
     for idx, c in w.coeffs.items():
         for k in range(n):
+            m = merge_sign((k,), idx)
+            if m is None or not c._coords >> k & 1:
+                continue
             dc = ex.differentiate(c, k)
             if ex.is_syntactic_zero(dc):
-                continue
-            m = merge_sign((k,), idx)
-            if m is None:
                 continue
             sign, merged = m
             term = dc if sign == 1 else ex.negate(dc)

@@ -361,6 +361,22 @@ def reference_differentiate(e, index: int):
     raise ex.ExprError(f"unknown node {type(e).__name__}")
 
 
+def reference_exterior_derivative(w):
+    """d of w as every coefficient's partial along every coordinate, each
+    kept where dx^k ^ dx^idx does not vanish."""
+    out = {}
+    for idx, c in w.coeffs.items():
+        for k in range(w.chart.dim):
+            dc = reference_differentiate(c, k)
+            m = fm.merge_sign((k,), idx)
+            if m is None or ex.is_syntactic_zero(dc):
+                continue
+            sign, merged = m
+            term = dc if sign == 1 else ex.negate(dc)
+            out[merged] = ex.add(out.get(merged, ex.ZERO), term)
+    return fm.DifferentialForm(w.chart, w.degree + 1, out)
+
+
 # ---------------------------------------------------------------------------
 # Sums and products rebuilt term by term
 #

@@ -367,6 +367,23 @@ def test_main_constant_zero_denominator_is_a_config_error(tmp_path, capsys):
     assert err == "config error: line 5, column 10: line 1, column 2: constant zero denominator\n"
 
 
+# Each action's partials divide by a square that folds to the constant 0
+# (1e-200 squares to 0.0), along the coordinates the action does not hold too.
+@pytest.mark.parametrize("action", [
+    "atan2(0, 0), x, 0, 0",
+    "y*atan2(0, 0), 0, 0, 0",
+    "a/(1e-200*b), 0, 0, 0",
+    "a/(1e-200*b) + z, x, y, 0",
+    "atan2(1e-200*y, 1e-200*x), 0, 0, 0",
+])
+def test_partial_over_a_vanishing_square_is_a_config_error(action, tmp_path, capsys):
+    cfg = tmp_path / "vanishing.cfg"
+    cfg.write_text(f"[run]\nbattery = pfaff\n\n[system]\naction = {action}\n\n"
+                   "[params]\na = 1.0\nb = 1.0\n")
+    assert cli.main(["run", str(cfg), "--no-summary"]) == 2
+    assert capsys.readouterr().err == "config error: constant zero denominator\n"
+
+
 def test_run_builds_its_preset_and_classifies_each_process_once(monkeypatch, capsys):
     calls = {"get_preset": 0, "classify": 0}
 

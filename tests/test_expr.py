@@ -571,6 +571,28 @@ def test_verdicts_do_not_depend_on_earlier_tests():
             assert shared.test(exprs[i]) == fresh[i], ex.to_text(exprs[i])
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_guarded_tester_draws_no_rows_its_parent_drew(seed, monkeypatch):
+    drawn = []
+    real = ex.draw_rows
+    monkeypatch.setattr(ex, "draw_rows", lambda box, rng, names, k: drawn.append(tuple(names))
+                        or real(box, rng, names, k))
+    exprs = corpus_exprs(seed)
+    parent = ex.ZeroTester(PARAM_BOX, seed=seed)
+    for e in exprs:
+        outcome(parent.test, e)
+    by_parent = set(drawn)
+    # the guard brings in a, so the child needs some name sets the parent drew
+    child = parent.with_guards(ex.add(X, Y), ex.mul(A, Z))
+    fresh = ex.ZeroTester(child.box, seed=seed)
+    drawn.clear()
+    got = [outcome(child.test, e) for e in exprs]
+    by_child = set(drawn)
+    drawn.clear()
+    assert got == [outcome(fresh.test, e) for e in exprs]
+    assert by_child.isdisjoint(by_parent) and len(by_child) < len(set(drawn))
+
+
 def test_one_zero_test_compiles_one_tape(monkeypatch):
     compiled = []
 
@@ -743,6 +765,9 @@ def test_marks_and_partials_match_references_on_constructed_trees(e):
     check_against_references(e)
 
 
+# Every partial of the last five divides by a square that folds to the
+# constant 0 (1e-200 squares to 0.0), so each raises along every coordinate,
+# those the node does not hold included.
 @pytest.mark.parametrize("e", [
     # a constructor over hand-built nesting: the rebuild flattens it
     ex.add(ex.Sum((ex.add(X, Y), Z))),
@@ -751,9 +776,93 @@ def test_marks_and_partials_match_references_on_constructed_trees(e):
     # cancelling hand-built powers of zero leaves 1/0, which the rebuild rejects
     ex.quotient(ex.Pow(ex.ZERO, 0), ex.Pow(ex.ZERO, 1)),
     ex.quotient(ex.mul(X, ex.Pow(ex.Const(2), 1)), ex.mul(X, ex.Pow(ex.Const(2), 3))),
-], ids=["sum-in-sum", "product-in-product", "lone-product", "zero-powers", "const-powers"])
+    ex.atan2(0, 0),
+    ex.mul(Y, ex.atan2(0, 0)),
+    ex.Quotient(X, ex.Const(0)),
+    ex.quotient(A, ex.mul(ex.Const(1e-200), B)),
+    ex.atan2(ex.mul(ex.Const(1e-200), Y), ex.mul(ex.Const(1e-200), X)),
+], ids=["sum-in-sum", "product-in-product", "lone-product", "zero-powers", "const-powers",
+        "atan2-0-0", "y-atan2-0-0", "x-over-0", "underflowing-denominator", "underflowing-atan2"])
 def test_marks_match_references_over_hand_built_children(e):
-    check_against_references(e)
+    for scope in (contextlib.nullcontext, ex.run_memo):
+        with scope():
+            check_against_references(e)
+    check_support(e)
+
+
+# ---------------------------------------------------------------------------
+# Coordinate support: a normal node free of x_k has the partial 0, unbuilt
+
+
+def coord_bits(e) -> int:
+    """The coordinate indices in e, as bits."""
+    bits = 0
+    for node in tree_nodes(e):
+        if isinstance(node, ex.Coord):
+            bits |= 1 << node.index
+    return bits
+
+
+def squares_to_zero(e) -> bool:
+    return ex.is_syntactic_zero(outcome(ex.power, e, 2))
+
+
+def divides_by_zero(node) -> bool:
+    """Whether the partials of node divide by a square that folds to 0."""
+    if isinstance(node, ex.Quotient):
+        return squares_to_zero(node.den)
+    return (isinstance(node, ex.Func) and node.name == "atan2"
+            and all(map(squares_to_zero, node.args)))
+
+
+def check_support(e):
+    """Every node of e holds its coordinates as bits, or -1 (every bit).  On
+    a normal node -1 means exactly that a node below it divides by a zero
+    square, and then every partial raises; any other partial along a
+    coordinate the node does not hold is the constant 0."""
+    for node in tree_nodes(e):
+        bits = coord_bits(node)
+        if not node._normal:  # the walk ignores it: only its shape is checked
+            below = [c._coords for c in tree_nodes(node)[1:]]
+            assert node._coords in (bits, -1) and (node._coords == -1 or -1 not in below)
+            continue
+        vanishing = any(map(divides_by_zero, tree_nodes(node)))
+        assert node._coords == (-1 if vanishing else bits), ex.to_text(node)
+        for k in range(4):
+            d = outcome(reference_differentiate, node, k)
+            if vanishing:
+                assert d == "ExprError: constant zero denominator"
+            elif not bits >> k & 1:
+                assert d is ex.ZERO
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(st.sampled_from(LEAVES), extend, max_leaves=16))
+def test_each_node_holds_its_coordinate_support(e):
+    check_support(e)
+
+
+@pytest.mark.parametrize("scoped", [False, True])
+def test_a_partial_free_of_its_coordinate_is_not_built(scoped, monkeypatch):
+    walked = []
+    real = ex._derivative
+    monkeypatch.setattr(ex, "_derivative",
+                        lambda e, i, partial: walked.append(e) or real(e, i, partial))
+    # like an ABC flow's components, e holds no t; q and e are new nodes
+    q = ex.quotient(X, ex.add(Y, ex.Const(Fraction(7 + scoped, 5))))
+    e = ex.add(ex.mul(A, ex.sin(Z)), ex.mul(B, ex.cos(Y)), q)
+    with ex.run_memo() if scoped else contextlib.nullcontext():
+        assert ex.differentiate(e, 3) is ex.ZERO
+        assert walked == []
+        assert not any(3 in (node._partials or {}) for node in tree_nodes(e))
+        if scoped:
+            assert ex._MEMO.get()[2] == {}
+        # along x, only the nodes that hold x are walked
+        ex.differentiate(e, 0)
+        assert walked == [q, e]
+        # a negative index is walked, as no coordinate's
+        walked.clear()
+        assert ex.differentiate(e, -1) is ex.ZERO and q in walked
 
 
 # Operands for add and mul: the tree leaves plus what their fast paths could

@@ -9,6 +9,7 @@ import formflow.expr as ex
 import formflow.forms as fm
 from corpus import (
     CHART,
+    mixed_forms,
     random_field,
     random_form,
     single_entry_form,
@@ -17,7 +18,7 @@ from corpus import (
     random_poly_scalar,
     rng,
 )
-from oracles import lie_oracle, value_at
+from oracles import lie_oracle, reference_exterior_derivative, value_at
 
 X, Y, Z, T = (ex.coord(i) for i in range(4))
 BOX = ex.default_box(4)
@@ -28,6 +29,21 @@ def is_zero_form(w: fm.DifferentialForm, seed: int = 20180425) -> bool:
         return True
     tester = ex.ZeroTester(BOX, seed=seed)
     return all(tester.test(c).zero for c in w.coeffs.values())
+
+
+def test_d_differentiates_a_coefficient_only_along_the_coordinates_it_can_vary_in(monkeypatch):
+    calls = []
+    real = ex.differentiate
+    monkeypatch.setattr(ex, "differentiate", lambda e, k: calls.append((e, k)) or real(e, k))
+    # an ABC-like 1-form holds no t; the others are random, of degrees 0..3
+    abc = fm.one_form(CHART, (ex.add(ex.sin(Z), ex.cos(Y)), ex.add(ex.sin(X), ex.cos(Z)),
+                              ex.add(ex.sin(Y), ex.cos(X)), ex.ZERO))
+    for w in [abc, *mixed_forms(8, seed=5)]:
+        calls.clear()
+        dw = fm.exterior_derivative(w)
+        assert calls == [(c, k) for idx, c in w.coeffs.items() for k in range(4)
+                         if k not in idx and k in ex.Tape((c,)).coords]
+        assert dw.coeffs == reference_exterior_derivative(w).coeffs
 
 
 @settings(max_examples=40, deadline=None)
