@@ -24,18 +24,15 @@ say) and the nodes built over them stay unmarked; simplify() runs where
 such trees enter: form, vector field and chain cell construction, and the
 zero test.
 
-Each partial derivative of a node is built once, and only where it can be
-nonzero: a normal node's partial along a coordinate it does not hold (see
-_fill) is the constant 0, which no walk builds or keeps.  Inside
+Each partial derivative of a node is built once per scope, and only where
+it can be nonzero: a normal node's partial along a coordinate it does not
+hold (see _fill) is the constant 0, which no walk builds or keeps.  Inside
 run_memo(), the scope cli.run opens for one run, add() and mul() remember
 their result per tuple of normal operands, every partial is kept in the
 scope's memo, and remember() keeps other modules' results (each Cartan
 operation of forms) per operand nodes; all of it is dropped when the scope
-ends, so no state crosses runs.
-Outside a scope, a node keeps its partials for its lifetime, shared by
-every tree it occurs in, except a partial that leads back to the node (a
-reference cycle: exp(u)*v is its own x-partial when u = x) and those of exp
-and sqrt nodes.
+ends, so no state crosses runs.  Outside a scope nothing is remembered:
+each differentiate() call keeps its partials for that call only.
 
 One evaluator, a Tape, runs every expression over a batch of points at
 once.  A tape lists the distinct nodes of one or more roots, children
@@ -211,7 +208,6 @@ def _interned(cls, structure) -> tuple["ScalarExpr", bool]:
     _NODES[structure] = weakref.KeyedRef(node, _forget, structure)
     object.__setattr__(node, "_key", None)
     object.__setattr__(node, "_order", None)
-    object.__setattr__(node, "_partials", None)
     return node, True
 
 
@@ -220,11 +216,10 @@ class ScalarExpr:
     # order as a term of a sum, the key of its symbolic factors, cached by
     # _term_order; _normal: the node is a fixed point of the full
     # simplify() rebuild (set by the leaf classes and by the normalizing
-    # constructors, never unset); _partials: {coordinate index:
-    # derivative}, filled by differentiate(); _poly: the tree is a
-    # polynomial (no quotient, function or negative power); _coords: bit k
-    # set when the tree holds x_k, or -1 when a partial in it divides by 0
-    __slots__ = ("_key", "_order", "_normal", "_partials", "_poly", "_coords", "__weakref__")
+    # constructors, never unset); _coords: bit k set when the tree holds
+    # x_k, or -1 when a partial in it divides by 0.  A node keeps no
+    # partials: differentiate() keeps them in the run memo or for one call.
+    __slots__ = ("_key", "_order", "_normal", "_coords", "__weakref__")
 
     def _build_key(self) -> str:
         raise NotImplementedError
@@ -306,7 +301,7 @@ def _children(node: ScalarExpr) -> tuple[ScalarExpr, ...]:
     return ()
 
 
-def _fill(node: ScalarExpr, normal: bool, poly: bool, coords: int = 0, **fields) -> ScalarExpr:
+def _fill(node: ScalarExpr, normal: bool, coords: int = 0, **fields) -> ScalarExpr:
     """A new node's fields, marks and coordinate support: coords for a leaf,
     else its operands' union, or -1 when its partials divide by squares that
     all fold to 0 (a quotient's denominator's, or both arguments' of atan2)."""
@@ -319,7 +314,6 @@ def _fill(node: ScalarExpr, normal: bool, poly: bool, coords: int = 0, **fields)
     ):
         coords = -1
     object.__setattr__(node, "_normal", normal)
-    object.__setattr__(node, "_poly", poly)
     object.__setattr__(node, "_coords", coords)
     return node
 
@@ -365,7 +359,7 @@ class Const(ScalarExpr):
         if not fresh:
             return node
         object.__setattr__(node, "_key", key)
-        return _fill(node, True, True, value=value)
+        return _fill(node, True, value=value)
 
 
 class Coord(ScalarExpr):
@@ -376,7 +370,7 @@ class Coord(ScalarExpr):
             raise ExprError(f"coordinate index must be a nonnegative int, got {index!r}")
         index = int(index)
         node, fresh = _interned(cls, (cls, index))
-        return _fill(node, True, True, 1 << index, index=index) if fresh else node
+        return _fill(node, True, 1 << index, index=index) if fresh else node
 
     def _build_key(self):
         return f"x{self.index}"
@@ -389,7 +383,7 @@ class Param(ScalarExpr):
         if not name or not isinstance(name, str):
             raise ExprError("parameter name must be a nonempty string")
         node, fresh = _interned(cls, (cls, name))
-        return _fill(node, True, True, name=name) if fresh else node
+        return _fill(node, True, name=name) if fresh else node
 
     def _build_key(self):
         return f"p({self.name})"
@@ -401,9 +395,7 @@ class Sum(ScalarExpr):
     def __new__(cls, terms: tuple):
         terms = tuple(terms)
         node, fresh = _interned(cls, (cls, terms))
-        if not fresh:
-            return node
-        return _fill(node, False, all(t._poly for t in terms), terms=terms)
+        return _fill(node, False, terms=terms) if fresh else node
 
     def _build_key(self):
         return "(+ " + " ".join(t.key for t in self.terms) + ")"
@@ -415,9 +407,7 @@ class Product(ScalarExpr):
     def __new__(cls, factors: tuple):
         factors = tuple(factors)
         node, fresh = _interned(cls, (cls, factors))
-        if not fresh:
-            return node
-        return _fill(node, False, all(f._poly for f in factors), factors=factors)
+        return _fill(node, False, factors=factors) if fresh else node
 
     def _build_key(self):
         return "(* " + " ".join(f.key for f in self.factors) + ")"
@@ -428,7 +418,7 @@ class Quotient(ScalarExpr):
 
     def __new__(cls, num: ScalarExpr, den: ScalarExpr):
         node, fresh = _interned(cls, (cls, num, den))
-        return _fill(node, False, False, num=num, den=den) if fresh else node
+        return _fill(node, False, num=num, den=den) if fresh else node
 
     def _build_key(self):
         return f"(/ {self.num.key} {self.den.key})"
@@ -442,9 +432,7 @@ class Pow(ScalarExpr):
             raise ExprError("power exponents must be integers")
         exponent = int(exponent)
         node, fresh = _interned(cls, (cls, base, exponent))
-        if not fresh:
-            return node
-        return _fill(node, False, exponent >= 0 and base._poly, base=base, exponent=exponent)
+        return _fill(node, False, base=base, exponent=exponent) if fresh else node
 
     def _build_key(self):
         return f"(^ {self.base.key} {self.exponent})"
@@ -462,7 +450,7 @@ class Func(ScalarExpr):
                 f"{name} takes {FUNCTION_ARITY[name]} argument(s), got {len(args)}"
             )
         node, fresh = _interned(cls, (cls, name, args))
-        return _fill(node, False, False, name=name, args=args) if fresh else node
+        return _fill(node, False, name=name, args=args) if fresh else node
 
     def _build_key(self):
         return f"({self.name} " + " ".join(a.key for a in self.args) + ")"
@@ -486,11 +474,11 @@ def as_expr(v) -> ScalarExpr:
 #
 # Inside run_memo(), add() and mul() remember their result for each tuple of
 # operands that are all marked normal (a node's mark is never unset, so the
-# result stays what a new call would build), and differentiate() keeps every
-# partial in the memo instead of on the node; remember() keeps the results
-# of other modules' operations (the Cartan operations of forms) the same
-# way.  The memo holds its nodes for the length of the scope and is dropped
-# at its end; outside a scope every call builds afresh.
+# result stays what a new call would build), differentiate() keeps every
+# partial, and remember() keeps the results of other modules' operations
+# (the Cartan operations of forms).  The memo holds its nodes for the
+# length of the scope and is dropped at its end; outside a scope every call
+# builds afresh.
 
 
 _MEMO: contextvars.ContextVar = contextvars.ContextVar("formflow_expr_memo", default=None)
@@ -914,20 +902,44 @@ def simplify(e: ScalarExpr) -> ScalarExpr:
     power normalization, and zero/one elimination, so the result always
     evaluates to the same value as the input wherever the input is defined.
     A node marked normal is returned as it is: the rebuild would equal it.
+
+    The rebuild runs off an explicit stack, operands before their node and
+    each operand's subtree in turn, so depth is bounded by memory, not by
+    the recursion limit.
     """
     e = as_expr(e)
-    if e._normal:
+    if e._normal:  # most calls: no table or stack to set up
         return e
+    done: dict[ScalarExpr, ScalarExpr] = {}
+    stack: list = [e]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # (node,): its operands are rebuilt
+            node = node[0]
+            done[node] = _rebuilt(node, done.__getitem__)
+        elif node not in done:
+            if node._normal:
+                done[node] = node
+            else:
+                stack.append((node,))
+                kids = (node.num, node.den) if isinstance(node, Quotient) else _children(node)
+                stack.extend(reversed(kids))
+    return done[e]
+
+
+def _rebuilt(e: ScalarExpr, simplified) -> ScalarExpr:
+    """One layer of the simplify() rebuild; simplified(child) gives each
+    child's rebuild."""
     if isinstance(e, Sum):
-        return add(*(simplify(t) for t in e.terms))
+        return add(*map(simplified, e.terms))
     if isinstance(e, Product):
-        return mul(*(simplify(f) for f in e.factors))
+        return mul(*map(simplified, e.factors))
     if isinstance(e, Quotient):
-        return quotient(simplify(e.num), simplify(e.den))
+        return quotient(simplified(e.num), simplified(e.den))
     if isinstance(e, Pow):
-        return power(simplify(e.base), e.exponent)
+        return power(simplified(e.base), e.exponent)
     if isinstance(e, Func):
-        return func(e.name, *(simplify(a) for a in e.args))
+        return func(e.name, *map(simplified, e.args))
     raise ExprError(f"unknown node {type(e).__name__}")
 
 
@@ -957,12 +969,10 @@ def is_syntactic_zero(e: ScalarExpr) -> bool:
 def differentiate(e: ScalarExpr, index: int) -> ScalarExpr:
     """Exact partial derivative with respect to chart coordinate `index`.
 
-    Each partial of a compound node is built once: inside run_memo() the
-    memo keeps it for the scope, and outside one the node keeps it for its
-    lifetime, shared by every tree the node occurs in.  A node keeps no
-    partial that leads back to it (that of exp(u)*v, which is exp(u)*v*du,
-    or the fourth of sin(u)*v, which is sin(u)*v): it would be a reference
-    cycle.  exp and sqrt nodes keep none at all.
+    Inside run_memo() each partial of a compound node is built once and
+    kept in the memo for the scope.  Outside one nothing is remembered:
+    the call keeps its partials for itself only, so a subtree shared within
+    e is differentiated once per call.
 
     The compound nodes below e whose partials are not kept are
     differentiated first, bottom-up off an explicit stack, so depth is
@@ -974,7 +984,7 @@ def differentiate(e: ScalarExpr, index: int) -> ScalarExpr:
     d = _kept_partial(e, index, partials)
     if d is not None:
         return d
-    done: dict[ScalarExpr, ScalarExpr] = {}  # this call's partials, kept or not
+    done: dict[ScalarExpr, ScalarExpr] = {}  # this call's partials
     partial = done.__getitem__
     stack: list = [e]
     while stack:
@@ -984,14 +994,6 @@ def differentiate(e: ScalarExpr, index: int) -> ScalarExpr:
             d = done[node] = _derivative(node, index, partial)
             if partials is not None:
                 partials[(node, index)] = d
-            elif not (isinstance(node, Func) and node.name in ("exp", "sqrt")) and (
-                node._poly or not _leads_to(d, node)
-            ):
-                cache = node._partials
-                if cache is None:
-                    cache = {}
-                    object.__setattr__(node, "_partials", cache)
-                cache[index] = d
             continue
         if node in done:
             continue
@@ -1008,50 +1010,14 @@ def differentiate(e: ScalarExpr, index: int) -> ScalarExpr:
 
 def _kept_partial(e: ScalarExpr, index: int, partials: dict | None) -> ScalarExpr | None:
     """The partial of a leaf or of a normal node free of x_index, or the one
-    e or the run memo's partials keep; None when neither keeps it."""
+    the run memo's partials keep; None when there is no such partial."""
     if isinstance(e, (Const, Param)):
         return ZERO
     if isinstance(e, Coord):
         return ONE if e.index == index else ZERO
     if e._normal and index >= 0 and not e._coords >> index & 1:
         return ZERO  # the constructors fold its partial to 0: nothing to walk
-    cache = e._partials
-    if cache is not None and index in cache:
-        return cache[index]
     return None if partials is None else partials.get((e, index))
-
-
-_WALK_LIMIT = 1000  # stack entries one _leads_to walk pushes before it gives up
-
-
-def _leads_to(start: ScalarExpr, target: ScalarExpr) -> bool:
-    """Whether target is start or lies under it, through operands and kept
-    partials.  The partials of a polynomial are polynomials of lower degree,
-    so from a polynomial no path leads to a node that is not one, and none
-    leads back to a polynomial through its partials.
-
-    A walk that would push more than _WALK_LIMIT entries stops and answers
-    True: a node that keeps no partial is always safe, and the bound keeps
-    the check linear in the depth of a deep tree, whose partials each
-    differentiate() call then builds again."""
-    seen = set()
-    stack = [start]
-    budget = _WALK_LIMIT
-    while stack:
-        node = stack.pop()
-        if node is target:
-            return True
-        if node._poly or node in seen:
-            continue
-        seen.add(node)
-        nexts = _children(node)
-        if node._partials:
-            nexts = (*nexts, *node._partials.values())
-        budget -= len(nexts)
-        if budget < 0:
-            return True
-        stack.extend(nexts)
-    return False
 
 
 def _derivative(e: ScalarExpr, index: int, partial) -> ScalarExpr:

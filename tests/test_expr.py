@@ -854,7 +854,6 @@ def test_a_partial_free_of_its_coordinate_is_not_built(scoped, monkeypatch):
     with ex.run_memo() if scoped else contextlib.nullcontext():
         assert ex.differentiate(e, 3) is ex.ZERO
         assert walked == []
-        assert not any(3 in (node._partials or {}) for node in tree_nodes(e))
         if scoped:
             assert ex._MEMO.get()[2] == {}
         # along x, only the nodes that hold x are walked
@@ -956,19 +955,33 @@ def test_partials_are_computed_once_per_node(monkeypatch):
     monkeypatch.setattr(
         ex, "_derivative", lambda e, i, partial: calls.append(i) or real(e, i, partial)
     )
-    e = ex.mul(ex.sin(ex.mul(X, Y)), ex.atan2(Y, ex.add(X, ex.Const(2))),
-               ex.ln(ex.add(ex.power(Z, 2), ex.ONE)), ex.quotient(ex.ONE, ex.add(X, Z)))
+    with ex.run_memo():
+        e = ex.mul(ex.sin(ex.mul(X, Y)), ex.atan2(Y, ex.add(X, ex.Const(2))),
+                   ex.ln(ex.add(ex.power(Z, 2), ex.ONE)), ex.quotient(ex.ONE, ex.add(X, Z)))
+        first = ex.differentiate(e, 0)
+        work = len(calls)
+        assert work > 1
+        assert ex.differentiate(e, 0) is first and len(calls) == work
+        # a new parent differentiates only itself; its factor e is kept
+        ex.differentiate(ex.mul(e, T), 0)
+        assert len(calls) == work + 1
+
+
+def test_outside_a_memo_nothing_is_kept(monkeypatch):
+    walked = []
+    real = ex._derivative
+    monkeypatch.setattr(ex, "_derivative",
+                        lambda e, i, partial: walked.append(e) or real(e, i, partial))
+    e = ex.mul(ex.exp(ex.mul(X, Y)), ex.sin(ex.add(X, Z)), ex.quotient(Y, ex.add(X, ex.ONE)))
     first = ex.differentiate(e, 0)
-    work = len(calls)
-    assert work > 1
-    assert ex.differentiate(e, 0) is first and len(calls) == work
-    # a new parent differentiates only itself; its factor e is cached
-    ex.differentiate(ex.mul(e, T), 0)
-    assert len(calls) == work + 1
-    # exp and sqrt nodes keep no partials
-    for f in (ex.exp(X), ex.sqrt(X)):
-        ex.differentiate(f, 0)
-        assert f._partials is None
+    layers = list(walked)
+    assert len(layers) > 1
+    # a second call repeats every layer of the first and builds the same node
+    assert ex.differentiate(e, 0) is first and walked == layers + layers
+    with ex.run_memo():
+        walked.clear()
+        assert ex.differentiate(e, 0) is first and walked == layers
+        assert ex.differentiate(e, 0) is first and walked == layers
 
 
 def test_cached_partials_leave_no_cyclic_garbage():
@@ -1086,12 +1099,11 @@ def test_constants_are_one_node_per_key():
     assert ex.Const(Fraction(4, 2)) is ex.Const(2) is not ex.Const(2.0)
 
 
-def test_a_rebuilt_node_keeps_its_mark_and_partials():
+def test_a_rebuilt_node_keeps_its_mark():
     e = ex.mul(ex.sin(ex.add(X, Y)), Z)
-    d = ex.differentiate(e, 0)
-    assert e._normal and e._partials[0] is d
+    assert e._normal
     again = ex.Product(tuple(rebuild(f) for f in e.factors))
-    assert again is e and again._normal and again._partials[0] is d
+    assert again is e and again._normal
     # a hand-built node that a constructor builds later is the same, marked node
     hand = ex.Sum((ex.Const(5), ex.Pow(T, 7)))
     assert not hand._normal
@@ -1117,47 +1129,14 @@ def test_inside_a_memo_nodes_keep_no_partials():
     with ex.run_memo():
         e = ex.mul(ex.cos(ex.mul(X, Z)), ex.add(Y, ex.power(X, 3)))
         first = ex.differentiate(e, 0)
-        assert ex.differentiate(e, 0) is first and e._partials is None
+        assert ex.differentiate(e, 0) is first and ex._MEMO.get()[2][(e, 0)] is first
         assert ex.mul(e, T) is ex.mul(e, T)
-    assert ex.differentiate(e, 0) is first  # the same tree, now kept by the node
-    assert e._partials == {0: first}
-
-
-def assert_acyclic(roots):
-    """No path of operands and kept partials leads from a node back to it."""
-    state = {}  # node -> 1 while on the path, 2 when done
-    for root in roots:
-        stack = [(root, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                state[node] = 2
-                continue
-            assert state.get(node) != 1, f"cycle through {ex.to_text(node)}"
-            if node in state:
-                continue
-            state[node] = 1
-            stack.append((node, True))
-            nexts = [*ex._children(node), *(node._partials or {}).values()]
-            stack.extend((n, False) for n in nexts)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.recursive(st.sampled_from(LEAVES), extend, max_leaves=10),
-       st.lists(st.integers(0, 3), min_size=1, max_size=5))
-def test_kept_partials_make_no_cycle(e, indices):
-    trees = [e]
-    for i in indices:
-        d = outcome(ex.differentiate, trees[-1], i)
-        if isinstance(d, str):
-            break
-        trees.append(d)
-    assert_acyclic(trees)
+    assert ex.differentiate(e, 0) is first  # built again: the same tree is one node
 
 
 def test_periodic_partials_leave_no_cyclic_garbage():
     # the fourth z-partial of sin(z)*y is sin(z)*y, and the second of sin(z)
-    # holds sin(z): kept on the nodes, either would be a reference cycle
+    # holds sin(z): repeated partials lead back to the tree they started from
     def work():
         u = ex.add(ex.mul(X, Y), Z)
         for e in (ex.mul(ex.sin(Z), Y), ex.sin(u), ex.cos(u), ex.mul(ex.exp(X), Y),
@@ -1165,7 +1144,6 @@ def test_periodic_partials_leave_no_cyclic_garbage():
             d = e
             for _ in range(5):
                 d = ex.differentiate(d, 2)
-            assert_acyclic([e])
 
     four = ex.mul(ex.sin(Z), Y)
     d = four
@@ -1276,6 +1254,20 @@ def test_a_deep_chain_differentiates(name, scoped):
         for _ in range(1000):
             value, slope = math.sin(value), slope * math.cos(value)
         assert ex.Tape((d,)).at((0.5, 0.0, 0.0, 0.0)) == [pytest.approx(slope)]
+
+
+def test_a_deep_hand_built_tree_simplifies():
+    # simplify keeps an explicit stack too: every level is unmarked, so the
+    # rebuild walks all 5,000 of them
+    e = X
+    for _ in range(5000):
+        e = ex.Func("sin", (ex.Sum((e, Y)),))
+    assert not e._normal
+    got = ex.simplify(e)
+    want = X
+    for _ in range(5000):
+        want = ex.sin(ex.add(want, Y))
+    assert got is want and got._normal and ex.simplify(got) is got
 
 
 def test_a_deep_chain_reports_its_singular_row():
