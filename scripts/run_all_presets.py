@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import formflow.cli as cli
+import formflow.config as config
 import formflow.systems as sy
 
 
@@ -28,8 +29,8 @@ def main() -> int:
     bad = 0
     for name in sy.preset_names():
         try:
-            cfg = cli.parse_config(f"[run]\npreset = {name}\nbattery = {args.battery}\n{seed}")
-        except cli.ConfigError as e:
+            cfg = config.parse_config(f"[run]\npreset = {name}\nbattery = {args.battery}\n{seed}")
+        except config.ConfigError as e:
             print(f"config error: {e}", file=sys.stderr)
             return 2
         report = cli.run(cfg)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import chains as ch
 from . import expr as ex
@@ -21,6 +22,9 @@ from . import systems as sy
 from . import thermo as th
 from .expr import ZeroVerdict
 from .forms import DifferentialForm, VectorField
+
+if TYPE_CHECKING:  # config imports this module for the battery names
+    from .config import TopologySpec
 
 __all__ = ["BATTERY_FUNCS", "CHECKS", "EVIDENCE", "CheckKind", "Checks", "Runtime"]
 
@@ -115,7 +119,7 @@ class Runtime:
     config's seed.  Every sampled verdict of the run uses it.
     """
 
-    topology: object | None  # the config's TopologySpec, read by the topology battery
+    topology: TopologySpec | None  # read by the topology battery
     chart: ex.Chart
     anatomy: pf.Anatomy
     processes: tuple[tuple[str, VectorField], ...]
@@ -375,7 +379,7 @@ def _battery_topology(rt: Runtime, checks: Checks) -> dict:
     return out
 
 
-# in report order: cli.BATTERIES is this table's keys
+# in report order: config.BATTERIES is this table's keys
 BATTERY_FUNCS = {
     "pfaff": _battery_pfaff,
     "thermo": _battery_thermo,

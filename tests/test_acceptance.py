@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 import formflow.chains as ch
-import formflow.cli as cli
+import formflow.config as config
 import formflow.expr as ex
 import formflow.finite_topology as ft
 import formflow.forms as fm
@@ -475,7 +475,7 @@ def test_criterion_10_cli_determinism(tmp_path):
             doc = json.loads(a)
             if not doc["passed"]:
                 failures.append(f"{name} report failed")
-            if set(doc["batteries"]) != set(cli.BATTERIES):
+            if set(doc["batteries"]) != set(config.BATTERIES):
                 failures.append(f"{name} battery set {sorted(doc['batteries'])}")
     _verdict(
         10,

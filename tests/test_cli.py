@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import formflow.chains as ch
 import formflow.cli as cli
+import formflow.config as config
 import formflow.expr as ex
 import formflow.parse as parse
 import formflow.systems as sy
@@ -72,9 +73,9 @@ def test_parse_full_config_fields():
 
 
 def test_selected_batteries_expand_all_in_canonical_order():
-    cfg = cli.RunConfig(batteries=("all",))
-    assert cfg.selected_batteries() == cli.BATTERIES
-    cfg = cli.RunConfig(batteries=("thermo", "pfaff"))
+    cfg = config.RunConfig(batteries=("all",))
+    assert cfg.selected_batteries() == config.BATTERIES
+    cfg = config.RunConfig(batteries=("thermo", "pfaff"))
     assert cfg.selected_batteries() == ("pfaff", "thermo")
 
 
@@ -91,7 +92,7 @@ def test_selected_batteries_expand_all_in_canonical_order():
     ],
 )
 def test_parse_errors_carry_locations(text, fragment, line):
-    with pytest.raises(cli.ConfigError) as err:
+    with pytest.raises(config.ConfigError) as err:
         cli.parse_config(text)
     assert fragment in str(err.value)
     assert err.value.line == line
@@ -99,14 +100,14 @@ def test_parse_errors_carry_locations(text, fragment, line):
 
 def test_expression_errors_point_into_the_config():
     text = FULL_CONFIG.replace("components = S*y, 0, 0, 1", "components = S*y, +*2, 0, 1")
-    with pytest.raises(cli.ConfigError) as err:
+    with pytest.raises(config.ConfigError) as err:
         cli.parse_config(text)
     assert err.value.line == text.splitlines().index("components = S*y, +*2, 0, 1") + 1
 
 
 def test_unbound_parameter_is_a_parse_error():
     text = FULL_CONFIG.replace("S = 1.25", "R = 1.25")
-    with pytest.raises(cli.ConfigError) as err:
+    with pytest.raises(config.ConfigError) as err:
         cli.parse_config(text)
     assert "parameter 'S' has no value" in str(err.value)
 
@@ -116,17 +117,17 @@ def test_system_section_demands_exactly_one_kind():
     both = text.replace(
         "[system]\nvelocity", "[system]\naction = y, 0, 0, 0\nvelocity"
     )
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(config.ConfigError):
         cli.parse_config(both)
     neither = "[run]\nbattery = pfaff\n[chart]\ncoordinates = x, y, z, t\n"
-    with pytest.raises(cli.ConfigError) as err:
+    with pytest.raises(config.ConfigError) as err:
         cli.parse_config(neither)
     assert "nothing to analyze" in str(err.value)
 
 
 def test_preset_and_system_are_mutually_exclusive():
     text = FULL_CONFIG.replace("battery = pfaff, thermo", "battery = pfaff\npreset = harmonic.winding")
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(config.ConfigError):
         cli.parse_config(text)
 
 
@@ -190,16 +191,16 @@ def test_round_trip_serialization():
     )
     for source in sources:
         cfg = cli.parse_config(source)
-        again = cli.parse_config(cli.serialize_config(cfg))
+        again = cli.parse_config(config.serialize_config(cfg))
         assert again == cfg
     # together the inputs set every key of the table
     written = {
         (section.kind, key)
         for source in sources
-        for section in cli._split_sections(source).values()
+        for section in config._split_sections(source).values()
         for key in section.entries
     }
-    for row in cli._KEYS:
+    for row in config._KEYS:
         assert any(kind == row.section and row.matches(key) for kind, key in written), row.key
 
 
@@ -210,7 +211,7 @@ def test_run_winding_preset_passes():
     doc = report.document
     assert doc["schema"] == cli.SCHEMA
     assert doc["provenance"]["preset"] == "harmonic.winding"
-    assert set(doc["batteries"]) == set(cli.BATTERIES)
+    assert set(doc["batteries"]) == set(config.BATTERIES)
     for check in doc["checks"]:
         assert {"battery", "name", "passed", "value", "tolerance"} <= set(check)
     assert doc["counts"]["failed"] == 0
@@ -417,6 +418,31 @@ def test_flags_pass_the_config_checks(tmp_path, capsys):
     ):
         assert cli.main(["run", str(path), *flags, "--no-summary"]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+_POINTS = ", ".join(f"p{i}" for i in range(17))
+
+
+@pytest.mark.parametrize(
+    "text, argv, where",
+    [
+        pytest.param("", ["--preset", "em.plane_wave", "--out", "{tmp}"], "", id="out directory"),
+        pytest.param("", ["--preset", "em.plane_wave", "--out", "{tmp}/missing/report.json"], "",
+                     id="out in a missing directory"),
+        pytest.param(f"[run]\nbattery = topology\n[topology]\npoints = {_POINTS}\n"
+                     f"opens = {{}}; {{{_POINTS}}}\n", [], "line 4, column 10: ", id="17 points"),
+        pytest.param("[run]\nbattery = topology\n[topology]\npoints = a, b\n"
+                     "opens = {}; {a, b}\nmap = a:a, a:b, b:b\n", [], "line 6, column 7: ",
+                     id="duplicate map source"),
+    ],
+)
+def test_out_and_topology_errors_exit_2_with_one_line(text, argv, where, tmp_path, capsys):
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(text)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert cli.main(["run", str(cfg), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"config error: {where}"), err
 
 
 def test_main_run_without_config_needs_preset(capsys):
@@ -685,7 +711,7 @@ def test_comma_inside_a_call_stays_in_its_component(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("action", ["atan2(y, x, 0, 0, 0", "atan2(y, x)), 0, 0, 0"])
 def test_unbalanced_parentheses_in_a_list_are_a_located_error(action):
-    with pytest.raises(cli.ConfigError, match="line 2, column 10: unbalanced parentheses"):
+    with pytest.raises(config.ConfigError, match="line 2, column 10: unbalanced parentheses"):
         cli.parse_config(f"[system]\naction = {action}\n")
 
 
@@ -810,8 +836,9 @@ def test_constant_power_past_the_float_range_is_a_singularity(tmp_path, capsys):
 
 
 # A plain config with at most one hostile edit: a number past the float
-# range, a negative or huge seed, an unknown key, or a missing or miscounted
-# action.  Expressions nest calls, atan2 among them, either way.
+# range, a negative or huge seed, an unknown key, a missing or miscounted
+# action, an out path that cannot be written, or a topology of 17 points.
+# Expressions nest calls, atan2 among them, either way.
 _PLAIN = st.sampled_from(["1", "0.5", "3", "-2.5", "0"])
 _HOSTILE = st.sampled_from(["1e308", "1e400", "-1e400", "inf", "-inf", "nan", "1" + "0" * 40])
 
@@ -837,7 +864,7 @@ def _exprs(numbers):
 def hostile_configs(draw):
     edit = draw(st.sampled_from([
         None, "seed", "negative seed", "huge seed", "tolerance", "param", "highs", "range",
-        "component", "guard", "unknown key", "short action", "no action",
+        "component", "guard", "unknown key", "short action", "no action", "out", "big topology",
     ]))
     hostile = draw(_HOSTILE)
     seed = {"seed": hostile, "huge seed": str(draw(st.integers(10**39, 10**40))),
@@ -847,9 +874,13 @@ def hostile_configs(draw):
         action[draw(st.integers(0, 3))] = draw(_exprs(_PLAIN | _HOSTILE))
     action = {"short action": action[:3], "no action": []}.get(edit, action)
     lines = [
-        "[run]", "battery = pfaff", f"seed = {seed.get(edit, draw(st.integers(0, 10**6)))}",
+        "[run]", f"battery = {'topology' if edit == 'big topology' else 'pfaff'}",
+        f"seed = {seed.get(edit, draw(st.integers(0, 10**6)))}",
         f"tolerance = {hostile if edit == 'tolerance' else '1e-6'}",
         "bogus = 1" if edit == "unknown key" else "",
+        # a directory, or a file in a directory that is not there
+        f"out = {draw(st.sampled_from(['.', 'no-such-directory/report.json']))}"
+        if edit == "out" else "",
         "[system]", f"action = {', '.join(action)}" if action else "",
         "[params]", f"a = {hostile if edit == 'param' else draw(_PLAIN)}",
         "[sampling]", "lows = -1, -1, -1, -1",
@@ -857,6 +888,8 @@ def hostile_configs(draw):
         f"range a = 0.25, {hostile if edit == 'range' else 1.75}",
         f"guards = {draw(_exprs(_HOSTILE))}" if edit == "guard" else "",
     ]
+    if edit == "big topology":
+        lines += ["[topology]", f"points = {_POINTS}", f"opens = {{}}; {{{_POINTS}}}"]
     return "\n".join(lines) + "\n"
 
 

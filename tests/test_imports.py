@@ -1,10 +1,13 @@
 """Every module of the package uses each name it imports and defines each
-name it exports."""
+name it exports, and the config format loads without the command."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +51,12 @@ def test_module_defines_every_name_in_all(path):
         "formflow" if path.stem == "__init__" else f"formflow.{path.stem}"
     )
     assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
+
+
+def test_the_config_format_loads_without_the_command():
+    code = ("import sys, formflow.config; "
+            "print('formflow.cli' in sys.modules, 'argparse' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "False False\n"

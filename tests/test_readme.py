@@ -29,8 +29,8 @@ def test_library_example_runs_and_prints_its_comments():
 
 
 def test_config_reference_lists_every_key():
-    import formflow.cli as cli
+    import formflow.config as config
 
     section = README.read_text().split("### Config format", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `\[(\w+)[^\]]*\]` \| `([^`]+)` \|", section, re.M)
-    assert sorted(rows) == sorted((key.section, key.key) for key in cli._KEYS)
+    assert sorted(rows) == sorted((key.section, key.key) for key in config._KEYS)
