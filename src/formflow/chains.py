@@ -21,14 +21,20 @@ advected chain (fourth-order central stencil), cross-checked against the
 integral of the Lie derivative over the original chain, which is the
 identity the theorem checks rest on.
 
+Inside a run memo, a chain's quadrature (the grids and Jacobians of its
+cells at both orders, and each Jacobian minor) is built once per run and
+order and serves every form integrated over the chain in that run: the
+base and Lie integrals of each process's invariance checks, the periods of
+R and W in thermo, and those of A.
+
 invariance_checks takes every (form, chain) pair of one flow at once: all
 chains are advected to the four stencil times in one RK4 run per step
-count, and each chain's quadrature grids and Jacobian minors serve both its
-base and its Lie integral.  The four advected copies of a chain are
-integrated in one stacked pass: at each quadrature order a cell's copies
-are interpolated as one stack, one matmul per axis operator whose items are
-the products of one cell alone, and the form's tape runs once over the rows
-of all four, so the integrals equal four one-copy integrals bit for bit.
+count, and the base and Lie integrals read the chain's run quadrature.  The
+four advected copies of a chain are integrated in one stacked pass: at each
+quadrature order a cell's copies are interpolated as one stack, one matmul
+per axis operator whose items are the products of one cell alone, and the
+form's tape runs once over the rows of all four, so the integrals equal
+four one-copy integrals bit for bit.
 If the batch raises, the pairs are checked again one at a time, so the
 error is the one checking them in turn meets.
 """
@@ -495,7 +501,8 @@ class _Quadrature:
         if w.coeffs and self.segments and not (several and self.failure is not None):
             coeffs = _coefficients(w, self)
         if several and (self.failure is not None or (w.coeffs and coeffs is None)):
-            return [integrate(w, c, self.order, self.params) for c in self.copies]
+            # built afresh: only a base chain's quadrature is kept in the run memo
+            return [_Quadrature([c], self.order, self.params).integrals(w)[0] for c in self.copies]
         if self.failure is not None:
             raise self.failure
         if coeffs is None:
@@ -559,8 +566,21 @@ def integrate(
     the natural yardstick for zero tests on the result.
 
     The grid and Jacobian of every cell at both orders are built first; the
-    form's tape then runs once over all their rows."""
-    return _Quadrature([chain], order, params).integrals(w)[0]
+    form's tape then runs once over all their rows.  Inside a run memo they
+    are built once per chain, order and params (see _quadrature)."""
+    return _quadrature(chain, order, params).integrals(w)[0]
+
+
+def _quadrature(
+    chain: Chain, order: int | None, params: Mapping[str, float] | None
+) -> _Quadrature:
+    """The chain's quadrature, kept in the run memo for every form
+    integrated over the chain in the run, or built afresh outside a scope.
+    The kept quadrature holds the chain, so its id names no other chain
+    while the key lives."""
+    order = order or DEFAULT_QUAD_ORDER[chain.degree]
+    key = (_Quadrature, id(chain), order, tuple(sorted((params or {}).items())))
+    return ex.remember(key, _Quadrature, [chain], order, params)
 
 
 @dataclass(frozen=True)
@@ -707,8 +727,9 @@ def invariance_checks(
     counterexample direction).
     mode "identity": pass when derivative and Lie integral agree.
 
-    Every chain is advected to the four stencil times in one batch, and each
-    chain's quadrature grids serve both its base and its Lie integral.  When
+    Every chain is advected to the four stencil times in one batch.  The
+    base and Lie integrals read the chain's quadrature, which inside a run
+    memo serves every integral over the chain in the run.  When
     the batch raises, the pairs are checked again one at a time, so the
     error is the first that checking them one by one meets.
     """
@@ -724,7 +745,7 @@ def invariance_checks(
             i_ph, i_mh, i_p2, i_m2 = (r.value for r in stencil)
             derivative = (8.0 * (i_ph - i_mh) - (i_p2 - i_m2)) / (12.0 * h)
 
-            quad = _Quadrature([chain], None, params)
+            quad = _quadrature(chain, None, params)
             base = quad.integrals(w)[0]
             lie = quad.integrals(fm.lie_derivative(V, w))[0]
             scale = 1.0 + base.scale + lie.scale

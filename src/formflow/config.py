@@ -482,11 +482,17 @@ def parse_config(text: str, flags: Mapping[str, object] | None = None) -> RunCon
     offending line and column on any syntactic or semantic problem.
 
     flags named after [run] keys override the document's [run] values and
-    pass the same checks; other names and None values are left out."""
+    pass the same checks; other names and None values are left out.
+
+    The expressions are built in a run memo scope of the parse's own, so
+    a subexpression repeated across keys is built once; the scope ends
+    when the parse returns or raises, and the trees are the nodes a parse
+    without it builds."""
     sections = _split_sections(text)
     if flags:
         sections.setdefault("run", _Section("run", 0, {})).entries.update(_flag_entries(flags))
-    return _config_of(sections)
+    with ex.run_memo():
+        return _config_of(sections)
 
 
 def _flag_entries(flags: Mapping[str, object]) -> dict[str, _Entry]:

@@ -41,11 +41,15 @@ operation over all rows.  Forms, vector fields and chain cells keep
 theirs, compiled once per object; a zero tester compiles its box guards
 once and each distinct tree it tests once, keeping the tree's verdict.  A
 node that is singular at a row (division by zero, ln/sqrt outside their
-domain, atan2(0, 0), overflow) is NaN there, and NaN reaches the root.
-Tape.scaled_rows returns such rows as NaN; Tape.values and Tape.at raise
-SingularityError naming the first singular subexpression in evaluation
-order, at its first singular point, rather than returning NaN or
-infinity.  Evaluation is deterministic: the same tree at the same point
+domain, atan2(0, 0), overflow) is NaN there, and NaN reaches the root:
+an infinity becomes NaN where it arises.  Loaded coordinates, parameters
+and infinite constants are swept for infinities; an operation makes one
+from finite operands only with numpy's overflow or divide-by-zero flag,
+so a run raises on those flags and only then repeats with every value
+swept.  Tape.scaled_rows returns such rows as NaN; Tape.values and
+Tape.at raise SingularityError naming the first singular subexpression in
+evaluation order, at its first singular point, rather than returning NaN
+or infinity.  Evaluation is deterministic: the same tree at the same point
 with the same parameter bindings produces a bit-identical float, whether
 the point is evaluated alone, as a row of a batch, or as one root of a
 tape with several.
@@ -497,8 +501,9 @@ def run_memo():
 
 def remember(key: tuple, build, *args):
     """build(*args), kept under key until the run_memo() scope ends, or
-    built afresh outside a scope.  key must determine the result, and hold
-    nodes rather than raw numbers: 2, 2.0 and Fraction(2) are equal keys."""
+    built afresh outside a scope.  key must determine the result: 2, 2.0
+    and Fraction(2) are equal keys, so it holds nodes rather than numbers
+    wherever those would build different results."""
     memo = _MEMO.get()
     if memo is None:
         return build(*args)
@@ -1165,26 +1170,32 @@ class Tape:
 
         A parameter binds to one number or to a column of one value per row.
         Unless `keep`, a slot is dropped (None) after its last use and only
-        the roots' slots stay.  An infinity becomes NaN where it arises; a
-        kept run first goes without that step and repeats with it only when
-        some slot holds an infinity, which gives the same bits.
+        the roots' slots stay.  An infinity becomes NaN where it arises.  A
+        coordinate, parameter or infinite constant is swept for infinities
+        as it is loaded; an operation on finite operands makes one only
+        with numpy's overflow or divide-by-zero flag, so the run raises on
+        those flags and only then repeats with every instruction swept,
+        which gives the bits sweeping every instruction always gives.
         """
-        if not keep:
-            return self._execute(points, params, True, self._dead)
-        slots = self._execute(points, params, False, ())
-        if slots and np.isinf(np.concatenate(slots)).any():
-            slots = self._execute(points, params, True, ())
-        return slots
+        dead = () if keep else self._dead
+        try:
+            return self._execute(points, params, False, dead)
+        except FloatingPointError:
+            return self._execute(points, params, True, dead)
 
-    def _execute(self, points: np.ndarray, params: Mapping, finite: bool, dead, slots=None) -> list:
+    def _execute(self, points: np.ndarray, params: Mapping, sweep: bool, dead, slots=None) -> list:
         """The slots of one run, filled into `slots` when given: a run that
-        raises leaves every slot before the failing instruction set."""
+        raises leaves every slot before the failing instruction set.  Unless
+        `sweep`, only loaded values are swept, and an overflow or a division
+        by zero raises FloatingPointError."""
         k, n = points.shape
         one = np.ones(k)
         if slots is None:
             slots = [None] * len(self.code)
-        with np.errstate(all="ignore"):
+        flags = "ignore" if sweep else "raise"
+        with np.errstate(over=flags, divide=flags, invalid="ignore", under="ignore"):
             for i, (op, arg, operands) in enumerate(self.code):
+                load = False
                 if op == _PRODUCT:
                     # 1.0 * x is x to the bit: the product of the factors alone
                     if len(operands) > 1:
@@ -1203,8 +1214,10 @@ class Tape:
                             f"points have {n} coordinates but expression uses index {arg}"
                         )
                     v = points[:, arg].copy()
+                    load = True
                 elif op == _CONST:
                     v = one * arg
+                    load = math.isinf(arg)
                 elif op == _POW:
                     b = slots[operands[0]]
                     v = b ** arg
@@ -1224,7 +1237,8 @@ class Tape:
                     except KeyError:
                         raise EvalError(f"unbound parameter {arg!r}") from None
                     v = one * float(p) if np.ndim(p) == 0 else np.array(p, dtype=float)
-                if finite:
+                    load = True
+                if sweep or load:
                     v[np.isinf(v)] = math.nan  # every v here is a new array
                 slots[i] = v
                 if dead:

@@ -72,27 +72,29 @@ def is_topology(sets: Iterable[Iterable[Point]], ground: Iterable[Point]) -> Top
     for s in opens:
         if not s <= ground:
             return TopologyVerdict(False, f"set {_fmt(s)} is not a subset of the ground set")
-    have = set(opens)
-    if frozenset() not in have:
+    # each open as an integer bitmask over the ground points: a pair's union
+    # and intersection are one integer operation and one set lookup each
+    bit = {p: 1 << i for i, p in enumerate(ground)}
+    masks = [sum(bit[p] for p in s) for s in opens]
+    have = set(masks)
+    if 0 not in have:
         return TopologyVerdict(False, "empty set missing", missing_set=frozenset())
-    if ground not in have:
+    if sum(bit.values()) not in have:
         return TopologyVerdict(False, "ground set missing", missing_set=ground)
-    for a, b in combinations(opens, 2):
-        union = a | b
-        if union not in have:
+    for (a, ma), (b, mb) in combinations(zip(opens, masks), 2):
+        if ma | mb not in have:
             return TopologyVerdict(
                 False,
-                f"union {_fmt(a)} | {_fmt(b)} = {_fmt(union)} is not open",
+                f"union {_fmt(a)} | {_fmt(b)} = {_fmt(a | b)} is not open",
                 offending_pair=(a, b),
-                missing_set=union,
+                missing_set=a | b,
             )
-        inter = a & b
-        if inter not in have:
+        if ma & mb not in have:
             return TopologyVerdict(
                 False,
-                f"intersection {_fmt(a)} & {_fmt(b)} = {_fmt(inter)} is not open",
+                f"intersection {_fmt(a)} & {_fmt(b)} = {_fmt(a & b)} is not open",
                 offending_pair=(a, b),
-                missing_set=inter,
+                missing_set=a & b,
             )
     return TopologyVerdict(True)
 

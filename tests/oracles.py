@@ -18,6 +18,7 @@ import numpy as np
 
 import formflow.chains as ch
 import formflow.expr as ex
+import formflow.finite_topology as ft
 import formflow.forms as fm
 
 # ---------------------------------------------------------------------------
@@ -1068,3 +1069,104 @@ def reference_invariance_check(w, chain, V, mode="invariant", h=0.02, tol=1e-6,
     else:
         passed = gap <= tol * scale
     return ch.InvarianceResult(derivative, lie.value, scale, tol, mode, passed, gap)
+
+
+# ---------------------------------------------------------------------------
+# The tape executor that sweeps every instruction
+#
+# Tape.run as it was while every instruction's value was swept for
+# infinities as it was made; a kept run went unswept and repeated swept
+# when some slot held an infinity.  Tape.run, which sweeps only loaded
+# values unless an operation raises numpy's overflow or divide-by-zero
+# flag, must give these bits.
+
+
+def reference_tape_run(tape: ex.Tape, points: np.ndarray, params, keep: bool = False) -> list:
+    if not keep:
+        return _reference_tape_execute(tape, points, params, True, tape._dead)
+    slots = _reference_tape_execute(tape, points, params, False, ())
+    if slots and np.isinf(np.concatenate(slots)).any():
+        slots = _reference_tape_execute(tape, points, params, True, ())
+    return slots
+
+
+def _reference_tape_execute(tape: ex.Tape, points: np.ndarray, params, finite: bool, dead) -> list:
+    k, n = points.shape
+    one = np.ones(k)
+    slots: list = [None] * len(tape.code)
+    with np.errstate(all="ignore"):
+        for i, (op, arg, operands) in enumerate(tape.code):
+            if op == ex._PRODUCT:
+                if len(operands) > 1:
+                    v = slots[operands[0]] * slots[operands[1]]
+                else:
+                    v = one * slots[operands[0]]
+                for s in operands[2:]:
+                    v *= slots[s]
+            elif op == ex._SUM:
+                v = np.zeros(k)
+                for s in operands:
+                    v += slots[s]
+            elif op == ex._COORD:
+                if arg >= n:
+                    raise ex.EvalError(
+                        f"points have {n} coordinates but expression uses index {arg}"
+                    )
+                v = points[:, arg].copy()
+            elif op == ex._CONST:
+                v = one * arg
+            elif op == ex._POW:
+                b = slots[operands[0]]
+                v = b ** arg
+                if arg == 0:
+                    v[np.isnan(b)] = math.nan
+            elif op == ex._QUOTIENT:
+                v = slots[operands[1]] / slots[operands[0]]
+            elif op == ex._FUNC:
+                v = arg(slots[operands[0]])
+            elif op == ex._ATAN2:
+                y, x = slots[operands[0]], slots[operands[1]]
+                v = np.arctan2(y, x)
+                v[(y == 0.0) & (x == 0.0)] = math.nan
+            else:
+                try:
+                    p = params[arg]
+                except KeyError:
+                    raise ex.EvalError(f"unbound parameter {arg!r}") from None
+                v = one * float(p) if np.ndim(p) == 0 else np.array(p, dtype=float)
+            if finite:
+                v[np.isinf(v)] = math.nan
+            slots[i] = v
+            if dead:
+                for s in dead[i]:
+                    slots[s] = None
+    return slots
+
+
+# ---------------------------------------------------------------------------
+# Topology axioms on frozensets
+
+
+def reference_is_topology(sets, ground) -> ft.TopologyVerdict:
+    """is_topology over the sets themselves: every pair's union and
+    intersection looked up as a frozenset, the first failure reported."""
+    ground = frozenset(ground)
+    opens = ft._canon_sets(sets)
+    for s in opens:
+        if not s <= ground:
+            return ft.TopologyVerdict(False, f"set {ft._fmt(s)} is not a subset of the ground set")
+    have = set(opens)
+    if frozenset() not in have:
+        return ft.TopologyVerdict(False, "empty set missing", missing_set=frozenset())
+    if ground not in have:
+        return ft.TopologyVerdict(False, "ground set missing", missing_set=ground)
+    for a, b in itertools.combinations(opens, 2):
+        for kind, sign, out in (("union", "|", a | b), ("intersection", "&", a & b)):
+            if out not in have:
+                return ft.TopologyVerdict(
+                    False,
+                    f"{kind} {ft._fmt(a)} {sign} {ft._fmt(b)} = {ft._fmt(out)} is not open",
+                    offending_pair=(a, b),
+                    missing_set=out,
+                )
+    return ft.TopologyVerdict(True)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -820,11 +822,13 @@ closed = true
 
 def test_theorems_battery_advects_once_per_process(monkeypatch):
     # Kelvin: rigid rotation with centripetal pressure; 3 circles, a torus
-    # and a shell all move along the spacetime process in one batch
+    # and a shell all move along the spacetime process in one batch, and
+    # every grid of a base chain serves the whole run: thermo integrates R
+    # over the circles before the batch reuses their quadrature
     import formflow.cli as cli
 
     cfg = cli.parse_config(KELVIN)
-    flows, grids, batches = [], [], []
+    flows, grids, batches, quads = [], [], [], []
     real_flow, real_checks = ch.rk4_flow, ch.invariance_checks
     real_map, real_grids = ch.ExprCell.eval_grid, ch.ExprCell.grids
 
@@ -839,25 +843,34 @@ def test_theorems_battery_advects_once_per_process(monkeypatch):
         return cell_grid
 
     def checks(pairs, V, *args, **kwargs):
-        grids.clear()
-        out = real_checks(pairs, V, *args, **kwargs)
-        batches.append((id(V), [c.name for _, c in pairs], list(grids)))
-        return out
+        batches.append((id(V), [c.name for _, c in pairs]))
+        return real_checks(pairs, V, *args, **kwargs)
+
+    class Quadrature(ch._Quadrature):
+        def __init__(self, *args):
+            super().__init__(*args)
+            quads.append(weakref.ref(self))
 
     monkeypatch.setattr(ch, "rk4_flow", flow)
     monkeypatch.setattr(ch.ExprCell, "eval_grid", recorded(real_map, False))
     monkeypatch.setattr(ch.ExprCell, "grids", recorded(real_grids, True))
     monkeypatch.setattr(ch, "invariance_checks", checks)
+    monkeypatch.setattr(ch, "_Quadrature", Quadrature)
     report = cli.run(cfg)
 
     assert report.passed
-    [(V, names, seen)] = batches
+    [(V, names)] = batches
     assert names == ["torus", "circle0", "circle1", "circle2", "shell"]
     assert flows == [(V, 8)]  # every stencil time of every chain: 8 steps
-    # each base cell: the map alone at its fit nodes once, then the map and
-    # its Jacobian at each quadrature order once
-    assert len(seen) == len(set(seen)) == 3 * 5
-    assert sum(not jacobian for _, _, jacobian in seen) == 5
+    # over the whole run, each base cell: the map alone at its fit nodes
+    # once, then the map and its Jacobian at each quadrature order once
+    assert len(grids) == len(set(grids)) == 3 * 5
+    assert sum(not jacobian for _, _, jacobian in grids) == 5
+    assert len({cell for cell, _, _ in grids}) == 5
+    # the run memo held each base chain's quadrature, and none outlives it
+    del report
+    gc.collect()
+    assert quads and all(ref() is None for ref in quads)
 
 
 def test_theorems_battery_builds_each_lie_derivative_once(monkeypatch):

@@ -1,12 +1,20 @@
-"""The config format on its own: [topology] checks and [run] flags."""
+"""The config format on its own: [topology] checks, [run] flags and the
+parse's memo scope."""
 
 from __future__ import annotations
+
+import dataclasses
+from pathlib import Path
 
 import pytest
 
 import formflow.cli as cli
 import formflow.config as config
+import formflow.expr as ex
 import formflow.finite_topology as ft
+from test_batteries import _bench_workloads
+
+REPO = Path(__file__).resolve().parents[1]
 
 POINTS = ", ".join(f"p{i}" for i in range(ft.MAX_GROUND + 1))
 
@@ -82,3 +90,45 @@ def test_the_command_parses_through_the_one_parse_config(monkeypatch, capsys):
     assert cli.main(["run", "--preset", "harmonic.winding"]) == 2
     assert seen == ["harmonic.winding"]
     assert capsys.readouterr().err == "config error: stop\n"
+
+
+def _trees(value) -> list[ex.ScalarExpr]:
+    """The tree of every Source in a parsed config, in field order."""
+    if isinstance(value, config.Source):
+        return [value.tree]
+    if isinstance(value, tuple):
+        return [tree for item in value for tree in _trees(item)]
+    if dataclasses.is_dataclass(value):
+        return [tree for f in dataclasses.fields(value) for tree in _trees(getattr(value, f.name))]
+    return []
+
+
+def _texts() -> list[str]:
+    texts = [path.read_text() for path in sorted((REPO / "configs").glob("*.cfg"))]
+    workloads = _bench_workloads()
+    for make in workloads.WORKLOADS.values():
+        texts += [job.text for job in make(1, REPO)]
+    return texts
+
+
+def test_the_parse_builds_in_a_scope_of_its_own():
+    # the parse's memo ends with it; the trees are the nodes a parse with no
+    # memo builds (nodes are interned, so equal trees are one object)
+    texts = _texts()
+    assert sum(len(_trees(config.parse_config(text))) for text in texts) > 100
+    for text in texts:
+        scoped = config.parse_config(text)
+        assert ex._MEMO.get() is None
+        unscoped = config._config_of(config._split_sections(text))
+        got, want = _trees(scoped), _trees(unscoped)
+        assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+
+
+def test_a_parse_that_raises_leaves_no_scope():
+    # the velocity, the process and the first chain are built before the
+    # last chain's unknown function stops the parse
+    text = (REPO / "configs" / "couette_shear.cfg").read_text()
+    bad = text + "\n[chain late]\ndegree = 1\ncomponents = 2*pi*u0, frob(u0), 0, 0\n"
+    with pytest.raises(config.ConfigError, match="unknown function 'frob'"):
+        config.parse_config(bad)
+    assert ex._MEMO.get() is None

@@ -1317,3 +1317,58 @@ def test_to_text_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# Each case: roots, one row where an infinity arises (or is loaded), params.
+# The row sits between two regular rows, and the three repeat so that
+# numpy's vector loops and their tails both see it.
+INF, BIG = math.inf, 1e200
+INFINITY_CASES = {
+    "product overflows": (["x*y + 1", "x*y*z", "x^2*y", "x^3 + y"], (BIG, BIG, 2.0, 1.0), {}),
+    "sum overflows": (["x + y", "(x + y)*z"], (1.7e308, 1.7e308, 2.0, 1.0), {}),
+    "quotient divides by 0": (["x/y", "atan2(x/y, 1)"], (1.0, 0.0, 2.0, 1.0), {}),
+    "x^-2 at 0": (["x^-2", "1/(1 + x^-2)"], (0.0, 1.0, 2.0, 1.0), {}),
+    "exp(1000)": (["exp(x)", "sin(exp(x))"], (1000.0, 1.0, 2.0, 1.0), {}),
+    "ln(0)": (["ln(x)", "exp(ln(x))"], (0.0, 1.0, 2.0, 1.0), {}),
+    "1/exp(1000)": (["1/exp(x)"], (1000.0, 1.0, 2.0, 1.0), {}),
+    "infinite coordinate": (["atan2(y, x)", "exp(-x^2)"], (INF, 1.0, 2.0, 1.0), {}),
+    "infinite parameter column": (["atan2(y, a)", "a*x + 1"], (1.0, 1.0, 2.0, 1.0),
+                                  {"a": np.tile([0.5, INF, -0.5], 23)}),
+    "infinite parameter": (["atan2(y, a)", "a*x + 1"], (1.0, 1.0, 2.0, 1.0), {"a": INF}),
+    "infinite constant": ([ex.func("atan2", Y, ex.Const(INF))], (1.0, 1.0, 2.0, 1.0), {}),
+}
+
+
+def _same_bits(got: list, want: list) -> bool:
+    """Equal slot lists: the same slots dropped, the rest equal bit for bit."""
+    bits = [[None if v is None else v.tobytes() for v in slots] for slots in (got, want)]
+    return bits[0] == bits[1]
+
+
+@pytest.mark.parametrize("case", sorted(INFINITY_CASES))
+def test_tape_turns_infinities_to_nan_as_sweeping_every_instruction_does(case, monkeypatch):
+    texts, singular, params = INFINITY_CASES[case]
+    roots = [parse_scalar(t, CHART) if isinstance(t, str) else t for t in texts]
+    tape = ex.Tape(roots)
+    points = np.tile([(0.5, 1.5, 2.0, 1.0), singular, (1.25, -0.5, 0.75, 2.0)], (23, 1))
+    if "parameter column" not in case:
+        params = {**params, "a": params.get("a", 0.5)}
+
+    run, kept = tape.run(points, params), tape.run(points, params, keep=True)
+    values, magnitudes = tape.scaled_rows(points, params)
+    with pytest.raises(ex.SingularityError) as got:
+        tape.values(points, params)
+    want_run = oracles.reference_tape_run(tape, points, params)
+    want_kept = oracles.reference_tape_run(tape, points, params, keep=True)
+    assert _same_bits(run, want_run)
+    assert _same_bits(kept, want_kept)
+    # every root is NaN on the singular rows, though an infinity may vanish
+    # before the root (1/inf is 0)
+    assert all(np.isnan(want_kept[s][1::3]).all() for s in tape.outputs)
+
+    monkeypatch.setattr(tape, "run", lambda *a, **kw: oracles.reference_tape_run(tape, *a, **kw))
+    want_values, want_magnitudes = tape.scaled_rows(points, params)
+    assert _same_bits(values, want_values) and _same_bits(magnitudes, want_magnitudes)
+    with pytest.raises(ex.SingularityError) as want:
+        tape.values(points, params)
+    assert str(got.value) == str(want.value)
