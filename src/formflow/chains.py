@@ -545,7 +545,7 @@ def _coefficients(w: DifferentialForm, quad: _Quadrature) -> list[np.ndarray] | 
             return None
         for cell, bound, start, stop, *_ in segments:
             try:
-                w.tape.values(X[start:stop], bound)
+                w.tape.values(X[start:stop], bound, w.chart)
             except SingularityError as err:
                 raise SingularityError(
                     f"integrand singular on cell {cell.name or '?'}: {err}",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,12 +24,10 @@ from . import batteries as bt
 from . import chains as ch
 from . import expr as ex
 from . import forms as fm
-from . import pfaff as pf
 from . import systems as sy
 from . import thermo as th
-from .config import ConfigError, RunConfig, Source, chart_of, parse_config
-from .expr import Box, InconclusiveError
-from .forms import DifferentialForm, VectorField
+from .config import ConfigError, RunConfig, build_runtime, parse_config
+from .expr import InconclusiveError
 from .pfaff import InternalConsistencyError
 
 # parse_config is formflow.config's, named here too for callers of the command's module
@@ -63,89 +61,6 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o).__name__}")
 
 
-def _build_runtime(cfg: RunConfig) -> bt.Runtime:
-    preset = sy.get_preset(cfg.preset) if cfg.preset else None
-    chart = chart_of(cfg, preset)
-    params: dict[str, float] = {}
-    processes: list[tuple[str, VectorField]] = []
-    chains: list[ch.Chain] = []
-    points: tuple[tuple[float, ...], ...] = ()
-    system: sy.FluidSystem | sy.EMSystem | None = None
-    box: Box | None = None
-    action: DifferentialForm | None = None
-
-    if preset is not None:
-        action = preset.action
-        processes.extend(preset.processes)
-        chains.extend(preset.chains)
-        params.update(preset.params)
-        points = preset.points
-        system = preset.system
-        box = preset.box
-
-    def trees(sources: tuple[Source, ...]) -> tuple[ex.ScalarExpr, ...]:
-        return tuple(s.tree for s in sources)
-
-    def tree(source: Source | None, default: ex.ScalarExpr) -> ex.ScalarExpr:
-        return source.tree if source else default
-
-    if cfg.action:
-        action = fm.one_form(chart, trees(cfg.action))
-    elif cfg.velocity:
-        system = sy.FluidSystem(
-            trees(cfg.velocity),
-            tree(cfg.pressure_potential, ex.ZERO),
-            tree(cfg.viscosity, ex.ZERO),
-            name="config.fluid",
-        )
-        action = system.action()
-        processes.append(("spacetime", system.spacetime_velocity()))
-    elif cfg.vector_potential:
-        system = sy.EMSystem(
-            trees(cfg.vector_potential), tree(cfg.scalar_potential, ex.ZERO), name="config.em"
-        )
-        action = system.action()
-
-    for spec in cfg.processes:
-        J = VectorField(chart, trees(spec.components), tree(spec.support, ex.ONE))
-        processes.append((spec.name, J))
-
-    for spec in cfg.chains:
-        cell = ch.ExprCell(chart, spec.degree, trees(spec.components), name=spec.name)
-        chains.append(ch.Chain(spec.degree, (cell,), (1,), spec.closed, spec.name))
-
-    for name, value in cfg.params:
-        params[name] = value
-
-    # the config's sampling goes into the preset's box, or the default box:
-    # lows and highs replace its bounds, ranges and guards are merged in
-    box = box or ex.default_box(chart.dim)
-    box = replace(
-        box,
-        lows=cfg.lows or box.lows,
-        highs=cfg.highs or box.highs,
-        param_ranges={**box.param_ranges, **{n: (lo, hi) for n, lo, hi in cfg.param_ranges}},
-        guards=box.guards + trees(cfg.guards),
-    )
-
-    if action is None and cfg.topology is None:
-        raise ConfigError("nothing to analyze: no action and no topology")
-    if action is None:
-        action = fm.one_form(chart, (ex.ZERO,) * chart.dim)
-
-    context = ex.ZeroTester(box, seed=cfg.seed)
-    return bt.Runtime(
-        topology=cfg.topology,
-        chart=chart,
-        anatomy=pf.Anatomy(action, context, chains, points, params),
-        processes=tuple(processes),
-        chains=tuple(chains),
-        params=params,
-        system=system,
-        tol=cfg.tolerance,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Run
 
@@ -159,7 +74,7 @@ def run(cfg: RunConfig) -> Report:
     and partial derivative is built once per run and none outlives it.
     """
     with ex.run_memo():
-        rt = _build_runtime(cfg)
+        rt = build_runtime(cfg)
         checks = bt.Checks()
         batteries: dict[str, dict] = {}
         errors: dict[str, str] = {}
@@ -255,8 +170,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_presets:
-        for name in sy.preset_names():
-            print(f"{name}: {sy.get_preset(name).summary}")
+        for name, text in sy.PRESETS.items():  # each text's first line is "# summary"
+            print(f"{name}: {text.splitlines()[0][2:]}")
         return 0
     if args.command != "run":
         parser.print_usage(sys.stderr)

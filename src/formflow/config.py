@@ -4,6 +4,9 @@ A config is line-oriented: `[section]` headers and `key = value` lines,
 `#` comments, blank lines ignored; expression values use the expression
 parser's grammar.  One table of keys gives each key its section, field,
 reader and writer; parse_config and serialize_config both go through it.
+A preset is a bundled config text (systems.PRESETS) that parse_config
+merges with the config naming it, and build_runtime makes a run's inputs
+from the parsed RunConfig.
 """
 
 from __future__ import annotations
@@ -16,13 +19,16 @@ from . import batteries as bt
 from . import chains as ch
 from . import expr as ex
 from . import finite_topology as ft
+from . import forms as fm
 from . import parse as ps
+from . import pfaff as pf
 from . import systems as sy
+from .forms import VectorField
 from .parse import quoted
 
 __all__ = [
     "BATTERIES", "ChainSpec", "ConfigError", "ProcessSpec", "RunConfig", "Source",
-    "TopologySpec", "chart_of", "parse_config", "serialize_config",
+    "TopologySpec", "build_runtime", "chart_of", "parse_config", "serialize_config",
 ]
 
 BATTERIES = tuple(bt.BATTERY_FUNCS)
@@ -105,6 +111,7 @@ class RunConfig:
     highs: tuple[float, ...] = ()
     guards: tuple[Source, ...] = ()
     param_ranges: tuple[tuple[str, float, float], ...] = ()
+    probe: tuple[float, ...] = ()
     topology: TopologySpec | None = None
 
     def selected_batteries(self) -> tuple[str, ...]:
@@ -440,6 +447,7 @@ _KEYS = (
     _Key("sampling", "guards", "guards", _guards, lambda v: "; ".join(map(str, v))),
     _Key("sampling", "range NAME", "param_ranges", _range,
          lambda item: f"{item[1]!r}, {item[2]!r}"),
+    _Key("sampling", "probe", "probe", _floats, _numbers),
     _Key("process", "components", "components", _exprs, _list),
     _Key("process", "support", "support", _expr, str),
     _Key("chain", "degree", "degree", _degree, str),
@@ -501,7 +509,50 @@ def _flag_entries(flags: Mapping[str, object]) -> dict[str, _Entry]:
     return {k: _Entry(k, str(flags[k]), 0, 0) for k in keys if flags.get(k) is not None}
 
 
+def _with_preset(sections: dict[str, _Section]) -> dict[str, _Section]:
+    """The sections of the bundled text that [run] preset names, with the
+    config's own merged in; without a preset, the config's own.
+
+    A [params] entry, a range and lows, highs or probe replace the bundled
+    one in place, guards are added to the bundled ones, and other sections
+    follow the bundled ones.  A [system] in both texts, a process or chain
+    name in both, or coordinates other than the bundled x, y, z, t are
+    errors at the config's line."""
+    entry = sections["run"].entries.get("preset") if "run" in sections else None
+    if entry is None:
+        return sections
+    merged = _split_sections(sy.PRESETS[_preset(entry, None)])
+    coords = sections["chart"].entries.get("coordinates") if "chart" in sections else None
+    if coords and (names := _names("coordinate")(coords, None)) != sy.SPACETIME.names:
+        raise ConfigError(
+            f"coordinates {names} do not match preset chart {sy.SPACETIME.names}",
+            coords.line,
+            coords.column,
+        )
+    for name, section in sections.items():
+        bundled = merged.setdefault(name, section)
+        if bundled is section:
+            continue
+        if section.kind == "system":
+            raise ConfigError(
+                "a preset and an explicit [system] are mutually exclusive", section.line, 1
+            )
+        if section.kind in _NAMED:
+            raise ConfigError(
+                f"{section.kind} name {quoted(section.label)} is already used by the preset",
+                section.line,
+                1,
+            )
+        guards = bundled.entries.get("guards")  # [params] and [sampling]
+        bundled.entries.update(section.entries)
+        if guards and "guards" in section.entries:
+            own = section.entries["guards"]
+            bundled.entries["guards"] = replace(own, value=f"{guards.value}; {own.value}")
+    return merged
+
+
 def _config_of(sections: dict[str, _Section]) -> RunConfig:
+    sections = _with_preset(sections)
     for section in sections.values():
         kind, label = section.kind, section.label
         if kind in _NAMED and not label:
@@ -525,8 +576,7 @@ def _config_of(sections: dict[str, _Section]) -> RunConfig:
         **_read(sections.get("run"), "run", None, needed),
         **_read(sections.get("chart"), "chart", None, needed),
     )
-    preset = sy.get_preset(head.preset) if head.preset else None
-    chart = chart_of(head, preset)
+    chart = chart_of(head)
     body = {}
     for kind in ("system", "params", "sampling"):
         body.update(_read(sections.get(kind), kind, chart, needed))
@@ -549,25 +599,15 @@ def _config_of(sections: dict[str, _Section]) -> RunConfig:
     )
 
     # rules across keys
-    if cfg.preset and cfg.coordinates and chart.names != cfg.coordinates:
-        raise ConfigError(
-            f"coordinates {cfg.coordinates} do not match preset chart {chart.names}",
-            *at("chart", "coordinates"),
-        )
     system = entries("system")
     system_keys = [k for k in ("action", "velocity", "vector_potential") if k in system]
-    if cfg.preset and system_keys:
-        raise ConfigError(
-            "a preset and an explicit [system] are mutually exclusive",
-            *at("system", system_keys[0]),
-        )
     if len(system_keys) > 1:
         raise ConfigError(
             "give exactly one of action, velocity, vector_potential",
             *at("system", system_keys[1]),
         )
     needs_system = any(b != "topology" for b in cfg.selected_batteries())
-    if not cfg.preset and not system_keys and (needs_system or "topology" not in sections):
+    if not system_keys and (needs_system or "topology" not in sections):
         raise ConfigError("no preset and no [system] section: nothing to analyze")
     for key, count, kind in (("action", chart.dim, ""), ("velocity", 3, "fluid"),
                              ("vector_potential", 3, "em")):
@@ -583,21 +623,12 @@ def _config_of(sections: dict[str, _Section]) -> RunConfig:
     if cfg.scalar_potential and not cfg.vector_potential:
         raise ConfigError("scalar_potential needs a vector_potential")
 
-    # a process or chain named like one the preset, or the config's velocity
-    # system, brings would merge two entries of the report into one
-    taken = {
-        "process": (
-            [n for n, _ in preset.processes] if preset
-            else ["spacetime"] if cfg.velocity else []
-        ),
-        "chain": [c.name for c in preset.chains] if preset else [],
-    }
     for kind, specs in (("process", cfg.processes), ("chain", cfg.chains)):
         for section, spec in zip(named[kind], specs):
-            if spec.name in taken[kind]:
-                owner = "the preset" if preset else "the velocity system"
+            # a velocity system brings its own spacetime process
+            if kind == "process" and spec.name == "spacetime" and cfg.velocity:
                 raise ConfigError(
-                    f"{kind} name {quoted(spec.name)} is already used by {owner}",
+                    "process name 'spacetime' is already used by the velocity system",
                     section.line,
                     1,
                 )
@@ -622,17 +653,14 @@ def _config_of(sections: dict[str, _Section]) -> RunConfig:
                     f"sampling interval [{lo}, {hi}] needs lo < hi and a finite width",
                     *at("sampling", "lows"),
                 )
+    if cfg.probe and len(cfg.probe) != chart.dim:
+        raise ConfigError(f"probe needs {chart.dim} entries", *at("sampling", "probe"))
 
     if cfg.topology is not None:
         _validate_topology(cfg.topology, sections["topology"].entries)
 
     bound = {name for name, _ in cfg.params}
-    ranged = {name for name, _, _ in cfg.param_ranges}
-    if preset is not None:
-        bound |= set(preset.params)
-        if preset.box is not None:
-            ranged |= set(preset.box.param_ranges)
-    ranged |= bound
+    ranged = bound | {name for name, _, _ in cfg.param_ranges}
     for entry, pname, guard_only in needed:
         if pname not in (ranged if guard_only else bound):
             raise ConfigError(
@@ -673,18 +701,95 @@ def _validate_topology(spec: TopologySpec, entries: dict[str, _Entry]):
             fail("map", "map must cover every domain point")
 
 
-def chart_of(cfg: RunConfig, preset: sy.Preset | None) -> ex.Chart:
-    """The chart of cfg's expressions: its preset's, its coordinates' or spacetime."""
-    if preset is not None:
-        return preset.chart
-    if cfg.coordinates:
-        return ex.Chart(cfg.coordinates)
-    return sy.SPACETIME
+def chart_of(cfg: RunConfig) -> ex.Chart:
+    """The chart of cfg's expressions: its coordinates' or spacetime."""
+    return ex.Chart(cfg.coordinates) if cfg.coordinates else sy.SPACETIME
+
+
+def build_runtime(cfg: RunConfig) -> bt.Runtime:
+    """The run's inputs, built from cfg's parsed expressions: its system and
+    processes, chains, parameters, probe point and sampling box."""
+    chart = chart_of(cfg)
+
+    def trees(sources: tuple[Source, ...]) -> tuple[ex.ScalarExpr, ...]:
+        return tuple(s.tree for s in sources)
+
+    def tree(source: Source | None, default: ex.ScalarExpr) -> ex.ScalarExpr:
+        return source.tree if source else default
+
+    processes: list[tuple[str, VectorField]] = []
+    system: sy.FluidSystem | sy.EMSystem | None = None
+    if cfg.action:
+        action = fm.one_form(chart, trees(cfg.action))
+    elif cfg.velocity:
+        system = sy.FluidSystem(
+            trees(cfg.velocity),
+            tree(cfg.pressure_potential, ex.ZERO),
+            tree(cfg.viscosity, ex.ZERO),
+        )
+        action = system.action()
+        processes.append(("spacetime", system.spacetime_velocity()))
+    elif cfg.vector_potential:
+        system = sy.EMSystem(trees(cfg.vector_potential), tree(cfg.scalar_potential, ex.ZERO))
+        action = system.action()
+    elif cfg.topology is not None:
+        action = fm.one_form(chart, (ex.ZERO,) * chart.dim)
+    else:
+        raise ConfigError("nothing to analyze: no action and no topology")
+
+    for spec in cfg.processes:
+        J = VectorField(chart, trees(spec.components), tree(spec.support, ex.ONE))
+        processes.append((spec.name, J))
+    chains: list[ch.Chain] = []
+    for spec in cfg.chains:
+        cell = ch.ExprCell(chart, spec.degree, trees(spec.components), name=spec.name)
+        chains.append(ch.Chain(spec.degree, (cell,), (1,), spec.closed, spec.name))
+    params = dict(cfg.params)
+    # lows and highs replace the default box's bounds
+    box = ex.default_box(chart.dim)
+    box = ex.Box(
+        cfg.lows or box.lows,
+        cfg.highs or box.highs,
+        {n: (lo, hi) for n, lo, hi in cfg.param_ranges},
+        trees(cfg.guards),
+    )
+    context = ex.ZeroTester(box, seed=cfg.seed)
+    points = (cfg.probe,) if cfg.probe else ()
+    return bt.Runtime(
+        topology=cfg.topology,
+        chart=chart,
+        anatomy=pf.Anatomy(action, context, chains, points, params),
+        processes=tuple(processes),
+        chains=tuple(chains),
+        params=params,
+        system=system,
+        tol=cfg.tolerance,
+    )
+
+
+def _less_preset(cfg: RunConfig) -> RunConfig:
+    """cfg without what the bundled text of its preset gives, so that
+    merging that text with it again gives cfg back."""
+    base = _config_of(_split_sections(sy.PRESETS[cfg.preset]))
+
+    def own(name: str, mine, bundled):
+        if name == "guards":  # added to the bundled ones
+            return mine[len(bundled):]
+        if name in ("params", "param_ranges", "processes", "chains"):
+            return tuple(item for item in mine if item not in bundled)
+        return _DEFAULTS[RunConfig][name] if mine == bundled else mine
+
+    return replace(
+        cfg, **{f.name: own(f.name, getattr(cfg, f.name), getattr(base, f.name))
+                for f in fields(RunConfig)}
+    )
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """The config text parse_config reads back to cfg; a key whose value is
-    its field's default is left out."""
+    its field's default, or with a preset the bundled text's, is left out."""
+    if cfg.preset:
+        cfg = _less_preset(cfg)
     blocks = [(f"[{kind}]", kind, cfg) for kind in ("run", "chart", "system", "params", "sampling")]
     blocks += [(f"[process {p.name}]", "process", p) for p in cfg.processes]
     blocks += [(f"[chain {c.name}]", "chain", c) for c in cfg.chains]

@@ -1273,19 +1273,22 @@ class Tape:
             [magnitudes[sub].max(axis=0) for sub in self._subtrees],
         )
 
-    def values(self, points: np.ndarray, params: Mapping) -> list[np.ndarray]:
+    def values(
+        self, points: np.ndarray, params: Mapping, chart: Chart | None = None
+    ) -> list[np.ndarray]:
         """The roots' values at every row, from one run.  A failure raises
         the error of the first root that fails, as a one-root tape of each
-        root in turn would raise it."""
+        root in turn would raise it; a SingularityError names the
+        subexpression in chart's coordinate names."""
         try:
             slots = self.run(points, params)
         except EvalError:
             slots = None
         if slots is None or any(np.isnan(slots[s]).any() for s in self.outputs):
-            self._raise_first_error(points, params)
+            self._raise_first_error(points, params, chart)
         return [slots[s] for s in self.outputs]
 
-    def _raise_first_error(self, points: np.ndarray, params: Mapping) -> None:
+    def _raise_first_error(self, points: np.ndarray, params: Mapping, chart: Chart | None) -> None:
         """Raise the error of the first root that fails, found on one more
         run that keeps every slot: a run that raises stops in the first
         root whose slot it does not reach, and a root before it fails first
@@ -1294,11 +1297,11 @@ class Tape:
         try:
             self._execute(points, params, True, (), slots)
         except EvalError:
-            self._raise_singular(slots, points)
+            self._raise_singular(slots, points, chart)
             raise
-        self._raise_singular(slots, points)
+        self._raise_singular(slots, points, chart)
 
-    def _raise_singular(self, slots: list, points: np.ndarray) -> None:
+    def _raise_singular(self, slots: list, points: np.ndarray, chart: Chart | None) -> None:
         """Raise _singularity's error for the first root singular at some
         row, among the roots before the first slot the run did not fill."""
         memo = {node: slots[i] for node, i in self.index.items()}
@@ -1306,7 +1309,7 @@ class Tape:
             if slots[s] is None:
                 return
             if np.isnan(slots[s]).any():
-                raise _singularity(root, memo, points) from None
+                raise _singularity(root, memo, points, chart) from None
 
     def at(self, point: Sequence[float], params: Mapping | None = None) -> list[float]:
         """The roots' values at one point; raises as values() does."""
@@ -1338,7 +1341,7 @@ def _fault(node: ScalarExpr, memo: Mapping[ScalarExpr, np.ndarray], i: int) -> s
     return "nonfinite value"
 
 
-def _singularity(e: ScalarExpr, memo, points: np.ndarray) -> SingularityError:
+def _singularity(e: ScalarExpr, memo, points: np.ndarray, chart: Chart | None) -> SingularityError:
     """The error for the first node, in evaluation order, with a singular
     row, at that node's first such row; a quotient is singular where its
     denominator is zero before its numerator is reached.  The walk keeps
@@ -1361,7 +1364,7 @@ def _singularity(e: ScalarExpr, memo, points: np.ndarray) -> SingularityError:
             stack += [(node, done + 1), (kids[done], 0)]
     i = int(np.argmax(bad))
     pt = tuple(points[i].tolist())
-    text = to_text(node)
+    text = to_text(node, chart)
     if len(text) > 60:  # bounded as parse.quoted bounds a config text
         text = f"{text[:60]}... ({len(text)} characters)"
     return SingularityError(f"{_fault(node, memo, i)} in {text} at point {pt}", node, pt)
@@ -1378,7 +1381,7 @@ def eval_with_scale(
     tape, row = Tape((e,)), np.array([point], dtype=float)
     (value,), (scale,) = tape.scaled_rows(row, params or {})
     if np.isnan(value[0]):
-        tape._raise_first_error(row, params or {})
+        tape._raise_first_error(row, params or {}, None)
     return float(value[0]), float(scale[0])
 
 

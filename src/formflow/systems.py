@@ -5,8 +5,9 @@ action 1-form it induces on the (x, y, z, t) chart, and exposes the
 diagnostics that connect vector-calculus identities to the exterior
 calculus: vorticity and acceleration fields, Euler and Navier-Stokes
 residuals, torsion currents with their balance law, mass currents, and
-field invariants.  Presets bundle concrete systems with registered test
-chains so the CLI and the test suite can run every diagnostic end to end.
+field invariants.  Presets are bundled config texts, each a concrete system
+with registered test chains, read by formflow.config as a user's config is,
+so the CLI and the test suite can run every diagnostic end to end.
 
 Sign convention. The torsion 3-form is converted to a 4-component current
 through i(T)Omega = A^dA with Omega = dx^dy^dz^dt.  The classical
@@ -18,8 +19,6 @@ classical form: div T + dh/dt equals the stated anomaly.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -166,7 +165,6 @@ class FluidSystem:
     velocity: Vec3
     pressure_potential: ScalarExpr = ex.ZERO
     viscosity: ScalarExpr = ex.ZERO
-    name: str = "fluid"
 
     def __post_init__(self):
         object.__setattr__(self, "velocity", _as_vec3(self.velocity))
@@ -228,7 +226,6 @@ class EMSystem:
 
     vector_potential: Vec3
     scalar_potential: ScalarExpr = ex.ZERO
-    name: str = "em"
 
     def __post_init__(self):
         object.__setattr__(
@@ -660,271 +657,130 @@ class Preset:
         )
 
 
-def _two_pi(u: ScalarExpr) -> ScalarExpr:
-    return ex.mul(ex.Const(2.0 * math.pi), u)
+# The shared test chains: a unit circle in the z = t = 0 plane, a donut
+# torus in the t = 0 slice, and an immersed 3-torus touching all four
+# coordinates; each is closed.
+_CIRCLE = """
+[chain circle]
+degree = 1
+components = cos(2*pi*u0), sin(2*pi*u0), 0.0, 0.0
+"""
+_TORUS = """
+[chain torus]
+degree = 2
+components = (1.5 + 0.5*cos(2*pi*u1))*cos(2*pi*u0), (1.5 + 0.5*cos(2*pi*u1))*sin(2*pi*u0), \
+0.5*sin(2*pi*u1), 0.0
+"""
+_SHELL = """
+[chain shell]
+degree = 3
+components = (1.5 + 0.5*cos(2*pi*u2))*cos(2*pi*u0), (1.5 + 0.5*cos(2*pi*u2))*sin(2*pi*u0), \
+0.5*sin(2*pi*u2) + 0.25*cos(2*pi*u1), 0.25*sin(2*pi*u1)
+"""
 
+# Each text's first line is its summary; every [sampling] block names the
+# one probe point of the pointwise Pfaff dimension.
+PRESETS: dict[str, str] = {
+    "euler.rigid_rotation": """\
+# rigid rotation with centripetal pressure: inviscid solution, integrable action, \
+conservative work along the spatial flow
+[system]
+velocity = -Omega*y, Omega*x, 0
+pressure_potential = 0.5*Omega*Omega*(x^2 + y^2)
 
-def _torus_cell(radius_major: float, radius_minor: float, t0: float = 0.0) -> ch.ExprCell:
-    """Donut 2-torus in the spatial slice t = t0; geometrically closed."""
-    u, v = ex.Coord(0), ex.Coord(1)
-    ring = ex.add(
-        ex.Const(radius_major), ex.mul(ex.Const(radius_minor), ex.cos(_two_pi(v)))
-    )
-    return ch.ExprCell(
-        SPACETIME,
-        2,
-        (
-            ex.mul(ring, ex.cos(_two_pi(u))),
-            ex.mul(ring, ex.sin(_two_pi(u))),
-            ex.mul(ex.Const(radius_minor), ex.sin(_two_pi(v))),
-            ex.Const(t0),
-        ),
-        name="torus",
-    )
+[params]
+Omega = 0.7
 
+[sampling]
+probe = 0.3, -0.2, 0.4, 0.1
 
-def _shell_cell(
-    radius_major: float = 1.5, radius_minor: float = 0.5, sway: float = 0.25
-) -> ch.ExprCell:
-    """Immersed 3-torus touching all four coordinates; geometrically closed."""
-    u, v, w = ex.Coord(0), ex.Coord(1), ex.Coord(2)
-    ring = ex.add(
-        ex.Const(radius_major), ex.mul(ex.Const(radius_minor), ex.cos(_two_pi(w)))
-    )
-    return ch.ExprCell(
-        SPACETIME,
-        3,
-        (
-            ex.mul(ring, ex.cos(_two_pi(u))),
-            ex.mul(ring, ex.sin(_two_pi(u))),
-            ex.add(
-                ex.mul(ex.Const(radius_minor), ex.sin(_two_pi(w))),
-                ex.mul(ex.Const(sway), ex.cos(_two_pi(v))),
-            ),
-            ex.mul(ex.Const(sway), ex.sin(_two_pi(v))),
-        ),
-        name="shell",
-    )
+[process spatial]
+components = -Omega*y, Omega*x, 0, 0
 
+[process probe]
+components = 0.3*y + 0.1*z, -0.2*x, 0.1*x*y, 0.05*x
+""" + _CIRCLE + _TORUS + _SHELL,
+    "ns.decaying_shear": """\
+# decaying shear layer: viscous momentum balance holds, heat form is not closed, \
+circulation drifts on off-center cycles
+[system]
+velocity = U*cos(k*y)*exp(-nu*k*k*t), 0, 0
+viscosity = nu
 
-def _circle_chain(center=(0.0, 0.0), name: str = "circle") -> ch.Chain:
-    cell = ch.circle_cell(
-        SPACETIME, plane=(0, 1), center=center, fixed={2: 0.0, 3: 0.0}, name=name
-    )
-    return ch.Chain(1, (cell,), (1,), closed=True, name=name)
+[params]
+U = 1.0
+k = 1.0
+nu = 0.15
 
+[sampling]
+range nu = 0.05, 0.5
+probe = 0.3, -0.2, 0.4, 0.1
 
-def _torus_chain() -> ch.Chain:
-    return ch.Chain(2, (_torus_cell(1.5, 0.5),), (1,), closed=True, name="torus")
+[chain circle]
+degree = 1
+components = 0.3 + cos(2*pi*u0), 0.4 + sin(2*pi*u0), 0.0, 0.0
+""" + _TORUS + _SHELL,
+    "fluid.beltrami_abc": """\
+# swirl field equal to its own curl: inviscid solution with nonzero helicity, \
+torsion current parallel to the velocity
+[system]
+velocity = sin(z) + cos(y), sin(x) + cos(z), sin(y) + cos(x)
+pressure_potential = 1.5 - 0.5*((sin(z) + cos(y))^2 + (sin(x) + cos(z))^2 + (sin(y) + cos(x))^2)
 
+[sampling]
+probe = 0.3, -0.2, 0.4, 0.1
+""" + _CIRCLE + _TORUS + _SHELL,
+    "em.plane_wave": """\
+# transverse travelling wave: E.B = 0, torsion current vanishes, the propagation ray \
+is characteristic
+[system]
+vector_potential = 0, cos(z - t), 0
 
-def _shell_chain() -> ch.Chain:
-    return ch.Chain(3, (_shell_cell(),), (1,), closed=True, name="shell")
+[sampling]
+probe = 0.3, -0.2, 0.4, 0.1
 
+[process ray]
+components = 0, 0, 1, 1
+""" + _CIRCLE + _TORUS,
+    "em.torsion_nonzero": """\
+# rotating potential with axial bias: maximal Pfaff dimension, evolution along the \
+torsion vector is irreversible
+[system]
+vector_potential = -lam*y, lam*x, 0
+scalar_potential = mu*z
 
-_PROBE_POINT = ((0.3, -0.2, 0.4, 0.1),)
+[params]
+lam = 2.0
+mu = 3.0
 
+[sampling]
+probe = 0.3, -0.2, 0.4, 0.1
 
-def _rigid_rotation() -> Preset:
-    """Steady rotation about the z axis with centripetal pressure balance."""
-    Om = ex.Param("Omega")
-    v = (ex.negate(ex.mul(Om, ex.Coord(1))), ex.mul(Om, ex.Coord(0)), ex.ZERO)
-    p_rho = ex.mul(
-        ex.Const(0.5),
-        Om,
-        Om,
-        ex.add(ex.power(ex.Coord(0), 2), ex.power(ex.Coord(1), 2)),
-    )
-    system = FluidSystem(v, p_rho, ex.ZERO, name="euler.rigid_rotation")
-    probe = VectorField(
-        SPACETIME,
-        (
-            ex.add(
-                ex.mul(ex.Const(0.3), ex.Coord(1)),
-                ex.mul(ex.Const(0.1), ex.Coord(2)),
-            ),
-            ex.mul(ex.Const(-0.2), ex.Coord(0)),
-            ex.mul(ex.Const(0.1), ex.Coord(0), ex.Coord(1)),
-            ex.mul(ex.Const(0.05), ex.Coord(0)),
-        ),
-    )
-    return Preset(
-        name="euler.rigid_rotation",
-        summary="rigid rotation with centripetal pressure: inviscid solution, "
-        "integrable action, conservative work along the spatial flow",
-        chart=SPACETIME,
-        action=system.action(),
-        processes=(
-            ("spacetime", system.spacetime_velocity()),
-            ("spatial", system.spatial_velocity()),
-            ("probe", probe),
-        ),
-        chains=(_circle_chain(), _torus_chain(), _shell_chain()),
-        box=ex.default_box(4),
-        params={"Omega": 0.7},
-        system=system,
-        points=_PROBE_POINT,
-    )
+[process torsion]
+components = -lam*mu*x, -lam*mu*y, -2*lam*mu*z, 0
 
+[process timelike]
+components = 0, 0, 0, 1
+""" + _CIRCLE + _TORUS + _SHELL,
+    "harmonic.winding": """\
+# angular form around an excised axis: closed, not exact, periods count the winding number
+[system]
+action = sigma*y/(x^2 + y^2), -(sigma*x)/(x^2 + y^2), 0, 0
 
-def _decaying_shear() -> Preset:
-    """Unidirectional shear decaying by diffusion: viscous solution, open flow."""
-    U, k, nu = ex.Param("U"), ex.Param("k"), ex.Param("nu")
-    f = ex.mul(
-        U,
-        ex.cos(ex.mul(k, ex.Coord(1))),
-        ex.exp(ex.negate(ex.mul(nu, k, k, ex.Coord(3)))),
-    )
-    system = FluidSystem((f, ex.ZERO, ex.ZERO), ex.ZERO, nu, name="ns.decaying_shear")
-    return Preset(
-        name="ns.decaying_shear",
-        summary="decaying shear layer: viscous momentum balance holds, heat "
-        "form is not closed, circulation drifts on off-center cycles",
-        chart=SPACETIME,
-        action=system.action(),
-        processes=(("spacetime", system.spacetime_velocity()),),
-        chains=(_circle_chain(center=(0.3, 0.4)), _torus_chain(), _shell_chain()),
-        box=ex.Box(
-            lows=(-1.0,) * 4,
-            highs=(1.0,) * 4,
-            param_ranges={"nu": (0.05, 0.5)},
-        ),
-        params={"U": 1.0, "k": 1.0, "nu": 0.15},
-        system=system,
-        points=_PROBE_POINT,
-    )
+[params]
+sigma = 1.0
 
+[sampling]
+guards = x^2 + y^2
+probe = 0.3, -0.2, 0.4, 0.1
 
-def _beltrami_abc() -> Preset:
-    """Steady swirl field equal to its own curl, with pressure locking H."""
-    x, y, z = ex.Coord(0), ex.Coord(1), ex.Coord(2)
-    v = (
-        ex.add(ex.sin(z), ex.cos(y)),
-        ex.add(ex.sin(x), ex.cos(z)),
-        ex.add(ex.sin(y), ex.cos(x)),
-    )
-    p_rho = ex.add(
-        ex.Const(1.5),
-        ex.negate(ex.mul(ex.Const(0.5), _dot(v, v))),
-    )
-    system = FluidSystem(v, p_rho, ex.ZERO, name="fluid.beltrami_abc")
-    return Preset(
-        name="fluid.beltrami_abc",
-        summary="swirl field equal to its own curl: inviscid solution with "
-        "nonzero helicity, torsion current parallel to the velocity",
-        chart=SPACETIME,
-        action=system.action(),
-        processes=(("spacetime", system.spacetime_velocity()),),
-        chains=(_circle_chain(), _torus_chain(), _shell_chain()),
-        box=ex.default_box(4),
-        params={},
-        system=system,
-        points=_PROBE_POINT,
-    )
-
-
-def _plane_wave() -> Preset:
-    """Transverse travelling wave: orthogonal field intensities, no torsion."""
-    phase = ex.add(ex.Coord(2), ex.negate(ex.Coord(3)))
-    system = EMSystem((ex.ZERO, ex.cos(phase), ex.ZERO), ex.ZERO, name="em.plane_wave")
-    ray = VectorField(SPACETIME, (ex.ZERO, ex.ZERO, ex.ONE, ex.ONE))
-    return Preset(
-        name="em.plane_wave",
-        summary="transverse travelling wave: E.B = 0, torsion current "
-        "vanishes, the propagation ray is characteristic",
-        chart=SPACETIME,
-        action=system.action(),
-        processes=(("ray", ray),),
-        chains=(_circle_chain(), _torus_chain()),
-        box=ex.default_box(4),
-        params={},
-        system=system,
-        points=_PROBE_POINT,
-    )
-
-
-def _torsion_nonzero() -> Preset:
-    """Rotating vector potential with axial scalar potential: E.B nonzero."""
-    lam, mu = ex.Param("lam"), ex.Param("mu")
-    system = EMSystem(
-        (ex.negate(ex.mul(lam, ex.Coord(1))), ex.mul(lam, ex.Coord(0)), ex.ZERO),
-        ex.mul(mu, ex.Coord(2)),
-        name="em.torsion_nonzero",
-    )
-    A = system.action()
-    torsion = VectorField(SPACETIME, pf.torsion_vector(fm.wedge(A, fm.exterior_derivative(A))))
-    timelike = VectorField(SPACETIME, (ex.ZERO, ex.ZERO, ex.ZERO, ex.ONE))
-    return Preset(
-        name="em.torsion_nonzero",
-        summary="rotating potential with axial bias: maximal Pfaff dimension, "
-        "evolution along the torsion vector is irreversible",
-        chart=SPACETIME,
-        action=A,
-        processes=(("torsion", torsion), ("timelike", timelike)),
-        chains=(_circle_chain(), _torus_chain(), _shell_chain()),
-        box=ex.default_box(4),
-        params={"lam": 2.0, "mu": 3.0},
-        system=system,
-        points=_PROBE_POINT,
-    )
-
-
-def _winding() -> Preset:
-    """Closed but inexact angular form around the z axis; integer periods."""
-    sigma = ex.Param("sigma")
-    x, y = ex.Coord(0), ex.Coord(1)
-    r2 = ex.add(ex.power(x, 2), ex.power(y, 2))
-    gamma = fm.one_form(
-        SPACETIME,
-        (
-            ex.quotient(ex.mul(sigma, y), r2),
-            ex.quotient(ex.negate(ex.mul(sigma, x)), r2),
-            ex.ZERO,
-            ex.ZERO,
-        ),
-    )
-    translate = VectorField(SPACETIME, (ex.ONE, ex.ZERO, ex.ZERO, ex.ZERO))
-    theta2 = ex.mul(ex.Const(4.0 * math.pi), ex.Coord(0))
-    winding2 = ch.Chain(
-        1,
-        (
-            ch.ExprCell(
-                SPACETIME,
-                1,
-                (ex.cos(theta2), ex.sin(theta2), ex.ZERO, ex.ZERO),
-                name="winding2",
-            ),
-        ),
-        (1,),
-        closed=True,
-        name="winding2",
-    )
-    return Preset(
-        name="harmonic.winding",
-        summary="angular form around an excised axis: closed, not exact, "
-        "periods count the winding number",
-        chart=SPACETIME,
-        action=gamma,
-        processes=(("translate_x", translate),),
-        chains=(_circle_chain(), winding2),
-        box=ex.Box(
-            lows=(-1.0,) * 4,
-            highs=(1.0,) * 4,
-            guards=(r2,),
-        ),
-        params={"sigma": 1.0},
-        system=None,
-        points=_PROBE_POINT,
-    )
-
-
-PRESETS: dict[str, Callable[[], Preset]] = {
-    "euler.rigid_rotation": _rigid_rotation,
-    "ns.decaying_shear": _decaying_shear,
-    "fluid.beltrami_abc": _beltrami_abc,
-    "em.plane_wave": _plane_wave,
-    "em.torsion_nonzero": _torsion_nonzero,
-    "harmonic.winding": _winding,
+[process translate_x]
+components = 1, 0, 0, 0
+""" + _CIRCLE + """
+[chain winding2]
+degree = 1
+components = cos(4*pi*u0), sin(4*pi*u0), 0, 0
+""",
 }
 
 
@@ -933,10 +789,18 @@ def preset_names() -> tuple[str, ...]:
 
 
 def get_preset(name: str) -> Preset:
+    """The preset parsed from its bundled text, as a config naming it is."""
+    # imported here, not at the top: config imports this module
+    from . import config
+
     try:
-        builder = PRESETS[name]
+        text = PRESETS[name]
     except KeyError:
         raise PresetError(
             f"unknown preset {name!r}; available: {', '.join(PRESETS)}"
         ) from None
-    return builder()
+    rt = config.build_runtime(config.parse_config(text))
+    return Preset(
+        name, text.splitlines()[0][2:], rt.chart, rt.action, rt.processes, rt.chains,
+        rt.context.box, rt.params, rt.system, rt.anatomy.points,
+    )

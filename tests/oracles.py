@@ -987,7 +987,7 @@ def reference_integrate(w, chain, order=None, params=None) -> ch.IntegralResult:
             vals = np.zeros(flatX.shape[0])
             for idx, c in w.coeffs.items():
                 try:
-                    coeff_vals = ex.eval_many(c, flatX, bound)
+                    coeff_vals = ex.Tape((c,)).values(flatX, bound, w.chart)[0]
                 except ex.SingularityError as err:
                     raise ex.SingularityError(
                         f"integrand singular on cell {cell.name or '?'}: {err}",

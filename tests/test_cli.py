@@ -157,6 +157,7 @@ lows = -1, -1, -0.5, 0
 highs = 1, 1, 0.5, 2
 guards = x^2 + y^2; 1 + b*x
 range b = 0.5, 1.5
+probe = 0.25, -0.5, 0.0, 1.0
 
 [process swirl]
 components = -y, x, 0, 1
@@ -267,10 +268,29 @@ def test_topology_only_config_runs_without_system():
     assert topo["inverse_witness"] == ["a", "b"]
 
 
+# the listing the Python preset builders printed; the bundled texts'
+# summary lines must give it byte for byte
+LIST_PRESETS = """\
+euler.rigid_rotation: rigid rotation with centripetal pressure: inviscid solution, \
+integrable action, conservative work along the spatial flow
+ns.decaying_shear: decaying shear layer: viscous momentum balance holds, heat form is \
+not closed, circulation drifts on off-center cycles
+fluid.beltrami_abc: swirl field equal to its own curl: inviscid solution with nonzero \
+helicity, torsion current parallel to the velocity
+em.plane_wave: transverse travelling wave: E.B = 0, torsion current vanishes, the \
+propagation ray is characteristic
+em.torsion_nonzero: rotating potential with axial bias: maximal Pfaff dimension, \
+evolution along the torsion vector is irreversible
+harmonic.winding: angular form around an excised axis: closed, not exact, periods count \
+the winding number
+"""
+
+
 def test_main_list_presets(capsys):
     assert cli.main(["--list-presets"]) == 0
     out = capsys.readouterr().out
     assert "harmonic.winding" in out and "euler.rigid_rotation" in out
+    assert out == LIST_PRESETS
 
 
 def test_main_requires_a_command(capsys):
@@ -399,10 +419,15 @@ def test_run_builds_its_preset_and_classifies_each_process_once(monkeypatch, cap
 
     counting(sy, "get_preset")
     counting(th, "classify")
+    texts = []
+    split = config._split_sections
+    monkeypatch.setattr(config, "_split_sections", lambda text: texts.append(text) or split(text))
     # battery = all; the torsion process is the field em_diagnostics classifies
     assert cli.main(["run", str(CONFIGS / "em_torsion.cfg"), "--no-summary"]) == 0
     capsys.readouterr()
-    assert calls == {"get_preset": 2, "classify": 2}  # parse_config + run; 2 processes
+    assert calls == {"get_preset": 0, "classify": 2}  # 2 processes
+    # the preset is its bundled text, parsed once per run, by parse_config
+    assert texts.count(sy.PRESETS["em.torsion_nonzero"]) == 1
 
 
 def test_flags_pass_the_config_checks(tmp_path, capsys):
@@ -527,7 +552,7 @@ def test_open_chains_are_never_period_cycles():
         "[run]\npreset = euler.rigid_rotation\n\n[chain arc]\ndegree = 1\n"
         "components = u0, 0, 0, 0\nclosed = false\n"
     )
-    rt = cli._build_runtime(cli.parse_config(text))
+    rt = config.build_runtime(cli.parse_config(text))
     assert [c.name for c in rt.anatomy.cycles] == ["circle"]
 
 
@@ -576,7 +601,7 @@ def test_sampling_guards_and_ranges_reach_the_default_box():
         "[params]\na = 1.0\n\n[sampling]\nguards = 0.0125*x\nrange a = 5, 6\n"
     )
     cfg = cli.parse_config(text)
-    box = cli._build_runtime(cfg).anatomy.context.box
+    box = config.build_runtime(cfg).anatomy.context.box
     assert (box.lows, box.highs) == ((-1.0,) * 4, (1.0,) * 4)
     assert box.param_ranges == {"a": (5.0, 6.0)} and len(box.guards) == 1
     first = json.loads(cli.run(cfg).to_json())["batteries"]["pfaff"]["sequence"]["verdicts"][0]
@@ -593,12 +618,12 @@ def test_sampling_bounds_keep_the_preset_guards_and_ranges():
         ("ns.decaying_shear", 0, {"nu": (0.05, 0.5)}),
     ):
         cfg = cli.parse_config(f"[run]\npreset = {preset}\n" + bounds)
-        box = cli._build_runtime(cfg).anatomy.context.box
+        box = config.build_runtime(cfg).anatomy.context.box
         assert (box.lows, box.highs) == ((-2.0,) * 4, (2.0,) * 4)
         assert len(box.guards) == guards and box.param_ranges == ranges
     # a config guard and range are merged in as well
     text = f"[run]\npreset = ns.decaying_shear\n{bounds}guards = x + 3\nrange c = 1, 2\n"
-    box = cli._build_runtime(cli.parse_config(text)).anatomy.context.box
+    box = config.build_runtime(cli.parse_config(text)).anatomy.context.box
     assert len(box.guards) == 1 and box.param_ranges == {"nu": (0.05, 0.5), "c": (1.0, 2.0)}
 
 
@@ -824,6 +849,21 @@ def test_process_and_chain_names_are_unique(text, message, tmp_path, capsys):
     cfg.write_text(text)
     assert cli.main(["run", str(cfg), "--no-summary"]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "chart, x", [("", "x"), ("[chart]\ncoordinates = p, q, r, s\n\n", "p")], ids=["xyzt", "pqrs"]
+)
+def test_a_singular_integrand_is_named_in_the_chart_coordinates(chart, x, tmp_path, capsys):
+    cfg = tmp_path / "ln.cfg"
+    cfg.write_text(
+        f"[run]\nbattery = theorems\n\n{chart}[system]\naction = ln({x}), 0, 0, 0\n\n"
+        f"[process p]\ncomponents = 1, 0, 0, 1\n\n[chain c]\n{_LOOP}"
+    )
+    assert cli.main(["run", str(cfg), "--no-summary"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: integrand singular on cell c: ln of nonpositive value in ln({x}) at point ("
+    )
 
 
 def test_constant_power_past_the_float_range_is_a_singularity(tmp_path, capsys):

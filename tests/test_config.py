@@ -1,5 +1,5 @@
-"""The config format on its own: [topology] checks, [run] flags and the
-parse's memo scope."""
+"""The config format on its own: [topology] checks, [run] flags, the merge
+with a preset's bundled text, the probe point and the parse's memo scope."""
 
 from __future__ import annotations
 
@@ -132,3 +132,69 @@ def test_a_parse_that_raises_leaves_no_scope():
     with pytest.raises(config.ConfigError, match="unknown function 'frob'"):
         config.parse_config(bad)
     assert ex._MEMO.get() is None
+
+
+def _guard_texts(cfg: config.RunConfig) -> tuple[str, ...]:
+    return tuple(map(str, cfg.guards))
+
+
+# (preset, the config's own sections, what the merge gives: a field's value
+# read by `get`, or the located error)
+MERGES = {
+    "params override in place": (
+        "ns.decaying_shear", "[params]\nU = 1.0\n",
+        lambda cfg: cfg.params, (("U", 1.0), ("k", 1.0), ("nu", 0.15)),
+    ),
+    "range overrides in place": (
+        "ns.decaying_shear", "[sampling]\nrange nu = 0.05, 0.5\n",
+        lambda cfg: cfg.param_ranges, (("nu", 0.05, 0.5),),
+    ),
+    "lows and highs replace": (
+        "harmonic.winding", "[sampling]\nlows = -2, -2, -2, -2\nhighs = 2, 2, 2, 2\n",
+        lambda cfg: (cfg.lows, cfg.highs), ((-2.0,) * 4, (2.0,) * 4),
+    ),
+    "guards append": (
+        "harmonic.winding", "[sampling]\nguards = x + 3\n",
+        _guard_texts, ("x^2 + y^2", "x + 3"),
+    ),
+    "process in both": (
+        "em.torsion_nonzero", "[process torsion]\ncomponents = 1, 0, 0, 1\n", None,
+        "line 4, column 1: process name 'torsion' is already used by the preset",
+    ),
+    "chain in both": (
+        "harmonic.winding", "[chain  winding2]\ndegree = 1\ncomponents = u0, 0, 0, 0\n", None,
+        "line 4, column 1: chain name 'winding2' is already used by the preset",
+    ),
+    "system in both": (
+        "em.plane_wave", "[system]\naction = y, 0, 0, 0\n", None,
+        "line 4, column 1: a preset and an explicit [system] are mutually exclusive",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MERGES))
+def test_a_preset_merges_its_bundled_text_with_the_config(name):
+    preset, own, get, want = MERGES[name]
+    plain = f"[run]\npreset = {preset}\n"
+    text = plain + "\n" + own
+    if get is None:
+        with pytest.raises(config.ConfigError) as err:
+            config.parse_config(text)
+        assert str(err.value) == want
+        return
+    cfg = config.parse_config(text)
+    assert get(cfg) == want
+    assert config.parse_config(config.serialize_config(cfg)) == cfg
+    if name.endswith("in place"):  # the bundled value again: the same run
+        assert cfg == config.parse_config(plain)
+        assert cli.run(cfg).to_json() == cli.run(config.parse_config(plain)).to_json()
+
+
+def test_the_probe_gives_a_config_system_its_pointwise_dimension():
+    text = "[run]\nbattery = pfaff\n\n[system]\naction = y, 0, 0, 0\n\n[sampling]\n"
+    doc = cli.run(config.parse_config(text + "probe = 0.5, 0.25, 0, 0\n")).document
+    pointwise = doc["batteries"]["pfaff"]["sequence"]["pointwise"]
+    assert pointwise == [{"point": [0.5, 0.25, 0.0, 0.0], "dimension": 2}]
+    with pytest.raises(config.ConfigError, match="line 8, column 9: probe needs 4 entries"):
+        config.parse_config(text + "probe = 0.5, 0.25\n")
+

@@ -34,3 +34,11 @@ def test_config_reference_lists_every_key():
     section = README.read_text().split("### Config format", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `\[(\w+)[^\]]*\]` \| `([^`]+)` \|", section, re.M)
     assert sorted(rows) == sorted((key.section, key.key) for key in config._KEYS)
+
+
+def test_preset_table_lists_each_bundled_summary():
+    import formflow.systems as sy
+
+    section = README.read_text().split("### Bundled presets", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| (.+) \|$", section, re.M)
+    assert rows == [(name, text.splitlines()[0][2:]) for name, text in sy.PRESETS.items()]

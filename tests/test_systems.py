@@ -145,7 +145,7 @@ def test_engineering_torsion_agrees_on_solutions(name):
 def test_engineering_torsion_warns_off_solutions():
     # rigid rotation without its pressure support violates momentum balance
     rigid = sy.get_preset("euler.rigid_rotation").system
-    bad = sy.FluidSystem(rigid.velocity, ex.ZERO, ex.ZERO, name="unbalanced")
+    bad = sy.FluidSystem(rigid.velocity, ex.ZERO, ex.ZERO)
     assert any(not is_zero(c) for c in sy.euler_residual(bad))
     eng = sy.ns_engineering_torsion(bad, pf.Anatomy(bad.action(), ex.ZeroTester(ex.default_box(4))))
     assert not eng.ns_satisfied
@@ -317,6 +317,18 @@ def test_preset_registry():
         p.process("sideways")
     with pytest.raises(sy.PresetError):
         p.chain("moebius")
+
+
+def test_bundled_processes_match_the_physics_they_encode():
+    # the texts write these fields out as components; each must still be
+    # the field it stands for, as a zero verdict
+    p = sy.get_preset("em.torsion_nonzero")
+    A = p.action
+    T = pf.torsion_vector(fm.wedge(A, fm.exterior_derivative(A)))
+    assert vec_equal(p.process("torsion").components, T, p.box)
+    r = sy.get_preset("euler.rigid_rotation")
+    spatial = r.system.spatial_velocity().components
+    assert vec_equal(r.process("spatial").components, spatial, r.box)
 
 
 def test_preset_actions_match_their_systems():
