@@ -38,21 +38,23 @@ One evaluator, a Tape, runs every expression over a batch of points at
 once.  A tape lists the distinct nodes of one or more roots, children
 before parents, and one loop executes the list, each node one numpy
 operation over all rows.  Forms, vector fields and chain cells keep
-theirs, compiled once per object; a zero tester compiles its box guards
-once and each distinct tree it tests once, keeping the tree's verdict.  A
-node that is singular at a row (division by zero, ln/sqrt outside their
+theirs, compiled once per object.  A zero tester compiles its box guards
+once and keeps each tree's verdict; the trees it tests on one set of
+sample rows share one tape that grows by the nodes each new tree adds
+(Tape.grow), so a node is compiled and evaluated once per run and row set.
+A node that is singular at a row (division by zero, ln/sqrt outside their
 domain, atan2(0, 0), overflow) is NaN there, and NaN reaches the root:
 an infinity becomes NaN where it arises.  Loaded coordinates, parameters
 and infinite constants are swept for infinities; an operation makes one
 from finite operands only with numpy's overflow or divide-by-zero flag,
 so a run raises on those flags and only then repeats with every value
-swept.  Tape.scaled_rows returns such rows as NaN; Tape.values and
-Tape.at raise SingularityError naming the first singular subexpression in
-evaluation order, at its first singular point, rather than returning NaN
-or infinity.  Evaluation is deterministic: the same tree at the same point
-with the same parameter bindings produces a bit-identical float, whether
-the point is evaluated alone, as a row of a batch, or as one root of a
-tape with several.
+swept; grow() repeats only the segment it added.  Tape.scaled_rows
+returns such rows as NaN; Tape.values and Tape.at raise SingularityError
+naming the first singular subexpression in evaluation order, at its first
+singular point, rather than returning NaN or infinity.  Evaluation is
+deterministic: the same tree at the same point with the same parameter
+bindings produces a bit-identical float, whether the point is evaluated
+alone, as a row of a batch, or as one root of a tape with several.
 """
 
 from __future__ import annotations
@@ -948,19 +950,36 @@ def _rebuilt(e: ScalarExpr, simplified) -> ScalarExpr:
     raise ExprError(f"unknown node {type(e).__name__}")
 
 
-def param_names(e: ScalarExpr) -> tuple[str, ...]:
-    """The sorted names of the parameters e uses."""
-    names: set[str] = set()
-    seen: set[ScalarExpr] = set()
+def param_names(
+    e: ScalarExpr, masks: dict | None = None, bits: dict | None = None
+) -> tuple[str, ...]:
+    """The sorted names of the parameters e uses.
+
+    The walk keeps in `masks` each node's names as a mask, one bit per
+    name as `bits` assigns them, so calls that pass the same two dicts stop
+    at every node an earlier call reached.
+    """
+    masks = {} if masks is None else masks
+    bits = {} if bits is None else bits
     stack = [e]
     while stack:
         node = stack.pop()
-        if node not in seen:
-            seen.add(node)
-            if isinstance(node, Param):
-                names.add(node.name)
-            stack.extend(_children(node))
-    return tuple(sorted(names))
+        if type(node) is tuple:  # (node, operands): the operands are done
+            node, kids = node
+            mask = 0
+            for kid in kids:
+                mask |= masks[kid]
+            masks[node] = mask
+        elif node not in masks:
+            kids = _children(node)
+            if kids:
+                stack.append((node, kids))
+                stack.extend(kids)
+            elif type(node) is Param:
+                masks[node] = bits.setdefault(node.name, 1 << len(bits))
+            else:
+                masks[node] = 0
+    return tuple(sorted(nm for nm, bit in bits.items() if masks[e] & bit))
 
 
 def is_syntactic_zero(e: ScalarExpr) -> bool:
@@ -1092,12 +1111,23 @@ class Tape:
     operand slots), writes slot i.  `index` maps each node to its slot and
     `outputs` holds the roots' slots.  The compiler keeps an explicit stack,
     so depth is not bounded by Python's recursion limit.  A tape holds no
-    values: run() executes it over a batch of rows.
+    values: run() executes it over a batch of rows.  Only a tape that
+    grow() adds roots to keeps the values it ran, over the one batch of rows
+    every grow() call passes.
     """
 
-    def __init__(self, roots: Sequence[ScalarExpr]):
-        index: dict[ScalarExpr, int] = {}
-        code: list[tuple] = []
+    def __init__(self, roots: Sequence[ScalarExpr] = ()):
+        self.roots: tuple[ScalarExpr, ...] = ()
+        self.outputs: tuple[int, ...] = ()
+        self.code: list[tuple] = []
+        self.index: dict[ScalarExpr, int] = {}
+        self._values: list = []  # grow()'s slots, and per slot its subtree's magnitude
+        self._scales: list = []
+        self._compile(roots)
+
+    def _compile(self, roots: Sequence[ScalarExpr]) -> None:
+        """Append the instructions of the nodes of roots not yet listed."""
+        index, code = self.index, self.code
         for root in roots:
             stack: list = [root]
             while stack:
@@ -1135,10 +1165,31 @@ class Tape:
                     continue
                 stack.append(node)
                 stack.extend(reversed(node[2]))
-        self.roots = tuple(roots)
-        self.code = code
-        self.index = index
-        self.outputs = tuple(index[r] for r in self.roots)
+        self.roots += tuple(roots)
+        self.outputs += tuple(index[r] for r in roots)
+
+    def grow(self, roots: Sequence[ScalarExpr], points: np.ndarray, params: Mapping) -> tuple:
+        """Add roots, and run only the instructions they add into the slots
+        the tape keeps: each root's values at the rows of `points`, which
+        must be the rows of every earlier grow(), and per row the largest
+        magnitude over its subtree, the bits scaled_rows gives for a
+        one-root tape of it.  The overflow rule of run() holds per added
+        segment: if it raises numpy's flag, the segment alone reruns with
+        every instruction swept.  The bits are those of a swept run of the
+        whole tape, as a slot before the segment never holds an infinity."""
+        start = len(self.code)
+        self._compile(roots)
+        for name in ("params", "coords", "_dead", "_subtrees"):
+            self.__dict__.pop(name, None)  # cached for the shorter code
+        grown = len(self.code) - start
+        self._values += [None] * grown
+        self._scales += [None] * grown
+        try:
+            self._execute(points, params, False, (), self._values, start, self._scales)
+        except FloatingPointError:
+            self._execute(points, params, True, (), self._values, start, self._scales)
+        slots = [self.index[r] for r in roots]
+        return [self._values[s] for s in slots], [self._scales[s] for s in slots]
 
     @functools.cached_property
     def params(self) -> tuple[str, ...]:
@@ -1183,18 +1234,23 @@ class Tape:
         except FloatingPointError:
             return self._execute(points, params, True, dead)
 
-    def _execute(self, points: np.ndarray, params: Mapping, sweep: bool, dead, slots=None) -> list:
-        """The slots of one run, filled into `slots` when given: a run that
-        raises leaves every slot before the failing instruction set.  Unless
-        `sweep`, only loaded values are swept, and an overflow or a division
-        by zero raises FloatingPointError."""
+    def _execute(
+        self, points: np.ndarray, params: Mapping, sweep: bool, dead, slots=None, start=0,
+        scales=None,
+    ) -> list:
+        """The slots of one run from instruction `start` on, filled into
+        `slots` when given: a run that raises leaves every slot before the
+        failing instruction set.  Unless `sweep`, only loaded values are
+        swept, and an overflow or a division by zero raises
+        FloatingPointError.  Given `scales`, each instruction also writes
+        there, per row, the largest magnitude over its node's subtree."""
         k, n = points.shape
         one = np.ones(k)
         if slots is None:
             slots = [None] * len(self.code)
         flags = "ignore" if sweep else "raise"
         with np.errstate(over=flags, divide=flags, invalid="ignore", under="ignore"):
-            for i, (op, arg, operands) in enumerate(self.code):
+            for i, (op, arg, operands) in enumerate(self.code[start:], start):
                 load = False
                 if op == _PRODUCT:
                     # 1.0 * x is x to the bit: the product of the factors alone
@@ -1241,6 +1297,11 @@ class Tape:
                 if sweep or load:
                     v[np.isinf(v)] = math.nan  # every v here is a new array
                 slots[i] = v
+                if scales is not None:  # max, like np.max, keeps a NaN
+                    m = np.abs(v)
+                    for s in operands:
+                        np.maximum(m, scales[s], out=m)
+                    scales[i] = m
                 if dead:
                     for s in dead[i]:
                         slots[s] = None
@@ -1571,6 +1632,14 @@ class ZeroTester:
     function of the simplified tree, and the tester keeps one per distinct
     tree: a repeated test returns it without sampling.  An inconclusive
     test keeps nothing and raises again when repeated.
+
+    Each set of rows has one growing Tape of every node tested on its first
+    n_samples rows, which decide most verdicts, so a node is compiled and
+    evaluated once however many trees share it: a new tree runs only the
+    nodes the tape lacks (Tape.grow), and its values and scales on those
+    rows are read off the tape.  The rows past them, read only after rows
+    were skipped, go through a one-root tape of the tree.  Testers made by
+    with_guards share the rows and these tapes, which no guard changes.
     """
 
     n_samples = 64
@@ -1582,6 +1651,9 @@ class ZeroTester:
         self.seed = int(seed)
         self._guards = Tape(box.guards)
         self._rows: dict[tuple[str, ...], tuple] = {}  # names -> draw_rows' rows
+        self._tapes: dict[tuple[str, ...], Tape] = {}  # names -> tape grown on the rows
+        self._masks: dict[ScalarExpr, int] = {}  # param_names' memo: node -> names' bits
+        self._bits: dict[str, int] = {}  # and parameter name -> bit
         self._guarded: dict[tuple[str, ...], np.ndarray] = {}  # names -> guard mask
         self._verdicts: dict[ScalarExpr, ZeroVerdict] = {}  # simplified tree -> verdict
 
@@ -1608,14 +1680,17 @@ class ZeroTester:
 
     def _sampled(self, e: ScalarExpr) -> ZeroVerdict:
         """The sampled verdict on the simplified, non-constant tree e."""
-        tape, guards = Tape((e,)), self._guards
-        needed = max((*tape.coords, *guards.coords), default=-1) + 1
+        guards, one_root = self._guards, None
+        # the highest coordinate, off the node's coordinate bits unless they
+        # are -1 (a partial divides by 0)
+        coords = Tape((e,)).coords if e._coords < 0 else (e._coords.bit_length() - 1,)
+        needed = max((*coords, *guards.coords), default=-1) + 1
         if needed > self.box.dim:
             raise ExprError(
                 f"expression uses coordinate index {needed - 1} but the sampling box "
                 f"has dimension {self.box.dim}"
             )
-        names = tuple(sorted({*tape.params, *guards.params}))
+        names = tuple(sorted({*param_names(e, self._masks, self._bits), *guards.params}))
         points, params = self.rows(names)
         guarded = self._guarded.get(names)
         if guarded is None:
@@ -1634,9 +1709,15 @@ class ZeroTester:
         while valid < self.n_samples and attempts < max_attempts:
             k = min(self.n_samples - valid, max_attempts - attempts)
             chunk = slice(attempts, attempts + k)
-            (v,), (scale,) = tape.scaled_rows(
-                points[chunk], {nm: col[chunk] for nm, col in params.items()}
-            )
+            if attempts:
+                one_root = one_root or Tape((e,))
+                (v,), (scale,) = one_root.scaled_rows(
+                    points[chunk], {nm: col[chunk] for nm, col in params.items()}
+                )
+            else:  # the first n_samples rows: the tape of the row set
+                if names not in self._tapes:
+                    self._tapes[names] = Tape()
+                (v,), (scale,) = self._tapes[names].grow((e,), *self.rows(names, k))
             skip = guarded[chunk] | np.isnan(v)
             over = np.flatnonzero(~skip & (np.abs(v) > self.eps * (1.0 + scale)))
             if over.size:
@@ -1658,7 +1739,9 @@ class ZeroTester:
 
     def with_guards(self, *guards: ScalarExpr) -> "ZeroTester":
         """A tester with this one's box and seed plus `guards`: the one way to
-        add a guard.  It shares this one's rows, which no guard changes."""
+        add a guard.  It shares this one's rows and their tapes, which no
+        guard changes."""
         tester = ZeroTester(replace(self.box, guards=(*self.box.guards, *guards)), self.seed)
-        tester._rows = self._rows
+        tester._rows, tester._tapes = self._rows, self._tapes
+        tester._masks, tester._bits = self._masks, self._bits
         return tester

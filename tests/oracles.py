@@ -831,6 +831,54 @@ def reference_zero_test(tester: ex.ZeroTester, e, extra_guards=()) -> ex.ZeroVer
     return ex.ZeroVerdict(True, None, None, None, valid, skipped, False)
 
 
+def reference_sampled(tester: ex.ZeroTester, e) -> ex.ZeroVerdict:
+    """The sampled verdict on the simplified, non-constant tree e, as
+    ZeroTester._sampled gave it before a tester kept a tape per row set:
+    one one-root tape of e, every chunk of rows run through it."""
+    tape, guards = ex.Tape((e,)), ex.Tape(tester.box.guards)
+    needed = max((*tape.coords, *guards.coords), default=-1) + 1
+    if needed > tester.box.dim:
+        raise ex.ExprError(
+            f"expression uses coordinate index {needed - 1} but the sampling box "
+            f"has dimension {tester.box.dim}"
+        )
+    names = tuple(sorted({*tape.params, *guards.params}))
+    points, params = tester.rows(names)
+    slots = guards.run(points, params)
+    guarded = np.zeros(len(points), dtype=bool)
+    for s in guards.outputs:
+        guarded |= ~(np.abs(slots[s]) >= tester.box.guard_tol)
+
+    valid = 0
+    skipped = 0
+    attempts = 0
+    max_attempts = len(points)
+    while valid < tester.n_samples and attempts < max_attempts:
+        k = min(tester.n_samples - valid, max_attempts - attempts)
+        chunk = slice(attempts, attempts + k)
+        (v,), (scale,) = tape.scaled_rows(
+            points[chunk], {nm: col[chunk] for nm, col in params.items()}
+        )
+        skip = guarded[chunk] | np.isnan(v)
+        over = np.flatnonzero(~skip & (np.abs(v) > tester.eps * (1.0 + scale)))
+        if over.size:
+            i = int(over[0])
+            skipped += int(skip[:i].sum())
+            valid = attempts + i + 1 - skipped
+            pr = {nm: float(col[attempts + i]) for nm, col in params.items()}
+            return ex.ZeroVerdict(False, tuple(points[attempts + i].tolist()), pr,
+                                  float(v[i]), valid, skipped, False)
+        attempts += k
+        skipped += int(skip.sum())
+        valid = attempts - skipped
+    if valid < tester.min_valid:
+        raise ex.InconclusiveError(
+            f"zero test inconclusive: only {valid} valid samples out of "
+            f"{attempts} attempts for {ex.to_text(e)}"
+        )
+    return ex.ZeroVerdict(True, None, None, None, valid, skipped, False)
+
+
 def reference_vanishing_point(lam_sq, context: ex.ZeroTester):
     """First sample where projectivization finds the coefficient length
     vanishing, or None."""

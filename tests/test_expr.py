@@ -4,6 +4,8 @@ import contextlib
 import gc
 import math
 import time
+import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +20,7 @@ from corpus import (
     CHART, action_process_pairs, mixed_forms, random_field, random_poly_scalar,
     random_smooth_scalar, random_point, rng,
 )
+from test_batteries import REPO, _bench_workloads
 from oracles import (
     compiled_eval, poly_add, poly_diff, poly_from_expr, poly_is_zero, poly_mul,
     reference_differentiate, reference_eval_rows, reference_eval_with_scale, reference_simplify,
@@ -158,6 +161,23 @@ def test_box_validation():
         ex.Box(lows=(0.0, 0.0), highs=(1.0,))
     with pytest.raises(ex.ExprError):
         ex.Box(lows=(1.0,), highs=(0.0,))
+
+
+def test_zero_test_checks_the_box_dimension():
+    # the tree's highest coordinate, also where its coordinate bits are -1
+    # (a partial divides by 0: 1e-200 squares to 0.0), and a guard's
+    singular_partials = ex.quotient(X, ex.mul(ex.Const(1e-200), Y))
+    box = ex.default_box(3)
+    cases = [(ex.default_box(4), ex.add(singular_partials, T)), (box, ex.mul(X, T)),
+             (box, ex.add(singular_partials, T)),
+             (ex.Box(box.lows, box.highs, guards=(T,)), ex.mul(X, Y))]
+    for box, e in cases:
+        e = ex.simplify(e)
+        want = _outcome(lambda e: oracles.reference_sampled(ex.ZeroTester(box), e), e)
+        assert _same_outcome(_outcome(ex.ZeroTester(box).test, e), want)
+        assert (e._coords < 0) is (singular_partials in _nodes(e))
+    assert want == (ex.ExprError, "expression uses coordinate index 3 but the sampling box "
+                    "has dimension 3")
 
 
 @settings(max_examples=30, deadline=None)
@@ -565,10 +585,19 @@ def test_verdicts_do_not_depend_on_earlier_tests():
     fresh = [ex.ZeroTester(box, seed=9).test(e) for e in exprs]
     assert any(v.zero and not v.syntactic for v in fresh)
     assert any(not v.zero for v in fresh)
-    shared = ex.ZeroTester(box, seed=9)
+    # the one-root path: a fresh tester, and one one-root tape per tree
+    assert fresh == [oracles.reference_sampled(ex.ZeroTester(box, seed=9), ex.simplify(e))
+                     for e in exprs]
+    # a guarded tester grows the row-set tapes it shares with its parent
+    wider = ex.add(X, ex.Const(0.25))
+    fresh_wider = [ex.ZeroTester(box, seed=9).with_guards(wider).test(e) for e in exprs]
     for order in (range(len(exprs)), reversed(range(len(exprs)))):
+        shared = ex.ZeroTester(box, seed=9)
+        sibling = shared.with_guards(wider)
         for i in order:
             assert shared.test(exprs[i]) == fresh[i], ex.to_text(exprs[i])
+            assert sibling.test(exprs[i]) == fresh_wider[i], ex.to_text(exprs[i])
+        assert sibling._tapes is shared._tapes
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -593,11 +622,22 @@ def test_a_guarded_tester_draws_no_rows_its_parent_drew(seed, monkeypatch):
     assert by_child.isdisjoint(by_parent) and len(by_child) < len(set(drawn))
 
 
-def test_one_zero_test_compiles_one_tape(monkeypatch):
+def _nodes(e) -> set:
+    """The distinct nodes of e."""
+    seen, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(ex._children(node))
+    return seen
+
+
+def test_zero_tests_compile_each_node_once_per_row_set(monkeypatch):
     compiled = []
 
     class Counted(ex.Tape):
-        def __init__(self, roots):
+        def __init__(self, roots=()):
             compiled.append(tuple(roots))
             super().__init__(roots)
 
@@ -607,23 +647,150 @@ def test_one_zero_test_compiles_one_tape(monkeypatch):
     across_chunks = ex.Box(lows=(-1.0,) * 4, highs=(1.0,) * 4, guards=(X,), guard_tol=0.95)
     guarded = ex.Box(PARAM_BOX.lows, PARAM_BOX.highs, PARAM_BOX.param_ranges,
                      guards=(ex.add(X, Y), ex.mul(A, Z)), guard_tol=0.1)
+    trees = (pythagoras, ex.mul(Y, Z), ex.power(ex.sin(Y), 2), ex.mul(A, Z), pythagoras)
     for box in (ex.default_box(4), guarded, across_chunks):
         compiled.clear()
         t = ex.ZeroTester(box, seed=13)
         assert compiled == [box.guards]  # the guards, once per tester
-        rows_read, verdicts = [], {}
-        for e in (pythagoras, ex.mul(Y, Z), ex.mul(A, Z), pythagoras):
+        rows_read, verdicts, on_tapes, added = [], {}, {}, {}
+        for e in trees:
             compiled.clear()
+            before = {names: len(tape.code) for names, tape in t._tapes.items()}
             v = t.test(e)
+            e = ex.simplify(e)
             assert not v.syntactic
-            if e in verdicts:  # a repeated tree: the kept verdict, and no tape
+            names = tuple(sorted({*ex.param_names(e), *t._guards.params}))
+            tape = t._tapes[names]
+            if e in verdicts:  # a repeated tree: the kept verdict, and no instruction
                 assert v is verdicts[e] and compiled == []
-            else:
-                assert compiled == [(ex.simplify(e),)]
+                assert {n: len(tp.code) for n, tp in t._tapes.items()} == before
+                continue
+            # a new tree adds the nodes its row set's tape lacks, one
+            # instruction each, and a one-root tape only for the rows past
+            # the tape's
+            new = _nodes(e) - on_tapes.get(names, set())
+            on_tapes.setdefault(names, set()).update(new)
+            added[e] = len(tape.code) - before.get(names, 0)
+            assert added[e] == len(new)
+            assert set(tape.index) == on_tapes[names]
+            read = v.samples + v.skipped
+            assert compiled == [()] * (names not in before) + [(e,)] * (read > t.n_samples)
             verdicts[e] = v
-            rows_read.append(v.samples + v.skipped)
+            rows_read.append(read)
+        # sin(y)^2 went on the tape with pythagoras: a new verdict, no instruction
+        assert added[ex.power(ex.sin(Y), 2)] == 0
         if box is across_chunks:
             assert max(rows_read) > t.n_samples
+
+
+def _recorded_verdicts(monkeypatch) -> list:
+    """(tester, tree, verdict or error) of every sampled test from now on."""
+    sampled, real = [], ex.ZeroTester._sampled
+
+    def recorded(self, e):
+        try:
+            sampled.append((self, e, real(self, e)))
+        except ex.ExprError as err:
+            sampled.append((self, e, err))
+            raise
+        return sampled[-1][2]
+
+    monkeypatch.setattr(ex.ZeroTester, "_sampled", recorded)
+    return sampled
+
+
+def _outcome(test, e):
+    try:
+        return test(e)
+    except ex.ExprError as err:
+        return type(err), str(err)
+
+
+def _same_outcome(got, want) -> bool:
+    if isinstance(got, ex.ExprError):
+        got = type(got), str(got)
+    return got == want
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_verdicts_equal_the_one_root_path(seed, monkeypatch):
+    # every sampled verdict of a bench job's run, each read off a tape its
+    # row set shares with the run's other trees, is the verdict a fresh
+    # tester gives the tree alone through one one-root tape; so are the
+    # values and scales read off that tape, to the bit; and testers that
+    # share their tapes as the run's testers did give those verdicts again
+    # when they test the run's trees in reverse order
+    import formflow.cli as cli
+
+    workloads = _bench_workloads()
+    texts = {job.text: None for name in ("presets", "symbolic", "transport")
+             for job in workloads.WORKLOADS[name](seed, REPO)}
+    sampled, compared = _recorded_verdicts(monkeypatch), 0
+    grown, real_grow = [], ex.Tape.grow
+
+    def grow(self, roots, points, params):
+        grown.append((roots, points, params, real_grow(self, roots, points, params)))
+        return grown[-1][-1]
+
+    monkeypatch.setattr(ex.Tape, "grow", grow)
+    for text in texts:
+        sampled.clear()
+        cli.run(cli.parse_config(text))
+        compared += len(sampled)
+        for roots, points, params, got in grown:
+            want = ex.Tape(roots).scaled_rows(points, params)
+            assert [[v.tobytes() for v in vs] for vs in got] == \
+                [[v.tobytes() for v in vs] for vs in want]
+        grown.clear()
+        for t, e, got in sampled:
+            fresh = ex.ZeroTester(t.box, t.seed)
+            assert _same_outcome(got, _outcome(lambda e: oracles.reference_sampled(fresh, e), e))
+        families, reverse = {}, {}  # a new family per run's family, a new tester per run's
+        for t, e, got in reversed(sampled):
+            if t not in reverse:
+                if id(t._tapes) not in families:
+                    families[id(t._tapes)] = ex.ZeroTester(replace(t.box, guards=()), t.seed)
+                reverse[t] = families[id(t._tapes)].with_guards(*t.box.guards)
+            assert _same_outcome(got, _outcome(reverse[t].test, e))
+    assert compared > 200
+
+
+@pytest.mark.parametrize("preset", ["em.torsion_nonzero", "fluid.beltrami_abc"])
+def test_a_run_runs_each_node_of_a_row_set_once_and_keeps_no_tape(preset, monkeypatch):
+    # counted at _execute, the one instruction loop: every instruction a
+    # row-set tape runs is one distinct node of the trees tested on that
+    # row set, run once; and no row-set tape outlives the run
+    import formflow.cli as cli
+
+    tapes, real_grow, real_execute = [], ex.Tape.grow, ex.Tape._execute
+
+    def grown(tape) -> dict:
+        seen = next((t for t in tapes if t["ref"]() is tape), None)
+        if seen is None:
+            tapes.append(seen := {"ref": weakref.ref(tape), "roots": [], "executed": 0})
+        return seen
+
+    def grow(self, roots, points, params):
+        out = real_grow(self, roots, points, params)
+        seen = grown(self)
+        seen["roots"] += roots
+        seen["code"], seen["index"] = len(self.code), set(self.index)
+        return out
+
+    def execute(self, points, params, sweep, dead, slots=None, start=0, scales=None):
+        if scales is not None:
+            assert not sweep  # nothing here overflows, so each run runs to its end
+            grown(self)["executed"] += len(self.code) - start
+        return real_execute(self, points, params, sweep, dead, slots, start, scales)
+
+    monkeypatch.setattr(ex.Tape, "grow", grow)
+    monkeypatch.setattr(ex.Tape, "_execute", execute)
+    assert cli.run(cli.parse_config(f"[run]\npreset = {preset}\nbattery = all\n")).passed
+    gc.collect()
+    assert tapes and all(t["ref"]() is None for t in tapes)
+    for t in tapes:
+        nodes = set().union(*map(_nodes, t["roots"]))
+        assert t["code"] == t["executed"] == len(nodes) and t["index"] == nodes
 
 
 def test_evaluators_leave_no_cyclic_garbage():
@@ -1343,6 +1510,50 @@ def _same_bits(got: list, want: list) -> bool:
     """Equal slot lists: the same slots dropped, the rest equal bit for bit."""
     bits = [[None if v is None else v.tobytes() for v in slots] for slots in (got, want)]
     return bits[0] == bits[1]
+
+
+def test_row_set_tape_reruns_an_overflowing_segment_alone(monkeypatch):
+    # a tree's new instructions on its row set's tape raise numpy's
+    # overflow or divide flag after an earlier test ran the nodes it
+    # shares, and a later tree shares a node an overflowing tree reached
+    # first: only the flagged segments rerun, swept, and every slot, scale
+    # and verdict has the bits of the one-root path
+    runs, real = [], ex.Tape._execute
+
+    def execute(self, points, params, sweep, dead, slots=None, start=0, scales=None):
+        if scales is not None:
+            runs.append((start, len(self.code), sweep))
+        return real(self, points, params, sweep, dead, slots, start, scales)
+
+    monkeypatch.setattr(ex.Tape, "_execute", execute)
+    big = ex.exp(ex.mul(ex.Const(1000), X))  # overflows where x > 0.71
+    pythagoras = ex.add(ex.power(ex.sin(X), 2), ex.power(ex.cos(X), 2), ex.Const(-1))
+    trees = {
+        "shared nodes first": ex.add(ex.mul(ex.sin(X), Y), Z),
+        "overflow": ex.mul(big, pythagoras),
+        "divide": ex.quotient(Y, ex.exp(ex.mul(ex.Const(-1000), X))),  # y / 0 where x > 0.75
+        "reached first by an overflow": ex.add(big, ex.sin(X)),
+    }
+    t = ex.ZeroTester(ex.default_box(4), seed=5)
+    segments = {}
+    for case, e in trees.items():
+        before = len(runs)
+        got = t.test(e)
+        assert got == oracles.reference_sampled(ex.ZeroTester(t.box, seed=5), ex.simplify(e)), case
+        segments[case] = runs[before:]
+    assert [len(s) for s in segments.values()] == [1, 2, 2, 1]
+    for case in ("overflow", "divide"):  # the same segment, once raised and once swept
+        (start, end, sweep), rerun = segments[case]
+        assert start > 0 and not sweep and rerun == (start, end, True)
+    assert t.test(trees["overflow"]).skipped > 0  # the rows where exp overflows
+
+    tape = t._tapes[()]
+    points, params = t.rows((), t.n_samples)
+    for node, s in tape.index.items():
+        (want,), (want_scale,) = ex.Tape((node,)).scaled_rows(points, params)
+        assert tape._values[s].tobytes() == want.tobytes(), ex.to_text(node)
+        assert tape._scales[s].tobytes() == want_scale.tobytes(), ex.to_text(node)
+    assert np.isnan(tape._values[tape.index[ex.simplify(big)]]).any()
 
 
 @pytest.mark.parametrize("case", sorted(INFINITY_CASES))

@@ -131,7 +131,7 @@ def test_pointwise_dimension_tracks_degeneracy():
     assert seq.pointwise == (((0.0, 0.3, 0.1, 0.0), 0), ((0.5, 0.3, 0.1, 0.0), 2))
 
 
-def test_sequence_compiles_only_its_elements_tapes_and_zero_tests(monkeypatch):
+def test_sequence_compiles_only_its_elements_tapes_and_row_set_tapes(monkeypatch):
     # the pointwise dimension reads each element's own tape, and the
     # sequence's dA verdict is the anatomy's
     p = sy.get_preset("em.torsion_nonzero")
@@ -140,14 +140,21 @@ def test_sequence_compiles_only_its_elements_tapes_and_zero_tests(monkeypatch):
     compiled, tests = [], []
     init, test = ex.Tape.__init__, a.context.test
     monkeypatch.setattr(
-        ex.Tape, "__init__", lambda self, roots: compiled.append(tuple(roots)) or init(self, roots)
+        ex.Tape, "__init__",
+        lambda self, roots=(): compiled.append(tuple(roots)) or init(self, roots),
     )
     monkeypatch.setattr(a.context, "test", lambda e: tests.append(test(e)) or tests[-1])
+    assert not a.context._tapes
     seq = a.sequence
-    sampled = sum(not v.syntactic for v in tests)  # a syntactic verdict compiles nothing
+    assert any(not v.syntactic for v in tests)
     elements = [tuple(w.coeffs.values()) for w in seq.elements]
-    assert all(len(roots) == 1 for roots in compiled[:sampled])
-    assert compiled[sampled:] == elements
+    head = compiled[: len(compiled) - len(elements)]
+    assert compiled[len(head):] == elements
+    # the zero tests grow one tape per set of parameter names, and compile
+    # a one-root tape only for a tree whose test read past that tape's rows
+    read_past = sum(v.samples + v.skipped > a.context.n_samples for v in tests)
+    assert head.count(()) == len(a.context._tapes)
+    assert [len(roots) for roots in head if roots] == [1] * read_past
     assert seq.verdicts[1] is a.closed and len(seq.pointwise) == len(points)
 
 
