@@ -8,7 +8,7 @@ dissipation coefficient Gamma with i(T)dA = Gamma*A, the parity 4-form
 K = dA^dA, characteristic/extremal vector spaces at points, the genus
 dichotomy, and the projectivized action used by the Euler-index integrand.
 An Anatomy holds these objects for one action, so that a run builds each of
-them once and verifies every one with the run's zero tester.
+them once and zero-tests them with the run's zero tester.
 
 Orientation convention: Omega = dx^dy^dz^dt, so
     i(T)Omega = T1 dy^dz^dt - T2 dx^dz^dt + T3 dx^dy^dt - T4 dx^dy^dz.
@@ -286,74 +286,35 @@ def torsion_vector(H: DifferentialForm) -> tuple[ScalarExpr, ...]:
 
 
 def torsion_data(a: Anatomy) -> TorsionData:
-    """Extract T, Gamma, and the parity coefficient, verifying the identities
-    i(T)Omega = A^dA, i(T)A = 0, and i(T)dA = Gamma*A before returning.
+    """Extract T solving i(T)Omega = A^dA, Gamma with i(T)dA = Gamma*A, and
+    the parity coefficient.
 
-    A failure of any identity raises InternalConsistencyError: these are
-    theorems for every smooth 1-form, so a failure can only mean a broken
-    implementation or an unusable tolerance, never bad input.
+    i(T)Omega = A^dA, i(T)A = 0 and i(T)dA = Gamma*A are theorems for every
+    smooth 1-form; the test suite checks them, a run does not.
     """
     _require_4chart(a.A)
     A, H, K = a.A, a.H, a.K
-    chart = A.chart
-    k = K.coeff((0, 1, 2, 3))
-
     comps = torsion_vector(H)
-    T = VectorField(chart, comps)
-
-    recon = fm.interior(T, fm.volume_form(chart))
-    require_zero(fm.sub_forms(recon, H), a.context, "i(T)Omega does not reproduce A^dA")
-    require_zero(fm.interior(T, A), a.context, "i(T)A failed to vanish")
-
-    gamma = _extract_gamma(A, a.dA, T, a.context)
-
+    T = VectorField(A.chart, comps)
+    gamma = _extract_gamma(A, a.dA, T)
     spatial = (comps[0], comps[1], comps[2])
-    return TorsionData(H, K, k, T, gamma, spatial, comps[3])
+    return TorsionData(H, K, K.coeff((0, 1, 2, 3)), T, gamma, spatial, comps[3])
 
 
-def _extract_gamma(
-    A: DifferentialForm,
-    dA: DifferentialForm,
-    T: VectorField,
-    tester: ZeroTester,
-) -> ScalarExpr:
-    """Solve i(T)dA = Gamma*A componentwise and cross-check every component."""
-    M = fm.interior(T, dA)
-    candidates: list[tuple[int, ScalarExpr]] = []
+def _extract_gamma(A: DifferentialForm, dA: DifferentialForm, T: VectorField) -> ScalarExpr:
+    """Gamma in i(T)dA = Gamma*A, solved in the first component of A that is
+    not syntactically zero; every other component gives the same quotient."""
     for mu in range(A.chart.dim):
         a_mu = A.coeff((mu,))
-        if ex.is_syntactic_zero(a_mu):
-            continue
-        candidates.append((mu, ex.quotient(M.coeff((mu,)), a_mu)))
-
-    if not candidates:
-        # A is the zero form; proportionality is vacuous
-        return ex.ZERO
-
-    mu0, gamma = candidates[0]
-    guard0 = A.coeff((mu0,))
-    for mu, g in candidates[1:]:
-        require_zero(
-            gamma - g,
-            tester.with_guards(guard0, A.coeff((mu,))),
-            f"Gamma candidates from components {mu0} and {mu} disagree",
-        )
-
-    guarded = tester.with_guards(guard0)
-    for mu in range(A.chart.dim):
-        require_zero(
-            M.coeff((mu,)) - ex.mul(gamma, A.coeff((mu,))),
-            guarded,
-            f"i(T)dA - Gamma*A nonzero in component {mu}",
-        )
-    return gamma
+        if not ex.is_syntactic_zero(a_mu):
+            return ex.quotient(fm.interior(T, dA).coeff((mu,)), a_mu)
+    return ex.ZERO  # A is the zero form; proportionality is vacuous
 
 
 def parity(a: Anatomy) -> tuple[DifferentialForm, ScalarExpr]:
-    """Parity 4-form K = dA^dA and its lone coefficient; checks d(A^dA) = K."""
+    """Parity 4-form K = dA^dA and its lone coefficient; K = d(A^dA) holds
+    for every smooth A, and the test suite checks it."""
     _require_4chart(a.A)
-    dH = fm.exterior_derivative(a.H)
-    require_zero(fm.sub_forms(dH, a.K), a.context, "d(A^dA) differs from dA^dA")
     return a.K, a.K.coeff((0, 1, 2, 3))
 
 

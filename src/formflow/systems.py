@@ -318,26 +318,16 @@ def navier_stokes_residual(s: FluidSystem, anatomy: Anatomy) -> NSReport:
     The residual adds nu curl(curl v) to the Euler residual, so zero means
     the classical viscous momentum balance holds (the viscous force enters
     as -nu curl curl v, the rotational part of nu Laplacian(v)).  The work
-    form is the transversal format -nu (curl omega) . (dx - v dt); the
-    identity  i(V)dA - work_form = residual . (dx - v dt)  is checked on
-    the anatomy's context, which is exactly the statement that the
-    first-law work i(V)dA reduces to the viscous work on solutions.  `anatomy`
-    is that of s.action().
+    form is the transversal format -nu (curl omega) . (dx - v dt).  The
+    first-law work splits as  i(V)dA = work_form + residual . (dx - v dt)
+    for every velocity, so it reduces to the viscous work on solutions; the
+    test suite checks the split.  `satisfied` is the residual's zero verdict
+    on the anatomy's context; `anatomy` is that of s.action().
     """
-    v = s.velocity
     nu = s.viscosity
     residual = _add3(s.euler, _scale3(nu, s.curl_omega))
-
-    work = _transversal_form(_scale3(ex.negate(nu), s.curl_omega), v)
-    first_law_work = fm.interior(s.spacetime_velocity(), anatomy.dA)
-    gap = fm.sub_forms(
-        fm.sub_forms(first_law_work, work), _transversal_form(residual, v)
-    )
-    tester = anatomy.context
-    pf.require_zero(
-        gap, tester, "first-law work does not split into viscous work plus residual"
-    )
-    satisfied = all(tester.test(c).zero for c in residual)
+    work = _transversal_form(_scale3(ex.negate(nu), s.curl_omega), s.velocity)
+    satisfied = all(anatomy.context.test(c).zero for c in residual)
     return NSReport(residual, work, satisfied)
 
 
@@ -396,11 +386,11 @@ def ns_engineering_torsion(s: FluidSystem, anatomy: Anatomy) -> EngineeringTorsi
     """Torsion current in engineering variables, against the kinematic one.
 
     With L = v.v/2 - pressure potential, the two currents differ by
-    -(viscous residual) x v, an identity verified here; they therefore
-    agree exactly on viscous momentum-balance solutions.  Non-solutions get
-    a warning attached and both currents returned for comparison.  The
-    viscous residual and the kinematic current it is built from are
-    returned with it.  `anatomy` is that of s.action().
+    -(viscous residual) x v for every velocity (the test suite checks it);
+    they therefore agree exactly on viscous momentum-balance solutions.
+    Non-solutions get a warning attached and both currents returned for
+    comparison.  The viscous residual and the kinematic current it is built
+    from are returned with it.  `anatomy` is that of s.action().
     """
     v, omega = s.velocity, s.omega
     h = _dot(v, omega)
@@ -413,11 +403,6 @@ def ns_engineering_torsion(s: FluidSystem, anatomy: Anatomy) -> EngineeringTorsi
     ns = navier_stokes_residual(s, anatomy)
     kinematic = torsion_current(s, anatomy)
     difference = _sub3(kinematic.current, engineering)
-    pf.require_zero(
-        _sub3(difference, _neg3(_cross(ns.residual, v))),
-        anatomy.context,
-        "engineering/kinematic torsion difference is not -(residual x v)",
-    )
 
     warning = None
     if not ns.satisfied:
@@ -438,12 +423,12 @@ class MassCurrent:
     residual: ScalarExpr  # div(rho v) + drho/dt
 
 
-def mass_current(rho: ScalarExpr, v, context: ZeroTester) -> MassCurrent:
+def mass_current(rho: ScalarExpr, v) -> MassCurrent:
     """Transversal-volume mass current and its conservation residual.
 
-    dJ = -{div(rho v) + drho/dt} Omega in the x,y,z,t orientation; the
-    identity is verified on `context`, the run's zero tester.  The bracket
-    is the conservation test: zero means mass is conserved along the flow.
+    dJ = -{div(rho v) + drho/dt} Omega in the x,y,z,t orientation, for every
+    rho and v; the test suite checks it.  The bracket is the conservation
+    test: zero means mass is conserved along the flow.
     """
     rho = ex.as_expr(rho)
     v = _as_vec3(v)
@@ -460,12 +445,6 @@ def mass_current(rho: ScalarExpr, v, context: ZeroTester) -> MassCurrent:
     J = fm.scale_form(rho, fm.wedge(fm.wedge(legs[0], legs[1]), legs[2]))
 
     residual = ex.add(_div(_scale3(rho, v)), _d(rho, 3))
-    want = fm.scale_form(ex.negate(residual), fm.volume_form(SPACETIME))
-    pf.require_zero(
-        fm.sub_forms(fm.exterior_derivative(J), want),
-        context,
-        "dJ does not reduce to the continuity bracket times the volume form",
-    )
     return MassCurrent(J, residual)
 
 
@@ -479,7 +458,7 @@ def transversal_current_comparison(
     """
     rho = ex.as_expr(rho)
     v = _as_vec3(v)
-    J = mass_current(rho, v, anatomy.context).J
+    J = mass_current(rho, v).J
     V = VectorField(SPACETIME, (v[0], v[1], v[2], ex.ONE), support=rho)
     pulled = fm.interior(V, anatomy.K)
     verdict = pf.form_is_zero(fm.sub_forms(pulled, J), anatomy.context)
@@ -583,10 +562,10 @@ def fluid_diagnostics(s: FluidSystem, anatomy: Anatomy) -> FluidReport:
     """Full fluid diagnostic bundle for a system; `anatomy` is that of
     s.action().
 
-    Runs the identity checks of vorticity_fields and ns_engineering_torsion,
-    the unit-density mass balance, and d(A^dA) = K.  Includes the parity
-    coefficient in both orientations: ours equals 2(a . omega) identically,
-    a checked identity; on viscous momentum-balance solutions the
+    Runs the identity checks of vorticity_fields and torsion_current, and
+    tests the unit-density mass balance.  Includes the parity coefficient in
+    both orientations: ours equals 2(a . omega) for every velocity (the
+    test suite checks it); on viscous momentum-balance solutions the
     classical list value reduces to -2 nu (omega . curl omega), the source
     that vanishes exactly when the vorticity field is Frobenius-integrable.
     """
@@ -594,13 +573,8 @@ def fluid_diagnostics(s: FluidSystem, anatomy: Anatomy) -> FluidReport:
     vort = vorticity_fields(s, tester)
     euler_ok = all(tester.test(c).zero for c in s.euler)
     engineering = ns_engineering_torsion(s, anatomy)
-    incompressible = tester.test(mass_current(ex.ONE, s.velocity, tester).residual)
-
+    incompressible = tester.test(mass_current(ex.ONE, s.velocity).residual)
     _, parity = pf.parity(anatomy)
-    expected = ex.mul(ex.Const(2), _dot(s.acceleration, s.omega))
-    pf.require_zero(
-        ex.add(parity, ex.negate(expected)), tester, "parity coefficient is not 2 (a . omega)"
-    )
     viscous_source = ex.mul(ex.Const(-2), s.viscosity, _dot(s.omega, s.curl_omega))
 
     return FluidReport(
@@ -634,7 +608,7 @@ class Preset:
     points: tuple[tuple[float, ...], ...] = ()
 
     def anatomy(self, context: ZeroTester) -> Anatomy:
-        """The action's anatomy, verified by context and probed by this
+        """The action's anatomy, zero-tested on context and probed by this
         preset's chains, points and parameters."""
         return Anatomy(self.action, context, self.chains, self.points, self.params)
 

@@ -63,8 +63,8 @@ def first_law(
 ) -> tuple[DifferentialForm, DifferentialForm, DifferentialForm]:
     """Split L(J)A into (Q, W, U): heat, work, internal energy, for A = a.A.
 
-    W = i(J)dA, U = i(J)A, Q = W + dU.  The sum is checked against the
-    directly computed Lie derivative before returning.
+    W = i(J)dA, U = i(J)A, Q = W + dU.  Cartan's formula makes Q the Lie
+    derivative L(J)A; the test suite checks the two against each other.
     """
     A = a.A
     if A.degree != 1:
@@ -72,8 +72,6 @@ def first_law(
     W = fm.interior(J, a.dA)
     U = fm.interior(J, A)
     Q = fm.add_forms(W, fm.exterior_derivative(U))
-    gap = fm.sub_forms(Q, fm.lie_derivative(J, A))
-    pf.require_zero(gap, a.context, "W + dU disagrees with L(J)A")
     return Q, W, U
 
 
@@ -203,10 +201,8 @@ def classify(a: Anatomy, J: VectorField) -> ProcessReport:
     Q, W, U = first_law(a, J)
     heat = Anatomy(Q, a.context, points=a.points, params=a.params)
     dQ, QdQ = heat.dA, heat.H
-    dW = fm.exterior_derivative(W)
 
     tester = a.context
-    pf.require_zero(fm.sub_forms(dQ, dW), tester, "dQ and dW must agree (dd = 0)")
     q_zero = heat.sequence.zero(0).zero
     w_zero = pf.form_is_zero(W, tester).zero
     qdq_zero = heat.sequence.zero(2).zero

@@ -117,3 +117,9 @@ def action_process_pairs(n_random: int = 12, seed: int = 202):
         J = random_field(r, smooth=False, supported=(k % 3 == 0))
         pairs.append((A, J))
     return pairs
+
+
+def actions(n_random: int = 12, seed: int = 202) -> list[fm.DifferentialForm]:
+    """The 4-chart 1-forms of action_process_pairs, each once: every bundled
+    preset's action and the random polynomial ones."""
+    return list({id(A): A for A, _ in action_process_pairs(n_random, seed)}.values())

@@ -3,12 +3,14 @@
 Everything here recomputes a result by a route the library does not use:
 polynomial expansion over an exponent-keyed ring, RK4 flow maps with
 finite-difference Jacobians and Richardson extrapolation, and direct
-Gauss-Legendre quadrature on explicit parametrizations.  Tests compare
-library output against these oracles, never the other way around.
+Gauss-Legendre quadrature on explicit parametrizations, and sympy, which
+reads the library's printed text.  Tests compare library output against
+these oracles, never the other way around.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import weakref
@@ -20,6 +22,9 @@ import formflow.chains as ch
 import formflow.expr as ex
 import formflow.finite_topology as ft
 import formflow.forms as fm
+import formflow.pfaff as pf
+import formflow.systems as sy
+import formflow.thermo as th
 
 # ---------------------------------------------------------------------------
 # Polynomial ring over exponent dictionaries
@@ -1218,3 +1223,137 @@ def reference_is_topology(sets, ground) -> ft.TopologyVerdict:
                     missing_set=out,
                 )
     return ft.TopologyVerdict(True)
+
+
+# ---------------------------------------------------------------------------
+# Identities that hold by construction
+#
+# A run does not re-check these theorems of the calculus; the tests do, on
+# the corpus and on the trees of the bench jobs.  Each helper returns
+# (identity, tester, residual) triples: every residual must be a zero
+# verdict on its tester, and exactly 0 under sympy on rational trees.
+
+
+def _residuals(name: str, tester: ex.ZeroTester, x) -> list:
+    """One triple per coefficient of a form x, per entry of a sequence, or for x."""
+    if isinstance(x, fm.DifferentialForm):
+        x = tuple(x.coeffs.values())
+    return [(name, tester, e) for e in ((x,) if isinstance(x, ex.ScalarExpr) else x)]
+
+
+def torsion_residuals(a: pf.Anatomy) -> list:
+    """i(T)Omega = A^dA, i(T)A = 0, d(A^dA) = dA^dA, every component's
+    quotient giving Gamma, and i(T)dA = Gamma*A, for a 1-form on a 4-chart.
+
+    The quotients are tested off the zeros of the components they divide
+    by, as the Gamma of torsion_data is read off the first one."""
+    A, tester = a.A, a.context
+    T, gamma = a.torsion.vector, a.torsion.gamma
+    M = fm.interior(T, a.dA)
+    out = [
+        *_residuals("i(T)Omega = A^dA", tester,
+                    fm.sub_forms(fm.interior(T, fm.volume_form(A.chart)), a.H)),
+        *_residuals("i(T)A = 0", tester, fm.interior(T, A)),
+        *_residuals("d(A^dA) = dA^dA", tester,
+                    fm.sub_forms(fm.exterior_derivative(a.H), pf.parity(a)[0])),
+    ]
+    lead = [A.coeff((mu,)) for mu in range(A.chart.dim)]
+    nonzero = [mu for mu, c in enumerate(lead) if not ex.is_syntactic_zero(c)]
+    if nonzero:
+        first = lead[nonzero[0]]
+        for mu in nonzero[1:]:
+            out += _residuals(f"Gamma from component {mu}", tester.with_guards(first, lead[mu]),
+                              gamma - ex.quotient(M.coeff((mu,)), lead[mu]))
+        out += _residuals("i(T)dA = Gamma*A", tester.with_guards(first),
+                          fm.sub_forms(M, fm.scale_form(gamma, A)))
+    return out
+
+
+def mass_residuals(rho, v, tester: ex.ZeroTester) -> list:
+    """dJ = -(div(rho v) + drho/dt) Omega for the transversal mass current."""
+    m = sy.mass_current(rho, v)
+    return _residuals("dJ = -residual*Omega", tester, fm.add_forms(
+        fm.exterior_derivative(m.J), fm.scale_form(m.residual, fm.volume_form(sy.SPACETIME))))
+
+
+def fluid_residuals(s: sy.FluidSystem, a: pf.Anatomy) -> list:
+    """The first-law work split, the engineering torsion difference,
+    K = 2 a.omega and the unit-density mass current, for any velocity;
+    a is the anatomy of s.action()."""
+    tester, v = a.context, s.velocity
+    eng = sy.ns_engineering_torsion(s, a)
+    residual = eng.ns.residual
+    split = fm.sub_forms(
+        fm.interior(s.spacetime_velocity(), a.dA),
+        fm.add_forms(eng.ns.work_form, sy._transversal_form(residual, v)),
+    )
+    return [
+        *_residuals("i(V)dA = work + residual.(dx - v dt)", tester, split),
+        *_residuals("kinematic - engineering = -(residual x v)", tester,
+                    sy._add3(eng.difference, sy._cross(residual, v))),
+        *_residuals("K = 2 a.omega", tester, pf.parity(a)[1] - ex.mul(
+            ex.Const(2), sy._dot(s.acceleration, s.omega))),
+        *mass_residuals(ex.ONE, v, tester),
+    ]
+
+
+def process_residuals(a: pf.Anatomy, J: fm.VectorField) -> list:
+    """W + dU = L(J)A and dQ = dW for the first-law split of a.A along J."""
+    Q, W, _ = th.first_law(a, J)
+    return [
+        *_residuals("W + dU = L(J)A", a.context, fm.sub_forms(Q, fm.lie_derivative(J, a.A))),
+        *_residuals("dQ = dW", a.context,
+                    fm.sub_forms(fm.exterior_derivative(Q), fm.exterior_derivative(W))),
+    ]
+
+
+def failing(residuals) -> list[str]:
+    """The identities, each once, with a residual that is not a zero verdict
+    on its tester."""
+    return list(dict.fromkeys(name for name, tester, e in residuals if not tester.test(e)))
+
+
+def run_residuals(rt) -> list:
+    """Every identity above that a run's Runtime rt holds by construction:
+    its action's torsion identities on a 4-chart, its fluid system's, and
+    the first-law split along each of its processes."""
+    a, out = rt.anatomy, []
+    if a.A.chart.dim == 4 and a.A.degree == 1:
+        out += torsion_residuals(a)
+    if isinstance(rt.system, sy.FluidSystem):
+        out += fluid_residuals(rt.system, a)
+    for _, J in rt.processes:
+        out += process_residuals(a, J)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# sympy, reading the library's printed text
+
+
+@functools.cache
+def _sympy():
+    """sympy and its parser of the library's text, imported on first use:
+    once per session."""
+    import sympy
+    from sympy.parsing.sympy_parser import parse_expr, rationalize, standard_transformations
+
+    return sympy, functools.partial(parse_expr, transformations=(*standard_transformations, rationalize))
+
+
+def to_sympy(e, chart: ex.Chart):
+    """e as a sympy expression, parsed from ex.to_text(e, chart): the
+    printer's text must read back as the tree it printed.  Coordinates and
+    parameters become symbols, `^` a power and `ln` a log; a decimal is the
+    rational it spells, so 0.5 is exactly 1/2."""
+    sympy, parse = _sympy()
+    symbols = {n: sympy.Symbol(n) for n in (*chart.names, *ex.Tape((e,)).params)}
+    return parse(ex.to_text(e, chart).replace("^", "**"), local_dict={"ln": sympy.log, **symbols})
+
+
+def inexact(residuals, chart: ex.Chart) -> list[str]:
+    """The identities, each once, with a residual that sympy.cancel does not
+    reduce to 0: exact for rational trees."""
+    sympy = _sympy()[0]
+    return list(dict.fromkeys(
+        name for name, _, e in residuals if sympy.cancel(to_sympy(e, chart)) != 0))

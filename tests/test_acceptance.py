@@ -93,10 +93,16 @@ def test_criterion_01_exact_calculus():
         if not _is_zero(fm.interior(V, fm.interior(V, w)), tester):
             failures.append(f"ii #{k}")
 
+    # the Leibniz rule on (A, dA) for a 1-form A: d(A^dA) = dA^dA
+    for k in range(50):
+        a = pf.Anatomy(random_form(r, 1), tester)
+        if not _is_zero(fm.sub_forms(fm.exterior_derivative(a.H), pf.parity(a)[0]), tester):
+            failures.append(f"parity #{k}")
+
     _verdict(
         1,
         "dd = 0 syntactically on 200 corpus forms; graded Leibniz and "
-        "i(V)i(V) = 0 as zero verdicts on 100 cases each",
+        "i(V)i(V) = 0 as zero verdicts on 100 cases each, d(A^dA) = dA^dA on 50",
         not failures,
         ", ".join(failures[:5]),
     )
@@ -167,20 +173,18 @@ def test_criterion_03_transport_commutes_with_d():
 
 
 def test_criterion_04_first_law_split():
-    tester = _tester()
+    # first_law returns Q = W + dU as built; the split's agreement with the
+    # Lie derivative, and dQ = dW, are checked here
     failures = []
     for k, (A, J) in enumerate(action_process_pairs()):
-        Q = fm.lie_derivative(J, A)
-        W = fm.interior(J, fm.exterior_derivative(A))
-        U = fm.interior(J, A)
-        gap = fm.sub_forms(Q, fm.add_forms(W, fm.exterior_derivative(U)))
-        if not _is_zero(gap, tester):
-            failures.append(f"split #{k}")
-        if not _is_zero(fm.interior(J, W), tester):
+        a = pf.Anatomy(A, _tester())
+        failures += [f"{name} #{k}" for name in oc.failing(oc.process_residuals(a, J))]
+        if not _is_zero(fm.interior(J, th.first_law(a, J)[1]), a.context):
             failures.append(f"transversal #{k}")
     _verdict(
         4,
-        "Q - W - dU and i(J)W are zero verdicts on every (A, J) corpus pair",
+        "first_law's Q = W + dU minus L(J)A, dQ - dW and i(J)W are zero verdicts "
+        "on every (A, J) corpus pair",
         not failures,
         ", ".join(failures[:5]),
     )
@@ -388,19 +392,18 @@ def test_criterion_08_fluid_identities():
         ),
         (ex.ONE, (ex.Coord(0), ex.ZERO, ex.ZERO)),
     ]
+    r = rng(88)
+    mass_cases += [
+        (random_poly_scalar(r), tuple(random_poly_scalar(r) for _ in range(3))) for _ in range(6)
+    ]
     for k, (rho, v) in enumerate(mass_cases):
-        m = sy.mass_current(rho, v, tester)
-        direct = fm.add_forms(
-            fm.exterior_derivative(m.J),
-            fm.scale_form(m.residual, fm.volume_form(CHART)),
-        )
-        if not _is_zero(direct, tester):
+        if oc.failing(oc.mass_residuals(rho, v, tester)):
             failures.append(f"mass case {k}")
 
     _verdict(
         8,
         "induction identities, torsion balance law, extremal<=>Euler both "
-        "ways, shear parity formula, and mass-current identity on 3 cases",
+        "ways, shear parity formula, and mass-current identity on 9 cases",
         not failures,
         "; ".join(failures),
     )

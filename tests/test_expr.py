@@ -719,8 +719,11 @@ def test_run_verdicts_equal_the_one_root_path(seed, monkeypatch):
     # tester gives the tree alone through one one-root tape; so are the
     # values and scales read off that tape, to the bit; and testers that
     # share their tapes as the run's testers did give those verdicts again
-    # when they test the run's trees in reverse order
+    # when they test the run's trees in reverse order.  The residuals of the
+    # identities the run holds by construction, built from the same job,
+    # are zero verdicts compared the same way
     import formflow.cli as cli
+    import formflow.config as config
 
     workloads = _bench_workloads()
     texts = {job.text: None for name in ("presets", "symbolic", "transport")
@@ -736,6 +739,9 @@ def test_run_verdicts_equal_the_one_root_path(seed, monkeypatch):
     for text in texts:
         sampled.clear()
         cli.run(cli.parse_config(text))
+        with ex.run_memo():
+            for name, tester, e in oracles.run_residuals(config.build_runtime(cli.parse_config(text))):
+                assert tester.test(e), name
         compared += len(sampled)
         for roots, points, params, got in grown:
             want = ex.Tape(roots).scaled_rows(points, params)

@@ -15,7 +15,8 @@ import formflow.pfaff as pf
 import formflow.systems as sy
 import formflow.thermo as th
 
-from corpus import CHART, action_process_pairs
+from corpus import CHART, action_process_pairs, random_poly_scalar, rng
+from oracles import inexact, process_residuals
 
 
 def scalar(text: str) -> ex.ScalarExpr:
@@ -35,6 +36,18 @@ def test_first_law_reassembles_lie_derivative():
         assert form_is_zero(
             fm.sub_forms(Q, fm.add_forms(W, fm.exterior_derivative(U)))
         )
+
+
+def test_first_law_identities_are_exact_on_rational_pairs():
+    # W + dU = L(J)A and dQ = dW: sympy reads each residual from the printed
+    # text and cancels it to 0, along a bare and a supported field
+    r = rng(303)
+    for supported in (False, True):
+        A = fm.one_form(CHART, tuple(random_poly_scalar(r, 2, 1) for _ in range(4)))
+        comps = tuple(random_poly_scalar(r, 2, 1) for _ in range(4))
+        J = fm.VectorField(CHART, comps, random_poly_scalar(r, 2, 1) if supported else ex.ONE)
+        a = pf.Anatomy(A, ex.ZeroTester(ex.default_box(4)))
+        assert inexact(process_residuals(a, J), CHART) == []
 
 
 def test_first_law_rejects_higher_degree():
