@@ -40,21 +40,23 @@ before parents, and one loop executes the list, each node one numpy
 operation over all rows.  Forms, vector fields and chain cells keep
 theirs, compiled once per object.  A zero tester compiles its box guards
 once and keeps each tree's verdict; the trees it tests on one set of
-sample rows share one tape that grows by the nodes each new tree adds
-(Tape.grow), so a node is compiled and evaluated once per run and row set.
-A node that is singular at a row (division by zero, ln/sqrt outside their
-domain, atan2(0, 0), overflow) is NaN there, and NaN reaches the root:
-an infinity becomes NaN where it arises.  Loaded coordinates, parameters
+sample rows share that set's two tapes, one on its first rows and one on
+the rest, which grow by the nodes each new tree adds (Tape.grow), so a
+node is compiled and evaluated once per run and tape.  A node that is
+singular at a row (division by zero, ln/sqrt outside their domain,
+atan2(0, 0), overflow) is NaN there, and NaN reaches the root: an
+infinity becomes NaN where it arises.  Loaded coordinates, parameters
 and infinite constants are swept for infinities; an operation makes one
 from finite operands only with numpy's overflow or divide-by-zero flag,
 so a run raises on those flags and only then repeats with every value
-swept; grow() repeats only the segment it added.  Tape.scaled_rows
-returns such rows as NaN; Tape.values and Tape.at raise SingularityError
-naming the first singular subexpression in evaluation order, at its first
-singular point, rather than returning NaN or infinity.  Evaluation is
-deterministic: the same tree at the same point with the same parameter
-bindings produces a bit-identical float, whether the point is evaluated
-alone, as a row of a batch, or as one root of a tape with several.
+swept; grow() repeats only the segment it added.  Tape.run and
+Tape.grow return such rows as NaN; Tape.values and Tape.at raise
+SingularityError naming the first singular subexpression in evaluation
+order, at its first singular point, rather than returning NaN or
+infinity.  Evaluation is deterministic: the same tree at the same point
+with the same parameter bindings produces a bit-identical float, whether
+the point is evaluated alone, as a row of a batch, or as one root of a
+tape with several.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ import functools
 import math
 import operator
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -1112,8 +1114,10 @@ class Tape:
     `outputs` holds the roots' slots.  The compiler keeps an explicit stack,
     so depth is not bounded by Python's recursion limit.  A tape holds no
     values: run() executes it over a batch of rows.  Only a tape that
-    grow() adds roots to keeps the values it ran, over the one batch of rows
-    every grow() call passes.
+    grow() adds roots to keeps the values it ran, and per row each node's
+    scale, the largest magnitude over its subtree, over the one batch of
+    rows every grow() call passes; Tape().grow(roots, points, params) gives
+    each root's values and scales on a fresh tape.
     """
 
     def __init__(self, roots: Sequence[ScalarExpr] = ()):
@@ -1172,14 +1176,14 @@ class Tape:
         """Add roots, and run only the instructions they add into the slots
         the tape keeps: each root's values at the rows of `points`, which
         must be the rows of every earlier grow(), and per row the largest
-        magnitude over its subtree, the bits scaled_rows gives for a
-        one-root tape of it.  The overflow rule of run() holds per added
-        segment: if it raises numpy's flag, the segment alone reruns with
-        every instruction swept.  The bits are those of a swept run of the
-        whole tape, as a slot before the segment never holds an infinity."""
+        magnitude over its subtree, which no other root of the tape
+        changes.  The overflow rule of run() holds per added segment: if
+        it raises numpy's flag, the segment alone reruns with every
+        instruction swept.  The bits are those of a swept run of the whole
+        tape, as a slot before the segment never holds an infinity."""
         start = len(self.code)
         self._compile(roots)
-        for name in ("params", "coords", "_dead", "_subtrees"):
+        for name in ("params", "coords", "_dead"):
             self.__dict__.pop(name, None)  # cached for the shorter code
         grown = len(self.code) - start
         self._values += [None] * grown
@@ -1216,23 +1220,22 @@ class Tape:
             dead[i].append(s)
         return tuple(map(tuple, dead))
 
-    def run(self, points: np.ndarray, params: Mapping, keep: bool = False) -> list:
+    def run(self, points: np.ndarray, params: Mapping) -> list:
         """Every slot's values at the rows of `points`; singular rows are NaN.
 
         A parameter binds to one number or to a column of one value per row.
-        Unless `keep`, a slot is dropped (None) after its last use and only
-        the roots' slots stay.  An infinity becomes NaN where it arises.  A
+        A slot is dropped (None) after its last use and only the roots'
+        slots stay.  An infinity becomes NaN where it arises.  A
         coordinate, parameter or infinite constant is swept for infinities
         as it is loaded; an operation on finite operands makes one only
         with numpy's overflow or divide-by-zero flag, so the run raises on
         those flags and only then repeats with every instruction swept,
         which gives the bits sweeping every instruction always gives.
         """
-        dead = () if keep else self._dead
         try:
-            return self._execute(points, params, False, dead)
+            return self._execute(points, params, False, self._dead)
         except FloatingPointError:
-            return self._execute(points, params, True, dead)
+            return self._execute(points, params, True, self._dead)
 
     def _execute(
         self, points: np.ndarray, params: Mapping, sweep: bool, dead, slots=None, start=0,
@@ -1306,33 +1309,6 @@ class Tape:
                     for s in dead[i]:
                         slots[s] = None
         return slots
-
-    @functools.cached_property
-    def _subtrees(self) -> tuple:
-        """Per root, its slot and those of its descendants: for the first
-        root every slot up to its own, as the compiler lists it first."""
-        out: list = [slice(0, self.outputs[0] + 1)] if self.outputs else []
-        for root in self.outputs[1:]:
-            seen, stack = {root}, [root]
-            while stack:
-                new = set(self.code[stack.pop()][2]) - seen
-                seen |= new
-                stack.extend(new)
-            out.append(np.array(sorted(seen)))
-        return tuple(out)
-
-    def scaled_rows(
-        self, points: np.ndarray, params: Mapping
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Each root's values at the rows of `points` and, per row, the
-        largest magnitude over the slots of that root's subtree: what a
-        one-root tape of the root gives.  Singular rows are NaN."""
-        slots = self.run(points, params, keep=True)
-        magnitudes = np.abs(np.array(slots))
-        return (
-            [slots[s] for s in self.outputs],
-            [magnitudes[sub].max(axis=0) for sub in self._subtrees],
-        )
 
     def values(
         self, points: np.ndarray, params: Mapping, chart: Chart | None = None
@@ -1425,9 +1401,7 @@ def _singularity(e: ScalarExpr, memo, points: np.ndarray, chart: Chart | None) -
             stack += [(node, done + 1), (kids[done], 0)]
     i = int(np.argmax(bad))
     pt = tuple(points[i].tolist())
-    text = to_text(node, chart)
-    if len(text) > 60:  # bounded as parse.quoted bounds a config text
-        text = f"{text[:60]}... ({len(text)} characters)"
+    text = _bounded_text(node, chart)
     return SingularityError(f"{_fault(node, memo, i)} in {text} at point {pt}", node, pt)
 
 
@@ -1439,8 +1413,8 @@ def eval_with_scale(
     """e and its largest intermediate magnitude at one point; raises where e
     is singular.  No package caller: bench/tracing.py wraps it by name until
     the run trace of ROADMAP item 5 replaces that tracer."""
-    tape, row = Tape((e,)), np.array([point], dtype=float)
-    (value,), (scale,) = tape.scaled_rows(row, params or {})
+    tape, row = Tape(), np.array([point], dtype=float)
+    (value,), (scale,) = tape.grow((e,), row, params or {})
     if np.isnan(value[0]):
         tape._raise_first_error(row, params or {}, None)
     return float(value[0]), float(scale[0])
@@ -1498,6 +1472,13 @@ def to_text(e: ScalarExpr, chart: Chart | None = None) -> str:
         stack.pop()
         text[node] = _node_text(node, text, chart)
     return text[e]
+
+
+def _bounded_text(e: ScalarExpr, chart: Chart | None = None) -> str:
+    """to_text(e) for an error message; past 60 characters, its first 60
+    and its length, as parse.quoted bounds a config text."""
+    text = to_text(e, chart)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
 
 
 def _wrapped(node: ScalarExpr, text: Mapping, minimum: int) -> str:
@@ -1616,6 +1597,21 @@ class ZeroVerdict:
         return self.zero
 
 
+class _RowSet:
+    """The rows a ZeroTester draws for one set of parameter names, as
+    draw_rows returns them, with what its tests keep on them: the guard
+    mask, set by the first test, and per part of the rows, the first
+    n_samples and the rest, the tape grown on that part and the part's
+    rows."""
+
+    def __init__(self, points: np.ndarray, params: dict, n: int):
+        self.points, self.params, self.guarded = points, params, None
+        self.parts = tuple(
+            (Tape(), points[part], {nm: col[part] for nm, col in params.items()})
+            for part in (slice(None, n), slice(n, None))
+        )
+
+
 class ZeroTester:
     """Seeded probabilistic zero test for expressions on a sampling box.
 
@@ -1627,19 +1623,18 @@ class ZeroTester:
     survive, the test is inconclusive and raises rather than guessing.
 
     A tester draws the rows of each set of parameter names once, from a
-    fresh stream seeded with its seed, and keeps them and their guard mask,
-    so no verdict depends on the tests before it.  A verdict is thus a
-    function of the simplified tree, and the tester keeps one per distinct
-    tree: a repeated test returns it without sampling.  An inconclusive
-    test keeps nothing and raises again when repeated.
+    fresh stream seeded with its seed, and keeps them in one record with
+    their guard mask, so no verdict depends on the tests before it.  A
+    verdict is thus a function of the simplified tree, and the tester keeps
+    one per distinct tree: a repeated test returns it without sampling.  An
+    inconclusive test keeps nothing and raises again when repeated.
 
-    Each set of rows has one growing Tape of every node tested on its first
-    n_samples rows, which decide most verdicts, so a node is compiled and
-    evaluated once however many trees share it: a new tree runs only the
-    nodes the tape lacks (Tape.grow), and its values and scales on those
-    rows are read off the tape.  The rows past them, read only after rows
-    were skipped, go through a one-root tape of the tree.  Testers made by
-    with_guards share the rows and these tapes, which no guard changes.
+    The record grows one Tape of every node tested on the first n_samples
+    rows, which decide most verdicts, and one on the rows past them, which
+    a test reads only when the first rows hold no nonzero witness and a
+    skipped row.  A node is thus compiled and evaluated once per tape
+    however many trees share it: a new tree runs only the nodes a tape
+    lacks (Tape.grow), and its values and scales are read off the tapes.
     """
 
     n_samples = 64
@@ -1650,21 +1645,24 @@ class ZeroTester:
         self.box = box
         self.seed = int(seed)
         self._guards = Tape(box.guards)
-        self._rows: dict[tuple[str, ...], tuple] = {}  # names -> draw_rows' rows
-        self._tapes: dict[tuple[str, ...], Tape] = {}  # names -> tape grown on the rows
+        self._row_sets: dict[tuple[str, ...], _RowSet] = {}  # parameter names -> rows
         self._masks: dict[ScalarExpr, int] = {}  # param_names' memo: node -> names' bits
         self._bits: dict[str, int] = {}  # and parameter name -> bit
-        self._guarded: dict[tuple[str, ...], np.ndarray] = {}  # names -> guard mask
         self._verdicts: dict[ScalarExpr, ZeroVerdict] = {}  # simplified tree -> verdict
+
+    def _row_set(self, names: tuple[str, ...]) -> _RowSet:
+        rows = self._row_sets.get(names)
+        if rows is None:
+            rng = np.random.default_rng(self.seed)
+            drawn = draw_rows(self.box, rng, names, 8 * self.n_samples)
+            rows = self._row_sets[names] = _RowSet(*drawn, self.n_samples)
+        return rows
 
     def rows(self, names: tuple[str, ...], k: int | None = None) -> tuple:
         """The first k (by default all 8 * n_samples) sample rows for the
         parameter names `names`, as draw_rows returns them."""
-        if names not in self._rows:
-            rng = np.random.default_rng(self.seed)
-            self._rows[names] = draw_rows(self.box, rng, names, 8 * self.n_samples)
-        points, params = self._rows[names]
-        return points[:k], {nm: col[:k] for nm, col in params.items()}
+        rows = self._row_set(names)
+        return rows.points[:k], {nm: col[:k] for nm, col in rows.params.items()}
 
     def test(self, e: ScalarExpr) -> ZeroVerdict:
         e = simplify(e)
@@ -1680,7 +1678,7 @@ class ZeroTester:
 
     def _sampled(self, e: ScalarExpr) -> ZeroVerdict:
         """The sampled verdict on the simplified, non-constant tree e."""
-        guards, one_root = self._guards, None
+        guards = self._guards
         # the highest coordinate, off the node's coordinate bits unless they
         # are -1 (a partial divides by 0)
         coords = Tape((e,)).coords if e._coords < 0 else (e._coords.bit_length() - 1,)
@@ -1690,58 +1688,33 @@ class ZeroTester:
                 f"expression uses coordinate index {needed - 1} but the sampling box "
                 f"has dimension {self.box.dim}"
             )
-        names = tuple(sorted({*param_names(e, self._masks, self._bits), *guards.params}))
-        points, params = self.rows(names)
-        guarded = self._guarded.get(names)
-        if guarded is None:
-            slots = guards.run(points, params)
-            guarded = self._guarded[names] = np.zeros(len(points), dtype=bool)
+        rows = self._row_set(tuple(sorted({*param_names(e, self._masks, self._bits),
+                                           *guards.params})))
+        if rows.guarded is None:
+            slots = guards.run(rows.points, rows.params)
+            rows.guarded = np.zeros(len(rows.points), dtype=bool)
             for s in guards.outputs:
-                guarded |= ~(np.abs(slots[s]) >= self.box.guard_tol)  # guarded or singular
-
-        # Rows are read in chunks no larger than the rows still needed, so
-        # the test stops at the same row, with the same counts, as a read of
-        # one row at a time.
-        valid = 0
-        skipped = 0
-        attempts = 0
-        max_attempts = len(points)
-        while valid < self.n_samples and attempts < max_attempts:
-            k = min(self.n_samples - valid, max_attempts - attempts)
-            chunk = slice(attempts, attempts + k)
-            if attempts:
-                one_root = one_root or Tape((e,))
-                (v,), (scale,) = one_root.scaled_rows(
-                    points[chunk], {nm: col[chunk] for nm, col in params.items()}
-                )
-            else:  # the first n_samples rows: the tape of the row set
-                if names not in self._tapes:
-                    self._tapes[names] = Tape()
-                (v,), (scale,) = self._tapes[names].grow((e,), *self.rows(names, k))
-            skip = guarded[chunk] | np.isnan(v)
-            over = np.flatnonzero(~skip & (np.abs(v) > self.eps * (1.0 + scale)))
-            if over.size:
-                i = int(over[0])
-                skipped += int(skip[:i].sum())
-                valid = attempts + i + 1 - skipped
-                pr = {nm: float(col[attempts + i]) for nm, col in params.items()}
-                return ZeroVerdict(False, tuple(points[attempts + i].tolist()), pr,
-                                   float(v[i]), valid, skipped, False)
-            attempts += k
-            skipped += int(skip.sum())
-            valid = attempts - skipped
+                rows.guarded |= ~(np.abs(slots[s]) >= self.box.guard_tol)  # guarded or singular
+        n, values, scales = self.n_samples, np.empty(0), np.empty(0)
+        for tape, points, params in rows.parts:
+            (v,), (scale,) = tape.grow((e,), points, params)
+            values, scales = np.concatenate((values, v)), np.concatenate((scales, scale))
+            # the rows a read of one row at a time counts: the first n valid
+            # ones, and it stops at the first of them over the bound
+            counted = np.flatnonzero(~(rows.guarded[: len(values)] | np.isnan(values)))[:n]
+            over = np.flatnonzero(np.abs(values[counted]) > self.eps * (1.0 + scales[counted]))
+            if over.size or len(counted) == n:  # the rows read so far decide
+                break
+        if over.size:
+            k, i = int(over[0]), int(counted[over[0]])
+            pr = {nm: float(col[i]) for nm, col in rows.params.items()}
+            return ZeroVerdict(False, tuple(rows.points[i].tolist()), pr, float(values[i]),
+                               k + 1, i - k, False)
+        valid = len(counted)
+        attempts = int(counted[-1]) + 1 if valid == n else len(values)
         if valid < self.min_valid:
             raise InconclusiveError(
                 f"zero test inconclusive: only {valid} valid samples out of "
-                f"{attempts} attempts for {to_text(e)}"
+                f"{attempts} attempts for {_bounded_text(e)}"
             )
-        return ZeroVerdict(True, None, None, None, valid, skipped, False)
-
-    def with_guards(self, *guards: ScalarExpr) -> "ZeroTester":
-        """A tester with this one's box and seed plus `guards`: the one way to
-        add a guard.  It shares this one's rows and their tapes, which no
-        guard changes."""
-        tester = ZeroTester(replace(self.box, guards=(*self.box.guards, *guards)), self.seed)
-        tester._rows, tester._tapes = self._rows, self._tapes
-        tester._masks, tester._bits = self._masks, self._bits
-        return tester
+        return ZeroVerdict(True, None, None, None, valid, attempts - valid, False)

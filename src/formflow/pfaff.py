@@ -208,7 +208,9 @@ def _nonzero_at(w: DifferentialForm, points, params) -> np.ndarray:
     zero test's tolerance?"""
     out = np.zeros(len(points), dtype=bool)
     if points:
-        values, scales = w.tape.scaled_rows(np.array(points, dtype=float), params or {})
+        values, scales = ex.Tape().grow(
+            tuple(w.coeffs.values()), np.array(points, dtype=float), params or {}
+        )
         for v, scale in zip(values, scales):
             out |= np.abs(v) > ZeroTester.eps * (1.0 + scale)  # False on singular (NaN) rows
     return out
@@ -416,9 +418,8 @@ def projectivize(
         raise fm.FormError("projectivization is defined for 1-forms")
     chart = A.chart
     lam_sq = ex.add(*(ex.power(A.coeff((mu,)), 2) for mu in range(chart.dim)))
-    tape = ex.Tape((lam_sq,))
-    points, params = context.rows(tape.params, context.n_samples)
-    (val,), (scale,) = tape.scaled_rows(points, params)
+    points, params = context.rows(ex.param_names(lam_sq), context.n_samples)
+    (val,), (scale,) = ex.Tape().grow((lam_sq,), points, params)
     vanishing = np.flatnonzero(val <= 1e-12 * (1.0 + scale))  # singular rows are NaN
     if vanishing.size:
         raise SingularityError(

@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -600,6 +601,13 @@ _MATH_FUNCS = {
 }
 
 
+def bounded_text(e) -> str:
+    """The text of e in an error message: past 60 characters, its first 60
+    and its length."""
+    text = ex.to_text(e)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def reference_eval_with_scale(e, point, params=None) -> tuple[float, float]:
     return reference_eval_rows(e, [point], params)[0]
 
@@ -612,10 +620,8 @@ def reference_eval_rows(e, points, params=None) -> list[tuple[float, float]]:
     scales = [0.0] * len(pts)
 
     def singular(kind, node, i):
-        text = ex.to_text(node)
-        if len(text) > 60:
-            text = f"{text[:60]}... ({len(text)} characters)"
-        return ex.SingularityError(f"{kind} in {text} at point {pts[i]}", node, pts[i])
+        return ex.SingularityError(f"{kind} in {bounded_text(node)} at point {pts[i]}",
+                                   node, pts[i])
 
     def rec(node) -> list[float]:
         got = memo.get(id(node))
@@ -831,14 +837,14 @@ def reference_zero_test(tester: ex.ZeroTester, e, extra_guards=()) -> ex.ZeroVer
     if valid < tester.min_valid:
         raise ex.InconclusiveError(
             f"zero test inconclusive: only {valid} valid samples out of "
-            f"{attempts} attempts for {ex.to_text(e)}"
+            f"{attempts} attempts for {bounded_text(e)}"
         )
     return ex.ZeroVerdict(True, None, None, None, valid, skipped, False)
 
 
 def reference_sampled(tester: ex.ZeroTester, e) -> ex.ZeroVerdict:
     """The sampled verdict on the simplified, non-constant tree e, as
-    ZeroTester._sampled gave it before a tester kept a tape per row set:
+    ZeroTester._sampled gave it before a tester kept tapes per row set:
     one one-root tape of e, every chunk of rows run through it."""
     tape, guards = ex.Tape((e,)), ex.Tape(tester.box.guards)
     needed = max((*tape.coords, *guards.coords), default=-1) + 1
@@ -861,8 +867,8 @@ def reference_sampled(tester: ex.ZeroTester, e) -> ex.ZeroVerdict:
     while valid < tester.n_samples and attempts < max_attempts:
         k = min(tester.n_samples - valid, max_attempts - attempts)
         chunk = slice(attempts, attempts + k)
-        (v,), (scale,) = tape.scaled_rows(
-            points[chunk], {nm: col[chunk] for nm, col in params.items()}
+        (v,), (scale,) = reference_scaled_rows(
+            tape, points[chunk], {nm: col[chunk] for nm, col in params.items()}
         )
         skip = guarded[chunk] | np.isnan(v)
         over = np.flatnonzero(~skip & (np.abs(v) > tester.eps * (1.0 + scale)))
@@ -879,7 +885,7 @@ def reference_sampled(tester: ex.ZeroTester, e) -> ex.ZeroVerdict:
     if valid < tester.min_valid:
         raise ex.InconclusiveError(
             f"zero test inconclusive: only {valid} valid samples out of "
-            f"{attempts} attempts for {ex.to_text(e)}"
+            f"{attempts} attempts for {bounded_text(e)}"
         )
     return ex.ZeroVerdict(True, None, None, None, valid, skipped, False)
 
@@ -1129,9 +1135,10 @@ def reference_invariance_check(w, chain, V, mode="invariant", h=0.02, tol=1e-6,
 #
 # Tape.run as it was while every instruction's value was swept for
 # infinities as it was made; a kept run went unswept and repeated swept
-# when some slot held an infinity.  Tape.run, which sweeps only loaded
-# values unless an operation raises numpy's overflow or divide-by-zero
-# flag, must give these bits.
+# when some slot held an infinity.  Tape.run and Tape.grow, which sweep
+# only loaded values unless an operation raises numpy's overflow or
+# divide-by-zero flag, must give these bits, and grow() the scales of
+# reference_scaled_rows.
 
 
 def reference_tape_run(tape: ex.Tape, points: np.ndarray, params, keep: bool = False) -> list:
@@ -1141,6 +1148,22 @@ def reference_tape_run(tape: ex.Tape, points: np.ndarray, params, keep: bool = F
     if slots and np.isinf(np.concatenate(slots)).any():
         slots = _reference_tape_execute(tape, points, params, True, ())
     return slots
+
+
+def reference_scaled_rows(tape: ex.Tape, points: np.ndarray, params) -> tuple[list, list]:
+    """Each root's values and, per row, the largest magnitude over the slots
+    of its subtree, from one kept run: a root's scale is its own whatever
+    other roots the tape holds."""
+    slots = reference_tape_run(tape, points, params, keep=True)
+    scales = []
+    for root in tape.outputs:
+        subtree, stack = {root}, [root]
+        while stack:
+            new = set(tape.code[stack.pop()][2]) - subtree
+            subtree |= new
+            stack.extend(new)
+        scales.append(np.abs(np.array([slots[s] for s in sorted(subtree)])).max(axis=0))
+    return [slots[s] for s in tape.outputs], scales
 
 
 def _reference_tape_execute(tape: ex.Tape, points: np.ndarray, params, finite: bool, dead) -> list:
@@ -1234,6 +1257,11 @@ def reference_is_topology(sets, ground) -> ft.TopologyVerdict:
 # verdict on its tester, and exactly 0 under sympy on rational trees.
 
 
+def with_guards(tester: ex.ZeroTester, *guards) -> ex.ZeroTester:
+    """A fresh tester with tester's box and seed and guards added."""
+    return ex.ZeroTester(replace(tester.box, guards=(*tester.box.guards, *guards)), tester.seed)
+
+
 def _residuals(name: str, tester: ex.ZeroTester, x) -> list:
     """One triple per coefficient of a form x, per entry of a sequence, or for x."""
     if isinstance(x, fm.DifferentialForm):
@@ -1262,9 +1290,9 @@ def torsion_residuals(a: pf.Anatomy) -> list:
     if nonzero:
         first = lead[nonzero[0]]
         for mu in nonzero[1:]:
-            out += _residuals(f"Gamma from component {mu}", tester.with_guards(first, lead[mu]),
+            out += _residuals(f"Gamma from component {mu}", with_guards(tester, first, lead[mu]),
                               gamma - ex.quotient(M.coeff((mu,)), lead[mu]))
-        out += _residuals("i(T)dA = Gamma*A", tester.with_guards(first),
+        out += _residuals("i(T)dA = Gamma*A", with_guards(tester, first),
                           fm.sub_forms(M, fm.scale_form(gamma, A)))
     return out
 

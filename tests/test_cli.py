@@ -820,6 +820,22 @@ def test_long_tokens_are_quoted_cut_short(action, message, tmp_path, capsys):
     assert f"{message} 'zzz" in err and "... (5000 characters)" in err
 
 
+def test_a_long_inconclusive_tree_is_quoted_cut_short(tmp_path, capsys):
+    # sqrt(x - 0.9999) is singular on every sampled row, so the zero test of
+    # dA is inconclusive; its tree prints in over 1,500 characters, and the
+    # report's error quotes the first 60 and the length, as a singular
+    # tree's error does
+    terms = " + ".join(f"sin({k}*y)" for k in range(1, 120))
+    cfg, out = tmp_path / "long.cfg", tmp_path / "report.json"
+    cfg.write_text(f"[run]\nbattery = pfaff\n\n[system]\n"
+                   f"action = sqrt(x - 0.9999)*({terms}), 0, 0, 0\n")
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 3
+    capsys.readouterr()
+    error = json.loads(out.read_text())["batteries"]["pfaff"]["error"]
+    assert re.fullmatch(r"InconclusiveError: zero test inconclusive: only 0 valid samples "
+                        r"out of 512 attempts for .{60}\.\.\. \(1\d{3} characters\)", error), error
+
+
 _VELOCITY = "[run]\nbattery = thermo\n\n[system]\nvelocity = y, 0, 0\n"
 _LOOP = "degree = 1\ncomponents = cos(2*pi*u0), sin(2*pi*u0), 0, 0\n"
 

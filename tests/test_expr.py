@@ -5,7 +5,6 @@ import gc
 import math
 import time
 import weakref
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +23,7 @@ from test_batteries import REPO, _bench_workloads
 from oracles import (
     compiled_eval, poly_add, poly_diff, poly_from_expr, poly_is_zero, poly_mul,
     reference_differentiate, reference_eval_rows, reference_eval_with_scale, reference_simplify,
-    reference_zero_test, value_at,
+    reference_zero_test, value_at, with_guards,
 )
 
 X, Y, Z, T = (ex.coord(i) for i in range(4))
@@ -192,7 +191,7 @@ def test_simplify_preserves_value(seed):
 
 
 # ---------------------------------------------------------------------------
-# The chunked zero test against the one-row-at-a-time reference, bit for bit
+# The batched zero test against the one-row-at-a-time reference, bit for bit
 
 A, B = ex.param("a"), ex.param("b")
 PARAM_BOX = ex.Box(
@@ -245,7 +244,7 @@ def test_chunked_zero_test_matches_reference_on_corpus(seed):
     assert any(v.zero and not v.syntactic for v in verdicts)
     assert any(not v.zero for v in verdicts)
     # an extra guard may bring in a parameter the expression does not use
-    assert_same_verdict(testers[0].with_guards(ex.add(Y, B)), ex.sin(X))
+    assert_same_verdict(with_guards(testers[0], ex.add(Y, B)), ex.sin(X))
 
 
 def test_chunked_zero_test_matches_reference_at_singularities():
@@ -279,7 +278,7 @@ def test_chunked_zero_test_matches_reference_at_singularities():
 
 
 def test_chunked_zero_test_matches_reference_across_chunks():
-    # 95 % of rows are guarded, so both verdicts take more than one chunk
+    # 95 % of rows are guarded, so both verdicts read past the first n_samples rows
     box = ex.Box(lows=(-1.0,) * 4, highs=(1.0,) * 4, guards=(X,), guard_tol=0.95)
     t = ex.ZeroTester(box, seed=13)
     pythagoras = ex.add(ex.power(ex.sin(Y), 2), ex.power(ex.cos(Y), 2), ex.Const(-1))
@@ -291,7 +290,7 @@ def test_chunked_zero_test_matches_reference_across_chunks():
 
 
 def test_fully_guarded_zero_test_is_inconclusive_like_reference():
-    t = make_tester().with_guards(ex.ZERO)
+    t = with_guards(make_tester(), ex.ZERO)
     with pytest.raises(ex.InconclusiveError, match="only 0 valid samples out of 512"):
         t.test(X)
     assert_same_verdict(t, X)
@@ -314,7 +313,7 @@ def test_eval_rows_matches_eval_with_scale_row_by_row(seed):
         ex.exp(ex.mul(ex.Const(400), X)), ex.atan2(ex.power(Y, 700), X),
     ]
     for e in exprs:
-        (values,), (scales,) = ex.Tape((e,)).scaled_rows(points, params)
+        (values,), (scales,) = ex.Tape().grow((e,), points, params)
         for i, row in enumerate(points):
             pr = {nm: float(params[nm][i]) for nm in params}
             try:
@@ -333,7 +332,7 @@ def test_eval_rows_equals_single_point_evaluation_bit_for_bit():
     box = ex.Box(lows=(0.01, -3.0, -3.0, -3.0), highs=(3.0, 3.0, 3.0, 3.0))
     points, _ = ex.draw_rows(box, rng(17), (), 4000)
     for e in (ex.power(Y, 3), ex.power(Z, -5), ex.exp(Y), ex.ln(X), ex.atan2(Y, Z)):
-        (values,), _ = ex.Tape((e,)).scaled_rows(points, {})
+        (values,), _ = ex.Tape().grow((e,), points, {})
         want = [value_at(e, tuple(row)) for row in points]
         assert values.tolist() == want, ex.to_text(e)
 
@@ -343,7 +342,7 @@ def test_singular_rows_stay_singular_and_points_are_python_floats():
     # hand-built zeroth power
     e = ex.Pow(ex.quotient(ex.ONE, X), 0)
     points = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
-    (values,), _ = ex.Tape((e,)).scaled_rows(points, {})
+    (values,), _ = ex.Tape().grow((e,), points, {})
     assert values[0] == 1.0 and math.isnan(values[1])
     calls = (
         lambda: reference_eval_with_scale(e, points[1]),
@@ -401,7 +400,7 @@ def test_walker_matches_the_scalar_reference(seed):
               for nm, col in params.items()}
     kinds = set()
     for e in corpus_exprs(seed) + SINGULAR_KINDS:
-        (values,), (scales,) = ex.Tape((e,)).scaled_rows(points, params)
+        (values,), (scales,) = ex.Tape().grow((e,), points, params)
         for i, row in enumerate(points):
             pr = {nm: float(params[nm][i]) for nm in params}
             try:
@@ -501,17 +500,17 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 @pytest.mark.parametrize("seed", [3, 8, 21])
 def test_scaled_rows_give_each_root_its_one_root_scale(seed):
-    # a root's scale is the largest magnitude over its own subtree, so the
-    # larger roots it shares a tape with do not change it
+    # the scale grow() gives a root is the largest magnitude over its own
+    # subtree, so the larger roots it shares a tape with do not change it
     box = ex.Box(lows=(-2.0,) * 4, highs=(2.0,) * 4)
     drawn, params = ex.draw_rows(box, rng(seed), ("a", "b"), 64)
     points = np.vstack([drawn, SINGULAR_ROWS])
     params = {nm: np.concatenate([col, np.ones(len(SINGULAR_ROWS))])
               for nm, col in params.items()}
     roots = corpus_exprs(seed) + SINGULAR_KINDS
-    values, scales = ex.Tape(roots).scaled_rows(points, params)
+    values, scales = ex.Tape().grow(roots, points, params)
     for e, v, scale in zip(roots, values, scales, strict=True):
-        (want,), (want_scale,) = ex.Tape((e,)).scaled_rows(points, params)
+        (want,), (want_scale,) = oracles.reference_scaled_rows(ex.Tape((e,)), points, params)
         assert same_bits(v, want) and same_bits(scale, want_scale), ex.to_text(e)
     widest = np.fmax.reduce(scales)
     assert sum((scale < widest).any() for scale in scales) > len(roots) // 2
@@ -568,7 +567,7 @@ def test_box_guard_parameters_are_drawn():
     e = ex.mul(Y, Z)
     got = ex.ZeroTester(guarded).test(e)
     assert not got.zero and set(got.witness_params) == {"a"}
-    assert got == ex.ZeroTester(plain).with_guards(guard).test(e)
+    assert got == with_guards(ex.ZeroTester(plain), guard).test(e)
     assert got == reference_zero_test(ex.ZeroTester(guarded), e)
 
 
@@ -588,38 +587,14 @@ def test_verdicts_do_not_depend_on_earlier_tests():
     # the one-root path: a fresh tester, and one one-root tape per tree
     assert fresh == [oracles.reference_sampled(ex.ZeroTester(box, seed=9), ex.simplify(e))
                      for e in exprs]
-    # a guarded tester grows the row-set tapes it shares with its parent
+    # so is a tester with one more guard, testing in either order
     wider = ex.add(X, ex.Const(0.25))
-    fresh_wider = [ex.ZeroTester(box, seed=9).with_guards(wider).test(e) for e in exprs]
+    fresh_wider = [with_guards(ex.ZeroTester(box, seed=9), wider).test(e) for e in exprs]
     for order in (range(len(exprs)), reversed(range(len(exprs)))):
-        shared = ex.ZeroTester(box, seed=9)
-        sibling = shared.with_guards(wider)
+        plain, guarded = ex.ZeroTester(box, seed=9), with_guards(ex.ZeroTester(box, seed=9), wider)
         for i in order:
-            assert shared.test(exprs[i]) == fresh[i], ex.to_text(exprs[i])
-            assert sibling.test(exprs[i]) == fresh_wider[i], ex.to_text(exprs[i])
-        assert sibling._tapes is shared._tapes
-
-
-@pytest.mark.parametrize("seed", [1, 2])
-def test_a_guarded_tester_draws_no_rows_its_parent_drew(seed, monkeypatch):
-    drawn = []
-    real = ex.draw_rows
-    monkeypatch.setattr(ex, "draw_rows", lambda box, rng, names, k: drawn.append(tuple(names))
-                        or real(box, rng, names, k))
-    exprs = corpus_exprs(seed)
-    parent = ex.ZeroTester(PARAM_BOX, seed=seed)
-    for e in exprs:
-        outcome(parent.test, e)
-    by_parent = set(drawn)
-    # the guard brings in a, so the child needs some name sets the parent drew
-    child = parent.with_guards(ex.add(X, Y), ex.mul(A, Z))
-    fresh = ex.ZeroTester(child.box, seed=seed)
-    drawn.clear()
-    got = [outcome(child.test, e) for e in exprs]
-    by_child = set(drawn)
-    drawn.clear()
-    assert got == [outcome(fresh.test, e) for e in exprs]
-    assert by_child.isdisjoint(by_parent) and len(by_child) < len(set(drawn))
+            assert plain.test(exprs[i]) == fresh[i], ex.to_text(exprs[i])
+            assert guarded.test(exprs[i]) == fresh_wider[i], ex.to_text(exprs[i])
 
 
 def _nodes(e) -> set:
@@ -634,53 +609,68 @@ def _nodes(e) -> set:
 
 
 def test_zero_tests_compile_each_node_once_per_row_set(monkeypatch):
-    compiled = []
+    compiled, executed = [], {}
 
     class Counted(ex.Tape):
         def __init__(self, roots=()):
             compiled.append(tuple(roots))
             super().__init__(roots)
 
+        def _execute(self, points, params, sweep, dead, slots=None, start=0, scales=None):
+            if scales is not None:  # nothing here overflows: each run runs to its end
+                executed[self] = executed.get(self, 0) + len(self.code) - start
+            return super()._execute(points, params, sweep, dead, slots, start, scales)
+
     monkeypatch.setattr(ex, "Tape", Counted)
     pythagoras = ex.add(ex.power(ex.sin(Y), 2), ex.power(ex.cos(Y), 2), ex.Const(-1))
-    # 95 % of rows are guarded, so both verdicts read more than one chunk
-    across_chunks = ex.Box(lows=(-1.0,) * 4, highs=(1.0,) * 4, guards=(X,), guard_tol=0.95)
+    # 95 % of rows are guarded, so both verdicts read past the first n_samples rows
+    mostly_guarded = ex.Box(lows=(-1.0,) * 4, highs=(1.0,) * 4, guards=(X,), guard_tol=0.95)
     guarded = ex.Box(PARAM_BOX.lows, PARAM_BOX.highs, PARAM_BOX.param_ranges,
                      guards=(ex.add(X, Y), ex.mul(A, Z)), guard_tol=0.1)
     trees = (pythagoras, ex.mul(Y, Z), ex.power(ex.sin(Y), 2), ex.mul(A, Z), pythagoras)
-    for box in (ex.default_box(4), guarded, across_chunks):
+    for box in (ex.default_box(4), guarded, mostly_guarded):
         compiled.clear()
         t = ex.ZeroTester(box, seed=13)
         assert compiled == [box.guards]  # the guards, once per tester
         rows_read, verdicts, on_tapes, added = [], {}, {}, {}
         for e in trees:
             compiled.clear()
-            before = {names: len(tape.code) for names, tape in t._tapes.items()}
+            before = {names: [len(tape.code) for tape, _, _ in rows.parts]
+                      for names, rows in t._row_sets.items()}
             v = t.test(e)
             e = ex.simplify(e)
             assert not v.syntactic
             names = tuple(sorted({*ex.param_names(e), *t._guards.params}))
-            tape = t._tapes[names]
+            tapes = [tape for tape, _, _ in t._row_sets[names].parts]
             if e in verdicts:  # a repeated tree: the kept verdict, and no instruction
                 assert v is verdicts[e] and compiled == []
-                assert {n: len(tp.code) for n, tp in t._tapes.items()} == before
+                assert {n: [len(tape.code) for tape, _, _ in rows.parts]
+                        for n, rows in t._row_sets.items()} == before
                 continue
-            # a new tree adds the nodes its row set's tape lacks, one
-            # instruction each, and a one-root tape only for the rows past
-            # the tape's
-            new = _nodes(e) - on_tapes.get(names, set())
-            on_tapes.setdefault(names, set()).update(new)
-            added[e] = len(tape.code) - before.get(names, 0)
-            assert added[e] == len(new)
-            assert set(tape.index) == on_tapes[names]
+            # a new tree adds the nodes a tape of its row set lacks, one
+            # instruction each, to the first rows' tape, and to the tape of
+            # the rows past them only when it reads past them; no tape of
+            # the tree alone is compiled
             read = v.samples + v.skipped
-            assert compiled == [()] * (names not in before) + [(e,)] * (read > t.n_samples)
+            for k, tape in enumerate(tapes):
+                nodes = on_tapes.setdefault((names, k), set())
+                new = _nodes(e) - nodes if k == 0 or read > t.n_samples else set()
+                nodes |= new
+                assert len(tape.code) - before.get(names, [0, 0])[k] == len(new)
+                assert set(tape.index) == nodes
+            added[e] = len(tapes[0].code) - before.get(names, [0])[0]
+            assert compiled == [(), ()] * (names not in before)
             verdicts[e] = v
             rows_read.append(read)
         # sin(y)^2 went on the tape with pythagoras: a new verdict, no instruction
         assert added[ex.power(ex.sin(Y), 2)] == 0
-        if box is across_chunks:
+        # each node runs once on each tape it is on
+        for rows in t._row_sets.values():
+            for tape, _, _ in rows.parts:
+                assert executed.get(tape, 0) == len(tape.code)
+        if box is mostly_guarded:
             assert max(rows_read) > t.n_samples
+            assert any(rows.parts[1][0].code for rows in t._row_sets.values())
 
 
 def _recorded_verdicts(monkeypatch) -> list:
@@ -714,14 +704,14 @@ def _same_outcome(got, want) -> bool:
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_run_verdicts_equal_the_one_root_path(seed, monkeypatch):
-    # every sampled verdict of a bench job's run, each read off a tape its
-    # row set shares with the run's other trees, is the verdict a fresh
+    # every sampled verdict of a bench job's run, each read off the tapes
+    # its row set shares with the run's other trees, is the verdict a fresh
     # tester gives the tree alone through one one-root tape; so are the
-    # values and scales read off that tape, to the bit; and testers that
-    # share their tapes as the run's testers did give those verdicts again
-    # when they test the run's trees in reverse order.  The residuals of the
-    # identities the run holds by construction, built from the same job,
-    # are zero verdicts compared the same way
+    # values and scales read off those tapes, to the bit; and a fresh tester
+    # per run tester gives those verdicts again when it tests that tester's
+    # trees in reverse order.  The residuals of the identities the run holds
+    # by construction, built from the same job, are zero verdicts compared
+    # the same way
     import formflow.cli as cli
     import formflow.config as config
 
@@ -744,31 +734,42 @@ def test_run_verdicts_equal_the_one_root_path(seed, monkeypatch):
                 assert tester.test(e), name
         compared += len(sampled)
         for roots, points, params, got in grown:
-            want = ex.Tape(roots).scaled_rows(points, params)
+            want = oracles.reference_scaled_rows(ex.Tape(roots), points, params)
             assert [[v.tobytes() for v in vs] for vs in got] == \
                 [[v.tobytes() for v in vs] for vs in want]
         grown.clear()
         for t, e, got in sampled:
             fresh = ex.ZeroTester(t.box, t.seed)
             assert _same_outcome(got, _outcome(lambda e: oracles.reference_sampled(fresh, e), e))
-        families, reverse = {}, {}  # a new family per run's family, a new tester per run's
+        reverse = {}  # a fresh tester per run tester
         for t, e, got in reversed(sampled):
             if t not in reverse:
-                if id(t._tapes) not in families:
-                    families[id(t._tapes)] = ex.ZeroTester(replace(t.box, guards=()), t.seed)
-                reverse[t] = families[id(t._tapes)].with_guards(*t.box.guards)
+                reverse[t] = ex.ZeroTester(t.box, t.seed)
             assert _same_outcome(got, _outcome(reverse[t].test, e))
     assert compared > 200
 
 
-@pytest.mark.parametrize("preset", ["em.torsion_nonzero", "fluid.beltrami_abc"])
+@pytest.mark.parametrize("preset", [
+    "em.torsion_nonzero", "fluid.beltrami_abc",
+    # x^4 < 0.01 on a third of the rows: tests read past the first rows
+    pytest.param("fluid.beltrami_abc\n[sampling]\nguards = x^4", id="guarded"),
+])
 def test_a_run_runs_each_node_of_a_row_set_once_and_keeps_no_tape(preset, monkeypatch):
     # counted at _execute, the one instruction loop: every instruction a
-    # row-set tape runs is one distinct node of the trees tested on that
-    # row set, run once; and no row-set tape outlives the run
+    # grown tape runs, either tape of a row set, is one distinct node of the
+    # trees tested on it, run once; no tape of a tree alone runs in a zero
+    # test; and no grown tape outlives the run
     import formflow.cli as cli
 
     tapes, real_grow, real_execute = [], ex.Tape.grow, ex.Tape._execute
+    testing, real_sampled = [], ex.ZeroTester._sampled
+
+    def sampled(self, e):
+        testing.append(self)
+        try:
+            return real_sampled(self, e)
+        finally:
+            testing.pop()
 
     def grown(tape) -> dict:
         seen = next((t for t in tapes if t["ref"]() is tape), None)
@@ -780,23 +781,28 @@ def test_a_run_runs_each_node_of_a_row_set_once_and_keeps_no_tape(preset, monkey
         out = real_grow(self, roots, points, params)
         seen = grown(self)
         seen["roots"] += roots
-        seen["code"], seen["index"] = len(self.code), set(self.index)
+        seen["code"], seen["index"], seen["rows"] = len(self.code), set(self.index), len(points)
         return out
 
     def execute(self, points, params, sweep, dead, slots=None, start=0, scales=None):
         if scales is not None:
             assert not sweep  # nothing here overflows, so each run runs to its end
             grown(self)["executed"] += len(self.code) - start
+        elif testing:
+            assert self is testing[-1]._guards  # the one tape a zero test runs ungrown
         return real_execute(self, points, params, sweep, dead, slots, start, scales)
 
     monkeypatch.setattr(ex.Tape, "grow", grow)
     monkeypatch.setattr(ex.Tape, "_execute", execute)
-    assert cli.run(cli.parse_config(f"[run]\npreset = {preset}\nbattery = all\n")).passed
+    monkeypatch.setattr(ex.ZeroTester, "_sampled", sampled)
+    assert cli.run(cli.parse_config(f"[run]\nbattery = all\npreset = {preset}\n")).passed
     gc.collect()
     assert tapes and all(t["ref"]() is None for t in tapes)
     for t in tapes:
         nodes = set().union(*map(_nodes, t["roots"]))
         assert t["code"] == t["executed"] == len(nodes) and t["index"] == nodes
+    past = 7 * ex.ZeroTester.n_samples  # the rows past the first n_samples
+    assert any(t["rows"] == past for t in tapes) is ("guards" in preset)
 
 
 def test_evaluators_leave_no_cyclic_garbage():
@@ -813,7 +819,7 @@ def test_evaluators_leave_no_cyclic_garbage():
 
     calls = (
         lambda: ex.eval_many(e, points),
-        lambda: ex.Tape((e,)).scaled_rows(points, {}),
+        lambda: ex.Tape().grow((e,), points, {}),
         lambda: ex.eval_with_scale(e, points[0]),
         raises,
     )
@@ -1519,26 +1525,31 @@ def _same_bits(got: list, want: list) -> bool:
 
 
 def test_row_set_tape_reruns_an_overflowing_segment_alone(monkeypatch):
-    # a tree's new instructions on its row set's tape raise numpy's
+    # a tree's new instructions on a tape of its row set raise numpy's
     # overflow or divide flag after an earlier test ran the nodes it
     # shares, and a later tree shares a node an overflowing tree reached
-    # first: only the flagged segments rerun, swept, and every slot, scale
-    # and verdict has the bits of the one-root path
+    # first; one tree overflows only on the rows past the first n_samples,
+    # so only on the second tape of the row set: only the flagged segments
+    # rerun, swept, and every slot, scale and verdict has the bits of the
+    # one-root path
     runs, real = [], ex.Tape._execute
 
     def execute(self, points, params, sweep, dead, slots=None, start=0, scales=None):
-        if scales is not None:
-            runs.append((start, len(self.code), sweep))
+        if scales is not None:  # part 0 the first n_samples rows, 1 the rest
+            runs.append((int(len(points) > ex.ZeroTester.n_samples), start, len(self.code), sweep))
         return real(self, points, params, sweep, dead, slots, start, scales)
 
     monkeypatch.setattr(ex.Tape, "_execute", execute)
     big = ex.exp(ex.mul(ex.Const(1000), X))  # overflows where x > 0.71
+    # overflows where x > 0.9858: at 4 rows past the first 64, none of them
+    late = ex.exp(ex.add(ex.mul(ex.Const(1000), X), ex.Const(-276)))
     pythagoras = ex.add(ex.power(ex.sin(X), 2), ex.power(ex.cos(X), 2), ex.Const(-1))
     trees = {
         "shared nodes first": ex.add(ex.mul(ex.sin(X), Y), Z),
         "overflow": ex.mul(big, pythagoras),
         "divide": ex.quotient(Y, ex.exp(ex.mul(ex.Const(-1000), X))),  # y / 0 where x > 0.75
         "reached first by an overflow": ex.add(big, ex.sin(X)),
+        "overflow past the first rows": ex.mul(late, pythagoras, ex.ln(Y)),  # ln skips y < 0
     }
     t = ex.ZeroTester(ex.default_box(4), seed=5)
     segments = {}
@@ -1547,19 +1558,32 @@ def test_row_set_tape_reruns_an_overflowing_segment_alone(monkeypatch):
         got = t.test(e)
         assert got == oracles.reference_sampled(ex.ZeroTester(t.box, seed=5), ex.simplify(e)), case
         segments[case] = runs[before:]
-    assert [len(s) for s in segments.values()] == [1, 2, 2, 1]
-    for case in ("overflow", "divide"):  # the same segment, once raised and once swept
-        (start, end, sweep), rerun = segments[case]
-        assert start > 0 and not sweep and rerun == (start, end, True)
+    assert {case: [(part, sweep) for part, _, _, sweep in s] for case, s in segments.items()} == {
+        "shared nodes first": [(0, False)],
+        "overflow": [(0, False), (0, True), (1, False), (1, True)],
+        "divide": [(0, False), (0, True)],
+        "reached first by an overflow": [(0, False)],
+        "overflow past the first rows": [(0, False), (1, False), (1, True)],
+    }
+    for s in segments.values():  # the same segment, once raised and once swept
+        for (part, start, end, sweep), rerun in zip(s, s[1:]):
+            if rerun[3]:
+                assert not sweep and rerun == (part, start, end, True)
+    assert segments["divide"][0][1] > 0 and segments["overflow"][0][1] > 0
+    assert segments["overflow past the first rows"][1][1] > 0  # after the overflow's nodes
     assert t.test(trees["overflow"]).skipped > 0  # the rows where exp overflows
 
-    tape = t._tapes[()]
-    points, params = t.rows((), t.n_samples)
-    for node, s in tape.index.items():
-        (want,), (want_scale,) = ex.Tape((node,)).scaled_rows(points, params)
-        assert tape._values[s].tobytes() == want.tobytes(), ex.to_text(node)
-        assert tape._scales[s].tobytes() == want_scale.tobytes(), ex.to_text(node)
-    assert np.isnan(tape._values[tape.index[ex.simplify(big)]]).any()
+    (rows,) = t._row_sets.values()
+    for tape, points, params in rows.parts:
+        for node, s in tape.index.items():
+            (want,), (want_scale,) = oracles.reference_scaled_rows(ex.Tape((node,)), points, params)
+            assert tape._values[s].tobytes() == want.tobytes(), ex.to_text(node)
+            assert tape._scales[s].tobytes() == want_scale.tobytes(), ex.to_text(node)
+    (head, _, _), (tail, _, _) = rows.parts
+    assert np.isnan(head._values[head.index[ex.simplify(big)]]).any()
+    late = ex.simplify(late)
+    assert not np.isnan(head._values[head.index[late]]).any()
+    assert np.isnan(tail._values[tail.index[late]]).sum() == 4
 
 
 @pytest.mark.parametrize("case", sorted(INFINITY_CASES))
@@ -1571,21 +1595,21 @@ def test_tape_turns_infinities_to_nan_as_sweeping_every_instruction_does(case, m
     if "parameter column" not in case:
         params = {**params, "a": params.get("a", 0.5)}
 
-    run, kept = tape.run(points, params), tape.run(points, params, keep=True)
-    values, magnitudes = tape.scaled_rows(points, params)
+    grown = ex.Tape()
+    run, (values, magnitudes) = tape.run(points, params), grown.grow(roots, points, params)
     with pytest.raises(ex.SingularityError) as got:
         tape.values(points, params)
     want_run = oracles.reference_tape_run(tape, points, params)
     want_kept = oracles.reference_tape_run(tape, points, params, keep=True)
     assert _same_bits(run, want_run)
-    assert _same_bits(kept, want_kept)
+    assert _same_bits(grown._values, want_kept)  # a grown tape keeps every slot
     # every root is NaN on the singular rows, though an infinity may vanish
     # before the root (1/inf is 0)
     assert all(np.isnan(want_kept[s][1::3]).all() for s in tape.outputs)
+    want_values, want_magnitudes = oracles.reference_scaled_rows(tape, points, params)
+    assert _same_bits(values, want_values) and _same_bits(magnitudes, want_magnitudes)
 
     monkeypatch.setattr(tape, "run", lambda *a, **kw: oracles.reference_tape_run(tape, *a, **kw))
-    want_values, want_magnitudes = tape.scaled_rows(points, params)
-    assert _same_bits(values, want_values) and _same_bits(magnitudes, want_magnitudes)
     with pytest.raises(ex.SingularityError) as want:
         tape.values(points, params)
     assert str(got.value) == str(want.value)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,30 +177,44 @@ def test_pointwise_dimension_tracks_degeneracy():
 
 
 def test_sequence_compiles_only_its_elements_tapes_and_row_set_tapes(monkeypatch):
-    # the pointwise dimension reads each element's own tape, and the
-    # sequence's dA verdict is the anatomy's
-    p = sy.get_preset("em.torsion_nonzero")
+    # the zero tests grow the two tapes of each row set and compile no tape
+    # of one tree, also where a guard skips rows so tests read past the
+    # first n_samples; the pointwise dimension grows one fresh tape per
+    # element with its coefficients; the sequence's dA verdict is the
+    # anatomy's
     points = [(0.1, 0.2, 0.3, 0.4), (0.5, -0.3, 0.1, 0.0), (0.0, 0.0, 0.0, 0.0)]
-    a = pf.Anatomy(p.action, ex.ZeroTester(p.box), points=points, params=p.params)
-    compiled, tests = [], []
-    init, test = ex.Tape.__init__, a.context.test
+    compiled, grown = [], []
+    init, grow = ex.Tape.__init__, ex.Tape.grow
     monkeypatch.setattr(
         ex.Tape, "__init__",
         lambda self, roots=(): compiled.append(tuple(roots)) or init(self, roots),
     )
-    monkeypatch.setattr(a.context, "test", lambda e: tests.append(test(e)) or tests[-1])
-    assert not a.context._tapes
-    seq = a.sequence
-    assert any(not v.syntactic for v in tests)
-    elements = [tuple(w.coeffs.values()) for w in seq.elements]
-    head = compiled[: len(compiled) - len(elements)]
-    assert compiled[len(head):] == elements
-    # the zero tests grow one tape per set of parameter names, and compile
-    # a one-root tape only for a tree whose test read past that tape's rows
-    read_past = sum(v.samples + v.skipped > a.context.n_samples for v in tests)
-    assert head.count(()) == len(a.context._tapes)
-    assert [len(roots) for roots in head if roots] == [1] * read_past
-    assert seq.verdicts[1] is a.closed and len(seq.pointwise) == len(points)
+    monkeypatch.setattr(
+        ex.Tape, "grow",
+        lambda self, roots, *rows: grown.append((self, tuple(roots))) or grow(self, roots, *rows),
+    )
+    for name, guards in (("em.torsion_nonzero", ()), ("euler.rigid_rotation", (ex.power(ex.coord(0), 4),))):
+        p = sy.get_preset(name)
+        box = replace(p.box, guards=(*p.box.guards, *guards))
+        a = pf.Anatomy(p.action, ex.ZeroTester(box), points=points, params=p.params)
+        tests, test = [], a.context.test
+        monkeypatch.setattr(a.context, "test", lambda e: tests.append(test(e)) or tests[-1])
+        compiled.clear()
+        grown.clear()
+        seq = a.sequence
+        assert any(not v.syntactic for v in tests)
+        row_sets = a.context._row_sets.values()
+        tapes = {tape for rows in row_sets for tape, _, _ in rows.parts}
+        elements = [tuple(w.coeffs.values()) for w in seq.elements]
+        assert compiled == [()] * (len(tapes) + len(elements))
+        assert all(len(roots) == 1 for tape, roots in grown if tape in tapes)
+        pointwise = [(tape, roots) for tape, roots in grown if tape not in tapes]
+        assert [roots for _, roots in pointwise] == elements
+        assert len({tape for tape, _ in pointwise}) == len(elements)
+        read_past = sum(v.samples + v.skipped > a.context.n_samples for v in tests)
+        assert read_past == sum(tape is rows.parts[1][0] for tape, _ in grown for rows in row_sets)
+        assert (read_past > 0) is bool(guards)
+        assert seq.verdicts[1] is a.closed and len(seq.pointwise) == len(points)
 
 
 def test_torsion_vector_reconstructs_three_form():
