@@ -116,7 +116,7 @@ class ExprCell:
             raise ChainError(
                 f"cell map needs {self.chart.dim} components, got {len(self.components)}"
             )
-        comps = tuple(ex.simplify(ex.as_expr(c)) for c in self.components)
+        comps = tuple(ex.as_expr(c) for c in self.components)
         map_tape = ex.Tape(comps)
         top = max(map_tape.coords, default=-1)
         if top >= self.degree:

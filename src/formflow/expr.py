@@ -12,23 +12,22 @@ No trigonometric or rational rewrites are performed; equality of
 expressions beyond syntax is the job of the probabilistic zero test, not
 the simplifier.
 
-Construction normalizes once.  Every node a constructor builds from normal
-inputs is normal: it is what the full simplify() rebuild would return, and
-it is marked, so simplify() returns it as it is.  Over normal inputs a
-constructor hands back an input node wherever the rebuild would give that
-node: add() keeps a term no like term merged into, mul() its one constant
-and a base's one power factor.  mul() sends a merged power of a constant,
-quotient, product or power through power() at once (q*q is num^2/den^2,
-not Pow(q, 2)).  Only hand-built trees (a Sum or Product nested in another,
-say) and the nodes built over them stay unmarked; simplify() runs where
-such trees enter: form, vector field and chain cell construction, and the
-zero test.
+Construction normalizes once: the constructors are the one normalizer.
+Over constructor-built inputs each builds what the full simplify() rebuild
+would return, and it hands back an input node wherever the rebuild would
+give that node: add() keeps a term no like term merged into, mul() its one
+constant and a base's one power factor.  mul() sends a merged power of a
+constant, quotient, product or power through power() at once (q*q is
+num^2/den^2, not Pow(q, 2)).  A tree built with the node classes directly
+(a Sum nested in a Sum, say) is taken as built wherever it enters: forms,
+vector fields, chain cells and the zero test keep or sample it as it is.
+simplify() rebuilds such a tree through the constructors; no run calls it.
 
 Each partial derivative of a node is built once per scope, and only where
-it can be nonzero: a normal node's partial along a coordinate it does not
-hold (see _fill) is the constant 0, which no walk builds or keeps.  Inside
+it can be nonzero: a node's partial along a coordinate it does not hold
+(see _fill) is the constant 0, which no walk builds or keeps.  Inside
 run_memo(), the scope cli.run opens for one run, add() and mul() remember
-their result per tuple of normal operands, every partial is kept in the
+their result per tuple of operand nodes, every partial is kept in the
 scope's memo, and remember() keeps other modules' results (each Cartan
 operation of forms) per operand nodes; all of it is dropped when the scope
 ends, so no state crosses runs.  Outside a scope nothing is remembered:
@@ -222,12 +221,11 @@ def _interned(cls, structure) -> tuple["ScalarExpr", bool]:
 class ScalarExpr:
     # _key: the canonical key, built on first use; _order: the node's sort
     # order as a term of a sum, the key of its symbolic factors, cached by
-    # _term_order; _normal: the node is a fixed point of the full
-    # simplify() rebuild (set by the leaf classes and by the normalizing
-    # constructors, never unset); _coords: bit k set when the tree holds
-    # x_k, or -1 when a partial in it divides by 0.  A node keeps no
-    # partials: differentiate() keeps them in the run memo or for one call.
-    __slots__ = ("_key", "_order", "_normal", "_coords", "__weakref__")
+    # _term_order; _coords: bit k set when the tree holds x_k, or -1 when a
+    # partial in it divides by 0.  A node keeps no partials: differentiate()
+    # keeps them in the run memo or for one call.  No node carries a mark of
+    # normal form: the constructors are the one normalizer.
+    __slots__ = ("_key", "_order", "_coords", "__weakref__")
 
     def _build_key(self) -> str:
         raise NotImplementedError
@@ -309,10 +307,10 @@ def _children(node: ScalarExpr) -> tuple[ScalarExpr, ...]:
     return ()
 
 
-def _fill(node: ScalarExpr, normal: bool, coords: int = 0, **fields) -> ScalarExpr:
-    """A new node's fields, marks and coordinate support: coords for a leaf,
-    else its operands' union, or -1 when its partials divide by squares that
-    all fold to 0 (a quotient's denominator's, or both arguments' of atan2)."""
+def _fill(node: ScalarExpr, coords: int = 0, **fields) -> ScalarExpr:
+    """A new node's fields and coordinate support: coords for a leaf, else
+    its operands' union, or -1 when its partials divide by squares that all
+    fold to 0 (a quotient's denominator's, or both arguments' of atan2)."""
     for name, value in fields.items():
         object.__setattr__(node, name, value)
     for kid in _children(node):
@@ -321,26 +319,19 @@ def _fill(node: ScalarExpr, normal: bool, coords: int = 0, **fields) -> ScalarEx
         type(node) is Func and node.name == "atan2" and all(map(_square_vanishes, node.args))
     ):
         coords = -1
-    object.__setattr__(node, "_normal", normal)
     object.__setattr__(node, "_coords", coords)
     return node
 
 
 def _square_vanishes(e: ScalarExpr) -> bool:
-    """Whether power(e, 2) of a normal e folds to the constant 0, through
-    the products and quotient numerators power() itself recurses into."""
+    """Whether power(e, 2) of a constructor-built e folds to the constant 0,
+    through the products and quotient numerators power() itself recurses
+    into."""
     while isinstance(e, Quotient):
         e = e.num
     if isinstance(e, Product):
         return any(map(_square_vanishes, e.factors))
     return isinstance(e, Const) and abs(e.value) < 1 and e.value**2 == 0
-
-
-def _mark(node: ScalarExpr, normal: bool = True) -> ScalarExpr:
-    """node, marked as a fixed point of simplify() when `normal` holds."""
-    if normal and not node._normal:
-        object.__setattr__(node, "_normal", True)
-    return node
 
 
 class Const(ScalarExpr):
@@ -367,7 +358,7 @@ class Const(ScalarExpr):
         if not fresh:
             return node
         object.__setattr__(node, "_key", key)
-        return _fill(node, True, value=value)
+        return _fill(node, value=value)
 
 
 class Coord(ScalarExpr):
@@ -378,7 +369,7 @@ class Coord(ScalarExpr):
             raise ExprError(f"coordinate index must be a nonnegative int, got {index!r}")
         index = int(index)
         node, fresh = _interned(cls, (cls, index))
-        return _fill(node, True, 1 << index, index=index) if fresh else node
+        return _fill(node, 1 << index, index=index) if fresh else node
 
     def _build_key(self):
         return f"x{self.index}"
@@ -391,7 +382,7 @@ class Param(ScalarExpr):
         if not name or not isinstance(name, str):
             raise ExprError("parameter name must be a nonempty string")
         node, fresh = _interned(cls, (cls, name))
-        return _fill(node, True, name=name) if fresh else node
+        return _fill(node, name=name) if fresh else node
 
     def _build_key(self):
         return f"p({self.name})"
@@ -403,7 +394,7 @@ class Sum(ScalarExpr):
     def __new__(cls, terms: tuple):
         terms = tuple(terms)
         node, fresh = _interned(cls, (cls, terms))
-        return _fill(node, False, terms=terms) if fresh else node
+        return _fill(node, terms=terms) if fresh else node
 
     def _build_key(self):
         return "(+ " + " ".join(t.key for t in self.terms) + ")"
@@ -415,7 +406,7 @@ class Product(ScalarExpr):
     def __new__(cls, factors: tuple):
         factors = tuple(factors)
         node, fresh = _interned(cls, (cls, factors))
-        return _fill(node, False, factors=factors) if fresh else node
+        return _fill(node, factors=factors) if fresh else node
 
     def _build_key(self):
         return "(* " + " ".join(f.key for f in self.factors) + ")"
@@ -426,7 +417,7 @@ class Quotient(ScalarExpr):
 
     def __new__(cls, num: ScalarExpr, den: ScalarExpr):
         node, fresh = _interned(cls, (cls, num, den))
-        return _fill(node, False, num=num, den=den) if fresh else node
+        return _fill(node, num=num, den=den) if fresh else node
 
     def _build_key(self):
         return f"(/ {self.num.key} {self.den.key})"
@@ -440,7 +431,7 @@ class Pow(ScalarExpr):
             raise ExprError("power exponents must be integers")
         exponent = int(exponent)
         node, fresh = _interned(cls, (cls, base, exponent))
-        return _fill(node, False, base=base, exponent=exponent) if fresh else node
+        return _fill(node, base=base, exponent=exponent) if fresh else node
 
     def _build_key(self):
         return f"(^ {self.base.key} {self.exponent})"
@@ -458,7 +449,7 @@ class Func(ScalarExpr):
                 f"{name} takes {FUNCTION_ARITY[name]} argument(s), got {len(args)}"
             )
         node, fresh = _interned(cls, (cls, name, args))
-        return _fill(node, False, name=name, args=args) if fresh else node
+        return _fill(node, name=name, args=args) if fresh else node
 
     def _build_key(self):
         return f"({self.name} " + " ".join(a.key for a in self.args) + ")"
@@ -481,9 +472,9 @@ def as_expr(v) -> ScalarExpr:
 # The run memo
 #
 # Inside run_memo(), add() and mul() remember their result for each tuple of
-# operands that are all marked normal (a node's mark is never unset, so the
-# result stays what a new call would build), differentiate() keeps every
-# partial, and remember() keeps the results of other modules' operations
+# operand nodes (a node is immutable, so the result stays what a new call
+# would build), differentiate() keeps every partial, and remember() keeps
+# the results of other modules' operations
 # (the Cartan operations of forms).  The memo holds its nodes for the
 # length of the scope and is dropped at its end; outside a scope every call
 # builds afresh.
@@ -522,9 +513,8 @@ def remember(key: tuple, build, *args):
 # Normalizing constructors.
 #
 # Each constructor assumes its inputs are already normalized and applies one
-# layer of local rules; full simplify() runs these bottom-up.  A node a
-# constructor builds is marked normal (see _mark) when every input it was
-# built from is marked; it is then a fixed point of that rebuild.
+# layer of local rules; full simplify() runs these bottom-up.  A node built
+# from constructor-built inputs is a fixed point of that rebuild.
 
 
 def const(v: Number) -> Const:
@@ -572,26 +562,14 @@ _key_of = operator.attrgetter("key")
 
 
 def _remembered(build, table: int, operands: tuple) -> ScalarExpr:
-    """build(*operands), remembered in the run memo's table when every
-    operand is marked normal."""
+    """build(*operands), remembered in the run memo's table."""
     memo = _MEMO.get()
     if memo is None:
         return build(*operands)
-    results = memo[table]
-    # the table's keys are tuples of nodes, which no tuple holding a number
-    # equals: 2, 2.0 and Fraction(2) are equal and hash alike, their nodes not
-    out = results.get(operands)
-    if out is not None:
-        return out
-    for o in operands:
-        if not (isinstance(o, ScalarExpr) and o._normal):
-            break
-    else:  # every operand is a normal node already
-        out = results[operands] = build(*operands)
-        return out
+    # the table's keys are tuples of nodes: 2, 2.0 and Fraction(2) are
+    # equal and hash alike, their nodes not
     operands = tuple(map(as_expr, operands))
-    if not all(o._normal for o in operands):
-        return build(*operands)
+    results = memo[table]
     out = results.get(operands)
     if out is None:
         out = results[operands] = build(*operands)
@@ -617,12 +595,8 @@ def _add(*terms) -> ScalarExpr:
 
     # collect like terms keyed on the symbolic factor tuple; a bucket keeps
     # its first term, and whether it is still the only one
-    normal = True
     buckets: dict[tuple, list] = {}
     for t in flat:
-        # a term that is itself a Sum comes from a hand-built nested Sum
-        if not t._normal or type(t) is Sum:
-            normal = False
         coeff, rest = _coeff_and_rest(t)
         bucket = buckets.get(rest)
         if bucket is None:
@@ -635,19 +609,19 @@ def _add(*terms) -> ScalarExpr:
     for coeff, rest, term, alone in sorted(buckets.values(), key=lambda b: _term_order(b[2], b[1])):
         if coeff == 0:
             continue
-        if normal and alone:
-            out.append(term)  # a normal term, untouched: the rebuild gives it back
+        if alone:
+            out.append(term)  # a term no like term merged into is kept as it is
         elif not rest:
             out.append(Const(coeff))
         elif coeff == 1:
-            out.append(rest[0] if len(rest) == 1 else _mark(Product(rest), normal))
+            out.append(rest[0] if len(rest) == 1 else Product(rest))
         else:
-            out.append(_mark(Product((Const(coeff),) + rest), normal))
+            out.append(Product((Const(coeff),) + rest))
     if not out:
         return ZERO
     if len(out) == 1:
         return out[0]
-    return _mark(Sum(tuple(out)), normal)
+    return Sum(tuple(out))
 
 
 def _mul(*factors) -> ScalarExpr:
@@ -659,7 +633,6 @@ def _mul(*factors) -> ScalarExpr:
         else:
             flat.append(f)
 
-    normal = True
     coeff: Number | None = None  # the product of the constant factors, if any
     lone = ONE  # the one constant factor, while there is at most one
     # powers of identical bases are merged: keyed on the base node; `pows`
@@ -668,9 +641,6 @@ def _mul(*factors) -> ScalarExpr:
     pows: dict[ScalarExpr, ScalarExpr | None] = {}
     for f in flat:
         t = type(f)
-        # a factor that is itself a Product comes from a hand-built nested one
-        if not f._normal or t is Product:
-            normal = False
         if t is Const:
             if f.value == 0:
                 return ZERO
@@ -698,12 +668,9 @@ def _mul(*factors) -> ScalarExpr:
             continue
         if expo == 1:
             rest.append(base)
-        elif not normal:
-            rest.append(Pow(base, expo))  # over a hand-built input: simplify() rebuilds it
         else:
             # power() folds a constant base and expands a quotient, product
-            # or power (q*q is num^2/den^2), as simplify() would; a lone
-            # normal Pow factor is what it would give back
+            # or power (q*q is num^2/den^2); a lone Pow factor is kept
             p = pows[base] or power(base, expo)
             folded = folded or not (isinstance(p, Pow) and p.base is base)
             rest.append(p)
@@ -717,10 +684,10 @@ def _mul(*factors) -> ScalarExpr:
         # c*a + c*b collect to the same tree (linear, no expression swell)
         if len(rest) == 1 and isinstance(rest[0], Sum):
             return add(*(mul(c, t) for t in rest[0].terms))
-        return _mark(Product((c,) + tuple(rest)), normal)
+        return Product((c,) + tuple(rest))
     if len(rest) == 1:
         return rest[0]
-    return _mark(Product(tuple(rest)), normal)
+    return Product(tuple(rest))
 
 
 def negate(e) -> ScalarExpr:
@@ -769,11 +736,8 @@ def _cancel_monomials(num: ScalarExpr, den: ScalarExpr):
     cnum = mul(Const(ncoeff / dcoeff), *top)
     if not bottom:
         return cnum
-    cden = mul(*bottom)
-    # from normal num and den, top and bottom are normal and share no base,
-    # so quotient(cnum, cden) builds this node again
-    normal = num._normal and den._normal and cnum._normal and cden._normal
-    return _mark(Quotient(cnum, cden), normal)
+    # top and bottom share no base, so quotient() of the two builds this node again
+    return Quotient(cnum, mul(*bottom))
 
 
 def quotient(num, den) -> ScalarExpr:
@@ -792,7 +756,7 @@ def quotient(num, den) -> ScalarExpr:
     cancelled = _cancel_monomials(num, den)
     if cancelled is not None:
         return cancelled
-    return _mark(Quotient(num, den), num._normal and den._normal)
+    return Quotient(num, den)
 
 
 # An exact constant power is folded only while its numerator and denominator
@@ -820,11 +784,11 @@ def power(base, exponent: int) -> ScalarExpr:
         if bv == 0 and exponent < 0:
             raise ExprError("zero base with negative exponent")
         if isinstance(bv, Fraction) and _exact_power_bits(bv, exponent) > MAX_FOLD_BITS:
-            return _mark(Pow(base, exponent))
+            return Pow(base, exponent)
         try:
             return Const(bv ** exponent)
         except (OverflowError, ExprError):  # past the float range
-            return _mark(Pow(base, exponent))
+            return Pow(base, exponent)
     if isinstance(base, Pow):
         return power(base.base, base.exponent * exponent)
     if isinstance(base, Product):
@@ -833,7 +797,7 @@ def power(base, exponent: int) -> ScalarExpr:
         if exponent > 0:
             return quotient(power(base.num, exponent), power(base.den, exponent))
         return quotient(power(base.den, -exponent), power(base.num, -exponent))
-    return _mark(Pow(base, exponent), base._normal)
+    return Pow(base, exponent)
 
 
 _EXACT_FUNC_FOLDS = {
@@ -856,7 +820,7 @@ _FLOAT_FUNCS = {
 
 def func(name: str, *args) -> ScalarExpr:
     args = tuple(as_expr(a) for a in args)
-    node = _mark(Func(name, args), all(a._normal for a in args))  # validates name, arity
+    node = Func(name, args)  # validates name, arity
     if name == "atan2":
         yv, xv = _const_value(args[0]), _const_value(args[1])
         if yv is not None and xv is not None and not (yv == 0 and xv == 0):
@@ -910,15 +874,12 @@ def simplify(e: ScalarExpr) -> ScalarExpr:
     The rule set is limited to constant folding, like-term collection,
     power normalization, and zero/one elimination, so the result always
     evaluates to the same value as the input wherever the input is defined.
-    A node marked normal is returned as it is: the rebuild would equal it.
 
     The rebuild runs off an explicit stack, operands before their node and
     each operand's subtree in turn, so depth is bounded by memory, not by
     the recursion limit.
     """
     e = as_expr(e)
-    if e._normal:  # most calls: no table or stack to set up
-        return e
     done: dict[ScalarExpr, ScalarExpr] = {}
     stack: list = [e]
     while stack:
@@ -927,12 +888,12 @@ def simplify(e: ScalarExpr) -> ScalarExpr:
             node = node[0]
             done[node] = _rebuilt(node, done.__getitem__)
         elif node not in done:
-            if node._normal:
-                done[node] = node
-            else:
+            kids = (node.num, node.den) if isinstance(node, Quotient) else _children(node)
+            if kids:
                 stack.append((node,))
-                kids = (node.num, node.den) if isinstance(node, Quotient) else _children(node)
                 stack.extend(reversed(kids))
+            else:
+                done[node] = node
     return done[e]
 
 
@@ -1035,13 +996,13 @@ def differentiate(e: ScalarExpr, index: int) -> ScalarExpr:
 
 
 def _kept_partial(e: ScalarExpr, index: int, partials: dict | None) -> ScalarExpr | None:
-    """The partial of a leaf or of a normal node free of x_index, or the one
+    """The partial of a leaf or of a node free of x_index, or the one
     the run memo's partials keep; None when there is no such partial."""
     if isinstance(e, (Const, Param)):
         return ZERO
     if isinstance(e, Coord):
         return ONE if e.index == index else ZERO
-    if e._normal and index >= 0 and not e._coords >> index & 1:
+    if index >= 0 and not e._coords >> index & 1:
         return ZERO  # the constructors fold its partial to 0: nothing to walk
     return None if partials is None else partials.get((e, index))
 
@@ -1615,8 +1576,8 @@ class _RowSet:
 class ZeroTester:
     """Seeded probabilistic zero test for expressions on a sampling box.
 
-    An expression is reported zero when, after simplification, it either is
-    the literal constant 0 or its magnitude stays below
+    An expression is reported zero when, taken as built, it either is the
+    literal constant 0 or its magnitude stays below
     eps * (1 + largest intermediate magnitude) at every valid sample.
     Samples that hit singularities or the box's guard exclusions are
     skipped; of at most 8 * n_samples rows drawn, if fewer than min_valid
@@ -1625,7 +1586,7 @@ class ZeroTester:
     A tester draws the rows of each set of parameter names once, from a
     fresh stream seeded with its seed, and keeps them in one record with
     their guard mask, so no verdict depends on the tests before it.  A
-    verdict is thus a function of the simplified tree, and the tester keeps
+    verdict is thus a function of the tree, and the tester keeps
     one per distinct tree: a repeated test returns it without sampling.  An
     inconclusive test keeps nothing and raises again when repeated.
 
@@ -1648,7 +1609,7 @@ class ZeroTester:
         self._row_sets: dict[tuple[str, ...], _RowSet] = {}  # parameter names -> rows
         self._masks: dict[ScalarExpr, int] = {}  # param_names' memo: node -> names' bits
         self._bits: dict[str, int] = {}  # and parameter name -> bit
-        self._verdicts: dict[ScalarExpr, ZeroVerdict] = {}  # simplified tree -> verdict
+        self._verdicts: dict[ScalarExpr, ZeroVerdict] = {}  # tree -> verdict
 
     def _row_set(self, names: tuple[str, ...]) -> _RowSet:
         rows = self._row_sets.get(names)
@@ -1665,7 +1626,7 @@ class ZeroTester:
         return rows.points[:k], {nm: col[:k] for nm, col in rows.params.items()}
 
     def test(self, e: ScalarExpr) -> ZeroVerdict:
-        e = simplify(e)
+        e = as_expr(e)
         if isinstance(e, Const):
             v = float(e.value)
             if abs(v) <= self.eps:
@@ -1677,7 +1638,7 @@ class ZeroTester:
         return verdict
 
     def _sampled(self, e: ScalarExpr) -> ZeroVerdict:
-        """The sampled verdict on the simplified, non-constant tree e."""
+        """The sampled verdict on the non-constant tree e."""
         guards = self._guards
         # the highest coordinate, off the node's coordinate bits unless they
         # are -1 (a partial divides by 0)

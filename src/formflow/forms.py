@@ -98,7 +98,7 @@ class DifferentialForm:
                 raise FormError(f"index tuple {idx} out of chart range")
             if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
                 raise FormError(f"index tuple {idx} is not strictly increasing")
-            c = ex.simplify(ex.as_expr(c))
+            c = ex.as_expr(c)
             if not ex.is_syntactic_zero(c):
                 clean[idx] = c
         object.__setattr__(self, "coeffs", dict(sorted(clean.items())))
@@ -144,13 +144,13 @@ class VectorField:
     support: ScalarExpr = ex.ONE
 
     def __post_init__(self):
-        comps = tuple(ex.simplify(ex.as_expr(c)) for c in self.components)
+        comps = tuple(ex.as_expr(c) for c in self.components)
         if len(comps) != self.chart.dim:
             raise FormError(
                 f"vector field needs {self.chart.dim} components, got {len(comps)}"
             )
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "support", ex.simplify(ex.as_expr(self.support)))
+        object.__setattr__(self, "support", ex.as_expr(self.support))
 
     def effective_components(self) -> tuple[ScalarExpr, ...]:
         if ex.is_syntactic_zero(self.support - ex.ONE):

@@ -53,8 +53,7 @@ _OPS = set("+-*/^(),")
 
 # Deepest nesting of parentheses, function calls, prefix signs and divisions
 # a config expression may use; each '/' in a term nests one more Quotient.
-# The parser takes up to five Python frames per level and simplify and
-# differentiate two or three more, so a much deeper
+# The parser takes up to five Python frames per level, so a much deeper
 # expression would exhaust the interpreter's recursion limit; past the cap
 # it is a located config error instead.
 MAX_NESTING = 100

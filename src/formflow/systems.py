@@ -369,7 +369,6 @@ def torsion_current(s: FluidSystem, anatomy: Anatomy) -> TorsionCurrent:
 class EngineeringTorsion:
     current: Vec3  # h v - L curl v - nu v x (curl curl v)
     kinematic: TorsionCurrent  # current a x v + H omega
-    difference: Vec3  # kinematic - engineering = -(residual x v)
     ns: NSReport
     warning: str | None
 
@@ -402,7 +401,6 @@ def ns_engineering_torsion(s: FluidSystem, anatomy: Anatomy) -> EngineeringTorsi
 
     ns = navier_stokes_residual(s, anatomy)
     kinematic = torsion_current(s, anatomy)
-    difference = _sub3(kinematic.current, engineering)
 
     warning = None
     if not ns.satisfied:
@@ -410,7 +408,7 @@ def ns_engineering_torsion(s: FluidSystem, anatomy: Anatomy) -> EngineeringTorsi
             "velocity field does not satisfy the viscous momentum balance; "
             "the two torsion currents differ by -(residual x v)"
         )
-    return EngineeringTorsion(engineering, kinematic, difference, ns, warning)
+    return EngineeringTorsion(engineering, kinematic, ns, warning)
 
 
 # ---------------------------------------------------------------------------

@@ -297,9 +297,9 @@ def circle_path(radius: float = 1.0, center=(0.0, 0.0), plane=(0, 1), dim: int =
 # ---------------------------------------------------------------------------
 # Simplify and differentiate without the per-node caches
 #
-# simplify as a full bottom-up rebuild of every node, marked normal or not,
-# and differentiate as a fresh recursion on every call.  The library must
-# return trees equal to what these return.
+# simplify as a full bottom-up rebuild of every node through the
+# constructors, and differentiate as a fresh recursion on every call.  The
+# library must return trees equal to what these return.
 
 def reference_simplify(e):
     e = ex.as_expr(e)
@@ -418,12 +418,8 @@ def reference_add(*terms):
             flat.append(t)
 
     # collect like terms keyed on the symbolic factor tuple
-    normal = True
     buckets: dict[tuple, list] = {}
     for t in flat:
-        # a term that is itself a Sum comes from a hand-built nested Sum
-        if not t._normal or type(t) is ex.Sum:
-            normal = False
         coeff, rest = _reference_coeff_and_rest(t)
         bucket = buckets.get(rest)
         if bucket is None:
@@ -438,14 +434,14 @@ def reference_add(*terms):
         if not rest:
             out.append(ex.Const(coeff))
         elif coeff == 1:
-            out.append(rest[0] if len(rest) == 1 else ex._mark(ex.Product(rest), normal))
+            out.append(rest[0] if len(rest) == 1 else ex.Product(rest))
         else:
-            out.append(ex._mark(ex.Product((ex.Const(coeff),) + rest), normal))
+            out.append(ex.Product((ex.Const(coeff),) + rest))
     if not out:
         return ex.ZERO
     if len(out) == 1:
         return out[0]
-    return ex._mark(ex.Sum(tuple(out)), normal)
+    return ex.Sum(tuple(out))
 
 
 def reference_mul(*factors):
@@ -457,15 +453,11 @@ def reference_mul(*factors):
         else:
             flat.append(f)
 
-    normal = True
     coeff = None  # the product of the constant factors, if any
     # powers of identical bases are merged: keyed on the base node
     bases: dict = {}
     for f in flat:
         t = type(f)
-        # a factor that is itself a Product comes from a hand-built nested one
-        if not f._normal or t is ex.Product:
-            normal = False
         if t is ex.Const:
             if f.value == 0:
                 return ex.ZERO
@@ -487,8 +479,6 @@ def reference_mul(*factors):
             continue
         if expo == 1:
             rest.append(base)
-        elif not normal:
-            rest.append(ex.Pow(base, expo))
         else:
             p = ex.power(base, expo)
             folded = folded or not (isinstance(p, ex.Pow) and p.base is base)
@@ -502,10 +492,10 @@ def reference_mul(*factors):
         # distribute a bare constant over a lone sum
         if len(rest) == 1 and isinstance(rest[0], ex.Sum):
             return reference_add(*(reference_mul(ex.Const(coeff), t) for t in rest[0].terms))
-        return ex._mark(ex.Product((ex.Const(coeff),) + tuple(rest)), normal)
+        return ex.Product((ex.Const(coeff),) + tuple(rest))
     if len(rest) == 1:
         return rest[0]
-    return ex._mark(ex.Product(tuple(rest)), normal)
+    return ex.Product(tuple(rest))
 
 
 # ---------------------------------------------------------------------------
@@ -1318,7 +1308,8 @@ def fluid_residuals(s: sy.FluidSystem, a: pf.Anatomy) -> list:
     return [
         *_residuals("i(V)dA = work + residual.(dx - v dt)", tester, split),
         *_residuals("kinematic - engineering = -(residual x v)", tester,
-                    sy._add3(eng.difference, sy._cross(residual, v))),
+                    sy._add3(sy._sub3(eng.kinematic_current, eng.current),
+                             sy._cross(residual, v))),
         *_residuals("K = 2 a.omega", tester, pf.parity(a)[1] - ex.mul(
             ex.Const(2), sy._dot(s.acceleration, s.omega))),
         *mass_residuals(ex.ONE, v, tester),

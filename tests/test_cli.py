@@ -18,9 +18,11 @@ import formflow.chains as ch
 import formflow.cli as cli
 import formflow.config as config
 import formflow.expr as ex
+import formflow.forms as fm
 import formflow.parse as parse
 import formflow.systems as sy
 import formflow.thermo as th
+import oracles
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -693,26 +695,53 @@ def test_broken_identity_exits_3_with_its_witness(monkeypatch, tmp_path, capsys)
     ), error
 
 
-def test_every_node_reaching_simplify_is_already_normal(monkeypatch):
-    # the constructors return the normal form, so simplify at the entry
-    # points (forms, vector fields, chain cells, the zero test) is handed
-    # marked nodes only and returns them as they are: every preset and
-    # config, with all batteries
-    unmarked = []
-    real = ex.simplify
-
-    def watch(e):
-        if not e._normal:
-            unmarked.append(ex.to_text(e))
-        return real(e)
-
-    monkeypatch.setattr(ex, "simplify", watch)
+def test_every_tree_reaching_an_entry_point_is_a_fixed_point(monkeypatch):
+    # the constructors are the one normalizer: every tree a run hands to a
+    # form, a vector field, a chain cell or the zero test, which take it as
+    # built, is one the full rebuild gives back node for node.  Every preset
+    # and config, with all batteries
+    trees = {}  # entry point -> the trees it got
+    for cls, fields in ((fm.DifferentialForm, lambda w: w.coeffs.values()),
+                        (fm.VectorField, lambda v: (*v.components, v.support)),
+                        (ch.ExprCell, lambda c: c.components)):
+        def watch(self, real=cls.__post_init__, fields=fields):
+            real(self)
+            trees.setdefault(type(self), []).extend(fields(self))
+        monkeypatch.setattr(cls, "__post_init__", watch)
+    real_test = ex.ZeroTester.test
+    monkeypatch.setattr(ex.ZeroTester, "test", lambda self, e: (
+        trees.setdefault(ex.ZeroTester, []).append(e) or real_test(self, e)))
     texts = [f"[run]\npreset = {name}\nbattery = all\n" for name in sy.preset_names()]
     texts += [p.read_text() for p in sorted(CONFIGS.glob("*.cfg"))]
     texts += [POINT_VORTEX, RATIONAL_POTENTIALS]  # they square quotients
     for text in texts:
         cli.run(replace(cli.parse_config(text), batteries=("all",)))
-    assert unmarked == []
+    assert set(trees) == {fm.DifferentialForm, fm.VectorField, ch.ExprCell, ex.ZeroTester}
+    # after the runs, so the rebuild adds nothing to a run's memo; each
+    # node is rebuilt once, through the reference's own recursion
+    rebuilt = {}
+    real_simplify = oracles.reference_simplify
+
+    def once(e):
+        if e not in rebuilt:
+            rebuilt[e] = real_simplify(e)
+        return rebuilt[e]
+
+    monkeypatch.setattr(oracles, "reference_simplify", once)
+    moved = {ex.to_text(node) for node in nodes_of(t for got in trees.values() for t in got)
+             if oracles.reference_simplify(node) is not node}
+    assert moved == set()
+
+
+def nodes_of(roots) -> set:
+    """Every node of the trees of roots."""
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(ex._children(node))
+    return seen
 
 
 # atan2's comma is inside a call, so each list below has four components
