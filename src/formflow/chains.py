@@ -69,10 +69,7 @@ __all__ = [
     "invariance_check",
     "invariance_checks",
     "period_spectrum",
-    "spot_check_closed",
     "circle_cell",
-    "disk_cell",
-    "box_cell",
     "DEFAULT_QUAD_ORDER",
     "DEFAULT_FIT_NODES",
 ]
@@ -826,36 +823,8 @@ def period_spectrum(
     return PeriodSpectrum.of([integrate(w, c, params=params) for c in cycles])
 
 
-def spot_check_closed(chain: Chain) -> bool:
-    """Evidence that a declared-closed chain really is closed: the integral
-    of d(phi) over it must vanish for three seeded smooth test functions phi."""
-    if chain.degree != 1:
-        raise ChainError("closedness spot check implemented for 1-chains")
-    chart = chain.cells[0].chart
-    rng = np.random.default_rng(ex.DEFAULT_SEED)
-    for _ in range(3):
-        phi = _random_smooth_scalar(chart, rng)
-        res = integrate(fm.exterior_derivative(fm.scalar_form(chart, phi)), chain)
-        if abs(res.value) > 1e-7 * (1.0 + res.scale):
-            return False
-    return True
-
-
-def _random_smooth_scalar(chart: Chart, rng: np.random.Generator) -> ScalarExpr:
-    terms = []
-    for i in range(chart.dim):
-        c1, c2, c3 = rng.uniform(-1, 1, size=3)
-        xi = ex.Coord(i)
-        terms.append(ex.mul(ex.Const(float(c1)), xi))
-        terms.append(ex.mul(ex.Const(float(c2)), xi, xi))
-        terms.append(ex.mul(ex.Const(float(c3)), ex.sin(xi)))
-    i, j = rng.integers(0, chart.dim, size=2)
-    terms.append(ex.mul(ex.Const(float(rng.uniform(-1, 1))), ex.Coord(int(i)), ex.Coord(int(j))))
-    return ex.add(*terms)
-
-
 # ---------------------------------------------------------------------------
-# Cell builders for common shapes
+# The circle cell
 
 
 def circle_cell(
@@ -875,42 +844,3 @@ def circle_cell(
     for k, v in (fixed or {}).items():
         comps[k] = ex.Const(float(v))
     return ExprCell(chart, 1, tuple(comps), name=name)
-
-
-def disk_cell(
-    chart: Chart,
-    plane: tuple[int, int] = (0, 1),
-    center: Sequence[float] = (0.0, 0.0),
-    radius: float = 1.0,
-    fixed: Mapping[int, float] | None = None,
-    name: str = "disk",
-) -> ExprCell:
-    """Disk in a coordinate plane: u0 radial, u1 angular; boundary is the
-    matching circle_cell with the same orientation."""
-    comps: list[ScalarExpr] = [ex.ZERO] * chart.dim
-    i, j = plane
-    r = ex.mul(ex.Const(float(radius)), ex.Coord(0))
-    theta = ex.mul(ex.Const(2.0 * math.pi), ex.Coord(1))
-    comps[i] = ex.add(ex.Const(float(center[0])), ex.mul(r, ex.cos(theta)))
-    comps[j] = ex.add(ex.Const(float(center[1])), ex.mul(r, ex.sin(theta)))
-    for k, v in (fixed or {}).items():
-        comps[k] = ex.Const(float(v))
-    return ExprCell(chart, 2, tuple(comps), name=name)
-
-
-def box_cell(
-    chart: Chart,
-    spans: Mapping[int, tuple[float, float]],
-    fixed: Mapping[int, float] | None = None,
-    name: str = "box",
-) -> ExprCell:
-    """Axis-aligned p-cube: each mapped axis k sweeps spans[k] linearly in
-    its own parameter, in ascending coordinate order."""
-    comps: list[ScalarExpr] = [ex.ZERO] * chart.dim
-    for slot, (k, (lo, hi)) in enumerate(sorted(spans.items())):
-        comps[k] = ex.add(
-            ex.Const(float(lo)), ex.mul(ex.Const(float(hi - lo)), ex.Coord(slot))
-        )
-    for k, v in (fixed or {}).items():
-        comps[k] = ex.Const(float(v))
-    return ExprCell(chart, len(spans), tuple(comps), name=name)

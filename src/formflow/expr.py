@@ -87,7 +87,6 @@ __all__ = [
     "EvalError",
     "SingularityError",
     "InconclusiveError",
-    "const",
     "coord",
     "param",
     "add",
@@ -98,10 +97,6 @@ __all__ = [
     "func",
     "sin",
     "cos",
-    "exp",
-    "ln",
-    "sqrt",
-    "atan2",
     "simplify",
     "param_names",
     "differentiate",
@@ -310,14 +305,15 @@ def _children(node: ScalarExpr) -> tuple[ScalarExpr, ...]:
 def _fill(node: ScalarExpr, coords: int = 0, **fields) -> ScalarExpr:
     """A new node's fields and coordinate support: coords for a leaf, else
     its operands' union, or -1 when its partials divide by squares that all
-    fold to 0 (a quotient's denominator's, or both arguments' of atan2)."""
+    fold to 0 (a quotient's denominator's, or both arguments' of atan2) or
+    it is a hand-built negative power of the constant 0."""
     for name, value in fields.items():
         object.__setattr__(node, name, value)
     for kid in _children(node):
         coords |= kid._coords
     if type(node) is Quotient and _square_vanishes(node.den) or (
         type(node) is Func and node.name == "atan2" and all(map(_square_vanishes, node.args))
-    ):
+    ) or type(node) is Pow and node.exponent < 0 and _const_value(node.base) == 0:
         coords = -1
     object.__setattr__(node, "_coords", coords)
     return node
@@ -515,10 +511,6 @@ def remember(key: tuple, build, *args):
 # Each constructor assumes its inputs are already normalized and applies one
 # layer of local rules; full simplify() runs these bottom-up.  A node built
 # from constructor-built inputs is a fixed point of that rebuild.
-
-
-def const(v: Number) -> Const:
-    return Const(v)
 
 
 def coord(index: int) -> Coord:
@@ -850,22 +842,6 @@ def sin(e):
 
 def cos(e):
     return func("cos", e)
-
-
-def exp(e):
-    return func("exp", e)
-
-
-def ln(e):
-    return func("ln", e)
-
-
-def sqrt(e):
-    return func("sqrt", e)
-
-
-def atan2(y, x):
-    return func("atan2", y, x)
 
 
 def simplify(e: ScalarExpr) -> ScalarExpr:
@@ -1618,12 +1594,6 @@ class ZeroTester:
             drawn = draw_rows(self.box, rng, names, 8 * self.n_samples)
             rows = self._row_sets[names] = _RowSet(*drawn, self.n_samples)
         return rows
-
-    def rows(self, names: tuple[str, ...], k: int | None = None) -> tuple:
-        """The first k (by default all 8 * n_samples) sample rows for the
-        parameter names `names`, as draw_rows returns them."""
-        rows = self._row_set(names)
-        return rows.points[:k], {nm: col[:k] for nm, col in rows.params.items()}
 
     def test(self, e: ScalarExpr) -> ZeroVerdict:
         e = as_expr(e)

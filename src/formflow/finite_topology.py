@@ -31,8 +31,6 @@ __all__ = [
     "is_homeomorphism",
     "image_topology",
     "enumerate_topologies",
-    "discrete_topology",
-    "indiscrete_topology",
     "figure1",
     "figure1_map",
     "FIGURE1_D_IMAGES",
@@ -119,9 +117,6 @@ class FiniteTopology:
 
     def is_open(self, s: Iterable[Point]) -> bool:
         return frozenset(s) in set(self.opens)
-
-    def is_closed(self, s: Iterable[Point]) -> bool:
-        return (self.ground - frozenset(s)) in set(self.opens)
 
     @property
     def closed_sets(self) -> tuple[Subset, ...]:
@@ -279,21 +274,6 @@ def image_topology(f: PointMap, t1: FiniteTopology) -> FiniteTopology:
 
 # ---------------------------------------------------------------------------
 # Enumeration (exhaustive, small grounds only)
-
-
-def discrete_topology(ground: Iterable[Point]) -> FiniteTopology:
-    ground = frozenset(ground)
-    points = sorted(ground)
-    subsets = [
-        frozenset(p for i, p in enumerate(points) if bits >> i & 1)
-        for bits in range(1 << len(points))
-    ]
-    return FiniteTopology(ground, subsets)
-
-
-def indiscrete_topology(ground: Iterable[Point]) -> FiniteTopology:
-    ground = frozenset(ground)
-    return FiniteTopology(ground, [frozenset(), ground])
 
 
 def enumerate_topologies(ground: Iterable[Point]):

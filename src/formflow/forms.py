@@ -30,7 +30,6 @@ __all__ = [
     "form_from_coeffs",
     "scalar_form",
     "one_form",
-    "volume_form",
     "add_forms",
     "sub_forms",
     "scale_form",
@@ -39,7 +38,6 @@ __all__ = [
     "interior",
     "lie_derivative",
     "excess_function",
-    "support_gradient_term",
     "form_to_text",
     "merge_sign",
 ]
@@ -162,9 +160,6 @@ class VectorField:
         """The effective components, compiled once per field."""
         return ex.Tape(self.effective_components())
 
-    def rescaled(self, f: ScalarExpr) -> "VectorField":
-        return VectorField(self.chart, self.components, ex.mul(self.support, f))
-
     def __repr__(self):
         comps = ", ".join(ex.to_text(c, self.chart) for c in self.components)
         s = ex.to_text(self.support, self.chart)
@@ -196,10 +191,6 @@ def one_form(chart: Chart, components: Sequence) -> DifferentialForm:
     return DifferentialForm(
         chart, 1, {(k,): ex.as_expr(c) for k, c in enumerate(components)}
     )
-
-
-def volume_form(chart: Chart) -> DifferentialForm:
-    return DifferentialForm(chart, chart.dim, {tuple(range(chart.dim)): ex.ONE})
 
 
 # ---------------------------------------------------------------------------
@@ -366,22 +357,6 @@ def excess_function(
     first = wedge(dd_rho, iv)
     second = scale_form(rho, exterior_derivative(exterior_derivative(iv)))
     return add_forms(first, second)
-
-
-def support_gradient_term(
-    rho: ScalarExpr, v: VectorField, sigma: DifferentialForm
-) -> DifferentialForm:
-    """The support-gradient contribution d(rho) ^ i(v)sigma.
-
-    Measures how a varying support re-weights the contracted form along the
-    flow; vanishes when the support is constant or when v is associated to
-    sigma (i(v)sigma = 0).
-    """
-    rho = ex.as_expr(rho)
-    if sigma.degree == 0:
-        raise FormError("support gradient term needs a form of degree at least 1")
-    d_rho = exterior_derivative(scalar_form(sigma.chart, rho))
-    return wedge(d_rho, interior(v, sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,10 @@
 
 Given a 1-form A on an n-chart this module builds the Pfaff sequence
 {A, dA, A^dA, dA^dA, ...}, reports its global and pointwise dimension,
-tests Frobenius integrability, assembles the Cartan topological base, and
-on 4-charts extracts the torsion vector T solving i(T)Omega = A^dA, the
-dissipation coefficient Gamma with i(T)dA = Gamma*A, the parity 4-form
-K = dA^dA, characteristic/extremal vector spaces at points, the genus
-dichotomy, and the projectivized action used by the Euler-index integrand.
+assembles the Cartan topological base (disconnected exactly when A is not
+Frobenius-integrable), and on 4-charts extracts the torsion vector T
+solving i(T)Omega = A^dA, the dissipation coefficient Gamma with
+i(T)dA = Gamma*A, the parity 4-form K = dA^dA and the genus dichotomy.
 An Anatomy holds these objects for one action, so that a run builds each of
 them once and zero-tests them with the run's zero tester.
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import expr as ex
 from . import forms as fm
-from .expr import ScalarExpr, SingularityError, ZeroTester, ZeroVerdict
+from .expr import ScalarExpr, ZeroTester, ZeroVerdict
 from .forms import DifferentialForm, VectorField
 
 __all__ = [
@@ -38,16 +37,11 @@ __all__ = [
     "GenusReport",
     "InternalConsistencyError",
     "pfaff_sequence",
-    "frobenius_integrable",
     "cartan_topological_base",
     "torsion_data",
     "torsion_vector",
     "parity",
-    "characteristic_space",
-    "extremal_space",
     "genus_diagnostic",
-    "projectivize",
-    "euler_integrand",
     "form_is_zero",
     "require_zero",
 ]
@@ -216,13 +210,6 @@ def _nonzero_at(w: DifferentialForm, points, params) -> np.ndarray:
     return out
 
 
-def frobenius_integrable(a: Anatomy) -> bool:
-    """True when A^dA vanishes, i.e. A admits integral surfaces."""
-    if a.A.degree != 1:
-        raise fm.FormError("frobenius test is defined for 1-forms")
-    return bool(a.sequence.zero(2))
-
-
 # ---------------------------------------------------------------------------
 # Cartan topological base
 
@@ -321,59 +308,6 @@ def parity(a: Anatomy) -> tuple[DifferentialForm, ScalarExpr]:
 
 
 # ---------------------------------------------------------------------------
-# Characteristic and extremal spaces at a point
-
-
-def _field_matrix(A: DifferentialForm, point, params) -> np.ndarray:
-    n = A.chart.dim
-    dA = fm.exterior_derivative(A)
-    F = np.zeros((n, n))
-    for (mu, nu), val in zip(dA.coeffs, dA.tape.at(point, params)):
-        F[mu, nu] = val
-        F[nu, mu] = -val
-    return F
-
-
-def _null_space(rows: np.ndarray) -> np.ndarray:
-    if rows.size == 0:
-        raise ValueError("empty matrix")
-    u, s, vt = np.linalg.svd(rows)
-    cutoff = 1e-9 * max(1.0, s[0] if s.size else 0.0)  # the numerical rank's tolerance
-    rank = int(np.sum(s > cutoff))
-    return vt[rank:].T
-
-
-def extremal_space(
-    A: DifferentialForm,
-    point: Sequence[float],
-    params: Mapping[str, float] | None = None,
-) -> np.ndarray:
-    """Orthonormal basis of {V : i(V)dA = 0} at the point (null space of F)."""
-    F = _field_matrix(A, tuple(point), params)
-    return _null_space(F)
-
-
-def characteristic_space(
-    A: DifferentialForm,
-    point: Sequence[float],
-    params: Mapping[str, float] | None = None,
-) -> np.ndarray:
-    """Orthonormal basis of {V : i(V)A = 0 and i(V)dA = 0} at the point.
-
-    Vectors here annihilate both the action and its field 2-form; flows of
-    such fields leave every element of the topological base untouched.  On
-    symplectic points (nonvanishing parity) the space is empty.
-    """
-    point = tuple(point)
-    F = _field_matrix(A, point, params)
-    a = np.zeros(A.chart.dim)
-    for (mu,), val in zip(A.coeffs, A.tape.at(point, params)):
-        a[mu] = val
-    rows = np.vstack([F, a[None, :]])
-    return _null_space(rows)
-
-
-# ---------------------------------------------------------------------------
 # Genus dichotomy
 
 
@@ -398,45 +332,3 @@ def genus_diagnostic(a: Anatomy) -> GenusReport:
     current_zero = bool(form_is_zero(two_form, a.context))
     return GenusReport(3 if current_zero else 2, current_zero)
 
-
-# ---------------------------------------------------------------------------
-# Projectivization and the Euler-index integrand
-
-
-def projectivize(
-    A: DifferentialForm, context: ZeroTester
-) -> tuple[DifferentialForm, ScalarExpr]:
-    """Normalize A to unit coefficient length: A' = A / lambda.
-
-    lambda = sqrt(sum of squared coefficients).  Zeros of lambda are the
-    singular points of the covector section; if sampling the box hits one
-    (or gets within the zero-test tolerance of one), the normalization is
-    undefined there and a SingularityError is raised.  The samples are the
-    context's first n_samples rows for the parameters lambda uses.
-    """
-    if A.degree != 1:
-        raise fm.FormError("projectivization is defined for 1-forms")
-    chart = A.chart
-    lam_sq = ex.add(*(ex.power(A.coeff((mu,)), 2) for mu in range(chart.dim)))
-    points, params = context.rows(ex.param_names(lam_sq), context.n_samples)
-    (val,), (scale,) = ex.Tape().grow((lam_sq,), points, params)
-    vanishing = np.flatnonzero(val <= 1e-12 * (1.0 + scale))  # singular rows are NaN
-    if vanishing.size:
-        raise SingularityError(
-            "projectivization undefined: the coefficient length vanishes",
-            lam_sq,
-            tuple(points[vanishing[0]].tolist()),
-        )
-    lam = ex.sqrt(lam_sq)
-    primed = DifferentialForm(
-        chart, 1, {idx: ex.quotient(c, lam) for idx, c in A.coeffs.items()}
-    )
-    return primed, lam
-
-
-def euler_integrand(
-    A: DifferentialForm, context: ZeroTester
-) -> tuple[DifferentialForm, ScalarExpr]:
-    """Parity 4-form of the projectivized action and its coefficient."""
-    primed, _ = projectivize(A, context)
-    return parity(Anatomy(primed, context))

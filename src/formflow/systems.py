@@ -191,10 +191,6 @@ class FluidSystem:
         v = self.velocity
         return VectorField(SPACETIME, (v[0], v[1], v[2], ex.ONE))
 
-    def spatial_velocity(self) -> VectorField:
-        v = self.velocity
-        return VectorField(SPACETIME, (v[0], v[1], v[2], ex.ZERO))
-
     @cached_property
     def omega(self) -> Vec3:
         """Vorticity curl v."""
@@ -373,10 +369,6 @@ class EngineeringTorsion:
     warning: str | None
 
     @property
-    def kinematic_current(self) -> Vec3:
-        return self.kinematic.current
-
-    @property
     def ns_satisfied(self) -> bool:
         return self.ns.satisfied
 
@@ -549,7 +541,6 @@ class FluidReport:
     engineering: EngineeringTorsion  # with the viscous residual and kinematic current
     incompressible: ex.ZeroVerdict  # div v = 0, the unit-density mass balance
     parity_coefficient: ScalarExpr  # +2 a.omega
-    viscous_parity_source: ScalarExpr  # -2 nu (omega . curl omega)
 
     @property
     def ns(self) -> NSReport:
@@ -561,11 +552,11 @@ def fluid_diagnostics(s: FluidSystem, anatomy: Anatomy) -> FluidReport:
     s.action().
 
     Runs the identity checks of vorticity_fields and torsion_current, and
-    tests the unit-density mass balance.  Includes the parity coefficient in
-    both orientations: ours equals 2(a . omega) for every velocity (the
-    test suite checks it); on viscous momentum-balance solutions the
-    classical list value reduces to -2 nu (omega . curl omega), the source
-    that vanishes exactly when the vorticity field is Frobenius-integrable.
+    tests the unit-density mass balance.  Includes the parity coefficient:
+    it equals 2(a . omega) for every velocity (the test suite checks it); on
+    viscous momentum-balance solutions the classical list value reduces to
+    -2 nu (omega . curl omega), the source that vanishes exactly when the
+    vorticity field is Frobenius-integrable.
     """
     tester = anatomy.context
     vort = vorticity_fields(s, tester)
@@ -573,7 +564,6 @@ def fluid_diagnostics(s: FluidSystem, anatomy: Anatomy) -> FluidReport:
     engineering = ns_engineering_torsion(s, anatomy)
     incompressible = tester.test(mass_current(ex.ONE, s.velocity).residual)
     _, parity = pf.parity(anatomy)
-    viscous_source = ex.mul(ex.Const(-2), s.viscosity, _dot(s.omega, s.curl_omega))
 
     return FluidReport(
         vorticity=vort,
@@ -582,7 +572,6 @@ def fluid_diagnostics(s: FluidSystem, anatomy: Anatomy) -> FluidReport:
         engineering=engineering,
         incompressible=incompressible,
         parity_coefficient=parity,
-        viscous_parity_source=viscous_source,
     )
 
 

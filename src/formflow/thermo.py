@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from . import chains as ch
 from . import forms as fm
 from . import pfaff as pf
-from .expr import InconclusiveError, ZeroVerdict
+from .expr import InconclusiveError
 from .forms import DifferentialForm, VectorField
 from .pfaff import Anatomy, InternalConsistencyError
 
@@ -32,7 +32,6 @@ __all__ = [
     "classify",
     "process_report",
     "first_law",
-    "irreversibility",
     "second_variation",
     "CATEGORY_HAMILTONIAN",
     "CATEGORY_BERNOULLI",
@@ -73,16 +72,6 @@ def first_law(
     U = fm.interior(J, A)
     Q = fm.add_forms(W, fm.exterior_derivative(U))
     return Q, W, U
-
-
-def irreversibility(
-    a: Anatomy, J: VectorField
-) -> tuple[DifferentialForm, ZeroVerdict]:
-    """Q^dQ and its zero verdict; zero means an integrating factor exists
-    and the process is reversible."""
-    Q, _, _ = first_law(a, J)
-    QdQ = fm.wedge(Q, fm.exterior_derivative(Q))
-    return QdQ, pf.form_is_zero(QdQ, a.context)
 
 
 @dataclass(frozen=True)

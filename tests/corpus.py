@@ -45,8 +45,8 @@ def random_smooth_scalar(r: np.random.Generator) -> ex.ScalarExpr:
     arg = ex.add(*[
         ex.mul(ex.Const(int(r.integers(-1, 2))), ex.coord(i)) for i in range(DIM)
     ])
-    wrap = ex.sin(arg) if roll < 0.6 else ex.cos(arg) if roll < 0.8 else ex.exp(
-        ex.mul(ex.Const(0.25), arg)
+    wrap = ex.sin(arg) if roll < 0.6 else ex.cos(arg) if roll < 0.8 else ex.func(
+        "exp", ex.mul(ex.Const(0.25), arg)
     )
     return ex.add(base, wrap) if r.random() < 0.5 else ex.mul(base, wrap)
 

@@ -294,6 +294,33 @@ def circle_path(radius: float = 1.0, center=(0.0, 0.0), plane=(0, 1), dim: int =
     return gamma, dgamma
 
 
+def disk_cell(chart: ex.Chart, plane=(0, 1), center=(0.0, 0.0), radius: float = 1.0,
+              fixed: dict[int, float] | None = None, name: str = "disk") -> ch.ExprCell:
+    """Disk in a coordinate plane: u0 radial, u1 angular; its boundary is
+    the matching ch.circle_cell with the same orientation."""
+    comps = [ex.ZERO] * chart.dim
+    i, j = plane
+    r = ex.mul(ex.Const(float(radius)), ex.Coord(0))
+    theta = ex.mul(ex.Const(2.0 * math.pi), ex.Coord(1))
+    comps[i] = ex.add(ex.Const(float(center[0])), ex.mul(r, ex.cos(theta)))
+    comps[j] = ex.add(ex.Const(float(center[1])), ex.mul(r, ex.sin(theta)))
+    for k, v in (fixed or {}).items():
+        comps[k] = ex.Const(float(v))
+    return ch.ExprCell(chart, 2, tuple(comps), name=name)
+
+
+def box_cell(chart: ex.Chart, spans: dict[int, tuple[float, float]],
+             fixed: dict[int, float] | None = None, name: str = "box") -> ch.ExprCell:
+    """Axis-aligned p-cube: each mapped axis k sweeps spans[k] linearly in
+    its own parameter, in ascending coordinate order."""
+    comps = [ex.ZERO] * chart.dim
+    for slot, (k, (lo, hi)) in enumerate(sorted(spans.items())):
+        comps[k] = ex.add(ex.Const(float(lo)), ex.mul(ex.Const(float(hi - lo)), ex.Coord(slot)))
+    for k, v in (fixed or {}).items():
+        comps[k] = ex.Const(float(v))
+    return ch.ExprCell(chart, len(spans), tuple(comps), name=name)
+
+
 # ---------------------------------------------------------------------------
 # Simplify and differentiate without the per-node caches
 #
@@ -766,9 +793,8 @@ def compiled_eval(e):
 # ---------------------------------------------------------------------------
 # Scalar sampling loops: one row at a time, one eval_with_scale walk per row
 #
-# These are the zero test and the projectivization check as they were before
-# the library drew and evaluated its samples in chunks; the library must
-# return exactly what they return.
+# This is the zero test as it was before the library drew and evaluated its
+# samples in chunks; the library must return exactly what it returns.
 
 def reference_zero_test(tester: ex.ZeroTester, e, extra_guards=()) -> ex.ZeroVerdict:
     e = reference_simplify(e)
@@ -844,7 +870,9 @@ def reference_sampled(tester: ex.ZeroTester, e) -> ex.ZeroVerdict:
             f"has dimension {tester.box.dim}"
         )
     names = tuple(sorted({*tape.params, *guards.params}))
-    points, params = tester.rows(names)
+    # the rows the tester draws for these names
+    points, params = ex.draw_rows(tester.box, np.random.default_rng(tester.seed), names,
+                                  8 * tester.n_samples)
     slots = guards.run(points, params)
     guarded = np.zeros(len(points), dtype=bool)
     for s in guards.outputs:
@@ -878,29 +906,6 @@ def reference_sampled(tester: ex.ZeroTester, e) -> ex.ZeroVerdict:
             f"{attempts} attempts for {bounded_text(e)}"
         )
     return ex.ZeroVerdict(True, None, None, None, valid, skipped, False)
-
-
-def reference_vanishing_point(lam_sq, context: ex.ZeroTester):
-    """First sample where projectivization finds the coefficient length
-    vanishing, or None."""
-    box = context.box
-    verdict_rng = np.random.default_rng(context.seed)
-    lows = np.asarray(box.lows)
-    highs = np.asarray(box.highs)
-    names = sorted(ex.Tape((lam_sq,)).params)
-    for _ in range(context.n_samples):
-        point = tuple(verdict_rng.uniform(lows, highs))
-        params = {
-            name: verdict_rng.uniform(*box.param_ranges.get(name, ex.DEFAULT_PARAM_RANGE))
-            for name in names
-        }
-        try:
-            val, scale = ex.eval_with_scale(lam_sq, point, params)
-        except ex.SingularityError:
-            continue
-        if val <= 1e-12 * (1.0 + scale):
-            return point
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1247,6 +1252,11 @@ def reference_is_topology(sets, ground) -> ft.TopologyVerdict:
 # verdict on its tester, and exactly 0 under sympy on rational trees.
 
 
+def volume_form(chart: ex.Chart) -> fm.DifferentialForm:
+    """dx^dy^..., the top-degree form with coefficient 1."""
+    return fm.DifferentialForm(chart, chart.dim, {tuple(range(chart.dim)): ex.ONE})
+
+
 def with_guards(tester: ex.ZeroTester, *guards) -> ex.ZeroTester:
     """A fresh tester with tester's box and seed and guards added."""
     return ex.ZeroTester(replace(tester.box, guards=(*tester.box.guards, *guards)), tester.seed)
@@ -1270,7 +1280,7 @@ def torsion_residuals(a: pf.Anatomy) -> list:
     M = fm.interior(T, a.dA)
     out = [
         *_residuals("i(T)Omega = A^dA", tester,
-                    fm.sub_forms(fm.interior(T, fm.volume_form(A.chart)), a.H)),
+                    fm.sub_forms(fm.interior(T, volume_form(A.chart)), a.H)),
         *_residuals("i(T)A = 0", tester, fm.interior(T, A)),
         *_residuals("d(A^dA) = dA^dA", tester,
                     fm.sub_forms(fm.exterior_derivative(a.H), pf.parity(a)[0])),
@@ -1291,7 +1301,7 @@ def mass_residuals(rho, v, tester: ex.ZeroTester) -> list:
     """dJ = -(div(rho v) + drho/dt) Omega for the transversal mass current."""
     m = sy.mass_current(rho, v)
     return _residuals("dJ = -residual*Omega", tester, fm.add_forms(
-        fm.exterior_derivative(m.J), fm.scale_form(m.residual, fm.volume_form(sy.SPACETIME))))
+        fm.exterior_derivative(m.J), fm.scale_form(m.residual, volume_form(sy.SPACETIME))))
 
 
 def fluid_residuals(s: sy.FluidSystem, a: pf.Anatomy) -> list:
@@ -1308,7 +1318,7 @@ def fluid_residuals(s: sy.FluidSystem, a: pf.Anatomy) -> list:
     return [
         *_residuals("i(V)dA = work + residual.(dx - v dt)", tester, split),
         *_residuals("kinematic - engineering = -(residual x v)", tester,
-                    sy._add3(sy._sub3(eng.kinematic_current, eng.current),
+                    sy._add3(sy._sub3(eng.kinematic.current, eng.current),
                              sy._cross(residual, v))),
         *_residuals("K = 2 a.omega", tester, pf.parity(a)[1] - ex.mul(
             ex.Const(2), sy._dot(s.acceleration, s.omega))),

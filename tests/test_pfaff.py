@@ -1,11 +1,10 @@
-"""Pfaff sequence, torsion extraction, genus, and projectivization."""
+"""Pfaff sequence, topological base, torsion extraction and genus."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 import formflow.expr as ex
@@ -15,10 +14,8 @@ import formflow.pfaff as pf
 import formflow.systems as sy
 
 from corpus import CHART, actions, random_poly_scalar, rng
-from oracles import failing, inexact, reference_vanishing_point, torsion_residuals, value_at
+from oracles import failing, inexact, torsion_residuals, value_at, volume_form
 from test_batteries import _bench_workloads
-
-X = ex.coord(0)
 
 
 def form_1(coeffs: dict[int, str]) -> fm.DifferentialForm:
@@ -53,7 +50,8 @@ def test_preset_pfaff_dimensions(name):
 def test_frobenius_iff_dimension_at_most_two(name):
     p = sy.get_preset(name)
     seq = pf.pfaff_sequence(pf.Anatomy(p.action, ex.ZeroTester(p.box)))
-    assert pf.frobenius_integrable(pf.Anatomy(p.action, ex.ZeroTester(p.box))) == (seq.dimension <= 2)
+    base = pf.cartan_topological_base(pf.Anatomy(p.action, ex.ZeroTester(p.box)))
+    assert (not base.disconnected) == (seq.dimension <= 2)
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_DIMENSIONS))
@@ -89,7 +87,7 @@ def test_base_and_frobenius_read_the_sequence_verdict(name, monkeypatch):
         raise AssertionError("zero test after the Pfaff sequence was built")
 
     monkeypatch.setattr(a.context, "test", no_sample)
-    assert pf.frobenius_integrable(a) == (seq.dimension <= 2)
+    assert (not pf.cartan_topological_base(a).disconnected) == (seq.dimension <= 2)
     assert pf.cartan_topological_base(a).disconnected == (seq.dimension >= 3)
 
 
@@ -99,7 +97,7 @@ def test_sequence_elements_past_the_top_degree_are_zero():
     a = pf.Anatomy(A, ex.ZeroTester(ex.default_box(2)))
     assert len(a.sequence.elements) == 2 and a.sequence.dimension == 2
     assert a.sequence.zero(2) and a.sequence.zero(3).syntactic
-    assert pf.frobenius_integrable(a)
+    assert not pf.cartan_topological_base(a).disconnected
 
 
 def test_d_of_torsion_equals_the_parity_form(monkeypatch):
@@ -117,7 +115,7 @@ def test_d_of_torsion_equals_the_parity_form(monkeypatch):
 
     def broken(w):
         dw = exterior(w)
-        return fm.add_forms(dw, fm.volume_form(w.chart)) if w.degree == 3 else dw
+        return fm.add_forms(dw, volume_form(w.chart)) if w.degree == 3 else dw
 
     monkeypatch.setattr(fm, "exterior_derivative", broken)
     assert gaps() == list(range(len(anatomies)))
@@ -163,7 +161,7 @@ def test_sequence_rejects_non_one_forms():
     with pytest.raises(fm.FormError):
         pf.pfaff_sequence(pf.Anatomy(two, ex.ZeroTester(ex.default_box(4))))
     with pytest.raises(fm.FormError):
-        pf.frobenius_integrable(pf.Anatomy(two, ex.ZeroTester(ex.default_box(4))))
+        pf.cartan_topological_base(pf.Anatomy(two, ex.ZeroTester(ex.default_box(4))))
 
 
 def test_pointwise_dimension_tracks_degeneracy():
@@ -222,7 +220,7 @@ def test_torsion_vector_reconstructs_three_form():
     for name in ("ns.decaying_shear", "em.torsion_nonzero", "fluid.beltrami_abc"):
         p = sy.get_preset(name)
         data = pf.torsion_data(pf.Anatomy(p.action, ex.ZeroTester(p.box)))
-        recon = fm.interior(data.vector, fm.volume_form(p.chart))
+        recon = fm.interior(data.vector, volume_form(p.chart))
         assert fm.sub_forms(recon, data.torsion_form).is_syntactically_zero
         dA = fm.exterior_derivative(p.action)
         assert fm.sub_forms(
@@ -301,125 +299,3 @@ def test_low_dimension_forces_genus_three():
         p = sy.get_preset(name)
         if pf.pfaff_sequence(pf.Anatomy(p.action, ex.ZeroTester(p.box))).dimension <= 2:
             assert pf.genus_diagnostic(pf.Anatomy(p.action, ex.ZeroTester(p.box))).genus == 3
-
-
-def test_extremal_space_contains_rigid_velocity():
-    p = sy.get_preset("euler.rigid_rotation")
-    V = p.process("spacetime")
-    pt = p.points[0]
-    basis = pf.extremal_space(p.action, pt, p.params)
-    v = np.array([value_at(c, pt, p.params) for c in V.effective_components()])
-    resid = basis @ (basis.T @ v) - v
-    assert np.linalg.norm(resid) < 1e-9 * max(1.0, np.linalg.norm(v))
-
-
-def test_characteristic_space_contains_plane_wave_ray():
-    p = sy.get_preset("em.plane_wave")
-    J = p.process("ray")
-    pt = p.points[0]
-    basis = pf.characteristic_space(p.action, pt, p.params)
-    j = np.array([value_at(c, pt, p.params) for c in J.effective_components()])
-    resid = basis @ (basis.T @ j) - j
-    assert np.linalg.norm(resid) < 1e-9 * max(1.0, np.linalg.norm(j))
-
-
-def test_symplectic_point_has_no_characteristics():
-    # nonzero parity means the field matrix has full rank
-    p = sy.get_preset("em.torsion_nonzero")
-    pt = (0.2, -0.3, 0.4, 0.1)
-    assert pf.extremal_space(p.action, pt, p.params).shape[1] == 0
-    assert pf.characteristic_space(p.action, pt, p.params).shape[1] == 0
-
-
-def test_characteristic_space_inside_extremal_space():
-    for name in sorted(PRESET_DIMENSIONS):
-        p = sy.get_preset(name)
-        pt = p.points[0] if p.points else (0.3, -0.2, 0.4, 0.1)
-        E = pf.extremal_space(p.action, pt, p.params)
-        C = pf.characteristic_space(p.action, pt, p.params)
-        assert C.shape[1] <= E.shape[1]
-        if C.shape[1]:
-            resid = E @ (E.T @ C) - C
-            assert np.linalg.norm(resid) < 1e-9
-
-
-def test_projectivize_normalizes_to_unit_length():
-    p = sy.get_preset("em.torsion_nonzero")
-    primed, lam = pf.projectivize(p.action, ex.ZeroTester(p.box))
-    total = ex.add(*(ex.power(primed.coeff((m,)), 2) for m in range(4)))
-    rng = np.random.default_rng(7)
-    for _ in range(8):
-        pt = tuple(rng.uniform(-0.8, 0.8, size=4))
-        assert value_at(total, pt, p.params) == pytest.approx(1.0, abs=1e-12)
-        # lam really is the coefficient length
-        raw = sum(
-            value_at(p.action.coeff((m,)), pt, p.params) ** 2 for m in range(4)
-        )
-        assert value_at(lam, pt, p.params) == pytest.approx(np.sqrt(raw))
-
-
-def test_projectivize_rejects_vanishing_sections():
-    A = form_1({1: "x"})
-    tiny = ex.Box(lows=(-1e-14, -1.0, -1.0, -1.0), highs=(1e-14, 1.0, 1.0, 1.0))
-    with pytest.raises(ex.SingularityError):
-        pf.projectivize(A, ex.ZeroTester(tiny))
-
-
-def test_projectivize_samples_like_the_scalar_reference():
-    cases = [(sy.get_preset(n).action, ex.ZeroTester(sy.get_preset(n).box, seed=3))
-             for n in sorted(PRESET_DIMENSIONS)]
-    unit = ex.Box(lows=(-1.0,) * 4, highs=(1.0,) * 4, param_ranges={"a": (-1.0, 1.0)})
-    tiny = ex.Box(lows=(-1e-14, -1.0, -1.0, -1.0), highs=(1e-14, 1.0, 1.0, 1.0))
-    # sqrt(x) is singular for x < 0 and y^200 underflows to 0 near y = 0
-    cases += [
-        (form_1({0: "sqrt(x)*y^200"}), ex.ZeroTester(unit, seed=s)) for s in (1, 2, 3)
-    ]
-    cases += [
-        (form_1({0: "a*x^200", 2: "ln(y)*z^150"}), ex.ZeroTester(unit, seed=4)),
-        (form_1({1: "x"}), ex.ZeroTester(tiny)),
-    ]
-    vanished = 0
-    for A, context in cases:
-        lam_sq = ex.add(*(ex.power(A.coeff((m,)), 2) for m in range(4)))
-        want = reference_vanishing_point(lam_sq, context)
-        if want is None:
-            pf.projectivize(A, context)
-            continue
-        with pytest.raises(ex.SingularityError) as err:
-            pf.projectivize(A, context)
-        assert err.value.point == want
-        vanished += 1
-    assert vanished >= 3
-
-
-def test_projectivize_ignores_guard_parameters_lambda_does_not_use():
-    # lambda^2 uses no parameter; the guard's g is drawn only for zero tests
-    g = ex.param("g")
-    unit = ex.Box(lows=(-1.0,) * 4, highs=(1.0,) * 4, guards=(ex.add(X, g),))
-    tiny = ex.Box(lows=(-1e-14, -1.0, -1.0, -1.0), highs=(1e-14, 1.0, 1.0, 1.0),
-                  guards=(ex.add(X, g),))
-    for box, A in ((unit, form_1({0: "x*y", 2: "z"})), (tiny, form_1({1: "x"}))):
-        context = ex.ZeroTester(box, seed=2)
-        lam_sq = ex.add(*(ex.power(A.coeff((m,)), 2) for m in range(4)))
-        want = reference_vanishing_point(lam_sq, context)
-        for _ in range(2):  # fresh, then after a zero test drew rows for g
-            if want is None:
-                pf.projectivize(A, context)
-            else:
-                with pytest.raises(ex.SingularityError) as err:
-                    pf.projectivize(A, context)
-                assert err.value.point == want
-            context.test(ex.mul(X, ex.coord(1)))
-    assert want is not None
-
-
-def test_euler_integrand_matches_projectivized_parity():
-    p = sy.get_preset("em.torsion_nonzero")
-    K, k = pf.euler_integrand(p.action, ex.ZeroTester(p.box))
-    primed, _ = pf.projectivize(p.action, ex.ZeroTester(p.box))
-    K2, k2 = pf.parity(pf.Anatomy(primed, ex.ZeroTester(ex.default_box(4))))
-    assert fm.sub_forms(K, K2).is_syntactically_zero
-    pt = (0.2, -0.3, 0.4, 0.1)
-    assert value_at(k, pt, p.params) == pytest.approx(
-        value_at(k2, pt, p.params)
-    )

@@ -145,24 +145,27 @@ def test_flags_survive_reparametrization(preset, process):
         i = int(rng.integers(0, 4))
         c = float(rng.uniform(0.5, 2.0))
         f = ex.add(ex.Const(c), ex.power(ex.Coord(i), 2))
-        flags = th.classify(p.anatomy(ex.ZeroTester(p.box)), J.rescaled(f)).flags
+        rescaled = fm.VectorField(J.chart, J.components, ex.mul(J.support, f))
+        flags = th.classify(p.anatomy(ex.ZeroTester(p.box)), rescaled).flags
         for attr in ("hamiltonian", "associated", "extremal", "characteristic"):
             assert getattr(flags, attr) == getattr(base, attr), attr
 
 
 def test_irreversibility_verdicts():
+    # Q^dQ's verdict is element 2 of the heat form's Pfaff sequence
     shear = sy.get_preset("ns.decaying_shear")
-    QdQ, verdict = th.irreversibility(
+    rep = th.classify(
         pf.Anatomy(shear.action, ex.ZeroTester(shear.box)), shear.process("spacetime")
     )
-    assert not verdict.zero
+    verdict = rep.pfaff.zero(2)
+    assert not verdict.zero and rep.flags.irreversible
     assert verdict.witness is not None
 
     rigid = sy.get_preset("euler.rigid_rotation")
-    _, verdict = th.irreversibility(
+    rep = th.classify(
         pf.Anatomy(rigid.action, ex.ZeroTester(rigid.box)), rigid.process("spacetime")
     )
-    assert verdict.zero
+    assert rep.pfaff.zero(2).zero and rep.flags.reversible
 
 
 def test_second_variation_closed_flow_pair():
