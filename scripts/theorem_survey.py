@@ -41,9 +41,9 @@ def main() -> int:
           f"{'integrand':<9} {'rate':>12}  verdict")
     for name in names:
         p = sy.get_preset(name)
-        pairs = [(integrand(p.action, chain.degree), chain) for chain in p.chains]
+        pairs = [(integrand(p.action, chain.degree), chain) for chain in p.chains.values()]
         pairs = [(w, c) for w, c in pairs if w is not None and not w.is_syntactically_zero]
-        for pname, V in p.processes:
+        for pname, V in p.processes.items():
             results = ch.invariance_checks(
                 pairs, V, mode="invariant", tol=args.tol, params=p.params
             )

@@ -113,18 +113,19 @@ def _verdict_dict(v: ZeroVerdict) -> dict:
 
 @dataclass
 class Runtime:
-    """One run's inputs and the anatomy of its action.
+    """One run's inputs and the anatomy of its action: what
+    config.build_runtime builds, and systems.get_preset returns for a preset.
 
     anatomy.context is the run's zero tester: the resolved box with the
-    config's seed.  Every sampled verdict of the run uses it.
+    config's seed.  Every sampled verdict of the run uses it.  processes
+    and chains are keyed by name, in config order.
     """
 
     topology: TopologySpec | None  # read by the topology battery
     chart: ex.Chart
     anatomy: pf.Anatomy
-    processes: tuple[tuple[str, VectorField], ...]
-    chains: tuple[ch.Chain, ...]
-    params: dict[str, float]
+    processes: dict[str, VectorField]
+    chains: dict[str, ch.Chain]
     system: sy.FluidSystem | sy.EMSystem | None
     tol: float
 
@@ -135,6 +136,10 @@ class Runtime:
     @property
     def context(self) -> ex.ZeroTester:
         return self.anatomy.context
+
+    @property
+    def params(self) -> dict[str, float]:
+        return self.anatomy.params
 
     def probe_point(self) -> tuple[float, ...]:
         if self.anatomy.points:
@@ -195,7 +200,7 @@ def _battery_pfaff(rt: Runtime, checks: Checks) -> dict:
 
 def _battery_thermo(rt: Runtime, checks: Checks) -> dict:
     out: dict = {}
-    for name, J in rt.processes:
+    for name, J in rt.processes.items():
         rep = th.process_report(rt.anatomy, J)
         entry = {
             "category": rep.category,
@@ -233,9 +238,9 @@ def _battery_thermo(rt: Runtime, checks: Checks) -> dict:
 def _battery_theorems(rt: Runtime, checks: Checks) -> dict:
     out: dict = {}
     F, H = rt.anatomy.dA, rt.anatomy.H
-    closed_2 = [c for c in rt.chains if c.degree == 2 and c.closed]
+    closed_2 = [c for c in rt.chains.values() if c.degree == 2 and c.closed]
     closed_1 = rt.anatomy.cycles
-    closed_3 = [c for c in rt.chains if c.degree == 3 and c.closed]
+    closed_3 = [c for c in rt.chains.values() if c.degree == 3 and c.closed]
 
     def record(kind: str, pname: str, cname: str, inv: ch.InvarianceResult):
         check = checks.add(kind, inv, process=pname, chain=cname)
@@ -247,7 +252,7 @@ def _battery_theorems(rt: Runtime, checks: Checks) -> dict:
             "passed": inv.passed,
         }
 
-    for pname, J in rt.processes:
+    for pname, J in rt.processes.items():
         rep = th.process_report(rt.anatomy, J)
         # (theorems recorded, form, chain), checked in one batch per process
         flux = ("theorem_I_flux", "theorem_II_helmholtz")
@@ -256,7 +261,7 @@ def _battery_theorems(rt: Runtime, checks: Checks) -> dict:
             jobs += [(("theorem_III_circulation",), rt.action, c) for c in closed_1]
             jobs += [(("theorem_III_torsion_flux",), H, c) for c in closed_3]
         results = ch.invariance_checks(
-            [(w, c) for _, w, c in jobs], J, tol=rt.tol, params=rt.params or None
+            [(w, c) for _, w, c in jobs], J, tol=rt.tol, params=rt.params
         )
         for (kinds, _, chain), inv in zip(jobs, results):
             for kind in kinds:
@@ -286,7 +291,7 @@ def _battery_periods(rt: Runtime, checks: Checks) -> dict:
     out["applicable"] = True
     # closedness was just tested; the spectrum is built from the periods alone
     spectrum = ch.PeriodSpectrum.of(
-        [ch.integrate(rt.action, c, params=rt.anatomy.params) for c in cycles]
+        [ch.integrate(rt.action, c, params=rt.params) for c in cycles]
     )
     out["spectrum"] = {
         "cycles": [c.name for c in cycles],

@@ -34,9 +34,10 @@ four advected copies of a chain are integrated in one stacked pass: at each
 quadrature order a cell's copies are interpolated as one stack, one matmul
 per axis operator whose items are the products of one cell alone, and the
 form's tape runs once over the rows of all four, so the integrals equal
-four one-copy integrals bit for bit.
-If the batch raises, the pairs are checked again one at a time, so the
-error is the one checking them in turn meets.
+four one-copy integrals bit for bit.  The rows go copy by copy, so the
+pass raises the error that four one-copy integrals taken in turn meet
+first.  If the batch raises, the pairs are checked again one at a time, so
+the error is the one checking them in turn meets.
 """
 
 from __future__ import annotations
@@ -422,7 +423,6 @@ class _Quadrature:
         cells = self.copies[0].cells
         self.degree = p = self.copies[0].degree
         self.order = order or DEFAULT_QUAD_ORDER[p]
-        self.params = params
         orders = (self.order, 2 * self.order)
         n, nc, s = cells[0].chart.dim, len(cells), len(self.copies)
         per_copy = nc * sum(o**p for o in orders)
@@ -443,29 +443,30 @@ class _Quadrature:
         self.failure: ex.EvalError | None = None
         self._minors: dict[tuple[int, ...], np.ndarray] = {}
         X, J = self.flatX.reshape(s, per_copy, n), self._flatJ.reshape(s, per_copy, n, p)
+        stacked = [_one_stack([copy.cells[c] for copy in self.copies]) for c in range(nc)]
         first = 0  # the order's first row within a copy
-        for k, o in enumerate(orders):
+        for o in orders:
             axes, grid = [_gl_axis(o)[0]] * p, (o,) * p
             rows = slice(first, first + nc * o**p)
             Xo = X[:, rows].reshape((s, nc) + grid + (n,))
             Jo = J[:, rows].reshape((s, nc) + grid + (n, p))
             first = rows.stop
-            for c in range(nc):
+            for c in itertools.compress(range(nc), stacked):
                 stack = [copy.cells[c] for copy in self.copies]
-                if _one_stack(stack):
-                    values = np.stack([cell.values for cell in stack])
-                    _interp_grids(values, stack[0].node_axes, axes, Xo[:, c], Jo[:, c])
-                    continue
-                for t, cell in enumerate(stack):
-                    try:
-                        Xc, Jc = cell.grids(axes, _cell_bound(cell, params))
-                    except ex.EvalError as err:
-                        # one copy: the segments before this cell are filled
-                        self.failure = err
-                        del self.segments[k * nc + c :]
-                        return
-                    Xo[t, c] = Xc.reshape(grid + (n,))
-                    Jo[t, c] = Jc.reshape(grid + (n, p))
+                values = np.stack([cell.values for cell in stack])
+                _interp_grids(values, stack[0].node_axes, axes, Xo[:, c], Jo[:, c])
+        # the other cells in row order: a failure keeps the segments before it
+        for i, (cell, bound, start, stop, *_, fine) in enumerate(self.segments):
+            if stacked[i % nc]:
+                continue
+            try:
+                Xc, Jc = cell.grids([_gl_axis(orders[fine])[0]] * p, bound)
+            except ex.EvalError as err:
+                self.failure = err
+                del self.segments[i:]
+                return
+            self.flatX[start:stop] = Xc.reshape(-1, n)
+            self._flatJ[start:stop] = Jc.reshape(-1, n, p)
 
     def minor(self, idx: tuple[int, ...]) -> np.ndarray:
         """det of the Jacobian rows idx at every stacked row, by the Leibniz
@@ -486,20 +487,16 @@ class _Quadrature:
         return self._minors[idx]
 
     def integrals(self, w: DifferentialForm) -> list["IntegralResult"]:
-        """The integral of w over each copy, in order.  Over several copies,
-        a failure (of a cell map, or of the form at some row) integrates
-        them one at a time instead, so the error raised is the first that
-        integrating them in turn meets."""
+        """The integral of w over each copy, in order.  The error raised is
+        the first that integrating the copies in turn meets: the segments
+        are in that order, and a failed cell map is raised only once the
+        segments before it are known to integrate."""
         if w.degree != self.degree:
             raise ChainError(f"cannot integrate a {w.degree}-form over a {self.degree}-chain")
-        several = len(self.copies) > 1
         coeffs = None
         # a form with no coefficients integrates to exactly 0 without evaluation
-        if w.coeffs and self.segments and not (several and self.failure is not None):
+        if w.coeffs and self.segments:
             coeffs = _coefficients(w, self)
-        if several and (self.failure is not None or (w.coeffs and coeffs is None)):
-            # built afresh: only a base chain's quadrature is kept in the run memo
-            return [_Quadrature([c], self.order, self.params).integrals(w)[0] for c in self.copies]
         if self.failure is not None:
             raise self.failure
         if coeffs is None:
@@ -522,9 +519,8 @@ class _Quadrature:
 
 def _coefficients(w: DifferentialForm, quad: _Quadrature) -> list[np.ndarray] | None:
     """The form's coefficients at the rows of every segment of quad, from
-    one run of the form's tape.  Over one copy, a failure is raised as
-    evaluating segment by segment, coefficient by coefficient would; over
-    several it gives None."""
+    one run of the form's tape.  A failure is raised as evaluating segment
+    by segment, coefficient by coefficient would."""
     segments = quad.segments
     X = quad.flatX[: segments[-1][3]]
     try:
@@ -538,8 +534,6 @@ def _coefficients(w: DifferentialForm, quad: _Quadrature) -> list[np.ndarray] | 
     except (KeyError, ex.EvalError):  # a cell lacks a parameter, or a bad index
         coeffs = None
     if coeffs is None or any(np.isnan(v).any() for v in coeffs):
-        if len(quad.copies) > 1:
-            return None
         for cell, bound, start, stop, *_ in segments:
             try:
                 w.tape.values(X[start:stop], bound, w.chart)

@@ -204,8 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InconclusiveError, InternalConsistencyError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
-    except (ConfigError, sy.PresetError, fm.FormError, ch.ChainError, th.ThermoError,
-            ex.ExprError) as e:
+    except (ConfigError, fm.FormError, ch.ChainError, th.ThermoError, ex.ExprError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

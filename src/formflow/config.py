@@ -5,8 +5,9 @@ A config is line-oriented: `[section]` headers and `key = value` lines,
 parser's grammar.  One table of keys gives each key its section, field,
 reader and writer; parse_config and serialize_config both go through it.
 A preset is a bundled config text (systems.PRESETS) that parse_config
-merges with the config naming it, and build_runtime makes a run's inputs
-from the parsed RunConfig.
+merges with the config naming it, and build_runtime makes a run's inputs,
+its batteries.Runtime, from the parsed RunConfig; systems.get_preset
+returns the Runtime built from a preset's text alone.
 """
 
 from __future__ import annotations
@@ -717,7 +718,7 @@ def build_runtime(cfg: RunConfig) -> bt.Runtime:
     def tree(source: Source | None, default: ex.ScalarExpr) -> ex.ScalarExpr:
         return source.tree if source else default
 
-    processes: list[tuple[str, VectorField]] = []
+    processes: dict[str, VectorField] = {}
     system: sy.FluidSystem | sy.EMSystem | None = None
     if cfg.action:
         action = fm.one_form(chart, trees(cfg.action))
@@ -728,7 +729,7 @@ def build_runtime(cfg: RunConfig) -> bt.Runtime:
             tree(cfg.viscosity, ex.ZERO),
         )
         action = system.action()
-        processes.append(("spacetime", system.spacetime_velocity()))
+        processes["spacetime"] = system.spacetime_velocity()
     elif cfg.vector_potential:
         system = sy.EMSystem(trees(cfg.vector_potential), tree(cfg.scalar_potential, ex.ZERO))
         action = system.action()
@@ -739,12 +740,11 @@ def build_runtime(cfg: RunConfig) -> bt.Runtime:
 
     for spec in cfg.processes:
         J = VectorField(chart, trees(spec.components), tree(spec.support, ex.ONE))
-        processes.append((spec.name, J))
-    chains: list[ch.Chain] = []
+        processes[spec.name] = J
+    chains: dict[str, ch.Chain] = {}
     for spec in cfg.chains:
         cell = ch.ExprCell(chart, spec.degree, trees(spec.components), name=spec.name)
-        chains.append(ch.Chain(spec.degree, (cell,), (1,), spec.closed, spec.name))
-    params = dict(cfg.params)
+        chains[spec.name] = ch.Chain(spec.degree, (cell,), (1,), spec.closed, spec.name)
     # lows and highs replace the default box's bounds
     box = ex.default_box(chart.dim)
     box = ex.Box(
@@ -758,10 +758,9 @@ def build_runtime(cfg: RunConfig) -> bt.Runtime:
     return bt.Runtime(
         topology=cfg.topology,
         chart=chart,
-        anatomy=pf.Anatomy(action, context, chains, points, params),
-        processes=tuple(processes),
-        chains=tuple(chains),
-        params=params,
+        anatomy=pf.Anatomy(action, context, chains.values(), points, dict(cfg.params)),
+        processes=processes,
+        chains=chains,
         system=system,
         tol=cfg.tolerance,
     )

@@ -75,7 +75,7 @@ class Anatomy:
         self.context = context
         self.cycles = tuple(c for c in chains if c.degree == 1 and c.closed)
         self.points = tuple(tuple(float(c) for c in p) for p in points)
-        self.params = dict(params) if params else None
+        self.params = dict(params or {})
         self.process_reports: dict = {}
 
     @cached_property
@@ -203,7 +203,7 @@ def _nonzero_at(w: DifferentialForm, points, params) -> np.ndarray:
     out = np.zeros(len(points), dtype=bool)
     if points:
         values, scales = ex.Tape().grow(
-            tuple(w.coeffs.values()), np.array(points, dtype=float), params or {}
+            tuple(w.coeffs.values()), np.array(points, dtype=float), params
         )
         for v, scale in zip(values, scales):
             out |= np.abs(v) > ZeroTester.eps * (1.0 + scale)  # False on singular (NaN) rows

@@ -8,6 +8,8 @@ residuals, torsion currents with their balance law, mass currents, and
 field invariants.  Presets are bundled config texts, each a concrete system
 with registered test chains, read by formflow.config as a user's config is,
 so the CLI and the test suite can run every diagnostic end to end.
+get_preset returns the batteries.Runtime that `formflow run --preset name`
+builds and runs.
 
 Sign convention. The torsion 3-form is converted to a 4-component current
 through i(T)Omega = A^dA with Omega = dx^dy^dz^dt.  The classical
@@ -19,17 +21,20 @@ classical form: div T + dh/dt equals the stated anomaly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from . import chains as ch
 from . import expr as ex
 from . import forms as fm
 from . import pfaff as pf
 from . import thermo as th
-from .expr import Box, ScalarExpr, ZeroTester
+from .expr import ScalarExpr, ZeroTester
 from .forms import DifferentialForm, VectorField
 from .pfaff import Anatomy
+
+if TYPE_CHECKING:  # batteries imports this module
+    from .batteries import Runtime
 
 __all__ = [
     "COMPONENT_LIST_SIGN",
@@ -41,8 +46,6 @@ __all__ = [
     "FluidSystem",
     "MassCurrent",
     "NSReport",
-    "Preset",
-    "PresetError",
     "TorsionCurrent",
     "VorticityFields",
     "em_diagnostics",
@@ -65,10 +68,6 @@ SPACETIME = ex.spacetime_chart()
 COMPONENT_LIST_SIGN = -1
 
 Vec3 = tuple[ScalarExpr, ScalarExpr, ScalarExpr]
-
-
-class PresetError(Exception):
-    """Unknown preset name or invalid preset request."""
 
 
 # ---------------------------------------------------------------------------
@@ -579,45 +578,6 @@ def fluid_diagnostics(s: FluidSystem, anatomy: Anatomy) -> FluidReport:
 # Presets
 
 
-@dataclass(frozen=True)
-class Preset:
-    """A named system with registered test chains and sampling context."""
-
-    name: str
-    summary: str
-    chart: ex.Chart
-    action: DifferentialForm
-    processes: tuple[tuple[str, VectorField], ...]
-    chains: tuple[ch.Chain, ...] = ()
-    box: Box | None = None
-    params: dict[str, float] = field(default_factory=dict)
-    system: FluidSystem | EMSystem | None = None
-    points: tuple[tuple[float, ...], ...] = ()
-
-    def anatomy(self, context: ZeroTester) -> Anatomy:
-        """The action's anatomy, zero-tested on context and probed by this
-        preset's chains, points and parameters."""
-        return Anatomy(self.action, context, self.chains, self.points, self.params)
-
-    def process(self, name: str) -> VectorField:
-        for n, v in self.processes:
-            if n == name:
-                return v
-        raise PresetError(
-            f"preset {self.name!r} has no process {name!r}; "
-            f"available: {', '.join(n for n, _ in self.processes)}"
-        )
-
-    def chain(self, name: str) -> ch.Chain:
-        for c in self.chains:
-            if c.name == name:
-                return c
-        raise PresetError(
-            f"preset {self.name!r} has no chain {name!r}; "
-            f"available: {', '.join(c.name for c in self.chains)}"
-        )
-
-
 # The shared test chains: a unit circle in the z = t = 0 plane, a donut
 # torus in the t = 0 slice, and an immersed 3-torus touching all four
 # coordinates; each is closed.
@@ -749,19 +709,10 @@ def preset_names() -> tuple[str, ...]:
     return tuple(PRESETS)
 
 
-def get_preset(name: str) -> Preset:
-    """The preset parsed from its bundled text, as a config naming it is."""
+def get_preset(name: str) -> Runtime:
+    """The Runtime of the bundled text name, the one `formflow run --preset
+    name` runs; an unknown name raises KeyError."""
     # imported here, not at the top: config imports this module
     from . import config
 
-    try:
-        text = PRESETS[name]
-    except KeyError:
-        raise PresetError(
-            f"unknown preset {name!r}; available: {', '.join(PRESETS)}"
-        ) from None
-    rt = config.build_runtime(config.parse_config(text))
-    return Preset(
-        name, text.splitlines()[0][2:], rt.chart, rt.action, rt.processes, rt.chains,
-        rt.context.box, rt.params, rt.system, rt.anatomy.points,
-    )
+    return config.build_runtime(config.parse_config(PRESETS[name]))

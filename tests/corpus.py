@@ -109,7 +109,7 @@ def action_process_pairs(n_random: int = 12, seed: int = 202):
     pairs = []
     for name in sy.preset_names():
         preset = sy.get_preset(name)
-        for _, J in preset.processes:
+        for J in preset.processes.values():
             pairs.append((preset.action, J))
     r = rng(seed)
     for k in range(n_random):

@@ -1351,7 +1351,7 @@ def run_residuals(rt) -> list:
         out += torsion_residuals(a)
     if isinstance(rt.system, sy.FluidSystem):
         out += fluid_residuals(rt.system, a)
-    for _, J in rt.processes:
+    for J in rt.processes.values():
         out += process_residuals(a, J)
     return out
 

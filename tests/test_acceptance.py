@@ -192,8 +192,8 @@ def test_criterion_04_first_law_split():
 
 def test_criterion_05_torsion_vector_identities():
     p = sy.get_preset("em.torsion_nonzero")
-    tester = ex.ZeroTester(p.box if p.box is not None else ex.default_box(4))
-    rep = sy.em_diagnostics(p.system, p.anatomy(ex.ZeroTester(p.box)))
+    tester = p.context
+    rep = sy.em_diagnostics(p.system, p.anatomy)
     A = p.action
     T = rep.torsion.vector
     gamma = rep.torsion.gamma
@@ -245,27 +245,30 @@ def test_criterion_06_theorem_battery():
 
     # flux integrals are invariant under arbitrary transport
     F_rigid = fm.exterior_derivative(rigid.action)
-    invariant("I.rigid/probe", F_rigid, rigid.chain("torus"), rigid.process("probe"), rigid.params)
+    invariant("I.rigid/probe", F_rigid, rigid.chains["torus"], rigid.processes["probe"],
+              rigid.params)
     invariant(
         "I.torsion/timelike",
         fm.exterior_derivative(torsion.action),
-        torsion.chain("torus"),
-        torsion.process("timelike"),
+        torsion.chains["torus"],
+        torsion.processes["timelike"],
         torsion.params,
     )
 
     # the classical vortex-conservation statement: same flux along the
     # actual closed-flow evolution
-    invariant("II.rigid", F_rigid, rigid.chain("torus"), rigid.process("spacetime"), rigid.params)
+    invariant("II.rigid", F_rigid, rigid.chains["torus"], rigid.processes["spacetime"],
+              rigid.params)
 
     # circulation and torsion flux along extremal evolution
-    invariant("III.circ", rigid.action, rigid.chain("circle"), rigid.process("spacetime"), rigid.params)
+    invariant("III.circ", rigid.action, rigid.chains["circle"], rigid.processes["spacetime"],
+              rigid.params)
     H_beltrami = fm.wedge(beltrami.action, fm.exterior_derivative(beltrami.action))
     invariant(
         "III.torsion-flux",
         H_beltrami,
-        beltrami.chain("shell"),
-        beltrami.process("spacetime"),
+        beltrami.chains["shell"],
+        beltrami.processes["spacetime"],
         beltrami.params,
     )
 
@@ -282,12 +285,12 @@ def test_criterion_06_theorem_battery():
     if abs(res.value) > 1e-6 * (1.0 + res.scale):
         failures.append(f"IV period {res.value:.3e}")
     a_rigid = pf.Anatomy(
-        rigid.action, _tester(), chains=(rigid.chain("circle"),), params=rigid.params
+        rigid.action, _tester(), chains=(rigid.chains["circle"],), params=rigid.params
     )
     sv_rigid = th.second_variation(
         a_rigid,
-        rigid.process("spacetime"),
-        pf.Anatomy(th.first_law(a_rigid, rigid.process("spacetime"))[0], a_rigid.context),
+        rigid.processes["spacetime"],
+        pf.Anatomy(th.first_law(a_rigid, rigid.processes["spacetime"])[0], a_rigid.context),
     )
     if sv_rigid.periods_vanish is not True:
         failures.append("IV rigid periods")
@@ -295,8 +298,8 @@ def test_criterion_06_theorem_battery():
     # the open-flow counterexample must drift at >= 100x tolerance
     drift = ch.invariance_check(
         torsion.action,
-        torsion.chain("circle"),
-        torsion.process("torsion"),
+        torsion.chains["circle"],
+        torsion.processes["torsion"],
         mode="drift",
         tol=1e-6,
         drift_factor=100.0,
@@ -318,8 +321,8 @@ def test_criterion_06_theorem_battery():
 
 def test_criterion_07_integer_periods():
     p = sy.get_preset("harmonic.winding")
-    cycles = [c for c in p.chains if c.degree == 1]
-    spec = ch.period_spectrum(p.action, cycles, ex.ZeroTester(p.box), params=p.params)
+    cycles = [c for c in p.chains.values() if c.degree == 1]
+    spec = ch.period_spectrum(p.action, cycles, p.context, params=p.params)
     base_ok = abs(abs(spec.periods[0]) - 2 * math.pi) <= 1e-8
     double_ok = abs(spec.periods[1] / spec.periods[0] - 2.0) <= 1e-8
     _verdict(
@@ -345,41 +348,41 @@ def test_criterion_08_fluid_identities():
     for name in ("euler.rigid_rotation", "ns.decaying_shear", "fluid.beltrami_abc"):
         p = sy.get_preset(name)
         s = p.system
-        vort = sy.vorticity_fields(s, ex.ZeroTester(p.box))
+        vort = sy.vorticity_fields(s, p.context)
         induction = sy._add3(sy._curl(vort.acceleration), sy._time(vort.omega))
         for i, c in enumerate(induction):
-            if not is_zero_scalar(c, p.box):
+            if not is_zero_scalar(c, p.context.box):
                 failures.append(f"{name} induction[{i}]")
-        if not is_zero_scalar(sy._div(vort.omega), p.box):
+        if not is_zero_scalar(sy._div(vort.omega), p.context.box):
             failures.append(f"{name} div omega")
-        tc = sy.torsion_current(s, pf.Anatomy(p.action, ex.ZeroTester(p.box)))
+        tc = sy.torsion_current(s, pf.Anatomy(p.action, p.context))
         balance = ex.add(
             sy._div(tc.current),
             ex.differentiate(tc.helicity_density, 3),
             ex.mul(ex.Const(2), sy._dot(vort.acceleration, vort.omega)),
         )
-        if not is_zero_scalar(balance, p.box):
+        if not is_zero_scalar(balance, p.context.box):
             failures.append(f"{name} balance")
 
     rigid = sy.get_preset("euler.rigid_rotation")
-    rep = th.classify(rigid.anatomy(ex.ZeroTester(rigid.box)), rigid.process("spacetime"))
-    euler_zero = all(is_zero_scalar(c, rigid.box) for c in sy.euler_residual(rigid.system))
+    rep = th.classify(rigid.anatomy, rigid.processes["spacetime"])
+    euler_zero = all(is_zero_scalar(c, rigid.context.box) for c in sy.euler_residual(rigid.system))
     if not (rep.flags.extremal and euler_zero):
         failures.append("extremal<=>euler positive case")
     bad = sy.FluidSystem(rigid.system.velocity, ex.ZERO, ex.ZERO)
     bad_rep = th.classify(
         pf.Anatomy(bad.action(), _tester(), params={"Omega": 0.7}), bad.spacetime_velocity()
     )
-    bad_euler_zero = all(is_zero_scalar(c, rigid.box) for c in sy.euler_residual(bad))
+    bad_euler_zero = all(is_zero_scalar(c, rigid.context.box) for c in sy.euler_residual(bad))
     if bad_rep.flags.extremal or bad_euler_zero:
         failures.append("extremal<=>euler negative case")
 
     shear = sy.get_preset("ns.decaying_shear")
-    srep = sy.fluid_diagnostics(shear.system, shear.anatomy(ex.ZeroTester(shear.box)))
+    srep = sy.fluid_diagnostics(shear.system, shear.anatomy)
     # the viscous parity source -2 nu omega . curl omega
     source = ex.mul(ex.Const(-2), shear.system.viscosity,
                     sy._dot(shear.system.omega, shear.system.curl_omega))
-    if not is_zero_scalar(ex.add(srep.parity_coefficient, ex.negate(source)), shear.box):
+    if not is_zero_scalar(ex.add(srep.parity_coefficient, ex.negate(source)), shear.context.box):
         failures.append("shear parity formula")
     if not srep.ns.satisfied:
         failures.append("shear momentum balance")

@@ -127,7 +127,7 @@ def test_advected_integral_matches_flow_oracle():
     # finite-time check at dt = 0.1: advect an off-center circle through the
     # decaying shear and compare with direct quadrature of the composed map
     s = sy.get_preset("ns.decaying_shear")
-    V = s.process("spacetime")
+    V = s.processes["spacetime"]
     off = ch.Chain(
         1,
         (ch.circle_cell(CHART, center=(0.4, 0.2), radius=0.5, fixed={2: 0.0, 3: 0.0}),),
@@ -151,8 +151,8 @@ def test_advected_integral_matches_flow_oracle():
 
 def test_advect_zero_time_is_identity():
     r = sy.get_preset("euler.rigid_rotation")
-    circ = r.chain("circle")
-    assert ch.advect(circ, r.process("spacetime"), 0.0, params=r.params) is circ
+    circ = r.chains["circle"]
+    assert ch.advect(circ, r.processes["spacetime"], 0.0, params=r.params) is circ
 
 
 def test_advect_blowup_raises():
@@ -165,7 +165,7 @@ def test_advect_blowup_raises():
 def test_invariance_rigid_rotation_circulation():
     r = sy.get_preset("euler.rigid_rotation")
     res = ch.invariance_check(
-        r.action, r.chain("circle"), r.process("spacetime"), params=r.params
+        r.action, r.chains["circle"], r.processes["spacetime"], params=r.params
     )
     assert res.mode == "invariant" and res.passed
     assert abs(res.derivative_estimate) < 1e-9
@@ -190,11 +190,11 @@ def test_transport_identity_on_drifting_pairs(preset, process, chain, center):
             closed=True,
         )
     else:
-        chn = p.chain(chain)
+        chn = p.chains[chain]
     # h = 0.005 keeps the O(h^4) stencil truncation below the identity
     # tolerance on the steep torsion drift
     res = ch.invariance_check(
-        p.action, chn, p.process(process), mode="identity", h=0.005, params=p.params
+        p.action, chn, p.processes[process], mode="identity", h=0.005, params=p.params
     )
     assert res.passed
     assert abs(res.derivative_estimate) > 1e-3  # genuinely drifting
@@ -205,7 +205,7 @@ def test_transport_identity_on_drifting_pairs(preset, process, chain, center):
 def test_drift_mode_flags_torsion_counterexample():
     t = sy.get_preset("em.torsion_nonzero")
     res = ch.invariance_check(
-        t.action, t.chain("circle"), t.process("torsion"),
+        t.action, t.chains["circle"], t.processes["torsion"],
         mode="drift", params=t.params,
     )
     assert res.passed
@@ -221,8 +221,8 @@ def test_invariance_mode_validation(stokes_pair):
 
 def test_period_spectrum_winding_numbers():
     p = sy.get_preset("harmonic.winding")
-    cycles = [c for c in p.chains if c.degree == 1]
-    spec = ch.period_spectrum(p.action, cycles, ex.ZeroTester(p.box), params=p.params)
+    cycles = [c for c in p.chains.values() if c.degree == 1]
+    spec = ch.period_spectrum(p.action, cycles, p.context, params=p.params)
     assert spec.periods[0] == pytest.approx(-2 * math.pi, abs=1e-8)
     assert spec.periods[1] == pytest.approx(-4 * math.pi, abs=1e-8)
     assert spec.base == pytest.approx(2 * math.pi, abs=1e-8)
@@ -716,6 +716,36 @@ def test_stencil_raises_the_first_error_of_four_integrate_calls():
         got = _raised(lambda: ch.invariance_checks([(_form(1), chain), (form, chain)], V, h=0.1))
         want = _raised(lambda: oc.reference_invariance_check(form, chain, V, h=0.1))
         _raised_alike(got, want)
+
+
+def test_copies_that_do_not_stack_raise_the_first_error_of_four_integrate_calls():
+    # expression cells, filled copy by copy: a ring whose map takes ln(a - u0)
+    # fails to evaluate for a < 1, and a ring of radius r (a circle of radius
+    # c about x = 0.1) reaches x = r (0.1 + c), where ln(0.9 - x) is singular
+    u = ch.param_chart(1)
+
+    def copy(r: float, a: float, c: float = 0.3) -> ch.Chain:
+        ring = ch.ExprCell(CHART, 1, (
+            ps.parse_scalar(f"{r}*cos(2*pi*u0)", u), ex.Const(0.1),
+            ps.parse_scalar(f"{r}*sin(2*pi*u0)", u), ps.parse_scalar(f"ln({a} - u0)", u),
+        ), name=f"ring{r}")
+        circle = ch.circle_cell(CHART, center=(0.1, -0.2), radius=c, fixed={2: 0.3})
+        return ch.Chain(1, (circle, ring), (1, -1), closed=True)
+
+    fine = fm.form_from_coeffs(CHART, 1, {(0,): scalar("y"), (1,): scalar("x")})
+    log = fm.form_from_coeffs(CHART, 1, {(0,): scalar("ln(0.9 - x)"), (1,): scalar("y")})
+    cases = [
+        ([copy(0.5, 2), copy(0.5, 2), copy(0.5, 0.5), copy(0.5, 2)], fine, "ln"),
+        ([copy(0.5, 2), copy(1.0, 2), copy(0.5, 0.5), copy(0.5, 2)], log, "cell ring1.0"),
+        ([copy(1.0, 2), copy(0.5, 0.5), copy(1.0, 0.5), copy(0.5, 2)], fine, "ln"),
+        # the circle before the failing ring is singular, at the first order
+        ([copy(0.5, 2), copy(0.5, 2), copy(0.5, 0.5, 1.0), copy(0.5, 2)], log, "cell circle"),
+    ]
+    for copies, form, text in cases:
+        want = _raised(lambda: [ch.integrate(form, c) for c in copies])
+        got = _raised(lambda: ch._Quadrature(copies, None, None).integrals(form))
+        _raised_alike(got, want)
+        assert text in str(got)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])

@@ -540,16 +540,6 @@ def test_seed_reaches_every_sampled_verdict():
 
 
 def test_open_chains_are_never_period_cycles():
-    arc = ch.Chain(
-        1,
-        (ch.ExprCell(sy.SPACETIME, 1, (ex.Coord(0), ex.ZERO, ex.ZERO, ex.ZERO), name="arc"),),
-        closed=False,
-        name="arc",
-    )
-    p = sy.get_preset("euler.rigid_rotation")
-    preset = replace(p, chains=p.chains + (arc,))
-    assert [c.name for c in preset.anatomy(ex.ZeroTester(p.box)).cycles] == ["circle"]
-
     text = (
         "[run]\npreset = euler.rigid_rotation\n\n[chain arc]\ndegree = 1\n"
         "components = u0, 0, 0, 0\nclosed = false\n"

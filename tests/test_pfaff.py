@@ -38,7 +38,7 @@ PRESET_DIMENSIONS = {
 @pytest.mark.parametrize("name", sorted(PRESET_DIMENSIONS))
 def test_preset_pfaff_dimensions(name):
     p = sy.get_preset(name)
-    seq = pf.pfaff_sequence(pf.Anatomy(p.action, ex.ZeroTester(p.box)))
+    seq = pf.pfaff_sequence(pf.Anatomy(p.action, p.context))
     assert seq.dimension == PRESET_DIMENSIONS[name]
     assert seq.labels[: seq.dimension] == pf._SEQUENCE_LABELS[: seq.dimension]
     # verdicts past the dimension are zero, the ones before are not
@@ -49,16 +49,16 @@ def test_preset_pfaff_dimensions(name):
 @pytest.mark.parametrize("name", sorted(PRESET_DIMENSIONS))
 def test_frobenius_iff_dimension_at_most_two(name):
     p = sy.get_preset(name)
-    seq = pf.pfaff_sequence(pf.Anatomy(p.action, ex.ZeroTester(p.box)))
-    base = pf.cartan_topological_base(pf.Anatomy(p.action, ex.ZeroTester(p.box)))
+    seq = pf.pfaff_sequence(pf.Anatomy(p.action, p.context))
+    base = pf.cartan_topological_base(pf.Anatomy(p.action, p.context))
     assert (not base.disconnected) == (seq.dimension <= 2)
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_DIMENSIONS))
 def test_base_disconnection_iff_dimension_at_least_three(name):
     p = sy.get_preset(name)
-    seq = pf.pfaff_sequence(pf.Anatomy(p.action, ex.ZeroTester(p.box)))
-    base = pf.cartan_topological_base(pf.Anatomy(p.action, ex.ZeroTester(p.box)))
+    seq = pf.pfaff_sequence(pf.Anatomy(p.action, p.context))
+    base = pf.cartan_topological_base(pf.Anatomy(p.action, p.context))
     assert base.disconnected == (seq.dimension >= 3)
     labels = [label for label, _ in base.elements]
     assert labels == ["A", "A u F", "H", "H u K"]
@@ -71,7 +71,7 @@ def test_base_disconnection_iff_dimension_at_least_three(name):
 
 def test_parity_form_is_the_sequence_element():
     p = sy.get_preset("em.torsion_nonzero")
-    a = p.anatomy(ex.ZeroTester(p.box))
+    a = p.anatomy
     assert a.K is a.sequence.elements[3]
     assert pf.parity(a)[0] is a.K
     assert a.torsion.parity_form is a.K
@@ -80,7 +80,7 @@ def test_parity_form_is_the_sequence_element():
 @pytest.mark.parametrize("name", sorted(PRESET_DIMENSIONS))
 def test_base_and_frobenius_read_the_sequence_verdict(name, monkeypatch):
     p = sy.get_preset(name)
-    a = p.anatomy(ex.ZeroTester(p.box))
+    a = p.anatomy
     seq = a.sequence
 
     def no_sample(*args, **kwargs):
@@ -193,7 +193,7 @@ def test_sequence_compiles_only_its_elements_tapes_and_row_set_tapes(monkeypatch
     )
     for name, guards in (("em.torsion_nonzero", ()), ("euler.rigid_rotation", (ex.power(ex.coord(0), 4),))):
         p = sy.get_preset(name)
-        box = replace(p.box, guards=(*p.box.guards, *guards))
+        box = replace(p.context.box, guards=(*p.context.box.guards, *guards))
         a = pf.Anatomy(p.action, ex.ZeroTester(box), points=points, params=p.params)
         tests, test = [], a.context.test
         monkeypatch.setattr(a.context, "test", lambda e: tests.append(test(e)) or tests[-1])
@@ -219,7 +219,7 @@ def test_torsion_vector_reconstructs_three_form():
     # independent cross-check of the identity the extractor solves
     for name in ("ns.decaying_shear", "em.torsion_nonzero", "fluid.beltrami_abc"):
         p = sy.get_preset(name)
-        data = pf.torsion_data(pf.Anatomy(p.action, ex.ZeroTester(p.box)))
+        data = pf.torsion_data(pf.Anatomy(p.action, p.context))
         recon = fm.interior(data.vector, volume_form(p.chart))
         assert fm.sub_forms(recon, data.torsion_form).is_syntactically_zero
         dA = fm.exterior_derivative(p.action)
@@ -231,7 +231,7 @@ def test_torsion_vector_reconstructs_three_form():
 def test_torsion_gamma_and_parity_on_em_preset():
     # E.B = -2*lam*mu for the torsion preset; parity coefficient is twice that
     p = sy.get_preset("em.torsion_nonzero")
-    data = pf.torsion_data(pf.Anatomy(p.action, ex.ZeroTester(p.box)))
+    data = pf.torsion_data(pf.Anatomy(p.action, p.context))
     K, k = pf.parity(pf.Anatomy(p.action, ex.ZeroTester(ex.default_box(4))))
     pt = (0.2, -0.3, 0.4, 0.1)
     lam, mu = p.params["lam"], p.params["mu"]
@@ -243,8 +243,8 @@ def test_torsion_gamma_and_parity_on_em_preset():
 def test_torsion_gamma_vanishes_for_integrable_presets():
     for name in ("euler.rigid_rotation", "em.plane_wave", "harmonic.winding"):
         p = sy.get_preset(name)
-        data = pf.torsion_data(pf.Anatomy(p.action, ex.ZeroTester(p.box)))
-        tester = ex.ZeroTester(p.box)
+        data = pf.torsion_data(pf.Anatomy(p.action, p.context))
+        tester = p.context
         assert tester.test(data.gamma).zero
         assert pf.form_is_zero(data.torsion_form, tester).zero
 
@@ -278,7 +278,7 @@ PRESET_GENUS = {
 @pytest.mark.parametrize("name", sorted(PRESET_GENUS))
 def test_preset_genus(name):
     p = sy.get_preset(name)
-    rep = pf.genus_diagnostic(pf.Anatomy(p.action, ex.ZeroTester(p.box)))
+    rep = pf.genus_diagnostic(pf.Anatomy(p.action, p.context))
     assert rep.genus == PRESET_GENUS[name]
     assert rep.torsion_current_zero == (rep.genus == 3)
 
@@ -297,5 +297,5 @@ def test_genus_three_does_not_require_low_dimension():
 def test_low_dimension_forces_genus_three():
     for name in sorted(PRESET_DIMENSIONS):
         p = sy.get_preset(name)
-        if pf.pfaff_sequence(pf.Anatomy(p.action, ex.ZeroTester(p.box))).dimension <= 2:
-            assert pf.genus_diagnostic(pf.Anatomy(p.action, ex.ZeroTester(p.box))).genus == 3
+        if pf.pfaff_sequence(pf.Anatomy(p.action, p.context)).dimension <= 2:
+            assert pf.genus_diagnostic(pf.Anatomy(p.action, p.context)).genus == 3

@@ -61,11 +61,11 @@ def test_beltrami_solves_euler_exactly():
 
 def test_beltrami_torsion_current_is_parallel_to_velocity():
     p = sy.get_preset("fluid.beltrami_abc")
-    tc = sy.torsion_current(p.system, pf.Anatomy(p.action, ex.ZeroTester(p.box)))
+    tc = sy.torsion_current(p.system, pf.Anatomy(p.action, p.context))
     want = tuple(ex.mul(ex.Const(1.5), v) for v in p.system.velocity)
-    assert vec_equal(tc.current, want, p.box)
+    assert vec_equal(tc.current, want, p.context.box)
     speed_sq = ex.add(*(ex.power(v, 2) for v in p.system.velocity))
-    assert is_zero(ex.add(tc.helicity_density, ex.negate(speed_sq)), p.box)
+    assert is_zero(ex.add(tc.helicity_density, ex.negate(speed_sq)), p.context.box)
 
 
 # --- rigid rotation
@@ -73,20 +73,20 @@ def test_beltrami_torsion_current_is_parallel_to_velocity():
 
 def test_rigid_rotation_vorticity_and_balance():
     p = sy.get_preset("euler.rigid_rotation")
-    vort = sy.vorticity_fields(p.system, ex.ZeroTester(p.box))
+    vort = sy.vorticity_fields(p.system, p.context)
     twice = ex.mul(ex.Const(2), ex.Param("Omega"))
     assert ex.is_syntactic_zero(vort.omega[0])
     assert ex.is_syntactic_zero(vort.omega[1])
-    assert is_zero(ex.add(vort.omega[2], ex.negate(twice)), p.box)
-    assert vec_is_zero(sy.euler_residual(p.system), p.box)
+    assert is_zero(ex.add(vort.omega[2], ex.negate(twice)), p.context.box)
+    assert vec_is_zero(sy.euler_residual(p.system), p.context.box)
 
 
 def test_rigid_rotation_torsion_current_vanishes():
     p = sy.get_preset("euler.rigid_rotation")
-    tc = sy.torsion_current(p.system, pf.Anatomy(p.action, ex.ZeroTester(p.box)))
-    assert vec_is_zero(tc.current, p.box)
-    assert is_zero(tc.helicity_density, p.box)
-    assert pf.genus_diagnostic(pf.Anatomy(p.action, ex.ZeroTester(p.box))).genus == 3
+    tc = sy.torsion_current(p.system, pf.Anatomy(p.action, p.context))
+    assert vec_is_zero(tc.current, p.context.box)
+    assert is_zero(tc.helicity_density, p.context.box)
+    assert pf.genus_diagnostic(pf.Anatomy(p.action, p.context)).genus == 3
 
 
 def test_rigid_rotation_hamiltonian_is_centripetal():
@@ -100,47 +100,47 @@ def test_rigid_rotation_hamiltonian_is_centripetal():
 
 def test_shear_satisfies_viscous_balance_but_not_euler():
     p = sy.get_preset("ns.decaying_shear")
-    ns = sy.navier_stokes_residual(p.system, pf.Anatomy(p.action, ex.ZeroTester(p.box)))
+    ns = sy.navier_stokes_residual(p.system, pf.Anatomy(p.action, p.context))
     assert ns.satisfied
     euler = sy.euler_residual(p.system)
-    assert not vec_is_zero(euler, p.box)
+    assert not vec_is_zero(euler, p.context.box)
 
 
 def test_shear_torsion_current_formula():
     # unidirectional profile f(y, t): current reduces to (0, 0, f^2 f_y / 2)
     p = sy.get_preset("ns.decaying_shear")
-    tc = sy.torsion_current(p.system, pf.Anatomy(p.action, ex.ZeroTester(p.box)))
+    tc = sy.torsion_current(p.system, pf.Anatomy(p.action, p.context))
     f = p.system.velocity[0]
     want_z = ex.mul(ex.Const(0.5), f, f, ex.differentiate(f, 1))
     assert ex.is_syntactic_zero(tc.current[0])
     assert ex.is_syntactic_zero(tc.current[1])
-    assert is_zero(ex.add(tc.current[2], ex.negate(want_z)), p.box)
-    assert is_zero(tc.helicity_density, p.box)
+    assert is_zero(ex.add(tc.current[2], ex.negate(want_z)), p.context.box)
+    assert is_zero(tc.helicity_density, p.context.box)
 
 
 def test_shear_dissipative_work_form():
     # W = -nu (curl omega) . (dx - v dt) picks up only the x and t slots
     p = sy.get_preset("ns.decaying_shear")
-    ns = sy.navier_stokes_residual(p.system, pf.Anatomy(p.action, ex.ZeroTester(p.box)))
+    ns = sy.navier_stokes_residual(p.system, pf.Anatomy(p.action, p.context))
     f = p.system.velocity[0]
     fyy = ex.differentiate(ex.differentiate(f, 1), 1)
     nu = p.system.viscosity
     want_x = ex.mul(nu, fyy)
-    assert is_zero(ex.add(ns.work_form.coeff((0,)), ex.negate(want_x)), p.box)
+    assert is_zero(ex.add(ns.work_form.coeff((0,)), ex.negate(want_x)), p.context.box)
     assert ex.is_syntactic_zero(ns.work_form.coeff((1,)))
     assert ex.is_syntactic_zero(ns.work_form.coeff((2,)))
     want_t = ex.negate(ex.mul(f, want_x))
-    assert is_zero(ex.add(ns.work_form.coeff((3,)), ex.negate(want_t)), p.box)
+    assert is_zero(ex.add(ns.work_form.coeff((3,)), ex.negate(want_t)), p.context.box)
 
 
 @pytest.mark.parametrize("name", ["ns.decaying_shear", "euler.rigid_rotation"])
 def test_engineering_torsion_agrees_on_solutions(name):
     p = sy.get_preset(name)
-    eng = sy.ns_engineering_torsion(p.system, pf.Anatomy(p.action, ex.ZeroTester(p.box)))
+    eng = sy.ns_engineering_torsion(p.system, pf.Anatomy(p.action, p.context))
     assert eng.ns_satisfied
     assert eng.warning is None
-    assert vec_is_zero(sy._sub3(eng.kinematic.current, eng.current), p.box)
-    assert vec_equal(eng.current, eng.kinematic.current, p.box)
+    assert vec_is_zero(sy._sub3(eng.kinematic.current, eng.current), p.context.box)
+    assert vec_equal(eng.current, eng.kinematic.current, p.context.box)
 
 
 def test_engineering_torsion_warns_off_solutions():
@@ -192,7 +192,7 @@ def test_fluid_identities_are_exact_off_solutions():
 def test_extremal_flag_tracks_momentum_balance():
     # inviscid: the spacetime velocity is extremal exactly for solutions
     good = sy.get_preset("euler.rigid_rotation")
-    rep = th.classify(good.anatomy(ex.ZeroTester(good.box)), good.process("spacetime"))
+    rep = th.classify(good.anatomy, good.processes["spacetime"])
     assert rep.flags.extremal
 
     bad = sy.FluidSystem(good.system.velocity, ex.ZERO, ex.ZERO)
@@ -247,7 +247,7 @@ def test_broken_identity_names_its_witness_and_value(monkeypatch):
     p = sy.get_preset("em.torsion_nonzero")
     monkeypatch.setattr(sy, "COMPONENT_LIST_SIGN", 1)
     with pytest.raises(pf.InternalConsistencyError) as err:
-        sy.em_diagnostics(p.system, p.anatomy(ex.ZeroTester(p.box)))
+        sy.em_diagnostics(p.system, p.anatomy)
     what, at = str(err.value).split(" at ")
     assert what == "torsion current disagrees with E x A + phi B"
     witness, value = at.split(" (value ")
@@ -259,7 +259,7 @@ def test_broken_identity_names_its_witness_and_value(monkeypatch):
 def test_transversal_comparison_is_a_report_not_a_theorem():
     p = sy.get_preset("euler.rigid_rotation")
     J, pulled, verdict = sy.transversal_current_comparison(
-        pf.Anatomy(p.action, ex.ZeroTester(p.box)), ex.ONE, p.system.velocity
+        pf.Anatomy(p.action, p.context), ex.ONE, p.system.velocity
     )
     assert J.degree == 3 and pulled.degree == 3
     assert not bool(verdict)  # the two currents genuinely differ here
@@ -273,39 +273,39 @@ def test_plane_wave_fields_are_transverse():
     E, B = p.system.fields()
     want_E = (ex.ZERO, ex.negate(scalar("sin(z - t)")), ex.ZERO)
     want_B = (scalar("sin(z - t)"), ex.ZERO, ex.ZERO)
-    assert vec_equal(E, want_E, p.box)
-    assert vec_equal(B, want_B, p.box)
+    assert vec_equal(E, want_E, p.context.box)
+    assert vec_equal(B, want_B, p.context.box)
     EdotB = ex.add(*(ex.mul(e, b) for e, b in zip(E, B)))
-    assert is_zero(EdotB, p.box)
+    assert is_zero(EdotB, p.context.box)
 
 
 def test_plane_wave_diagnostics():
     p = sy.get_preset("em.plane_wave")
-    rep = sy.em_diagnostics(p.system, p.anatomy(ex.ZeroTester(p.box)))
-    assert vec_is_zero(rep.current, p.box)
-    assert is_zero(rep.helicity_density, p.box)
-    assert is_zero(rep.parity_coefficient, p.box)
+    rep = sy.em_diagnostics(p.system, p.anatomy)
+    assert vec_is_zero(rep.current, p.context.box)
+    assert is_zero(rep.helicity_density, p.context.box)
+    assert is_zero(rep.parity_coefficient, p.context.box)
     assert rep.genus.genus == 3
     assert rep.process.flags.characteristic  # evolution along T (zero here)
 
 
 def test_torsion_preset_field_identities():
     p = sy.get_preset("em.torsion_nonzero")
-    rep = sy.em_diagnostics(p.system, p.anatomy(ex.ZeroTester(p.box)))
+    rep = sy.em_diagnostics(p.system, p.anatomy)
     pt = (0.2, -0.3, 0.4, 0.1)
     lam, mu = p.params["lam"], p.params["mu"]
 
     want_current = (
         scalar("lam*mu*x"), scalar("lam*mu*y"), scalar("2*lam*mu*z"),
     )
-    assert vec_equal(rep.current, want_current, p.box)
-    assert is_zero(rep.helicity_density, p.box)
+    assert vec_equal(rep.current, want_current, p.context.box)
+    assert is_zero(rep.helicity_density, p.context.box)
 
     assert value_at(rep.torsion.gamma, pt, p.params) == pytest.approx(-2 * lam * mu)
     assert value_at(rep.parity_coefficient, pt, p.params) == pytest.approx(-4 * lam * mu)
     assert value_at(rep.listed_parity, pt, p.params) == pytest.approx(4 * lam * mu)
     assert ex.is_syntactic_zero(rep.divergence_residual) or is_zero(
-        rep.divergence_residual, p.box
+        rep.divergence_residual, p.context.box
     )
     assert rep.genus.genus == 2
     assert rep.process.flags.irreversible
@@ -316,15 +316,15 @@ def test_component_list_sign_relates_conventions():
     # orientation convention used by the torsion extractor
     assert sy.COMPONENT_LIST_SIGN == -1
     p = sy.get_preset("em.torsion_nonzero")
-    rep = sy.em_diagnostics(p.system, p.anatomy(ex.ZeroTester(p.box)))
+    rep = sy.em_diagnostics(p.system, p.anatomy)
     listed = (*rep.current, rep.helicity_density)
     for mine, classical in zip(rep.torsion.vector.components, listed):
-        assert is_zero(ex.add(mine, classical), p.box)
+        assert is_zero(ex.add(mine, classical), p.context.box)
 
 
 def test_fluid_diagnostics_bundle():
     p = sy.get_preset("ns.decaying_shear")
-    anatomy = p.anatomy(ex.ZeroTester(p.box))
+    anatomy = p.anatomy
     rep = sy.fluid_diagnostics(p.system, anatomy)
     assert rep.ns.satisfied and not rep.euler_satisfied
     # the report leaves the anatomy's own facts to the anatomy
@@ -335,7 +335,7 @@ def test_fluid_diagnostics_bundle():
     s = p.system
     omega = sy._curl(s.velocity)
     want = ex.mul(ex.Const(-2), s.viscosity, sy._dot(omega, sy._curl(omega)))
-    assert is_zero(ex.add(rep.parity_coefficient, ex.negate(want)), p.box)
+    assert is_zero(ex.add(rep.parity_coefficient, ex.negate(want)), p.context.box)
 
 
 def test_preset_registry():
@@ -349,13 +349,13 @@ def test_preset_registry():
         "em.torsion_nonzero",
         "harmonic.winding",
     }
-    with pytest.raises(sy.PresetError):
+    with pytest.raises(KeyError):
         sy.get_preset("no.such.system")
     p = sy.get_preset("euler.rigid_rotation")
-    with pytest.raises(sy.PresetError):
-        p.process("sideways")
-    with pytest.raises(sy.PresetError):
-        p.chain("moebius")
+    with pytest.raises(KeyError):
+        p.processes["sideways"]
+    with pytest.raises(KeyError):
+        p.chains["moebius"]
 
 
 def test_bundled_processes_match_the_physics_they_encode():
@@ -364,10 +364,10 @@ def test_bundled_processes_match_the_physics_they_encode():
     p = sy.get_preset("em.torsion_nonzero")
     A = p.action
     T = pf.torsion_vector(fm.wedge(A, fm.exterior_derivative(A)))
-    assert vec_equal(p.process("torsion").components, T, p.box)
+    assert vec_equal(p.processes["torsion"].components, T, p.context.box)
     r = sy.get_preset("euler.rigid_rotation")
     spatial = (*r.system.velocity, ex.ZERO)
-    assert vec_equal(r.process("spatial").components, spatial, r.box)
+    assert vec_equal(r.processes["spatial"].components, spatial, r.context.box)
 
 
 def test_preset_actions_match_their_systems():

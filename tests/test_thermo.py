@@ -78,7 +78,7 @@ EXPECTED_CLASSIFICATIONS = {
 @pytest.mark.parametrize("preset,process", sorted(EXPECTED_CLASSIFICATIONS))
 def test_preset_process_classification(preset, process):
     p = sy.get_preset(preset)
-    rep = th.classify(p.anatomy(ex.ZeroTester(p.box)), p.process(process))
+    rep = th.classify(p.anatomy, p.processes[process])
     cat, adiab, closed, rev, assoc, extr, qdim = EXPECTED_CLASSIFICATIONS[
         (preset, process)
     ]
@@ -95,7 +95,7 @@ def test_preset_process_classification(preset, process):
 
 def test_bernoulli_needs_vanishing_work_periods():
     p = sy.get_preset("euler.rigid_rotation")
-    rep = th.classify(p.anatomy(ex.ZeroTester(p.box)), p.process("spatial"))
+    rep = th.classify(p.anatomy, p.processes["spatial"])
     assert rep.category == th.CATEGORY_BERNOULLI
     assert rep.work_periods  # cycles were actually probed
     assert all(abs(w) < 1e-9 for w in rep.work_periods)
@@ -103,7 +103,9 @@ def test_bernoulli_needs_vanishing_work_periods():
 
 def test_closed_flow_without_cycles_stays_undetermined():
     p = sy.get_preset("euler.rigid_rotation")
-    rep = th.classify(pf.Anatomy(p.action, ex.ZeroTester(ex.default_box(4))), p.process("spatial"))
+    rep = th.classify(
+        pf.Anatomy(p.action, ex.ZeroTester(ex.default_box(4))), p.processes["spatial"]
+    )
     assert rep.category == th.CATEGORY_CLOSED_UNDETERMINED
 
 
@@ -138,15 +140,15 @@ REPARAM_CASES = [
 def test_flags_survive_reparametrization(preset, process):
     # the four linear-in-J verdicts cannot see J -> f*J for positive f
     p = sy.get_preset(preset)
-    J = p.process(process)
-    base = th.classify(p.anatomy(ex.ZeroTester(p.box)), J).flags
+    J = p.processes[process]
+    base = th.classify(p.anatomy, J).flags
     rng = np.random.default_rng(314)
     for _ in range(3):
         i = int(rng.integers(0, 4))
         c = float(rng.uniform(0.5, 2.0))
         f = ex.add(ex.Const(c), ex.power(ex.Coord(i), 2))
         rescaled = fm.VectorField(J.chart, J.components, ex.mul(J.support, f))
-        flags = th.classify(p.anatomy(ex.ZeroTester(p.box)), rescaled).flags
+        flags = th.classify(p.anatomy, rescaled).flags
         for attr in ("hamiltonian", "associated", "extremal", "characteristic"):
             assert getattr(flags, attr) == getattr(base, attr), attr
 
@@ -155,7 +157,7 @@ def test_irreversibility_verdicts():
     # Q^dQ's verdict is element 2 of the heat form's Pfaff sequence
     shear = sy.get_preset("ns.decaying_shear")
     rep = th.classify(
-        pf.Anatomy(shear.action, ex.ZeroTester(shear.box)), shear.process("spacetime")
+        pf.Anatomy(shear.action, shear.context), shear.processes["spacetime"]
     )
     verdict = rep.pfaff.zero(2)
     assert not verdict.zero and rep.flags.irreversible
@@ -163,7 +165,7 @@ def test_irreversibility_verdicts():
 
     rigid = sy.get_preset("euler.rigid_rotation")
     rep = th.classify(
-        pf.Anatomy(rigid.action, ex.ZeroTester(rigid.box)), rigid.process("spacetime")
+        pf.Anatomy(rigid.action, rigid.context), rigid.processes["spacetime"]
     )
     assert rep.pfaff.zero(2).zero and rep.flags.reversible
 
@@ -199,7 +201,7 @@ def test_second_variation_without_cycles_reports_none():
 
 def test_radiative_flag_tracks_radiation_form():
     p = sy.get_preset("em.torsion_nonzero")
-    rep = th.classify(p.anatomy(ex.ZeroTester(p.box)), p.process("torsion"))
+    rep = th.classify(p.anatomy, p.processes["torsion"])
     assert rep.flags.radiative == (
         not form_is_zero(rep.second.radiation)
     )
@@ -209,8 +211,8 @@ def test_radiative_flag_tracks_radiation_form():
 def test_heat_pfaff_sequence_uses_context_points():
     p = sy.get_preset("ns.decaying_shear")
     pts = ((0.1, 0.2, 0.0, 0.0),)
-    ctx = pf.Anatomy(p.action, ex.ZeroTester(p.box), points=pts, params=p.params)
-    rep = th.classify(ctx, p.process("spacetime"))
+    ctx = pf.Anatomy(p.action, p.context, points=pts, params=p.params)
+    rep = th.classify(ctx, p.processes["spacetime"])
     assert rep.pfaff.pointwise and rep.pfaff.pointwise[0][0] == pts[0]
 
 
@@ -220,7 +222,7 @@ def test_heat_pfaff_sequence_uses_context_points():
 def test_classify_zero_tests_each_heat_coefficient_once(name, process, monkeypatch):
     # the verdicts on Q, dQ and Q^dQ come from Q's Pfaff sequence alone
     p = sy.get_preset(name)
-    a = p.anatomy(ex.ZeroTester(p.box))
+    a = p.anatomy
     tested: list[str] = []
     test = ex.ZeroTester.test
 
@@ -229,7 +231,7 @@ def test_classify_zero_tests_each_heat_coefficient_once(name, process, monkeypat
         return test(self, e)
 
     monkeypatch.setattr(ex.ZeroTester, "test", counting)
-    rep = th.classify(a, p.process(process))
+    rep = th.classify(a, p.processes[process])
     heat = {c.key for w in (rep.Q, rep.dQ, rep.QdQ) for c in w.coeffs.values()}
     counts = [tested.count(k) for k in heat if k in tested]
     assert counts and max(counts) == 1
