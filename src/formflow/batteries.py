@@ -9,9 +9,12 @@ ft.is_continuous, ...), so wrapping a module attribute sees every call.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from . import chains as ch
 from . import expr as ex
@@ -147,12 +150,17 @@ class Runtime:
         box = self.context.box
         return tuple((lo + hi) / 2.0 for lo, hi in zip(box.lows, box.highs))
 
-    def sample(self, e: ex.ScalarExpr) -> float | None:
-        """e at the probe point, or None where it is singular there."""
+    def sample(self, *es: ex.ScalarExpr) -> list[float | None]:
+        """Each of es at the probe point, from one run of their tape, or
+        None where it is singular there.  If the run fails as a whole (an
+        unbound parameter, say), each is sampled alone."""
         try:
-            return ex.Tape((e,)).at(self.probe_point(), self.params)[0]
+            tape = ex.Tape(es)
+            slots = tape.run(np.array([self.probe_point()], dtype=float), self.params)
         except ex.ExprError:
-            return None
+            return [self.sample(e)[0] for e in es] if len(es) > 1 else [None]
+        values = [float(slots[s][0]) for s in tape.outputs]
+        return [None if math.isnan(v) else v for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +187,13 @@ def _battery_pfaff(rt: Runtime, checks: Checks) -> dict:
                dimension=seq.dimension, disconnected=base.disconnected)
     if rt.chart.dim == 4 and rt.action.degree == 1:
         data = rt.anatomy.torsion
+        gamma, parity = rt.sample(data.gamma, data.parity_coefficient)
         out["torsion"] = {
             "vector": [ex.to_text(c, rt.chart) for c in data.vector.components],
             "gamma": ex.to_text(data.gamma, rt.chart),
-            "gamma_at_probe": rt.sample(data.gamma),
+            "gamma_at_probe": gamma,
             "parity_coefficient": ex.to_text(data.parity_coefficient, rt.chart),
-            "parity_at_probe": rt.sample(data.parity_coefficient),
+            "parity_at_probe": parity,
             "helicity_density": ex.to_text(data.helicity_density, rt.chart),
         }
         genus = rt.anatomy.genus
@@ -336,11 +345,12 @@ def _battery_residuals(rt: Runtime, checks: Checks) -> dict:
         out["B"] = [ex.to_text(c, rt.chart) for c in rep.B]
         out["current"] = [ex.to_text(c, rt.chart) for c in rep.current]
         out["helicity_density"] = ex.to_text(rep.helicity_density, rt.chart)
+        gamma, parity = rt.sample(rep.torsion.gamma, rep.parity_coefficient)
         out["gamma"] = ex.to_text(rep.torsion.gamma, rt.chart)
-        out["gamma_at_probe"] = rt.sample(rep.torsion.gamma)
+        out["gamma_at_probe"] = gamma
         out["parity_coefficient"] = ex.to_text(rep.parity_coefficient, rt.chart)
         out["listed_parity"] = ex.to_text(rep.listed_parity, rt.chart)
-        out["parity_at_probe"] = rt.sample(rep.parity_coefficient)
+        out["parity_at_probe"] = parity
         out["genus"] = rep.genus.genus
         out["torsion_process_category"] = rep.process.category
         checks.add("field_identities")

@@ -12,7 +12,12 @@ Integration pulls the form back through each cell map and applies
 Gauss-Legendre quadrature; the reported error estimate comes from doubling
 the order.  The rows of every cell at both orders are stacked, and the
 form's coefficients are evaluated in one run of its tape; RK4 advection
-runs the field's tape once per stage.  Each Jacobian minor of the pullback
+runs the field's tape once per stage.  Both kernels hold their points
+coordinate-major, one contiguous array per coordinate (and per Jacobian
+entry): the tape reads each coordinate as a row of the transposed view,
+and each of its output arrays becomes a row as it is.  RK4 checks a
+stage's field values for NaN in one pass, and only a NaN sends it to the
+tape for the error.  Each Jacobian minor of the pullback
 is the Leibniz expansion in a fixed term order, so a 1 x 1 minor is the
 Jacobian entry itself and integral bytes depend on IEEE arithmetic alone,
 not on the LAPACK build numpy ships with.  Invariance of an integral under a
@@ -143,40 +148,33 @@ class ExprCell:
 
     def grids(
         self, axes: Sequence[np.ndarray], params: Mapping[str, float] | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The map and its Jacobian at the grid of axes (C order), shaped
-        (m, n) and (m, n, p), from one run of the cell's tape."""
-        cols = self.tape.values(_grid_points(axes), self._bound(params))
-        n = self.chart.dim
-        return _columns(cols[:n]), _columns(cols[n:]).reshape(-1, n, self.degree)
+    ) -> list[np.ndarray]:
+        """The rows of the map and its Jacobian at the grid of axes (C
+        order): the n components, then the n * p entries (i, j) in C order,
+        each one array over the grid, from one run of the cell's tape."""
+        return self.tape.values(_grid_points(axes), self._bound(params))
 
     def eval_grid(
         self, axes: Sequence[np.ndarray], params: Mapping[str, float] | None = None
     ) -> np.ndarray:
         """The map alone at the grid of axes, from one run of map_tape."""
         cols = self.map_tape.values(_grid_points(axes), self._bound(params))
-        return _columns(cols).reshape(tuple(len(a) for a in axes) + (self.chart.dim,))
-
-
-def _columns(cols: Sequence[np.ndarray]) -> np.ndarray:
-    """The arrays as the columns of one (m, len(cols)) array."""
-    out = np.empty((len(cols[0]), len(cols)))
-    for j, c in enumerate(cols):
-        out[:, j] = c
-    return out
+        return np.stack(cols, axis=-1).reshape(tuple(len(a) for a in axes) + (self.chart.dim,))
 
 
 def _grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Cartesian product of 1-d axes as an (m, p) array, C order."""
+    """Cartesian product of 1-d axes as an (m, p) array, C order: the
+    transposed view of one contiguous row per axis."""
     mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return np.stack([m.ravel() for m in mesh]).T
 
 
+@functools.lru_cache(maxsize=64)
 def _lobatto_nodes(n: int) -> np.ndarray:
-    # Chebyshev points of the second kind mapped to [0, 1]
+    """Read-only Chebyshev points of the second kind mapped to [0, 1]."""
     if n < 2:
         raise ChainError("interpolation needs at least 2 nodes per axis")
-    return (1.0 - np.cos(np.pi * np.arange(n) / (n - 1))) / 2.0
+    return _frozen((1.0 - np.cos(np.pi * np.arange(n) / (n - 1))) / 2.0)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -243,11 +241,11 @@ def _apply_axis(op: np.ndarray, values: np.ndarray, axis: int, lead: int = 0) ->
     One matmul: its item per array is the (len(op), rest) product that
     np.tensordot(op, array, (1, axis)) forms, so every array of a stack
     gets the bits it gets alone."""
-    moved = np.moveaxis(values, lead + axis, lead)
+    moved = np.moveaxis(values, lead + axis, lead) if axis else values
     head = moved.shape[: lead + 1]
     out = np.matmul(op, moved.reshape(head + (-1,)))
     out = out.reshape(head[:lead] + (len(op),) + moved.shape[lead + 1 :])
-    return np.moveaxis(out, lead, lead + axis)
+    return np.moveaxis(out, lead, lead + axis) if axis else out
 
 
 def _interp_grids(
@@ -282,6 +280,15 @@ def _interp_grids(
     X[...] = prefix
 
 
+def _point_views(X: np.ndarray, J: np.ndarray, shape: tuple[int, ...]) -> tuple:
+    """Coordinate-major points X, shaped (n, ..., k), and Jacobians J,
+    shaped (n, p, ..., k), as the (..., *shape, n) and (..., *shape, n, p)
+    views _interp_grids writes, the last axis split into shape."""
+    X = X.reshape(X.shape[:-1] + shape)
+    J = J.reshape(J.shape[:-1] + shape)
+    return np.moveaxis(X, 0, -1), np.moveaxis(J, (0, 1), (-2, -1))
+
+
 @dataclass(frozen=True, eq=False)
 class InterpCell:
     """Tensor-product polynomial fit of a cell map, stored as node values.
@@ -314,17 +321,16 @@ class InterpCell:
 
     def grids(
         self, axes: Sequence[np.ndarray], params: Mapping[str, float] | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The map and its Jacobian at the grid of axes (C order), shaped
-        (m, n) and (m, n, p): _interp_grids on a stack of one."""
+    ) -> np.ndarray:
+        """The rows of the map and its Jacobian at the grid of axes (C
+        order), as ExprCell.grids gives them: _interp_grids on a stack of
+        one."""
         n, p = self.chart.dim, self.degree
         grid = tuple(len(a) for a in axes)
-        X, J = np.empty((math.prod(grid), n)), np.empty((math.prod(grid), n, p))
-        _interp_grids(
-            self.values[None], self.node_axes, axes,
-            X.reshape((1,) + grid + (n,)), J.reshape((1,) + grid + (n, p)),
-        )
-        return X, J
+        rows = np.empty((n + n * p, math.prod(grid)))
+        X, J = _point_views(rows[:n, None], rows[n:].reshape(n, p, 1, -1), grid)
+        _interp_grids(self.values[None], self.node_axes, axes, X, J)
+        return rows
 
 
 Cell = ExprCell | InterpCell
@@ -409,12 +415,15 @@ class _Quadrature:
     advected to four times.
 
     Rows go copy by copy, order by order, cell by cell into one
-    preallocated array of points and one of Jacobians.  The copies of one
-    cell that share their node axes are interpolated as one stack, each
-    Jacobian minor is computed once over all rows, and both are shared by
-    every form integrated over the copies.  A cell map that fails to
-    evaluate is kept and raised by `integrals`, once the cells before it
-    are known to integrate."""
+    preallocated array, stored coordinate-major: one contiguous array per
+    coordinate, then one per Jacobian entry, so the tape reads each
+    coordinate as a contiguous row and its outputs are written to rows as
+    they are.  flatX, shaped (rows, n), is the transposed view the tape
+    runs on.  The copies of one cell that share their node axes are
+    interpolated as one stack, each Jacobian minor is computed once over
+    all rows, and both are shared by every form integrated over the
+    copies.  A cell map that fails to evaluate is kept and raised by
+    `integrals`, once the cells before it are known to integrate."""
 
     def __init__(
         self, copies: Sequence[Chain], order: int | None, params: Mapping[str, float] | None
@@ -426,8 +435,10 @@ class _Quadrature:
         orders = (self.order, 2 * self.order)
         n, nc, s = cells[0].chart.dim, len(cells), len(self.copies)
         per_copy = nc * sum(o**p for o in orders)
-        self.flatX = np.empty((s * per_copy, n))
-        self._flatJ = np.empty((s * per_copy, n, p))
+        # the n coordinates, then the n * p Jacobian entries (i, j) in C order
+        self._rows = np.empty((n + n * p, s * per_copy))
+        self.flatX = self._rows[:n].T
+        self._J = self._rows[n:].reshape(n, p, -1)
         # (cell, bound, start, stop, orientation, weights, copy, fine) in row order
         self.segments: list[tuple] = []
         for t, copy in enumerate(self.copies):
@@ -442,14 +453,13 @@ class _Quadrature:
                     start = stop
         self.failure: ex.EvalError | None = None
         self._minors: dict[tuple[int, ...], np.ndarray] = {}
-        X, J = self.flatX.reshape(s, per_copy, n), self._flatJ.reshape(s, per_copy, n, p)
+        X, J = self._rows[:n].reshape(n, s, -1), self._J.reshape(n, p, s, -1)
         stacked = [_one_stack([copy.cells[c] for copy in self.copies]) for c in range(nc)]
         first = 0  # the order's first row within a copy
         for o in orders:
             axes, grid = [_gl_axis(o)[0]] * p, (o,) * p
             rows = slice(first, first + nc * o**p)
-            Xo = X[:, rows].reshape((s, nc) + grid + (n,))
-            Jo = J[:, rows].reshape((s, nc) + grid + (n, p))
+            Xo, Jo = _point_views(X[..., rows], J[..., rows], (nc,) + grid)
             first = rows.stop
             for c in itertools.compress(range(nc), stacked):
                 stack = [copy.cells[c] for copy in self.copies]
@@ -460,25 +470,25 @@ class _Quadrature:
             if stacked[i % nc]:
                 continue
             try:
-                Xc, Jc = cell.grids([_gl_axis(orders[fine])[0]] * p, bound)
+                values = cell.grids([_gl_axis(orders[fine])[0]] * p, bound)
             except ex.EvalError as err:
                 self.failure = err
                 del self.segments[i:]
                 return
-            self.flatX[start:stop] = Xc.reshape(-1, n)
-            self._flatJ[start:stop] = Jc.reshape(-1, n, p)
+            for row, v in zip(self._rows, values):
+                row[start:stop] = v
 
     def minor(self, idx: tuple[int, ...]) -> np.ndarray:
         """det of the Jacobian rows idx at every stacked row, by the Leibniz
         expansion: each term's product taken left to right, the terms summed
         in order from the identity.  A 1 x 1 minor is the entry itself."""
         if idx not in self._minors:
-            J = self._flatJ
+            J = self._J  # entry (row, col) is one contiguous array over the rows
             total = None
             for perm, odd in _leibniz_terms(len(idx)):
-                term = J[:, idx[0], perm[0]]
+                term = J[idx[0], perm[0]]
                 for row, col in zip(idx[1:], perm[1:]):
-                    term = term * J[:, row, col]
+                    term = term * J[row, col]
                 if total is None:
                     total = term
                 else:  # k >= 2 here, so total is a fresh array
@@ -597,26 +607,52 @@ def rk4_flow(
 
     dt is one time for every row, or an array of one time per row; each row
     takes steps steps of its own dt / steps.
+
+    The points are held coordinate-major, one contiguous row per
+    coordinate, which the tape reads as the transposed view and whose rows
+    take the tape's outputs as they are.  Each stage is the arithmetic of
+    X + 0.5 * h * k1 and X + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4), in that
+    order, done in place.
     """
     tape = V.tape
     bound = dict(params or {})
 
-    def f(X: np.ndarray) -> np.ndarray:
-        return _columns(tape.values(X, bound))
+    def field(P: np.ndarray, out: np.ndarray) -> None:
+        """V at the points P into the rows of out, from one run of its tape;
+        a failure raises the error tape.values raises."""
+        try:
+            slots = tape.run(P.T, bound)
+        except ex.EvalError:
+            slots = None
+        if slots is not None:
+            for row, s in zip(out, tape.outputs):
+                row[...] = slots[s]
+        if slots is None or np.isnan(out).any():
+            tape.values(P.T, bound)
 
-    X = np.array(X0, dtype=float)
-    h = np.asarray(dt, dtype=float) / steps
-    if h.ndim:
-        h = h[:, None]
+    X = np.array(np.asarray(X0, dtype=float).T, order="C")
+    h = np.asarray(dt, dtype=float) / steps  # one per point: along the last axis of X
+    half, sixth = 0.5 * h, h / 6.0
+    k1, k2, k3, k4 = (np.empty((len(tape.outputs), X.shape[1])) for _ in range(4))
+    Y = np.empty_like(X)
     for _ in range(steps):
-        k1 = f(X)
-        k2 = f(X + 0.5 * h * k1)
-        k3 = f(X + 0.5 * h * k2)
-        k4 = f(X + h * k3)
-        X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > _BLOWUP:
+        field(X, k1)
+        np.add(X, np.multiply(half, k1, out=Y), out=Y)
+        field(Y, k2)
+        np.add(X, np.multiply(half, k2, out=Y), out=Y)
+        field(Y, k3)
+        np.add(X, np.multiply(h, k3, out=Y), out=Y)
+        field(Y, k4)
+        k2 *= 2  # k1 + 2 * k2 + 2 * k3 + k4, summed left to right
+        k2 += k1
+        k3 *= 2
+        k2 += k3
+        k2 += k4
+        k2 *= sixth
+        X += k2
+        if not np.abs(X).max() <= _BLOWUP:  # NaN and inf fail too
             raise AdvectionError("flow left the computational domain (blow-up)")
-    return X
+    return np.ascontiguousarray(X.T)
 
 
 def _default_steps(dt: float) -> int:

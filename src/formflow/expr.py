@@ -1186,11 +1186,13 @@ class Tape:
         there, per row, the largest magnitude over its node's subtree."""
         k, n = points.shape
         one = np.ones(k)
+        code = self.code
         if slots is None:
-            slots = [None] * len(self.code)
+            slots = [None] * len(code)
         flags = "ignore" if sweep else "raise"
         with np.errstate(over=flags, divide=flags, invalid="ignore", under="ignore"):
-            for i, (op, arg, operands) in enumerate(self.code[start:], start):
+            for i in range(start, len(code)):
+                op, arg, operands = code[i]
                 load = False
                 if op == _PRODUCT:
                     # 1.0 * x is x to the bit: the product of the factors alone

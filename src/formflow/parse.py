@@ -80,21 +80,21 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             col += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if c.isdecimal() or (c == "." and i + 1 < n and text[i + 1].isdecimal()):
             start = i
             start_col = col
             has_dot = False
             has_exp = False
             while i < n:
                 ch = text[i]
-                if ch.isdigit():
+                if ch.isdecimal():
                     i += 1
                 elif ch == "." and not has_dot and not has_exp:
                     has_dot = True
                     i += 1
                 elif ch in "eE" and not has_exp and i + 1 < n and (
-                    text[i + 1].isdigit()
-                    or (text[i + 1] in "+-" and i + 2 < n and text[i + 2].isdigit())
+                    text[i + 1].isdecimal()
+                    or (text[i + 1] in "+-" and i + 2 < n and text[i + 2].isdecimal())
                 ):
                     has_exp = True
                     i += 1

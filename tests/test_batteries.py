@@ -14,7 +14,9 @@ import pytest
 import formflow.batteries as bt
 import formflow.chains as ch
 import formflow.cli as cli
+import formflow.expr as ex
 import formflow.finite_topology as ft
+import formflow.parse as ps
 import formflow.pfaff as pf
 import formflow.systems as sy
 import formflow.thermo as th
@@ -172,3 +174,49 @@ def test_dA_is_zero_tested_once_per_run(preset, monkeypatch):
         a = anatomies[0]
         assert sum(w is a.dA for w in tested) == 1, batteries
         assert ("sequence" in vars(a)) == ("pfaff" in batteries), batteries
+
+
+def _sample_alone(rt, *es):
+    """Runtime.sample as one one-root tape per expression."""
+    out = []
+    for e in es:
+        try:
+            out.append(ex.Tape((e,)).at(rt.probe_point(), rt.params)[0])
+        except ex.ExprError:
+            out.append(None)
+    return out
+
+
+@pytest.mark.parametrize("preset, battery", [
+    ("em.torsion_nonzero", "pfaff"), ("euler.rigid_rotation", "pfaff"),
+    ("em.torsion_nonzero", "residuals"),
+])
+def test_probe_samples_run_one_tape_per_call_site(preset, battery, monkeypatch):
+    # gamma and the parity coefficient are sampled from one tape, and the
+    # report bytes are those of sampling each from its own tape
+    text = f"[run]\npreset = {preset}\nbattery = {battery}\n"
+    monkeypatch.setattr(bt.Runtime, "sample", _sample_alone)
+    want = cli.run(cli.parse_config(text)).to_json()
+    monkeypatch.undo()
+    compiled, calls = [], []
+    init, sample = ex.Tape.__init__, bt.Runtime.sample
+    monkeypatch.setattr(
+        ex.Tape, "__init__", lambda self, roots=(): compiled.append(roots) or init(self, roots)
+    )
+    monkeypatch.setattr(
+        bt.Runtime, "sample", lambda rt, *es: calls.append(len(compiled)) or sample(rt, *es)
+    )
+    assert cli.run(cli.parse_config(text)).to_json() == want
+    assert len(calls) == 1
+    assert len(compiled[calls[0]]) == 2  # the probe tape: gamma, then the parity coefficient
+
+
+def test_probe_sample_of_a_singular_or_unbound_root_is_none():
+    rt = sy.get_preset("em.torsion_nonzero")
+    x = rt.probe_point()[0]
+    fine, singular = (ps.parse_scalar(t, rt.chart) for t in ("y + 2", f"1 / (x - {x!r})"))
+    unbound = ex.param("no_such_param")
+    assert rt.sample(fine, singular) == [_sample_alone(rt, fine)[0], None]
+    # an unbound parameter fails the run as a whole: each is sampled alone
+    assert rt.sample(fine, unbound, singular) == [_sample_alone(rt, fine)[0], None, None]
+    assert _sample_alone(rt, singular, unbound) == [None, None]

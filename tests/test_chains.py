@@ -401,6 +401,7 @@ def test_quadrature_and_interpolation_constants_are_read_only():
     nodes = ch._lobatto_nodes(7)
     query = ch._gl_axis(8)[0]
     cached = [
+        nodes,
         *ch._gl_axis(8),
         ch._gl_weights(8, 3),
         ch._axis_operator(ch._axis_bytes(nodes), ch._axis_bytes(query), False),
@@ -409,7 +410,7 @@ def test_quadrature_and_interpolation_constants_are_read_only():
     for a in cached:
         with pytest.raises(ValueError):
             a[0] = 1.0
-    assert ch._gl_axis(8)[0] is query
+    assert ch._gl_axis(8)[0] is query and ch._lobatto_nodes(7) is nodes
 
 
 def _exact_det(M) -> Fraction:
@@ -441,8 +442,18 @@ def _exact_permanent(M) -> Fraction:
 
 
 def _minors_of(J: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
-    """`_Quadrature.minor` on the stacked Jacobians J."""
-    return ch._Quadrature.minor(SimpleNamespace(_flatJ=J, _minors={}), idx)
+    """`_Quadrature.minor` on the stacked Jacobians J, shaped (rows, n, p),
+    held as the quadrature holds them: one contiguous array per entry."""
+    entries = np.ascontiguousarray(np.moveaxis(J, 0, -1))
+    return ch._Quadrature.minor(SimpleNamespace(_J=entries, _minors={}), idx)
+
+
+def _grids_of(cell, axes) -> tuple[np.ndarray, np.ndarray]:
+    """The cell's map and Jacobian at the grid of axes, shaped (m, n) and
+    (m, n, p), from the rows `grids` gives."""
+    n, p = cell.chart.dim, cell.degree
+    rows = np.asarray(cell.grids(axes))
+    return rows[:n].T, np.moveaxis(rows[n:].reshape(n, p, -1), -1, 0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -525,6 +536,66 @@ def test_rk4_flow_runs_one_tape_per_stage(monkeypatch):
     assert runs == [V.tape] * 20
 
 
+def _swirl_with_param():
+    return fm.VectorField(CHART, (
+        scalar("-k*y + 0.3*z^2"), scalar("x + 0.2*sin(t)"), scalar("0.25*cos(x)*y"), ex.ONE,
+    ))
+
+
+@pytest.mark.parametrize("steps", [1, 5])
+def test_rk4_flow_matches_the_reference_bit_for_bit(steps):
+    # the points are held one row per coordinate and the stages run in
+    # place, with the reference's arithmetic in the reference's order
+    V, params = _swirl_with_param(), {"k": 1.3}
+    X0 = np.random.default_rng(7).uniform(-1.0, 1.0, size=(30, 4))
+    kept = X0.copy()
+    got = ch.rk4_flow(V, X0, 0.1, steps, params)
+    assert np.array_equal(got, oc.reference_rk4_flow(V, X0, 0.1, steps, params))
+    assert got.shape == X0.shape and got.flags.c_contiguous
+    # one time per row: each block of rows moves as the reference moves it
+    dts = np.repeat([0.1, -0.05, 0.3], 10)
+    want = [oc.reference_rk4_flow(V, X0[i : i + 10], dts[i], steps, params) for i in (0, 10, 20)]
+    assert np.array_equal(ch.rk4_flow(V, X0, dts, steps, params), np.concatenate(want))
+    assert np.array_equal(X0, kept)
+
+
+def test_rk4_flow_raises_like_the_reference():
+    # a row whose second stage crosses x = 0, where ln(x) is singular, and
+    # a row that leaves every bound under x' = x^2 + 1 while the rest stay
+    X0 = np.random.default_rng(8).uniform(0.5, 1.0, size=(30, 4))
+    X0[17, 0] = 0.01
+    V = fm.VectorField(CHART, (ex.Const(-1.0), scalar("ln(x)"), ex.ZERO, ex.ZERO))
+    got = _raised(lambda: ch.rk4_flow(V, X0, 0.1, 1))
+    _raised_alike(got, _raised(lambda: oc.reference_rk4_flow(V, X0, 0.1, 1)))
+    assert isinstance(got, ex.SingularityError) and "ln(x0) at point (-0.04, " in str(got)
+    X0 = np.random.default_rng(9).uniform(-3.0, -1.0, size=(30, 4))
+    X0[11, 0] = 3.0
+    V = _blowup_field()
+    got = _raised(lambda: ch.rk4_flow(V, X0, 0.6, 8))
+    _raised_alike(got, _raised(lambda: oc.reference_rk4_flow(V, X0, 0.6, 8)))
+    assert isinstance(got, ch.AdvectionError)
+    assert np.all(np.abs(ch.rk4_flow(V, np.delete(X0, 11, axis=0), 0.6, 8)) < 1e8)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_quadrature_rows_are_the_reference_grids(degree):
+    # each segment's points and Jacobians are the reference grids, for
+    # expression and interpolated cells, the four stacked copies of a
+    # stencil, and copies that do not stack; every coordinate and every
+    # Jacobian entry is one contiguous array over the rows
+    params, n = {"r": 0.55}, CHART.dim
+    base, moved = _chains(degree)
+    for copies in ([base], [moved], _copies(base, 0.02, params), [base, moved, moved, base]):
+        quad = ch._Quadrature(copies, None, params)
+        assert quad.flatX.T.flags.c_contiguous and quad._J.flags.c_contiguous
+        for cell, bound, start, stop, *_, fine in quad.segments:
+            axes = [ch._gl_axis(2 * quad.order if fine else quad.order)[0]] * degree
+            X = oc.reference_eval_grid(cell, axes, bound).reshape(-1, n)
+            J = oc.reference_jacobian_grid(cell, axes, bound).reshape(-1, n, degree)
+            assert np.array_equal(quad.flatX[start:stop], X)
+            assert np.array_equal(np.moveaxis(quad._J[..., start:stop], -1, 0), J)
+
+
 def test_expr_cell_compiles_one_map_tape(monkeypatch):
     # the coordinate check and the node grid of advection read one tape of
     # the map alone; the map with its partials is compiled for quadrature
@@ -574,7 +645,7 @@ def test_interp_cell_grids_match_axis_by_axis_composition(monkeypatch, degree):
     applied = []
     real = ch._apply_axis
     monkeypatch.setattr(ch, "_apply_axis", lambda *a: applied.append(a[2]) or real(*a))
-    X, J = cell.grids(axes)
+    X, J = _grids_of(cell, axes)
     # the shared interpolation prefix: 2, 5 and 9 operators for degrees 1-3
     assert len(applied) == degree * (degree + 3) // 2
     monkeypatch.setattr(ch, "_apply_axis", real)
@@ -768,7 +839,7 @@ def test_stacked_contraction_matches_each_cell_alone(degree):
         J = np.empty(X.shape + (degree,))
         ch._interp_grids(np.stack([c.values for c in cells]), node_axes, axes, X, J)
         for cell, Xc, Jc in zip(cells, X, J):
-            alone = cell.grids(axes)
+            alone = _grids_of(cell, axes)
             assert np.array_equal(Xc.reshape(-1, chart.dim), alone[0])
             assert np.array_equal(Jc.reshape(-1, chart.dim, degree), alone[1])
             assert np.array_equal(Xc, oc.reference_eval_grid(cell, axes))

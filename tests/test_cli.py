@@ -901,6 +901,16 @@ def test_a_singular_integrand_is_named_in_the_chart_coordinates(chart, x, tmp_pa
     )
 
 
+def test_a_superscript_digit_is_a_located_config_error(tmp_path, capsys):
+    cfg = tmp_path / "square.cfg"
+    cfg.write_text("[system]\naction = 2\u00b2*y, 0, 0, 0\n")
+    assert cli.main(["run", str(cfg), "--no-summary"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "config error: line 2, column 10: line 1, column 2: unexpected character '\u00b2'\n"
+    )
+
+
 def test_constant_power_past_the_float_range_is_a_singularity(tmp_path, capsys):
     # 10^400 stays an unfolded power, which overflows at every sample
     cfg = tmp_path / "pow.cfg"

@@ -37,6 +37,21 @@ def test_parse_error_position():
     assert "line 1, column 5" in str(info.value)
 
 
+def test_numbers_take_decimal_digits_only():
+    # a superscript is a digit to str.isdigit but not to float: it is an
+    # unexpected character at its column, while a decimal digit of another
+    # script parses as the number it is, and a name may end in a superscript
+    with pytest.raises(ps.ParseError) as info:
+        ps.parse_scalar("2\u00b2*y", CHART)
+    assert (info.value.line, info.value.column) == (1, 2)
+    assert "unexpected character '\u00b2'" in str(info.value)
+    with pytest.raises(ps.ParseError, match="column 3: unexpected character '\u00b2'"):
+        ps.parse_scalar("1.\u00b2", CHART)
+    assert ps.parse_scalar("\u0663*y", CHART) == ps.parse_scalar("3*y", CHART)
+    assert ps.parse_scalar("2.5e\u0663", CHART) == ps.parse_scalar("2500.0", CHART)
+    assert ex.Tape((ps.parse_scalar("x\u00b2*y", CHART),)).params == ("x\u00b2",)
+
+
 def test_unbalanced_parenthesis():
     with pytest.raises(ps.ParseError):
         ps.parse_scalar("sin(x", CHART)
