@@ -152,13 +152,12 @@ class Runtime:
 
     def sample(self, *es: ex.ScalarExpr) -> list[float | None]:
         """Each of es at the probe point, from one run of their tape, or
-        None where it is singular there.  If the run fails as a whole (an
-        unbound parameter, say), each is sampled alone."""
+        None where it is singular there; all None if the run fails."""
         try:
             tape = ex.Tape(es)
             slots = tape.run(np.array([self.probe_point()], dtype=float), self.params)
         except ex.ExprError:
-            return [self.sample(e)[0] for e in es] if len(es) > 1 else [None]
+            return [None] * len(es)
         values = [float(slots[s][0]) for s in tape.outputs]
         return [None if math.isnan(v) else v for v in values]
 

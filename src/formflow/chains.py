@@ -15,10 +15,8 @@ form's coefficients are evaluated in one run of its tape; RK4 advection
 runs the field's tape once per stage.  Both kernels hold their points
 coordinate-major, one contiguous array per coordinate (and per Jacobian
 entry): the tape reads each coordinate as a row of the transposed view,
-and each of its output arrays becomes a row as it is.  RK4 checks a
-stage's field values for NaN in one pass, and only a NaN sends it to the
-tape for the error.  Each Jacobian minor of the pullback
-is the Leibniz expansion in a fixed term order, so a 1 x 1 minor is the
+and each of its output arrays becomes a row as it is.  Each Jacobian
+minor of the pullback is the Leibniz expansion in a fixed term order, so a 1 x 1 minor is the
 Jacobian entry itself and integral bytes depend on IEEE arithmetic alone,
 not on the LAPACK build numpy ships with.  Invariance of an integral under a
 flow is tested as the t-derivative at t = 0 of the integral over the
@@ -618,17 +616,9 @@ def rk4_flow(
     bound = dict(params or {})
 
     def field(P: np.ndarray, out: np.ndarray) -> None:
-        """V at the points P into the rows of out, from one run of its tape;
-        a failure raises the error tape.values raises."""
-        try:
-            slots = tape.run(P.T, bound)
-        except ex.EvalError:
-            slots = None
-        if slots is not None:
-            for row, s in zip(out, tape.outputs):
-                row[...] = slots[s]
-        if slots is None or np.isnan(out).any():
-            tape.values(P.T, bound)
+        """V at the points P into the rows of out, from one run of its tape."""
+        for row, v in zip(out, tape.values(P.T, bound)):
+            row[...] = v
 
     X = np.array(np.asarray(X0, dtype=float).T, order="C")
     h = np.asarray(dt, dtype=float) / steps  # one per point: along the last axis of X

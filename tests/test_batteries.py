@@ -217,6 +217,6 @@ def test_probe_sample_of_a_singular_or_unbound_root_is_none():
     fine, singular = (ps.parse_scalar(t, rt.chart) for t in ("y + 2", f"1 / (x - {x!r})"))
     unbound = ex.param("no_such_param")
     assert rt.sample(fine, singular) == [_sample_alone(rt, fine)[0], None]
-    # an unbound parameter fails the run as a whole: each is sampled alone
-    assert rt.sample(fine, unbound, singular) == [_sample_alone(rt, fine)[0], None, None]
+    # an unbound parameter fails the run as a whole: every root is None
+    assert rt.sample(fine, unbound, singular) == [None, None, None]
     assert _sample_alone(rt, singular, unbound) == [None, None]
