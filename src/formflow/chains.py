@@ -1,16 +1,17 @@
 """Integration of p-forms over parametrized chains, chain advection, and
 instantaneous integral-invariance checks.
 
-A chain is a weighted list of cells, each a smooth map from the unit
-p-cube into the chart.  Cells come in two flavours: ExprCell holds the map
-symbolically (components are expressions in the cube parameters u0..u_{p-1});
-InterpCell holds it numerically as tensor-product Chebyshev-Lobatto node
-values with barycentric evaluation, which is how advected cells are
-re-fitted after their nodes are pushed along a flow.
+A chain is one cell, a smooth map from the unit p-cube into the chart,
+as a config's [chain NAME] declares it.  Cells come in two flavours:
+ExprCell holds the map symbolically (components are expressions in the
+cube parameters u0..u_{p-1}); InterpCell holds it numerically as
+tensor-product Chebyshev-Lobatto node values with barycentric evaluation,
+which is how advected cells are re-fitted after their nodes are pushed
+along a flow.
 
-Integration pulls the form back through each cell map and applies
+Integration pulls the form back through the cell map and applies
 Gauss-Legendre quadrature; the reported error estimate comes from doubling
-the order.  The rows of every cell at both orders are stacked, and the
+the order.  The rows of the cell at both orders are stacked, and the
 form's coefficients are evaluated in one run of its tape; RK4 advection
 runs the field's tape once per stage.  Both kernels hold their points
 coordinate-major, one contiguous array per coordinate (and per Jacobian
@@ -25,7 +26,7 @@ integral of the Lie derivative over the original chain, which is the
 identity the theorem checks rest on.
 
 Inside a run memo, a chain's quadrature (the grids and Jacobians of its
-cells at both orders, and each Jacobian minor) is built once per run and
+cell at both orders, and each Jacobian minor) is built once per run and
 order and serves every form integrated over the chain in that run: the
 base and Lie integrals of each process's invariance checks, the periods of
 R and W in thermo, and those of A.
@@ -34,8 +35,8 @@ invariance_checks takes every (form, chain) pair of one flow at once: all
 chains are advected to the four stencil times in one RK4 run per step
 count, and the base and Lie integrals read the chain's run quadrature.  The
 four advected copies of a chain are integrated in one stacked pass: at each
-quadrature order a cell's copies are interpolated as one stack, one matmul
-per axis operator whose items are the products of one cell alone, and the
+quadrature order the copies are interpolated as one stack, one matmul per
+axis operator whose items are the products of one copy alone, and the
 form's tape runs once over the rows of all four, so the integrals equal
 four one-copy integrals bit for bit.  The rows go copy by copy, so the
 pass raises the error that four one-copy integrals taken in turn meet
@@ -48,7 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -108,7 +109,6 @@ class ExprCell:
     chart: Chart
     degree: int
     components: tuple[ScalarExpr, ...]
-    params: dict[str, float] = field(default_factory=dict)
     name: str = ""
     map_tape: ex.Tape = field(init=False, repr=False, compare=False)  # the components alone
 
@@ -126,11 +126,6 @@ class ExprCell:
             )
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "map_tape", map_tape)
-
-    def _bound(self, params: Mapping[str, float] | None) -> dict[str, float]:
-        merged = dict(self.params)
-        merged.update(params or {})
-        return merged
 
     @functools.cached_property
     def partials(self) -> tuple[tuple[ScalarExpr, ...], ...]:
@@ -150,13 +145,13 @@ class ExprCell:
         """The rows of the map and its Jacobian at the grid of axes (C
         order): the n components, then the n * p entries (i, j) in C order,
         each one array over the grid, from one run of the cell's tape."""
-        return self.tape.values(_grid_points(axes), self._bound(params))
+        return self.tape.values(_grid_points(axes), params or {})
 
     def eval_grid(
         self, axes: Sequence[np.ndarray], params: Mapping[str, float] | None = None
     ) -> np.ndarray:
         """The map alone at the grid of axes, from one run of map_tape."""
-        cols = self.map_tape.values(_grid_points(axes), self._bound(params))
+        cols = self.map_tape.values(_grid_points(axes), params or {})
         return np.stack(cols, axis=-1).reshape(tuple(len(a) for a in axes) + (self.chart.dim,))
 
 
@@ -262,14 +257,11 @@ def _interp_grids(
     forward axis by axis, and Jacobian column j branches off it at axis j,
     so no prefix is applied twice."""
     p = len(axes)
-
-    def operator(k: int, derivative: bool) -> np.ndarray:
-        return _axis_operator(_axis_bytes(node_axes[k]), _axis_bytes(axes[k]), derivative)
-
-    interp = [operator(k, False) for k in range(p)]
+    keys = [(_axis_bytes(a), _axis_bytes(q)) for a, q in zip(node_axes, axes)]
+    interp = [_axis_operator(*key, False) for key in keys]
     prefix = values
     for j in range(p):
-        column = _apply_axis(operator(j, True), prefix, j, 1)
+        column = _apply_axis(_axis_operator(*keys[j], True), prefix, j, 1)
         for k in range(j + 1, p):
             column = _apply_axis(interp[k], column, k, 1)
         J[..., j] = column
@@ -317,49 +309,35 @@ class InterpCell:
             out = _apply_axis(op, out, k)
         return out
 
-    def grids(
-        self, axes: Sequence[np.ndarray], params: Mapping[str, float] | None = None
-    ) -> np.ndarray:
-        """The rows of the map and its Jacobian at the grid of axes (C
-        order), as ExprCell.grids gives them: _interp_grids on a stack of
-        one."""
-        n, p = self.chart.dim, self.degree
-        grid = tuple(len(a) for a in axes)
-        rows = np.empty((n + n * p, math.prod(grid)))
-        X, J = _point_views(rows[:n, None], rows[n:].reshape(n, p, 1, -1), grid)
-        _interp_grids(self.values[None], self.node_axes, axes, X, J)
-        return rows
-
 
 Cell = ExprCell | InterpCell
 
 
 @dataclass(frozen=True)
 class Chain:
-    """Oriented formal sum of cells of one degree."""
+    """One cell, as a config's [chain NAME] declares it; its degree and
+    name are the cell's."""
 
-    degree: int
-    cells: tuple[Cell, ...]
-    orientations: tuple[int, ...] = ()
+    cell: Cell
     closed: bool = False
-    name: str = ""
 
     def __post_init__(self):
-        if not self.cells:
-            raise ChainError("chain needs at least one cell")
-        if not self.orientations:
-            object.__setattr__(self, "orientations", (1,) * len(self.cells))
-        if len(self.orientations) != len(self.cells):
-            raise ChainError("one orientation per cell required")
-        if any(o not in (1, -1) for o in self.orientations):
-            raise ChainError("orientations must be +1 or -1")
-        for c in self.cells:
-            if c.degree != self.degree:
-                raise ChainError(
-                    f"cell of degree {c.degree} in a degree-{self.degree} chain"
-                )
         if not 1 <= self.degree <= 4:
             raise ChainError("chain degree must be between 1 and 4")
+
+    @property
+    def degree(self) -> int:
+        return self.cell.degree
+
+    @property
+    def name(self) -> str:
+        return self.cell.name
+
+    @property
+    def cells(self) -> tuple[Cell]:
+        # read only by bench/tracing.py's _count_integrate, until ROADMAP
+        # item 5's run trace replaces its wrappers
+        return (self.cell,)
 
 
 # ---------------------------------------------------------------------------
@@ -394,87 +372,64 @@ def _leibniz_terms(k: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
     )
 
 
-def _cell_bound(cell: Cell, params: Mapping[str, float] | None) -> dict[str, float]:
-    bound = dict(getattr(cell, "params", {}) or {})
-    bound.update(params or {})
-    return bound
-
-
-def _one_stack(cells: Sequence[Cell]) -> bool:
-    """Whether the cells are InterpCells on one set of node axes, as the
-    copies of a cell that _advect_all refits are."""
-    return all(isinstance(c, InterpCell) and c.node_axes is cells[0].node_axes for c in cells)
-
-
 class _Quadrature:
-    """Every cell of one or more copies of a chain on the Gauss-Legendre
-    grids of both orders (order, then 2 * order).  The copies share their
-    degree, chart and number of cells: the stencil's copies are one chain
-    advected to four times.
+    """A chain, or copies of one, on the Gauss-Legendre grids of both
+    orders (order, then 2 * order), in one of two layouts: expression
+    cells, as a base chain holds, evaluated segment by segment, or the
+    interpolated copies _advect_all returns, which share one node_axes
+    tuple and are interpolated as one stack.  Other copies raise ChainError.
 
-    Rows go copy by copy, order by order, cell by cell into one
-    preallocated array, stored coordinate-major: one contiguous array per
-    coordinate, then one per Jacobian entry, so the tape reads each
-    coordinate as a contiguous row and its outputs are written to rows as
-    they are.  flatX, shaped (rows, n), is the transposed view the tape
-    runs on.  The copies of one cell that share their node axes are
-    interpolated as one stack, each Jacobian minor is computed once over
-    all rows, and both are shared by every form integrated over the
-    copies.  A cell map that fails to evaluate is kept and raised by
-    `integrals`, once the cells before it are known to integrate."""
+    Rows go copy by copy, order by order into one preallocated array,
+    stored coordinate-major: one contiguous array per coordinate, then one
+    per Jacobian entry, so the tape reads each coordinate as a contiguous
+    row and its outputs are written to rows as they are.  flatX, shaped
+    (rows, n), is the transposed view the tape runs on; segments holds the
+    (start, stop) of each copy's rows at each order.  Each Jacobian minor
+    is computed once over all rows.  A cell map that fails to evaluate at
+    an order is kept and raised by `integrals`, once the rows before it
+    are known to integrate."""
 
     def __init__(
         self, copies: Sequence[Chain], order: int | None, params: Mapping[str, float] | None
     ):
-        self.copies = tuple(copies)
-        cells = self.copies[0].cells
-        self.degree = p = self.copies[0].degree
+        self.copies, self.params = tuple(copies), dict(params or {})
+        cells = [copy.cell for copy in self.copies]
+        self.degree = p = cells[0].degree
         self.order = order or DEFAULT_QUAD_ORDER[p]
         orders = (self.order, 2 * self.order)
-        n, nc, s = cells[0].chart.dim, len(cells), len(self.copies)
-        per_copy = nc * sum(o**p for o in orders)
+        n, s, coarse = cells[0].chart.dim, len(cells), self.order**p
+        per_copy = coarse + (2 * self.order) ** p
         # the n coordinates, then the n * p Jacobian entries (i, j) in C order
         self._rows = np.empty((n + n * p, s * per_copy))
         self.flatX = self._rows[:n].T
         self._J = self._rows[n:].reshape(n, p, -1)
-        # (cell, bound, start, stop, orientation, weights, copy, fine) in row order
-        self.segments: list[tuple] = []
-        for t, copy in enumerate(self.copies):
-            start = t * per_copy
-            for o in orders:
-                for cell, ori in zip(copy.cells, copy.orientations):
-                    stop = start + o**p
-                    bound = _cell_bound(cell, params)
-                    self.segments.append(
-                        (cell, bound, start, stop, ori, _gl_weights(o, p), t, o != self.order)
-                    )
-                    start = stop
+        self.segments = [
+            (start + a, start + b)
+            for start in range(0, s * per_copy, per_copy)
+            for a, b in ((0, coarse), (coarse, per_copy))
+        ]
         self.failure: ex.EvalError | None = None
         self._minors: dict[tuple[int, ...], np.ndarray] = {}
+        if all(isinstance(c, ExprCell) for c in cells):
+            # segment by segment: a failure keeps the segments before it
+            for i, (start, stop) in enumerate(self.segments):
+                try:
+                    values = cells[i // 2].grids([_gl_axis(orders[i % 2])[0]] * p, self.params)
+                except ex.EvalError as err:
+                    self.failure = err
+                    del self.segments[i:]
+                    return
+                for row, v in zip(self._rows, values):
+                    row[start:stop] = v
+            return
+        nodes = getattr(cells[0], "node_axes", None)
+        if not all(isinstance(c, InterpCell) and c.node_axes is nodes for c in cells):
+            raise ChainError("copies stack only as interpolated cells on one node grid")
+        values = np.stack([cell.values for cell in cells])
         X, J = self._rows[:n].reshape(n, s, -1), self._J.reshape(n, p, s, -1)
-        stacked = [_one_stack([copy.cells[c] for copy in self.copies]) for c in range(nc)]
-        first = 0  # the order's first row within a copy
-        for o in orders:
-            axes, grid = [_gl_axis(o)[0]] * p, (o,) * p
-            rows = slice(first, first + nc * o**p)
-            Xo, Jo = _point_views(X[..., rows], J[..., rows], (nc,) + grid)
-            first = rows.stop
-            for c in itertools.compress(range(nc), stacked):
-                stack = [copy.cells[c] for copy in self.copies]
-                values = np.stack([cell.values for cell in stack])
-                _interp_grids(values, stack[0].node_axes, axes, Xo[:, c], Jo[:, c])
-        # the other cells in row order: a failure keeps the segments before it
-        for i, (cell, bound, start, stop, *_, fine) in enumerate(self.segments):
-            if stacked[i % nc]:
-                continue
-            try:
-                values = cell.grids([_gl_axis(orders[fine])[0]] * p, bound)
-            except ex.EvalError as err:
-                self.failure = err
-                del self.segments[i:]
-                return
-            for row, v in zip(self._rows, values):
-                row[start:stop] = v
+        for o, (start, stop) in zip(orders, self.segments):
+            views = _point_views(X[..., start:stop], J[..., start:stop], (o,) * p)
+            _interp_grids(values, nodes, [_gl_axis(o)[0]] * p, *views)
 
     def minor(self, idx: tuple[int, ...]) -> np.ndarray:
         """det of the Jacobian rows idx at every stacked row, by the Leibniz
@@ -513,13 +468,14 @@ class _Quadrature:
         for idx, coeff_vals in zip(w.coeffs, coeffs):
             vals += coeff_vals * self.minor(idx)
         coarse, fine, scale = ([0.0] * len(self.copies) for _ in range(3))
-        for _, _, start, stop, ori, weight, t, is_fine in self.segments:
-            part = vals[start:stop]
-            if is_fine:
-                fine[t] += ori * float(part @ weight)
+        weights = [_gl_weights(o, self.degree) for o in (self.order, 2 * self.order)]
+        for i, (start, stop) in enumerate(self.segments):
+            part, weight, t = vals[start:stop], weights[i % 2], i // 2
+            if i % 2:
+                fine[t] += float(part @ weight)
                 scale[t] += float(np.abs(part) @ weight)
             else:
-                coarse[t] += ori * float(part @ weight)
+                coarse[t] += float(part @ weight)
         return [
             IntegralResult(f, abs(f - c), a, self.order) for c, f, a in zip(coarse, fine, scale)
         ]
@@ -529,25 +485,19 @@ def _coefficients(w: DifferentialForm, quad: _Quadrature) -> list[np.ndarray] | 
     """The form's coefficients at the rows of every segment of quad, from
     one run of the form's tape.  A failure is raised as evaluating segment
     by segment, coefficient by coefficient would."""
-    segments = quad.segments
-    X = quad.flatX[: segments[-1][3]]
+    X = quad.flatX[: quad.segments[-1][1]]
     try:
-        sizes = [stop - start for _, _, start, stop, *_ in segments]
-        stacked = {
-            nm: np.repeat([float(bound[nm]) for _, bound, *_ in segments], sizes)
-            for nm in w.tape.params
-        }
-        slots = w.tape.run(X, stacked)
+        slots = w.tape.run(X, quad.params)
         coeffs = [slots[s] for s in w.tape.outputs]
-    except (KeyError, ex.EvalError):  # a cell lacks a parameter, or a bad index
+    except ex.EvalError:  # an unbound parameter, or a bad index
         coeffs = None
     if coeffs is None or any(np.isnan(v).any() for v in coeffs):
-        for cell, bound, start, stop, *_ in segments:
+        for i, (start, stop) in enumerate(quad.segments):
             try:
-                w.tape.values(X[start:stop], bound, w.chart)
+                w.tape.values(X[start:stop], quad.params, w.chart)
             except SingularityError as err:
                 raise SingularityError(
-                    f"integrand singular on cell {cell.name or '?'}: {err}",
+                    f"integrand singular on cell {quad.copies[i // 2].name or '?'}: {err}",
                     err.subexpression,
                     err.point,
                 ) from err
@@ -564,7 +514,7 @@ def integrate(
     estimate; `scale` is the integral of the absolute pulled-back integrand,
     the natural yardstick for zero tests on the result.
 
-    The grid and Jacobian of every cell at both orders are built first; the
+    The grid and Jacobian of the cell at both orders are built first; the
     form's tape then runs once over all their rows.  Inside a run memo they
     are built once per chain, order and params (see _quadrature)."""
     return _quadrature(chain, order, params).integrals(w)[0]
@@ -659,22 +609,21 @@ def _advect_all(
     """Each chain advected along V to each of times, in order: one list of
     len(times) chains per chain.
 
-    Each cell's node grid is evaluated once; the grids of every cell of
-    every chain are stacked once per nonzero time, and all times that take
-    the same number of steps run in one rk4_flow call.  Rows do not
-    interact, so each chain moves exactly as it would alone.  Time 0 gives
-    the chain itself.
+    Each chain's node grid is evaluated once; the grids of every chain are
+    stacked once per nonzero time, and all times that take the same number
+    of steps run in one rk4_flow call.  Rows do not interact, so each chain
+    moves exactly as it would alone.  The copies of a chain share one
+    node_axes tuple, so _Quadrature stacks them.  Time 0 gives the chain
+    itself.
     """
     if not chains or all(t == 0.0 for t in times):
         return [[chain] * len(times) for chain in chains]
-    cells = [cell for chain in chains for cell in chain.cells]
     axes, grids = [], []
-    for cell in cells:
+    for cell in (chain.cell for chain in chains):
         if isinstance(cell, InterpCell):
             axes.append(cell.node_axes)
         else:
-            n = DEFAULT_FIT_NODES[cell.degree]
-            axes.append(tuple(_lobatto_nodes(n) for _ in range(cell.degree)))
+            axes.append((_lobatto_nodes(DEFAULT_FIT_NODES[cell.degree]),) * cell.degree)
         grids.append(cell.eval_grid(axes[-1], params))
     X0 = np.concatenate([X.reshape(-1, X.shape[-1]) for X in grids])
     cuts = np.cumsum([X.size // X.shape[-1] for X in grids])[:-1]
@@ -690,11 +639,10 @@ def _advect_all(
         moved.update(zip(members, np.split(out, len(members))))
 
     def refit(block: np.ndarray) -> list[Chain]:
-        fitted = iter(
-            InterpCell(c.chart, c.degree, ax, part.reshape(X.shape), c.name)
-            for c, ax, X, part in zip(cells, axes, grids, np.split(block, cuts))
-        )
-        return [replace(c, cells=tuple(itertools.islice(fitted, len(c.cells)))) for c in chains]
+        return [
+            Chain(InterpCell(c.cell.chart, c.degree, ax, part.reshape(X.shape), c.name), c.closed)
+            for c, ax, X, part in zip(chains, axes, grids, np.split(block, cuts))
+        ]
 
     at_time = [refit(moved[i]) if i in moved else list(chains) for i in range(len(times))]
     return [list(per_chain) for per_chain in zip(*at_time)]
@@ -707,7 +655,7 @@ def advect(
     steps: int | None = None,
     params: Mapping[str, float] | None = None,
 ) -> Chain:
-    """Advect every cell node grid along V and re-fit polynomial cells."""
+    """Advect the cell's node grid along V and re-fit a polynomial cell."""
     return _advect_all([chain], V, (dt,), steps, params)[0][0]
 
 

@@ -184,18 +184,25 @@ def _split_sections(text: str) -> dict[str, _Section]:
     return sections
 
 
-def _csv(entry: _Entry) -> tuple[str, ...]:
-    """The value's pieces between commas outside parentheses: atan2(y, x) is one."""
-    pieces, depth = [""], 0
-    for c in entry.value:
+def _pieces(entry: _Entry, sep: str = ",") -> list[tuple[int, str]]:
+    """The value's nonempty pieces between separators, stripped, each with
+    the offset of its first character in the value.  A separator inside
+    parentheses separates nothing: atan2(y, x) is one piece."""
+    pieces, depth, start = [], 0, 0
+    for i, c in enumerate(entry.value + sep):
         depth += (c == "(") - (c == ")")
-        if c == "," and depth == 0:
-            pieces.append("")
-        else:
-            pieces[-1] += c
+        if c == sep and depth == 0:
+            piece = entry.value[start:i]
+            if piece.strip():
+                pieces.append((start + len(piece) - len(piece.lstrip()), piece.strip()))
+            start = i + 1
     if depth:
         raise ConfigError("unbalanced parentheses", entry.line, entry.column)
-    return tuple(p.strip() for p in pieces if p.strip())
+    return pieces
+
+
+def _csv(entry: _Entry) -> tuple[str, ...]:
+    return tuple(text for _, text in _pieces(entry))
 
 
 def _float(entry: _Entry, text: str) -> float:
@@ -294,12 +301,15 @@ def _names(what: str) -> Callable[[_Entry, _Scope], tuple[str, ...]]:
     return read
 
 
-def _parsed(e: _Entry, s: _Scope, text: str, guard_only: bool = False) -> Source:
+def _parsed(e: _Entry, s: _Scope, text: str, guard_only: bool = False, at: int = 0) -> Source:
+    """text, the piece of e's value at offset at, parsed; an error names the
+    file position of the character, or of the piece for a parameter."""
     try:
         tree = ps.parse_scalar(text, s.chart)
     except ps.ParseError as err:
-        raise ConfigError(str(err), e.line, e.column) from None
-    s.needed.extend((e, name, guard_only) for name in ex.param_names(tree))
+        raise ConfigError(err.message, e.line, e.column + at + err.column - 1) from None
+    piece = replace(e, column=e.column + at)
+    s.needed.extend((piece, name, guard_only) for name in ex.param_names(tree))
     return Source(text, tree)
 
 
@@ -308,12 +318,11 @@ def _expr(e: _Entry, s: _Scope) -> Source:
 
 
 def _exprs(e: _Entry, s: _Scope) -> tuple[Source, ...]:
-    return tuple(_parsed(e, s, text) for text in _csv(e))
+    return tuple(_parsed(e, s, text, at=at) for at, text in _pieces(e))
 
 
 def _guards(e: _Entry, s: _Scope) -> tuple[Source, ...]:
-    pieces = (p.strip() for p in e.value.split(";"))
-    return tuple(_parsed(e, s, p, guard_only=True) for p in pieces if p)
+    return tuple(_parsed(e, s, text, True, at) for at, text in _pieces(e, ";"))
 
 
 def _param(e: _Entry, s: _Scope) -> tuple[str, float]:
@@ -547,8 +556,10 @@ def _with_preset(sections: dict[str, _Section]) -> dict[str, _Section]:
         guards = bundled.entries.get("guards")  # [params] and [sampling]
         bundled.entries.update(section.entries)
         if guards and "guards" in section.entries:
-            own = section.entries["guards"]
-            bundled.entries["guards"] = replace(own, value=f"{guards.value}; {own.value}")
+            own, joined = section.entries["guards"], f"{guards.value}; "
+            # own's pieces keep their file columns behind the bundled text
+            column = own.column - len(joined)
+            bundled.entries["guards"] = replace(own, value=joined + own.value, column=column)
     return merged
 
 
@@ -744,7 +755,7 @@ def build_runtime(cfg: RunConfig) -> bt.Runtime:
     chains: dict[str, ch.Chain] = {}
     for spec in cfg.chains:
         cell = ch.ExprCell(chart, spec.degree, trees(spec.components), name=spec.name)
-        chains[spec.name] = ch.Chain(spec.degree, (cell,), (1,), spec.closed, spec.name)
+        chains[spec.name] = ch.Chain(cell, spec.closed)
     # lows and highs replace the default box's bounds
     box = ex.default_box(chart.dim)
     box = ex.Box(

@@ -1287,14 +1287,6 @@ class Tape:
             if np.isnan(slots[s]).any():
                 raise _singularity(root, memo, points, chart) from None
 
-    def at(self, point: Sequence[float], params: Mapping | None = None) -> list[float]:
-        """The roots' values at one point; raises as values() does."""
-        try:
-            row = np.array([tuple(float(c) for c in point)])
-        except TypeError:
-            raise EvalError(f"point must be a coordinate sequence, got {point!r}") from None
-        return [float(v[0]) for v in self.values(row, params or {})]
-
 
 def _fault(node: ScalarExpr, memo: Mapping[ScalarExpr, np.ndarray], i: int) -> str:
     """What makes node singular at row i, its operands being finite there."""

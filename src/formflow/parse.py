@@ -28,6 +28,7 @@ __all__ = ["ParseError", "parse_scalar", "parse_scalar_list", "quoted"]
 class ParseError(Exception):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"line {line}, column {column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 

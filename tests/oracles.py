@@ -142,7 +142,8 @@ def poly_from_expr(e, nvars: int, param_order: tuple[str, ...] = ()) -> Poly | N
 def value_at(e, point, params=None) -> float:
     """e at one point, from a one-root Tape of e; raises SingularityError
     where e is singular."""
-    return ex.Tape((e,)).at(point, params)[0]
+    row = np.array([tuple(float(c) for c in point)])
+    return float(ex.Tape((e,)).values(row, params or {})[0][0])
 
 
 def eval_form(w, point, params=None) -> dict[tuple[int, ...], float]:
@@ -976,7 +977,7 @@ def reference_eval_grid(cell, axes, params=None) -> np.ndarray:
     if isinstance(cell, ch.InterpCell):
         return _reference_interp_grid(cell, axes, None)
     U = _reference_grid_points(axes)
-    bound = {**cell.params, **(params or {})}
+    bound = dict(params or {})
     cols = [ex.eval_many(c, U, bound) for c in cell.components]
     return np.stack(cols, axis=-1).reshape(tuple(len(a) for a in axes) + (cell.chart.dim,))
 
@@ -987,7 +988,7 @@ def reference_jacobian_grid(cell, axes, params=None) -> np.ndarray:
             [_reference_interp_grid(cell, axes, j) for j in range(cell.degree)], axis=-1
         )
     U = _reference_grid_points(axes)
-    bound = {**cell.params, **(params or {})}
+    bound = dict(params or {})
     n, p = cell.chart.dim, cell.degree
     J = np.empty((U.shape[0], n, p))
     for i, c in enumerate(cell.components):
@@ -1025,37 +1026,31 @@ def reference_minor(M: np.ndarray) -> np.ndarray:
 def reference_integrate(w, chain, order=None, params=None) -> ch.IntegralResult:
     order = order or ch.DEFAULT_QUAD_ORDER[chain.degree]
     params = dict(params or {})
+    cell = chain.cell
 
     def run(o: int) -> tuple[float, float]:
         nodes, wts = reference_gl_axis(o)
         axes = [nodes] * chain.degree
-        total = 0.0
-        scale = 0.0
-        for cell, ori in zip(chain.cells, chain.orientations):
-            bound = dict(getattr(cell, "params", {}) or {})
-            bound.update(params)
-            X = reference_eval_grid(cell, axes, bound)
-            J = reference_jacobian_grid(cell, axes, bound)
-            flatX = X.reshape(-1, w.chart.dim)
-            flatJ = J.reshape(-1, w.chart.dim, chain.degree)
-            vals = np.zeros(flatX.shape[0])
-            for idx, c in w.coeffs.items():
-                try:
-                    coeff_vals = ex.Tape((c,)).values(flatX, bound, w.chart)[0]
-                except ex.SingularityError as err:
-                    raise ex.SingularityError(
-                        f"integrand singular on cell {cell.name or '?'}: {err}",
-                        err.subexpression,
-                        err.point,
-                    ) from err
-                vals += coeff_vals * reference_minor(flatJ[:, list(idx), :])
-            weight = wts
-            for _ in range(chain.degree - 1):
-                weight = np.multiply.outer(weight, wts)
-            weight = weight.ravel()
-            total += ori * float(vals @ weight)
-            scale += float(np.abs(vals) @ weight)
-        return total, scale
+        X = reference_eval_grid(cell, axes, params)
+        J = reference_jacobian_grid(cell, axes, params)
+        flatX = X.reshape(-1, w.chart.dim)
+        flatJ = J.reshape(-1, w.chart.dim, chain.degree)
+        vals = np.zeros(flatX.shape[0])
+        for idx, c in w.coeffs.items():
+            try:
+                coeff_vals = ex.Tape((c,)).values(flatX, params, w.chart)[0]
+            except ex.SingularityError as err:
+                raise ex.SingularityError(
+                    f"integrand singular on cell {cell.name or '?'}: {err}",
+                    err.subexpression,
+                    err.point,
+                ) from err
+            vals += coeff_vals * reference_minor(flatJ[:, list(idx), :])
+        weight = wts
+        for _ in range(chain.degree - 1):
+            weight = np.multiply.outer(weight, wts)
+        weight = weight.ravel()
+        return float(vals @ weight), float(np.abs(vals) @ weight)
 
     coarse, _ = run(order)
     fine, scale = run(2 * order)
@@ -1086,21 +1081,18 @@ def reference_advect(chain, V, dt: float, steps=None, fit_nodes=None, params=Non
     if dt == 0.0:
         return chain
     steps = steps or max(8, int(math.ceil(abs(dt) / 0.02)))
-    new_cells = []
-    for cell in chain.cells:
-        if isinstance(cell, ch.InterpCell):
-            axes = cell.node_axes
-        else:
-            n = fit_nodes or ch.DEFAULT_FIT_NODES[cell.degree]
-            axes = tuple(
-                (1.0 - np.cos(np.pi * np.arange(n) / (n - 1))) / 2.0 for _ in range(cell.degree)
-            )
-        X = reference_eval_grid(cell, axes, params)
-        moved = reference_rk4_flow(V, X.reshape(-1, cell.chart.dim), dt, steps, params)
-        new_cells.append(
-            ch.InterpCell(cell.chart, cell.degree, tuple(axes), moved.reshape(X.shape), cell.name)
+    cell = chain.cell
+    if isinstance(cell, ch.InterpCell):
+        axes = cell.node_axes
+    else:
+        n = fit_nodes or ch.DEFAULT_FIT_NODES[cell.degree]
+        axes = tuple(
+            (1.0 - np.cos(np.pi * np.arange(n) / (n - 1))) / 2.0 for _ in range(cell.degree)
         )
-    return ch.Chain(chain.degree, tuple(new_cells), chain.orientations, chain.closed, chain.name)
+    X = reference_eval_grid(cell, axes, params)
+    moved = reference_rk4_flow(V, X.reshape(-1, cell.chart.dim), dt, steps, params)
+    fitted = ch.InterpCell(cell.chart, cell.degree, tuple(axes), moved.reshape(X.shape), cell.name)
+    return ch.Chain(fitted, chain.closed)
 
 
 def reference_invariance_check(w, chain, V, mode="invariant", h=0.02, tol=1e-6,

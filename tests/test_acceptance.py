@@ -276,7 +276,7 @@ def test_criterion_06_theorem_battery():
     # radiation form is nonzero
     A = fm.form_from_coeffs(CHART, 1, {(1,): ex.Coord(0)})
     J = fm.VectorField(CHART, (ex.Coord(1), ex.Coord(0), ex.ZERO, ex.ZERO))
-    circle = ch.Chain(1, (ch.circle_cell(CHART, fixed={2: 0.0, 3: 0.0}),), closed=True)
+    circle = ch.Chain(ch.circle_cell(CHART, fixed={2: 0.0, 3: 0.0}), closed=True)
     a = pf.Anatomy(A, _tester(), chains=(circle,))
     sv = th.second_variation(a, J, pf.Anatomy(th.first_law(a, J)[0], a.context))
     if not (sv.closed_flow and not pf.form_is_zero(sv.radiation, _tester()).zero):

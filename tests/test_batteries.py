@@ -20,6 +20,7 @@ import formflow.parse as ps
 import formflow.pfaff as pf
 import formflow.systems as sy
 import formflow.thermo as th
+import oracles as oc
 from test_cli import REPORT_DIGESTS
 
 REPO = Path(__file__).resolve().parents[1]
@@ -181,7 +182,7 @@ def _sample_alone(rt, *es):
     out = []
     for e in es:
         try:
-            out.append(ex.Tape((e,)).at(rt.probe_point(), rt.params)[0])
+            out.append(oc.value_at(e, rt.probe_point(), rt.params))
         except ex.ExprError:
             out.append(None)
     return out

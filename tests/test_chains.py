@@ -36,8 +36,8 @@ def stokes_pair():
         (2,): scalar("x + y*z"),
     })
     kw = dict(center=(0.2, -0.1), radius=0.8, fixed={2: 0.3, 3: 0.0})
-    circle = ch.Chain(1, (ch.circle_cell(CHART, **kw),), closed=True)
-    disk = ch.Chain(2, (oc.disk_cell(CHART, **kw),))
+    circle = ch.Chain(ch.circle_cell(CHART, **kw), closed=True)
+    disk = ch.Chain(oc.disk_cell(CHART, **kw))
     return w, circle, disk
 
 
@@ -65,7 +65,7 @@ def test_exact_form_has_zero_circulation(stokes_pair):
 
 
 def test_disk_area_and_error_estimate():
-    disk = ch.Chain(2, (oc.disk_cell(CHART, radius=0.8, fixed={2: 0.0, 3: 0.0}),))
+    disk = ch.Chain(oc.disk_cell(CHART, radius=0.8, fixed={2: 0.0, 3: 0.0}))
     area_form = fm.form_from_coeffs(CHART, 2, {(0, 1): ex.ONE})
     res = ch.integrate(area_form, disk)
     assert res.value == pytest.approx(math.pi * 0.64, abs=1e-10)
@@ -82,15 +82,13 @@ def test_degree_mismatch_rejected(stokes_pair):
 
 
 def test_chain_validation():
+    # a chain's degree and name are its cell's, and the degree is 1 to 4
     cell = ch.circle_cell(CHART, fixed={2: 0.0, 3: 0.0})
-    with pytest.raises(ch.ChainError):
-        ch.Chain(1, ())
-    with pytest.raises(ch.ChainError):
-        ch.Chain(1, (cell,), orientations=(2,))
-    with pytest.raises(ch.ChainError):
-        ch.Chain(1, (cell, cell), orientations=(1,))
-    with pytest.raises(ch.ChainError):
-        ch.Chain(2, (cell,))  # degree-1 cell in a degree-2 chain
+    chain = ch.Chain(cell, closed=True)
+    assert (chain.degree, chain.name, chain.cells) == (1, "circle", (cell,))
+    for degree in (0, 5):
+        with pytest.raises(ch.ChainError, match="between 1 and 4"):
+            ch.Chain(ch.ExprCell(CHART, degree, (ex.ZERO,) * 4))
 
 
 def test_cell_rejects_excess_parameters():
@@ -103,34 +101,13 @@ def test_cell_rejects_excess_parameters():
         ch.ExprCell(CHART, 1, (ex.ZERO, ex.ZERO, ex.ZERO))  # wrong arity
 
 
-def test_orientation_flip_negates_integral(stokes_pair):
-    w, circle, _ = stokes_pair
-    flipped = ch.Chain(1, circle.cells, orientations=(-1,), closed=True)
-    assert ch.integrate(w, flipped).value == pytest.approx(
-        -ch.integrate(w, circle).value, abs=1e-12
-    )
-
-
-def test_multi_cell_chain_sums():
-    kw1 = dict(radius=0.5, fixed={2: 0.0, 3: 0.0})
-    kw2 = dict(radius=0.7, center=(1.5, 0.0), fixed={2: 0.0, 3: 0.0})
-    w = fm.form_from_coeffs(CHART, 1, {(1,): scalar("x")})  # d(w) = dx^dy
-    both = ch.Chain(
-        1, (ch.circle_cell(CHART, **kw1), ch.circle_cell(CHART, **kw2)),
-        orientations=(1, -1), closed=True,
-    )
-    expected = math.pi * (0.5**2) - math.pi * (0.7**2)
-    assert ch.integrate(w, both).value == pytest.approx(expected, abs=1e-10)
-
-
 def test_advected_integral_matches_flow_oracle():
     # finite-time check at dt = 0.1: advect an off-center circle through the
     # decaying shear and compare with direct quadrature of the composed map
     s = sy.get_preset("ns.decaying_shear")
     V = s.processes["spacetime"]
     off = ch.Chain(
-        1,
-        (ch.circle_cell(CHART, center=(0.4, 0.2), radius=0.5, fixed={2: 0.0, 3: 0.0}),),
+        ch.circle_cell(CHART, center=(0.4, 0.2), radius=0.5, fixed={2: 0.0, 3: 0.0}),
         closed=True,
     )
     moved = ch.advect(off, V, 0.1, params=s.params)
@@ -157,7 +134,7 @@ def test_advect_zero_time_is_identity():
 
 def test_advect_blowup_raises():
     V = fm.VectorField(CHART, (scalar("x^2 + 1"), ex.ZERO, ex.ZERO, ex.ZERO))
-    circ = ch.Chain(1, (ch.circle_cell(CHART, fixed={2: 0.0, 3: 0.0}),), closed=True)
+    circ = ch.Chain(ch.circle_cell(CHART, fixed={2: 0.0, 3: 0.0}), closed=True)
     with pytest.raises(ch.AdvectionError):
         ch.advect(circ, V, 50.0, steps=8)
 
@@ -185,8 +162,7 @@ def test_transport_identity_on_drifting_pairs(preset, process, chain, center):
     p = sy.get_preset(preset)
     if chain is None:
         chn = ch.Chain(
-            1,
-            (ch.circle_cell(CHART, center=center, radius=0.5, fixed={2: 0.0, 3: 0.0}),),
+            ch.circle_cell(CHART, center=center, radius=0.5, fixed={2: 0.0, 3: 0.0}),
             closed=True,
         )
     else:
@@ -233,14 +209,14 @@ def test_period_spectrum_winding_numbers():
 
 def test_period_spectrum_rejects_non_closed_forms():
     w = fm.form_from_coeffs(CHART, 1, {(1,): scalar("x")})
-    circle = ch.Chain(1, (ch.circle_cell(CHART, fixed={2: 0.0, 3: 0.0}),), closed=True)
+    circle = ch.Chain(ch.circle_cell(CHART, fixed={2: 0.0, 3: 0.0}), closed=True)
     with pytest.raises(ch.ChainError):
         ch.period_spectrum(w, [circle], ex.ZeroTester(ex.default_box(4)))
 
 
 def test_period_spectrum_all_zero_has_no_base():
     phi = fm.exterior_derivative(fm.scalar_form(CHART, scalar("x*y + z")))
-    circle = ch.Chain(1, (ch.circle_cell(CHART, fixed={2: 0.0, 3: 0.0}),), closed=True)
+    circle = ch.Chain(ch.circle_cell(CHART, fixed={2: 0.0, 3: 0.0}), closed=True)
     spec = ch.period_spectrum(phi, [circle], ex.ZeroTester(ex.default_box(4)))
     assert spec.base is None
     assert spec.ratios == (0.0,)
@@ -249,7 +225,7 @@ def test_period_spectrum_all_zero_has_no_base():
 def test_box_cell_volume():
     cell = oc.box_cell(CHART, {0: (0.0, 2.0), 1: (-1.0, 1.0), 3: (0.0, 0.5)})
     vol = fm.form_from_coeffs(CHART, 3, {(0, 1, 3): ex.ONE})
-    res = ch.integrate(vol, ch.Chain(3, (cell,)))
+    res = ch.integrate(vol, ch.Chain(cell))
     assert res.value == pytest.approx(2.0 * 2.0 * 0.5, abs=1e-12)
 
 
@@ -258,7 +234,7 @@ def test_interp_cell_reproduces_expr_cell_integrals(stokes_pair):
     w, circle, _ = stokes_pair
     moved = ch.advect(circle, fm.VectorField(
         CHART, (ex.ZERO, ex.ZERO, ex.ZERO, ex.ONE)), 1e-9)
-    assert isinstance(moved.cells[0], ch.InterpCell)
+    assert isinstance(moved.cell, ch.InterpCell)
     assert ch.integrate(w, moved).value == pytest.approx(
         ch.integrate(w, circle).value, abs=1e-7
     )
@@ -279,13 +255,19 @@ def _action():
     ))
 
 
-def _expr_chain(degree: int) -> ch.Chain:
+# the ring binds r through the params of each call
+R = {"r": 0.6}
+
+
+def _expr_chain(degree: int, cell: int = 0) -> ch.Chain:
+    """One of the degree's two expression chains, so every cell flavour is
+    covered: a circle or a ring, a disk or a box, a box or a shell."""
     u = ch.param_chart(degree)
     if degree == 1:
         ring = ch.ExprCell(CHART, 1, (
             ps.parse_scalar("r*cos(2*pi*u0)", u), ex.Const(0.1),
             ps.parse_scalar("r*sin(2*pi*u0)", u), ex.Const(0.2),
-        ), params={"r": 0.6}, name="ring")
+        ), name="ring")
         cells = (ch.circle_cell(CHART, center=(0.1, -0.2), radius=0.5, fixed={2: 0.3}), ring)
     elif degree == 2:
         cells = (
@@ -300,7 +282,7 @@ def _expr_chain(degree: int) -> ch.Chain:
             ps.parse_scalar("0.2*sin(2*pi*u1)", u),
         ), name="shell")
         cells = (oc.box_cell(CHART, {0: (-0.3, 0.5), 1: (0.0, 0.4), 2: (-0.2, 0.2)}), shell)
-    return ch.Chain(degree, cells, orientations=(1, -1), closed=degree != 2, name=f"c{degree}")
+    return ch.Chain(cells[cell], closed=degree != 2)
 
 
 def _form(degree: int) -> fm.DifferentialForm:
@@ -309,19 +291,21 @@ def _form(degree: int) -> fm.DifferentialForm:
 
 
 def _chains(degree: int) -> list[ch.Chain]:
-    """An expression chain and its interpolated image after a short flow."""
-    base = _expr_chain(degree)
-    return [base, oc.reference_advect(base, _swirl(), 0.05)]
+    """Each expression chain of the degree, then its interpolated image
+    after a short flow."""
+    out = []
+    for cell in (0, 1):
+        base = _expr_chain(degree, cell)
+        out += [base, oc.reference_advect(base, _swirl(), 0.05, params=R)]
+    return out
 
 
 def _assert_same_chain(got: ch.Chain, want: ch.Chain) -> None:
-    assert (got.degree, got.orientations, got.closed, got.name) == (
-        want.degree, want.orientations, want.closed, want.name,
-    )
-    for a, b in zip(got.cells, want.cells, strict=True):
-        assert isinstance(a, ch.InterpCell) and a.name == b.name
-        assert all(np.array_equal(x, y) for x, y in zip(a.node_axes, b.node_axes, strict=True))
-        assert np.array_equal(a.values, b.values)
+    assert (got.degree, got.closed, got.name) == (want.degree, want.closed, want.name)
+    a, b = got.cell, want.cell
+    assert isinstance(a, ch.InterpCell) and a.name == b.name
+    assert all(np.array_equal(x, y) for x, y in zip(a.node_axes, b.node_axes, strict=True))
+    assert np.array_equal(a.values, b.values)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -331,14 +315,14 @@ def test_batched_advection_matches_one_time_reference(degree, h, steps):
     w, V = _form(degree), _swirl()
     times = (h, -h, 2 * h, 0.0, -2 * h)
     for chain in _chains(degree):
-        got = ch._advect_all([chain], V, times, steps)[0]
+        got = ch._advect_all([chain], V, times, steps, R)[0]
         for t, moved in zip(times, got, strict=True):
             if t == 0.0:
                 assert moved is chain
                 continue
-            want = oc.reference_advect(chain, V, t, steps=steps)
+            want = oc.reference_advect(chain, V, t, steps=steps, params=R)
             _assert_same_chain(moved, want)
-            _assert_same_chain(ch.advect(chain, V, t, steps=steps), want)
+            _assert_same_chain(ch.advect(chain, V, t, steps=steps, params=R), want)
             assert ch.integrate(w, moved) == oc.reference_integrate(w, want)
 
 
@@ -358,24 +342,33 @@ def test_invariance_check_matches_one_time_reference(degree, h):
     w, V = _form(degree), _swirl()
     for chain in _chains(degree):
         for mode in ("invariant", "identity"):
-            got = ch.invariance_check(w, chain, V, mode=mode, h=h)
-            assert got == oc.reference_invariance_check(w, chain, V, mode=mode, h=h)
+            got = ch.invariance_check(w, chain, V, mode=mode, h=h, params=R)
+            assert got == oc.reference_invariance_check(w, chain, V, mode=mode, h=h, params=R)
+
+
+def test_an_unbound_cell_parameter_raises():
+    # the ring's r binds only through the call's params
+    w, ring, V = _form(1), _expr_chain(1, 1), _swirl()
+    for run in (lambda: ch.integrate(w, ring), lambda: ch.invariance_checks([(w, ring)], V)):
+        with pytest.raises(ex.EvalError, match="unbound parameter 'r'"):
+            run()
 
 
 def test_blowup_raises_like_reference():
     V = fm.VectorField(CHART, (scalar("x^2 + 1"), ex.ZERO, ex.ZERO, ex.ZERO))
-    w, chain = _form(1), _expr_chain(1)
-    for run, reference in (
-        (lambda: ch.advect(chain, V, 50.0, steps=8),
-         lambda: oc.reference_advect(chain, V, 50.0, steps=8)),
-        (lambda: ch.invariance_check(w, chain, V, h=0.9),
-         lambda: oc.reference_invariance_check(w, chain, V, h=0.9)),
-    ):
-        with pytest.raises(ch.AdvectionError) as got:
-            run()
-        with pytest.raises(ch.AdvectionError) as want:
-            reference()
-        assert str(got.value) == str(want.value)
+    w = _form(1)
+    for chain in (_expr_chain(1, 0), _expr_chain(1, 1)):
+        for run, reference in (
+            (lambda: ch.advect(chain, V, 50.0, steps=8, params=R),
+             lambda: oc.reference_advect(chain, V, 50.0, steps=8, params=R)),
+            (lambda: ch.invariance_check(w, chain, V, h=0.9, params=R),
+             lambda: oc.reference_invariance_check(w, chain, V, h=0.9, params=R)),
+        ):
+            with pytest.raises(ch.AdvectionError) as got:
+                run()
+            with pytest.raises(ch.AdvectionError) as want:
+                reference()
+            assert str(got.value) == str(want.value)
 
 
 def test_singular_integrand_raises_like_reference():
@@ -383,9 +376,10 @@ def test_singular_integrand_raises_like_reference():
     V = _swirl()
     for chain in _chains(1):
         for run, reference in (
-            (lambda: ch.integrate(w, chain), lambda: oc.reference_integrate(w, chain)),
-            (lambda: ch.invariance_check(w, chain, V),
-             lambda: oc.reference_invariance_check(w, chain, V)),
+            (lambda: ch.integrate(w, chain, params=R),
+             lambda: oc.reference_integrate(w, chain, params=R)),
+            (lambda: ch.invariance_check(w, chain, V, params=R),
+             lambda: oc.reference_invariance_check(w, chain, V, params=R)),
         ):
             with pytest.raises(ex.SingularityError) as got:
                 run()
@@ -394,7 +388,7 @@ def test_singular_integrand_raises_like_reference():
             assert str(got.value) == str(want.value)
             assert got.value.subexpression == want.value.subexpression
             assert got.value.point == want.value.point
-            assert "on cell circle" in str(got.value)
+            assert f"on cell {chain.name}" in str(got.value)
 
 
 def test_quadrature_and_interpolation_constants_are_read_only():
@@ -449,11 +443,13 @@ def _minors_of(J: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
 
 
 def _grids_of(cell, axes) -> tuple[np.ndarray, np.ndarray]:
-    """The cell's map and Jacobian at the grid of axes, shaped (m, n) and
-    (m, n, p), from the rows `grids` gives."""
+    """The InterpCell's map and Jacobian at the grid of axes, shaped (m, n)
+    and (m, n, p), from _interp_grids on a stack of one."""
     n, p = cell.chart.dim, cell.degree
-    rows = np.asarray(cell.grids(axes))
-    return rows[:n].T, np.moveaxis(rows[n:].reshape(n, p, -1), -1, 0)
+    X = np.empty((1,) + tuple(len(a) for a in axes) + (n,))
+    J = np.empty(X.shape + (p,))
+    ch._interp_grids(cell.values[None], cell.node_axes, axes, X, J)
+    return X.reshape(-1, n), J.reshape(-1, n, p)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -493,12 +489,14 @@ def test_one_by_one_minor_is_the_entry():
 
 
 def test_cell_map_is_differentiated_once(monkeypatch):
-    w, chain = _form(2), _expr_chain(2)
-    ch.integrate(w, chain)
+    w, chains = _form(2), [_expr_chain(2, 0), _expr_chain(2, 1)]
+    for chain in chains:
+        ch.integrate(w, chain)
     calls = []
     real = ex.differentiate
     monkeypatch.setattr(ex, "differentiate", lambda e, i: calls.append(i) or real(e, i))
-    ch.integrate(w, chain)
+    for chain in chains:
+        ch.integrate(w, chain)
     assert calls == []
 
 
@@ -517,14 +515,17 @@ def _record_tapes(monkeypatch) -> tuple[list, list]:
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_integrate_runs_the_form_tape_once(monkeypatch, degree):
-    # both quadrature orders and every cell go through one run of the form's
-    # tape, and a second integral compiles nothing
-    w, chain = _form(degree), _expr_chain(degree)
-    want = ch.integrate(w, chain)
-    compiled, runs = _record_tapes(monkeypatch)
-    assert ch.integrate(w, chain) == want
-    assert compiled == []
-    assert [t for t in runs if t is w.tape] == [w.tape]
+    # both quadrature orders go through one run of the form's tape, and a
+    # second integral compiles nothing
+    w = _form(degree)
+    for cell in (0, 1):
+        chain = _expr_chain(degree, cell)
+        want = ch.integrate(w, chain, params=R)
+        compiled, runs = _record_tapes(monkeypatch)
+        assert ch.integrate(w, chain, params=R) == want
+        assert compiled == []
+        assert [t for t in runs if t is w.tape] == [w.tape]
+        monkeypatch.undo()
 
 
 def test_rk4_flow_runs_one_tape_per_stage(monkeypatch):
@@ -580,20 +581,23 @@ def test_rk4_flow_raises_like_the_reference():
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_quadrature_rows_are_the_reference_grids(degree):
     # each segment's points and Jacobians are the reference grids, for
-    # expression and interpolated cells, the four stacked copies of a
-    # stencil, and copies that do not stack; every coordinate and every
-    # Jacobian entry is one contiguous array over the rows
+    # expression and interpolated cells and the four stacked copies of a
+    # stencil; every coordinate and every Jacobian entry is one contiguous
+    # array over the rows
     params, n = {"r": 0.55}, CHART.dim
-    base, moved = _chains(degree)
-    for copies in ([base], [moved], _copies(base, 0.02, params), [base, moved, moved, base]):
-        quad = ch._Quadrature(copies, None, params)
-        assert quad.flatX.T.flags.c_contiguous and quad._J.flags.c_contiguous
-        for cell, bound, start, stop, *_, fine in quad.segments:
-            axes = [ch._gl_axis(2 * quad.order if fine else quad.order)[0]] * degree
-            X = oc.reference_eval_grid(cell, axes, bound).reshape(-1, n)
-            J = oc.reference_jacobian_grid(cell, axes, bound).reshape(-1, n, degree)
-            assert np.array_equal(quad.flatX[start:stop], X)
-            assert np.array_equal(np.moveaxis(quad._J[..., start:stop], -1, 0), J)
+    chains = _chains(degree)
+    for base, moved in zip(chains[::2], chains[1::2]):
+        for copies in ([base], [moved], _copies(base, 0.02, params)):
+            quad = ch._Quadrature(copies, None, params)
+            assert quad.flatX.T.flags.c_contiguous and quad._J.flags.c_contiguous
+            assert len(quad.segments) == 2 * len(copies)
+            for i, (start, stop) in enumerate(quad.segments):
+                cell = copies[i // 2].cell
+                axes = [ch._gl_axis(2 * quad.order if i % 2 else quad.order)[0]] * degree
+                X = oc.reference_eval_grid(cell, axes, params).reshape(-1, n)
+                J = oc.reference_jacobian_grid(cell, axes, params).reshape(-1, n, degree)
+                assert np.array_equal(quad.flatX[start:stop], X)
+                assert np.array_equal(np.moveaxis(quad._J[..., start:stop], -1, 0), J)
 
 
 def test_expr_cell_compiles_one_map_tape(monkeypatch):
@@ -621,7 +625,7 @@ def test_advection_evaluates_the_cell_map_alone():
     ), name="root")
     axes = (ch._lobatto_nodes(ch.DEFAULT_FIT_NODES[1]),)
     assert np.array_equal(cell.eval_grid(axes), oc.reference_eval_grid(cell, axes))
-    chain, V = ch.Chain(1, (cell,), name="arc"), _swirl()
+    chain, V = ch.Chain(cell), _swirl()
     _assert_same_chain(ch.advect(chain, V, 0.05), oc.reference_advect(chain, V, 0.05))
 
 
@@ -629,7 +633,7 @@ def test_advection_evaluates_the_cell_map_alone():
 def test_interp_cell_grids_match_axis_by_axis_composition(monkeypatch, degree):
     # the map and every Jacobian column apply the same operators in the
     # same order as interpolating (or differentiating) one axis at a time
-    cell = _chains(degree)[1].cells[1]
+    cell = _chains(degree)[3].cell  # the ring, box or shell, advected
     assert isinstance(cell, ch.InterpCell)
     axes = [ch._gl_axis(o)[0] for o in (5, 6, 7)[:degree]]
 
@@ -661,8 +665,10 @@ def _blowup_field():
 
 def _far_circle():
     # x' = x^2 + 1 leaves every bound before s = 0.6 from x >= 2.7
-    cell = ch.circle_cell(CHART, center=(3.0, 0.0), radius=0.3, fixed={2: 0.0, 3: 0.0})
-    return ch.Chain(1, (cell,), closed=True, name="far")
+    cell = ch.circle_cell(
+        CHART, center=(3.0, 0.0), radius=0.3, fixed={2: 0.0, 3: 0.0}, name="far"
+    )
+    return ch.Chain(cell, closed=True)
 
 
 def _log_form():
@@ -680,7 +686,7 @@ def _first_error(pairs, V, h) -> tuple[Exception, Exception]:
     through the reference."""
     def one_by_one(check):
         for w, chain in pairs:
-            check(w, chain, V, h=h)
+            check(w, chain, V, h=h, params=R)
 
     return (
         _raised(lambda: one_by_one(ch.invariance_check)),
@@ -692,11 +698,11 @@ def _first_error(pairs, V, h) -> tuple[Exception, Exception]:
     "pairs,V,h",
     [
         # the second pair blows up
-        pytest.param(lambda: [(_form(1), _expr_chain(1)), (_form(1), _far_circle())],
+        pytest.param(lambda: [(_form(1), _expr_chain(1, 1)), (_form(1), _far_circle())],
                      _blowup_field, 0.3, id="later-blowup"),
         # a later pair's integrand is singular on its advected chain
-        pytest.param(lambda: [(_form(1), _expr_chain(1)), (_form(2), _expr_chain(2)),
-                              (_log_form(), _expr_chain(1))],
+        pytest.param(lambda: [(_form(1), _expr_chain(1)), (_form(2), _expr_chain(2, 1)),
+                              (_log_form(), _expr_chain(1, 1))],
                      _swirl, 0.02, id="later-singular"),
         # an earlier pair is singular, a later one blows up: the earlier wins
         pytest.param(lambda: [(_log_form(), _expr_chain(1)), (_form(1), _far_circle())],
@@ -705,7 +711,7 @@ def _first_error(pairs, V, h) -> tuple[Exception, Exception]:
 )
 def test_batch_raises_the_first_error_of_one_by_one_checks(pairs, V, h):
     pairs, V = pairs(), V()
-    got = _raised(lambda: ch.invariance_checks(pairs, V, h=h))
+    got = _raised(lambda: ch.invariance_checks(pairs, V, h=h, params=R))
     for want in _first_error(pairs, V, h):
         assert type(got) is type(want)
         assert str(got) == str(want)
@@ -719,8 +725,8 @@ def test_batch_matches_reference_on_mixed_degrees():
     assert fm.lie_derivative(V, dt).coeffs == {}  # the Lie integral skips evaluation
     pairs = [(_form(d), c) for d in (2, 1, 3) for c in _chains(d)] + [(dt, _expr_chain(1))]
     for mode in ("invariant", "identity"):
-        got = ch.invariance_checks(pairs, V, mode=mode)
-        want = [oc.reference_invariance_check(w, c, V, mode=mode) for w, c in pairs]
+        got = ch.invariance_checks(pairs, V, mode=mode, params=R)
+        want = [oc.reference_invariance_check(w, c, V, mode=mode, params=R) for w, c in pairs]
         assert got == want
     assert ch.invariance_checks([], V) == []
 
@@ -741,8 +747,8 @@ def _copies(chain: ch.Chain, h: float, params=None) -> list[ch.Chain]:
 @pytest.mark.parametrize("degree", [1, 2, 3])
 @pytest.mark.parametrize("h", [0.02, 0.1])
 def test_stencil_integrals_equal_four_integrate_calls(monkeypatch, degree, h):
-    # two cells, the second with orientation -1, and a bound parameter k;
-    # the stacked pass integrates nothing one copy at a time
+    # every expression chain and its image, and a bound parameter k; the
+    # stacked pass integrates nothing one copy at a time
     w, params = _scaled_form(degree), {"k": 1.3, "r": 0.55}
     for chain in _chains(degree):
         copies = _copies(chain, h, params)
@@ -754,7 +760,7 @@ def test_stencil_integrals_equal_four_integrate_calls(monkeypatch, degree, h):
         monkeypatch.setattr(ch, "_interp_grids", lambda v, *a: stacks.append(len(v)) or real(v, *a))
         assert ch._Quadrature(copies, None, params).integrals(w) == want
         monkeypatch.undo()
-        assert stacks == [4] * 2 * len(chain.cells)
+        assert stacks == [4] * 2
 
 
 def _raised_alike(got: Exception, want: Exception) -> None:
@@ -791,17 +797,16 @@ def test_stencil_raises_the_first_error_of_four_integrate_calls():
 
 def test_copies_that_do_not_stack_raise_the_first_error_of_four_integrate_calls():
     # expression cells, filled copy by copy: a ring whose map takes ln(a - u0)
-    # fails to evaluate for a < 1, and a ring of radius r (a circle of radius
-    # c about x = 0.1) reaches x = r (0.1 + c), where ln(0.9 - x) is singular
+    # fails to evaluate for a < 1, and a ring of radius r reaches x = r,
+    # where ln(0.9 - x) is singular
     u = ch.param_chart(1)
 
-    def copy(r: float, a: float, c: float = 0.3) -> ch.Chain:
+    def copy(r: float, a: float) -> ch.Chain:
         ring = ch.ExprCell(CHART, 1, (
             ps.parse_scalar(f"{r}*cos(2*pi*u0)", u), ex.Const(0.1),
             ps.parse_scalar(f"{r}*sin(2*pi*u0)", u), ps.parse_scalar(f"ln({a} - u0)", u),
         ), name=f"ring{r}")
-        circle = ch.circle_cell(CHART, center=(0.1, -0.2), radius=c, fixed={2: 0.3})
-        return ch.Chain(1, (circle, ring), (1, -1), closed=True)
+        return ch.Chain(ring, closed=True)
 
     fine = fm.form_from_coeffs(CHART, 1, {(0,): scalar("y"), (1,): scalar("x")})
     log = fm.form_from_coeffs(CHART, 1, {(0,): scalar("ln(0.9 - x)"), (1,): scalar("y")})
@@ -809,14 +814,22 @@ def test_copies_that_do_not_stack_raise_the_first_error_of_four_integrate_calls(
         ([copy(0.5, 2), copy(0.5, 2), copy(0.5, 0.5), copy(0.5, 2)], fine, "ln"),
         ([copy(0.5, 2), copy(1.0, 2), copy(0.5, 0.5), copy(0.5, 2)], log, "cell ring1.0"),
         ([copy(1.0, 2), copy(0.5, 0.5), copy(1.0, 0.5), copy(0.5, 2)], fine, "ln"),
-        # the circle before the failing ring is singular, at the first order
-        ([copy(0.5, 2), copy(0.5, 2), copy(0.5, 0.5, 1.0), copy(0.5, 2)], log, "cell circle"),
     ]
     for copies, form, text in cases:
         want = _raised(lambda: [ch.integrate(form, c) for c in copies])
         got = _raised(lambda: ch._Quadrature(copies, None, None).integrals(form))
         _raised_alike(got, want)
         assert text in str(got)
+
+
+def test_interpolated_copies_on_different_node_axes_raise():
+    # the stencil's copies share one node grid; copies fitted on another
+    # grid, or an expression cell among interpolated ones, are not stacked
+    base, moved = _chains(1)[:2]
+    other = oc.reference_advect(base, _swirl(), 0.05, fit_nodes=12)
+    for copies in ([moved, other, moved, moved], [moved, base]):
+        with pytest.raises(ch.ChainError, match="one node grid"):
+            ch._Quadrature(copies, None, None)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -853,7 +866,7 @@ def test_stencil_memory_is_bounded_by_its_rows():
     # into stacked copies would store the points and Jacobians twice, about
     # 2.9 * stored in all.
     w, params = _form(3), {"r": 0.55}
-    shell = ch.Chain(3, (_expr_chain(3).cells[1],), name="shell")
+    shell = _expr_chain(3, 1)
     copies = _copies(shell, 0.02, params)
     ch._Quadrature(copies, None, params).integrals(w)  # operators, weights, tape
     order, n = ch.DEFAULT_QUAD_ORDER[3], CHART.dim

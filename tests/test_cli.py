@@ -351,9 +351,9 @@ def test_main_deep_nesting_is_a_config_error(tmp_path, capsys):
     assert cli.main(["run", config(parse.MAX_NESTING), "--no-summary"]) in (0, 1)
     capsys.readouterr()
     assert cli.main(["run", config(parse.MAX_NESTING + 1), "--no-summary"]) == 2
-    column = 4 * parse.MAX_NESTING + 1  # the sin that opens one level too many
+    column = 9 + 4 * parse.MAX_NESTING + 1  # the sin that opens one level too many
     assert capsys.readouterr().err == (
-        f"config error: line 5, column 10: line 1, column {column}: "
+        f"config error: line 5, column {column}: "
         f"expression nested deeper than {parse.MAX_NESTING} levels\n"
     )
     # the 400-deep config that used to exhaust the recursion limit
@@ -370,9 +370,10 @@ def test_main_division_chain_is_a_config_error(tmp_path, capsys):
 
     assert cli.main(["run", config(parse.MAX_NESTING - 1), "--no-summary"]) in (0, 1)
     capsys.readouterr()
-    column = 1 + 8 * (parse.MAX_NESTING - 1) + 2  # the divisor that opens one level too many
+    # the divisor that opens one level too many, after `action = `
+    column = 9 + 1 + 8 * (parse.MAX_NESTING - 1) + 2
     message = (
-        f"config error: line 5, column 10: line 1, column {column}: "
+        f"config error: line 5, column {column}: "
         f"expression nested deeper than {parse.MAX_NESTING} levels\n"
     )
     assert cli.main(["run", config(parse.MAX_NESTING), "--no-summary"]) == 2
@@ -387,7 +388,7 @@ def test_main_constant_zero_denominator_is_a_config_error(tmp_path, capsys):
     cfg.write_text("[run]\nbattery = pfaff\n\n[system]\naction = y/(2 - 2), 0, 0, 0\n")
     assert cli.main(["run", str(cfg), "--no-summary"]) == 2
     err = capsys.readouterr().err
-    assert err == "config error: line 5, column 10: line 1, column 2: constant zero denominator\n"
+    assert err == "config error: line 5, column 11: constant zero denominator\n"
 
 
 # Each action's partials divide by a square that folds to the constant 0
@@ -788,10 +789,10 @@ _ACTION_Y = "[run]\nbattery = pfaff\n\n[system]\naction = y, 0, 0, 0\n\n"
                      "line 8, column 8: sampling interval [-1e+308, 1e+308] needs lo < hi "
                      "and a finite width", id="interval wider than a float"),
         pytest.param("[run]\nbattery = pfaff\n\n[system]\naction = 1e400*y, 0, 0, 0\n", [],
-                     "line 5, column 10: line 1, column 1: number too large for a float",
+                     "line 5, column 10: number too large for a float",
                      id="literal past the float range"),
         pytest.param("[run]\nbattery = pfaff\n\n[system]\naction = 2^1023*16*y, 0, 0, 0\n",
-                     [], "line 5, column 10: line 1, column 7: exact constant too large "
+                     [], "line 5, column 16: exact constant too large "
                      "for a float", id="product past the float range"),
     ],
 )
@@ -906,8 +907,29 @@ def test_a_superscript_digit_is_a_located_config_error(tmp_path, capsys):
     cfg.write_text("[system]\naction = 2\u00b2*y, 0, 0, 0\n")
     assert cli.main(["run", str(cfg), "--no-summary"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: line 2, column ")
-    assert "unexpected character '\u00b2'" in err
+    assert err == "config error: line 2, column 11: unexpected character '\u00b2'\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("[run]\nbattery = pfaff\n\n[system]\naction = y, 0,  2$*x, 0\n",
+                 "line 5, column 18: unexpected character '$'", id="list piece"),
+    pytest.param("[run]\nbattery = pfaff\n\n[system]\naction = y, 0, 0, 0\n\n[sampling]\n"
+                 "guards = x^2 + 1;  y$\n", "line 8, column 21: unexpected character '$'",
+                 id="second guard"),
+    # the preset's guards go before the config's, which keep their columns
+    pytest.param("[run]\npreset = harmonic.winding\n\n[sampling]\nguards = x;  y$\n",
+                 "line 5, column 15: unexpected character '$'", id="guard after a preset's"),
+    pytest.param("[run]\npreset = harmonic.winding\n\n[sampling]\nguards = x;  q*y\n",
+                 "line 5, column 14: parameter 'q' has no value; add it to [params]",
+                 id="unbound guard parameter after a preset's"),
+])
+def test_a_config_error_names_one_file_position(text, message, tmp_path, capsys):
+    # a value's pieces are parsed alone, and an error in one names the file
+    # position of its character (or of the piece, for a missing parameter)
+    cfg = tmp_path / "located.cfg"
+    cfg.write_text(text)
+    assert cli.main(["run", str(cfg), "--no-summary"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_constant_power_past_the_float_range_is_a_singularity(tmp_path, capsys):

@@ -1441,7 +1441,7 @@ def test_a_deep_chain_prints_keys_and_compiles():
     want = 0.5
     for _ in range(1000):
         want = math.sin(want)
-    assert ex.Tape((ex.mul(e, Y),)).at((0.5, 2.0, 0.0, 0.0)) == [pytest.approx(want * 2.0)]
+    assert oracles.value_at(ex.mul(e, Y), (0.5, 2.0, 0.0, 0.0)) == pytest.approx(want * 2.0)
 
 
 @pytest.mark.parametrize("name", ["sin", "exp"])
@@ -1466,7 +1466,7 @@ def test_a_deep_chain_differentiates(name, scoped):
         value, slope = 0.5, 1.0
         for _ in range(1000):
             value, slope = math.sin(value), slope * math.cos(value)
-        assert ex.Tape((d,)).at((0.5, 0.0, 0.0, 0.0)) == [pytest.approx(slope)]
+        assert oracles.value_at(d, (0.5, 0.0, 0.0, 0.0)) == pytest.approx(slope)
 
 
 def test_a_hand_built_tree_is_taken_as_built():

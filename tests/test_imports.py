@@ -61,7 +61,8 @@ def uncalled(package: Path) -> list[str]:
 
     A function counts as referred to by its bare name in its own module or
     where it is imported by name, or as an attribute of an alias of its
-    module; a method by any attribute of its name."""
+    module; a method only as an attribute of its name, on any object, so a
+    bare name such as a local helper's does not count for a method."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
     defs = []  # (qualified name, module, name, is a method, node)
     refs = []  # (node, (module or "", name) it can reach)
@@ -89,8 +90,9 @@ def uncalled(package: Path) -> list[str]:
     out = []
     for qualified, mod, name, method, node in defs:
         inside = {id(n) for n in ast.walk(node)}
-        if not any(id(n) not in inside and (ref == (mod, name) or method and ref[1] == name)
-                   for n, ref in refs):
+        if not any(id(n) not in inside and (
+            ref[1] == name and isinstance(n, ast.Attribute) if method else ref == (mod, name)
+        ) for n, ref in refs):
             out.append(qualified)
     return out
 
@@ -99,14 +101,15 @@ def test_uncalled_functions_are_found(tmp_path):
     (tmp_path / "a.py").write_text(
         "def used():\n    pass\n\n\ndef alone():\n    return alone()\n\n\n"
         "def _private():\n    pass\n\n\nclass K:\n    def m(self):\n        pass\n\n"
-        "    def n(self):\n        return self.m()\n"
+        "    def n(self):\n        return self.m()\n\n    def at(self):\n        pass\n"
     )
     (tmp_path / "b.py").write_text(
         "from . import a as x\nfrom .a import K\n\n\ndef top():\n    return x.used(), K\n\n\n"
-        "def alone():\n    pass\n"
+        "def alone():\n    def at():\n        pass\n\n    return at()\n"
     )
-    # b's alone() does not call a's; a call of itself is not a caller
-    assert uncalled(tmp_path) == ["a.alone", "a.K.n", "b.top", "b.alone"]
+    # b's alone() does not call a's; a call of itself is not a caller, and
+    # the bare name of b's local helper at() is not a call of K.at
+    assert uncalled(tmp_path) == ["a.alone", "a.K.n", "a.K.at", "b.top", "b.alone"]
 
 
 # Public functions that no code of the package calls, each with the reason
@@ -118,6 +121,7 @@ def test_uncalled_functions_are_found(tmp_path):
 TRACED = "wrapped by name in bench/tracing.py (ROADMAP item 5)"
 KEEP = {
     "chains.advect": TRACED,
+    "chains.Chain.cells": "read by bench/tracing.py's _count_integrate (ROADMAP item 5)",
     "chains.circle_cell": "acceptance criterion 06",
     "chains.period_spectrum": "acceptance criterion 07",
     "config.serialize_config": "README: the config format writes a RunConfig back",

@@ -118,7 +118,7 @@ def test_stokes_category_from_surviving_period():
         ex.ZERO,
         ex.ZERO,
     ))
-    circle = ch.Chain(1, (ch.circle_cell(CHART, fixed={2: 0.0, 3: 0.0}),), closed=True)
+    circle = ch.Chain(ch.circle_cell(CHART, fixed={2: 0.0, 3: 0.0}), closed=True)
     box = ex.Box(
         lows=(-1.0,) * 4, highs=(1.0,) * 4, guards=(scalar("x^2 + y^2"),)
     )
@@ -175,7 +175,7 @@ def test_second_variation_closed_flow_pair():
     # L(J)Q = 2y dx + 2x dy is exact as well and all its periods vanish
     A = fm.form_from_coeffs(CHART, 1, {(1,): scalar("x")})
     J = fm.VectorField(CHART, (scalar("y"), scalar("x"), ex.ZERO, ex.ZERO))
-    circle = ch.Chain(1, (ch.circle_cell(CHART, fixed={2: 0.0, 3: 0.0}),), closed=True)
+    circle = ch.Chain(ch.circle_cell(CHART, fixed={2: 0.0, 3: 0.0}), closed=True)
     a = pf.Anatomy(A, ex.ZeroTester(ex.default_box(4)), chains=(circle,))
     sv = th.second_variation(a, J, pf.Anatomy(th.first_law(a, J)[0], a.context))
     assert sv.closed_flow
