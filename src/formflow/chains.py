@@ -38,10 +38,11 @@ four advected copies of a chain are integrated in one stacked pass: at each
 quadrature order the copies are interpolated as one stack, one matmul per
 axis operator whose items are the products of one copy alone, and the
 form's tape runs once over the rows of all four, so the integrals equal
-four one-copy integrals bit for bit.  The rows go copy by copy, so the
-pass raises the error that four one-copy integrals taken in turn meet
-first.  If the batch raises, the pairs are checked again one at a time, so
-the error is the one checking them in turn meets.
+four one-copy integrals bit for bit.
+
+A batch raises what one Tape.values over its own rows raises, in batch
+order: every chain's advection comes before any integral, then the pairs
+go in order, and nothing is replayed one at a time.
 """
 
 from __future__ import annotations
@@ -300,15 +301,6 @@ class InterpCell:
         if self.values.shape != expected:
             raise ChainError(f"node values shaped {self.values.shape}, expected {expected}")
 
-    def eval_grid(
-        self, axes: Sequence[np.ndarray], params: Mapping[str, float] | None = None
-    ) -> np.ndarray:
-        out = self.values
-        for k, q in enumerate(axes):
-            op = _axis_operator(_axis_bytes(self.node_axes[k]), _axis_bytes(q), False)
-            out = _apply_axis(op, out, k)
-        return out
-
 
 Cell = ExprCell | InterpCell
 
@@ -374,10 +366,11 @@ def _leibniz_terms(k: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
 
 class _Quadrature:
     """A chain, or copies of one, on the Gauss-Legendre grids of both
-    orders (order, then 2 * order), in one of two layouts: expression
-    cells, as a base chain holds, evaluated segment by segment, or the
-    interpolated copies _advect_all returns, which share one node_axes
-    tuple and are interpolated as one stack.  Other copies raise ChainError.
+    orders (order, then 2 * order), in one of two layouts: one expression
+    cell, as a base chain holds, whose rows come from its grids at each
+    order, or the interpolated copies _advect_all returns, which share one
+    node_axes tuple and are interpolated as one stack.  Other copies raise
+    ChainError, and a cell map that fails to evaluate raises here.
 
     Rows go copy by copy, order by order into one preallocated array,
     stored coordinate-major: one contiguous array per coordinate, then one
@@ -385,9 +378,7 @@ class _Quadrature:
     row and its outputs are written to rows as they are.  flatX, shaped
     (rows, n), is the transposed view the tape runs on; segments holds the
     (start, stop) of each copy's rows at each order.  Each Jacobian minor
-    is computed once over all rows.  A cell map that fails to evaluate at
-    an order is kept and raised by `integrals`, once the rows before it
-    are known to integrate."""
+    is computed once over all rows."""
 
     def __init__(
         self, copies: Sequence[Chain], order: int | None, params: Mapping[str, float] | None
@@ -408,18 +399,10 @@ class _Quadrature:
             for start in range(0, s * per_copy, per_copy)
             for a, b in ((0, coarse), (coarse, per_copy))
         ]
-        self.failure: ex.EvalError | None = None
         self._minors: dict[tuple[int, ...], np.ndarray] = {}
-        if all(isinstance(c, ExprCell) for c in cells):
-            # segment by segment: a failure keeps the segments before it
-            for i, (start, stop) in enumerate(self.segments):
-                try:
-                    values = cells[i // 2].grids([_gl_axis(orders[i % 2])[0]] * p, self.params)
-                except ex.EvalError as err:
-                    self.failure = err
-                    del self.segments[i:]
-                    return
-                for row, v in zip(self._rows, values):
+        if s == 1 and isinstance(cells[0], ExprCell):
+            for o, (start, stop) in zip(orders, self.segments):
+                for row, v in zip(self._rows, cells[0].grids([_gl_axis(o)[0]] * p, self.params)):
                     row[start:stop] = v
             return
         nodes = getattr(cells[0], "node_axes", None)
@@ -450,22 +433,15 @@ class _Quadrature:
         return self._minors[idx]
 
     def integrals(self, w: DifferentialForm) -> list["IntegralResult"]:
-        """The integral of w over each copy, in order.  The error raised is
-        the first that integrating the copies in turn meets: the segments
-        are in that order, and a failed cell map is raised only once the
-        segments before it are known to integrate."""
+        """The integral of w over each copy, in order, from one run of the
+        form's tape over all rows."""
         if w.degree != self.degree:
             raise ChainError(f"cannot integrate a {w.degree}-form over a {self.degree}-chain")
-        coeffs = None
         # a form with no coefficients integrates to exactly 0 without evaluation
-        if w.coeffs and self.segments:
-            coeffs = _coefficients(w, self)
-        if self.failure is not None:
-            raise self.failure
-        if coeffs is None:
+        if not w.coeffs:
             return [IntegralResult(0.0, 0.0, 0.0, self.order)] * len(self.copies)
         vals = np.zeros(len(self.flatX))
-        for idx, coeff_vals in zip(w.coeffs, coeffs):
+        for idx, coeff_vals in zip(w.coeffs, _coefficients(w, self)):
             vals += coeff_vals * self.minor(idx)
         coarse, fine, scale = ([0.0] * len(self.copies) for _ in range(3))
         weights = [_gl_weights(o, self.degree) for o in (self.order, 2 * self.order)]
@@ -481,27 +457,18 @@ class _Quadrature:
         ]
 
 
-def _coefficients(w: DifferentialForm, quad: _Quadrature) -> list[np.ndarray] | None:
-    """The form's coefficients at the rows of every segment of quad, from
-    one run of the form's tape.  A failure is raised as evaluating segment
-    by segment, coefficient by coefficient would."""
-    X = quad.flatX[: quad.segments[-1][1]]
+def _coefficients(w: DifferentialForm, quad: _Quadrature) -> list[np.ndarray]:
+    """The form's coefficients at every row of quad, from one run of the
+    form's tape; a singular row names the chain, which every copy of a
+    stencil shares."""
     try:
-        slots = w.tape.run(X, quad.params)
-        coeffs = [slots[s] for s in w.tape.outputs]
-    except ex.EvalError:  # an unbound parameter, or a bad index
-        coeffs = None
-    if coeffs is None or any(np.isnan(v).any() for v in coeffs):
-        for i, (start, stop) in enumerate(quad.segments):
-            try:
-                w.tape.values(X[start:stop], quad.params, w.chart)
-            except SingularityError as err:
-                raise SingularityError(
-                    f"integrand singular on cell {quad.copies[i // 2].name or '?'}: {err}",
-                    err.subexpression,
-                    err.point,
-                ) from err
-    return coeffs
+        return w.tape.values(quad.flatX, quad.params, w.chart)
+    except SingularityError as err:
+        raise SingularityError(
+            f"integrand singular on cell {quad.copies[0].name or '?'}: {err}",
+            err.subexpression,
+            err.point,
+        ) from err
 
 
 def integrate(
@@ -609,9 +576,10 @@ def _advect_all(
     """Each chain advected along V to each of times, in order: one list of
     len(times) chains per chain.
 
-    Each chain's node grid is evaluated once; the grids of every chain are
-    stacked once per nonzero time, and all times that take the same number
-    of steps run in one rk4_flow call.  Rows do not interact, so each chain
+    Each expression chain's node grid is evaluated once, and an
+    interpolated chain's grid is its node values; the grids of every chain
+    are stacked once per nonzero time, and all times that take the same
+    number of steps run in one rk4_flow call.  Rows do not interact, so each chain
     moves exactly as it would alone.  The copies of a chain share one
     node_axes tuple, so _Quadrature stacks them.  Time 0 gives the chain
     itself.
@@ -622,9 +590,10 @@ def _advect_all(
     for cell in (chain.cell for chain in chains):
         if isinstance(cell, InterpCell):
             axes.append(cell.node_axes)
+            grids.append(cell.values)
         else:
             axes.append((_lobatto_nodes(DEFAULT_FIT_NODES[cell.degree]),) * cell.degree)
-        grids.append(cell.eval_grid(axes[-1], params))
+            grids.append(cell.eval_grid(axes[-1], params))
     X0 = np.concatenate([X.reshape(-1, X.shape[-1]) for X in grids])
     cuts = np.cumsum([X.size // X.shape[-1] for X in grids])[:-1]
 
@@ -694,44 +663,34 @@ def invariance_checks(
 
     Every chain is advected to the four stencil times in one batch.  The
     base and Lie integrals read the chain's quadrature, which inside a run
-    memo serves every integral over the chain in the run.  When
-    the batch raises, the pairs are checked again one at a time, so the
-    error is the first that checking them one by one meets.
+    memo serves every integral over the chain in the run.  The error
+    raised is the batch's: any chain's advection before any integral, then
+    the pairs in order.
     """
     if mode not in ("invariant", "drift", "identity"):
         raise ChainError(f"unknown invariance mode {mode!r}")
     pairs = list(pairs)
+    advected = _advect_all([c for _, c in pairs], V, (h, -h, 2 * h, -2 * h), params=params)
+    out = []
+    for (w, chain), moved in zip(pairs, advected):
+        stencil = _Quadrature(moved, None, params).integrals(w)
+        i_ph, i_mh, i_p2, i_m2 = (r.value for r in stencil)
+        derivative = (8.0 * (i_ph - i_mh) - (i_p2 - i_m2)) / (12.0 * h)
 
-    def batch() -> list[InvarianceResult]:
-        advected = _advect_all([c for _, c in pairs], V, (h, -h, 2 * h, -2 * h), params=params)
-        out = []
-        for (w, chain), moved in zip(pairs, advected):
-            stencil = _Quadrature(moved, None, params).integrals(w)
-            i_ph, i_mh, i_p2, i_m2 = (r.value for r in stencil)
-            derivative = (8.0 * (i_ph - i_mh) - (i_p2 - i_m2)) / (12.0 * h)
+        quad = _quadrature(chain, None, params)
+        base = quad.integrals(w)[0]
+        lie = quad.integrals(fm.lie_derivative(V, w))[0]
+        scale = 1.0 + base.scale + lie.scale
+        gap = abs(derivative - lie.value)
 
-            quad = _quadrature(chain, None, params)
-            base = quad.integrals(w)[0]
-            lie = quad.integrals(fm.lie_derivative(V, w))[0]
-            scale = 1.0 + base.scale + lie.scale
-            gap = abs(derivative - lie.value)
-
-            if mode == "invariant":
-                passed = abs(derivative) <= tol * scale
-            elif mode == "drift":
-                passed = abs(derivative) >= drift_factor * tol * scale
-            else:
-                passed = gap <= tol * scale
-            out.append(InvarianceResult(derivative, lie.value, scale, tol, mode, passed, gap))
-        return out
-
-    try:
-        return batch()
-    except (ChainError, ex.ExprError):
-        if len(pairs) < 2:
-            raise
-    # replayed outside the handler, so the error raised does not chain the batch's
-    return [invariance_check(w, c, V, mode, h, tol, drift_factor, params) for w, c in pairs]
+        if mode == "invariant":
+            passed = abs(derivative) <= tol * scale
+        elif mode == "drift":
+            passed = abs(derivative) >= drift_factor * tol * scale
+        else:
+            passed = gap <= tol * scale
+        out.append(InvarianceResult(derivative, lie.value, scale, tol, mode, passed, gap))
+    return out
 
 
 def invariance_check(

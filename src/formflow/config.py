@@ -343,9 +343,9 @@ def _range(e: _Entry, s: _Scope) -> tuple[str, float, float]:
 
 def _degree(e: _Entry, s: _Scope) -> int:
     # checked here, before the chain's components are parsed in u0..u{degree-1}
-    degree = _int(e, s)
-    if not 1 <= degree <= s.chart.dim:
-        raise ConfigError(f"chain degree must be in 1..{s.chart.dim}", e.line, e.column)
+    degree, top = _int(e, s), min(s.chart.dim, max(ch.DEFAULT_QUAD_ORDER))
+    if not 1 <= degree <= top:
+        raise ConfigError(f"chain degree must be in 1..{top}", e.line, e.column)
     return degree
 
 

@@ -922,10 +922,16 @@ def test_a_superscript_digit_is_a_located_config_error(tmp_path, capsys):
     pytest.param("[run]\npreset = harmonic.winding\n\n[sampling]\nguards = x;  q*y\n",
                  "line 5, column 14: parameter 'q' has no value; add it to [params]",
                  id="unbound guard parameter after a preset's"),
+    # five coordinates admit a 5-chain, but quadrature has orders up to degree 4
+    pytest.param("[run]\nbattery = theorems\n\n[chart]\ncoordinates = a, b, c, d, e\n\n"
+                 "[system]\naction = 0, 0, 0, 0, 1\n\n[chain big]\ndegree = 5\n"
+                 "components = u0, u1, u2, u3, u4\n",
+                 "line 11, column 10: chain degree must be in 1..4", id="chain degree 5"),
 ])
 def test_a_config_error_names_one_file_position(text, message, tmp_path, capsys):
     # a value's pieces are parsed alone, and an error in one names the file
-    # position of its character (or of the piece, for a missing parameter)
+    # position of its character (or of the piece, for a missing parameter);
+    # a value checked whole names its entry
     cfg = tmp_path / "located.cfg"
     cfg.write_text(text)
     assert cli.main(["run", str(cfg), "--no-summary"]) == 2
@@ -943,8 +949,10 @@ def test_constant_power_past_the_float_range_is_a_singularity(tmp_path, capsys):
 
 # A plain config with at most one hostile edit: a number past the float
 # range, a negative or huge seed, an unknown key, a missing or miscounted
-# action, an out path that cannot be written, or a topology of 17 points.
-# Expressions nest calls, atan2 among them, either way.
+# action, an out path that cannot be written, a topology of 17 points, or,
+# under the theorems battery with a process and a closed circle, a hostile
+# process component, chain component or chain degree.  Expressions nest
+# calls, atan2 among them, either way.
 _PLAIN = st.sampled_from(["1", "0.5", "3", "-2.5", "0"])
 _HOSTILE = st.sampled_from(["1e308", "1e400", "-1e400", "inf", "-inf", "nan", "1" + "0" * 40])
 
@@ -961,9 +969,8 @@ def _call(args):
     )
 
 
-def _exprs(numbers):
-    return st.recursive(numbers | st.sampled_from(["x", "y", "z", "t", "a", "pi"]), _call,
-                        max_leaves=6)
+def _exprs(numbers, names=("x", "y", "z", "t", "a", "pi")):
+    return st.recursive(numbers | st.sampled_from(names), _call, max_leaves=6)
 
 
 @st.composite
@@ -971,6 +978,7 @@ def hostile_configs(draw):
     edit = draw(st.sampled_from([
         None, "seed", "negative seed", "huge seed", "tolerance", "param", "highs", "range",
         "component", "guard", "unknown key", "short action", "no action", "out", "big topology",
+        "process component", "chain component", "degree",
     ]))
     hostile = draw(_HOSTILE)
     seed = {"seed": hostile, "huge seed": str(draw(st.integers(10**39, 10**40))),
@@ -979,8 +987,12 @@ def hostile_configs(draw):
     if edit == "component":
         action[draw(st.integers(0, 3))] = draw(_exprs(_PLAIN | _HOSTILE))
     action = {"short action": action[:3], "no action": []}.get(edit, action)
+    chained = edit in ("process component", "chain component", "degree")
+    if chained:  # closed, so every process is extremal and advects the circle
+        action = ["-y/(x^2 + y^2)", "x/(x^2 + y^2)", "0", "0"]
+    battery = {"big topology": "topology"}.get(edit, "theorems" if chained else "pfaff")
     lines = [
-        "[run]", f"battery = {'topology' if edit == 'big topology' else 'pfaff'}",
+        "[run]", f"battery = {battery}",
         f"seed = {seed.get(edit, draw(st.integers(0, 10**6)))}",
         f"tolerance = {hostile if edit == 'tolerance' else '1e-6'}",
         "bogus = 1" if edit == "unknown key" else "",
@@ -996,6 +1008,17 @@ def hostile_configs(draw):
     ]
     if edit == "big topology":
         lines += ["[topology]", f"points = {_POINTS}", f"opens = {{}}; {{{_POINTS}}}"]
+    if chained:
+        process = ["-y", "x", "0", "1"]
+        circle = ["0.5*cos(2*pi*u0)", "0.5*sin(2*pi*u0)", "0", "0"]
+        if edit == "process component":
+            process[draw(st.integers(0, 3))] = draw(_exprs(_PLAIN | _HOSTILE))
+        if edit == "chain component":
+            circle[draw(st.integers(0, 3))] = draw(_exprs(_PLAIN | _HOSTILE, ("u0", "a", "pi")))
+        degree = draw(st.sampled_from(["0", "5", "1" + "0" * 39])) if edit == "degree" else 1
+        lines += ["[process p]", f"components = {', '.join(process)}",
+                  "[chain c]", f"degree = {degree}", f"components = {', '.join(circle)}",
+                  "closed = true"]
     return "\n".join(lines) + "\n"
 
 

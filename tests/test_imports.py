@@ -123,6 +123,7 @@ KEEP = {
     "chains.advect": TRACED,
     "chains.Chain.cells": "read by bench/tracing.py's _count_integrate (ROADMAP item 5)",
     "chains.circle_cell": "acceptance criterion 06",
+    "chains.invariance_check": f"acceptance criterion 06; {TRACED}",
     "chains.period_spectrum": "acceptance criterion 07",
     "config.serialize_config": "README: the config format writes a RunConfig back",
     "expr.eval_many": TRACED,
