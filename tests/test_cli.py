@@ -575,6 +575,22 @@ def test_report_bytes_are_pinned(name):
     assert hashlib.sha256(data).hexdigest() == REPORT_DIGESTS[name]
 
 
+def test_workload_report_bytes_are_pinned():
+    # the benchmark's report_sha256 of every (workload, seed) row of the
+    # committed table, computed in-process as bench/run.py computes it
+    from test_batteries import _bench_workloads
+
+    workloads = _bench_workloads()
+    table = [line.split() for line in (REPO / "tests" / "workload_digests.txt").read_text()
+             .splitlines() if line and not line.startswith("#")]
+    assert len(table) == 7
+    for workload, seed, want in table:
+        digest = hashlib.sha256()
+        for job in workloads.WORKLOADS[workload](int(seed), REPO):
+            digest.update(cli.run(cli.parse_config(job.text)).to_json().encode())
+        assert digest.hexdigest() == want, f"{workload} seed {seed}"
+
+
 def test_sampling_guard_may_use_a_parameter_the_action_lacks(tmp_path, capsys):
     cfg = tmp_path / "guard.cfg"
     cfg.write_text(
