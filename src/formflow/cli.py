@@ -28,7 +28,6 @@ from . import systems as sy
 from . import thermo as th
 from .config import ConfigError, RunConfig, build_runtime, parse_config
 from .expr import InconclusiveError
-from .pfaff import InternalConsistencyError
 
 # parse_config is formflow.config's, named here too for callers of the command's module
 __all__ = ["Report", "main", "parse_config", "run"]
@@ -82,7 +81,7 @@ def run(cfg: RunConfig) -> Report:
         for name in cfg.selected_batteries():
             try:
                 batteries[name] = bt.BATTERY_FUNCS[name](rt, checks)
-            except (InconclusiveError, InternalConsistencyError) as e:
+            except InconclusiveError as e:
                 batteries[name] = {"error": f"{type(e).__name__}: {e}"}
                 errors[name] = str(e)
 
@@ -201,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = run(cfg)
     # InconclusiveError is an ExprError, so it must be caught first
-    except (InconclusiveError, InternalConsistencyError) as e:
+    except InconclusiveError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
     except (ConfigError, fm.FormError, ch.ChainError, th.ThermoError, ex.ExprError) as e:

@@ -35,7 +35,6 @@ __all__ = [
     "TopologicalBase",
     "TorsionData",
     "GenusReport",
-    "InternalConsistencyError",
     "pfaff_sequence",
     "cartan_topological_base",
     "torsion_data",
@@ -43,12 +42,7 @@ __all__ = [
     "parity",
     "genus_diagnostic",
     "form_is_zero",
-    "require_zero",
 ]
-
-
-class InternalConsistencyError(Exception):
-    """An identity that must hold by construction failed its check."""
 
 
 class Anatomy:
@@ -115,25 +109,6 @@ def form_is_zero(w: DifferentialForm, tester: ZeroTester) -> ZeroVerdict:
         if not v:
             return v
     return ZeroVerdict(zero=True, syntactic=w.is_syntactically_zero)
-
-
-def require_zero(
-    x: ScalarExpr | Sequence[ScalarExpr] | DifferentialForm, context: ZeroTester, what: str
-) -> None:
-    """Check an identity that holds by construction: x must vanish.
-
-    x is an expression, a sequence of expressions or a form.  A syntactic
-    zero costs no sample; anything else is zero-tested on `context`, the
-    run's zero tester.  A failure raises InternalConsistencyError naming
-    `what`, the witness point and the value there.
-    """
-    if isinstance(x, DifferentialForm):
-        x = tuple(x.coeffs.values())
-    for e in (x,) if isinstance(x, ScalarExpr) else x:
-        v = context.test(e)
-        if not v:
-            at = "every point" if v.witness is None else v.witness
-            raise InternalConsistencyError(f"{what} at {at} (value {v.witness_value})")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from . import forms as fm
 from . import pfaff as pf
 from .expr import InconclusiveError
 from .forms import DifferentialForm, VectorField
-from .pfaff import Anatomy, InternalConsistencyError
+from .pfaff import Anatomy
 
 __all__ = [
     "ProcessFlags",
@@ -78,10 +78,11 @@ def first_law(
 class SecondVariation:
     """Second propagation R = L(J)Q and its exactness evidence.
 
-    For closed flows (dQ = 0) the transversality i(J)W = 0 forces
-    R = d(i(J)Q): exact, so dR = 0 and every period of R vanishes.  The
-    same mechanism gives L(J)(Q^F) = d(i(J)Q * F).  Open flows get the
-    same residuals reported without any claim.
+    For closed flows (dQ = 0) Cartan's formula gives R = d(i(J)Q): exact,
+    so dR = 0 and every period of R vanishes.  The same mechanism gives
+    L(J)(Q^F) = d(i(J)Q * F).  A closed flow's three fields are therefore
+    True by construction, and the test suite checks the residuals; an open
+    flow's are zero verdicts, reported without any claim.
     """
 
     radiation: DifferentialForm
@@ -100,33 +101,24 @@ class SecondVariation:
 def second_variation(a: Anatomy, J: VectorField, heat: Anatomy) -> SecondVariation:
     """Propagate the heat form Q = heat.A of a.A along J once more:
     R = L(J)Q, with exactness evidence and its periods over a.cycles.
-    dQ = 0 is read off heat's Pfaff sequence."""
+    dQ = 0 is read off heat's Pfaff sequence; only an open flow's exactness
+    evidence is zero-tested."""
     Q, F = heat.A, a.dA
     R = fm.lie_derivative(J, Q)
-    potential = fm.interior(J, Q)
 
-    tester = a.context
     closed_flow = heat.sequence.zero(1).zero
-
-    dR = fm.exterior_derivative(R)
-    dR_zero = pf.form_is_zero(dR, tester).zero
-    residual = fm.sub_forms(R, fm.exterior_derivative(potential))
-    residual_zero = pf.form_is_zero(residual, tester).zero
-
-    wedge_diff = fm.sub_forms(
-        fm.lie_derivative(J, fm.wedge(Q, F)),
-        fm.exterior_derivative(fm.wedge(potential, F)),
-    )
-    wedge_zero = pf.form_is_zero(wedge_diff, tester).zero
-
-    if closed_flow and not dR_zero:
-        raise InternalConsistencyError(
-            "closed flow produced a non-closed radiation form"
+    dR_zero = residual_zero = wedge_zero = True
+    if not closed_flow:
+        tester = a.context
+        potential = fm.interior(J, Q)
+        dR_zero = pf.form_is_zero(fm.exterior_derivative(R), tester).zero
+        residual = fm.sub_forms(R, fm.exterior_derivative(potential))
+        residual_zero = pf.form_is_zero(residual, tester).zero
+        wedge_diff = fm.sub_forms(
+            fm.lie_derivative(J, fm.wedge(Q, F)),
+            fm.exterior_derivative(fm.wedge(potential, F)),
         )
-    if closed_flow and not residual_zero:
-        raise InternalConsistencyError(
-            "closed flow radiation differs from d(i(J)Q)"
-        )
+        wedge_zero = pf.form_is_zero(wedge_diff, tester).zero
 
     integrals = tuple(ch.integrate(R, c, params=a.params) for c in a.cycles)
     vanish = (

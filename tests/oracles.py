@@ -1296,11 +1296,27 @@ def mass_residuals(rho, v, tester: ex.ZeroTester) -> list:
         fm.exterior_derivative(m.J), fm.scale_form(m.residual, volume_form(sy.SPACETIME))))
 
 
+def listed_residuals(name: str, tester: ex.ZeroTester, T: fm.VectorField, listed) -> list:
+    """T = COMPONENT_LIST_SIGN * listed, for a classical (T_x, T_y, T_z, h)
+    list; the sign is read when called."""
+    sign = ex.Const(sy.COMPONENT_LIST_SIGN)
+    return _residuals(name, tester, [t - sign * c for t, c in zip(T.components, listed)])
+
+
 def fluid_residuals(s: sy.FluidSystem, a: pf.Anatomy) -> list:
-    """The first-law work split, the engineering torsion difference,
-    K = 2 a.omega and the unit-density mass current, for any velocity;
-    a is the anatomy of s.action()."""
+    """The induction identities, the torsion balance law and the listed
+    torsion current, the first-law work split, the engineering torsion
+    difference, K = 2 a.omega and the unit-density mass current, for any
+    velocity; a is the anatomy of s.action()."""
     tester, v = a.context, s.velocity
+    vort = sy.vorticity_fields(s)
+    omega, acc = vort.omega, vort.acceleration
+    built = fm.form_from_coeffs(sy.SPACETIME, 2, {
+        (0, 1): omega[2], (1, 2): omega[0], (0, 2): -omega[1],
+        (0, 3): acc[0], (1, 3): acc[1], (2, 3): acc[2],
+    })
+    torsion = sy.torsion_current(s)
+    current, h = torsion.current, torsion.helicity_density
     eng = sy.ns_engineering_torsion(s, a)
     residual = eng.ns.residual
     split = fm.sub_forms(
@@ -1308,6 +1324,14 @@ def fluid_residuals(s: sy.FluidSystem, a: pf.Anatomy) -> list:
         fm.add_forms(eng.ns.work_form, sy._transversal_form(residual, v)),
     )
     return [
+        *_residuals("dA = F(omega, a)", tester, fm.sub_forms(built, a.dA)),
+        *_residuals("curl a + d(omega)/dt = 0", tester,
+                    sy._add3(sy._curl(acc), sy._time(omega))),
+        *_residuals("div omega = 0", tester, sy._div(omega)),
+        *_residuals("div T + dh/dt = anomaly", tester,
+                    sy._div(current) + ex.differentiate(h, 3) - torsion.anomaly),
+        *listed_residuals("T = sign*(a x v + H omega, v.omega)", tester, a.torsion.vector,
+                          (*current, h)),
         *_residuals("i(V)dA = work + residual.(dx - v dt)", tester, split),
         *_residuals("kinematic - engineering = -(residual x v)", tester,
                     sy._add3(sy._sub3(eng.kinematic.current, eng.current),
@@ -1318,13 +1342,51 @@ def fluid_residuals(s: sy.FluidSystem, a: pf.Anatomy) -> list:
     ]
 
 
+def em_residuals(s: sy.EMSystem, a: pf.Anatomy) -> list:
+    """dF = 0, the listed torsion current, Gamma = E.B, k = 2 E.B and the
+    divergence law div T + dh/dt = -2 E.B, for any potentials; a is the
+    anatomy of s.action()."""
+    tester, rep = a.context, sy.em_diagnostics(s, a)
+    EdotB = sy._dot(rep.E, rep.B)
+    h = rep.helicity_density
+    return [
+        *_residuals("dF = 0", tester, fm.exterior_derivative(a.dA)),
+        *listed_residuals("T = sign*(E x A + phi B, A.B)", tester, rep.torsion.vector,
+                          (*rep.current, h)),
+        *_residuals("Gamma = E.B", tester, rep.torsion.gamma - EdotB),
+        *_residuals("k = 2 E.B", tester, rep.parity_coefficient - 2 * EdotB),
+        *_residuals("div T + dh/dt = -2 E.B", tester,
+                    sy._div(rep.current) + ex.differentiate(h, 3) + 2 * EdotB),
+    ]
+
+
 def process_residuals(a: pf.Anatomy, J: fm.VectorField) -> list:
-    """W + dU = L(J)A and dQ = dW for the first-law split of a.A along J."""
+    """W + dU = L(J)A, dQ = dW and i(J)W = 0 for the first-law split of
+    a.A along J."""
     Q, W, _ = th.first_law(a, J)
     return [
         *_residuals("W + dU = L(J)A", a.context, fm.sub_forms(Q, fm.lie_derivative(J, a.A))),
         *_residuals("dQ = dW", a.context,
                     fm.sub_forms(fm.exterior_derivative(Q), fm.exterior_derivative(W))),
+        *_residuals("i(J)W = 0", a.context, fm.interior(J, W)),
+    ]
+
+
+def second_variation_residuals(a: pf.Anatomy, J: fm.VectorField) -> list:
+    """R - d(i(J)Q) = i(J)dQ, dR = d(i(J)dQ) and
+    L(J)(Q^F) - d(i(J)Q F) = i(J)dQ^F + Q^dQ for R = L(J)Q, the heat form
+    Q of a.A along J and F = dA.  On a closed flow, dQ = 0, they read
+    R = d(i(J)Q), dR = 0 and L(J)(Q^F) = d(i(J)Q F): the three fields that
+    thermo.second_variation writes True."""
+    Q, d = th.first_law(a, J)[0], fm.exterior_derivative
+    F, dQ, potential = a.dA, d(Q), fm.interior(J, Q)
+    R, iJdQ = fm.lie_derivative(J, Q), fm.interior(J, dQ)
+    return [
+        *_residuals("R - d(i(J)Q) = i(J)dQ", a.context, R - d(potential) - iJdQ),
+        *_residuals("dR = d(i(J)dQ)", a.context, d(R) - d(iJdQ)),
+        *_residuals("L(J)(Q^F) - d(i(J)Q F) = i(J)dQ^F + Q^dQ", a.context,
+                    fm.lie_derivative(J, fm.wedge(Q, F)) - d(fm.wedge(potential, F))
+                    - fm.wedge(iJdQ, F) - fm.wedge(Q, dQ)),
     ]
 
 
@@ -1336,15 +1398,18 @@ def failing(residuals) -> list[str]:
 
 def run_residuals(rt) -> list:
     """Every identity above that a run's Runtime rt holds by construction:
-    its action's torsion identities on a 4-chart, its fluid system's, and
-    the first-law split along each of its processes."""
+    its action's torsion identities on a 4-chart, its fluid or
+    electromagnetic system's, and the first-law split and second variation
+    along each of its processes."""
     a, out = rt.anatomy, []
     if a.A.chart.dim == 4 and a.A.degree == 1:
         out += torsion_residuals(a)
     if isinstance(rt.system, sy.FluidSystem):
         out += fluid_residuals(rt.system, a)
+    if isinstance(rt.system, sy.EMSystem):
+        out += em_residuals(rt.system, a)
     for J in rt.processes.values():
-        out += process_residuals(a, J)
+        out += process_residuals(a, J) + second_variation_residuals(a, J)
     return out
 
 

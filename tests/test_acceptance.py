@@ -348,14 +348,14 @@ def test_criterion_08_fluid_identities():
     for name in ("euler.rigid_rotation", "ns.decaying_shear", "fluid.beltrami_abc"):
         p = sy.get_preset(name)
         s = p.system
-        vort = sy.vorticity_fields(s, p.context)
+        vort = sy.vorticity_fields(s)
         induction = sy._add3(sy._curl(vort.acceleration), sy._time(vort.omega))
         for i, c in enumerate(induction):
             if not is_zero_scalar(c, p.context.box):
                 failures.append(f"{name} induction[{i}]")
         if not is_zero_scalar(sy._div(vort.omega), p.context.box):
             failures.append(f"{name} div omega")
-        tc = sy.torsion_current(s, pf.Anatomy(p.action, p.context))
+        tc = sy.torsion_current(s)
         balance = ex.add(
             sy._div(tc.current),
             ex.differentiate(tc.helicity_density, 3),

@@ -685,23 +685,6 @@ def test_rational_potentials_run(tmp_path, capsys):
     assert doc["counts"]["errors"] == 0
 
 
-def test_broken_identity_exits_3_with_its_witness(monkeypatch, tmp_path, capsys):
-    # a wrong component-list sign breaks the torsion current identity
-    monkeypatch.setattr(sy, "COMPONENT_LIST_SIGN", 1)
-    out = tmp_path / "report.json"
-    argv = ["run", "--preset", "em.torsion_nonzero", "--battery", "residuals",
-            "--out", str(out), "--no-summary"]
-    assert cli.main(argv) == 3
-    doc = json.loads(out.read_text())
-    assert doc["counts"]["errors"] == 1 and doc["passed"] is False
-    error = doc["batteries"]["residuals"]["error"]
-    assert re.fullmatch(
-        r"InternalConsistencyError: torsion current disagrees with E x A \+ phi B "
-        r"at \((-?\d\S*, ){3}-?\d\S*\) \(value -?\d\S*\)",
-        error,
-    ), error
-
-
 def test_every_tree_reaching_an_entry_point_is_a_fixed_point(monkeypatch):
     # the constructors are the one normalizer: every tree a run hands to a
     # form, a vector field, a chain cell or the zero test, which take it as

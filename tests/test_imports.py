@@ -134,6 +134,7 @@ KEEP = {
     "finite_topology.image_topology": TRACED,
     "finite_topology.is_homeomorphism": TRACED,
     "forms.excess_function": "acceptance criterion 03",
+    "forms.form_from_coeffs": "acceptance criterion 06",
     "parse.parse_scalar_list": TRACED,
     "systems.euler_residual": f"acceptance criterion 08; {TRACED}",
     "systems.get_preset": f"the README's library example and scripts/theorem_survey.py; {TRACED}",

@@ -12,7 +12,10 @@ import formflow.pfaff as pf
 import formflow.systems as sy
 import formflow.thermo as th
 from corpus import random_poly_scalar, rng
-from oracles import failing, fluid_residuals, inexact, mass_residuals, value_at
+from oracles import (
+    em_residuals, failing, fluid_residuals, inexact, mass_residuals, run_residuals,
+    second_variation_residuals, value_at,
+)
 
 CHART = ex.spacetime_chart()
 CONTEXT = ex.ZeroTester(ex.default_box(4))
@@ -43,7 +46,7 @@ def vec_equal(got, want, box=None) -> bool:
 
 def test_beltrami_velocity_is_its_own_curl():
     s = sy.get_preset("fluid.beltrami_abc").system
-    vort = sy.vorticity_fields(s, CONTEXT)
+    vort = sy.vorticity_fields(s)
     for w, v in zip(vort.omega, s.velocity):
         assert ex.is_syntactic_zero(ex.simplify(ex.add(w, ex.negate(v))))
 
@@ -61,7 +64,7 @@ def test_beltrami_solves_euler_exactly():
 
 def test_beltrami_torsion_current_is_parallel_to_velocity():
     p = sy.get_preset("fluid.beltrami_abc")
-    tc = sy.torsion_current(p.system, pf.Anatomy(p.action, p.context))
+    tc = sy.torsion_current(p.system)
     want = tuple(ex.mul(ex.Const(1.5), v) for v in p.system.velocity)
     assert vec_equal(tc.current, want, p.context.box)
     speed_sq = ex.add(*(ex.power(v, 2) for v in p.system.velocity))
@@ -73,7 +76,7 @@ def test_beltrami_torsion_current_is_parallel_to_velocity():
 
 def test_rigid_rotation_vorticity_and_balance():
     p = sy.get_preset("euler.rigid_rotation")
-    vort = sy.vorticity_fields(p.system, p.context)
+    vort = sy.vorticity_fields(p.system)
     twice = ex.mul(ex.Const(2), ex.Param("Omega"))
     assert ex.is_syntactic_zero(vort.omega[0])
     assert ex.is_syntactic_zero(vort.omega[1])
@@ -83,7 +86,7 @@ def test_rigid_rotation_vorticity_and_balance():
 
 def test_rigid_rotation_torsion_current_vanishes():
     p = sy.get_preset("euler.rigid_rotation")
-    tc = sy.torsion_current(p.system, pf.Anatomy(p.action, p.context))
+    tc = sy.torsion_current(p.system)
     assert vec_is_zero(tc.current, p.context.box)
     assert is_zero(tc.helicity_density, p.context.box)
     assert pf.genus_diagnostic(pf.Anatomy(p.action, p.context)).genus == 3
@@ -109,7 +112,7 @@ def test_shear_satisfies_viscous_balance_but_not_euler():
 def test_shear_torsion_current_formula():
     # unidirectional profile f(y, t): current reduces to (0, 0, f^2 f_y / 2)
     p = sy.get_preset("ns.decaying_shear")
-    tc = sy.torsion_current(p.system, pf.Anatomy(p.action, p.context))
+    tc = sy.torsion_current(p.system)
     f = p.system.velocity[0]
     want_z = ex.mul(ex.Const(0.5), f, f, ex.differentiate(f, 1))
     assert ex.is_syntactic_zero(tc.current[0])
@@ -201,15 +204,6 @@ def test_extremal_flag_tracks_momentum_balance():
     assert not rep.flags.extremal
 
 
-def test_vorticity_fields_reject_broken_inputs():
-    # the induction identities are theorems; feed a system whose action we
-    # tamper with to show the cross-check is alive
-    s = sy.get_preset("euler.rigid_rotation").system
-    vort = sy.vorticity_fields(s, CONTEXT)
-    dA = fm.exterior_derivative(s.action())
-    assert fm.sub_forms(vort.F, dA).is_syntactically_zero
-
-
 def test_mass_current_conservation_cases():
     rigid = sy.get_preset("euler.rigid_rotation").system
     # steady incompressible rotation with unit density
@@ -242,18 +236,56 @@ def test_mass_current_with_a_rational_velocity():
     assert inexact(mass_residuals(rho, v, CONTEXT), CHART) == []
 
 
-def test_broken_identity_names_its_witness_and_value(monkeypatch):
-    # a wrong component-list sign breaks E x A + phi B = -T
-    p = sy.get_preset("em.torsion_nonzero")
+def test_em_identities_are_exact_on_rational_potentials():
+    # dF = 0, the listed current, Gamma = E.B, k = 2 E.B and the divergence
+    # law: zero verdicts, and sympy cancels each residual to 0, on
+    # multilinear polynomial potentials with E.B != 0
+    r = rng(810)
+    s = sy.EMSystem(tuple(random_poly_scalar(r, max_terms=2, max_degree=1) for _ in range(3)),
+                    random_poly_scalar(r, max_terms=2, max_degree=1))
+    a = pf.Anatomy(s.action(), CONTEXT)
+    assert not CONTEXT.test(sy._dot(*s.fields())).zero
+    assert failing(em_residuals(s, a)) == []
+    assert inexact(em_residuals(s, a), CHART) == []
+
+
+# Constants fold in floating point (ROADMAP item 20): rigid rotation's probe
+# process has decimal components, and two of its second-variation residuals
+# keep a folded residue of order 1e-18.  They are pinned here, so the test
+# fails once constants fold exactly.
+FOLDED = {
+    "euler.rigid_rotation": ["dR = d(i(J)dQ)", "L(J)(Q^F) - d(i(J)Q F) = i(J)dQ^F + Q^dQ"],
+}
+
+
+@pytest.mark.parametrize("name", sy.preset_names())
+def test_run_identities_are_exact_on_the_presets(name):
+    # every identity a run of the preset holds by construction (the induction
+    # identities, the torsion balance law and listed currents, the EM field
+    # identities, the first-law split, i(J)W = 0 and the second variation of
+    # each process) is a zero verdict, and sympy cancels its residual to 0
+    rt = sy.get_preset(name)
+    assert failing(run_residuals(rt)) == []
+    assert inexact(run_residuals(rt), rt.chart) == FOLDED.get(name, [])
+    if name in FOLDED:
+        probe = second_variation_residuals(rt.anatomy, rt.processes["probe"])
+        assert inexact(probe, rt.chart) == FOLDED[name]
+
+
+def test_a_flipped_component_list_sign_breaks_the_listed_currents(monkeypatch):
+    # each classical (current, h) list is COMPONENT_LIST_SIGN times the
+    # solving vector of i(T)Omega = A^dA, exactly; flipping the sign breaks
+    # those two identities and no other
+    em, fluid = sy.get_preset("em.torsion_nonzero"), sy.get_preset("fluid.beltrami_abc")
+
+    def inexact_identities():
+        return (inexact(em_residuals(em.system, em.anatomy), CHART),
+                inexact(fluid_residuals(fluid.system, fluid.anatomy), CHART))
+
+    assert inexact_identities() == ([], [])
     monkeypatch.setattr(sy, "COMPONENT_LIST_SIGN", 1)
-    with pytest.raises(pf.InternalConsistencyError) as err:
-        sy.em_diagnostics(p.system, p.anatomy)
-    what, at = str(err.value).split(" at ")
-    assert what == "torsion current disagrees with E x A + phi B"
-    witness, value = at.split(" (value ")
-    point = tuple(float(c) for c in witness.strip("()").split(", "))
-    assert len(point) == 4 and all(-1.0 <= c <= 1.0 for c in point)
-    assert float(value.rstrip(")")) != 0.0
+    assert inexact_identities() == (["T = sign*(E x A + phi B, A.B)"],
+                                    ["T = sign*(a x v + H omega, v.omega)"])
 
 
 def test_transversal_comparison_is_a_report_not_a_theorem():
@@ -304,9 +336,7 @@ def test_torsion_preset_field_identities():
     assert value_at(rep.torsion.gamma, pt, p.params) == pytest.approx(-2 * lam * mu)
     assert value_at(rep.parity_coefficient, pt, p.params) == pytest.approx(-4 * lam * mu)
     assert value_at(rep.listed_parity, pt, p.params) == pytest.approx(4 * lam * mu)
-    assert ex.is_syntactic_zero(rep.divergence_residual) or is_zero(
-        rep.divergence_residual, p.context.box
-    )
+    assert failing(em_residuals(p.system, p.anatomy)) == []
     assert rep.genus.genus == 2
     assert rep.process.flags.irreversible
 

@@ -16,7 +16,7 @@ import formflow.systems as sy
 import formflow.thermo as th
 
 from corpus import CHART, action_process_pairs, random_poly_scalar, rng
-from oracles import inexact, process_residuals
+from oracles import failing, inexact, process_residuals, second_variation_residuals
 
 
 def scalar(text: str) -> ex.ScalarExpr:
@@ -48,6 +48,23 @@ def test_first_law_identities_are_exact_on_rational_pairs():
         J = fm.VectorField(CHART, comps, random_poly_scalar(r, 2, 1) if supported else ex.ONE)
         a = pf.Anatomy(A, ex.ZeroTester(ex.default_box(4)))
         assert inexact(process_residuals(a, J), CHART) == []
+
+
+def test_second_variation_identities_are_exact_on_a_rational_pair():
+    # R - d(i(J)Q) = i(J)dQ, dR = d(i(J)dQ) and the wedge comparison: sympy
+    # reads each residual from the printed text and cancels it to 0, along a
+    # supported field whose flow is neither closed nor reversible, so every
+    # dQ term counts.  On a closed flow they are the three fields
+    # second_variation writes True; the presets check that case
+    r = rng(305)
+    A = fm.one_form(CHART, tuple(random_poly_scalar(r, 1, 1) for _ in range(4)))
+    J = fm.VectorField(CHART, tuple(random_poly_scalar(r, 1, 1) for _ in range(4)),
+                       random_poly_scalar(r, 1, 1))
+    a = pf.Anatomy(A, ex.ZeroTester(ex.default_box(4)))
+    heat = pf.Anatomy(th.first_law(a, J)[0], a.context)
+    assert not heat.sequence.zero(1).zero and not heat.sequence.zero(2).zero
+    assert failing(second_variation_residuals(a, J)) == []
+    assert inexact(second_variation_residuals(a, J), CHART) == []
 
 
 def test_first_law_rejects_higher_degree():
