@@ -146,14 +146,24 @@ class ExprCell:
         """The rows of the map and its Jacobian at the grid of axes (C
         order): the n components, then the n * p entries (i, j) in C order,
         each one array over the grid, from one run of the cell's tape."""
-        return self.tape.values(_grid_points(axes), params or {})
+        return self._values(self.tape, axes, params)
 
     def eval_grid(
         self, axes: Sequence[np.ndarray], params: Mapping[str, float] | None = None
     ) -> np.ndarray:
         """The map alone at the grid of axes, from one run of map_tape."""
-        cols = self.map_tape.values(_grid_points(axes), params or {})
+        cols = self._values(self.map_tape, axes, params)
         return np.stack(cols, axis=-1).reshape(tuple(len(a) for a in axes) + (self.chart.dim,))
+
+    def _values(self, tape: ex.Tape, axes, params) -> list[np.ndarray]:
+        """tape's roots at the grid of axes; a singular point names the cell
+        and prints the map in u0..u{p-1}."""
+        try:
+            return tape.values(_grid_points(axes), params or {}, param_chart(self.degree))
+        except SingularityError as err:
+            raise SingularityError(
+                f"cell map singular on cell {self.name or '?'}: {err}", err.subexpression, err.point
+            ) from err
 
 
 def _grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:

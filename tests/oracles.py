@@ -973,12 +973,22 @@ def _reference_interp_grid(cell, axes, derivative_axis) -> np.ndarray:
     return out
 
 
+def _reference_map_values(cell, e, U, params) -> np.ndarray:
+    """e, a component of cell's map or one of its partials, at the rows of
+    U; a singular row names the cell and reads in u0..u{p-1}."""
+    try:
+        return ex.Tape((e,)).values(U, dict(params or {}), ch.param_chart(cell.degree))[0]
+    except ex.SingularityError as err:
+        raise ex.SingularityError(
+            f"cell map singular on cell {cell.name or '?'}: {err}", err.subexpression, err.point
+        ) from err
+
+
 def reference_eval_grid(cell, axes, params=None) -> np.ndarray:
     if isinstance(cell, ch.InterpCell):
         return _reference_interp_grid(cell, axes, None)
     U = _reference_grid_points(axes)
-    bound = dict(params or {})
-    cols = [ex.eval_many(c, U, bound) for c in cell.components]
+    cols = [_reference_map_values(cell, c, U, params) for c in cell.components]
     return np.stack(cols, axis=-1).reshape(tuple(len(a) for a in axes) + (cell.chart.dim,))
 
 
@@ -988,12 +998,11 @@ def reference_jacobian_grid(cell, axes, params=None) -> np.ndarray:
             [_reference_interp_grid(cell, axes, j) for j in range(cell.degree)], axis=-1
         )
     U = _reference_grid_points(axes)
-    bound = dict(params or {})
     n, p = cell.chart.dim, cell.degree
     J = np.empty((U.shape[0], n, p))
     for i, c in enumerate(cell.components):
         for j in range(p):
-            J[:, i, j] = ex.eval_many(ex.differentiate(c, j), U, bound)
+            J[:, i, j] = _reference_map_values(cell, ex.differentiate(c, j), U, params)
     return J.reshape(tuple(len(a) for a in axes) + (n, p))
 
 

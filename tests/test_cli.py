@@ -901,6 +901,21 @@ def test_a_singular_integrand_is_named_in_the_chart_coordinates(chart, x, tmp_pa
     )
 
 
+def test_a_chain_map_singular_at_its_nodes_names_its_chain_and_parameters(tmp_path, capsys):
+    # the map is printed over the cell's u0, not the config's coordinates
+    cfg = tmp_path / "map.cfg"
+    cfg.write_text(
+        "[run]\nbattery = theorems\n\n[system]\naction = y, 0, 0, 0\n\n"
+        "[process p]\ncomponents = 1, 0, 0, 1\n\n[chain c]\ndegree = 1\n"
+        "components = 0.5*cos(2*pi*u0), 0.5*sin(2*pi*u0), ln(u0 - 0.5), 0\nclosed = true\n"
+    )
+    assert cli.main(["run", str(cfg), "--no-summary"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: cell map singular on cell c: ln of nonpositive value in ln(-0.5 + u0) "
+        "at point ("
+    )
+
+
 def test_a_superscript_digit_is_a_located_config_error(tmp_path, capsys):
     cfg = tmp_path / "square.cfg"
     cfg.write_text("[system]\naction = 2\u00b2*y, 0, 0, 0\n")
